@@ -1160,25 +1160,35 @@ impl Trainer {
     // behavior bitwise.
 
     /// Ingests one joint environment step produced by a rollout worker:
-    /// pushes the per-agent transitions, notifies the sampler, and
+    /// `row` is the concatenation of one replay row per agent
+    /// (`obs | action | reward | next_obs | done`, the
+    /// [`Trainer::transition_layouts`] order). Pushes the borrowed rows
+    /// without materializing transitions, notifies the sampler, and
     /// advances `env_steps`/`samples_since_update` exactly as the
     /// in-process rollout loop does. Update scheduling is left to the
     /// caller (see [`Trainer::maybe_update`]).
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError::InvalidConfig`] when the joint step does not
-    /// carry one transition per agent, and propagates replay failures.
-    pub fn ingest_step(&mut self, transitions: &[Transition]) -> Result<(), TrainError> {
-        if transitions.len() != self.agents.len() {
+    /// Returns [`TrainError::InvalidConfig`] when `row` is not exactly
+    /// one joint step wide.
+    pub fn ingest_step(&mut self, row: &[f32]) -> Result<(), TrainError> {
+        let width: usize = self.transition_layouts().map(|l| l.row_width()).sum();
+        if row.len() != width {
             return Err(TrainError::InvalidConfig(format!(
-                "joint step carries {} transitions but the trainer has {} agents",
-                transitions.len(),
-                self.agents.len()
+                "joint step carries {} floats but the trainer's agents take {width}",
+                row.len()
             )));
         }
         let t0 = Instant::now();
-        let slot = self.replay.push_step(transitions)?;
+        let (obs_dims, act_dims) = (&self.obs_dims, &self.act_dims);
+        let mut rest = row;
+        let slot = self.replay.push_step_with(|a| {
+            let layout = TransitionLayout::new(obs_dims[a], act_dims[a]);
+            let (head, tail) = rest.split_at(layout.row_width());
+            rest = tail;
+            TransitionRef::from_row(&layout, head)
+        });
         self.sampler.observe_push(slot);
         self.samples_since_update += 1;
         self.env_steps += 1;
@@ -1187,6 +1197,18 @@ impl Trainer {
         }
         self.profile.add(Phase::Bookkeeping, t0.elapsed());
         Ok(())
+    }
+
+    /// Each agent's replay row shape, in agent order (the dist learner
+    /// checks incoming step blocks against it).
+    pub fn transition_layouts(&self) -> impl Iterator<Item = TransitionLayout> + '_ {
+        self.obs_dims.iter().zip(&self.act_dims).map(|(&o, &a)| TransitionLayout::new(o, a))
+    }
+
+    /// The live actor networks, in agent order — all a rollout worker
+    /// needs from an update (the payload of a dist `Params` frame).
+    pub fn actors(&self) -> impl Iterator<Item = &marl_nn::mlp::Mlp> {
+        self.agents.iter().map(|a| &a.actor)
     }
 
     /// Samples pushed since the last update iteration (the dist worker
@@ -1232,8 +1254,8 @@ impl Trainer {
         self.rng = StdRng::from_state(state);
     }
 
-    /// Captures every agent's networks and optimizer state for a
-    /// parameter broadcast (the payload of a dist `Params` frame).
+    /// Captures every agent's networks and optimizer state (the payload
+    /// of a dist `Welcome` frame).
     pub fn agent_states(&self) -> Vec<crate::checkpoint::AgentState> {
         self.agents.iter().map(crate::checkpoint::AgentState::capture).collect()
     }

@@ -3,10 +3,11 @@
 //! Random byte noise almost always dies at the outermost CRC check, which
 //! exercises one code path out of dozens. These mutators are *format
 //! aware* instead: they know where the headers, checksums, and length
-//! fields of the MARC checkpoint frame and the replay-snapshot frame
-//! live, so a drawn mutation can place corruption *behind* the checksum
-//! (re-patching the CRC) and reach the interior bounds checks that a
-//! naive fuzzer never touches.
+//! fields of the MARC checkpoint frame, the replay-snapshot frame and
+//! the two binary MARD wire frames (`Steps`, `Params`) live, so a drawn
+//! mutation can place corruption *behind* the checksum (re-patching the
+//! CRC) and reach the interior bounds checks that a naive fuzzer never
+//! touches.
 //!
 //! Every mutator is a pure function of `(bytes, mutation, format)` with
 //! all positions reduced modulo the valid range, so any
@@ -17,7 +18,7 @@
 //! a *typed* error or a structurally valid value — never panic, hang, or
 //! silently mis-load.
 
-use marl_core::crc32::crc32;
+use marl_core::crc32::{crc32, Crc32};
 use marl_core::transition::TransitionLayout;
 
 /// Which on-disk frame format a byte buffer claims to be.
@@ -33,7 +34,19 @@ pub enum Format {
     /// Legacy replay snapshot V1: 6-byte header (magic u32, version u16),
     /// no checksum, same body as V2.
     SnapshotV1,
+    /// MARD `Steps` wire frame (`marl_dist::wire`, kind 3): 16-byte
+    /// header (magic u32, version u16, kind u16, len u32, CRC-32 u32 over
+    /// `kind | len | payload`) then the raw little-endian payload.
+    MardSteps,
+    /// MARD `Params` wire frame (kind 4): same header, actor-only payload.
+    MardParams,
 }
+
+/// MARD header layout: `kind` at 6, `len` at 8, CRC at 12, payload at 16.
+const MARD_KIND: usize = 6;
+const MARD_LEN: usize = 8;
+const MARD_CRC: usize = 12;
+const MARD_PAYLOAD: usize = 16;
 
 impl Format {
     /// Offset where the checksummed payload (or unchecksummed V1 body)
@@ -43,7 +56,20 @@ impl Format {
             Format::Checkpoint => 12,
             Format::SnapshotV2 => 10,
             Format::SnapshotV1 => 6,
+            Format::MardSteps | Format::MardParams => MARD_PAYLOAD,
         }
+    }
+
+    /// Byte width of this format's length/count fields.
+    fn length_field_width(self) -> usize {
+        match self {
+            Format::Checkpoint | Format::SnapshotV2 | Format::SnapshotV1 => 8,
+            Format::MardSteps | Format::MardParams => 4,
+        }
+    }
+
+    fn is_mard(self) -> bool {
+        matches!(self, Format::MardSteps | Format::MardParams)
     }
 
     /// `(crc_offset, payload_offset)` for formats that carry a CRC-32.
@@ -52,6 +78,7 @@ impl Format {
             Format::Checkpoint => Some((8, 12)),
             Format::SnapshotV2 => Some((6, 10)),
             Format::SnapshotV1 => None,
+            Format::MardSteps | Format::MardParams => Some((MARD_CRC, MARD_PAYLOAD)),
         }
     }
 }
@@ -90,7 +117,8 @@ pub enum Mutation {
         /// Which length field, reduced modulo the field count (no-op on
         /// frames too short to locate any length field).
         field: usize,
-        /// The replacement little-endian u64 value.
+        /// The replacement little-endian value (MARD fields are u32 and
+        /// take its low half).
         value: u64,
     },
     /// Swap two payload bytes and re-patch the CRC: a checksum-valid
@@ -102,6 +130,10 @@ pub enum Mutation {
         /// Second payload position, reduced modulo the payload length.
         b: usize,
     },
+    /// Relabel a MARD `Steps` frame as `Params` or the reverse (header
+    /// kind 3 ↔ 4) and re-patch the CRC, so each binary decoder meets
+    /// the other's payload. No-op on the other formats.
+    KindConfusion,
 }
 
 fn u32_at(bytes: &[u8], off: usize) -> u32 {
@@ -113,20 +145,93 @@ fn u64_at(bytes: &[u8], off: usize) -> u64 {
 }
 
 /// Recomputes and re-writes the frame's CRC-32 over its current payload
-/// (no-op for V1 snapshots and frames shorter than their header).
+/// (no-op for V1 snapshots and frames shorter than their header). A MARD
+/// CRC also covers the header's `kind` and `len` fields.
 pub fn patch_crc(bytes: &mut [u8], fmt: Format) {
     if let Some((crc_off, payload_off)) = fmt.crc_site() {
         if bytes.len() >= payload_off {
-            let crc = crc32(&bytes[payload_off..]);
+            let crc = if fmt.is_mard() {
+                Crc32::new()
+                    .update(&bytes[MARD_KIND..MARD_CRC])
+                    .update(&bytes[payload_off..])
+                    .finish()
+            } else {
+                crc32(&bytes[payload_off..])
+            };
             bytes[crc_off..crc_off + 4].copy_from_slice(&crc.to_le_bytes());
         }
     }
 }
 
-/// Byte offsets of every u64 length/cursor field reachable by walking
-/// the frame as its parser would: the two section lengths of a
-/// checkpoint payload, or capacity/len/next of every per-agent storage
-/// frame in a snapshot body. Walks defensively (checked arithmetic,
+/// Offsets of the u32 count fields of a MARD `Steps`/`Params` frame: the
+/// header's payload length, then the step/agent/layer counts and every
+/// dimension, found by walking the payload as its decoder does.
+fn mard_field_offsets(bytes: &[u8], fmt: Format) -> Vec<usize> {
+    let mut out = Vec::new();
+    // Fixed prefix, then the flags byte whose bits say which optional
+    // blocks (32-byte RNG state, 24-byte trace context) precede the counts.
+    let (flags_at, rng_bit, ctx_bit) = match fmt {
+        Format::MardSteps => (MARD_PAYLOAD + 20, 2, 4),
+        _ => (MARD_PAYLOAD + 8, 1, 2),
+    };
+    let Some(&flags) = bytes.get(flags_at) else {
+        return out;
+    };
+    out.push(MARD_LEN);
+    let mut off = flags_at + 1;
+    if flags & rng_bit != 0 {
+        off += 32;
+    }
+    if flags & ctx_bit != 0 {
+        off += 24;
+    }
+    let mut field = |off: &mut usize| -> Option<usize> {
+        let end = off.checked_add(4).filter(|&end| end <= bytes.len())?;
+        out.push(*off);
+        let value = u32_at(bytes, *off) as usize;
+        *off = end;
+        Some(value)
+    };
+    if fmt == Format::MardSteps {
+        // n_steps, n_agents, then (obs_dim, act_dim) per agent.
+        let _ = field(&mut off);
+        let Some(agents) = field(&mut off) else {
+            return out;
+        };
+        for _ in 0..agents.saturating_mul(2) {
+            if field(&mut off).is_none() {
+                break;
+            }
+        }
+        return out;
+    }
+    // n_agents; per actor n_layers; per layer rows, cols, then the floats.
+    let Some(agents) = field(&mut off) else {
+        return out;
+    };
+    for _ in 0..agents {
+        let Some(layers) = field(&mut off) else {
+            return out;
+        };
+        for _ in 0..layers {
+            let (Some(rows), Some(cols)) = (field(&mut off), field(&mut off)) else {
+                return out;
+            };
+            let floats = rows.checked_mul(cols).and_then(|w| w.checked_add(cols));
+            match floats.and_then(|f| f.checked_mul(4)).and_then(|b| off.checked_add(b)) {
+                Some(next) => off = next,
+                None => return out,
+            }
+        }
+    }
+    out
+}
+
+/// Byte offsets of every length/cursor field reachable by walking the
+/// frame as its parser would: the two section lengths of a checkpoint
+/// payload, capacity/len/next of every per-agent storage frame in a
+/// snapshot body, or the counts and dimensions of a MARD frame (u32
+/// there, u64 elsewhere). Walks defensively (checked arithmetic,
 /// stops at the first out-of-bounds frame), so it accepts already-mutated
 /// input.
 pub fn length_field_offsets(bytes: &[u8], fmt: Format) -> Vec<usize> {
@@ -172,6 +277,7 @@ pub fn length_field_offsets(bytes: &[u8], fmt: Format) -> Vec<usize> {
                 off = next;
             }
         }
+        Format::MardSteps | Format::MardParams => return mard_field_offsets(bytes, fmt),
     }
     out
 }
@@ -202,7 +308,8 @@ pub fn apply_mutation(bytes: &[u8], m: &Mutation, fmt: Format) -> Vec<u8> {
             let offsets = length_field_offsets(bytes, fmt);
             let mut out = bytes.to_vec();
             if let Some(&off) = offsets.get(field % offsets.len().max(1)) {
-                out[off..off + 8].copy_from_slice(&value.to_le_bytes());
+                let width = fmt.length_field_width();
+                out[off..off + width].copy_from_slice(&value.to_le_bytes()[..width]);
                 patch_crc(&mut out, fmt);
             }
             out
@@ -213,6 +320,15 @@ pub fn apply_mutation(bytes: &[u8], m: &Mutation, fmt: Format) -> Vec<u8> {
             if bytes.len() > base {
                 let n = bytes.len() - base;
                 out.swap(base + a % n, base + b % n);
+                patch_crc(&mut out, fmt);
+            }
+            out
+        }
+        Mutation::KindConfusion => {
+            let mut out = bytes.to_vec();
+            if fmt.is_mard() && bytes.len() >= MARD_PAYLOAD {
+                let other: u16 = if out[MARD_KIND] == 3 { 4 } else { 3 };
+                out[MARD_KIND..MARD_KIND + 2].copy_from_slice(&other.to_le_bytes());
                 patch_crc(&mut out, fmt);
             }
             out
@@ -340,7 +456,13 @@ mod tests {
 
     #[test]
     fn short_frames_yield_no_offsets_and_mutate_safely() {
-        for fmt in [Format::Checkpoint, Format::SnapshotV2, Format::SnapshotV1] {
+        for fmt in [
+            Format::Checkpoint,
+            Format::SnapshotV2,
+            Format::SnapshotV1,
+            Format::MardSteps,
+            Format::MardParams,
+        ] {
             assert!(length_field_offsets(&[0u8; 4], fmt).is_empty());
             let out = apply_mutation(
                 &[0u8; 4],
@@ -349,6 +471,7 @@ mod tests {
             );
             assert_eq!(out, vec![0u8; 4]);
             let _ = apply_mutation(&[0u8; 4], &Mutation::CrcPreservingSwap { a: 1, b: 2 }, fmt);
+            assert_eq!(apply_mutation(&[0u8; 4], &Mutation::KindConfusion, fmt), vec![0u8; 4]);
         }
     }
 }

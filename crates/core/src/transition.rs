@@ -128,7 +128,24 @@ pub struct TransitionRef<'a> {
     pub done: f32,
 }
 
-impl TransitionRef<'_> {
+impl<'a> TransitionRef<'a> {
+    /// Borrows the components of a row in [`TransitionRef::write_row`]'s
+    /// format.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != layout.row_width()`.
+    pub fn from_row(layout: &TransitionLayout, row: &'a [f32]) -> Self {
+        assert_eq!(row.len(), layout.row_width(), "row width mismatch");
+        TransitionRef {
+            obs: &row[..layout.obs_dim],
+            action: &row[layout.act_offset()..layout.reward_offset()],
+            reward: row[layout.reward_offset()],
+            next_obs: &row[layout.next_obs_offset()..layout.done_offset()],
+            done: row[layout.done_offset()],
+        }
+    }
+
     /// Serializes into `out` following `layout`; identical row format to
     /// [`Transition::write_row`].
     ///

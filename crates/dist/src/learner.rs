@@ -20,10 +20,11 @@
 use crate::error::DistError;
 use crate::supervisor::{Liveness, Supervisor, SupervisorConfig};
 use crate::transport::Transport;
-use crate::wire::{Bye, Heartbeat, HeartbeatAck, Msg, Params, Welcome};
+use crate::wire::{ActorParams, Bye, Heartbeat, HeartbeatAck, Msg, Params, Steps, Welcome};
 use crate::worker::worker_noise_state;
 use marl_algo::trainer::Trainer;
 use marl_algo::TrainConfig;
+use marl_core::transition::TransitionLayout;
 use marl_obs::context::{span_id, TraceCtx};
 use marl_obs::metrics::MetricsRegistry;
 use marl_obs::span::FlowDir;
@@ -234,20 +235,33 @@ impl Learner {
         })
     }
 
-    /// Records the flow-destination span of an ingested, ctx-stamped
-    /// `Steps` frame (pairs with the worker's `steps-send` origin).
-    fn note_steps_ctx(&self, ctx: Option<TraceCtx>, start_ns: Option<u64>) {
-        if let (Some(t), Some(c)) = (self.trainer.telemetry_handle(), ctx) {
-            let now = t.tracer.now_ns();
+    /// Pushes every joint step of a frame into the trainer's replay
+    /// store, and records the flow-destination span of a ctx-stamped
+    /// frame (pairs with the worker's `steps-send` origin).
+    fn ingest(&mut self, s: &Steps) -> Result<(), DistError> {
+        let sent =
+            s.rows.dims().iter().map(|&(o, a)| TransitionLayout::new(o as usize, a as usize));
+        if !s.rows.is_empty() && !sent.eq(self.trainer.transition_layouts()) {
+            return Err(DistError::Protocol(
+                "steps frame rows do not have the trainer's agent dimensions".into(),
+            ));
+        }
+        let start_ns = self.trainer.telemetry_handle().map(|t| t.tracer.now_ns());
+        for row in s.rows.steps() {
+            self.trainer.ingest_step(row)?;
+        }
+        if let (Some(t), Some(c), Some(start)) = (self.trainer.telemetry_handle(), s.ctx, start_ns)
+        {
             t.tracer.record_flow(
                 "steps-ingest",
                 0,
-                start_ns.unwrap_or(now),
-                now,
+                start,
+                t.tracer.now_ns(),
                 c.span_id,
                 FlowDir::In,
             );
         }
+        Ok(())
     }
 
     /// Echoes a heartbeat so the worker can price its round trip;
@@ -266,7 +280,7 @@ impl Learner {
         let ctx = self.next_ctx();
         let msg = Msg::Params(Box::new(Params {
             epoch: self.epoch,
-            agents: self.trainer.agent_states(),
+            actors: ActorParams::capture(self.trainer.actors()),
             master_rng: lockstep.then(|| self.trainer.master_rng_state()),
             ctx,
         }));
@@ -375,12 +389,7 @@ impl Learner {
                     self.supervisor.observe(worker_id, Instant::now());
                     match msg {
                         Msg::Steps(s) => {
-                            let ingest_start =
-                                self.trainer.telemetry_handle().map(|t| t.tracer.now_ns());
-                            for step in &s.steps {
-                                self.trainer.ingest_step(step)?;
-                            }
-                            self.note_steps_ctx(s.ctx, ingest_start);
+                            self.ingest(&s)?;
                             if s.sync {
                                 let state = s.rng.ok_or_else(|| {
                                     DistError::Protocol(
@@ -504,12 +513,7 @@ impl Learner {
                             let _ = conn.transport.send(&refresh);
                             continue;
                         }
-                        let ingest_start =
-                            self.trainer.telemetry_handle().map(|t| t.tracer.now_ns());
-                        for step in &s.steps {
-                            self.trainer.ingest_step(step)?;
-                        }
-                        self.note_steps_ctx(s.ctx, ingest_start);
+                        self.ingest(&s)?;
                         while self.trainer.maybe_update()? {
                             self.epoch += 1;
                             if self.epoch.is_multiple_of(self.opts.params_every_updates.max(1)) {

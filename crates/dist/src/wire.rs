@@ -6,12 +6,35 @@
 //!
 //! ```text
 //! magic   u32 LE = 0x4D41_5244 ("MARD")
-//! version u16 LE = 1
+//! version u16 LE = 2
 //! kind    u16 LE                 (message discriminant)
 //! len     u32 LE                 (payload byte length)
 //! crc32   u32 LE                 (over kind | len | payload)
-//! payload bytes                  (serde_json of the typed message)
+//! payload bytes                  (interpretation chosen by `kind`)
 //! ```
+//!
+//! The header `kind` alone selects the payload codec. The two kinds on
+//! the per-step/per-update hot path are raw little-endian:
+//!
+//! ```text
+//! kind 3 Steps:  worker_id u32 | epoch u64 | seq u64
+//!                | flags u8 (1 sync, 2 rng, 4 ctx) | [rng 4×u64] | [ctx 24 B]
+//!                | n_steps u32 | n_agents u32 | n_agents × (obs_dim u32, act_dim u32)
+//!                | n_steps × n_agents rows of obs|action|reward|next_obs|done (f32)
+//! kind 4 Params: epoch u64 | flags u8 (1 master_rng, 2 ctx)
+//!                | [master_rng 4×u64] | [ctx 24 B] | n_agents u32
+//!                | per actor: n_layers u32, per layer: rows u32, cols u32,
+//!                  rows·cols weights (f32), cols biases (f32)
+//! ```
+//!
+//! Both are self-describing, so [`decode_frame`] needs no receiver
+//! context. Every count is checked against the bytes that remain before
+//! anything is allocated for it, and a decoded message never owns more
+//! heap than its payload was long. The cold kinds (`Hello`, `Welcome`,
+//! `Heartbeat`, `HeartbeatAck`, `EpisodeEnd`, `Bye`) carry the
+//! `serde_json` text of their struct. Version 2 introduced this split; a
+//! version-1 peer (JSON everywhere) is refused with
+//! [`DistError::UnsupportedVersion`] rather than a parse error.
 //!
 //! The CRC covers the routing header fields as well as the payload, so a
 //! bit flip anywhere past the magic is detected; a flipped magic or
@@ -22,17 +45,19 @@
 //! errors but treat them as connection-fatal.
 
 use crate::error::DistError;
+use marl_algo::agent::AgentNets;
 use marl_algo::checkpoint::AgentState;
 use marl_algo::TrainConfig;
 use marl_core::crc32::Crc32;
-use marl_core::transition::Transition;
-use marl_obs::context::TraceCtx;
+use marl_core::transition::{TransitionLayout, TransitionRef};
+use marl_nn::mlp::Mlp;
+use marl_obs::context::{TraceCtx, TRACE_CTX_WIRE_LEN};
 use serde::{Deserialize, Serialize};
 
 /// Frame magic: `MARD` (MARC's framing, Dist flavor).
 pub const MAGIC: u32 = 0x4D41_5244;
 /// Wire-format version.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Upper bound on a frame payload; a (possibly corrupt) length field can
@@ -91,8 +116,94 @@ pub struct Welcome {
     pub steps_per_frame: usize,
 }
 
+/// Joint environment steps as one flat row block.
+///
+/// Each joint step is the concatenation of one replay row per agent
+/// (`obs | action | reward | next_obs | done`, the
+/// [`TransitionLayout`] order), so the block is `len()` × `step_width`
+/// floats in a single reusable buffer: the worker appends into it
+/// without allocating and the learner pushes borrowed rows straight
+/// into its replay store.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct StepRows {
+    /// Per-agent `(obs_dim, act_dim)`.
+    dims: Vec<(u32, u32)>,
+    /// `len() * step_width()` floats, steps in rollout order.
+    data: Vec<f32>,
+}
+
+impl StepRows {
+    /// An empty block for agents of the given `(obs_dim, act_dim)`s.
+    ///
+    /// # Panics
+    ///
+    /// If a dimension does not fit the wire's `u32`.
+    pub fn new(dims: impl IntoIterator<Item = (usize, usize)>) -> Self {
+        let fit = |d: usize| u32::try_from(d).expect("agent dimension fits u32");
+        let dims = dims.into_iter().map(|(o, a)| (fit(o), fit(a))).collect();
+        StepRows { dims, data: Vec::new() }
+    }
+
+    /// Floats per joint step: the sum of the agents' replay row widths.
+    fn step_width(&self) -> usize {
+        let row = |&(o, a): &(u32, u32)| TransitionLayout::new(o as usize, a as usize).row_width();
+        self.dims.iter().map(row).sum()
+    }
+
+    /// Per-agent `(obs_dim, act_dim)`, in agent order.
+    pub fn dims(&self) -> &[(u32, u32)] {
+        &self.dims
+    }
+
+    /// Joint steps held.
+    pub fn len(&self) -> usize {
+        self.data.len().checked_div(self.step_width()).unwrap_or(0)
+    }
+
+    /// Whether no step is held.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// Drops every step, keeping the buffer's capacity.
+    pub fn clear(&mut self) {
+        self.data.clear();
+    }
+
+    /// Appends one joint step; `f` is called once per agent index, in
+    /// order, mirroring `MultiAgentReplay::push_step_with`. Allocates
+    /// nothing once the buffer has reached its working size.
+    ///
+    /// # Panics
+    ///
+    /// If a returned row disagrees with that agent's dimensions.
+    pub fn push_step<'a>(&mut self, mut f: impl FnMut(usize) -> TransitionRef<'a>) {
+        for (agent, &(obs_dim, act_dim)) in self.dims.iter().enumerate() {
+            let t = f(agent);
+            assert!(
+                t.obs.len() == obs_dim as usize
+                    && t.action.len() == act_dim as usize
+                    && t.next_obs.len() == obs_dim as usize,
+                "agent {agent}: row does not match the block's dimensions"
+            );
+            self.data.extend_from_slice(t.obs);
+            self.data.extend_from_slice(t.action);
+            self.data.push(t.reward);
+            self.data.extend_from_slice(t.next_obs);
+            self.data.push(t.done);
+        }
+    }
+
+    /// The joint steps in rollout order, each one `step_width()` floats.
+    pub fn steps(&self) -> impl Iterator<Item = &[f32]> {
+        // `max(1)`: an agent-less block holds no data, and a chunk size
+        // of zero is not allowed.
+        self.data.chunks_exact(self.step_width().max(1))
+    }
+}
+
 /// A batch of joint environment steps, in rollout order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Steps {
     /// Sending worker.
     pub worker_id: u32,
@@ -100,32 +211,112 @@ pub struct Steps {
     pub epoch: u64,
     /// Per-connection frame sequence number (diagnostics).
     pub seq: u64,
-    /// Joint steps; each inner vector is one transition per agent.
-    pub steps: Vec<Vec<Transition>>,
+    /// The joint steps.
+    pub rows: StepRows,
     /// Exploration RNG state after the last step, handed to the learner
     /// for the sampling-plan draws. Present iff `sync`.
     pub rng: Option<[u64; 4]>,
     /// Whether the worker blocks for a [`Params`] reply (update due).
     pub sync: bool,
     /// Distributed-tracing context stamped by the sender (absent on
-    /// untraced runs and on frames from pre-tracing peers).
-    #[serde(default)]
+    /// untraced runs).
     pub ctx: Option<TraceCtx>,
 }
 
+/// The live actor networks of every agent, flattened for the wire: what
+/// a rollout worker needs from an update and nothing else (no targets,
+/// critics or optimizer moments).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ActorParams {
+    /// Layers per actor, in agent order.
+    layer_counts: Vec<u32>,
+    /// `(rows, cols)` of every layer, actors concatenated.
+    shapes: Vec<(u32, u32)>,
+    /// Per layer `rows * cols` weights then `cols` biases, same order.
+    data: Vec<f32>,
+}
+
+impl ActorParams {
+    /// Copies the parameters of `actors` (one network per agent).
+    pub fn capture<'a>(actors: impl IntoIterator<Item = &'a Mlp>) -> Self {
+        let mut out = ActorParams::default();
+        for actor in actors {
+            out.layer_counts.push(actor.layer_count() as u32);
+            // The visitor yields each layer's weights, then its bias; the
+            // bias length is the layer's column count.
+            let mut weights_len = None;
+            actor.visit_params_ref(|p| {
+                match weights_len.take() {
+                    None => weights_len = Some(p.len()),
+                    Some(w) => {
+                        let rows = w.checked_div(p.len()).unwrap_or(0);
+                        out.shapes.push((rows as u32, p.len() as u32));
+                    }
+                }
+                out.data.extend_from_slice(p);
+            });
+        }
+        out
+    }
+
+    /// Actors carried.
+    pub fn agent_count(&self) -> usize {
+        self.layer_counts.len()
+    }
+
+    /// Overwrites the live actor of every agent in place, allocating
+    /// nothing. Everything is checked before anything is written, so a
+    /// mismatch leaves `agents` untouched.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError::Protocol`] when the agent count, an actor's layer
+    /// count or a layer's shape differs from the receiving networks.
+    pub fn install(&self, agents: &mut [AgentNets]) -> Result<(), DistError> {
+        if self.agent_count() != agents.len() {
+            return Err(DistError::Protocol(format!(
+                "params carry {} actors but the worker has {}",
+                self.agent_count(),
+                agents.len()
+            )));
+        }
+        let mut expected =
+            self.shapes.iter().flat_map(|&(r, c)| [r as usize * c as usize, c as usize]);
+        for (agent, (&layers, nets)) in self.layer_counts.iter().zip(agents.iter()).enumerate() {
+            let mut fits = layers as usize == nets.actor.layer_count();
+            if fits {
+                nets.actor.visit_params_ref(|p| fits &= expected.next() == Some(p.len()));
+            }
+            if !fits {
+                return Err(DistError::Protocol(format!(
+                    "params for agent {agent} do not fit the worker's actor"
+                )));
+            }
+        }
+        let mut rest = self.data.as_slice();
+        for nets in agents {
+            nets.actor.visit_params(|p, _| {
+                let (head, tail) = rest.split_at(p.len());
+                p.copy_from_slice(head);
+                rest = tail;
+            });
+        }
+        Ok(())
+    }
+}
+
 /// A parameter broadcast after one or more update iterations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Params {
     /// New parameter epoch.
     pub epoch: u64,
-    /// Updated network parameters.
-    pub agents: Vec<AgentState>,
+    /// The updated live actors.
+    pub actors: ActorParams,
     /// Post-update master RNG state, handed back to the worker so its
     /// next action draws continue the single interleaved stream.
     /// Present only in lockstep mode.
     pub master_rng: Option<[u64; 4]>,
     /// Distributed-tracing context stamped by the learner.
-    #[serde(default)]
     pub ctx: Option<TraceCtx>,
 }
 
@@ -191,7 +382,7 @@ pub struct Bye {
 }
 
 /// Every message of the actor–learner protocol.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Msg {
     /// Worker → learner: introduction.
     Hello(Hello),
@@ -244,16 +435,259 @@ impl Msg {
 
 /// Encodes a message into one self-delimiting `MARD` frame.
 pub fn encode_frame(msg: &Msg) -> Vec<u8> {
-    let payload = serde_json::to_string(msg).expect("wire messages always serialize").into_bytes();
-    let kind = msg.kind();
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame_crc(kind, &payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    begin_raw_frame(&mut out);
+    match msg {
+        Msg::Hello(m) => put_json(&mut out, m),
+        Msg::Welcome(m) => put_json(&mut out, &**m),
+        Msg::Steps(m) => put_steps(&mut out, m),
+        Msg::Params(m) => put_params(&mut out, m),
+        Msg::Heartbeat(m) => put_json(&mut out, m),
+        Msg::EpisodeEnd(m) => put_json(&mut out, m),
+        Msg::Bye(m) => put_json(&mut out, m),
+        Msg::HeartbeatAck(m) => put_json(&mut out, m),
+    }
+    finish_raw_frame(msg.kind(), &mut out);
     out
+}
+
+fn put_json<T: Serialize>(out: &mut Vec<u8>, value: &T) {
+    let text = serde_json::to_string(value).expect("wire messages always serialize");
+    out.extend_from_slice(text.as_bytes());
+}
+
+fn get_json<T: Deserialize>(payload: &[u8]) -> Result<T, DistError> {
+    let text = std::str::from_utf8(payload)
+        .map_err(|e| DistError::Protocol(format!("payload is not UTF-8: {e}")))?;
+    serde_json::from_str(text)
+        .map_err(|e| DistError::Protocol(format!("payload does not parse: {e}")))
+}
+
+const STEPS_SYNC: u8 = 1;
+const STEPS_RNG: u8 = 2;
+const STEPS_CTX: u8 = 4;
+const PARAMS_RNG: u8 = 1;
+const PARAMS_CTX: u8 = 2;
+
+fn flag(set: bool, bit: u8) -> u8 {
+    u8::from(set) * bit
+}
+
+fn put_rng(out: &mut Vec<u8>, state: &[u64; 4]) {
+    for word in state {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+}
+
+fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+fn put_steps(out: &mut Vec<u8>, s: &Steps) {
+    out.reserve(128 + 8 * s.rows.dims.len() + 4 * s.rows.data.len());
+    out.extend_from_slice(&s.worker_id.to_le_bytes());
+    out.extend_from_slice(&s.epoch.to_le_bytes());
+    out.extend_from_slice(&s.seq.to_le_bytes());
+    out.push(
+        flag(s.sync, STEPS_SYNC)
+            | flag(s.rng.is_some(), STEPS_RNG)
+            | flag(s.ctx.is_some(), STEPS_CTX),
+    );
+    if let Some(state) = &s.rng {
+        put_rng(out, state);
+    }
+    if let Some(ctx) = &s.ctx {
+        ctx.write_to(out);
+    }
+    out.extend_from_slice(&(s.rows.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(s.rows.dims.len() as u32).to_le_bytes());
+    for &(obs_dim, act_dim) in &s.rows.dims {
+        out.extend_from_slice(&obs_dim.to_le_bytes());
+        out.extend_from_slice(&act_dim.to_le_bytes());
+    }
+    put_f32s(out, &s.rows.data);
+}
+
+fn put_params(out: &mut Vec<u8>, p: &Params) {
+    let a = &p.actors;
+    out.reserve(128 + 4 * a.layer_counts.len() + 8 * a.shapes.len() + 4 * a.data.len());
+    out.extend_from_slice(&p.epoch.to_le_bytes());
+    out.push(flag(p.master_rng.is_some(), PARAMS_RNG) | flag(p.ctx.is_some(), PARAMS_CTX));
+    if let Some(state) = &p.master_rng {
+        put_rng(out, state);
+    }
+    if let Some(ctx) = &p.ctx {
+        ctx.write_to(out);
+    }
+    out.extend_from_slice(&(a.layer_counts.len() as u32).to_le_bytes());
+    let mut shapes = a.shapes.iter();
+    let mut rest = a.data.as_slice();
+    for &layers in &a.layer_counts {
+        out.extend_from_slice(&layers.to_le_bytes());
+        for &(rows, cols) in shapes.by_ref().take(layers as usize) {
+            out.extend_from_slice(&rows.to_le_bytes());
+            out.extend_from_slice(&cols.to_le_bytes());
+            let (layer, tail) = rest.split_at(rows as usize * cols as usize + cols as usize);
+            put_f32s(out, layer);
+            rest = tail;
+        }
+    }
+}
+
+/// Bounds-checked little-endian cursor over a CRC-validated payload.
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+fn overflow() -> DistError {
+    DistError::Protocol("payload count overflows".into())
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DistError> {
+        if n > self.rest.len() {
+            return Err(DistError::Protocol(format!(
+                "payload needs {n} more bytes but {} remain",
+                self.rest.len()
+            )));
+        }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Ok(head)
+    }
+
+    fn u8(&mut self) -> Result<u8, DistError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, DistError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    }
+
+    fn u64(&mut self) -> Result<u64, DistError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+
+    fn rng(&mut self) -> Result<[u64; 4], DistError> {
+        Ok([self.u64()?, self.u64()?, self.u64()?, self.u64()?])
+    }
+
+    fn ctx(&mut self) -> Result<TraceCtx, DistError> {
+        Ok(TraceCtx::read_from(self.take(TRACE_CTX_WIRE_LEN)?).expect("exactly one context"))
+    }
+
+    /// Appends `n` floats to `out`, which the caller sized beforehand.
+    fn f32s(&mut self, n: usize, out: &mut Vec<f32>) -> Result<(), DistError> {
+        let bytes = self.take(n.checked_mul(4).ok_or_else(overflow)?)?;
+        out.extend(
+            bytes.chunks_exact(4).map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes"))),
+        );
+        Ok(())
+    }
+
+    fn finish(self) -> Result<(), DistError> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(DistError::Protocol(format!("{} trailing payload bytes", self.rest.len())))
+        }
+    }
+}
+
+fn check_flags(flags: u8, known: u8) -> Result<(), DistError> {
+    if flags & !known == 0 {
+        Ok(())
+    } else {
+        Err(DistError::Protocol(format!("unknown payload flags 0x{flags:02X}")))
+    }
+}
+
+fn get_steps(payload: &[u8]) -> Result<Steps, DistError> {
+    let mut r = Reader { rest: payload };
+    let worker_id = r.u32()?;
+    let epoch = r.u64()?;
+    let seq = r.u64()?;
+    let flags = r.u8()?;
+    check_flags(flags, STEPS_SYNC | STEPS_RNG | STEPS_CTX)?;
+    let rng = if flags & STEPS_RNG != 0 { Some(r.rng()?) } else { None };
+    let ctx = if flags & STEPS_CTX != 0 { Some(r.ctx()?) } else { None };
+    let n_steps = r.u32()? as usize;
+    let n_agents = r.u32()? as usize;
+    // `take` refuses a count the payload cannot back, so the dims vector
+    // is never sized from an unchecked field.
+    let dims: Vec<(u32, u32)> = r
+        .take(n_agents.checked_mul(8).ok_or_else(overflow)?)?
+        .chunks_exact(8)
+        .map(|d| {
+            let word = |at: usize| u32::from_le_bytes(d[at..at + 4].try_into().expect("4 bytes"));
+            (word(0), word(4))
+        })
+        .collect();
+    let width = dims.iter().try_fold(0usize, |sum, &(o, a)| {
+        (o as usize).checked_mul(2)?.checked_add(a as usize)?.checked_add(2)?.checked_add(sum)
+    });
+    let floats = width.and_then(|w| w.checked_mul(n_steps)).ok_or_else(overflow)?;
+    if floats.checked_mul(4) != Some(r.rest.len()) {
+        return Err(DistError::Protocol(format!(
+            "{n_steps} steps of {n_agents} agents do not fill the {} row bytes",
+            r.rest.len()
+        )));
+    }
+    let mut data = Vec::with_capacity(floats);
+    r.f32s(floats, &mut data)?;
+    Ok(Steps {
+        worker_id,
+        epoch,
+        seq,
+        rows: StepRows { dims, data },
+        rng,
+        sync: flags & STEPS_SYNC != 0,
+        ctx,
+    })
+}
+
+fn get_params(payload: &[u8]) -> Result<Params, DistError> {
+    let mut r = Reader { rest: payload };
+    let epoch = r.u64()?;
+    let flags = r.u8()?;
+    check_flags(flags, PARAMS_RNG | PARAMS_CTX)?;
+    let master_rng = if flags & PARAMS_RNG != 0 { Some(r.rng()?) } else { None };
+    let ctx = if flags & PARAMS_CTX != 0 { Some(r.ctx()?) } else { None };
+    let n_agents = r.u32()? as usize;
+    // First walk: validate every count against the bytes behind it and
+    // total the layers and floats, so the second walk allocates exactly
+    // once per vector and never more than the payload is long. Each loop
+    // iteration consumes payload, which bounds hostile counts.
+    let mut walk = Reader { rest: r.rest };
+    let (mut n_layers, mut n_floats) = (0usize, 0usize);
+    for _ in 0..n_agents {
+        for _ in 0..walk.u32()? {
+            let (rows, cols) = (walk.u32()? as usize, walk.u32()? as usize);
+            let floats =
+                rows.checked_mul(cols).and_then(|w| w.checked_add(cols)).ok_or_else(overflow)?;
+            walk.take(floats.checked_mul(4).ok_or_else(overflow)?)?;
+            n_layers += 1;
+            n_floats += floats;
+        }
+    }
+    walk.finish()?;
+    let mut actors = ActorParams {
+        layer_counts: Vec::with_capacity(n_agents),
+        shapes: Vec::with_capacity(n_layers),
+        data: Vec::with_capacity(n_floats),
+    };
+    for _ in 0..n_agents {
+        let layers = r.u32()?;
+        actors.layer_counts.push(layers);
+        for _ in 0..layers {
+            let (rows, cols) = (r.u32()?, r.u32()?);
+            actors.shapes.push((rows, cols));
+            r.f32s(rows as usize * cols as usize + cols as usize, &mut actors.data)?;
+        }
+    }
+    Ok(Params { epoch, actors, master_rng, ctx })
 }
 
 /// CRC-32 over the routing fields and payload (everything a receiver
@@ -312,28 +746,18 @@ pub fn decode_header(bytes: &[u8]) -> Result<Header, DistError> {
 /// Typed [`DistError`]s for every corruption mode: truncation, bad
 /// magic/version, CRC mismatch, and undecodable payloads.
 pub fn decode_frame(bytes: &[u8]) -> Result<Msg, DistError> {
-    let header = decode_header(bytes)?;
-    let body = &bytes[HEADER_LEN..];
-    if body.len() < header.len {
-        return Err(DistError::Truncated { needed: header.len, got: body.len() });
-    }
-    let payload = &body[..header.len];
-    let found = frame_crc(header.kind, payload);
-    if found != header.crc {
-        return Err(DistError::CrcMismatch { expected: header.crc, found });
-    }
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| DistError::Protocol(format!("payload is not UTF-8: {e}")))?;
-    let msg: Msg = serde_json::from_str(text)
-        .map_err(|e| DistError::Protocol(format!("payload does not parse: {e}")))?;
-    if msg.kind() != header.kind {
-        return Err(DistError::Protocol(format!(
-            "header kind {} does not match payload kind {}",
-            header.kind,
-            msg.kind()
-        )));
-    }
-    Ok(msg)
+    let (kind, payload) = decode_raw_frame(bytes)?;
+    Ok(match kind {
+        1 => Msg::Hello(get_json(payload)?),
+        2 => Msg::Welcome(Box::new(get_json(payload)?)),
+        3 => Msg::Steps(get_steps(payload)?),
+        4 => Msg::Params(Box::new(get_params(payload)?)),
+        5 => Msg::Heartbeat(get_json(payload)?),
+        6 => Msg::EpisodeEnd(get_json(payload)?),
+        7 => Msg::Bye(get_json(payload)?),
+        12 => Msg::HeartbeatAck(get_json(payload)?),
+        other => return Err(DistError::Protocol(format!("unknown message kind {other}"))),
+    })
 }
 
 /// Resets `frame` to a header-sized placeholder so a raw (binary)
@@ -443,7 +867,7 @@ mod tests {
             worker_id: 1,
             epoch: 2,
             seq: 4,
-            steps: Vec::new(),
+            rows: StepRows::default(),
             rng: None,
             sync: false,
             ctx: Some(TraceCtx { trace_id: 0xAB, span_id: span_id(1, 4), send_ns: 123 }),
@@ -456,6 +880,24 @@ mod tests {
                 assert_eq!(ctx.send_ns, 123);
             }
             other => panic!("wrong kind: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_version_1_frame_is_refused_as_unsupported_not_as_a_parse_error() {
+        let mut bytes = encode_frame(&heartbeat());
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(decode_frame(&bytes), Err(DistError::UnsupportedVersion { found: 1 })));
+    }
+
+    #[test]
+    fn serve_kinds_and_unknown_kinds_are_not_messages() {
+        for kind in [0, KIND_INFER_REQ, KIND_SERVE_CTL, 13] {
+            let mut frame = Vec::new();
+            begin_raw_frame(&mut frame);
+            frame.extend_from_slice(b"{}");
+            finish_raw_frame(kind, &mut frame);
+            assert!(matches!(decode_frame(&frame), Err(DistError::Protocol(_))), "kind {kind}");
         }
     }
 
@@ -591,6 +1033,6 @@ mod tests {
         let bytes = encode_frame(&heartbeat());
         let (kind, payload) = decode_raw_frame(&bytes).unwrap();
         assert_eq!(kind, 5);
-        assert!(std::str::from_utf8(payload).unwrap().contains("Heartbeat"));
+        assert!(std::str::from_utf8(payload).unwrap().contains("\"env_steps\":125"));
     }
 }

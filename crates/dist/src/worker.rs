@@ -21,11 +21,12 @@
 use crate::backoff::Backoff;
 use crate::error::DistError;
 use crate::transport::Transport;
-use crate::wire::{Bye, EpisodeEnd, Heartbeat, HeartbeatAck, Hello, Msg, Steps, Welcome};
+use crate::wire::{
+    Bye, EpisodeEnd, Heartbeat, HeartbeatAck, Hello, Msg, Params, StepRows, Steps, Welcome,
+};
 use marl_algo::agent::AgentNets;
-use marl_algo::checkpoint::AgentState;
 use marl_algo::config::TrainConfig;
-use marl_core::transition::Transition;
+use marl_core::transition::TransitionRef;
 use marl_env::env::ParticleEnv;
 use marl_env::spaces::ActionSpace;
 use marl_nn::rng::derive_seed;
@@ -91,7 +92,8 @@ pub struct Worker {
     heartbeat_every_steps: u64,
     seq: u64,
     hb_seq: u64,
-    pending: Vec<Vec<Transition>>,
+    /// Joint steps not yet flushed; one buffer, reused across frames.
+    pending: StepRows,
     /// Attached telemetry: when present, outbound frames carry trace
     /// contexts, sends record flow spans, and heartbeat acks feed the
     /// clock-offset estimator.
@@ -169,9 +171,8 @@ impl Worker {
                 agents.len()
             )));
         }
-        for (state, nets) in w.agents.iter().zip(&mut agents) {
+        for (state, nets) in w.agents.into_iter().zip(&mut agents) {
             state
-                .clone()
                 .restore(nets)
                 .map_err(|e| DistError::Protocol(format!("welcome parameters: {e}")))?;
         }
@@ -204,7 +205,7 @@ impl Worker {
             heartbeat_every_steps: 16,
             seq: 0,
             hb_seq: 0,
-            pending: Vec::new(),
+            pending: StepRows::new(obs_dims.into_iter().zip(act_dims)),
             obs: None,
             clock: ClockOffset::default(),
             trace_id,
@@ -369,30 +370,26 @@ impl Worker {
             }
 
             // --- Environment execution ---
-            let mut step = self
+            let step = self
                 .env
                 .step(&action_idx)
                 .map_err(|e| DistError::Protocol(format!("environment step failed: {e}")))?;
             self.env_steps += 1;
 
             // --- Accumulate the joint step ---
-            let done_flag = if step.done { 1.0 } else { 0.0 };
-            let transitions: Vec<Transition> = (0..n)
-                .map(|i| Transition {
-                    obs: std::mem::take(&mut obs[i]),
-                    action: std::mem::take(&mut action_onehot[i]),
-                    reward: step.rewards[i],
-                    next_obs: std::mem::take(&mut step.observations[i]),
-                    done: done_flag,
-                })
-                .collect();
+            let done = step.done;
+            let done_flag = if done { 1.0 } else { 0.0 };
+            self.pending.push_step(|i| TransitionRef {
+                obs: &obs[i],
+                action: &action_onehot[i],
+                reward: step.rewards[i],
+                next_obs: &step.observations[i],
+                done: done_flag,
+            });
             for (er, r) in episode_reward.iter_mut().zip(&step.rewards) {
                 *er += r;
             }
-            for (o, t) in obs.iter_mut().zip(&transitions) {
-                *o = t.next_obs.clone();
-            }
-            self.pending.push(transitions);
+            obs = step.observations;
             self.replay_len = (self.replay_len + 1).min(self.config.buffer_capacity);
             self.samples_since_update += 1;
 
@@ -431,7 +428,7 @@ impl Worker {
                 }
             }
 
-            if step.done || stop {
+            if done || stop {
                 break;
             }
         }
@@ -469,12 +466,19 @@ impl Worker {
             worker_id: self.id,
             epoch: self.epoch,
             seq: self.seq,
-            steps: std::mem::take(&mut self.pending),
+            rows: std::mem::take(&mut self.pending),
             rng: sync.then(|| self.rng.state()),
             sync,
             ctx,
         });
-        transport.send(&msg)?;
+        let sent = transport.send(&msg);
+        // The frame only borrowed the row buffer: take it back emptied,
+        // so the next steps land in the capacity it already has.
+        if let Msg::Steps(s) = msg {
+            self.pending = s.rows;
+            self.pending.clear();
+        }
+        sent?;
         self.record_flow_out("steps-send", ctx);
         Ok(())
     }
@@ -487,12 +491,7 @@ impl Worker {
         while timeouts < 12 {
             match transport.recv_timeout(per_wait) {
                 Ok(Msg::Params(p)) => {
-                    self.install_params(&p.agents)?;
-                    self.epoch = p.epoch;
-                    if let Some(state) = p.master_rng {
-                        self.rng = StdRng::from_state(state);
-                    }
-                    self.note_params_ctx(p.ctx);
+                    self.install_params(&p)?;
                     return Ok(false);
                 }
                 // Heartbeat acks interleave freely with the handoff.
@@ -550,12 +549,7 @@ impl Worker {
     fn handle_control(&mut self, msg: Msg) -> Result<bool, DistError> {
         match msg {
             Msg::Params(p) => {
-                self.install_params(&p.agents)?;
-                self.epoch = p.epoch;
-                if let Some(state) = p.master_rng {
-                    self.rng = StdRng::from_state(state);
-                }
-                self.note_params_ctx(p.ctx);
+                self.install_params(&p)?;
                 Ok(false)
             }
             Msg::HeartbeatAck(a) => {
@@ -569,20 +563,25 @@ impl Worker {
         }
     }
 
-    fn install_params(&mut self, states: &[AgentState]) -> Result<(), DistError> {
-        if states.len() != self.agents.len() {
-            return Err(DistError::Protocol(format!(
-                "params carry {} agents but the worker has {}",
-                states.len(),
-                self.agents.len()
-            )));
+    /// Applies one parameter broadcast: the live actors are overwritten
+    /// in place (no allocation), then the epoch and — in lockstep — the
+    /// master-RNG handoff are taken. After the first broadcast the
+    /// actors are the only authoritative networks a worker holds: its
+    /// target actors, critics and optimizers keep their admission-time
+    /// values and are never read.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError::Protocol`] when the broadcast does not fit the
+    /// worker's actors (count, depth or a layer shape); nothing is
+    /// written in that case.
+    fn install_params(&mut self, p: &Params) -> Result<(), DistError> {
+        p.actors.install(&mut self.agents)?;
+        self.epoch = p.epoch;
+        if let Some(state) = p.master_rng {
+            self.rng = StdRng::from_state(state);
         }
-        for (state, nets) in states.iter().zip(&mut self.agents) {
-            state
-                .clone()
-                .restore(nets)
-                .map_err(|e| DistError::Protocol(format!("broadcast parameters: {e}")))?;
-        }
+        self.note_params_ctx(p.ctx);
         Ok(())
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! A [`TraceCtx`] is three little-endian `u64`s — trace id, sending span
 //! id, and the sender's send timestamp — stamped onto MARD frames
-//! (`Steps`/`EpisodeEnd`/`Params` as an optional JSON field, serve's
+//! (`EpisodeEnd` as an optional JSON field, `Steps`/`Params` as an
+//! optional 24-byte block behind a flag bit, serve's
 //! `InferReq`/`InferResp` as a fixed 24-byte binary trailer). It is
 //! `Copy` and fixed-size, so stamping and echoing it costs no
 //! steady-state allocation, and the receiver can pair its local `recv`

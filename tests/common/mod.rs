@@ -12,7 +12,9 @@
 #![allow(dead_code)]
 
 use marl_repro::algo::{Algorithm, LayoutMode, Task, TrainConfig};
+use marl_repro::core::transition::TransitionRef;
 use marl_repro::core::SamplerConfig;
+use marl_repro::dist::wire::StepRows;
 use marl_repro::nn::kernels::KernelChoice;
 
 /// The common small-seeded-trainer configuration. Applies the shared
@@ -72,4 +74,23 @@ pub fn scenario_golden_config(algorithm: Algorithm, task: Task) -> TrainConfig {
         .with_kernel(KernelChoice::Scalar);
     c.update_every = 10;
     c
+}
+
+/// `n` zeroed joint steps (action 0 taken) with predator-prey N=3's
+/// exact observation and action dimensions — a hand-built `Steps` body.
+pub fn zero_step_rows(n: usize) -> StepRows {
+    let env = marl_repro::env::predator_prey(3, 25, 0);
+    let dims: Vec<usize> = env.observation_spaces().iter().map(|s| s.dim).collect();
+    let mut rows = StepRows::new(dims.iter().map(|&d| (d, 5)));
+    let (zeros, action) = ([0.0f32; 32], [1.0, 0.0, 0.0, 0.0, 0.0]);
+    for _ in 0..n {
+        rows.push_step(|a| TransitionRef {
+            obs: &zeros[..dims[a]],
+            action: &action,
+            reward: 0.0,
+            next_obs: &zeros[..dims[a]],
+            done: 0.0,
+        });
+    }
+    rows
 }

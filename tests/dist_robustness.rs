@@ -9,7 +9,6 @@
 //! learner keeps training.
 
 use marl_repro::algo::{Algorithm, Task, TrainConfig};
-use marl_repro::core::transition::Transition;
 use marl_repro::core::SamplerConfig;
 use marl_repro::dist::wire::{EpisodeEnd, Hello, Msg, Steps};
 use marl_repro::dist::{
@@ -140,30 +139,6 @@ fn silent_worker_is_declared_dead_and_restart_requested() {
     let _ = healthy.join().unwrap();
 }
 
-/// Builds `n` zeroed joint steps with the environment's exact
-/// observation dimensions.
-fn zero_steps(n: usize) -> Vec<Vec<Transition>> {
-    let env = marl_repro::env::predator_prey(3, 25, 0);
-    let dims: Vec<usize> = env.observation_spaces().iter().map(|s| s.dim).collect();
-    (0..n)
-        .map(|_| {
-            dims.iter()
-                .map(|&d| Transition {
-                    obs: vec![0.0; d],
-                    action: {
-                        let mut a = vec![0.0; 5];
-                        a[0] = 1.0;
-                        a
-                    },
-                    reward: 0.0,
-                    next_obs: vec![0.0; d],
-                    done: 0.0,
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// A frame stamped with a parameter epoch older than the tolerance is
 /// quarantined — dropped without ingestion, counted, and answered with a
 /// fresh parameter broadcast instead of being trained on.
@@ -185,7 +160,7 @@ fn stale_epoch_frame_is_quarantined_and_answered_with_refresh() {
             worker_id: 3,
             epoch: 0,
             seq: 1,
-            steps: zero_steps(74),
+            rows: common::zero_step_rows(74),
             rng: None,
             sync: false,
             ctx: None,
@@ -196,7 +171,7 @@ fn stale_epoch_frame_is_quarantined_and_answered_with_refresh() {
             worker_id: 3,
             epoch: 0,
             seq: 2,
-            steps: zero_steps(1),
+            rows: common::zero_step_rows(1),
             rng: None,
             sync: false,
             ctx: None,

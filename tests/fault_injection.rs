@@ -12,9 +12,8 @@ use marl_repro::algo::{
     checkpoint::{load_checkpoint_with_fallback, write_checkpoint_file},
     Algorithm, Task, TrainConfig, TrainError, Trainer,
 };
-use marl_repro::core::transition::Transition;
 use marl_repro::core::SamplerConfig;
-use marl_repro::dist::wire::{EpisodeEnd, Heartbeat, Hello, Msg, Steps};
+use marl_repro::dist::wire::{ActorParams, EpisodeEnd, Heartbeat, Hello, Msg, Params, Steps};
 use marl_repro::dist::{
     loopback_pair, Acceptor, DistError, Learner, LearnerOptions, StreamTransport, Transport,
 };
@@ -268,6 +267,45 @@ fn transport_truncation_is_detected() {
     drop(guard);
 }
 
+/// The binary `Params` frame has no text layer to trip over a flipped
+/// bit, so the CRC is the only guard: a flip inside a weight or a cut in
+/// the middle of the floats, injected at either transport site, must be
+/// a typed quarantine — never a silently different parameter — and the
+/// next clean broadcast must arrive exactly as sent.
+#[test]
+fn binary_params_corruption_is_caught_at_both_sites() {
+    let guard = locked();
+    let trainer = Trainer::new(config(SamplerConfig::Uniform)).unwrap();
+    let sent = Params {
+        epoch: 3,
+        actors: ActorParams::capture(trainer.actors()),
+        master_rng: Some([1, 2, 3, 4]),
+        ctx: None,
+    };
+    let msg = Msg::Params(Box::new(sent.clone()));
+    for site in ["transport::send", "transport::recv"] {
+        // Bit 80_031: the sign bit of a float ~10 KB into the payload.
+        for fault in [Fault::BitFlip(80_031), Fault::BitFlip(16 * 8 + 70), Fault::Truncate(30_000)]
+        {
+            let (mut a, mut b) = loopback_pair(4, Duration::from_millis(100));
+            failpoint::arm(site, fault);
+            a.send(&msg).unwrap();
+            let err = b.recv_timeout(Duration::from_millis(100)).unwrap_err();
+            match fault {
+                Fault::Truncate(_) => assert!(matches!(err, DistError::Truncated { .. }), "{err}"),
+                _ => assert!(matches!(err, DistError::CrcMismatch { .. }), "{site}: {err}"),
+            }
+            assert!(err.is_quarantine());
+            a.send(&msg).unwrap();
+            match b.recv_timeout(Duration::from_millis(100)).unwrap() {
+                Msg::Params(p) => assert_eq!(*p, sent, "clean broadcast must arrive bit-exact"),
+                other => panic!("wrong kind: {other:?}"),
+            }
+        }
+    }
+    drop(guard);
+}
+
 /// A torn write on a real socket (frame cut short, then the peer dies):
 /// the receiver reads the committed header, sees the stream end before
 /// the declared length, and reports `Truncated` — connection-fatal on a
@@ -320,26 +358,6 @@ impl Acceptor for NoNewConns {
     }
 }
 
-/// One zeroed joint step with the environment's exact observation
-/// dimensions.
-fn zero_joint_step() -> Vec<Transition> {
-    let env = marl_repro::env::predator_prey(3, 25, 0);
-    env.observation_spaces()
-        .iter()
-        .map(|s| Transition {
-            obs: vec![0.0; s.dim],
-            action: {
-                let mut a = vec![0.0; 5];
-                a[0] = 1.0;
-                a
-            },
-            reward: 0.0,
-            next_obs: vec![0.0; s.dim],
-            done: 0.0,
-        })
-        .collect()
-}
-
 /// End to end: a corrupt `Steps` frame reaching a *serving learner* is
 /// quarantined — counted against the sending worker, never ingested into
 /// the replay store — and the run still completes.
@@ -372,7 +390,7 @@ fn learner_quarantines_corrupt_steps_frame() {
             worker_id: 5,
             epoch: 0,
             seq: 1,
-            steps: vec![zero_joint_step()],
+            rows: common::zero_step_rows(1),
             rng: None,
             sync: false,
             ctx: None,

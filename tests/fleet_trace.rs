@@ -23,9 +23,11 @@ fn tmp(name: &str) -> PathBuf {
 fn config() -> TrainConfig {
     let mut c = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3)
         .with_episodes(6)
+        .with_batch_size(32)
         .with_seed(9);
-    // Same short-run warmup policy as the marl-learner binary, so the
-    // run performs updates (and therefore Params broadcasts).
+    // Same short-run warmup policy as the marl-learner binary; with the
+    // small batch the 150-step run reaches an update (and therefore a
+    // Params broadcast).
     c.warmup = (2 * c.batch_size).clamp(c.batch_size, c.buffer_capacity / 2).max(c.batch_size);
     c
 }
@@ -124,6 +126,10 @@ fn every_worker_send_pairs_with_exactly_one_learner_ingest() {
 
     let send_ids = flow_start_ids(&worker_trace);
     assert!(!send_ids.is_empty(), "worker recorded steps-send flows");
+    // The other direction: the context a binary `Params` frame carries
+    // must reach the worker's `params-recv` marker.
+    let params_ids = flow_start_ids(&learner_trace);
+    assert!(!params_ids.is_empty(), "learner recorded params-send flows");
 
     let inputs = [
         ProcessTrace { name: "worker-0".into(), json: worker_trace, align_ns: 0 },
@@ -140,9 +146,9 @@ fn every_worker_send_pairs_with_exactly_one_learner_ingest() {
         stats.paired_flows,
         send_ids.len()
     );
-    for id in &send_ids {
-        // The id shows up exactly twice: the worker-side `s` and the
-        // learner-side `f` (the trailing comma keeps 42 from matching
+    for id in send_ids.iter().chain(&params_ids) {
+        // The id shows up exactly twice: the sender's `s` and the
+        // receiver's `f` (the trailing comma keeps 42 from matching
         // 420).
         let needle = format!("\"id\":{id},");
         assert_eq!(
