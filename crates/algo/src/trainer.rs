@@ -22,6 +22,7 @@ use marl_env::env::ParticleEnv;
 use marl_env::spaces::ActionSpace;
 use marl_env::vecenv::VecParticleEnv;
 use marl_nn::gumbel::{relaxation_backward_segments_into, softmax_relaxation_segments_into};
+use marl_nn::linear::{BackwardNeed, InputGrad};
 use marl_nn::loss::{mse_into, td_errors_into, weighted_mse_into};
 use marl_nn::matrix::Matrix;
 use marl_nn::scratch::Scratch;
@@ -1516,6 +1517,12 @@ fn update_agent(
         col += m.cols();
     }
 
+    // The Q-loss critics and the actor are stepped and nobody reads their
+    // input gradient: `InputGrad::None` never writes its destination, so
+    // an empty (unallocated) matrix stands in for it.
+    const PARAMS_ONLY: BackwardNeed = BackwardNeed { params: true, input: InputGrad::None };
+    let mut unwritten = Matrix::default();
+
     // Critic 1.
     agent.critic.zero_grad();
     agent.critic.forward_into(&s.joint, &mut s.q);
@@ -1523,7 +1530,7 @@ fn update_agent(
         Some(w) => weighted_mse_into(&s.q, &s.y, w, &mut s.grad),
         None => mse_into(&s.q, &s.y, &mut s.grad),
     };
-    agent.critic.backward_into(&s.grad, &mut s.grad_joint, &mut s.nn);
+    agent.critic.backward_need_into(&s.grad, PARAMS_ONLY, &mut unwritten, &mut s.nn);
     agent.critic_opt.step(&mut agent.critic);
 
     // Twin critic (MATD3).
@@ -1535,7 +1542,7 @@ fn update_agent(
             None => mse_into(&s.q2, &s.y, &mut s.grad),
         };
         *loss += l2;
-        c2.backward_into(&s.grad, &mut s.grad_joint, &mut s.nn);
+        c2.backward_need_into(&s.grad, PARAMS_ONLY, &mut unwritten, &mut s.nn);
         agent.critic2_opt.as_mut().expect("twin optimizer").step(c2);
     }
 
@@ -1552,13 +1559,19 @@ fn update_agent(
         let col_off = total_obs_dim + act_off;
         s.joint_pol.copy_from(&s.joint);
         s.joint_pol.copy_columns_from(&s.action, col_off);
-        agent.critic.zero_grad();
         agent.critic.forward_into(&s.joint_pol, &mut s.q_pol);
-        // Maximize Q ⇒ gradient −1/B on every Q output.
+        // Maximize Q ⇒ gradient −1/B on every Q output. Only dQ/da_i is
+        // read: no critic step follows, so no parameter gradients, and of
+        // the joint input gradient just agent i's action columns.
         s.grad_q.resize(batch, 1);
         s.grad_q.fill(-1.0 / batch as f32);
-        agent.critic.backward_into(&s.grad_q, &mut s.grad_joint, &mut s.nn);
-        s.grad_joint.columns_into(col_off, act_dim, &mut s.grad_action);
+        let action_cols = InputGrad::Columns { start: col_off, width: act_dim };
+        agent.critic.backward_need_into(
+            &s.grad_q,
+            BackwardNeed { params: false, input: action_cols },
+            &mut s.grad_action,
+            &mut s.nn,
+        );
         relaxation_backward_segments_into(
             &s.grad_action,
             &s.action,
@@ -1567,7 +1580,7 @@ fn update_agent(
             &mut s.grad_logits,
         );
         agent.actor.zero_grad();
-        agent.actor.backward_into(&s.grad_logits, &mut s.grad_obs, &mut s.nn);
+        agent.actor.backward_need_into(&s.grad_logits, PARAMS_ONLY, &mut unwritten, &mut s.nn);
         agent.actor_opt.step(&mut agent.actor);
     }
     profile.add(Phase::QLossPLoss, t0.elapsed());
@@ -1684,7 +1697,6 @@ struct AgentScratch {
     q: Matrix,
     q2: Matrix,
     grad: Matrix,
-    grad_joint: Matrix,
     logits: Matrix,
     action: Matrix,
     joint_pol: Matrix,
@@ -1692,8 +1704,6 @@ struct AgentScratch {
     grad_q: Matrix,
     grad_action: Matrix,
     grad_logits: Matrix,
-    /// Actor input gradient — computed by `backward_into`, unused.
-    grad_obs: Matrix,
 }
 
 /// Mini-batch reshaped into per-agent matrices. Persistent: refilled in

@@ -46,7 +46,7 @@ pub use activation::Activation;
 pub use adam::{Adam, AdamConfig};
 pub use init::Init;
 pub use kernels::{KernelChoice, KernelKind};
-pub use linear::Linear;
+pub use linear::{BackwardNeed, InputGrad, Linear};
 pub use matrix::Matrix;
 pub use mlp::Mlp;
 pub use scratch::Scratch;

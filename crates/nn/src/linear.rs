@@ -5,6 +5,55 @@ use crate::matrix::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+/// How much of the input gradient `dL/dx` a backward pass must produce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InputGrad {
+    /// Nobody reads `dL/dx`: the product is skipped and the destination
+    /// matrix is left untouched.
+    None,
+    /// Only columns `start..start + width` of `dL/dx`, written as a
+    /// `batch × width` matrix.
+    Columns {
+        /// First input column wanted.
+        start: usize,
+        /// Number of input columns wanted.
+        width: usize,
+    },
+    /// The whole `batch × fan_in` gradient.
+    Full,
+}
+
+/// What the caller of a backward pass will read afterwards; everything
+/// else is not computed.
+///
+/// # Examples
+///
+/// ```
+/// use marl_nn::{BackwardNeed, InputGrad, Matrix, Mlp, Scratch, rng};
+/// let mut rng = rng::seeded(0);
+/// let mut critic = Mlp::two_layer_relu(10, 1, &mut rng);
+/// let mut q = Matrix::default();
+/// critic.forward_into(&Matrix::zeros(4, 10), &mut q);
+/// // Policy pass: only dQ/d(columns 6..9) is read, no parameter gradients.
+/// let need = BackwardNeed { params: false, input: InputGrad::Columns { start: 6, width: 3 } };
+/// let (mut grad_action, mut scratch) = (Matrix::default(), Scratch::new());
+/// critic.backward_need_into(&Matrix::full(4, 1, 1.0), need, &mut grad_action, &mut scratch);
+/// assert_eq!(grad_action.shape(), (4, 3));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BackwardNeed {
+    /// Accumulate `dL/dW` and `dL/db` into the stored gradients.
+    pub params: bool,
+    /// Which part of `dL/dx` to write.
+    pub input: InputGrad,
+}
+
+impl BackwardNeed {
+    /// Parameter gradients and the whole input gradient — what the plain
+    /// `backward` / `backward_into` wrappers pass.
+    pub const FULL: BackwardNeed = BackwardNeed { params: true, input: InputGrad::Full };
+}
+
 /// A dense layer `y = x · W + b` with cached forward state and accumulated
 /// gradients.
 ///
@@ -102,7 +151,8 @@ impl Linear {
         crate::kernels::add_bias(out.as_mut_slice(), &self.bias);
     }
 
-    /// Backward pass: accumulates `dL/dW`, `dL/db` and returns `dL/dx`.
+    /// Backward pass: accumulates `dL/dW`, `dL/db` and returns `dL/dx`
+    /// (the [`BackwardNeed::FULL`] request, allocating).
     ///
     /// # Panics
     ///
@@ -113,31 +163,70 @@ impl Linear {
         grad_in
     }
 
-    /// Backward pass writing `dL/dx` into `grad_in`; `dL/dW` accumulates
-    /// through the fused [`Matrix::transpose_matmul_acc_into`] kernel (no
-    /// temporary product matrix) and `dL/db` sums straight into the stored
-    /// gradient, so the steady state performs zero heap allocations.
+    /// [`Linear::backward_need_into`] with the [`BackwardNeed::FULL`]
+    /// request: parameter gradients accumulate and `grad_in` receives the
+    /// whole `dL/dx`.
     ///
     /// # Panics
     ///
     /// Panics if called before any forward pass cached an input.
     pub fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
-        let input = self.cached_input.as_ref().expect("Linear::backward called before forward");
-        assert_eq!(grad_out.rows(), input.rows(), "backward batch mismatch");
-        input.transpose_matmul_acc_into(grad_out, &mut self.grad_weight);
-        let cols = grad_out.cols();
-        for r in 0..grad_out.rows() {
-            for (gb, &g) in self.grad_bias.iter_mut().zip(&grad_out.row(r)[..cols]) {
-                *gb += g;
-            }
-        }
-        grad_out.matmul_transpose_into(&self.weight, grad_in);
+        self.backward_need_into(grad_out, BackwardNeed::FULL, grad_in);
     }
 
-    /// Clears accumulated gradients.
+    /// The backward pass, computing only what `need` asks for.
+    ///
+    /// With `need.params`, `dL/dW` accumulates through the fused
+    /// [`Matrix::transpose_matmul_acc_into`] kernel (no temporary product
+    /// matrix) and `dL/db` sums straight into the stored gradient; without
+    /// it the accumulated gradients are left exactly as they were.
+    /// `need.input` selects how much of `dL/dx = G · Wᵀ` lands in
+    /// `grad_in`: nothing (`grad_in` is not touched), a column block
+    /// (`grad_in` becomes `batch × width`) or all of it. `W` is stored
+    /// `fan_in × fan_out`, so a column block of `dL/dx` is the same
+    /// product against a contiguous row slice of `W`, and every kept
+    /// element is bitwise the one the full product holds. The steady state
+    /// performs zero heap allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before any forward pass cached an input, or if a
+    /// requested column block does not fit in `fan_in`.
+    pub fn backward_need_into(
+        &mut self,
+        grad_out: &Matrix,
+        need: BackwardNeed,
+        grad_in: &mut Matrix,
+    ) {
+        let input = self.cached_input.as_ref().expect("Linear::backward called before forward");
+        assert_eq!(grad_out.rows(), input.rows(), "backward batch mismatch");
+        if need.params {
+            input.transpose_matmul_acc_into(grad_out, &mut self.grad_weight);
+            let cols = grad_out.cols();
+            for r in 0..grad_out.rows() {
+                for (gb, &g) in self.grad_bias.iter_mut().zip(&grad_out.row(r)[..cols]) {
+                    *gb += g;
+                }
+            }
+        }
+        let fan_in = self.fan_in();
+        let (start, width) = match need.input {
+            InputGrad::None => return,
+            InputGrad::Columns { start, width } => (start, width),
+            InputGrad::Full => (0, fan_in),
+        };
+        assert!(
+            start.checked_add(width).is_some_and(|end| end <= fan_in),
+            "input-gradient column block (start {start}, width {width}) exceeds the layer's fan_in {fan_in}"
+        );
+        grad_out.matmul_transpose_rows_into(&self.weight, start, width, grad_in);
+    }
+
+    /// Clears accumulated gradients to `+0.0` (a fill, not a scale: a
+    /// NaN/Inf accumulator would survive multiplication by zero).
     pub fn zero_grad(&mut self) {
-        self.grad_weight.scale(0.0);
-        self.grad_bias.iter_mut().for_each(|b| *b = 0.0);
+        self.grad_weight.fill(0.0);
+        self.grad_bias.fill(0.0);
     }
 
     /// Visits `(parameter, gradient)` pairs; used by the optimizer.
@@ -231,6 +320,21 @@ mod tests {
         let mut bias_grad2 = vec![];
         l.visit_params(|_, gr| bias_grad2.push(gr.to_vec()));
         assert_eq!(bias_grad2[1], vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn zero_grad_clears_a_poisoned_accumulator() {
+        let mut r = rng::seeded(5);
+        let mut l = Linear::new(2, 3, Init::XavierUniform, &mut r);
+        // NaN·0 and Inf·0 are NaN and −x·0 is −0.0: only a fill clears them.
+        let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -1.0, -0.0, 1.0];
+        l.grad_weight.as_mut_slice().copy_from_slice(&poison);
+        l.grad_bias.copy_from_slice(&poison[..3]);
+        l.zero_grad();
+        let grads = l.grad_weight.as_slice().iter().chain(&l.grad_bias);
+        for (i, g) in grads.enumerate() {
+            assert_eq!(g.to_bits(), 0, "gradient {i} is {g:?}, not +0.0");
+        }
     }
 
     #[test]

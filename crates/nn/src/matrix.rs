@@ -312,19 +312,44 @@ impl Matrix {
 
     /// `out = self · rhsᵀ`, reusing `out`'s backing storage.
     pub fn matmul_transpose_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        self.matmul_transpose_rows_into(rhs, 0, rhs.rows, out);
+    }
+
+    /// `out = self · rhs[start..start + width, :]ᵀ` — columns
+    /// `start..start + width` of [`Matrix::matmul_transpose_into`], as a
+    /// `self.rows × width` matrix. The rows of a row-major `rhs` are
+    /// contiguous, so this is the same kernel on a sub-slice, and each
+    /// output element is reduced in an order that does not depend on which
+    /// other rows of `rhs` take part: the block is bitwise the matching
+    /// columns of the full product.
+    ///
+    /// # Panics
+    ///
+    /// Panics on column mismatch or if the row range exceeds `rhs.rows`.
+    pub fn matmul_transpose_rows_into(
+        &self,
+        rhs: &Matrix,
+        start: usize,
+        width: usize,
+        out: &mut Matrix,
+    ) {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_transpose shape mismatch: {}x{} vs {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        out.resize(self.rows, rhs.rows);
+        assert!(
+            start.checked_add(width).is_some_and(|end| end <= rhs.rows),
+            "matmul_transpose row range out of bounds"
+        );
+        out.resize(self.rows, width);
         kernels::matmul_transpose(
             &self.data,
-            &rhs.data,
+            &rhs.data[start * rhs.cols..(start + width) * rhs.cols],
             &mut out.data,
             self.rows,
             self.cols,
-            rhs.rows,
+            width,
         );
     }
 

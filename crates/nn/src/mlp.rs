@@ -2,7 +2,7 @@
 
 use crate::activation::Activation;
 use crate::init::Init;
-use crate::linear::Linear;
+use crate::linear::{BackwardNeed, InputGrad, Linear};
 use crate::matrix::Matrix;
 use crate::scratch::Scratch;
 use rand::Rng;
@@ -133,7 +133,7 @@ impl Mlp {
     }
 
     /// Backward pass from `dL/dy`; accumulates parameter gradients and
-    /// returns `dL/dx`.
+    /// returns `dL/dx` (the [`BackwardNeed::FULL`] request, allocating).
     ///
     /// # Panics
     ///
@@ -145,8 +145,9 @@ impl Mlp {
         grad_in
     }
 
-    /// Backward pass writing `dL/dx` into `grad_in`, ping-ponging the
-    /// inter-layer gradient through two [`Scratch`] buffers.
+    /// [`Mlp::backward_need_into`] with the [`BackwardNeed::FULL`]
+    /// request: every layer's parameter gradients accumulate and `grad_in`
+    /// receives the whole `dL/dx`.
     ///
     /// # Panics
     ///
@@ -157,8 +158,34 @@ impl Mlp {
         grad_in: &mut Matrix,
         scratch: &mut Scratch,
     ) {
+        self.backward_need_into(grad_out, BackwardNeed::FULL, grad_in, scratch);
+    }
+
+    /// The backward pass, computing only what `need` asks for and
+    /// ping-ponging the inter-layer gradient through two [`Scratch`]
+    /// buffers.
+    ///
+    /// Hidden layers always propagate their full input gradient (the layer
+    /// below needs it) and accumulate `dL/dW`/`dL/db` only under
+    /// `need.params`; `need.input` applies to the first layer alone, whose
+    /// input is the network's: [`InputGrad::None`] leaves `grad_in`
+    /// untouched, [`InputGrad::Columns`] makes it `batch × width`. Every
+    /// output a request keeps is bitwise what the full request produces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`Mlp::forward_into`] cached activations,
+    /// or if a requested column block does not fit in the input width.
+    pub fn backward_need_into(
+        &mut self,
+        grad_out: &Matrix,
+        need: BackwardNeed,
+        grad_in: &mut Matrix,
+        scratch: &mut Scratch,
+    ) {
         let n = self.layers.len();
         assert_eq!(self.activations.len() + 1, n, "Mlp::backward called before forward");
+        let hidden = BackwardNeed { params: need.params, input: InputGrad::Full };
         let mut g = scratch.take();
         let mut g2 = scratch.take();
         g.copy_from(grad_out);
@@ -167,9 +194,9 @@ impl Mlp {
                 self.hidden_activation.backward_inplace(&mut g, &self.activations[i]);
             }
             if i == 0 {
-                self.layers[0].backward_into(&g, grad_in);
+                self.layers[0].backward_need_into(&g, need, grad_in);
             } else {
-                self.layers[i].backward_into(&g, &mut g2);
+                self.layers[i].backward_need_into(&g, hidden, &mut g2);
                 std::mem::swap(&mut g, &mut g2);
             }
         }

@@ -1,17 +1,48 @@
 //! Property-based verification of the network substrate: analytic
 //! gradients must match finite differences for arbitrary small networks
-//! and inputs, and optimizer/soft-update algebra must hold.
+//! and inputs, optimizer/soft-update algebra must hold, and every
+//! narrower [`BackwardNeed`] must keep the bits of the full backward pass.
 
 use marl_nn::activation::Activation;
 use marl_nn::adam::{Adam, AdamConfig};
 use marl_nn::init::Init;
+use marl_nn::kernels::{self, KernelKind};
+use marl_nn::linear::{BackwardNeed, InputGrad};
 use marl_nn::matrix::Matrix;
 use marl_nn::mlp::Mlp;
 use marl_nn::rng::seeded;
+use marl_nn::scratch::Scratch;
 use proptest::prelude::*;
+use std::sync::Mutex;
 
 fn loss_sum(net: &Mlp, x: &Matrix) -> f32 {
     net.forward_inference(x).as_slice().iter().sum()
+}
+
+/// Held by the one test that switches the process-wide kernel, so its
+/// bitwise comparisons never straddle a switch. The other tests here
+/// compare within tolerances that hold on either kernel.
+static KERNEL_SWITCH: Mutex<()> = Mutex::new(());
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every accumulated parameter gradient of `net`, as bits, in visit order.
+fn grad_bits(net: &mut Mlp) -> Vec<u32> {
+    let mut out = Vec::new();
+    net.visit_params(|_, g| out.extend(g.iter().map(|v| v.to_bits())));
+    out
+}
+
+/// Deterministic values in roughly [-1, 1] with non-representable
+/// fractions, so a reordered reduction would change bits.
+fn patterned(rows: usize, cols: usize, salt: f32) -> Matrix {
+    let mut m = Matrix::zeros(rows, cols);
+    for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
+        *v = (i as f32 * 0.37 + salt).sin();
+    }
+    m
 }
 
 proptest! {
@@ -139,4 +170,96 @@ proptest! {
         prop_assert_eq!(s.columns(0, c1), a);
         prop_assert_eq!(s.columns(c1, c2), b);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Whatever a request keeps is bitwise what the full backward pass
+    /// produces on a clone, and whatever it does not ask for is not
+    /// touched — for random depths, widths, ReLU and Tanh, on both kernels.
+    #[test]
+    fn every_request_keeps_the_bits_of_the_full_backward(
+        seed in 0u64..10_000,
+        sizes in proptest::collection::vec(1usize..13, 2..6),
+        batch in 1usize..9,
+        relu in any::<bool>(),
+        start in 0usize..12,
+        width in 1usize..12,
+    ) {
+        let _guard = KERNEL_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
+        let fan_in = sizes[0];
+        let width = width.min(fan_in);
+        let start = start % (fan_in - width + 1);
+        let activation = if relu { Activation::Relu } else { Activation::Tanh };
+        let x = patterned(batch, fan_in, seed as f32);
+        let grad_out = patterned(batch, *sizes.last().unwrap(), 0.5 + seed as f32);
+        let mut scratch = Scratch::new();
+
+        for kind in [KernelKind::Scalar, KernelKind::Simd] {
+            let previous = kernels::set_active(kind);
+            let mut rng = seeded(seed);
+            let mut net = Mlp::new(&sizes, activation, Init::XavierUniform, &mut rng);
+            // One full pass first, so the accumulators a request must
+            // leave alone hold something other than zero.
+            let mut out = Matrix::default();
+            net.forward_into(&x, &mut out);
+            let mut full_in = Matrix::default();
+            net.backward_into(&grad_out, &mut full_in, &mut scratch);
+            let before = grad_bits(&mut net);
+
+            let mut full = net.clone();
+            full.backward_into(&grad_out, &mut full_in, &mut scratch);
+            let full_grads = grad_bits(&mut full);
+            prop_assert_ne!(&full_grads, &before);
+
+            // Parameters only: the gradients of the full pass, and a
+            // destination nobody wrote to.
+            let sentinel = patterned(2, 3, 9.0);
+            let mut untouched = sentinel.clone();
+            let mut params_only = net.clone();
+            let need = BackwardNeed { params: true, input: InputGrad::None };
+            params_only.backward_need_into(&grad_out, need, &mut untouched, &mut scratch);
+            prop_assert_eq!(&grad_bits(&mut params_only), &full_grads);
+            prop_assert_eq!(untouched.shape(), sentinel.shape());
+            prop_assert_eq!(bits(untouched.as_slice()), bits(sentinel.as_slice()));
+
+            // A column block without parameters: those columns of the full
+            // input gradient, every accumulator bit as it was.
+            let mut block = Matrix::default();
+            let mut columns_only = net.clone();
+            let need = BackwardNeed { params: false, input: InputGrad::Columns { start, width } };
+            columns_only.backward_need_into(&grad_out, need, &mut block, &mut scratch);
+            prop_assert_eq!(&grad_bits(&mut columns_only), &before);
+            prop_assert_eq!(block.shape(), (batch, width));
+            prop_assert_eq!(
+                bits(block.as_slice()),
+                bits(full_in.columns(start, width).as_slice()),
+                "{:?} columns {}..{} of {:?}", kind, start, start + width, sizes
+            );
+
+            // Every column is the full request.
+            let mut all_in = Matrix::default();
+            let mut all_columns = net.clone();
+            let need =
+                BackwardNeed { params: true, input: InputGrad::Columns { start: 0, width: fan_in } };
+            all_columns.backward_need_into(&grad_out, need, &mut all_in, &mut scratch);
+            prop_assert_eq!(&grad_bits(&mut all_columns), &full_grads);
+            prop_assert_eq!(all_in.shape(), full_in.shape());
+            prop_assert_eq!(bits(all_in.as_slice()), bits(full_in.as_slice()));
+
+            kernels::set_active(previous);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "exceeds the layer's fan_in 5")]
+fn out_of_range_column_block_names_the_fan_in() {
+    let mut rng = seeded(0);
+    let mut net = Mlp::new(&[5, 4, 1], Activation::Relu, Init::XavierUniform, &mut rng);
+    let mut out = Matrix::default();
+    net.forward_into(&Matrix::zeros(2, 5), &mut out);
+    let need = BackwardNeed { params: false, input: InputGrad::Columns { start: 3, width: 3 } };
+    net.backward_need_into(&Matrix::zeros(2, 1), need, &mut out, &mut Scratch::new());
 }

@@ -11,9 +11,13 @@
 //! * element-wise ops (bias-add, ReLU fwd/bwd, Adam step): bitwise
 //!   identical — the AVX2 implementations deliberately avoid FMA so both
 //!   paths perform the same arithmetic.
+//! * within one kernel, `A·Bᵀ` on a row slice of `B` is bitwise the
+//!   matching columns of the full product (what a column-block backward
+//!   request relies on).
 //!
-//! Every test is a no-op (trivially passes) on hosts without AVX2+FMA;
-//! the CI `simd` leg only asserts real coverage on capable runners.
+//! The scalar-vs-SIMD tests are no-ops (trivially pass) on hosts without
+//! AVX2+FMA; the CI `simd` leg only asserts real coverage on capable
+//! runners.
 
 use marl_nn::kernels::{self, KernelKind};
 use proptest::prelude::*;
@@ -186,5 +190,50 @@ proptest! {
         prop_assert_eq!(&ps, &pv);
         prop_assert_eq!(&ms, &mv);
         prop_assert_eq!(&vs, &vv);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// `A·Bᵀ` on a row slice `B[s..s+w]` is **bitwise** columns `s..s+w`
+    /// of the full product, on each kernel: what lets a backward pass ask
+    /// for a column block of `dL/dx` and get the bits the full pass holds.
+    /// Scalar reduces ascending-`k` on both sides of `BLOCK_THRESHOLD`
+    /// (the full product and its slice may land on different sides); AVX2
+    /// reduces 8 lanes over `k`, then `hsum`, then the scalar tail, in the
+    /// 4-wide j-tile and the 1-wide remainder alike. Shapes cover
+    /// `kd % 8 ≠ 0`, `w` on both sides of the tile, unaligned `s` and
+    /// `m % 4 ≠ 0`.
+    #[test]
+    fn matmul_transpose_row_slice_is_bitwise_the_full_products_columns(
+        m in 1usize..14,
+        kd in 1usize..41,
+        n in 1usize..25,
+        start in 0usize..24,
+        w in 1usize..10,
+        seed in 0u64..1_000_000,
+    ) {
+        let w = w.min(n);
+        let s = start % (n - w + 1);
+        let a = float_data(m * kd, seed);
+        let b = float_data(n * kd, seed ^ 0x51ce);
+        for kind in [KernelKind::Scalar, KernelKind::Simd] {
+            let mut full = vec![f32::NAN; m * n];
+            let mut block = vec![f32::NAN; m * w];
+            kernels::matmul_transpose_with(kind, &a, &b, &mut full, m, kd, n);
+            let rows = &b[s * kd..(s + w) * kd];
+            kernels::matmul_transpose_with(kind, &a, rows, &mut block, m, kd, w);
+            for i in 0..m {
+                for j in 0..w {
+                    prop_assert_eq!(
+                        block[i * w + j].to_bits(),
+                        full[i * n + s + j].to_bits(),
+                        "{:?} m={} kd={} n={} s={} w={}: row {} column {}",
+                        kind, m, kd, n, s, w, i, s + j
+                    );
+                }
+            }
+        }
     }
 }
