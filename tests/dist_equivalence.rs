@@ -111,6 +111,19 @@ fn lockstep_equivalence_holds_off_the_golden_seed() {
     assert_eq!(single, dist);
 }
 
+/// An annealed schedule reaches the ε-greedy branch (ε 0.1 → 0.01), whose
+/// extra master-stream draws the worker must take in the trainer's
+/// order: the default ε = 0 never exercises them.
+#[test]
+fn annealed_exploration_lockstep_is_bitwise_identical() {
+    let mut cfg = dist_config(Algorithm::Maddpg);
+    cfg.exploration = marl_repro::algo::explore::ExplorationSchedule::annealed(500);
+    let single = single_process_digests(cfg);
+    let dist = dist_lockstep_digests(cfg);
+    assert!(!single.is_empty());
+    assert_eq!(single, dist);
+}
+
 /// Running the dist pair twice yields identical chains: the loopback
 /// path itself is deterministic.
 #[test]

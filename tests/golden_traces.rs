@@ -76,6 +76,27 @@ fn vectorized_k8_golden_trace_matches_committed_digest() {
     }
 }
 
+/// The ε-greedy golden: every other golden runs the paper's default
+/// exploration (ε = 0), so none reaches the branch that replaces a
+/// sampled action with a uniformly random one. An annealed schedule
+/// (ε 0.1 → 0.01, temperature 1.0 → 0.5 over 500 steps) pins that branch
+/// and its extra master-stream draws.
+#[test]
+fn annealed_exploration_golden_trace_matches_committed_digest() {
+    let mut cfg =
+        common::golden_config(Algorithm::Maddpg, SamplerConfig::Uniform, LayoutMode::PerAgent);
+    cfg.exploration = marl_repro::algo::explore::ExplorationSchedule::annealed(500);
+    let digests = golden::record_run(cfg).expect("training failed");
+    assert!(!digests.is_empty(), "annealed run recorded no updates");
+    if let Err(report) = golden::check_or_bless(
+        "maddpg_uniform_per_agent_annealed",
+        &golden::describe_config(&cfg),
+        &digests,
+    ) {
+        panic!("{report}");
+    }
+}
+
 /// One golden per scenario × algorithm for the rest of the registered
 /// MPE suite (the 16-combo matrix above already covers predator-prey and
 /// the sampler/layout axes on it; cooperative-navigation is pinned by

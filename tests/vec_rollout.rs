@@ -204,6 +204,31 @@ fn pre_vectorization_checkpoints_still_restore_and_resume() {
     assert_eq!(weights_json(&resumed), weights_json(&straight));
 }
 
+/// K = 1 `prefill` and `evaluate` pinned to constants recorded on the
+/// scalar rollout loop (before the rollout loops were merged): the CRC-32
+/// of the replay snapshot after `prefill(300)` (random actions from the
+/// master stream, 12 whole episodes, the reset after the last one) and
+/// the bits of the greedy `evaluate(2)` that follows it on the same env
+/// stream. Predator-prey has one-segment heads; world-comm has
+/// heterogeneous `[5, 4]`/`[5]` heads.
+#[test]
+fn k1_prefill_and_evaluate_match_recorded_pins() {
+    const PINS: [(Task, u32, u32); 2] = [
+        (Task::PredatorPrey, 0x106b_7681, 0xc04f_ff3b),
+        (Task::WorldComm, 0xc59d_9cd8, 0xc063_7d32),
+    ];
+    for (task, replay_crc, eval_bits) in PINS {
+        let mut t = Trainer::new(base_config(task, 31)).unwrap();
+        t.prefill(300).unwrap();
+        assert_eq!(t.replay_len(), 300);
+        let (_, replay) = t.checkpoint_full().unwrap();
+        let crc = marl_repro::core::crc32::crc32(&replay);
+        let score = t.evaluate(2).unwrap();
+        assert_eq!(crc, replay_crc, "{task:?}: prefill replay bytes");
+        assert_eq!(score.to_bits(), eval_bits, "{task:?}: evaluate({score})");
+    }
+}
+
 /// The curve counts completed environment episodes: one entry per world
 /// per vectorized episode, and env-steps scale with K.
 #[test]
