@@ -131,53 +131,16 @@ impl AgentNets {
         }
     }
 
-    /// Exploration action over a segmented (multi-discrete) head: Gumbel
-    /// noise on every logit, per-factor softmax, per-factor arg-max.
-    /// Returns the mixed-radix joint index (first factor least
-    /// significant, matching `ActionSpace::encode` in marl-env) plus the
-    /// multi-hot encoding of width Σ segments.
-    ///
-    /// With a single segment spanning the whole head this consumes
-    /// identical RNG draws and computes bitwise-identical floats to
-    /// [`AgentNets::act_explore`]: the noise expression, the per-slice
-    /// softmax, and the strict-`>` first-max arg-max all coincide.
-    pub fn act_explore_seg(
-        &self,
-        obs: &[f32],
-        segments: &[usize],
-        temperature: f32,
-        rng: &mut StdRng,
-    ) -> (usize, Vec<f32>) {
-        assert!(temperature > 0.0, "temperature must be positive");
-        let logits = self.actor.forward_inference(&Matrix::row_vector(obs));
-        let mut row = logits.into_vec();
-        assert_eq!(segments.iter().sum::<usize>(), row.len(), "segments must tile the actor head");
-        for x in row.iter_mut() {
-            *x = (*x + marl_nn::rng::standard_gumbel(rng)) / temperature;
-        }
-        let mut hot = vec![0.0; row.len()];
-        let mut idx = 0;
-        let mut stride = 1;
-        let mut off = 0;
-        for &s in segments {
-            marl_nn::activation::softmax_slice_inplace(&mut row[off..off + s]);
-            let c = marl_nn::gumbel::argmax_slice(&row[off..off + s]);
-            hot[off + c] = 1.0;
-            idx += c * stride;
-            stride *= s;
-            off += s;
-        }
-        (idx, hot)
-    }
-
     /// Segmented counterpart of [`AgentNets::act_explore_batch`]: one
     /// inference pass, then per-row Gumbel noise, per-factor softmax and
-    /// arg-max. Writes world `w`'s mixed-radix joint index into
+    /// arg-max. Writes world `w`'s mixed-radix joint index (first factor
+    /// least significant, matching `ActionSpace::encode` in marl-env) into
     /// `indices[w]` and its multi-hot row into row `w` of `onehot`.
     ///
-    /// Per row this consumes RNG draws identically to
-    /// [`AgentNets::act_explore_seg`]; with a single full-width segment it
-    /// is bitwise-identical to [`AgentNets::act_explore_batch`].
+    /// Per row this draws `flat_dim` Gumbels from `rngs[w]`, like the
+    /// one-row reference the tests compare it with; with a single
+    /// full-width segment it is bitwise-identical to
+    /// [`AgentNets::act_explore_batch`].
     #[allow(clippy::too_many_arguments)]
     pub fn act_explore_batch_seg(
         &self,
@@ -221,24 +184,6 @@ impl AgentNets {
             }
             indices[w] = idx;
         }
-    }
-
-    /// Greedy joint action over a segmented head: per-factor arg-max of
-    /// the raw logits, mixed-radix encoded. With a single segment this is
-    /// [`AgentNets::act_greedy`].
-    pub fn act_greedy_seg(&self, obs: &[f32], segments: &[usize]) -> usize {
-        let logits = self.actor.forward_inference(&Matrix::row_vector(obs));
-        let row = logits.row(0);
-        assert_eq!(segments.iter().sum::<usize>(), row.len(), "segments must tile the actor head");
-        let mut idx = 0;
-        let mut stride = 1;
-        let mut off = 0;
-        for &s in segments {
-            idx += marl_nn::gumbel::argmax_slice(&row[off..off + s]) * stride;
-            stride *= s;
-            off += s;
-        }
-        idx
     }
 
     /// Batched greedy joint actions over a segmented head (one inference
@@ -407,6 +352,76 @@ impl AgentNets {
 mod tests {
     use super::*;
     use marl_nn::rng::seeded;
+
+    /// Per-row references for the batched segmented paths: one-row
+    /// inference and allocating outputs, what the batch-vs-row tests compare
+    /// the batched functions against.
+    impl AgentNets {
+        /// Exploration action over a segmented (multi-discrete) head: Gumbel
+        /// noise on every logit, per-factor softmax, per-factor arg-max.
+        /// Returns the mixed-radix joint index (first factor least
+        /// significant, matching `ActionSpace::encode` in marl-env) plus the
+        /// multi-hot encoding of width Σ segments.
+        ///
+        /// With a single segment spanning the whole head this consumes
+        /// identical RNG draws and computes bitwise-identical floats to
+        /// [`AgentNets::act_explore`]: the noise expression, the per-slice
+        /// softmax, and the strict-`>` first-max arg-max all coincide.
+        fn act_explore_seg(
+            &self,
+            obs: &[f32],
+            segments: &[usize],
+            temperature: f32,
+            rng: &mut StdRng,
+        ) -> (usize, Vec<f32>) {
+            assert!(temperature > 0.0, "temperature must be positive");
+            let logits = self.actor.forward_inference(&Matrix::row_vector(obs));
+            let mut row = logits.into_vec();
+            assert_eq!(
+                segments.iter().sum::<usize>(),
+                row.len(),
+                "segments must tile the actor head"
+            );
+            for x in row.iter_mut() {
+                *x = (*x + marl_nn::rng::standard_gumbel(rng)) / temperature;
+            }
+            let mut hot = vec![0.0; row.len()];
+            let mut idx = 0;
+            let mut stride = 1;
+            let mut off = 0;
+            for &s in segments {
+                marl_nn::activation::softmax_slice_inplace(&mut row[off..off + s]);
+                let c = marl_nn::gumbel::argmax_slice(&row[off..off + s]);
+                hot[off + c] = 1.0;
+                idx += c * stride;
+                stride *= s;
+                off += s;
+            }
+            (idx, hot)
+        }
+
+        /// Greedy joint action over a segmented head: per-factor arg-max of
+        /// the raw logits, mixed-radix encoded. With a single segment this is
+        /// [`AgentNets::act_greedy`].
+        fn act_greedy_seg(&self, obs: &[f32], segments: &[usize]) -> usize {
+            let logits = self.actor.forward_inference(&Matrix::row_vector(obs));
+            let row = logits.row(0);
+            assert_eq!(
+                segments.iter().sum::<usize>(),
+                row.len(),
+                "segments must tile the actor head"
+            );
+            let mut idx = 0;
+            let mut stride = 1;
+            let mut off = 0;
+            for &s in segments {
+                idx += marl_nn::gumbel::argmax_slice(&row[off..off + s]) * stride;
+                stride *= s;
+                off += s;
+            }
+            idx
+        }
+    }
 
     fn nets(twin: bool) -> AgentNets {
         let mut rng = seeded(0);

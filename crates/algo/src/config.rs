@@ -112,8 +112,8 @@ pub struct TrainConfig {
     /// written before this field existed deserialize unchanged.
     #[serde(default)]
     pub kernel: marl_nn::kernels::KernelChoice,
-    /// Parallel environments stepped per rollout batch (K). 1 keeps the
-    /// legacy scalar rollout; K > 1 switches to the vectorized SoA engine.
+    /// Parallel environments stepped per rollout batch (K) by the one
+    /// rollout loop ([`crate::rollout::Rollout`]); K = 1 is one world.
     /// `#[serde(default)]` (0) is normalized to 1 by
     /// [`TrainConfig::num_envs`], so pre-existing checkpoints deserialize
     /// unchanged.

@@ -8,6 +8,8 @@
 //!   MLPs, Adam @ 0.01, γ = 0.95, τ = 0.01, batch 1024, updates every 100
 //!   samples) plus builder-style overrides for scaled runs.
 //! * [`agent`] — the four (six for MATD3) networks of one agent.
+//! * [`rollout`] — the one rollout loop's state (K worlds, noise streams,
+//!   step buffers), shared by the trainer and the dist worker.
 //! * [`trainer`] — the training loop, decomposed into the paper's phases:
 //!   action selection / environment step / bookkeeping / mini-batch
 //!   sampling / target-Q / Q-loss–P-loss / soft updates.
@@ -41,6 +43,7 @@ pub mod eval;
 pub mod explore;
 #[cfg(feature = "failpoints")]
 pub mod failpoint;
+pub mod rollout;
 pub mod sentinel;
 pub mod trace;
 pub mod trainer;
@@ -54,6 +57,7 @@ pub use config::{Algorithm, LayoutMode, Task, TrainConfig};
 pub use error::TrainError;
 pub use eval::RewardCurve;
 pub use explore::{ExplorationSchedule, LinearSchedule};
+pub use rollout::Rollout;
 pub use sentinel::{DivergenceReport, SentinelConfig};
 pub use trace::{UpdateDigest, UpdateTraceRecorder};
 pub use trainer::{train, SamplingTelemetry, TrainReport, Trainer};

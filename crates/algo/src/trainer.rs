@@ -11,16 +11,15 @@ use crate::checkpoint::{write_checkpoint_file, Checkpoint, RunState};
 use crate::config::{Algorithm, LayoutMode, Task, TrainConfig};
 use crate::error::TrainError;
 use crate::eval::RewardCurve;
+use crate::rollout::Rollout;
 use marl_core::config::SamplerConfig;
 use marl_core::error::ReplayError;
 use marl_core::indices::SamplePlan;
 use marl_core::layout::InterleavedStore;
 use marl_core::multi::MultiAgentReplay;
 use marl_core::sampler::Sampler;
-use marl_core::transition::{MultiBatch, Transition, TransitionLayout, TransitionRef};
-use marl_env::env::ParticleEnv;
+use marl_core::transition::{MultiBatch, TransitionLayout, TransitionRef};
 use marl_env::spaces::ActionSpace;
-use marl_env::vecenv::VecParticleEnv;
 use marl_nn::gumbel::{relaxation_backward_segments_into, softmax_relaxation_segments_into};
 use marl_nn::linear::{BackwardNeed, InputGrad};
 use marl_nn::loss::{mse_into, td_errors_into, weighted_mse_into};
@@ -108,15 +107,8 @@ impl ReplayBackend {
         }
     }
 
-    fn push_step(&mut self, transitions: &[Transition]) -> Result<usize, ReplayError> {
-        match self {
-            ReplayBackend::PerAgent(r) => r.push_step(transitions),
-            ReplayBackend::Interleaved(s) => s.push_step(transitions),
-        }
-    }
-
     /// Pushes one joint step built on the fly from borrowed rows
-    /// (allocation-free; the vectorized rollout path).
+    /// (allocation-free).
     fn push_step_with<'a, F>(&mut self, f: F) -> usize
     where
         F: FnMut(usize) -> TransitionRef<'a>,
@@ -167,17 +159,9 @@ impl ReplayBackend {
 #[derive(Debug)]
 pub struct Trainer {
     config: TrainConfig,
-    env: ParticleEnv,
-    /// Batched K-world environment; `Some` once the vectorized rollout
-    /// path is active ([`TrainConfig::num_envs`] > 1, or
-    /// [`Trainer::run_episode_vec`] called directly). World 0 shares the
-    /// scalar env's seed stream, so K=1 checkpoints stay byte-compatible.
-    vecenv: Option<VecParticleEnv>,
-    /// Per-world exploration-noise streams (K > 1 only; at K=1 the master
-    /// RNG is used so the scalar and vectorized paths stay bit-identical).
-    rollout_rngs: Vec<StdRng>,
-    /// Reusable working storage of the vectorized rollout loop.
-    rollout: Option<RolloutScratch>,
+    /// The trainer's only environment: [`TrainConfig::num_envs`] worlds
+    /// with their noise streams and step buffers.
+    rollout: Rollout,
     agents: Vec<AgentNets>,
     replay: ReplayBackend,
     sampler: Box<dyn Sampler>,
@@ -193,9 +177,6 @@ pub struct Trainer {
     /// Prefix sums of `act_dims`: agent `i`'s action block starts at
     /// column `total_obs_dim + act_offsets[i]` of joint critic inputs.
     act_offsets: Vec<usize>,
-    /// Per-agent action spaces (factor segments + joint index range),
-    /// taken from the environment at construction.
-    action_spaces: Vec<ActionSpace>,
     total_obs_dim: usize,
     total_act_dim: usize,
     env_steps: u64,
@@ -226,10 +207,10 @@ impl Trainer {
         marl_nn::kernels::configure(config.kernel);
         // The scenario registry resolves the task by id: any registered
         // scenario (built-in or plugin) trains through the same loop.
-        let env = config.task.make_env(config.agents, config.max_episode_len, config.seed);
+        let rollout = Rollout::new(&config, config.num_envs());
+        let env = rollout.env();
         let obs_dims: Vec<usize> = env.observation_spaces().iter().map(|s| s.dim).collect();
-        let action_spaces: Vec<ActionSpace> = env.action_spaces().to_vec();
-        let act_dims: Vec<usize> = action_spaces.iter().map(ActionSpace::flat_dim).collect();
+        let act_dims: Vec<usize> = env.action_spaces().iter().map(ActionSpace::flat_dim).collect();
         let mut act_offsets = Vec::with_capacity(act_dims.len());
         let mut total_act_dim = 0usize;
         for &ad in &act_dims {
@@ -262,12 +243,9 @@ impl Trainer {
         };
         let sampler = config.sampler.build(config.buffer_capacity);
         let scratch = UpdateScratch::new(obs_dims.len(), &layouts, config.batch_size);
-        let mut trainer = Trainer {
+        Ok(Trainer {
             config,
-            env,
-            vecenv: None,
-            rollout_rngs: Vec::new(),
-            rollout: None,
+            rollout,
             agents,
             replay,
             sampler,
@@ -277,7 +255,6 @@ impl Trainer {
             obs_dims,
             act_dims,
             act_offsets,
-            action_spaces,
             total_obs_dim,
             total_act_dim,
             env_steps: 0,
@@ -287,46 +264,7 @@ impl Trainer {
             scratch,
             obs: None,
             trace: None,
-        };
-        if trainer.config.num_envs() > 1 {
-            trainer.ensure_vec_rollout();
-        }
-        Ok(trainer)
-    }
-
-    /// Builds the K-world environment, the per-world noise streams, and
-    /// the rollout scratch if they do not exist yet. Idempotent.
-    fn ensure_vec_rollout(&mut self) {
-        if self.vecenv.is_some() {
-            return;
-        }
-        let k = self.config.num_envs();
-        let cfg = &self.config;
-        let mut vecenv = cfg.task.make_vec_env(cfg.agents, cfg.max_episode_len, cfg.seed, k);
-        // World 0 continues the scalar environment's stream: a no-op at
-        // construction (both start from the same seed), and the live
-        // state when the build happens after a checkpoint restore.
-        let mut states = vecenv.rng_states();
-        states[0] = self.env.rng_state();
-        vecenv.set_rng_states(&states);
-        // Noise streams: at K=1 the master RNG is used instead (bitwise
-        // identity with the scalar path); at K>1 each world draws from
-        // stream 3 of the config seed, sub-stream w — disjoint from the
-        // master (1), update (2), and extra-world env (4) streams.
-        self.rollout_rngs = if k > 1 {
-            (0..k)
-                .map(|w| {
-                    StdRng::seed_from_u64(marl_nn::rng::derive_seed(
-                        marl_nn::rng::derive_seed(cfg.seed, 3),
-                        w as u64,
-                    ))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        self.rollout = Some(RolloutScratch::new(k, &self.obs_dims, &self.act_dims));
-        self.vecenv = Some(vecenv);
+        })
     }
 
     /// Attaches an observability runtime. From the next step on, spans,
@@ -446,18 +384,12 @@ impl Trainer {
                 return Err(TrainError::Interrupted { episodes_done: self.curve.len() });
             }
             match self.run_episode() {
-                // The vectorized path finishes K worlds per call: record
-                // one curve entry per world (world order) so `episodes`
-                // still counts completed environment episodes.
-                Ok(mean_reward) => {
-                    if self.config.num_envs() > 1 {
-                        let rollout = self.rollout.as_ref().expect("vec rollout ran");
-                        for w in 0..rollout.world_returns.len() {
-                            let v = rollout.world_returns[w];
-                            self.curve.push(v);
-                        }
-                    } else {
-                        self.curve.push(mean_reward);
+                // An episode finishes K worlds: record one curve entry per
+                // world (world order) so `episodes` counts completed
+                // environment episodes.
+                Ok(_) => {
+                    for v in self.rollout.world_returns() {
+                        self.curve.push(v);
                     }
                 }
                 Err(TrainError::Diverged(report)) => {
@@ -530,199 +462,53 @@ impl Trainer {
         })
     }
 
-    /// Runs one episode (exploration + pushes + scheduled updates) and
-    /// returns the mean-over-agents cumulative reward.
+    /// Runs one episode (exploration + pushes + scheduled updates) in
+    /// every world of the rollout and returns the mean over worlds of the
+    /// mean-over-agents cumulative reward.
     ///
-    /// With [`TrainConfig::num_envs`] > 1 this dispatches to
-    /// [`Trainer::run_episode_vec`], which advances K worlds in lockstep
-    /// and returns the mean over all of them.
+    /// The K = [`TrainConfig::num_envs`] worlds advance in lockstep over
+    /// the batched SoA physics, with one actor inference batch per agent
+    /// per step. Every step pushes K joint transitions, and
+    /// `env_steps`/update scheduling advance by K. At K = 1 the noise
+    /// comes from the master RNG; at K > 1 from K checkpointable
+    /// per-world streams. The per-world returns stay readable for
+    /// [`Trainer::train_with_autosave`], which records one reward-curve
+    /// entry per world.
+    ///
+    /// The step loop is allocation-free once the first episode has sized
+    /// the rollout buffers (test-enforced at K = 1 and K = 4).
     ///
     /// # Errors
     ///
     /// Propagates environment and replay failures.
     pub fn run_episode(&mut self) -> Result<f32, TrainError> {
-        if self.config.num_envs() > 1 {
-            return self.run_episode_vec();
-        }
         // Arc clone (refcount bump only) so the episode span can coexist
         // with the `&mut self` calls below.
         let tel = self.obs.clone();
         let _episode_span = tel.as_deref().map(|t| t.tracer.span("episode", 0));
-        let mut obs = self.env.reset();
-        let n = self.agents.len();
-        let mut episode_reward = vec![0.0f32; n];
-        loop {
-            // --- Action selection ---
-            let t0 = Instant::now();
-            let (temperature, epsilon) = self.config.exploration.at(self.env_steps);
-            let mut action_idx = Vec::with_capacity(n);
-            let mut action_onehot = Vec::with_capacity(n);
-            for ((a, o), space) in self.agents.iter().zip(&obs).zip(&self.action_spaces) {
-                let (mut idx, mut hot) =
-                    a.act_explore_seg(o, space.segments(), temperature, &mut self.rng);
-                if epsilon > 0.0 && rand::Rng::gen::<f32>(&mut self.rng) < epsilon {
-                    idx = rand::Rng::gen_range(&mut self.rng, 0..space.joint_count());
-                    space.multi_hot(idx, &mut hot);
-                }
-                action_idx.push(idx);
-                action_onehot.push(hot);
-            }
-            self.profile.add(Phase::ActionSelection, t0.elapsed());
-
-            // --- Environment execution ---
-            let t0 = Instant::now();
-            let mut step = self.env.step(&action_idx)?;
-            self.profile.add(Phase::EnvironmentStep, t0.elapsed());
-            self.env_steps += 1;
-            if let Some(t) = tel.as_deref() {
-                t.metrics.env_steps.inc();
-            }
-
-            // --- Store experiences ---
-            let t0 = Instant::now();
-            let done_flag = if step.done { 1.0 } else { 0.0 };
-            let transitions: Vec<Transition> = (0..n)
-                .map(|i| Transition {
-                    obs: std::mem::take(&mut obs[i]),
-                    action: std::mem::take(&mut action_onehot[i]),
-                    reward: step.rewards[i],
-                    // Moved, not cloned: the buffer is handed back as the
-                    // next iteration's observation below.
-                    next_obs: std::mem::take(&mut step.observations[i]),
-                    done: done_flag,
-                })
-                .collect();
-            let slot = self.replay.push_step(&transitions)?;
-            self.sampler.observe_push(slot);
-            self.samples_since_update += 1;
-            for (er, r) in episode_reward.iter_mut().zip(&step.rewards) {
-                *er += r;
-            }
-            // The stored next observations become the next step's inputs.
-            for (o, t) in obs.iter_mut().zip(transitions) {
-                *o = t.next_obs;
-            }
-            self.profile.add(Phase::Bookkeeping, t0.elapsed());
-
-            // --- Update all trainers ---
-            if self.replay.len() >= self.config.warmup
-                && self.samples_since_update >= self.config.update_every
-            {
-                self.samples_since_update = 0;
-                self.update_all_trainers()?;
-            }
-
-            if step.done {
-                break;
-            }
-        }
-        Ok(episode_reward.iter().sum::<f32>() / n as f32)
-    }
-
-    /// Runs one vectorized episode: K worlds advanced in lockstep over the
-    /// batched SoA physics, with per-agent action selection coalescing the
-    /// K observations into a single actor inference batch.
-    ///
-    /// At K=1 this consumes exactly the RNG draws of the scalar
-    /// [`Trainer::run_episode`], in the same order, and is bit-identical
-    /// to it (test-enforced). At K>1 exploration noise comes from K
-    /// checkpointable per-world streams, every batched step pushes K joint
-    /// transitions, and `env_steps`/update scheduling advance by K per
-    /// step. The per-world mean returns of the finished episode are kept
-    /// for [`Trainer::train_with_autosave`], which records one reward-curve
-    /// entry per world; the returned value is the mean over all worlds.
-    ///
-    /// The step loop is allocation-free once the scratch is warm
-    /// (test-enforced alongside the update-loop guarantee).
-    ///
-    /// # Errors
-    ///
-    /// Propagates environment and replay failures.
-    pub fn run_episode_vec(&mut self) -> Result<f32, TrainError> {
-        self.ensure_vec_rollout();
-        let tel = self.obs.clone();
-        let _episode_span = tel.as_deref().map(|t| t.tracer.span("episode", 0));
-        let n = self.agents.len();
-        let k = {
-            let env = self.vecenv.as_mut().expect("vec env built above");
-            let rollout = self.rollout.as_mut().expect("rollout scratch built above");
-            env.reset();
-            let k = env.world_count();
-            for (a, m) in rollout.obs_cur.iter_mut().enumerate() {
-                for w in 0..k {
-                    env.observe_into(a, w, m.row_mut(w));
-                }
-            }
-            rollout.episode_reward.fill(0.0);
-            k
-        };
+        let k = self.rollout.worlds();
+        self.rollout.reset();
         loop {
             // --- Action selection (one inference batch per agent) ---
             let t0 = Instant::now();
             let (temperature, epsilon) = self.config.exploration.at(self.env_steps);
-            {
-                let rollout = self.rollout.as_mut().expect("rollout scratch");
-                for (a, agent) in self.agents.iter().enumerate() {
-                    let space = &self.action_spaces[a];
-                    // At K=1 the master RNG supplies the noise — the draw
-                    // sequence (per agent: flat_dim Gumbels, then the
-                    // epsilon draws) matches the scalar path exactly.
-                    let rngs: &mut [StdRng] = if k == 1 {
-                        std::slice::from_mut(&mut self.rng)
-                    } else {
-                        &mut self.rollout_rngs
-                    };
-                    agent.act_explore_batch_seg(
-                        &rollout.obs_cur[a],
-                        space.segments(),
-                        temperature,
-                        rngs,
-                        &mut rollout.logits,
-                        &mut rollout.sample_row,
-                        &mut rollout.nn,
-                        &mut rollout.agent_idx,
-                        &mut rollout.onehot[a],
-                    );
-                    if epsilon > 0.0 {
-                        for (w, rng) in rngs.iter_mut().enumerate() {
-                            if rand::Rng::gen::<f32>(&mut *rng) < epsilon {
-                                let idx = rand::Rng::gen_range(&mut *rng, 0..space.joint_count());
-                                rollout.agent_idx[w] = idx;
-                                space.multi_hot(idx, rollout.onehot[a].row_mut(w));
-                            }
-                        }
-                    }
-                    for w in 0..k {
-                        rollout.action_idx[w * n + a] = rollout.agent_idx[w];
-                    }
-                }
-            }
+            self.rollout.select_actions(&self.agents, temperature, epsilon, &mut self.rng);
             self.profile.add(Phase::ActionSelection, t0.elapsed());
 
             // --- Environment execution (batched SoA step) ---
             let t0 = Instant::now();
-            let done = {
-                let env = self.vecenv.as_mut().expect("vec env");
-                let rollout = self.rollout.as_mut().expect("rollout scratch");
-                let span_start = tel.as_deref().map(|t| t.tracer.now_ns());
-                let done = env.step(&rollout.action_idx, &mut rollout.rewards)?;
-                if let (Some(t), Some(start)) = (tel.as_deref(), span_start) {
-                    let end = t.tracer.now_ns();
-                    t.tracer.record("vec-env-step", 0, start, end);
-                    let dt = end.saturating_sub(start);
-                    t.metrics.vecenv_step_ns.record(dt);
-                    t.metrics.vecenv_batch_fill.record(k as u64);
-                    if dt > 0 {
-                        t.metrics.vecenv_steps_per_sec.record_scaled(k as f64 / dt as f64, 1e9);
-                    }
+            let span_start = tel.as_deref().map(|t| t.tracer.now_ns());
+            let done = self.rollout.step()?;
+            if let (Some(t), Some(start)) = (tel.as_deref(), span_start) {
+                let end = t.tracer.now_ns();
+                t.tracer.record("vec-env-step", 0, start, end);
+                let dt = end.saturating_sub(start);
+                t.metrics.vecenv_step_ns.record(dt);
+                t.metrics.vecenv_batch_fill.record(k as u64);
+                if dt > 0 {
+                    t.metrics.vecenv_steps_per_sec.record_scaled(k as f64 / dt as f64, 1e9);
                 }
-                for (a, m) in rollout.obs_next.iter_mut().enumerate() {
-                    for w in 0..k {
-                        env.observe_into(a, w, m.row_mut(w));
-                    }
-                }
-                done
-            };
+            }
             self.profile.add(Phase::EnvironmentStep, t0.elapsed());
             self.env_steps += k as u64;
             if let Some(t) = tel.as_deref() {
@@ -731,33 +517,17 @@ impl Trainer {
 
             // --- Store experiences (K joint pushes per batched step) ---
             let t0 = Instant::now();
-            let done_flag = if done { 1.0 } else { 0.0 };
-            {
-                let rollout = self.rollout.as_mut().expect("rollout scratch");
-                for w in 0..k {
-                    let (obs_cur, onehot, rewards, obs_next) =
-                        (&rollout.obs_cur, &rollout.onehot, &rollout.rewards, &rollout.obs_next);
-                    let slot = self.replay.push_step_with(|a| TransitionRef {
-                        obs: obs_cur[a].row(w),
-                        action: onehot[a].row(w),
-                        reward: rewards[w * n + a],
-                        next_obs: obs_next[a].row(w),
-                        done: done_flag,
-                    });
-                    self.sampler.observe_push(slot);
-                    self.samples_since_update += 1;
-                }
-                for (er, r) in rollout.episode_reward.iter_mut().zip(&rollout.rewards) {
-                    *er += r;
-                }
-                std::mem::swap(&mut rollout.obs_cur, &mut rollout.obs_next);
+            for w in 0..k {
+                let rollout = &self.rollout;
+                let slot = self.replay.push_step_with(|a| rollout.transition(w, a));
+                self.sampler.observe_push(slot);
+                self.samples_since_update += 1;
             }
+            self.rollout.advance();
             self.profile.add(Phase::Bookkeeping, t0.elapsed());
 
             // --- Update all trainers ---
-            if self.replay.len() >= self.config.warmup
-                && self.samples_since_update >= self.config.update_every
-            {
+            if self.update_due() {
                 self.samples_since_update = 0;
                 self.update_all_trainers()?;
             }
@@ -766,55 +536,41 @@ impl Trainer {
                 break;
             }
         }
-        let rollout = self.rollout.as_mut().expect("rollout scratch");
-        for w in 0..k {
-            let sum: f32 = rollout.episode_reward[w * n..(w + 1) * n].iter().sum();
-            rollout.world_returns[w] = sum / n as f32;
-        }
-        Ok(rollout.world_returns.iter().sum::<f32>() / k as f32)
+        Ok(self.rollout.world_returns().sum::<f32>() / k as f32)
     }
 
-    /// Pre-fills the replay buffers with `rows` random-policy steps without
-    /// performing any updates (used by benches to isolate the sampling
-    /// phase).
+    /// [`Trainer::run_episode`] under its pre-merge name (the frozen
+    /// benchmark still calls it).
+    #[doc(hidden)]
+    pub fn run_episode_vec(&mut self) -> Result<f32, TrainError> {
+        self.run_episode()
+    }
+
+    /// Pre-fills the replay buffers with `rows` random-policy joint steps
+    /// (uniform actions from the master RNG) without performing any
+    /// updates (used by benches to isolate the sampling phase). A step
+    /// pushes one row per world until `rows` is reached.
     ///
     /// # Errors
     ///
     /// Propagates environment and replay failures.
     pub fn prefill(&mut self, rows: usize) -> Result<(), TrainError> {
-        let n = self.agents.len();
-        let mut obs = self.env.reset();
+        self.rollout.reset();
         let mut filled = 0;
         while filled < rows {
-            let spaces = &self.action_spaces;
-            let rng = &mut self.rng;
-            let actions: Vec<usize> = spaces
-                .iter()
-                .map(|space| rand::Rng::gen_range(&mut *rng, 0..space.joint_count()))
-                .collect();
-            let mut step = self.env.step(&actions)?;
-            let transitions: Vec<Transition> = (0..n)
-                .map(|i| {
-                    let mut onehot = vec![0.0; self.act_dims[i]];
-                    self.action_spaces[i].multi_hot(actions[i], &mut onehot);
-                    Transition {
-                        obs: std::mem::take(&mut obs[i]),
-                        action: onehot,
-                        reward: step.rewards[i],
-                        next_obs: std::mem::take(&mut step.observations[i]),
-                        done: if step.done { 1.0 } else { 0.0 },
-                    }
-                })
-                .collect();
-            let slot = self.replay.push_step(&transitions)?;
-            self.sampler.observe_push(slot);
-            filled += 1;
-            if step.done {
-                obs = self.env.reset();
+            self.rollout.select_random(&mut self.rng);
+            let done = self.rollout.step()?;
+            let pushes = self.rollout.worlds().min(rows - filled);
+            for w in 0..pushes {
+                let rollout = &self.rollout;
+                let slot = self.replay.push_step_with(|a| rollout.transition(w, a));
+                self.sampler.observe_push(slot);
+            }
+            filled += pushes;
+            if done {
+                self.rollout.reset();
             } else {
-                for (o, t) in obs.iter_mut().zip(transitions) {
-                    *o = t.next_obs;
-                }
+                self.rollout.advance();
             }
         }
         Ok(())
@@ -954,7 +710,7 @@ impl Trainer {
         let total_obs_dim = self.total_obs_dim;
         let joint_dim = total_obs_dim + self.total_act_dim;
         let act_offsets = &self.act_offsets;
-        let action_spaces = &self.action_spaces;
+        let action_spaces = self.rollout.env().action_spaces();
         let agents = &self.agents;
         let UpdateScratch {
             views,
@@ -1302,29 +1058,21 @@ impl Trainer {
             ReplayBackend::Interleaved(s) => marl_core::snapshot::encode_replay(&s.deinterleave()?),
         };
         let mut ckpt = self.checkpoint();
-        // With the vectorized rollout active, world 0's stream occupies the
-        // legacy `env_rng` slot (it is the scalar env's stream, so K=1
-        // checkpoints restore into either path); worlds 1..K and the
-        // exploration-noise streams ride in the `#[serde(default)]` fields,
-        // which stay empty on the scalar path for backward compatibility.
-        let (env_rng, vec_env_rngs) = match &self.vecenv {
-            Some(v) => {
-                let states = v.rng_states();
-                (states[0], states[1..].to_vec())
-            }
-            None => (self.env.rng_state(), Vec::new()),
-        };
+        // World 0's stream occupies the `env_rng` slot; worlds 1..K and the
+        // per-world noise streams ride in the `#[serde(default)]` fields,
+        // which stay empty at K = 1 (the pre-vectorization format).
+        let env_rngs = self.rollout.env_rng_states();
         ckpt.run = Some(RunState {
             env_steps: self.env_steps,
             samples_since_update: self.samples_since_update,
             master_rng: self.rng.state(),
-            env_rng,
+            env_rng: env_rngs[0],
             curve: self.curve.values().to_vec(),
             telemetry: self.telemetry,
             sampler: self.sampler.export_state(),
             profile: self.profile.clone(),
-            rollout_rngs: self.rollout_rngs.iter().map(|r| r.state()).collect(),
-            vec_env_rngs,
+            rollout_rngs: self.rollout.noise_rng_states(),
+            vec_env_rngs: env_rngs[1..].to_vec(),
         });
         Ok((ckpt, replay.as_ref().to_vec()))
     }
@@ -1334,10 +1082,16 @@ impl Trainer {
     /// into this trainer. The trainer must have been built from a
     /// compatible configuration (same task, agents, capacity, layout).
     ///
+    /// World 0's env stream always restores from `env_rng`. A checkpoint
+    /// without per-world streams (written at K = 1, or before the
+    /// vectorized engine existed) resumes at any K with fresh streams for
+    /// worlds 1..K and fresh exploration streams.
+    ///
     /// # Errors
     ///
-    /// Returns [`TrainError::Checkpoint`] for weights-only checkpoints or
-    /// mismatched replay geometry, [`TrainError::InvalidConfig`] for
+    /// Returns [`TrainError::Checkpoint`] for weights-only checkpoints,
+    /// mismatched replay geometry, or per-world streams recorded for a
+    /// different world count; [`TrainError::InvalidConfig`] for
     /// architecture mismatches, and [`TrainError::Replay`] when the
     /// sampler rejects the recorded state.
     pub fn restore_full(
@@ -1361,6 +1115,21 @@ impl Trainer {
                 "replay snapshot geometry does not match the trainer".into(),
             ));
         }
+        let k = self.config.num_envs();
+        if !run.vec_env_rngs.is_empty() && run.vec_env_rngs.len() + 1 != k {
+            return Err(TrainError::Checkpoint(format!(
+                "checkpoint carries env streams for {} worlds but the trainer runs {k}",
+                run.vec_env_rngs.len() + 1
+            )));
+        }
+        // K = 1 explores from the master stream, so only K > 1 records
+        // per-world exploration streams.
+        if !run.rollout_rngs.is_empty() && (run.rollout_rngs.len() != k || k == 1) {
+            return Err(TrainError::Checkpoint(format!(
+                "checkpoint carries exploration streams for {} worlds but the trainer runs {k}",
+                run.rollout_rngs.len()
+            )));
+        }
         self.restore(ckpt)?;
         self.sampler.import_state(&run.sampler)?;
         match &mut self.replay {
@@ -1368,26 +1137,17 @@ impl Trainer {
             ReplayBackend::Interleaved(s) => *s = InterleavedStore::reorganize_from(&decoded).0,
         }
         self.rng = StdRng::from_state(run.master_rng);
-        self.env.set_rng_state(run.env_rng);
-        if self.config.num_envs() > 1
-            || self.vecenv.is_some()
-            || !run.vec_env_rngs.is_empty()
-            || !run.rollout_rngs.is_empty()
-        {
-            self.ensure_vec_rollout();
-            let env = self.vecenv.as_mut().expect("vec env built above");
-            // World 0 restores from the legacy slot; worlds 1..K from the
-            // vectorized fields. A pre-vectorization checkpoint (empty
-            // fields) resumes with fresh extra-world streams.
-            if env.world_count() == run.vec_env_rngs.len() + 1 {
-                let mut states = Vec::with_capacity(env.world_count());
-                states.push(run.env_rng);
-                states.extend_from_slice(&run.vec_env_rngs);
-                env.set_rng_states(&states);
-            }
-            for (r, s) in self.rollout_rngs.iter_mut().zip(&run.rollout_rngs) {
-                *r = StdRng::from_state(*s);
-            }
+        // A fresh rollout holds the fresh streams; the checkpoint's
+        // streams overwrite them where it has any.
+        self.rollout = Rollout::new(&self.config, k);
+        let mut env_rngs = self.rollout.env_rng_states();
+        env_rngs[0] = run.env_rng;
+        if !run.vec_env_rngs.is_empty() {
+            env_rngs[1..].copy_from_slice(&run.vec_env_rngs);
+        }
+        self.rollout.set_env_rng_states(&env_rngs);
+        if !run.rollout_rngs.is_empty() {
+            self.rollout.set_noise_rng_states(&run.rollout_rngs);
         }
         self.env_steps = run.env_steps;
         self.samples_since_update = run.samples_since_update;
@@ -1421,34 +1181,33 @@ impl Trainer {
         Ok(())
     }
 
-    /// Greedy evaluation over `episodes` fresh episodes; returns the mean
-    /// per-episode, mean-over-agents cumulative reward.
+    /// Greedy evaluation over `episodes` fresh episodes in every world of
+    /// the rollout; returns the mean over episodes and worlds of the
+    /// mean-over-agents cumulative reward. Advances the env streams (the
+    /// next training episode starts from where evaluation left them).
     ///
     /// # Errors
     ///
     /// Propagates environment failures.
     pub fn evaluate(&mut self, episodes: usize) -> Result<f32, TrainError> {
         let n = self.agents.len();
+        let k = self.rollout.worlds();
         let mut total = 0.0f64;
         for _ in 0..episodes {
-            let mut obs = self.env.reset();
+            self.rollout.reset();
             loop {
-                let actions: Vec<usize> = self
-                    .agents
-                    .iter()
-                    .zip(&obs)
-                    .zip(&self.action_spaces)
-                    .map(|((a, o), space)| a.act_greedy_seg(o, space.segments()))
-                    .collect();
-                let step = self.env.step(&actions)?;
-                total += step.rewards.iter().sum::<f32>() as f64 / n as f64;
-                obs = step.observations;
-                if step.done {
+                self.rollout.select_greedy(&self.agents);
+                let done = self.rollout.step()?;
+                for rewards in self.rollout.rewards().chunks(n) {
+                    total += rewards.iter().sum::<f32>() as f64 / n as f64;
+                }
+                self.rollout.advance();
+                if done {
                     break;
                 }
             }
         }
-        Ok((total / episodes.max(1) as f64) as f32)
+        Ok((total / (episodes * k).max(1) as f64) as f32)
     }
 }
 
@@ -1584,57 +1343,6 @@ fn update_agent(
         agent.actor_opt.step(&mut agent.actor);
     }
     profile.add(Phase::QLossPLoss, t0.elapsed());
-}
-
-/// Persistent working storage for [`Trainer::run_episode_vec`].
-///
-/// Sized once when the vectorized rollout path activates; after a warm-up
-/// episode the batched step loop touches no heap.
-#[derive(Debug)]
-struct RolloutScratch {
-    /// Per-agent current observations: matrix `a` is K×obs_dim(a), row w =
-    /// agent `a`'s observation in world `w` (the inference batch).
-    obs_cur: Vec<Matrix>,
-    /// Per-agent next observations (swapped with `obs_cur` every step).
-    obs_next: Vec<Matrix>,
-    /// Per-agent multi-hot actions, K×flat_dim(a) (widths differ under
-    /// heterogeneous action spaces).
-    onehot: Vec<Matrix>,
-    /// Actor logits of the current agent's inference batch.
-    logits: Matrix,
-    /// One-row Gumbel working buffer.
-    sample_row: Matrix,
-    /// MLP forward temporaries.
-    nn: Scratch,
-    /// Current agent's per-world action indices (length K).
-    agent_idx: Vec<usize>,
-    /// Joint action indices, world-major `[w * n + a]` (length K·n).
-    action_idx: Vec<usize>,
-    /// Per-step rewards, world-major (length K·n).
-    rewards: Vec<f32>,
-    /// Per-world cumulative episode rewards, world-major (length K·n).
-    episode_reward: Vec<f32>,
-    /// Per-world mean-over-agents returns of the last finished episode.
-    world_returns: Vec<f32>,
-}
-
-impl RolloutScratch {
-    fn new(worlds: usize, obs_dims: &[usize], act_dims: &[usize]) -> Self {
-        let n = obs_dims.len();
-        RolloutScratch {
-            obs_cur: obs_dims.iter().map(|&od| Matrix::zeros(worlds, od)).collect(),
-            obs_next: obs_dims.iter().map(|&od| Matrix::zeros(worlds, od)).collect(),
-            onehot: act_dims.iter().map(|&ad| Matrix::zeros(worlds, ad)).collect(),
-            logits: Matrix::default(),
-            sample_row: Matrix::default(),
-            nn: Scratch::new(),
-            agent_idx: vec![0; worlds],
-            action_idx: vec![0; worlds * n],
-            rewards: vec![0.0; worlds * n],
-            episode_reward: vec![0.0; worlds * n],
-            world_returns: vec![0.0; worlds],
-        }
-    }
 }
 
 /// Persistent working storage for [`Trainer::update_all_trainers`].

@@ -2,10 +2,10 @@
 //! machine-readable JSON (`BENCH_pr6.json`).
 //!
 //! Measures env-steps/sec of the rollout engine at K ∈ {1, 4, 8} worlds
-//! under the scalar and SIMD kernels. K = 1 takes the legacy scalar
-//! rollout path (one world, per-row inference); K > 1 drives the
-//! vectorized engine — SoA physics across worlds, one batched
-//! `forward_inference_into` per agent, batched replay pushes. Updates
+//! under the scalar and SIMD kernels. Every K runs the one rollout loop —
+//! SoA physics across worlds, one batched `forward_inference_into` per
+//! agent, batched replay pushes; before the loops were merged, K = 1
+//! took a separate scalar path (per-row inference). Updates
 //! are suppressed (warmup = capacity) so the numbers isolate rollout
 //! throughput; the headline figure is the K = 8 SIMD speedup over the
 //! K = 1 scalar baseline.
@@ -45,7 +45,7 @@ struct Summary {
     /// Every measured (K, kernel) combination.
     legs: Vec<Leg>,
     /// env-steps/sec at K = 8 SIMD over K = 1 scalar — the end-to-end
-    /// win of batching + SIMD over the legacy rollout path.
+    /// win of batching + SIMD over one world.
     speedup_k8_simd_vs_k1_scalar: f64,
     /// env-steps/sec at K = 8 scalar over K = 1 scalar — the batching
     /// win alone, with identical arithmetic.

@@ -1,12 +1,16 @@
 //! The rollout worker: owns an environment and actor networks, streams
 //! transition batches to the learner, and receives parameter broadcasts.
 //!
+//! Episodes run through the trainer's own rollout loop
+//! ([`marl_algo::rollout::Rollout`]) at one world: there is no second
+//! copy of action selection or env stepping to keep in step.
+//!
 //! In **lockstep** mode (worker 0 over the deterministic loopback) the
-//! worker replicates the single-process episode loop draw-for-draw: it
-//! builds its networks from the same stream-1 RNG the trainer uses (so
-//! construction consumes identical draws), performs the exploration
-//! draws in `run_episode`'s exact order, mirrors the learner's replay
-//! fill and `samples_since_update` counter to predict update boundaries,
+//! worker reproduces the single-process run draw-for-draw: it builds its
+//! networks from the same stream-1 RNG the trainer uses (so construction
+//! consumes identical draws), steps the same K = 1 `Rollout` the trainer
+//! steps, mirrors the learner's replay fill and `samples_since_update`
+//! counter to predict update boundaries,
 //! and at each boundary hands its master-RNG state to the learner (whose
 //! sampling-plan draws continue the same interleaved stream) and blocks
 //! for the post-update state coming back. The resulting update digests
@@ -26,8 +30,7 @@ use crate::wire::{
 };
 use marl_algo::agent::AgentNets;
 use marl_algo::config::TrainConfig;
-use marl_core::transition::TransitionRef;
-use marl_env::env::ParticleEnv;
+use marl_algo::rollout::Rollout;
 use marl_env::spaces::ActionSpace;
 use marl_nn::rng::derive_seed;
 use marl_obs::clock::ClockOffset;
@@ -74,12 +77,11 @@ pub enum RunOutcome {
 pub struct Worker {
     id: u32,
     config: TrainConfig,
-    env: ParticleEnv,
+    /// One world (the worker ignores `num_envs`), stepped by the
+    /// trainer's own rollout loop.
+    rollout: Rollout,
     agents: Vec<AgentNets>,
     rng: StdRng,
-    /// Per-agent action spaces (factor segments + joint index range),
-    /// mirroring the learner's trainer exactly.
-    action_spaces: Vec<ActionSpace>,
     epoch: u64,
     env_steps: u64,
     samples_since_update: usize,
@@ -147,10 +149,10 @@ impl Worker {
             .validate()
             .map_err(|e| DistError::Protocol(format!("welcome config invalid: {e}")))?;
         marl_nn::kernels::configure(config.kernel);
-        let mut env = config.task.make_env(config.agents, config.max_episode_len, config.seed);
+        let mut rollout = Rollout::new(&config, 1);
+        let env = rollout.env();
         let obs_dims: Vec<usize> = env.observation_spaces().iter().map(|s| s.dim).collect();
-        let action_spaces: Vec<ActionSpace> = env.action_spaces().to_vec();
-        let act_dims: Vec<usize> = action_spaces.iter().map(ActionSpace::flat_dim).collect();
+        let act_dims: Vec<usize> = env.action_spaces().iter().map(ActionSpace::flat_dim).collect();
         let total_obs_dim: usize = obs_dims.iter().sum();
         let joint_dim = total_obs_dim + act_dims.iter().sum::<usize>();
         // Replicate the trainer's construction draws so a fresh lockstep
@@ -178,11 +180,11 @@ impl Worker {
         }
         rng = StdRng::from_state(w.master_rng);
         match w.env_rng {
-            Some(state) => env.set_rng_state(state),
+            Some(state) => rollout.set_env_rng_states(&[state]),
             // Fresh free-running workers shard the env stream; worker 0
-            // keeps its construction stream (== the single-process env).
+            // keeps its construction stream (== the single-process world 0).
             None if w.worker_id > 0 => {
-                env.set_rng_state(worker_env_state(config.seed, w.worker_id));
+                rollout.set_env_rng_states(&[worker_env_state(config.seed, w.worker_id)]);
             }
             None => {}
         }
@@ -190,10 +192,9 @@ impl Worker {
         Ok(Worker {
             id: w.worker_id,
             config,
-            env,
+            rollout,
             agents,
             rng,
-            action_spaces,
             epoch: w.epoch,
             env_steps: w.env_steps,
             samples_since_update: w.samples_since_update,
@@ -349,47 +350,19 @@ impl Worker {
         transport: &mut dyn Transport,
         control: Option<&mpsc::Receiver<Msg>>,
     ) -> Result<bool, DistError> {
-        let n = self.agents.len();
-        let mut obs = self.env.reset();
-        let mut episode_reward = vec![0.0f32; n];
+        self.rollout.reset();
         let mut stop = false;
         loop {
-            // --- Action selection (run_episode's exact draw order) ---
+            // --- One rollout step (the trainer's loop at K = 1) ---
             let (temperature, epsilon) = self.config.exploration.at(self.env_steps);
-            let mut action_idx = Vec::with_capacity(n);
-            let mut action_onehot = Vec::with_capacity(n);
-            for ((a, o), space) in self.agents.iter().zip(&obs).zip(&self.action_spaces) {
-                let (mut idx, mut hot) =
-                    a.act_explore_seg(o, space.segments(), temperature, &mut self.rng);
-                if epsilon > 0.0 && rand::Rng::gen::<f32>(&mut self.rng) < epsilon {
-                    idx = rand::Rng::gen_range(&mut self.rng, 0..space.joint_count());
-                    space.multi_hot(idx, &mut hot);
-                }
-                action_idx.push(idx);
-                action_onehot.push(hot);
-            }
-
-            // --- Environment execution ---
-            let step = self
-                .env
-                .step(&action_idx)
+            self.rollout.select_actions(&self.agents, temperature, epsilon, &mut self.rng);
+            let done = self
+                .rollout
+                .step()
                 .map_err(|e| DistError::Protocol(format!("environment step failed: {e}")))?;
             self.env_steps += 1;
-
-            // --- Accumulate the joint step ---
-            let done = step.done;
-            let done_flag = if done { 1.0 } else { 0.0 };
-            self.pending.push_step(|i| TransitionRef {
-                obs: &obs[i],
-                action: &action_onehot[i],
-                reward: step.rewards[i],
-                next_obs: &step.observations[i],
-                done: done_flag,
-            });
-            for (er, r) in episode_reward.iter_mut().zip(&step.rewards) {
-                *er += r;
-            }
-            obs = step.observations;
+            self.pending.push_step(|i| self.rollout.transition(0, i));
+            self.rollout.advance();
             self.replay_len = (self.replay_len + 1).min(self.config.buffer_capacity);
             self.samples_since_update += 1;
 
@@ -444,13 +417,14 @@ impl Worker {
             }
             self.flush(transport, false)?;
         }
-        let mean_reward = episode_reward.iter().sum::<f32>() / n as f32;
+        // One world: its mean-over-agents return.
+        let mean_reward = self.rollout.world_returns().sum::<f32>();
         let ctx = self.next_ctx();
         transport.send(&Msg::EpisodeEnd(EpisodeEnd {
             worker_id: self.id,
             mean_reward,
             master_rng: self.rng.state(),
-            env_rng: self.env.rng_state(),
+            env_rng: self.rollout.env_rng_states()[0],
             env_steps: self.env_steps,
             samples_since_update: self.samples_since_update,
             ctx,

@@ -9,8 +9,8 @@
 //! per-episode state) and its own RNG stream:
 //!
 //! * world 0 is seeded `StdRng::seed_from_u64(seed)`, exactly like
-//!   [`ParticleEnv`], so a K=1 vectorized rollout is bitwise-identical to
-//!   the scalar path and its checkpoints stay byte-compatible;
+//!   [`ParticleEnv`], so world 0 replays a same-seed `ParticleEnv`
+//!   bitwise and its stream fills a checkpoint's single `env_rng` slot;
 //! * world `w > 0` draws from `derive_seed(derive_seed(seed, 4), w)`, a
 //!   stream disjoint from the trainer's master (stream 1), update
 //!   (stream 2) and exploration (stream 3) streams.

@@ -223,8 +223,8 @@ fn usage() {
          \x20                      has AVX2+FMA), scalar, or simd. The MARL_KERNEL env\n\
          \x20                      var sets the default when the flag is absent\n\
          \x20 --num-envs K         step K environment worlds per rollout iteration over\n\
-         \x20                      SoA physics with batched inference (default 1; K=1 is\n\
-         \x20                      bitwise-identical to the scalar rollout path)\n\
+         \x20                      SoA physics with batched inference (default 1;\n\
+         \x20                      --eval-episodes then averages over all K worlds)\n\
          \x20 --checkpoint-out F   write a crash-safe full checkpoint to F (atomic rename\n\
          \x20                      + CRC-32 + .prev rotation) when the run finishes\n\
          \x20 --checkpoint-every N additionally autosave to F every N episodes (0 = off;\n\

@@ -6,11 +6,11 @@
 //! digest chain **bitwise** — same drawn indices, same losses, same
 //! parameter hashes, same chain checksum, for both algorithms.
 //!
-//! The worker replicates `run_episode`'s draw order against its own
+//! The worker steps the trainer's own K = 1 `Rollout` against its own
 //! copy of the nets and hands its master-RNG state to the learner at
-//! every update boundary; any drift in that replication (an extra RNG
-//! draw, a misordered exploration branch, a replay-mirror off-by-one)
-//! shows up here as the first divergent digest field.
+//! every update boundary; any drift between the two sides (a
+//! construction draw, an RNG handoff, a replay-mirror off-by-one) shows
+//! up here as the first divergent digest field.
 
 use marl_repro::algo::trace::UpdateTraceRecorder;
 use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};

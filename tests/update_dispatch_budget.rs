@@ -1,6 +1,7 @@
 //! Pins the exact number of kernel dispatches of one
-//! `update_all_trainers`, so a product nobody reads cannot creep back into
-//! the update unnoticed: a count is noise-free where a timing is not.
+//! `update_all_trainers` and of one rollout episode, so a product nobody
+//! reads cannot creep back into either unnoticed: a count is noise-free
+//! where a timing is not.
 //!
 //! One test, its own binary: `kernels::dispatch_tally` is process-global
 //! (the reason `alloc_steady_state.rs` is its own binary too).
@@ -28,15 +29,20 @@
 //!   backward 5 + actor backward 7 + Adam 6 = 34
 //!
 //! Soft updates, losses and the Gumbel relaxation dispatch nothing.
+//!
+//! A rollout step is one batched actor forward per agent over all K
+//! worlds, and Gumbel sampling and the env step dispatch nothing, so one
+//! episode (no updates) is `max_episode_len × N × 8` at every K.
 
 use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
 use marl_repro::nn::kernels;
 
 const N: u64 = 3;
-const TARGET_ACTIONS: u64 = 8 * N * N;
-const TARGET_Q: u64 = 8;
-const Q_LOSS: u64 = 8 + 7 + 6;
-const P_LOSS: u64 = 8 + 8 + 5 + 7 + 6;
+const FORWARD: u64 = 8;
+const TARGET_ACTIONS: u64 = FORWARD * N * N;
+const TARGET_Q: u64 = FORWARD;
+const Q_LOSS: u64 = FORWARD + 7 + 6;
+const P_LOSS: u64 = FORWARD + FORWARD + 5 + 7 + 6;
 
 fn trainer(algorithm: Algorithm, task: Task) -> Trainer {
     let cfg = TrainConfig::paper_defaults(algorithm, task, N as usize)
@@ -49,12 +55,17 @@ fn trainer(algorithm: Algorithm, task: Task) -> Trainer {
     t
 }
 
-/// Dispatches of the next update, on whichever path they resolved to.
-fn dispatches_of_one_update(t: &mut Trainer) -> u64 {
+/// Dispatches made by `f`, on whichever path they resolved to.
+fn dispatches_of(f: impl FnOnce()) -> u64 {
     let (scalar0, simd0) = kernels::dispatch_tally();
-    t.update_all_trainers().expect("update succeeds");
+    f();
     let (scalar1, simd1) = kernels::dispatch_tally();
     (scalar1 - scalar0) + (simd1 - simd0)
+}
+
+/// Dispatches of the next update.
+fn dispatches_of_one_update(t: &mut Trainer) -> u64 {
+    dispatches_of(|| t.update_all_trainers().expect("update succeeds"))
 }
 
 #[test]
@@ -79,4 +90,19 @@ fn update_dispatches_exactly_the_products_it_reads() {
         TARGET_ACTIONS + N * critics_only,
         "critic-only iteration"
     );
+
+    // Rollout: one batched actor forward per agent per step, whatever the
+    // world count — K = 8 costs the dispatches of K = 1.
+    for k in [1, 8] {
+        let mut cfg =
+            TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, N as usize)
+                .with_num_envs(k)
+                .with_seed(5);
+        cfg.warmup = usize::MAX;
+        let mut t = Trainer::new(cfg).expect("config is valid");
+        let episode = dispatches_of(|| {
+            t.run_episode().expect("episode succeeds");
+        });
+        assert_eq!(episode, cfg.max_episode_len as u64 * N * FORWARD, "K={k} episode");
+    }
 }

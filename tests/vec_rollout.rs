@@ -1,12 +1,12 @@
-//! Vectorized rollout engine integration tests: the K = 1 vectorized
-//! path must be bitwise-identical to the legacy scalar rollout, K > 1
-//! runs must be seeded-deterministic and resumable through the on-disk
-//! checkpoint format, and checkpoints written before the engine existed
-//! must still restore and resume bitwise.
+//! Rollout integration tests: K = 1 `prefill`/`evaluate` stay on the
+//! constants the scalar loop recorded before the loops were merged, K > 1
+//! runs are seeded-deterministic and resume through the on-disk
+//! checkpoint format, checkpoints written before the vectorized engine
+//! existed still restore and resume bitwise, and a checkpoint resumed at
+//! a different world count restores world 0 or is refused.
 
 use marl_repro::algo::checkpoint::{load_checkpoint_with_fallback, write_checkpoint_file};
-use marl_repro::algo::explore::ExplorationSchedule;
-use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
+use marl_repro::algo::{Algorithm, Task, TrainConfig, TrainError, Trainer};
 use marl_repro::core::SamplerConfig;
 use marl_repro::nn::kernels::KernelChoice;
 use std::path::PathBuf;
@@ -41,83 +41,6 @@ fn weights_json(t: &Trainer) -> String {
 
 fn reward_bits(rewards: &[f32]) -> Vec<u32> {
     rewards.iter().map(|r| r.to_bits()).collect()
-}
-
-/// The headline equivalence property: forcing episodes through
-/// [`Trainer::run_episode_vec`] at K = 1 reproduces the legacy scalar
-/// rollout bit for bit — per-episode rewards, every counter, the master
-/// and environment RNG streams, the replay bytes, and the network
-/// weights after scheduled updates. Runs each task and, separately, an
-/// annealed schedule so the ε-greedy branch is exercised too.
-#[test]
-fn k1_vectorized_path_is_bitwise_identical_to_scalar() {
-    let mut configs = vec![
-        ("pp", base_config(Task::PredatorPrey, 99)),
-        ("cn", base_config(Task::CooperativeNavigation, 99)),
-        ("pd", base_config(Task::PhysicalDeception, 99)),
-    ];
-    let mut eps = base_config(Task::PredatorPrey, 1234);
-    eps.exploration = ExplorationSchedule::annealed(500);
-    configs.push(("pp-annealed", eps));
-
-    for (tag, cfg) in configs {
-        let mut scalar = Trainer::new(cfg).unwrap();
-        let mut vec = Trainer::new(cfg).unwrap();
-        let mut scalar_rewards = Vec::new();
-        let mut vec_rewards = Vec::new();
-        for _ in 0..4 {
-            scalar_rewards.push(scalar.run_episode().unwrap());
-            vec_rewards.push(vec.run_episode_vec().unwrap());
-        }
-        assert_eq!(reward_bits(&scalar_rewards), reward_bits(&vec_rewards), "{tag}: rewards");
-
-        let (s_ckpt, s_replay) = scalar.checkpoint_full().unwrap();
-        let (v_ckpt, v_replay) = vec.checkpoint_full().unwrap();
-        let s_run = s_ckpt.run.as_ref().unwrap();
-        let v_run = v_ckpt.run.as_ref().unwrap();
-        assert_eq!(s_run.env_steps, v_run.env_steps, "{tag}: env steps");
-        assert_eq!(s_run.samples_since_update, v_run.samples_since_update, "{tag}");
-        assert_eq!(s_run.master_rng, v_run.master_rng, "{tag}: master RNG stream");
-        assert_eq!(s_run.env_rng, v_run.env_rng, "{tag}: env RNG stream");
-        assert_eq!(s_run.telemetry, v_run.telemetry, "{tag}: sampling telemetry");
-        assert!(v_run.rollout_rngs.is_empty(), "{tag}: K=1 must not fork noise streams");
-        assert!(v_run.vec_env_rngs.is_empty(), "{tag}: K=1 must not fork env streams");
-        assert_eq!(s_replay, v_replay, "{tag}: replay bytes");
-        assert_eq!(weights_json(&scalar), weights_json(&vec), "{tag}: weights");
-    }
-}
-
-/// A K = 1 checkpoint written by the vectorized path restores into a
-/// legacy scalar trainer (and vice versa) and resumes bitwise — the
-/// world-0 environment stream occupies the same `env_rng` slot in both.
-#[test]
-fn k1_checkpoints_interoperate_between_paths() {
-    let cfg = base_config(Task::PredatorPrey, 7);
-    // Reference: three scalar episodes straight through.
-    let mut reference = Trainer::new(cfg).unwrap();
-    reference.run_episode().unwrap();
-    reference.run_episode().unwrap();
-    let third_ref = reference.run_episode().unwrap();
-
-    // Vec-path checkpoint after two episodes → scalar trainer resumes.
-    let mut vec = Trainer::new(cfg).unwrap();
-    vec.run_episode_vec().unwrap();
-    vec.run_episode_vec().unwrap();
-    let (ckpt, replay) = vec.checkpoint_full().unwrap();
-    let mut scalar = Trainer::new(cfg).unwrap();
-    scalar.restore_full(ckpt, &replay).unwrap();
-    let third_scalar = scalar.run_episode().unwrap();
-    assert_eq!(third_scalar.to_bits(), third_ref.to_bits(), "scalar resume from vec checkpoint");
-
-    // Scalar-path checkpoint after two episodes → vec path resumes.
-    let mut legacy = Trainer::new(cfg).unwrap();
-    legacy.run_episode().unwrap();
-    legacy.run_episode().unwrap();
-    let (ckpt, replay) = legacy.checkpoint_full().unwrap();
-    let mut resumed = Trainer::new(cfg).unwrap();
-    resumed.restore_full(ckpt, &replay).unwrap();
-    let third_vec = resumed.run_episode_vec().unwrap();
-    assert_eq!(third_vec.to_bits(), third_ref.to_bits(), "vec resume from scalar checkpoint");
 }
 
 /// K = 8 training is a pure function of the seed: two runs agree bitwise
@@ -178,7 +101,7 @@ fn k8_resume_from_file_is_bitwise_identical() {
 
 /// Forward compatibility: a checkpoint written before the vectorized
 /// engine existed (no `rollout_rngs`/`vec_env_rngs` keys in the JSON)
-/// still deserializes, restores, and resumes bitwise on the scalar path.
+/// still deserializes, restores, and resumes bitwise at K = 1.
 #[test]
 fn pre_vectorization_checkpoints_still_restore_and_resume() {
     let cfg = base_config(Task::PredatorPrey, 55);
@@ -191,7 +114,7 @@ fn pre_vectorization_checkpoints_still_restore_and_resume() {
 
     // Re-encode the checkpoint JSON with the vectorized-engine fields
     // stripped, exactly as an older binary would have written it. Both
-    // are empty on the scalar path, so the compact encoding is fixed.
+    // are empty at K = 1, so the compact encoding is fixed.
     let json = serde_json::to_string(&ckpt).unwrap();
     let stripped = json.replace(",\"rollout_rngs\":[],\"vec_env_rngs\":[]", "");
     assert_ne!(stripped, json, "the vectorized fields must have been present");
@@ -202,6 +125,60 @@ fn pre_vectorization_checkpoints_still_restore_and_resume() {
     let rest = resumed.train().unwrap();
     assert_eq!(reward_bits(rest.curve.values()), reward_bits(full.curve.values()));
     assert_eq!(weights_json(&resumed), weights_json(&straight));
+}
+
+/// A K = 1 checkpoint resumed at K = 4: world 0's env stream continues
+/// from the checkpoint's `env_rng`; worlds 1..4 and the per-world
+/// exploration streams start fresh — even on a trainer whose own streams
+/// have already moved.
+#[test]
+fn k1_checkpoint_resumed_at_k4_restores_world_zero() {
+    let cfg = base_config(Task::PredatorPrey, 21);
+    let mut first = Trainer::new(cfg.with_episodes(2)).unwrap();
+    first.train().unwrap();
+    let (ckpt, replay) = first.checkpoint_full().unwrap();
+    let saved = ckpt.run.clone().unwrap();
+    assert!(saved.vec_env_rngs.is_empty() && saved.rollout_rngs.is_empty());
+
+    let wide = cfg.with_num_envs(4);
+    let fresh = Trainer::new(wide).unwrap().checkpoint_full().unwrap().0.run.unwrap();
+    let mut resumed = Trainer::new(wide).unwrap();
+    resumed.run_episode().unwrap();
+    resumed.restore_full(ckpt, &replay).unwrap();
+    let run = resumed.checkpoint_full().unwrap().0.run.unwrap();
+    assert_ne!(saved.env_rng, fresh.env_rng, "the checkpointed world 0 has moved");
+    assert_eq!(run.env_rng, saved.env_rng, "world 0 resumes from env_rng");
+    assert_eq!(run.vec_env_rngs, fresh.vec_env_rngs, "worlds 1..4 start fresh");
+    assert_eq!(run.rollout_rngs, fresh.rollout_rngs, "exploration streams start fresh");
+    assert_eq!(run.master_rng, saved.master_rng);
+}
+
+/// Per-world streams recorded for K = 4 do not fit another world count:
+/// restoring them at K = 8 or K = 1 is refused with both counts named,
+/// before any trainer state changes — whether the env streams or only
+/// the exploration streams disagree.
+#[test]
+fn checkpoint_for_another_world_count_is_refused() {
+    let cfg = base_config(Task::PredatorPrey, 23).with_num_envs(4).with_episodes(4);
+    let mut first = Trainer::new(cfg).unwrap();
+    first.train().unwrap();
+    let (ckpt, replay) = first.checkpoint_full().unwrap();
+    let mut noise_only = ckpt.clone();
+    noise_only.run.as_mut().unwrap().vec_env_rngs.clear();
+    for (tag, ckpt) in [("env", ckpt), ("exploration", noise_only)] {
+        for k in [8usize, 1] {
+            let mut other = Trainer::new(cfg.with_num_envs(k)).unwrap();
+            match other.restore_full(ckpt.clone(), &replay) {
+                Err(TrainError::Checkpoint(msg)) => {
+                    assert!(msg.contains(tag), "{msg}");
+                    assert!(msg.contains("for 4 worlds") && msg.contains(&format!("runs {k}")));
+                }
+                res => panic!("K=4 {tag} streams restored at K={k}: {res:?}"),
+            }
+            assert_eq!(other.episodes_done(), 0, "a refused restore changes nothing");
+            assert_eq!(other.update_iterations(), 0);
+        }
+    }
 }
 
 /// K = 1 `prefill` and `evaluate` pinned to constants recorded on the
