@@ -55,6 +55,19 @@ pub struct AgentState {
 }
 
 impl AgentState {
+    /// Every network this state carries: actor, target actor, critic,
+    /// target critic, then the twin critic and its target when present.
+    fn nets(&self) -> impl Iterator<Item = &Mlp> {
+        [&self.actor, &self.target_actor, &self.critic, &self.target_critic]
+            .into_iter()
+            .chain(self.critic2.iter().flat_map(|(c, t)| [c, t]))
+    }
+
+    /// Checks every carried network with [`Mlp::validate`].
+    fn validate(&self) -> Result<(), String> {
+        self.nets().try_for_each(Mlp::validate)
+    }
+
     /// Captures an agent's state.
     pub fn capture(nets: &AgentNets) -> Self {
         AgentState {
@@ -73,12 +86,17 @@ impl AgentState {
     ///
     /// # Errors
     ///
-    /// Returns an error if the architectures disagree.
+    /// Returns an error if any carried network is malformed or differs
+    /// from `nets`' in any layer's shape (or in having a twin critic).
     pub fn restore(self, nets: &mut AgentNets) -> Result<(), TrainError> {
-        let compatible = self.actor.input_dim() == nets.actor.input_dim()
-            && self.actor.output_dim() == nets.actor.output_dim()
-            && self.critic.input_dim() == nets.critic.input_dim()
-            && self.critic2.is_some() == nets.critic2.is_some();
+        self.validate()
+            .map_err(|e| TrainError::InvalidConfig(format!("checkpoint network: {e}")))?;
+        let compatible = self.critic2.is_some() == nets.critic2.is_some() && {
+            let ours = [&nets.actor, &nets.target_actor, &nets.critic, &nets.target_critic]
+                .into_iter()
+                .chain(nets.critic2.iter().flat_map(|(c, t)| [c, t]));
+            self.nets().zip(ours).all(|(theirs, ours)| theirs.same_shape(ours))
+        };
         if !compatible {
             return Err(TrainError::InvalidConfig(
                 "checkpoint architecture does not match the trainer".into(),
@@ -247,6 +265,9 @@ pub fn decode_checkpoint_file(bytes: &[u8]) -> Result<(Checkpoint, Vec<u8>), Tra
     off += json_len;
     let ckpt: Checkpoint =
         serde_json::from_str(json).map_err(|e| TrainError::Checkpoint(format!("decode: {e}")))?;
+    for (i, agent) in ckpt.agents.iter().enumerate() {
+        agent.validate().map_err(|e| err(&format!("agent {i} network: {e}")))?;
+    }
     let replay_len = take_u64(&mut off)?;
     if payload.len() - off < replay_len {
         return Err(err("truncated replay section"));
@@ -342,6 +363,7 @@ mod tests {
     use crate::config::{Algorithm, Task};
     use marl_nn::matrix::Matrix;
     use marl_nn::rng::seeded;
+    use marl_nn::scratch::Scratch;
 
     fn nets_seeded(twin: bool, seed: u64) -> AgentNets {
         let mut rng = seeded(seed);
@@ -352,26 +374,24 @@ mod tests {
         nets_seeded(twin, 3)
     }
 
+    /// `net`'s output on `x`, as bits.
+    fn output_bits(net: &Mlp, x: &Matrix) -> Vec<u32> {
+        let mut out = Matrix::default();
+        net.forward_inference_into(x, &mut out, &mut Scratch::new());
+        out.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn capture_restore_roundtrip_preserves_behaviour() {
         let src = nets_seeded(true, 3);
         let state = AgentState::capture(&src);
         let mut dst = nets_seeded(true, 4); // different random init
         let x = Matrix::full(1, 8, 0.3);
-        assert_ne!(
-            src.actor.forward_inference(&x).as_slice(),
-            dst.actor.forward_inference(&x).as_slice()
-        );
+        assert_ne!(output_bits(&src.actor, &x), output_bits(&dst.actor, &x));
         state.restore(&mut dst).unwrap();
-        assert_eq!(
-            src.actor.forward_inference(&x).as_slice(),
-            dst.actor.forward_inference(&x).as_slice()
-        );
+        assert_eq!(output_bits(&src.actor, &x), output_bits(&dst.actor, &x));
         let j = Matrix::full(1, 39, 0.1);
-        assert_eq!(
-            src.critic.forward_inference(&j).as_slice(),
-            dst.critic.forward_inference(&j).as_slice()
-        );
+        assert_eq!(output_bits(&src.critic, &j), output_bits(&dst.critic, &j));
     }
 
     #[test]
@@ -379,6 +399,17 @@ mod tests {
         let state = AgentState::capture(&nets(true));
         let mut plain = nets(false); // no twin critic
         assert!(state.restore(&mut plain).is_err());
+        // Same input and output widths, different hidden width.
+        let mut rng = seeded(5);
+        let mut narrow = nets(false);
+        narrow.critic = Mlp::new(
+            &[39, 32, 64, 1],
+            marl_nn::activation::Activation::Relu,
+            marl_nn::init::Init::HeUniform,
+            &mut rng,
+        );
+        let state = AgentState::capture(&narrow);
+        assert!(state.restore(&mut nets(false)).is_err());
     }
 
     #[test]
@@ -397,9 +428,6 @@ mod tests {
         assert_eq!(back.config, config);
         // Behaviour survives the round trip.
         let x = Matrix::full(1, 8, 0.5);
-        assert_eq!(
-            ckpt.agents[0].actor.forward_inference(&x).as_slice(),
-            back.agents[0].actor.forward_inference(&x).as_slice()
-        );
+        assert_eq!(output_bits(&ckpt.agents[0].actor, &x), output_bits(&back.agents[0].actor, &x));
     }
 }

@@ -55,8 +55,6 @@ pub struct Rollout {
     onehot: Vec<Matrix>,
     /// Actor logits of the current agent's inference batch.
     logits: Matrix,
-    /// One-row Gumbel working buffer.
-    sample_row: Matrix,
     /// MLP forward temporaries.
     nn: Scratch,
     /// Current agent's per-world action indices (length K).
@@ -100,7 +98,6 @@ impl Rollout {
             env,
             noise,
             logits: Matrix::default(),
-            sample_row: Matrix::default(),
             nn: Scratch::new(),
             agent_idx: vec![0; worlds],
             action_idx: vec![0; worlds * n],
@@ -148,27 +145,24 @@ impl Rollout {
         let rngs: &mut [StdRng] =
             if self.noise.is_empty() { std::slice::from_mut(master) } else { &mut self.noise };
         for (a, (agent, space)) in agents.iter().zip(self.env.action_spaces()).enumerate() {
-            agent.act_explore_batch_seg(
+            agent.act_explore_batch(
                 &self.obs_cur[a],
                 space.segments(),
                 temperature,
                 rngs,
                 &mut self.logits,
-                &mut self.sample_row,
                 &mut self.nn,
                 &mut self.agent_idx,
-                &mut self.onehot[a],
             );
             if epsilon > 0.0 {
                 for (w, rng) in rngs.iter_mut().enumerate() {
                     if rng.gen::<f32>() < epsilon {
-                        let idx = rng.gen_range(0..space.joint_count());
-                        self.agent_idx[w] = idx;
-                        space.multi_hot(idx, self.onehot[a].row_mut(w));
+                        self.agent_idx[w] = rng.gen_range(0..space.joint_count());
                     }
                 }
             }
             for (w, &idx) in self.agent_idx.iter().enumerate() {
+                space.multi_hot(idx, self.onehot[a].row_mut(w));
                 self.action_idx[w * n + a] = idx;
             }
         }
@@ -176,10 +170,10 @@ impl Rollout {
 
     /// Greedy actions for every world (per-factor arg-max of one batched
     /// actor inference per agent); draws nothing.
-    pub(crate) fn select_greedy(&mut self, agents: &[AgentNets]) {
+    pub fn select_greedy(&mut self, agents: &[AgentNets]) {
         let n = agents.len();
         for (a, (agent, space)) in agents.iter().zip(self.env.action_spaces()).enumerate() {
-            agent.act_greedy_batch_seg(
+            agent.act_greedy_batch(
                 &self.obs_cur[a],
                 space.segments(),
                 &mut self.logits,
@@ -204,6 +198,12 @@ impl Rollout {
                 space.multi_hot(idx, self.onehot[a].row_mut(w));
             }
         }
+    }
+
+    /// The joint action indices the last selection chose, world-major
+    /// (`w * n + a`) — what [`Rollout::step`] applies.
+    pub fn actions(&self) -> &[usize] {
+        &self.action_idx
     }
 
     /// Applies the selected actions in every world and observes the

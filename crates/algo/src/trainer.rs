@@ -596,7 +596,7 @@ impl Trainer {
     /// Results are bitwise identical for every `update_threads` value.
     ///
     /// All working storage (plans, staged batches, matrix views, joint
-    /// inputs, per-agent scratch) lives in a persistent [`UpdateScratch`]
+    /// inputs, per-agent scratch) lives in a persistent `UpdateScratch`
     /// arena: after the first iteration sizes every buffer, steady-state
     /// iterations perform no heap allocations on the serial path.
     ///
@@ -734,7 +734,7 @@ impl Trainer {
             {
                 joint_next.copy_columns_from(next_obs, obs_col);
                 obs_col += next_obs.cols();
-                a.target_actions_seg_into(
+                a.target_actions_into(
                     next_obs,
                     action_spaces[j].segments(),
                     cfg.temperature,
@@ -1265,7 +1265,7 @@ fn update_agent(
     // --- Q loss (critic) + P loss (actor) ---
     let t0 = Instant::now();
     // Joint critic input [obs_1..obs_N, act_1..act_N], column-assembled
-    // in place (same layout the old hstack produced). Action widths may
+    // in place. Action widths may
     // differ per agent, so the action block width is summed from the
     // staged matrices.
     let joint_dim = total_obs_dim + view.actions.iter().map(Matrix::cols).sum::<usize>();
@@ -1729,9 +1729,13 @@ mod tests {
         let mut b = Trainer::new(cfg).unwrap();
         b.restore(ckpt).unwrap();
         assert_eq!(b.update_iterations(), a.update_iterations());
-        let obs = vec![0.25; 16];
+        let obs = Matrix::full(1, 16, 0.25);
+        let (mut logits, mut scratch) = (Matrix::default(), Scratch::new());
+        let (mut x_idx, mut y_idx) = ([0usize], [0usize]);
         for (x, y) in a.agents.iter().zip(&b.agents) {
-            assert_eq!(x.act_greedy(&obs), y.act_greedy(&obs));
+            x.act_greedy_batch(&obs, &[5], &mut logits, &mut scratch, &mut x_idx);
+            y.act_greedy_batch(&obs, &[5], &mut logits, &mut scratch, &mut y_idx);
+            assert_eq!(x_idx, y_idx);
         }
     }
 

@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use marl_nn::matrix::Matrix;
 use marl_nn::mlp::Mlp;
 use marl_nn::rng::seeded;
+use marl_nn::scratch::Scratch;
 
 fn bench_actor(c: &mut Criterion) {
     let mut rng = seeded(0);
@@ -15,8 +16,12 @@ fn bench_actor(c: &mut Criterion) {
     {
         let mut actor = Mlp::two_layer_relu(obs_dim, 5, &mut rng);
         let x = Matrix::zeros(batch, obs_dim);
+        let mut logits = Matrix::default();
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| std::hint::black_box(actor.forward(&x)))
+            b.iter(|| {
+                actor.forward_into(&x, &mut logits);
+                std::hint::black_box(&logits);
+            })
         });
     }
     group.finish();
@@ -37,11 +42,14 @@ fn bench_critic_scaling(c: &mut Criterion) {
         let joint = agents * (obs + 5);
         let mut critic = Mlp::two_layer_relu(joint, 1, &mut rng);
         let x = Matrix::zeros(256, joint);
+        let (mut q, mut grad_x, mut scratch) =
+            (Matrix::default(), Matrix::default(), Scratch::new());
         group.bench_function(BenchmarkId::from_parameter(agents), |b| {
             b.iter(|| {
                 critic.zero_grad();
-                let q = critic.forward(&x);
-                std::hint::black_box(critic.backward(&q))
+                critic.forward_into(&x, &mut q);
+                critic.backward_into(&q, &mut grad_x, &mut scratch);
+                std::hint::black_box(&grad_x);
             })
         });
     }

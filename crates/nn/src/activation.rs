@@ -19,13 +19,6 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation element-wise, returning the activated output.
-    pub fn forward(self, z: &Matrix) -> Matrix {
-        let mut out = z.clone();
-        self.forward_inplace(&mut out);
-        out
-    }
-
     /// Applies the activation in place (allocation-free; ReLU dispatches to
     /// the active kernel).
     pub fn forward_inplace(self, z: &mut Matrix) {
@@ -40,17 +33,9 @@ impl Activation {
         }
     }
 
-    /// Computes `dL/dz` from `dL/da` given the activated output `a`.
-    ///
-    /// All three activations admit a backward pass expressed in terms of
-    /// their own output, which avoids caching pre-activations.
-    pub fn backward(self, grad_out: &Matrix, activated: &Matrix) -> Matrix {
-        let mut g = grad_out.clone();
-        self.backward_inplace(&mut g, activated);
-        g
-    }
-
-    /// Transforms `dL/da` into `dL/dz` in place given the activated output.
+    /// Transforms `dL/da` into `dL/dz` in place given the activated output
+    /// `a`. All three activations admit a backward pass expressed in terms
+    /// of their own output, which avoids caching pre-activations.
     pub fn backward_inplace(self, grad: &mut Matrix, activated: &Matrix) {
         match self {
             Activation::Identity => {}
@@ -66,32 +51,18 @@ impl Activation {
     }
 }
 
-/// Row-wise softmax.
+/// Softmax over one raw slice, in place. Rows and row segments (composite
+/// action spaces normalize each segment independently) share this exact
+/// arithmetic.
 ///
 /// # Examples
 ///
 /// ```
-/// use marl_nn::{activation::softmax, matrix::Matrix};
-/// let p = softmax(&Matrix::row_vector(&[0.0, 0.0]));
-/// assert!((p.at(0, 0) - 0.5).abs() < 1e-6);
+/// use marl_nn::activation::softmax_slice_inplace;
+/// let mut p = [0.0, 0.0];
+/// softmax_slice_inplace(&mut p);
+/// assert!((p[0] - 0.5).abs() < 1e-6);
 /// ```
-pub fn softmax(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    softmax_inplace(&mut out);
-    out
-}
-
-/// Row-wise softmax applied in place (allocation-free).
-pub fn softmax_inplace(out: &mut Matrix) {
-    for r in 0..out.rows() {
-        softmax_slice_inplace(out.row_mut(r));
-    }
-}
-
-/// Softmax over one raw slice, in place. Rows and row segments (composite
-/// action spaces normalize each segment independently) share this exact
-/// arithmetic, so a single-segment space is bitwise identical to the
-/// whole-row path.
 pub fn softmax_slice_inplace(row: &mut [f32]) {
     let cols = row.len();
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
@@ -111,25 +82,9 @@ pub fn softmax_slice_inplace(row: &mut [f32]) {
     }
 }
 
-/// Backward pass of row-wise softmax: given `y = softmax(z)` and `dL/dy`,
-/// returns `dL/dz = y ⊙ (dL/dy − (dL/dy · y))`.
-pub fn softmax_backward(grad_out: &Matrix, softmax_out: &Matrix) -> Matrix {
-    let mut grad_in = Matrix::zeros(grad_out.rows(), grad_out.cols());
-    softmax_backward_into(grad_out, softmax_out, &mut grad_in);
-    grad_in
-}
-
-/// [`softmax_backward`] writing into a caller-owned buffer.
-pub fn softmax_backward_into(grad_out: &Matrix, softmax_out: &Matrix, grad_in: &mut Matrix) {
-    assert_eq!(grad_out.shape(), softmax_out.shape(), "softmax backward shape mismatch");
-    grad_in.resize(grad_out.rows(), grad_out.cols());
-    for r in 0..grad_out.rows() {
-        softmax_backward_slice(grad_out.row(r), softmax_out.row(r), grad_in.row_mut(r));
-    }
-}
-
-/// [`softmax_backward_into`] over one raw slice (one row, or one segment
-/// of a composite action space).
+/// Backward pass of softmax over one raw slice (one row, or one segment
+/// of a composite action space): given `y = softmax(z)` and `g = dL/dy`,
+/// writes `dL/dz = y ⊙ (g − (g · y))` into `out`.
 pub fn softmax_backward_slice(g: &[f32], y: &[f32], out: &mut [f32]) {
     let dot: f32 = g.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
     for ((o, &gi), &yi) in out.iter_mut().zip(g.iter()).zip(y.iter()) {
@@ -143,69 +98,77 @@ mod tests {
 
     #[test]
     fn relu_forward_backward() {
-        let z = Matrix::row_vector(&[-1.0, 0.0, 2.0]);
-        let a = Activation::Relu.forward(&z);
+        let mut a = Matrix::row_vector(&[-1.0, 0.0, 2.0]);
+        Activation::Relu.forward_inplace(&mut a);
         assert_eq!(a.as_slice(), &[0.0, 0.0, 2.0]);
-        let g = Activation::Relu.backward(&Matrix::row_vector(&[1.0, 1.0, 1.0]), &a);
+        let mut g = Matrix::row_vector(&[1.0, 1.0, 1.0]);
+        Activation::Relu.backward_inplace(&mut g, &a);
         assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0]);
     }
 
     #[test]
     fn tanh_gradient_matches_finite_difference() {
         let z = Matrix::row_vector(&[0.3, -0.7]);
-        let a = Activation::Tanh.forward(&z);
-        let g = Activation::Tanh.backward(&Matrix::row_vector(&[1.0, 1.0]), &a);
+        let tanh = |mut m: Matrix| {
+            Activation::Tanh.forward_inplace(&mut m);
+            m
+        };
+        let a = tanh(z.clone());
+        let mut g = Matrix::row_vector(&[1.0, 1.0]);
+        Activation::Tanh.backward_inplace(&mut g, &a);
         let eps = 1e-3f32;
         for i in 0..2 {
             let mut zp = z.clone();
             zp.as_mut_slice()[i] += eps;
             let mut zm = z.clone();
             zm.as_mut_slice()[i] -= eps;
-            let fd = (Activation::Tanh.forward(&zp).as_slice()[i]
-                - Activation::Tanh.forward(&zm).as_slice()[i])
-                / (2.0 * eps);
+            let fd = (tanh(zp).as_slice()[i] - tanh(zm).as_slice()[i]) / (2.0 * eps);
             assert!((fd - g.as_slice()[i]).abs() < 1e-3);
         }
     }
 
     #[test]
     fn softmax_rows_sum_to_one() {
-        let z = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[-5.0, 0.0, 5.0]]);
-        let p = softmax(&z);
-        for r in 0..2 {
-            let s: f32 = p.row(r).iter().sum();
+        for mut row in [[1.0, 2.0, 3.0], [-5.0, 0.0, 5.0]] {
+            softmax_slice_inplace(&mut row);
+            let s: f32 = row.iter().sum();
             assert!((s - 1.0).abs() < 1e-6);
-            assert!(p.row(r).iter().all(|&x| x >= 0.0));
+            assert!(row.iter().all(|&x| x >= 0.0));
         }
     }
 
     #[test]
     fn softmax_is_shift_invariant() {
-        let a = softmax(&Matrix::row_vector(&[1.0, 2.0]));
-        let b = softmax(&Matrix::row_vector(&[101.0, 102.0]));
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+        let mut a = [1.0, 2.0];
+        let mut b = [101.0, 102.0];
+        softmax_slice_inplace(&mut a);
+        softmax_slice_inplace(&mut b);
+        for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-6);
         }
     }
 
     #[test]
     fn softmax_backward_matches_finite_difference() {
-        let z = Matrix::row_vector(&[0.2, -0.4, 0.9]);
-        let y = softmax(&z);
+        let z = [0.2f32, -0.4, 0.9];
         // Loss L = sum(w * softmax(z)) for arbitrary w.
         let w = [0.7, -1.3, 0.5];
-        let grad_out = Matrix::row_vector(&w);
-        let g = softmax_backward(&grad_out, &y);
+        let loss = |mut z: [f32; 3]| -> f32 {
+            softmax_slice_inplace(&mut z);
+            z.iter().zip(&w).map(|(a, b)| a * b).sum()
+        };
+        let mut y = z;
+        softmax_slice_inplace(&mut y);
+        let mut g = [0.0; 3];
+        softmax_backward_slice(&w, &y, &mut g);
         let eps = 1e-3f32;
         for i in 0..3 {
-            let mut zp = z.clone();
-            zp.as_mut_slice()[i] += eps;
-            let mut zm = z.clone();
-            zm.as_mut_slice()[i] -= eps;
-            let lp: f32 = softmax(&zp).as_slice().iter().zip(&w).map(|(a, b)| a * b).sum();
-            let lm: f32 = softmax(&zm).as_slice().iter().zip(&w).map(|(a, b)| a * b).sum();
-            let fd = (lp - lm) / (2.0 * eps);
-            assert!((fd - g.as_slice()[i]).abs() < 1e-2, "i={i} fd={fd} g={}", g.as_slice()[i]);
+            let mut zp = z;
+            zp[i] += eps;
+            let mut zm = z;
+            zm[i] -= eps;
+            let fd = (loss(zp) - loss(zm)) / (2.0 * eps);
+            assert!((fd - g[i]).abs() < 1e-2, "i={i} fd={fd} g={}", g[i]);
         }
     }
 }

@@ -39,14 +39,17 @@ impl Default for AdamConfig {
 /// # Examples
 ///
 /// ```
-/// use marl_nn::{adam::{Adam, AdamConfig}, mlp::Mlp, matrix::Matrix, rng};
+/// use marl_nn::{Adam, AdamConfig, BackwardNeed, InputGrad, Matrix, Mlp, Scratch, rng};
 /// let mut rng = rng::seeded(0);
 /// let mut net = Mlp::two_layer_relu(4, 2, &mut rng);
 /// let mut opt = Adam::new(AdamConfig::default());
+/// let (mut out, mut unused, mut scratch) = (Matrix::default(), Matrix::default(), Scratch::new());
 /// net.zero_grad();
-/// net.forward(&Matrix::zeros(1, 4));
-/// net.backward(&Matrix::zeros(1, 2));
+/// net.forward_into(&Matrix::zeros(1, 4), &mut out);
+/// let need = BackwardNeed { params: true, input: InputGrad::None };
+/// net.backward_need_into(&Matrix::full(1, 2, 0.5), need, &mut unused, &mut scratch);
 /// opt.step(&mut net);
+/// assert_eq!(opt.steps(), 1);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
@@ -135,6 +138,7 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
     use crate::rng;
+    use crate::scratch::Scratch;
 
     /// Trains y = 2x on a tiny net and checks the loss shrinks.
     #[test]
@@ -148,20 +152,24 @@ mod tests {
         );
         let mut opt = Adam::with_learning_rate(0.01);
         let x = Matrix::from_rows(&[&[-1.0], &[-0.5], &[0.0], &[0.5], &[1.0]]);
-        let y = x.map(|v| 2.0 * v);
+        let mut y = x.clone();
+        y.scale(2.0);
         let loss_of = |net: &Mlp| {
-            let p = net.forward_inference(&x);
+            let mut p = Matrix::default();
+            net.forward_inference_into(&x, &mut p, &mut Scratch::new());
             p.as_slice().iter().zip(y.as_slice()).map(|(a, b)| (a - b) * (a - b)).sum::<f32>()
                 / x.rows() as f32
         };
         let initial = loss_of(&net);
+        let (mut pred, mut grad, mut grad_in, mut scratch) =
+            (Matrix::default(), Matrix::default(), Matrix::default(), Scratch::new());
         for _ in 0..300 {
             net.zero_grad();
-            let pred = net.forward(&x);
-            let mut grad = pred.clone();
+            net.forward_into(&x, &mut pred);
+            grad.copy_from(&pred);
             grad.sub_assign(&y);
             grad.scale(2.0 / x.rows() as f32);
-            net.backward(&grad);
+            net.backward_into(&grad, &mut grad_in, &mut scratch);
             opt.step(&mut net);
         }
         let fin = loss_of(&net);
@@ -182,9 +190,10 @@ mod tests {
             grad_clip: Some(0.001),
             ..AdamConfig::default()
         });
+        let (mut y, mut grad_in) = (Matrix::default(), Matrix::default());
         net.zero_grad();
-        net.forward(&Matrix::full(1, 1, 1000.0));
-        net.backward(&Matrix::full(1, 1, 1000.0));
+        net.forward_into(&Matrix::full(1, 1, 1000.0), &mut y);
+        net.backward_into(&Matrix::full(1, 1, 1000.0), &mut grad_in, &mut Scratch::new());
         opt.step(&mut net);
         // with clipping the first Adam step is bounded by lr regardless of
         // raw gradient magnitude
@@ -199,9 +208,10 @@ mod tests {
         let mut net = Mlp::two_layer_relu(2, 1, &mut r);
         let mut opt = Adam::new(AdamConfig::default());
         assert_eq!(opt.steps(), 0);
+        let (mut y, mut grad_in) = (Matrix::default(), Matrix::default());
         net.zero_grad();
-        net.forward(&Matrix::zeros(1, 2));
-        net.backward(&Matrix::zeros(1, 1));
+        net.forward_into(&Matrix::zeros(1, 2), &mut y);
+        net.backward_into(&Matrix::zeros(1, 1), &mut grad_in, &mut Scratch::new());
         opt.step(&mut net);
         assert_eq!(opt.steps(), 1);
     }

@@ -1,92 +1,19 @@
 //! Gumbel-softmax relaxation for discrete MARL actions.
 //!
-//! The particle environments use a 5-way discrete action space; MADDPG
-//! handles discrete actions by sampling from a Gumbel-softmax distribution
-//! over the actor's logits, keeping the action differentiable for the
-//! deterministic policy-gradient update.
+//! The particle environments use multi-discrete action spaces: a head of
+//! width Σ segments holds one factor per segment (movement, then any
+//! communication factors). MADDPG handles discrete actions by sampling
+//! from a Gumbel-softmax distribution over the actor's logits, keeping the
+//! action differentiable for the deterministic policy-gradient update;
+//! every factor normalizes on its own. A single segment spanning the row
+//! is the plain one-factor case.
 
-use crate::activation::{
-    softmax, softmax_backward, softmax_backward_into, softmax_backward_slice, softmax_inplace,
-    softmax_slice_inplace,
-};
+use crate::activation::{softmax_backward_slice, softmax_slice_inplace};
 use crate::matrix::Matrix;
-use crate::rng::standard_gumbel;
-use rand::Rng;
-
-/// A differentiable Gumbel-softmax sample along with the state needed for
-/// its backward pass.
-#[derive(Debug, Clone)]
-pub struct GumbelSample {
-    /// The relaxed one-hot sample (rows sum to 1).
-    pub value: Matrix,
-    /// Temperature used for the sample.
-    pub temperature: f32,
-}
-
-impl GumbelSample {
-    /// Backpropagates `dL/dvalue` to `dL/dlogits`.
-    pub fn backward(&self, grad_out: &Matrix) -> Matrix {
-        let mut g = softmax_backward(grad_out, &self.value);
-        g.scale(1.0 / self.temperature);
-        g
-    }
-}
-
-/// Backward of the softmax relaxation expressed on raw buffers: given the
-/// relaxed sample `value` and `dL/dvalue`, writes `dL/dlogits` into
-/// `grad_logits` (allocation-free).
-pub fn relaxation_backward_into(
-    grad_out: &Matrix,
-    value: &Matrix,
-    temperature: f32,
-    grad_logits: &mut Matrix,
-) {
-    softmax_backward_into(grad_out, value, grad_logits);
-    grad_logits.scale(1.0 / temperature);
-}
-
-/// Draws a Gumbel-softmax sample `softmax((logits + g) / temperature)`.
-///
-/// # Panics
-///
-/// Panics if `temperature <= 0`.
-pub fn gumbel_softmax_sample<R: Rng + ?Sized>(
-    logits: &Matrix,
-    temperature: f32,
-    rng: &mut R,
-) -> GumbelSample {
-    assert!(temperature > 0.0, "temperature must be positive");
-    let mut noisy = logits.clone();
-    for x in noisy.as_mut_slice() {
-        *x = (*x + standard_gumbel(rng)) / temperature;
-    }
-    GumbelSample { value: softmax(&noisy), temperature }
-}
-
-/// Deterministic relaxation (no Gumbel noise): `softmax(logits / temperature)`.
-pub fn softmax_relaxation(logits: &Matrix, temperature: f32) -> GumbelSample {
-    let mut value = Matrix::default();
-    softmax_relaxation_into(logits, temperature, &mut value);
-    GumbelSample { value, temperature }
-}
-
-/// [`softmax_relaxation`] writing the relaxed sample into a caller-owned
-/// buffer (allocation-free).
-///
-/// # Panics
-///
-/// Panics if `temperature <= 0`.
-pub fn softmax_relaxation_into(logits: &Matrix, temperature: f32, value: &mut Matrix) {
-    assert!(temperature > 0.0, "temperature must be positive");
-    value.copy_from(logits);
-    value.scale(1.0 / temperature);
-    softmax_inplace(value);
-}
 
 /// Applies softmax independently to each segment of each row: the
 /// relaxation of a composite (movement ⊕ communication) action space,
-/// where every factor normalizes on its own. A single segment spanning
-/// the whole row is bitwise identical to [`softmax_inplace`].
+/// where every factor normalizes on its own.
 ///
 /// # Panics
 ///
@@ -103,10 +30,9 @@ pub fn softmax_segments_inplace(m: &mut Matrix, segments: &[usize]) {
     }
 }
 
-/// [`softmax_relaxation_into`] with per-segment normalization: writes
-/// `softmax(logits / temperature)` applied independently to each action
-/// factor. Single-segment spaces reproduce the unsegmented relaxation
-/// bit for bit.
+/// Deterministic relaxation (no Gumbel noise): writes
+/// `softmax(logits / temperature)`, applied independently to each action
+/// factor, into `value` (allocation-free once `value` has capacity).
 ///
 /// # Panics
 ///
@@ -123,10 +49,11 @@ pub fn softmax_relaxation_segments_into(
     softmax_segments_inplace(value, segments);
 }
 
-/// [`relaxation_backward_into`] with per-segment normalization: each
-/// action factor backpropagates through its own softmax Jacobian. The
+/// Backward of [`softmax_relaxation_segments_into`]: given the relaxed
+/// sample `value` and `dL/dvalue`, writes `dL/dlogits` into `grad_logits`.
+/// Each action factor backpropagates through its own softmax Jacobian; the
 /// trailing `1/temperature` scale is elementwise, so segmenting commutes
-/// with it and a single segment matches the unsegmented path bitwise.
+/// with it.
 ///
 /// # Panics
 ///
@@ -158,8 +85,9 @@ pub fn relaxation_backward_segments_into(
     grad_logits.scale(1.0 / temperature);
 }
 
-/// First-maximum index of one raw slice (ties break low, matching
-/// [`harden`] and [`argmax_actions`]).
+/// First-maximum index of one raw slice: a strict `>` scan, so ties break
+/// to the lowest index — the greedy-action convention everywhere a
+/// discrete head is decoded.
 pub fn argmax_slice(row: &[f32]) -> usize {
     let mut best = 0;
     for (i, &v) in row.iter().enumerate() {
@@ -170,133 +98,59 @@ pub fn argmax_slice(row: &[f32]) -> usize {
     best
 }
 
-/// Converts relaxed samples to hard one-hot rows (straight-through
-/// discretization used when acting in the environment).
-pub fn harden(sample: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(sample.rows(), sample.cols());
-    for r in 0..sample.rows() {
-        let row = sample.row(r);
-        let mut best = 0;
-        for (i, &v) in row.iter().enumerate() {
-            if v > row[best] {
-                best = i;
-            }
+/// Decodes every row of a segmented head into its joint action: the
+/// [`argmax_slice`] of each segment, mixed-radix encoded with the first
+/// segment least significant (`ActionSpace::encode` in marl-env). Row
+/// `r`'s index lands in `out[r]`; with a single segment it is the plain
+/// row arg-max.
+///
+/// `out` must already hold one slot per row: the serve path decodes every
+/// batch into a preallocated buffer, so this never resizes.
+///
+/// # Panics
+///
+/// Panics if `out.len() != m.rows()` or the segments do not tile the row.
+pub fn argmax_segments_into(m: &Matrix, segments: &[usize], out: &mut [usize]) {
+    assert_eq!(out.len(), m.rows(), "one action index per row");
+    assert_eq!(segments.iter().sum::<usize>(), m.cols(), "segments must tile the row");
+    for (r, slot) in out.iter_mut().enumerate() {
+        let mut row = m.row(r);
+        let (mut idx, mut stride) = (0, 1);
+        for &s in segments {
+            let (head, rest) = row.split_at(s);
+            idx += argmax_slice(head) * stride;
+            stride *= s;
+            row = rest;
         }
-        *out.at_mut(r, best) = 1.0;
+        *slot = idx;
     }
-    out
-}
-
-/// Index of the arg-max action in each row.
-pub fn argmax_actions(sample: &Matrix) -> Vec<usize> {
-    (0..sample.rows())
-        .map(|r| {
-            let row = sample.row(r);
-            let mut best = 0;
-            for (i, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = i;
-                }
-            }
-            best
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::seeded;
-
-    #[test]
-    fn samples_are_distributions() {
-        let mut rng = seeded(21);
-        let logits = Matrix::from_rows(&[&[1.0, 0.0, -1.0], &[0.0, 0.0, 0.0]]);
-        let s = gumbel_softmax_sample(&logits, 1.0, &mut rng);
-        for r in 0..2 {
-            let sum: f32 = s.value.row(r).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-5);
-        }
-    }
 
     #[test]
     fn low_temperature_approaches_one_hot() {
-        let logits = Matrix::row_vector(&[5.0, 0.0, 0.0]);
-        let s = softmax_relaxation(&logits, 0.1);
-        assert!(s.value.at(0, 0) > 0.99);
-    }
-
-    #[test]
-    fn gumbel_marginals_follow_logits() {
-        // Sampling repeatedly, the argmax frequency should respect the
-        // softmax ordering of the logits.
-        let mut rng = seeded(22);
-        let logits = Matrix::row_vector(&[2.0, 0.0, -2.0]);
-        let mut counts = [0usize; 3];
-        for _ in 0..3000 {
-            let s = gumbel_softmax_sample(&logits, 1.0, &mut rng);
-            counts[argmax_actions(&s.value)[0]] += 1;
-        }
-        assert!(counts[0] > counts[1] && counts[1] > counts[2], "{counts:?}");
-    }
-
-    #[test]
-    fn harden_gives_one_hot() {
-        let m = Matrix::from_rows(&[&[0.2, 0.5, 0.3], &[0.9, 0.05, 0.05]]);
-        let h = harden(&m);
-        assert_eq!(h.as_slice(), &[0.0, 1.0, 0.0, 1.0, 0.0, 0.0]);
-        assert_eq!(argmax_actions(&m), vec![1, 0]);
-    }
-
-    #[test]
-    fn backward_matches_finite_difference() {
-        let logits = Matrix::row_vector(&[0.4, -0.3, 0.1]);
-        let temp = 0.7;
-        let s = softmax_relaxation(&logits, temp);
-        let w = [1.0f32, -2.0, 0.5];
-        let g = s.backward(&Matrix::row_vector(&w));
-        let eps = 1e-3f32;
-        for i in 0..3 {
-            let mut lp = logits.clone();
-            lp.as_mut_slice()[i] += eps;
-            let mut lm = logits.clone();
-            lm.as_mut_slice()[i] -= eps;
-            let f = |l: &Matrix| -> f32 {
-                softmax_relaxation(l, temp)
-                    .value
-                    .as_slice()
-                    .iter()
-                    .zip(&w)
-                    .map(|(a, b)| a * b)
-                    .sum()
-            };
-            let fd = (f(&lp) - f(&lm)) / (2.0 * eps);
-            assert!((fd - g.as_slice()[i]).abs() < 1e-2, "i={i}");
-        }
+        let mut value = Matrix::default();
+        softmax_relaxation_segments_into(
+            &Matrix::row_vector(&[5.0, 0.0, 0.0]),
+            &[3],
+            0.1,
+            &mut value,
+        );
+        assert!(value.at(0, 0) > 0.99);
     }
 
     #[test]
     #[should_panic(expected = "temperature must be positive")]
     fn zero_temperature_rejected() {
-        let _ = softmax_relaxation(&Matrix::row_vector(&[0.0]), 0.0);
-    }
-
-    #[test]
-    fn single_segment_relaxation_is_bitwise_identical_to_full_row() {
-        let logits =
-            Matrix::from_rows(&[&[0.4, -0.3, 0.1, 2.0, -1.5], &[1.0, 1.0, 0.0, -2.0, 3.0]]);
-        let mut full = Matrix::default();
-        softmax_relaxation_into(&logits, 0.7, &mut full);
-        let mut seg = Matrix::default();
-        softmax_relaxation_segments_into(&logits, &[5], 0.7, &mut seg);
-        assert_eq!(full.as_slice(), seg.as_slice(), "values diverge");
-
-        let grad = Matrix::from_rows(&[&[1.0, -2.0, 0.5, 0.0, 0.3], &[0.1, 0.2, 0.3, 0.4, 0.5]]);
-        let mut g_full = Matrix::default();
-        relaxation_backward_into(&grad, &full, 0.7, &mut g_full);
-        let mut g_seg = Matrix::default();
-        relaxation_backward_segments_into(&grad, &seg, &[5], 0.7, &mut g_seg);
-        assert_eq!(g_full.as_slice(), g_seg.as_slice(), "gradients diverge");
+        softmax_relaxation_segments_into(
+            &Matrix::row_vector(&[0.0]),
+            &[1],
+            0.0,
+            &mut Matrix::default(),
+        );
     }
 
     #[test]
@@ -348,5 +202,24 @@ mod tests {
     fn argmax_slice_breaks_ties_low() {
         assert_eq!(argmax_slice(&[0.2, 0.5, 0.5, 0.3]), 1);
         assert_eq!(argmax_slice(&[1.0]), 0);
+    }
+
+    #[test]
+    fn argmax_segments_encodes_mixed_radix_and_breaks_ties_low() {
+        let m = Matrix::from_rows(&[
+            &[0.5, 2.0, 2.0, -1.0, 0.0], // ties: lowest index wins in each factor
+            &[-3.0, -1.0, -2.0, 4.0, 4.0],
+            &[7.0, 0.0, 0.0, -1.0, 1.0],
+        ]);
+        let mut out = [99usize; 3];
+        argmax_segments_into(&m, &[5], &mut out);
+        assert_eq!(out, [1, 3, 0], "one segment is the plain row arg-max");
+        // Per-factor choices (c0, c1) encode as c0 + width0 · c1.
+        argmax_segments_into(&m, &[3, 2], &mut out);
+        assert_eq!(out, [1 + 3, 1, 3]);
+        argmax_segments_into(&m, &[2, 3], &mut out);
+        assert_eq!(out, [1, 1 + 2, 2 * 2]);
+        // Empty matrix: nothing written, no panic.
+        argmax_segments_into(&Matrix::zeros(0, 5), &[5], &mut []);
     }
 }

@@ -52,7 +52,7 @@ mod tests {
         let a = (6.0 / 128.0f32).sqrt();
         assert!(m.as_slice().iter().all(|x| x.abs() <= a));
         // and they are not degenerate
-        assert!(m.frobenius_norm() > 0.0);
+        assert!(m.as_slice().iter().any(|&x| x != 0.0));
     }
 
     #[test]

@@ -173,7 +173,9 @@ pub const BLOCK_THRESHOLD: usize = 4096;
 
 // ---------------------------------------------------------------------------
 // Dispatched entry points. `C` buffers may hold stale scratch data: every op
-// fully overwrites its output (or documents accumulation).
+// fully overwrites its output (or documents accumulation). Each entry point
+// asserts its slice-length contract in every build: the AVX2 bodies index
+// through raw pointers, and the shapes can come from decoded files.
 // ---------------------------------------------------------------------------
 
 /// `C = A·B` for row-major `A (m×kd)`, `B (kd×n)`, `C (m×n)`.
@@ -192,9 +194,9 @@ pub fn matmul_with(
     n: usize,
 ) {
     tally(kind);
-    debug_assert_eq!(a.len(), m * kd);
-    debug_assert_eq!(b.len(), kd * n);
-    debug_assert_eq!(c.len(), m * n);
+    assert_eq!(a.len(), m * kd, "matmul lhs length");
+    assert_eq!(b.len(), kd * n, "matmul rhs length");
+    assert_eq!(c.len(), m * n, "matmul output length");
     #[cfg(target_arch = "x86_64")]
     if kind == KernelKind::Simd && simd_available() {
         // SAFETY: AVX2+FMA verified above.
@@ -221,9 +223,9 @@ pub fn matmul_transpose_with(
     n: usize,
 ) {
     tally(kind);
-    debug_assert_eq!(a.len(), m * kd);
-    debug_assert_eq!(b.len(), n * kd);
-    debug_assert_eq!(c.len(), m * n);
+    assert_eq!(a.len(), m * kd, "matmul_transpose lhs length");
+    assert_eq!(b.len(), n * kd, "matmul_transpose rhs length");
+    assert_eq!(c.len(), m * n, "matmul_transpose output length");
     #[cfg(target_arch = "x86_64")]
     if kind == KernelKind::Simd && simd_available() {
         // SAFETY: AVX2+FMA verified above.
@@ -284,9 +286,9 @@ fn transpose_matmul_impl<const ACC: bool>(
     kd: usize,
     n: usize,
 ) {
-    debug_assert_eq!(a.len(), m * kd);
-    debug_assert_eq!(b.len(), m * n);
-    debug_assert_eq!(c.len(), kd * n);
+    assert_eq!(a.len(), m * kd, "transpose_matmul lhs length");
+    assert_eq!(b.len(), m * n, "transpose_matmul rhs length");
+    assert_eq!(c.len(), kd * n, "transpose_matmul output length");
     #[cfg(target_arch = "x86_64")]
     if kind == KernelKind::Simd && simd_available() {
         // SAFETY: AVX2+FMA verified above.
@@ -306,7 +308,7 @@ pub fn add_bias(x: &mut [f32], bias: &[f32]) {
 /// Bias-add on an explicit kernel.
 pub fn add_bias_with(kind: KernelKind, x: &mut [f32], bias: &[f32]) {
     tally(kind);
-    debug_assert!(bias.is_empty() || x.len().is_multiple_of(bias.len()));
+    assert!(bias.is_empty() || x.len().is_multiple_of(bias.len()), "bias does not tile the rows");
     #[cfg(target_arch = "x86_64")]
     if kind == KernelKind::Simd && simd_available() {
         // SAFETY: AVX2+FMA verified above.
@@ -345,7 +347,7 @@ pub fn relu_backward(g: &mut [f32], a: &[f32]) {
 /// ReLU backward on an explicit kernel.
 pub fn relu_backward_with(kind: KernelKind, g: &mut [f32], a: &[f32]) {
     tally(kind);
-    debug_assert_eq!(g.len(), a.len());
+    assert_eq!(g.len(), a.len(), "relu_backward length mismatch");
     #[cfg(target_arch = "x86_64")]
     if kind == KernelKind::Simd && simd_available() {
         // SAFETY: AVX2+FMA verified above.
@@ -394,9 +396,10 @@ pub fn adam_step_with(
     bc2: f32,
 ) {
     tally(kind);
-    debug_assert_eq!(p.len(), g.len());
-    debug_assert_eq!(p.len(), m.len());
-    debug_assert_eq!(p.len(), v.len());
+    assert!(
+        g.len() == p.len() && m.len() == p.len() && v.len() == p.len(),
+        "adam_step slice lengths differ"
+    );
     #[cfg(target_arch = "x86_64")]
     if kind == KernelKind::Simd && simd_available() {
         // SAFETY: AVX2+FMA verified above.
@@ -1197,6 +1200,14 @@ mod tests {
             ps.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             pv.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul rhs length")]
+    fn short_operand_is_refused_in_every_build() {
+        // 2×3 · 3×2 needs six rhs values; the SIMD body would read past five.
+        let (a, b, mut c) = (vec![1.0f32; 6], vec![1.0f32; 5], vec![0.0f32; 4]);
+        matmul_with(KernelKind::Simd, &a, &b, &mut c, 2, 3, 2);
     }
 
     #[test]

@@ -12,19 +12,30 @@
 //!
 //! ## Quickstart
 //!
+//! One API: every pass writes into caller-owned buffers, and a
+//! [`Scratch`] arena holds the temporaries, so a warmed-up loop never
+//! touches the heap. A backward pass computes only what its
+//! [`BackwardNeed`] asks for.
+//!
 //! ```
-//! use marl_nn::{adam::Adam, matrix::Matrix, mlp::Mlp, rng};
+//! use marl_nn::{Adam, BackwardNeed, Matrix, Mlp, Scratch, rng};
 //!
 //! let mut rng = rng::seeded(0);
 //! let mut actor = Mlp::two_layer_relu(16, 5, &mut rng); // Box(16,) -> 5 actions
 //! let mut opt = Adam::with_learning_rate(0.01);
+//! let (mut logits, mut grad_obs) = (Matrix::default(), Matrix::default());
+//! let mut scratch = Scratch::new(); // temporaries, reused across passes
 //!
 //! let obs = Matrix::zeros(1024, 16); // a mini-batch of observations
 //! actor.zero_grad();
-//! let logits = actor.forward(&obs);
-//! actor.backward(&Matrix::zeros(1024, 5)); // dL/dlogits from the critic
+//! actor.forward_into(&obs, &mut logits);
+//! let grad_logits = Matrix::zeros(1024, 5); // dL/dlogits from the critic
+//! actor.backward_need_into(&grad_logits, BackwardNeed::FULL, &mut grad_obs, &mut scratch);
 //! opt.step(&mut actor);
 //! assert_eq!(logits.shape(), (1024, 5));
+//!
+//! // Acting: inference on `&self`, caching nothing.
+//! actor.forward_inference_into(&obs, &mut logits, &mut scratch);
 //! ```
 
 #![warn(missing_docs)]

@@ -49,27 +49,30 @@ pub struct BackwardNeed {
 }
 
 impl BackwardNeed {
-    /// Parameter gradients and the whole input gradient — what the plain
-    /// `backward` / `backward_into` wrappers pass.
+    /// Parameter gradients and the whole input gradient — what
+    /// [`crate::mlp::Mlp::backward_into`] passes.
     pub const FULL: BackwardNeed = BackwardNeed { params: true, input: InputGrad::Full };
 }
 
 /// A dense layer `y = x · W + b` with cached forward state and accumulated
 /// gradients.
 ///
-/// Gradients accumulate across [`Linear::backward`] calls until
+/// Gradients accumulate across [`Linear::backward_need_into`] calls until
 /// [`Linear::zero_grad`] resets them, mirroring the usual
 /// `zero_grad → forward → backward → step` optimizer loop.
 ///
 /// # Examples
 ///
 /// ```
-/// use marl_nn::{linear::Linear, init::Init, matrix::Matrix, rng};
+/// use marl_nn::{BackwardNeed, Init, Linear, Matrix, rng};
 /// let mut rng = rng::seeded(0);
 /// let mut layer = Linear::new(3, 2, Init::XavierUniform, &mut rng);
-/// let x = Matrix::zeros(4, 3);
-/// let y = layer.forward(&x);
+/// let mut y = Matrix::default();
+/// layer.forward_into(&Matrix::zeros(4, 3), &mut y);
 /// assert_eq!(y.shape(), (4, 2));
+/// let mut grad_x = Matrix::default();
+/// layer.backward_need_into(&Matrix::full(4, 2, 1.0), BackwardNeed::FULL, &mut grad_x);
+/// assert_eq!(grad_x.shape(), (4, 3));
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Linear {
@@ -118,13 +121,6 @@ impl Linear {
         &self.bias
     }
 
-    /// Forward pass, caching the input for the subsequent backward pass.
-    pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_into(input, &mut out);
-        out
-    }
-
     /// Forward pass writing into `out`, caching the input (into a reused
     /// buffer) for the subsequent backward pass. Allocation-free once the
     /// cache and `out` have steady-state capacity.
@@ -137,41 +133,11 @@ impl Linear {
         }
     }
 
-    /// Forward pass without caching (inference only; `backward` afterwards
-    /// would panic).
-    pub fn forward_inference(&self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_inference_into(input, &mut out);
-        out
-    }
-
-    /// Inference forward pass writing into `out` (no cache, no allocation).
+    /// Inference forward pass writing into `out` (no cache, no allocation;
+    /// a backward pass afterwards sees the last cached input, if any).
     pub fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) {
         input.matmul_into(&self.weight, out);
         crate::kernels::add_bias(out.as_mut_slice(), &self.bias);
-    }
-
-    /// Backward pass: accumulates `dL/dW`, `dL/db` and returns `dL/dx`
-    /// (the [`BackwardNeed::FULL`] request, allocating).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before any [`Linear::forward`].
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut grad_in = Matrix::default();
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
-    /// [`Linear::backward_need_into`] with the [`BackwardNeed::FULL`]
-    /// request: parameter gradients accumulate and `grad_in` receives the
-    /// whole `dL/dx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before any forward pass cached an input.
-    pub fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
-        self.backward_need_into(grad_out, BackwardNeed::FULL, grad_in);
     }
 
     /// The backward pass, computing only what `need` asks for.
@@ -198,7 +164,7 @@ impl Linear {
         need: BackwardNeed,
         grad_in: &mut Matrix,
     ) {
-        let input = self.cached_input.as_ref().expect("Linear::backward called before forward");
+        let input = self.cached_input.as_ref().expect("Linear backward called before forward");
         assert_eq!(grad_out.rows(), input.rows(), "backward batch mismatch");
         if need.params {
             input.transpose_matmul_acc_into(grad_out, &mut self.grad_weight);
@@ -220,6 +186,31 @@ impl Linear {
             "input-gradient column block (start {start}, width {width}) exceeds the layer's fan_in {fan_in}"
         );
         grad_out.matmul_transpose_rows_into(&self.weight, start, width, grad_in);
+    }
+
+    /// Checks what a deserialized layer may violate: the weight and its
+    /// gradient hold exactly `fan_in × fan_out` values, and the bias and
+    /// its gradient exactly `fan_out`.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let (rows, cols) = self.weight.shape();
+        let area = rows.checked_mul(cols).ok_or_else(|| format!("{rows}x{cols} overflows"))?;
+        let sized = |what: &str, len: usize, want: usize| {
+            if len == want {
+                Ok(())
+            } else {
+                Err(format!("{what} holds {len} values, a {rows}x{cols} layer needs {want}"))
+            }
+        };
+        if self.grad_weight.shape() != (rows, cols) {
+            return Err(format!(
+                "weight gradient is {:?}, the weight {rows}x{cols}",
+                self.grad_weight.shape()
+            ));
+        }
+        sized("weight", self.weight.len(), area)?;
+        sized("weight gradient", self.grad_weight.len(), area)?;
+        sized("bias", self.bias.len(), cols)?;
+        sized("bias gradient", self.grad_bias.len(), cols)
     }
 
     /// Clears accumulated gradients to `+0.0` (a fill, not a scale: a
@@ -268,7 +259,8 @@ mod tests {
     fn forward_shapes() {
         let mut r = rng::seeded(0);
         let mut l = Linear::new(5, 3, Init::XavierUniform, &mut r);
-        let y = l.forward(&Matrix::zeros(7, 5));
+        let mut y = Matrix::default();
+        l.forward_into(&Matrix::zeros(7, 5), &mut y);
         assert_eq!(y.shape(), (7, 3));
     }
 
@@ -282,19 +274,22 @@ mod tests {
         }
         // L = sum of outputs
         let ones = Matrix::full(2, 3, 1.0);
-        let _y = l.forward(&x);
-        let gin = l.backward(&ones);
+        let (mut y, mut gin) = (Matrix::default(), Matrix::default());
+        l.forward_into(&x, &mut y);
+        l.backward_need_into(&ones, BackwardNeed::FULL, &mut gin);
 
         let eps = 1e-3f32;
+        let mut loss = |x: &Matrix| -> f32 {
+            l.forward_inference_into(x, &mut y);
+            y.as_slice().iter().sum()
+        };
         // check dL/dx numerically
         for i in 0..x.len() {
             let mut xp = x.clone();
             xp.as_mut_slice()[i] += eps;
             let mut xm = x.clone();
             xm.as_mut_slice()[i] -= eps;
-            let lp: f32 = l.forward_inference(&xp).as_slice().iter().sum();
-            let lm: f32 = l.forward_inference(&xm).as_slice().iter().sum();
-            let fd = (lp - lm) / (2.0 * eps);
+            let fd = (loss(&xp) - loss(&xm)) / (2.0 * eps);
             assert!((fd - gin.as_slice()[i]).abs() < 1e-2, "input grad {i}");
         }
         // check dL/db analytically: each bias receives batch-size gradient
@@ -309,10 +304,11 @@ mod tests {
         let mut l = Linear::new(2, 2, Init::XavierUniform, &mut r);
         let x = Matrix::full(1, 2, 1.0);
         let g = Matrix::full(1, 2, 1.0);
-        l.forward(&x);
-        l.backward(&g);
-        l.forward(&x);
-        l.backward(&g);
+        let (mut y, mut gin) = (Matrix::default(), Matrix::default());
+        for _ in 0..2 {
+            l.forward_into(&x, &mut y);
+            l.backward_need_into(&g, BackwardNeed::FULL, &mut gin);
+        }
         let mut bias_grad = vec![];
         l.visit_params(|_, gr| bias_grad.push(gr.to_vec()));
         assert_eq!(bias_grad[1], vec![2.0, 2.0]);
@@ -338,6 +334,16 @@ mod tests {
     }
 
     #[test]
+    fn check_names_the_short_buffer() {
+        let mut r = rng::seeded(6);
+        let l = Linear::new(3, 2, Init::XavierUniform, &mut r);
+        assert_eq!(l.check(), Ok(()));
+        let mut short = l.clone();
+        short.bias.pop();
+        assert_eq!(short.check(), Err("bias holds 1 values, a 3x2 layer needs 2".into()));
+    }
+
+    #[test]
     fn soft_update_moves_toward_source() {
         let mut r = rng::seeded(3);
         let src = Linear::new(2, 2, Init::XavierUniform, &mut r);
@@ -355,6 +361,6 @@ mod tests {
     fn backward_requires_forward() {
         let mut r = rng::seeded(4);
         let mut l = Linear::new(2, 2, Init::Zeros, &mut r);
-        l.backward(&Matrix::zeros(1, 2));
+        l.backward_need_into(&Matrix::zeros(1, 2), BackwardNeed::FULL, &mut Matrix::default());
     }
 }

@@ -1,23 +1,16 @@
 //! Loss functions used by the critic (MSE / weighted MSE) and utilities for
-//! temporal-difference targets.
+//! temporal-difference targets. Each writes into caller-owned buffers, so
+//! the update loop's steady state allocates nothing.
 
 use crate::matrix::Matrix;
 
-/// Mean-squared error between `pred` and `target`.
-///
-/// Returns `(loss, dL/dpred)` with the conventional `2/(n)` gradient scale
-/// where `n` is the number of elements.
+/// Mean-squared error between `pred` and `target`: writes `dL/dpred`
+/// (with the conventional `2/n` scale, `n` the element count) into
+/// `grad` and returns the loss.
 ///
 /// # Panics
 ///
 /// Panics on shape mismatch.
-pub fn mse(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
-    let mut grad = Matrix::default();
-    let loss = mse_into(pred, target, &mut grad);
-    (loss, grad)
-}
-
-/// [`mse`] writing `dL/dpred` into a caller-owned buffer; returns the loss.
 pub fn mse_into(pred: &Matrix, target: &Matrix, grad: &mut Matrix) -> f32 {
     assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
     let n = pred.len().max(1) as f32;
@@ -29,21 +22,12 @@ pub fn mse_into(pred: &Matrix, target: &Matrix, grad: &mut Matrix) -> f32 {
 }
 
 /// Importance-weighted MSE used by prioritized replay (Lemma 1 of the
-/// paper): each row `i` is scaled by `weights[i]`.
-///
-/// Returns `(loss, dL/dpred)`.
+/// paper): each row `i` is scaled by `weights[i]`. Writes `dL/dpred` into
+/// `grad` and returns the loss.
 ///
 /// # Panics
 ///
 /// Panics if shapes mismatch or `weights.len() != pred.rows()`.
-pub fn weighted_mse(pred: &Matrix, target: &Matrix, weights: &[f32]) -> (f32, Matrix) {
-    let mut grad = Matrix::default();
-    let loss = weighted_mse_into(pred, target, weights, &mut grad);
-    (loss, grad)
-}
-
-/// [`weighted_mse`] writing `dL/dpred` into a caller-owned buffer; returns
-/// the loss.
 pub fn weighted_mse_into(
     pred: &Matrix,
     target: &Matrix,
@@ -67,15 +51,9 @@ pub fn weighted_mse_into(
     loss / n
 }
 
-/// Per-row absolute TD error `|pred − target|`, used to refresh priorities
-/// in prioritized replay.
-pub fn td_errors(pred: &Matrix, target: &Matrix) -> Vec<f32> {
-    let mut out = Vec::new();
-    td_errors_into(pred, target, &mut out);
-    out
-}
-
-/// [`td_errors`] appending into a cleared, caller-owned vector.
+/// Per-row absolute TD error `|pred − target|` (mean over columns), used
+/// to refresh priorities in prioritized replay; clears `out` and appends
+/// one value per row.
 pub fn td_errors_into(pred: &Matrix, target: &Matrix, out: &mut Vec<f32>) {
     assert_eq!(pred.shape(), target.shape(), "td_errors shape mismatch");
     out.clear();
@@ -93,8 +71,8 @@ mod tests {
     #[test]
     fn mse_zero_for_equal() {
         let a = Matrix::full(3, 2, 1.5);
-        let (l, g) = mse(&a, &a);
-        assert_eq!(l, 0.0);
+        let mut g = Matrix::default();
+        assert_eq!(mse_into(&a, &a, &mut g), 0.0);
         assert!(g.as_slice().iter().all(|&x| x == 0.0));
     }
 
@@ -102,14 +80,16 @@ mod tests {
     fn mse_gradient_matches_finite_difference() {
         let pred = Matrix::from_rows(&[&[0.5, -1.0], &[2.0, 0.0]]);
         let target = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 1.0]]);
-        let (_, g) = mse(&pred, &target);
+        let (mut g, mut scratch) = (Matrix::default(), Matrix::default());
+        mse_into(&pred, &target, &mut g);
         let eps = 1e-3f32;
         for i in 0..pred.len() {
             let mut pp = pred.clone();
             pp.as_mut_slice()[i] += eps;
             let mut pm = pred.clone();
             pm.as_mut_slice()[i] -= eps;
-            let fd = (mse(&pp, &target).0 - mse(&pm, &target).0) / (2.0 * eps);
+            let fd = (mse_into(&pp, &target, &mut scratch) - mse_into(&pm, &target, &mut scratch))
+                / (2.0 * eps);
             assert!((fd - g.as_slice()[i]).abs() < 1e-3);
         }
     }
@@ -118,8 +98,9 @@ mod tests {
     fn weighted_mse_reduces_to_mse_with_unit_weights() {
         let pred = Matrix::from_rows(&[&[1.0], &[3.0]]);
         let target = Matrix::from_rows(&[&[0.0], &[0.0]]);
-        let (lw, gw) = weighted_mse(&pred, &target, &[1.0, 1.0]);
-        let (l, g) = mse(&pred, &target);
+        let (mut gw, mut g) = (Matrix::default(), Matrix::default());
+        let lw = weighted_mse_into(&pred, &target, &[1.0, 1.0], &mut gw);
+        let l = mse_into(&pred, &target, &mut g);
         assert!((lw - l).abs() < 1e-6);
         for (a, b) in gw.as_slice().iter().zip(g.as_slice()) {
             assert!((a - b).abs() < 1e-6);
@@ -130,7 +111,8 @@ mod tests {
     fn weighted_mse_scales_rows() {
         let pred = Matrix::from_rows(&[&[1.0], &[1.0]]);
         let target = Matrix::zeros(2, 1);
-        let (_, g) = weighted_mse(&pred, &target, &[0.0, 1.0]);
+        let mut g = Matrix::default();
+        weighted_mse_into(&pred, &target, &[0.0, 1.0], &mut g);
         assert_eq!(g.at(0, 0), 0.0);
         assert!(g.at(1, 0) > 0.0);
     }
@@ -139,6 +121,8 @@ mod tests {
     fn td_errors_are_absolute_means() {
         let pred = Matrix::from_rows(&[&[1.0, -1.0]]);
         let target = Matrix::from_rows(&[&[0.0, 0.0]]);
-        assert_eq!(td_errors(&pred, &target), vec![1.0]);
+        let mut out = vec![7.0];
+        td_errors_into(&pred, &target, &mut out);
+        assert_eq!(out, vec![1.0]);
     }
 }

@@ -17,10 +17,11 @@ use serde::{Deserialize, Serialize};
 /// # Examples
 ///
 /// ```
-/// use marl_nn::{mlp::Mlp, matrix::Matrix, rng};
+/// use marl_nn::{mlp::Mlp, matrix::Matrix, rng, scratch::Scratch};
 /// let mut rng = rng::seeded(0);
-/// let mut net = Mlp::two_layer_relu(8, 5, &mut rng);
-/// let out = net.forward(&Matrix::zeros(3, 8));
+/// let net = Mlp::two_layer_relu(8, 5, &mut rng);
+/// let (mut out, mut scratch) = (Matrix::default(), Scratch::new());
+/// net.forward_inference_into(&Matrix::zeros(3, 8), &mut out, &mut scratch);
 /// assert_eq!(out.shape(), (3, 5));
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -74,16 +75,10 @@ impl Mlp {
         self.layers.len()
     }
 
-    /// Forward pass that caches intermediate activations for `backward`.
-    pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_into(input, &mut out);
-        out
-    }
-
-    /// Forward pass writing the output into `out`; hidden activations are
-    /// cached into persistent per-layer buffers (reused across calls), so
-    /// the steady state performs zero heap allocations.
+    /// Training forward pass writing the output into `out`; the input and
+    /// hidden activations are cached into persistent per-layer buffers
+    /// (reused across calls) for the backward pass, so the steady state
+    /// performs zero heap allocations.
     pub fn forward_into(&mut self, input: &Matrix, out: &mut Matrix) {
         let n = self.layers.len();
         if self.activations.len() != n - 1 {
@@ -101,17 +96,10 @@ impl Mlp {
         layers[n - 1].forward_into(prev, out);
     }
 
-    /// Forward pass without caching; usable on `&self` for inference.
-    pub fn forward_inference(&self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        let mut scratch = Scratch::new();
-        self.forward_inference_into(input, &mut out, &mut scratch);
-        out
-    }
-
-    /// Inference forward pass writing into `out`, ping-ponging hidden
-    /// activations through two [`Scratch`] buffers (allocation-free once
-    /// the arena is warm).
+    /// Inference forward pass on `&self` writing into `out`, ping-ponging
+    /// hidden activations through two [`Scratch`] buffers (allocation-free
+    /// once the arena is warm). Caches nothing, and each output row
+    /// depends only on its own input row.
     pub fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
         let n = self.layers.len();
         if n == 1 {
@@ -130,19 +118,6 @@ impl Mlp {
         self.layers[n - 1].forward_inference_into(&cur, out);
         scratch.put(cur);
         scratch.put(next);
-    }
-
-    /// Backward pass from `dL/dy`; accumulates parameter gradients and
-    /// returns `dL/dx` (the [`BackwardNeed::FULL`] request, allocating).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`Mlp::forward`].
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut grad_in = Matrix::default();
-        let mut scratch = Scratch::new();
-        self.backward_into(grad_out, &mut grad_in, &mut scratch);
-        grad_in
     }
 
     /// [`Mlp::backward_need_into`] with the [`BackwardNeed::FULL`]
@@ -184,7 +159,7 @@ impl Mlp {
         scratch: &mut Scratch,
     ) {
         let n = self.layers.len();
-        assert_eq!(self.activations.len() + 1, n, "Mlp::backward called before forward");
+        assert_eq!(self.activations.len() + 1, n, "Mlp backward called before forward");
         let hidden = BackwardNeed { params: need.params, input: InputGrad::Full };
         let mut g = scratch.take();
         let mut g2 = scratch.take();
@@ -202,6 +177,45 @@ impl Mlp {
         }
         scratch.put(g);
         scratch.put(g2);
+    }
+
+    /// Checks the invariants a deserialized network can break: at least
+    /// one layer, every layer's weight, bias and gradient buffers sized to
+    /// its shape, and each layer's input width equal to the previous
+    /// layer's output width. Decoders run this before a network can reach
+    /// the kernels, whose loops trust those sizes.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first offending layer.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.layers.is_empty() {
+            return Err("network has no layers".into());
+        }
+        for (i, l) in self.layers.iter().enumerate() {
+            l.check().map_err(|e| format!("layer {i}: {e}"))?;
+            if i > 0 && l.fan_in() != self.layers[i - 1].fan_out() {
+                return Err(format!(
+                    "layer {i} takes {} inputs but layer {} gives {}",
+                    l.fan_in(),
+                    i - 1,
+                    self.layers[i - 1].fan_out()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether `other` has the same hidden activation and the same
+    /// `fan_in × fan_out` shape at every layer.
+    pub fn same_shape(&self, other: &Mlp) -> bool {
+        self.hidden_activation == other.hidden_activation
+            && self.layers.len() == other.layers.len()
+            && self
+                .layers
+                .iter()
+                .zip(&other.layers)
+                .all(|(a, b)| a.weight().shape() == b.weight().shape())
     }
 
     /// Clears accumulated gradients on every layer.
@@ -269,7 +283,9 @@ mod tests {
     use crate::rng;
 
     fn loss_sum(m: &Mlp, x: &Matrix) -> f32 {
-        m.forward_inference(x).as_slice().iter().sum()
+        let mut out = Matrix::default();
+        m.forward_inference_into(x, &mut out, &mut Scratch::new());
+        out.as_slice().iter().sum()
     }
 
     #[test]
@@ -279,7 +295,8 @@ mod tests {
         assert_eq!(net.input_dim(), 10);
         assert_eq!(net.output_dim(), 4);
         assert_eq!(net.layer_count(), 3);
-        let y = net.forward(&Matrix::zeros(6, 10));
+        let mut y = Matrix::default();
+        net.forward_into(&Matrix::zeros(6, 10), &mut y);
         assert_eq!(y.shape(), (6, 4));
     }
 
@@ -316,8 +333,9 @@ mod tests {
         for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
             *v = ((i * 13) as f32 * 0.1).cos();
         }
-        net.forward(&x);
-        let gin = net.backward(&Matrix::full(2, 2, 1.0));
+        let (mut y, mut gin) = (Matrix::default(), Matrix::default());
+        net.forward_into(&x, &mut y);
+        net.backward_into(&Matrix::full(2, 2, 1.0), &mut gin, &mut Scratch::new());
         let eps = 1e-3f32;
         for i in 0..x.len() {
             let mut xp = x.clone();
@@ -339,8 +357,9 @@ mod tests {
         let mut net = Mlp::new(&[2, 4, 1], Activation::Relu, Init::XavierUniform, &mut r);
         let x = Matrix::from_rows(&[&[0.5, -0.2], &[0.1, 0.9]]);
         net.zero_grad();
-        net.forward(&x);
-        net.backward(&Matrix::full(2, 1, 1.0));
+        let (mut y, mut gin) = (Matrix::default(), Matrix::default());
+        net.forward_into(&x, &mut y);
+        net.backward_into(&Matrix::full(2, 1, 1.0), &mut gin, &mut Scratch::new());
         let mut analytic: Vec<f32> = Vec::new();
         net.visit_params(|_, g| analytic.extend_from_slice(g));
 
@@ -394,6 +413,27 @@ mod tests {
         let mut dst = Mlp::two_layer_relu(4, 2, &mut r);
         dst.hard_update_from(&src);
         let x = Matrix::full(1, 4, 0.3);
-        assert_eq!(src.forward_inference(&x), dst.forward_inference(&x));
+        let (mut a, mut b, mut scratch) = (Matrix::default(), Matrix::default(), Scratch::new());
+        src.forward_inference_into(&x, &mut a, &mut scratch);
+        dst.forward_inference_into(&x, &mut b, &mut scratch);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn validate_and_same_shape_see_every_layer() {
+        let mut r = rng::seeded(10);
+        let net = Mlp::new(&[3, 8, 2], Activation::Relu, Init::XavierUniform, &mut r);
+        assert_eq!(net.validate(), Ok(()));
+        assert!(net.same_shape(&net.clone()));
+        let wider = Mlp::new(&[3, 9, 2], Activation::Relu, Init::XavierUniform, &mut r);
+        assert!(!net.same_shape(&wider));
+        let tanh = Mlp::new(&[3, 8, 2], Activation::Tanh, Init::XavierUniform, &mut r);
+        assert!(!net.same_shape(&tanh));
+        // Layers that do not chain: 8 outputs feeding a 9-input layer.
+        let mut broken = net.clone();
+        broken.layers[1] = wider.layers[1].clone();
+        assert_eq!(broken.validate(), Err("layer 1 takes 9 inputs but layer 0 gives 8".into()));
+        let empty = Mlp { layers: Vec::new(), ..net };
+        assert!(empty.validate().is_err());
     }
 }

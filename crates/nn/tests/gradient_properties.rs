@@ -15,8 +15,11 @@ use marl_nn::scratch::Scratch;
 use proptest::prelude::*;
 use std::sync::Mutex;
 
+/// `L = Σ net(x)`, the scalar the finite-difference checks perturb.
 fn loss_sum(net: &Mlp, x: &Matrix) -> f32 {
-    net.forward_inference(x).as_slice().iter().sum()
+    let mut out = Matrix::default();
+    net.forward_inference_into(x, &mut out, &mut Scratch::new());
+    out.as_slice().iter().sum()
 }
 
 /// Held by the one test that switches the process-wide kernel, so its
@@ -66,8 +69,9 @@ proptest! {
         for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
             *v = ((i as f32 * 0.7 + seed as f32 * 0.13).sin()) * scale;
         }
-        net.forward(&x);
-        let analytic = net.backward(&Matrix::full(batch, 2, 1.0));
+        let (mut y, mut analytic, mut scratch) = (Matrix::default(), Matrix::default(), Scratch::new());
+        net.forward_into(&x, &mut y);
+        net.backward_into(&Matrix::full(batch, 2, 1.0), &mut analytic, &mut scratch);
         let eps = 1e-2f32;
         for i in 0..x.len() {
             let mut xp = x.clone();
@@ -91,11 +95,12 @@ proptest! {
         let src = Mlp::two_layer_relu(3, 2, &mut rng);
         let mut dst = Mlp::two_layer_relu(3, 2, &mut rng);
         let x = Matrix::full(1, 3, 0.5);
-        let target = src.forward_inference(&x);
+        let (mut target, mut got, mut scratch) = (Matrix::default(), Matrix::default(), Scratch::new());
+        src.forward_inference_into(&x, &mut target, &mut scratch);
         for _ in 0..2000 {
             dst.soft_update_from(&src, tau);
         }
-        let got = dst.forward_inference(&x);
+        dst.forward_inference_into(&x, &mut got, &mut scratch);
         for (a, b) in got.as_slice().iter().zip(target.as_slice()) {
             prop_assert!((a - b).abs() < 1e-2, "{} vs {}", a, b);
         }
@@ -109,9 +114,10 @@ proptest! {
         let mut before = Vec::new();
         net.visit_params(|p, _| before.extend_from_slice(p));
         let mut opt = Adam::new(AdamConfig::default());
+        let (mut y, mut grad_in, mut scratch) = (Matrix::default(), Matrix::default(), Scratch::new());
         net.zero_grad();
-        net.forward(&Matrix::zeros(1, 2));
-        net.backward(&Matrix::zeros(1, 2));
+        net.forward_into(&Matrix::zeros(1, 2), &mut y);
+        net.backward_into(&Matrix::zeros(1, 2), &mut grad_in, &mut scratch);
         // hidden grads may be nonzero? backward with zero grad_out yields
         // zero everywhere.
         opt.step(&mut net);
@@ -127,16 +133,18 @@ proptest! {
         let mut net = Mlp::new(&[1, 1], Activation::Identity, Init::XavierUniform, &mut rng);
         let mut opt = Adam::new(AdamConfig { learning_rate: 0.05, ..AdamConfig::default() });
         let x = Matrix::full(1, 1, 1.0);
+        let (mut y, mut grad, mut grad_in, mut scratch) =
+            (Matrix::default(), Matrix::default(), Matrix::default(), Scratch::new());
         for _ in 0..400 {
             net.zero_grad();
-            let y = net.forward(&x);
-            let mut grad = y.clone();
+            net.forward_into(&x, &mut y);
+            grad.copy_from(&y);
             grad.as_mut_slice()[0] -= target;
             grad.scale(2.0);
-            net.backward(&grad);
+            net.backward_into(&grad, &mut grad_in, &mut scratch);
             opt.step(&mut net);
         }
-        let y = net.forward_inference(&x).as_slice()[0];
+        let y = loss_sum(&net, &x);
         prop_assert!((y - target).abs() < 0.1, "y={} target={}", y, target);
     }
 
@@ -148,27 +156,13 @@ proptest! {
         let mut rng = seeded(seed);
         let a = Init::XavierUniform.weights(m, k, &mut rng);
         let b = Init::XavierUniform.weights(k, n, &mut rng);
-        let left = a.matmul(&b).transpose();
-        let right = b.transpose().matmul(&a.transpose());
+        let (mut ab, mut right) = (Matrix::default(), Matrix::default());
+        a.matmul_into(&b, &mut ab);
+        let left = ab.transpose();
+        b.transpose().matmul_into(&a.transpose(), &mut right);
         for (x, y) in left.as_slice().iter().zip(right.as_slice()) {
             prop_assert!((x - y).abs() < 1e-5);
         }
-    }
-
-    /// hstack followed by columns extraction recovers each part.
-    #[test]
-    fn hstack_columns_inverse(
-        rows in 1usize..5,
-        c1 in 1usize..5,
-        c2 in 1usize..5,
-        seed in 0u64..500,
-    ) {
-        let mut rng = seeded(seed);
-        let a = Init::XavierUniform.weights(rows, c1, &mut rng);
-        let b = Init::XavierUniform.weights(rows, c2, &mut rng);
-        let s = Matrix::hstack(&[&a, &b]);
-        prop_assert_eq!(s.columns(0, c1), a);
-        prop_assert_eq!(s.columns(c1, c2), b);
     }
 }
 
@@ -232,11 +226,13 @@ proptest! {
             columns_only.backward_need_into(&grad_out, need, &mut block, &mut scratch);
             prop_assert_eq!(&grad_bits(&mut columns_only), &before);
             prop_assert_eq!(block.shape(), (batch, width));
-            prop_assert_eq!(
-                bits(block.as_slice()),
-                bits(full_in.columns(start, width).as_slice()),
-                "{:?} columns {}..{} of {:?}", kind, start, start + width, sizes
-            );
+            for r in 0..batch {
+                prop_assert_eq!(
+                    bits(block.row(r)),
+                    bits(&full_in.row(r)[start..start + width]),
+                    "{:?} row {} columns {}..{} of {:?}", kind, r, start, start + width, sizes
+                );
+            }
 
             // Every column is the full request.
             let mut all_in = Matrix::default();

@@ -1,5 +1,6 @@
 //! Property-based equivalence of the register-blocked matmul kernels and
-//! a naive triple-loop reference.
+//! a naive triple-loop reference, through the three `Matrix` entry points
+//! the network layers call.
 //!
 //! Inputs are small-integer-valued floats, so every product and partial
 //! sum is exactly representable in `f32`: any summation reordering or
@@ -64,10 +65,12 @@ proptest! {
     ) {
         let a = int_matrix(m, k, seed);
         let b = int_matrix(k, n, seed ^ 0xdead_beef);
-        assert_bitwise_eq(&a.matmul(&b), &reference_matmul(&a, &b))?;
+        let mut got = Matrix::default();
+        a.matmul_into(&b, &mut got);
+        assert_bitwise_eq(&got, &reference_matmul(&a, &b))?;
     }
 
-    /// Blocked `Aᵀ·B` is 0 ULP from the reference.
+    /// Blocked `C += Aᵀ·B` into a zeroed `C` is 0 ULP from the reference.
     #[test]
     fn blocked_transpose_matmul_is_exact(
         m in 1usize..40,
@@ -77,7 +80,9 @@ proptest! {
     ) {
         let a = int_matrix(m, k, seed);
         let b = int_matrix(m, n, seed ^ 0x5eed);
-        assert_bitwise_eq(&a.transpose_matmul(&b), &reference_matmul(&a.transpose(), &b))?;
+        let mut got = Matrix::zeros(k, n);
+        a.transpose_matmul_acc_into(&b, &mut got);
+        assert_bitwise_eq(&got, &reference_matmul(&a.transpose(), &b))?;
     }
 
     /// Blocked `A·Bᵀ` is 0 ULP from the reference.
@@ -90,6 +95,8 @@ proptest! {
     ) {
         let a = int_matrix(m, k, seed);
         let b = int_matrix(n, k, seed ^ 0xf00d);
-        assert_bitwise_eq(&a.matmul_transpose(&b), &reference_matmul(&a, &b.transpose()))?;
+        let mut got = Matrix::default();
+        a.matmul_transpose_rows_into(&b, 0, n, &mut got);
+        assert_bitwise_eq(&got, &reference_matmul(&a, &b.transpose()))?;
     }
 }

@@ -1,6 +1,11 @@
 //! The batched inference engine: one `forward_inference_into` per agent
 //! per micro-batch, then scatter actions/logits back into the slots.
 //!
+//! A slot's `action` is the greedy joint action: the per-factor arg-max of
+//! its logit row, mixed-radix encoded over the agent's action factors
+//! ([`marl_nn::gumbel::argmax_segments_into`]) — the index
+//! `Trainer::evaluate` steps the environment with.
+//!
 //! All working storage (per-agent observation/logit matrices, row maps,
 //! arg-max buffers, `Scratch`) is owned by the engine and reused across
 //! batches, so a warmed engine runs the whole gather → forward → scatter
@@ -8,7 +13,7 @@
 //!
 //! Bitwise contract: the SIMD and scalar kernels compute each output row
 //! of a batched forward pass independently of the other rows (enforced
-//! by `batched_greedy_matches_scalar_per_row_bitwise` in `marl-algo`),
+//! by `batched_greedy_matches_one_row_inference_bitwise` in `marl-algo`),
 //! so the logits written back into a slot are bit-identical to what a
 //! batch-of-one inference for that request alone would produce — for
 //! *any* interleaving of requests into batches. The serve equivalence
@@ -16,6 +21,7 @@
 
 use crate::batcher::RequestSlot;
 use crate::model::PolicyModel;
+use marl_nn::gumbel::argmax_segments_into;
 use marl_nn::matrix::Matrix;
 use marl_nn::scratch::Scratch;
 
@@ -28,7 +34,7 @@ struct AgentBuffers {
     obs: Matrix,
     /// Forward output, one logit row per member.
     logits: Matrix,
-    /// Row-wise arg-max results.
+    /// Per-row greedy joint actions.
     argmax: Vec<usize>,
 }
 
@@ -75,7 +81,7 @@ impl InferenceEngine {
             model.actors[a].forward_inference_into(&buf.obs, &mut buf.logits, &mut self.scratch);
             buf.argmax.clear();
             buf.argmax.resize(buf.members.len(), 0);
-            buf.logits.argmax_rows(&mut buf.argmax);
+            argmax_segments_into(&buf.logits, model.segments(a), &mut buf.argmax);
             for (row, &i) in buf.members.iter().enumerate() {
                 let slot = &mut batch[i];
                 slot.action = buf.argmax[row] as u32;

@@ -10,9 +10,11 @@
 //!   request before the server exits.
 //! * **Typed rejection** — bad agent ids and wrong observation widths
 //!   come back as error frames, not dropped connections.
+//! * **Joint actions** — on heads with a communication factor the served
+//!   `action` is the mixed-radix joint index `Trainer::evaluate` takes.
 
 use marl_algo::checkpoint::{write_checkpoint_file, Checkpoint};
-use marl_algo::{Algorithm, Task, TrainConfig, Trainer};
+use marl_algo::{AgentNets, Algorithm, Rollout, Task, TrainConfig, Trainer};
 use marl_dist::wire::{KIND_INFER_ERR, KIND_INFER_RESP};
 use marl_dist::StreamTransport;
 use marl_obs::metrics::MetricsRegistry;
@@ -355,4 +357,44 @@ fn hot_reload_under_load_drops_nothing_and_versions_every_answer() {
     server.wait();
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// On world-comm's leader ([5, 4]) and cooperative-reference ([5, 10])
+/// the served `action` is the greedy joint action the rollout steps the
+/// environment with — the per-factor arg-max, mixed-radix encoded — not
+/// an index into the concatenated logits.
+#[test]
+fn served_action_is_the_rollouts_greedy_joint_action() {
+    for (task, agents) in [(Task::WorldComm, 3), (Task::CooperativeReference, 2)] {
+        let config = TrainConfig::paper_defaults(Algorithm::Maddpg, task, agents).with_seed(11);
+        let ckpt = Trainer::new(config).expect("trainer").checkpoint();
+        let model = PolicyModel::from_checkpoint(&ckpt, 0);
+        let mut rng = marl_nn::rng::seeded(0);
+        let nets: Vec<AgentNets> = ckpt
+            .agents
+            .iter()
+            .map(|state| {
+                let (obs, act) = (state.actor.input_dim(), state.actor.output_dim());
+                let joint = state.critic.input_dim();
+                let mut nets = AgentNets::new(obs, act, joint, false, 0.01, &mut rng);
+                state.clone().restore(&mut nets).expect("the checkpoint's own architecture");
+                nets
+            })
+            .collect();
+        let worlds = 16;
+        let mut rollout = Rollout::new(&config, worlds);
+        rollout.reset();
+        rollout.select_greedy(&nets);
+        let n = nets.len();
+        let mut with_comm = 0;
+        for w in 0..worlds {
+            for (a, space) in rollout.env().action_spaces().iter().enumerate() {
+                let (served, _) = reference(&model, a as u32, rollout.transition(w, a).obs);
+                let greedy = rollout.actions()[w * n + a];
+                assert_eq!(served as usize, greedy, "{task}: world {w} agent {a}");
+                with_comm += usize::from(greedy >= space.segments()[0]);
+            }
+        }
+        assert!(with_comm > 0, "{task}: no greedy action used a comm symbol");
+    }
 }

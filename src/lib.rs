@@ -8,7 +8,7 @@
 //!
 //! * [`nn`] — dense network substrate (matrices, MLPs, Adam,
 //!   Gumbel-softmax);
-//! * [`env`] — the multi-agent particle environments (predator-prey,
+//! * [`env`](mod@env) — the multi-agent particle environments (predator-prey,
 //!   cooperative navigation);
 //! * [`core`] — replay storage plus the paper's sampling optimizations
 //!   (locality-aware, PER, information-prioritized, layout reorganization);
