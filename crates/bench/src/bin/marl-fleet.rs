@@ -10,7 +10,12 @@
 //! processes over a Unix socket (worker telemetry rides the inherited
 //! `MARL_WORKER_TELEMETRY_DIR` environment variable, since the worker
 //! pool nulls worker stdout), then a `marl-serve` instance driven by an
-//! in-process traced client. Every process drains its own span ring into
+//! in-process traced client. The serve leg is also the hot-reload drill:
+//! `marl-serve` polls its checkpoint every 20 ms, and once half of the
+//! requests are answered the client publishes a second checkpoint
+//! generation (another seed, same architecture) and keeps sending until a
+//! response carries model epoch ≥ 1, failing if none does within 10 s.
+//! Every process drains its own span ring into
 //! its own Chrome trace and writes its own metrics/Prometheus files;
 //! the orchestrator collects each process's single-line JSON summary
 //! (stdout for learner/serve, files for workers) and merges:
@@ -28,8 +33,9 @@
 //!   (heartbeat RTT across workers, inference latency across
 //!   serve+client).
 //!
-//! Exits nonzero when the merged timeline is structurally broken: fewer
-//! lanes than processes, or no paired cross-process flow event.
+//! Exits nonzero when any process fails, the reload is never observed, or
+//! the merged timeline is structurally broken: fewer lanes than
+//! processes, or no paired cross-process flow event.
 
 use marl_algo::{Algorithm, Task, TrainConfig, Trainer};
 use marl_dist::wire::{self, KIND_INFER_RESP};
@@ -47,11 +53,15 @@ use marl_serve::proto;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Span-id actor index of the in-process serve client (distinct from
 /// worker ids and the learner's actor).
 const CLIENT_SPAN_ACTOR: u32 = 0x00FF_FFFD;
+
+/// How long the client waits, after publishing the second checkpoint
+/// generation, for a response served by it.
+const RELOAD_DEADLINE: Duration = Duration::from_secs(10);
 
 #[derive(Debug)]
 struct Cli {
@@ -228,28 +238,22 @@ fn connect_unix(path: &Path) -> Result<StreamTransport, String> {
 fn run_serve_leg(cli: &Cli) -> Result<(ProcessSummary, ProcessSummary), String> {
     let serve_bin = bin_path(cli, "marl-serve")?;
     let socket = cli.out.join("serve.sock");
-    // Self-hosted checkpoint: a fresh (untrained) policy is all the
-    // request path needs.
     let ckpt_path = cli.out.join("fleet.marc");
-    let config = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3).with_seed(3);
-    let trainer = Trainer::new(config).map_err(|e| format!("building checkpoint: {e}"))?;
-    let ckpt = trainer.checkpoint();
-    marl_algo::write_checkpoint_file(&ckpt_path, &ckpt, &[])
-        .map_err(|e| format!("writing checkpoint: {e}"))?;
-    let model = marl_serve::PolicyModel::from_checkpoint(&ckpt, 0);
+    let model = marl_serve::PolicyModel::from_checkpoint(&write_policy(&ckpt_path, 3)?, 0);
     let obs_dims: Vec<usize> = (0..model.num_agents()).map(|a| model.obs_dim(a)).collect();
-    drop(trainer);
 
     println!(
         "fleet: serving leg — {} traced requests against unix {}",
         cli.serve_requests,
         socket.display()
     );
-    let serve = Command::new(&serve_bin)
+    let mut serve = Command::new(&serve_bin)
         .arg("--checkpoint")
         .arg(&ckpt_path)
         .arg("--socket")
         .arg(&socket)
+        .arg("--reload-poll-ms")
+        .arg("20")
         .arg("--trace-out")
         .arg(cli.out.join("serve.trace.json"))
         .arg("--metrics-out")
@@ -262,7 +266,12 @@ fn run_serve_leg(cli: &Cli) -> Result<(ProcessSummary, ProcessSummary), String> 
         .spawn()
         .map_err(|e| format!("spawning {}: {e}", serve_bin.display()))?;
 
-    let client_result = drive_client(cli, &socket, &obs_dims);
+    let client_result = drive_client(cli, &socket, &ckpt_path, &obs_dims);
+    if client_result.is_err() {
+        // A failed client never sent the shutdown frame, so the server
+        // would never exit on its own.
+        let _ = serve.kill();
+    }
     let output = serve.wait_with_output().map_err(|e| format!("waiting for marl-serve: {e}"))?;
     let client = client_result?;
     if !output.status.success() {
@@ -272,9 +281,29 @@ fn run_serve_leg(cli: &Cli) -> Result<(ProcessSummary, ProcessSummary), String> 
     Ok((serve_summary, client))
 }
 
+/// Writes a fresh (untrained) predator-prey policy for `seed` to `path`
+/// with the atomic checkpoint writer (temp + rename, the live file
+/// rotated to `.prev`) and returns it. The request path needs no trained
+/// weights, and every seed gives the same architecture.
+fn write_policy(path: &Path, seed: u64) -> Result<marl_algo::Checkpoint, String> {
+    let config =
+        TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3).with_seed(seed);
+    let ckpt = Trainer::new(config).map_err(|e| format!("building checkpoint: {e}"))?.checkpoint();
+    marl_algo::write_checkpoint_file(path, &ckpt, &[])
+        .map_err(|e| format!("writing checkpoint: {e}"))?;
+    Ok(ckpt)
+}
+
 /// The in-process client: bursts of traced requests whose `infer-send`
-/// flow spans pair with serve's `serve-recv` flows in the merge.
-fn drive_client(cli: &Cli, socket: &Path, obs_dims: &[usize]) -> Result<ProcessSummary, String> {
+/// flow spans pair with serve's `serve-recv` flows in the merge. Once
+/// half of `--serve-requests` are answered it publishes generation 1 of
+/// the checkpoint, then keeps sending until a response carries epoch ≥ 1.
+fn drive_client(
+    cli: &Cli,
+    socket: &Path,
+    ckpt_path: &Path,
+    obs_dims: &[usize],
+) -> Result<ProcessSummary, String> {
     let telemetry = Telemetry::new(&TelemetryConfig {
         trace_out: Some(cli.out.join("client.trace.json")),
         metrics_out: Some(cli.out.join("client.metrics.jsonl")),
@@ -290,10 +319,23 @@ fn drive_client(cli: &Cli, socket: &Path, obs_dims: &[usize]) -> Result<ProcessS
     let mut logits = Vec::new();
     let mut answered = 0u64;
     let mut seq = 0u64;
+    // When generation 1 was published, and whether a response served by
+    // it has arrived.
+    let mut published: Option<Instant> = None;
+    let mut reloaded = false;
     const BURST: usize = 8;
-    while (answered as usize) < cli.serve_requests {
-        let burst = BURST.min(cli.serve_requests - answered as usize);
-        let mut sent = Vec::with_capacity(burst);
+    while (answered as usize) < cli.serve_requests || !reloaded {
+        if published.is_none() && answered as usize >= cli.serve_requests / 2 {
+            write_policy(ckpt_path, 4)?;
+            published = Some(Instant::now());
+        }
+        if !reloaded && published.is_some_and(|at| at.elapsed() > RELOAD_DEADLINE) {
+            return Err(format!(
+                "no response from checkpoint generation 1 within {} s of publishing it",
+                RELOAD_DEADLINE.as_secs()
+            ));
+        }
+        let burst = BURST.min(cli.serve_requests.saturating_sub(answered as usize)).max(1);
         for _ in 0..burst {
             seq += 1;
             let agent = (seq % obs.len() as u64) as u32;
@@ -304,7 +346,6 @@ fn drive_client(cli: &Cli, socket: &Path, obs_dims: &[usize]) -> Result<ProcessS
             };
             proto::encode_request(seq, agent, &obs[agent as usize], ctx, &mut frame);
             transport.send_raw(&frame).map_err(|e| format!("send: {e}"))?;
-            sent.push(ctx);
         }
         let mut got = 0usize;
         while got < burst {
@@ -317,6 +358,13 @@ fn drive_client(cli: &Cli, socket: &Path, obs_dims: &[usize]) -> Result<ProcessS
             }
             let resp = proto::decode_response_into(&frame[wire::HEADER_LEN..], &mut logits)
                 .map_err(|e| format!("decode: {e}"))?;
+            if resp.epoch >= 1 && !reloaded {
+                reloaded = true;
+                println!(
+                    "fleet: request {} answered by reloaded epoch {}",
+                    resp.req_id, resp.epoch
+                );
+            }
             // The request-send span: one `s` flow per request, paired by
             // span id with serve's `serve-recv` `f` flow.
             telemetry.tracer.record_flow(

@@ -1,8 +1,14 @@
 //! # marl-bench
 //!
-//! Shared harness utilities for the experiment binaries that regenerate
+//! Shared helpers for the paper-reproduction binaries that regenerate
 //! every table and figure of the paper's evaluation (see DESIGN.md for the
-//! experiment index, and EXPERIMENTS.md for recorded results).
+//! experiment index, and EXPERIMENTS.md for recorded results), plus the
+//! `marl-fleet` multi-process trace orchestrator.
+//!
+//! This crate reproduces the paper's figures; it does not measure the
+//! system for regressions. That is `bench_e2e` (`benchmark/run.sh`), the
+//! one harness whose workloads and per-layer metrics every performance
+//! claim is compared on.
 //!
 //! The binaries print paper-style tables and optionally emit JSON (set
 //! `MARL_JSON=1`). Scale knobs come from environment variables so the same
@@ -42,195 +48,6 @@ pub fn env_agents(default: &[usize]) -> Vec<usize> {
         Ok(v) => v.split(',').filter_map(|s| s.trim().parse().ok()).collect(),
         Err(_) => default.to_vec(),
     }
-}
-
-/// Appends one benchmark result to the repo's JSONL history file,
-/// deduplicating by id.
-///
-/// Each line is `{"id":"<id>","bench":<payload>}` so successive runs of
-/// the summary binaries accumulate into a single machine-diffable
-/// timeline (`BENCH_history.jsonl`) instead of overwriting each other.
-/// Re-recording an id that is already present replaces the old line
-/// (last-write-wins) instead of appending a duplicate, so re-running
-/// `bench_summary --append`/`--fold` is idempotent per id. Lines for
-/// other ids keep their relative order. `payload_json` must already be a
-/// compact JSON document (the bench binaries pass the same string they
-/// write to their own output file).
-///
-/// # Errors
-///
-/// Propagates the underlying file I/O error.
-pub fn append_history(path: &std::path::Path, id: &str, payload_json: &str) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let entry = format!("{{\"id\":\"{id}\",\"bench\":{}}}", payload_json.trim());
-    let marker = format!("{{\"id\":\"{id}\",");
-    let existing = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(e),
-    };
-    let mut lines: Vec<&str> =
-        existing.lines().filter(|l| !l.trim().is_empty() && !l.starts_with(&marker)).collect();
-    lines.push(&entry);
-    // Whole-file rewrite through a temp sibling + rename: a crash mid-write
-    // leaves the old history intact rather than a torn one.
-    let tmp = path.with_extension("jsonl.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        for line in &lines {
-            writeln!(f, "{line}")?;
-        }
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-/// Derives a history entry id from a bench output path:
-/// `BENCH_pr6.json` → `pr6`, anything else → the file stem.
-pub fn history_id(out_path: &str) -> String {
-    let stem =
-        std::path::Path::new(out_path).file_stem().and_then(|s| s.to_str()).unwrap_or(out_path);
-    stem.strip_prefix("BENCH_").unwrap_or(stem).to_string()
-}
-
-/// Relative slowdown tolerated between the two most recent history
-/// entries of a gated metric before `bench_summary --check-history`
-/// fails (0.15 = 15 %). The single source of truth for the CI gate;
-/// override per-run with `MARL_BENCH_GATE_THRESHOLD`.
-pub const REGRESSION_GATE_THRESHOLD: f64 = 0.15;
-
-/// The gate threshold in force (`MARL_BENCH_GATE_THRESHOLD` override,
-/// else [`REGRESSION_GATE_THRESHOLD`]).
-pub fn gate_threshold() -> f64 {
-    std::env::var("MARL_BENCH_GATE_THRESHOLD")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(REGRESSION_GATE_THRESHOLD)
-}
-
-/// A metric the regression gate tracks across history entries.
-#[derive(Debug, Clone, Copy)]
-pub struct GatedMetric {
-    /// Human-readable name for gate reports.
-    pub name: &'static str,
-    /// Nested key path inside a history line's `bench` payload.
-    pub path: &'static [&'static str],
-    /// Direction of goodness: `false` for latency-like metrics (the gate
-    /// fails when the newer value is *higher*), `true` for
-    /// throughput-like metrics (fails when the newer value is *lower*).
-    pub higher_is_better: bool,
-}
-
-/// The gated metrics.
-pub const GATED_METRICS: &[GatedMetric] = &[
-    GatedMetric {
-        name: "update ns/op",
-        path: &["update_all_trainers", "simd_ns_per_op"],
-        higher_is_better: false,
-    },
-    GatedMetric {
-        name: "episode ns/op",
-        path: &["end_to_end_episode", "simd_ns_per_op"],
-        higher_is_better: false,
-    },
-    GatedMetric { name: "serve p99 ns", path: &["serve_p99_ns"], higher_is_better: false },
-    GatedMetric {
-        name: "rollout steps/sec",
-        path: &["rollout_env_steps_per_sec"],
-        higher_is_better: true,
-    },
-    GatedMetric {
-        name: "lockstep steps/sec",
-        path: &["lockstep_env_steps_per_sec"],
-        higher_is_better: true,
-    },
-];
-
-/// Extracts the number at a nested key `path` from a compact JSON
-/// document by scanning key occurrences left to right. Each benchmark
-/// writes its payload with `serde_json::to_string`, so keys are unique
-/// within their object and unquoted inside values — the full generality
-/// of a JSON tree (which the vendored `serde_json` does not offer) is
-/// not needed here.
-pub fn json_number_at(json: &str, path: &[&str]) -> Option<f64> {
-    let mut rest = json;
-    for key in path {
-        let marker = format!("\"{key}\":");
-        let at = rest.find(&marker)?;
-        rest = &rest[at + marker.len()..];
-    }
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '-' || c == '+' || c == '.' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// One gated metric that got worse than the threshold allows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Which gated metric regressed.
-    pub metric: &'static str,
-    /// History id of the older (reference) entry.
-    pub older_id: String,
-    /// History id of the newer (regressed) entry.
-    pub newer_id: String,
-    /// Older value.
-    pub older: f64,
-    /// Newer value.
-    pub newer: f64,
-}
-
-impl std::fmt::Display for Regression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} -> {}: {:.0} -> {:.0} ({:+.1} %)",
-            self.metric,
-            self.older_id,
-            self.newer_id,
-            self.older,
-            self.newer,
-            (self.newer / self.older - 1.0) * 100.0
-        )
-    }
-}
-
-/// Checks the newest `BENCH_history.jsonl` entry of every gated metric
-/// against the previous entry carrying that metric, returning the
-/// metrics whose newest value is more than `threshold` worse — higher
-/// for latency-like metrics, lower for throughput-like ones
-/// ([`GatedMetric::higher_is_better`]). Metrics with fewer than two
-/// recorded entries pass vacuously (there is nothing to regress
-/// against); file order is recording order.
-pub fn check_history_regressions(history: &str, threshold: f64) -> Vec<Regression> {
-    let mut regressions = Vec::new();
-    for metric in GATED_METRICS {
-        let series: Vec<(String, f64)> = history
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .filter_map(|line| {
-                let id_start = line.find("\"id\":\"")? + 6;
-                let id_end = id_start + line[id_start..].find('"')?;
-                let value = json_number_at(line, metric.path)?;
-                Some((line[id_start..id_end].to_string(), value))
-            })
-            .collect();
-        if series.len() < 2 {
-            continue;
-        }
-        let (older_id, older) = series[series.len() - 2].clone();
-        let (newer_id, newer) = series[series.len() - 1].clone();
-        let regressed = if metric.higher_is_better {
-            newer < older * (1.0 - threshold)
-        } else {
-            newer > older * (1.0 + threshold)
-        };
-        if regressed {
-            regressions.push(Regression { metric: metric.name, older_id, newer_id, older, newer });
-        }
-    }
-    regressions
 }
 
 /// Whether JSON output was requested (`MARL_JSON=1`).
@@ -553,119 +370,5 @@ mod tests {
         std::env::set_var("MARL_TEST_USIZE", "42");
         assert_eq!(env_usize("MARL_TEST_USIZE", 7), 42);
         assert_eq!(env_usize("MARL_TEST_MISSING", 7), 7);
-    }
-
-    #[test]
-    fn history_id_strips_prefix_and_extension() {
-        assert_eq!(history_id("BENCH_pr6.json"), "pr6");
-        assert_eq!(history_id("results/BENCH_pr3.json"), "pr3");
-        assert_eq!(history_id("custom.json"), "custom");
-    }
-
-    #[test]
-    fn json_number_at_walks_nested_paths() {
-        let doc = r#"{"a":{"x":1,"deep":{"v":2.5}},"b":{"v":-3e2},"top":42}"#;
-        assert_eq!(json_number_at(doc, &["a", "deep", "v"]), Some(2.5));
-        assert_eq!(json_number_at(doc, &["b", "v"]), Some(-300.0));
-        assert_eq!(json_number_at(doc, &["top"]), Some(42.0));
-        assert_eq!(json_number_at(doc, &["missing"]), None);
-    }
-
-    fn hist_line(id: &str, update: u64, episode: u64, p99: Option<u64>) -> String {
-        let serve = p99.map(|v| format!(",\"serve_p99_ns\":{v}")).unwrap_or_default();
-        format!(
-            "{{\"id\":\"{id}\",\"bench\":{{\"update_all_trainers\":{{\"simd_ns_per_op\":{update}}},\
-             \"end_to_end_episode\":{{\"simd_ns_per_op\":{episode}}}{serve}}}}}"
-        )
-    }
-
-    #[test]
-    fn regression_gate_compares_newest_two_entries_per_metric() {
-        // pr3 has no serve metric; pr8 introduces it — one entry passes
-        // vacuously. update regresses 20 % (beyond 15 %), episode 10 %
-        // (within threshold).
-        let history =
-            [hist_line("pr3", 1_000, 5_000, None), hist_line("pr8", 1_200, 5_500, Some(900))]
-                .join("\n");
-        let regressions = check_history_regressions(&history, 0.15);
-        assert_eq!(regressions.len(), 1, "{regressions:?}");
-        assert_eq!(regressions[0].metric, "update ns/op");
-        assert_eq!(regressions[0].older_id, "pr3");
-        assert_eq!(regressions[0].newer_id, "pr8");
-        // A looser threshold lets the same history pass.
-        assert!(check_history_regressions(&history, 0.25).is_empty());
-    }
-
-    #[test]
-    fn regression_gate_tracks_serve_p99_once_recorded_twice() {
-        let history = [
-            hist_line("pr8", 1_000, 5_000, Some(1_000)),
-            hist_line("pr9", 1_000, 5_000, Some(1_300)),
-        ]
-        .join("\n");
-        let regressions = check_history_regressions(&history, 0.15);
-        assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].metric, "serve p99 ns");
-        let msg = regressions[0].to_string();
-        assert!(msg.contains("serve p99 ns") && msg.contains("+30.0 %"), "{msg}");
-    }
-
-    #[test]
-    fn regression_gate_passes_improvements_and_single_entries() {
-        // Faster is never a regression; a single entry has no reference.
-        let history = [hist_line("pr3", 1_000, 5_000, None), hist_line("pr8", 800, 4_000, Some(1))]
-            .join("\n");
-        assert!(check_history_regressions(&history, 0.15).is_empty());
-        assert!(
-            check_history_regressions(hist_line("only", 1, 1, Some(1)).as_str(), 0.15).is_empty()
-        );
-    }
-
-    fn throughput_line(id: &str, rollout: u64, lockstep: u64) -> String {
-        format!(
-            "{{\"id\":\"{id}\",\"bench\":{{\"rollout_env_steps_per_sec\":{rollout},\
-             \"lockstep_env_steps_per_sec\":{lockstep}}}}}"
-        )
-    }
-
-    #[test]
-    fn regression_gate_flips_direction_for_throughput_metrics() {
-        // Throughput falling 20 % regresses; rising 20 % never does.
-        let history =
-            [throughput_line("pr9", 50_000, 10_000), throughput_line("pr10", 40_000, 12_000)]
-                .join("\n");
-        let regressions = check_history_regressions(&history, 0.15);
-        assert_eq!(regressions.len(), 1, "{regressions:?}");
-        assert_eq!(regressions[0].metric, "rollout steps/sec");
-        let msg = regressions[0].to_string();
-        assert!(msg.contains("-20.0 %"), "{msg}");
-        // A looser threshold tolerates the dip.
-        assert!(check_history_regressions(&history, 0.25).is_empty());
-    }
-
-    #[test]
-    fn append_history_dedupes_by_id_last_write_wins() {
-        let path = std::env::temp_dir()
-            .join(format!(
-                "marl_hist_dedupe_{}_{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            ))
-            .with_extension("jsonl");
-        let _ = std::fs::remove_file(&path);
-        append_history(&path, "pr3", r#"{"v":1}"#).unwrap();
-        append_history(&path, "pr6", r#"{"v":2}"#).unwrap();
-        // Re-recording pr3 must replace the stale line, not append a
-        // duplicate, and must not disturb pr6.
-        append_history(&path, "pr3", r#"{"v":3}"#).unwrap();
-        let lines: Vec<String> =
-            std::fs::read_to_string(&path).unwrap().lines().map(str::to_owned).collect();
-        assert_eq!(lines.len(), 2, "one line per id: {lines:?}");
-        assert_eq!(lines[0], r#"{"id":"pr6","bench":{"v":2}}"#);
-        assert_eq!(lines[1], r#"{"id":"pr3","bench":{"v":3}}"#);
-        // Idempotent: folding the same payload again changes nothing.
-        append_history(&path, "pr3", r#"{"v":3}"#).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 2);
-        let _ = std::fs::remove_file(&path);
     }
 }

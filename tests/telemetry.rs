@@ -5,13 +5,38 @@
 //!   lanes, at least one JSONL metrics snapshot with phase timings and
 //!   sampler histograms, and a Prometheus text exposition;
 //! * telemetry is an observer only — training with all sinks attached is
-//!   bitwise identical (checkpoint + replay bytes) to training without.
+//!   bitwise identical (checkpoint + replay bytes) to training without;
+//! * the telemetry cost is guarded by a count, not a timing: the spans
+//!   one update and one episode record are pinned exactly, so a span
+//!   added inside an inner loop fails here deterministically, where a
+//!   timing budget on a shared host could not.
+//!
+//! The span arithmetic, for N agents, K worlds and episodes of
+//! `max_episode_len` = T steps, at every `update_threads` and every K:
+//!
+//! | recorded by                | span                  | count |
+//! |----------------------------|-----------------------|-------|
+//! | one `update_all_trainers`  | `mini-batch-sampling` | 1     |
+//! |                            | `target-q-shared`     | 1     |
+//! |                            | `agent-update`        | N     |
+//! |                            | `soft-update`         | 1     |
+//! |                            | `update-all-trainers` | 1     |
+//! | one episode with no update | `episode`             | 1     |
+//! |                            | `vec-env-step`        | T     |
+//!
+//! That is N + 4 per update and 1 + T per episode: one `vec-env-step`
+//! steps all K worlds at once. MATD3's critic-only iterations still
+//! record every span (the soft update is skipped, its span is not), and
+//! none is dropped.
 
 use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
 use marl_repro::core::SamplerConfig;
 use marl_repro::nn::kernels::KernelChoice;
-use marl_repro::obs::{KernelTally, MetricsSnapshot, SnapshotContext, Telemetry, TelemetryConfig};
+use marl_repro::obs::{
+    KernelTally, MetricsSnapshot, SnapshotContext, SpanEvent, Telemetry, TelemetryConfig,
+};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Chrome trace-event metadata payload (`{"name": "trainer"}`).
@@ -191,4 +216,63 @@ fn telemetry_does_not_perturb_training() {
     assert_eq!(replay_on, replay_off, "telemetry must not change the replay stream");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Label → count of every span the tracer holds, draining it.
+fn drain_span_counts(tel: &Telemetry) -> BTreeMap<&'static str, usize> {
+    let mut events: Vec<SpanEvent> = Vec::new();
+    tel.tracer.drain_into(&mut events);
+    let mut counts = BTreeMap::new();
+    for e in &events {
+        *counts.entry(e.label).or_insert(0) += 1;
+    }
+    counts
+}
+
+#[test]
+fn one_update_and_one_episode_record_exactly_their_spans() {
+    const N: usize = 3;
+    for (algorithm, task) in
+        [(Algorithm::Maddpg, Task::PredatorPrey), (Algorithm::Matd3, Task::CooperativeNavigation)]
+    {
+        for threads in [1, 2] {
+            let cfg = TrainConfig::paper_defaults(algorithm, task, N)
+                .with_batch_size(32)
+                .with_buffer_capacity(4096)
+                .with_update_threads(threads)
+                .with_seed(5);
+            let case = format!("{algorithm:?} {task:?} update_threads={threads}");
+
+            let mut t = Trainer::new(cfg).unwrap();
+            t.prefill(256).unwrap();
+            let tel = Arc::new(Telemetry::new(&TelemetryConfig::default()).unwrap());
+            t.attach_telemetry(Arc::clone(&tel));
+            // Two updates: MATD3's second one is a critic-only iteration.
+            for update in 0..2 {
+                t.update_all_trainers().unwrap();
+                let expected = BTreeMap::from([
+                    ("agent-update", N),
+                    ("mini-batch-sampling", 1),
+                    ("soft-update", 1),
+                    ("target-q-shared", 1),
+                    ("update-all-trainers", 1),
+                ]);
+                assert_eq!(drain_span_counts(&tel), expected, "{case}, update {update}");
+            }
+            assert_eq!(tel.tracer.dropped(), 0, "{case}");
+
+            for k in [1, 8] {
+                let mut cfg = cfg.with_num_envs(k);
+                cfg.warmup = usize::MAX;
+                let mut t = Trainer::new(cfg).unwrap();
+                let tel = Arc::new(Telemetry::new(&TelemetryConfig::default()).unwrap());
+                t.attach_telemetry(Arc::clone(&tel));
+                t.run_episode().unwrap();
+                let expected =
+                    BTreeMap::from([("episode", 1), ("vec-env-step", cfg.max_episode_len)]);
+                assert_eq!(drain_span_counts(&tel), expected, "{case}, K={k} episode");
+                assert_eq!(tel.tracer.dropped(), 0, "{case}, K={k}");
+            }
+        }
+    }
 }
