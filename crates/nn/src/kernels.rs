@@ -1,22 +1,35 @@
 //! Runtime-dispatched compute kernels: blocked scalar and AVX2+FMA SIMD.
 //!
-//! Every dense op the update phase spends time in — the three matmul
-//! variants, bias-add, ReLU forward/backward, and the Adam parameter
-//! step — funnels through this module. The kernel is selected **once**
-//! (from `TrainConfig::kernel`, the `MARL_KERNEL` environment variable, or
-//! CPU feature detection) and cached in an atomic, so dispatch costs one
+//! Every dense op the update phase spends time in — the two matmul
+//! variants (`C = A·B` and the gradient accumulation `C += Aᵀ·B`),
+//! bias-add, ReLU forward/backward, and the Adam parameter step — funnels
+//! through this module. An input gradient `dX = G·Wᵀ` is `A·B` against a
+//! transposed weight block (see [`crate::linear::Linear`]), so it needs no
+//! product of its own. The kernel is selected **once** (from
+//! `TrainConfig::kernel`, the `MARL_KERNEL` environment variable, or CPU
+//! feature detection) and cached in an atomic, so dispatch costs one
 //! relaxed load per op.
 //!
 //! ## Numeric contract
 //!
 //! * [`KernelKind::Scalar`] accumulates every output element in ascending
-//!   reduction order and is bitwise identical to the naive triple loop at
-//!   every size (the register-blocked tiles preserve the order).
-//! * [`KernelKind::Simd`] uses FMA and 8-lane reassociation for the matmul
-//!   family, so those results differ from scalar by bounded rounding error:
-//!   `|simd − scalar| ≤ K·ε·Σ|aᵢ·bᵢ|` with `K` the reduction length (see
-//!   `tests/kernel_equivalence.rs`). The element-wise ops (bias-add, ReLU,
-//!   Adam) avoid FMA and are **bitwise identical** to scalar.
+//!   reduction order with `acc += a * b` from `+0.0` and is bitwise
+//!   identical to the naive triple loop at every size (the
+//!   register-blocked tiles preserve the order).
+//! * [`KernelKind::Simd`] computes every output element of `C = A·B` as a
+//!   chain of fused multiply-adds in ascending `k` from `+0.0`
+//!   (`acc = a[i][k].mul_add(b[k][j], acc)`), and every element of
+//!   `C += Aᵀ·B` as the same chain in ascending `r`
+//!   (`acc = a[r][i].mul_add(b[r][j], acc)`) followed by one add into
+//!   `C`. That holds in the full-width tiles, the masked column tails and
+//!   the remainder rows alike, so an element's bits depend only on its
+//!   own row of `A` and column of `B`, never on the shape around it. FMA
+//!   rounds once per step where scalar rounds twice, so the two kernels
+//!   differ by bounded rounding error: `|simd − scalar| ≤ K·ε·Σ|aᵢ·bᵢ|`
+//!   with `K` the reduction length (see `tests/kernel_equivalence.rs`,
+//!   which also pins both orders bitwise). The element-wise ops
+//!   (bias-add, ReLU, Adam) avoid FMA and are **bitwise identical** to
+//!   scalar.
 //! * Both kernels are individually deterministic: the same inputs on the
 //!   same kernel produce the same bits on every run, thread count, and
 //!   resume.
@@ -91,11 +104,8 @@ fn encode(k: KernelKind) -> u8 {
 
 /// First-use default: `MARL_KERNEL` env override, else feature detection.
 fn resolve_default() -> KernelKind {
-    let choice = std::env::var("MARL_KERNEL")
-        .ok()
-        .and_then(|v| KernelChoice::parse(&v))
-        .unwrap_or(KernelChoice::Auto);
-    match choice {
+    let value = std::env::var_os("MARL_KERNEL").map(|v| v.to_string_lossy().into_owned());
+    match env_choice(value.as_deref()) {
         KernelChoice::Scalar => KernelKind::Scalar,
         KernelChoice::Simd | KernelChoice::Auto => {
             if simd_available() {
@@ -105,6 +115,16 @@ fn resolve_default() -> KernelKind {
             }
         }
     }
+}
+
+/// The choice a `MARL_KERNEL` value names: unset is `Auto`, and anything
+/// but an accepted spelling panics, so a mistyped pin cannot silently run
+/// the default kernel.
+fn env_choice(value: Option<&str>) -> KernelChoice {
+    let Some(v) = value else { return KernelChoice::Auto };
+    KernelChoice::parse(v).unwrap_or_else(|| {
+        panic!("MARL_KERNEL={v:?} is not a kernel; accepted spellings: auto, scalar, simd")
+    })
 }
 
 /// The kernel currently in force, resolving and caching it on first use.
@@ -207,58 +227,10 @@ pub fn matmul_with(
     scalar::matmul(a, b, c, m, kd, n);
 }
 
-/// `C = A·Bᵀ` for row-major `A (m×kd)`, `B (n×kd)`, `C (m×n)`.
-pub fn matmul_transpose(a: &[f32], b: &[f32], c: &mut [f32], m: usize, kd: usize, n: usize) {
-    matmul_transpose_with(active(), a, b, c, m, kd, n);
-}
-
-/// `C = A·Bᵀ` on an explicit kernel.
-pub fn matmul_transpose_with(
-    kind: KernelKind,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    kd: usize,
-    n: usize,
-) {
-    tally(kind);
-    assert_eq!(a.len(), m * kd, "matmul_transpose lhs length");
-    assert_eq!(b.len(), n * kd, "matmul_transpose rhs length");
-    assert_eq!(c.len(), m * n, "matmul_transpose output length");
-    #[cfg(target_arch = "x86_64")]
-    if kind == KernelKind::Simd && simd_available() {
-        // SAFETY: AVX2+FMA verified above.
-        unsafe { avx2::matmul_transpose(a, b, c, m, kd, n) };
-        return;
-    }
-    let _ = kind;
-    scalar::matmul_transpose(a, b, c, m, kd, n);
-}
-
-/// `C = Aᵀ·B` for row-major `A (m×kd)`, `B (m×n)`, `C (kd×n)`.
-pub fn transpose_matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, kd: usize, n: usize) {
-    transpose_matmul_with(active(), a, b, c, m, kd, n);
-}
-
-/// `C = Aᵀ·B` on an explicit kernel.
-pub fn transpose_matmul_with(
-    kind: KernelKind,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    kd: usize,
-    n: usize,
-) {
-    tally(kind);
-    transpose_matmul_impl::<false>(kind, a, b, c, m, kd, n);
-}
-
-/// `C += Aᵀ·B` — the gradient-accumulation fusion used by
-/// [`crate::linear::Linear`]: each product element is reduced into a local
-/// accumulator and added to `C` once, so accumulation order matches
-/// computing the product separately and adding it.
+/// `C += Aᵀ·B` for row-major `A (m×kd)`, `B (m×n)`, `C (kd×n)` — the
+/// gradient accumulation of [`crate::linear::Linear`]: each product
+/// element is reduced into a local accumulator and added to `C` once, so
+/// the result matches computing the product separately and adding it.
 pub fn transpose_matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, kd: usize, n: usize) {
     transpose_matmul_acc_with(active(), a, b, c, m, kd, n);
 }
@@ -274,29 +246,17 @@ pub fn transpose_matmul_acc_with(
     n: usize,
 ) {
     tally(kind);
-    transpose_matmul_impl::<true>(kind, a, b, c, m, kd, n);
-}
-
-fn transpose_matmul_impl<const ACC: bool>(
-    kind: KernelKind,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    kd: usize,
-    n: usize,
-) {
     assert_eq!(a.len(), m * kd, "transpose_matmul lhs length");
     assert_eq!(b.len(), m * n, "transpose_matmul rhs length");
     assert_eq!(c.len(), kd * n, "transpose_matmul output length");
     #[cfg(target_arch = "x86_64")]
     if kind == KernelKind::Simd && simd_available() {
         // SAFETY: AVX2+FMA verified above.
-        unsafe { avx2::transpose_matmul::<ACC>(a, b, c, m, kd, n) };
+        unsafe { avx2::transpose_matmul_acc(a, b, c, m, kd, n) };
         return;
     }
     let _ = kind;
-    scalar::transpose_matmul::<ACC>(a, b, c, m, kd, n);
+    scalar::transpose_matmul_acc(a, b, c, m, kd, n);
 }
 
 /// Adds the broadcast row `bias` to every `bias.len()`-wide row of `x`.
@@ -438,25 +398,7 @@ mod scalar {
         }
     }
 
-    pub fn matmul_transpose(a: &[f32], b: &[f32], c: &mut [f32], m: usize, kd: usize, n: usize) {
-        if m * kd * n >= BLOCK_THRESHOLD {
-            matmul_transpose_blocked(a, b, c, m, kd, n);
-            return;
-        }
-        for i in 0..m {
-            let arow = &a[i * kd..(i + 1) * kd];
-            for j in 0..n {
-                let brow = &b[j * kd..(j + 1) * kd];
-                let mut acc = 0.0;
-                for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                    acc += av * bv;
-                }
-                c[i * n + j] = acc;
-            }
-        }
-    }
-
-    pub fn transpose_matmul<const ACC: bool>(
+    pub fn transpose_matmul_acc(
         a: &[f32],
         b: &[f32],
         c: &mut [f32],
@@ -465,7 +407,7 @@ mod scalar {
         n: usize,
     ) {
         if m * kd * n >= BLOCK_THRESHOLD {
-            transpose_matmul_blocked::<ACC>(a, b, c, m, kd, n);
+            transpose_matmul_acc_blocked(a, b, c, m, kd, n);
             return;
         }
         // Per-element local accumulator in ascending-`r` order, added to `C`
@@ -477,11 +419,7 @@ mod scalar {
                 for r in 0..m {
                     acc += a[r * kd + i] * b[r * n + j];
                 }
-                if ACC {
-                    c[i * n + j] += acc;
-                } else {
-                    c[i * n + j] = acc;
-                }
+                c[i * n + j] += acc;
             }
         }
     }
@@ -531,10 +469,10 @@ mod scalar {
         }
     }
 
-    /// `C (+)= Aᵀ · B` (`A` is `m×kd` traversed column-wise, output `kd×n`)
+    /// `C += Aᵀ · B` (`A` is `m×kd` traversed column-wise, output `kd×n`)
     /// with the same 4×4 register tile; the reduction runs over the shared
     /// row axis `r` in ascending order, matching the naive loop bitwise.
-    fn transpose_matmul_blocked<const ACC: bool>(
+    fn transpose_matmul_acc_blocked(
         a: &[f32],
         b: &[f32],
         c: &mut [f32],
@@ -574,61 +512,9 @@ mod scalar {
                 }
                 for (di, row) in acc.iter().enumerate().take(ib) {
                     let off = (i0 + di) * n + j0;
-                    if ACC {
-                        for (cell, &v) in c[off..off + jb].iter_mut().zip(row.iter()) {
-                            *cell += v;
-                        }
-                    } else {
-                        c[off..off + jb].copy_from_slice(&row[..jb]);
+                    for (cell, &v) in c[off..off + jb].iter_mut().zip(row.iter()) {
+                        *cell += v;
                     }
-                }
-                j0 += jb;
-            }
-            i0 += ib;
-        }
-    }
-
-    /// `C = A · Bᵀ` (both operands `…×kd` row-major, output `m×n` where `n`
-    /// is `B`'s row count): 16 dot products advance together over `k`,
-    /// reusing each loaded `a`/`b` value four times. Ascending-`k`
-    /// accumulation keeps the result bitwise equal to the naive loop.
-    fn matmul_transpose_blocked(
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        kd: usize,
-        n: usize,
-    ) {
-        let mut i0 = 0;
-        while i0 < m {
-            let ib = TILE.min(m - i0);
-            let mut j0 = 0;
-            while j0 < n {
-                let jb = TILE.min(n - j0);
-                let mut acc = [[0.0f32; TILE]; TILE];
-                if ib == TILE && jb == TILE {
-                    for k in 0..kd {
-                        for di in 0..TILE {
-                            let av = a[(i0 + di) * kd + k];
-                            for dj in 0..TILE {
-                                acc[di][dj] += av * b[(j0 + dj) * kd + k];
-                            }
-                        }
-                    }
-                } else {
-                    for k in 0..kd {
-                        for (di, row) in acc.iter_mut().enumerate().take(ib) {
-                            let av = a[(i0 + di) * kd + k];
-                            for (dj, cell) in row.iter_mut().enumerate().take(jb) {
-                                *cell += av * b[(j0 + dj) * kd + k];
-                            }
-                        }
-                    }
-                }
-                for (di, row) in acc.iter().enumerate().take(ib) {
-                    let off = (i0 + di) * n + j0;
-                    c[off..off + jb].copy_from_slice(&row[..jb]);
                 }
                 j0 += jb;
             }
@@ -694,161 +580,37 @@ mod scalar {
 mod avx2 {
     use std::arch::x86_64::*;
 
-    /// Horizontal sum of an 8-lane vector.
+    /// Lanes `0..len` set, the rest clear: the `n % 8` column tail.
     #[target_feature(enable = "avx2,fma")]
-    fn hsum(v: __m256) -> f32 {
-        let hi = _mm256_extractf128_ps(v, 1);
-        let lo = _mm256_castps256_ps128(v);
-        let s = _mm_add_ps(lo, hi);
-        let shuf = _mm_movehdup_ps(s);
-        let sums = _mm_add_ps(s, shuf);
-        let shuf2 = _mm_movehl_ps(shuf, sums);
-        _mm_cvtss_f32(_mm_add_ss(sums, shuf2))
+    fn tail_mask(len: usize) -> __m256i {
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(len as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
     }
 
-    /// `C = A·B`: 4-row × 16-column register tile (8 FMA chains) with
-    /// 8-wide and scalar column remainders, then single-row remainder.
+    /// `C = A·B`: 4-row × 16-column register tiles (8 FMA chains), a 4 × 8
+    /// tile, then the `n % 8` columns as one masked 4 × 8 tile; the last
+    /// `m % 4` rows run as one narrower [`strip`]. Every lane is one
+    /// output's k-order FMA chain, so no shape changes an element.
     #[target_feature(enable = "avx2,fma")]
     pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, kd: usize, n: usize) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
+        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        let mask = tail_mask(n % 8);
         let mut i = 0;
-        while i + 4 <= m {
-            let mut j = 0;
-            while j + 16 <= n {
-                let mut acc = [_mm256_setzero_ps(); 8];
-                for k in 0..kd {
-                    // SAFETY: k < kd, j+16 <= n, i+4 <= m keep every index
-                    // inside the asserted m×kd / kd×n bounds.
-                    let (b0, b1) = unsafe {
-                        (_mm256_loadu_ps(bp.add(k * n + j)), _mm256_loadu_ps(bp.add(k * n + j + 8)))
-                    };
-                    for r in 0..4 {
-                        // SAFETY: (i+r)*kd + k < m*kd.
-                        let av = unsafe { _mm256_broadcast_ss(&*ap.add((i + r) * kd + k)) };
-                        acc[r * 2] = _mm256_fmadd_ps(av, b0, acc[r * 2]);
-                        acc[r * 2 + 1] = _mm256_fmadd_ps(av, b1, acc[r * 2 + 1]);
-                    }
-                }
-                for r in 0..4 {
-                    // SAFETY: (i+r)*n + j + 16 <= m*n.
-                    unsafe {
-                        _mm256_storeu_ps(cp.add((i + r) * n + j), acc[r * 2]);
-                        _mm256_storeu_ps(cp.add((i + r) * n + j + 8), acc[r * 2 + 1]);
-                    }
-                }
-                j += 16;
-            }
-            while j + 8 <= n {
-                let mut acc = [_mm256_setzero_ps(); 4];
-                for k in 0..kd {
-                    // SAFETY: in-bounds per the same argument as above.
-                    let b0 = unsafe { _mm256_loadu_ps(bp.add(k * n + j)) };
-                    for (r, accr) in acc.iter_mut().enumerate() {
-                        // SAFETY: (i+r)*kd + k < m*kd.
-                        let av = unsafe { _mm256_broadcast_ss(&*ap.add((i + r) * kd + k)) };
-                        *accr = _mm256_fmadd_ps(av, b0, *accr);
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    // SAFETY: (i+r)*n + j + 8 <= m*n.
-                    unsafe { _mm256_storeu_ps(cp.add((i + r) * n + j), *accr) };
-                }
-                j += 8;
-            }
-            while j < n {
-                for r in i..i + 4 {
-                    let mut acc = 0.0f32;
-                    for k in 0..kd {
-                        acc += a[r * kd + k] * b[k * n + j];
-                    }
-                    c[r * n + j] = acc;
-                }
-                j += 1;
-            }
-            i += 4;
-        }
         while i < m {
-            let mut j = 0;
-            while j + 8 <= n {
-                let mut acc = _mm256_setzero_ps();
-                for k in 0..kd {
-                    // SAFETY: i < m, k < kd, j+8 <= n.
-                    let av = unsafe { _mm256_broadcast_ss(&*ap.add(i * kd + k)) };
-                    let b0 = unsafe { _mm256_loadu_ps(bp.add(k * n + j)) };
-                    acc = _mm256_fmadd_ps(av, b0, acc);
-                }
-                // SAFETY: i*n + j + 8 <= m*n.
-                unsafe { _mm256_storeu_ps(cp.add(i * n + j), acc) };
-                j += 8;
-            }
-            while j < n {
-                let mut acc = 0.0f32;
-                for k in 0..kd {
-                    acc += a[i * kd + k] * b[k * n + j];
-                }
-                c[i * n + j] = acc;
-                j += 1;
-            }
-            i += 1;
+            // SAFETY: the strip reads A rows i..i+R (R ≤ m − i) over k < kd,
+            // B rows k < kd and writes C rows i..i+R, every column < n.
+            i += unsafe {
+                strip::<false, true>(ap.add(i * kd), kd, 1, bp, cp.add(i * n), n, kd, mask, m - i)
+            };
         }
     }
 
-    /// `C = A·Bᵀ`: four dot products share each 8-wide `A` load; the
-    /// reduction tail over `kd % 8` runs scalar after the horizontal sum.
+    /// `C += Aᵀ·B` (`C` is `kd × n`, the reduction runs over A's `m`
+    /// rows): the same tiles as [`matmul`] over the `n − n % 8` full
+    /// columns, where output row `i` reads A's column `i`. The `n % 8`
+    /// columns go one at a time with eight output rows per lane vector,
+    /// since A's row `r` holds those rows contiguously.
     #[target_feature(enable = "avx2,fma")]
-    pub fn matmul_transpose(a: &[f32], b: &[f32], c: &mut [f32], m: usize, kd: usize, n: usize) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let kv = kd - kd % 8;
-        for i in 0..m {
-            let mut j = 0;
-            while j + 4 <= n {
-                let mut acc = [_mm256_setzero_ps(); 4];
-                let mut k = 0;
-                while k < kv {
-                    // SAFETY: i < m, j+4 <= n, k+8 <= kd.
-                    let av = unsafe { _mm256_loadu_ps(ap.add(i * kd + k)) };
-                    for (jj, accj) in acc.iter_mut().enumerate() {
-                        let bv = unsafe { _mm256_loadu_ps(bp.add((j + jj) * kd + k)) };
-                        *accj = _mm256_fmadd_ps(av, bv, *accj);
-                    }
-                    k += 8;
-                }
-                for (jj, accj) in acc.iter().enumerate() {
-                    let mut sum = hsum(*accj);
-                    for kk in kv..kd {
-                        sum += a[i * kd + kk] * b[(j + jj) * kd + kk];
-                    }
-                    c[i * n + j + jj] = sum;
-                }
-                j += 4;
-            }
-            while j < n {
-                let mut acc = _mm256_setzero_ps();
-                let mut k = 0;
-                while k < kv {
-                    // SAFETY: i < m, j < n, k+8 <= kd.
-                    let av = unsafe { _mm256_loadu_ps(ap.add(i * kd + k)) };
-                    let bv = unsafe { _mm256_loadu_ps(bp.add(j * kd + k)) };
-                    acc = _mm256_fmadd_ps(av, bv, acc);
-                    k += 8;
-                }
-                let mut sum = hsum(acc);
-                for kk in kv..kd {
-                    sum += a[i * kd + kk] * b[j * kd + kk];
-                }
-                c[i * n + j] = sum;
-                j += 1;
-            }
-        }
-    }
-
-    /// `C (+)= Aᵀ·B`: 4 rows of `C` × 8 columns per tile; the four `A`
-    /// column values per `r` are contiguous in memory.
-    #[target_feature(enable = "avx2,fma")]
-    pub fn transpose_matmul<const ACC: bool>(
+    pub fn transpose_matmul_acc(
         a: &[f32],
         b: &[f32],
         c: &mut [f32],
@@ -856,82 +618,197 @@ mod avx2 {
         kd: usize,
         n: usize,
     ) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
+        let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        let nv = n - n % 8;
+        let unused = _mm256_setzero_si256();
         let mut i = 0;
-        while i + 4 <= kd {
-            let mut j = 0;
-            while j + 8 <= n {
-                let mut acc = [_mm256_setzero_ps(); 4];
-                for r in 0..m {
-                    // SAFETY: r < m, j+8 <= n, i+4 <= kd.
-                    let bv = unsafe { _mm256_loadu_ps(bp.add(r * n + j)) };
-                    for (di, acci) in acc.iter_mut().enumerate() {
-                        let av = unsafe { _mm256_broadcast_ss(&*ap.add(r * kd + i + di)) };
-                        *acci = _mm256_fmadd_ps(av, bv, *acci);
-                    }
-                }
-                for (di, acci) in acc.iter().enumerate() {
-                    // SAFETY: (i+di)*n + j + 8 <= kd*n.
-                    unsafe {
-                        let dst = cp.add((i + di) * n + j);
-                        let out =
-                            if ACC { _mm256_add_ps(_mm256_loadu_ps(dst), *acci) } else { *acci };
-                        _mm256_storeu_ps(dst, out);
-                    }
-                }
-                j += 8;
-            }
-            while j < n {
-                for di in 0..4 {
-                    let mut acc = 0.0f32;
-                    for r in 0..m {
-                        acc += a[r * kd + i + di] * b[r * n + j];
-                    }
-                    let cell = &mut c[(i + di) * n + j];
-                    if ACC {
-                        *cell += acc;
-                    } else {
-                        *cell = acc;
-                    }
-                }
-                j += 1;
-            }
-            i += 4;
-        }
         while i < kd {
-            let mut j = 0;
-            while j + 8 <= n {
-                let mut acc = _mm256_setzero_ps();
-                for r in 0..m {
-                    // SAFETY: r < m, i < kd, j+8 <= n.
-                    let av = unsafe { _mm256_broadcast_ss(&*ap.add(r * kd + i)) };
-                    let bv = unsafe { _mm256_loadu_ps(bp.add(r * n + j)) };
-                    acc = _mm256_fmadd_ps(av, bv, acc);
+            // SAFETY: output row i + t reads A at r·kd + i + t < m·kd for
+            // r < m, t < R ≤ kd − i; B and C columns stay below nv ≤ n.
+            i += unsafe {
+                strip::<true, false>(ap.add(i), 1, kd, bp, cp.add(i * n), n, m, unused, kd - i)
+            };
+        }
+        for j in nv..n {
+            let mut i = 0;
+            // SAFETY: column j < n; the row blocks cover output rows
+            // i..i+rows ≤ kd.
+            unsafe {
+                let b = bp.add(j);
+                while i + 32 <= kd {
+                    column::<4, false>(ap.add(i), kd, b, n, cp.add(i * n + j), m, 32);
+                    i += 32;
                 }
-                // SAFETY: i*n + j + 8 <= kd*n.
-                unsafe {
-                    let dst = cp.add(i * n + j);
-                    let out = if ACC { _mm256_add_ps(_mm256_loadu_ps(dst), acc) } else { acc };
+                while i + 8 <= kd {
+                    column::<1, false>(ap.add(i), kd, b, n, cp.add(i * n + j), m, 8);
+                    i += 8;
+                }
+                if i < kd {
+                    column::<1, true>(ap.add(i), kd, b, n, cp.add(i * n + j), m, kd - i);
+                }
+            }
+        }
+    }
+
+    /// Every column of the next `min(rows, 4)` output rows, which it
+    /// returns: 4-, 3- and 2-row strips in 16-wide tiles, a single row in
+    /// 32-wide ones, so every strip keeps at least 4 FMA chains in flight.
+    /// Arguments as [`tile`]'s.
+    ///
+    /// # Safety
+    ///
+    /// As [`tiles`] for the rows it covers.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn strip<const ACC: bool, const TAIL: bool>(
+        a: *const f32,
+        a_row: usize,
+        a_step: usize,
+        b: *const f32,
+        c: *mut f32,
+        n: usize,
+        steps: usize,
+        mask: __m256i,
+        rows: usize,
+    ) -> usize {
+        match rows {
+            1 => tiles::<1, 4, ACC, TAIL>(a, a_row, a_step, b, c, n, steps, mask),
+            2 => tiles::<2, 2, ACC, TAIL>(a, a_row, a_step, b, c, n, steps, mask),
+            3 => tiles::<3, 2, ACC, TAIL>(a, a_row, a_step, b, c, n, steps, mask),
+            _ => tiles::<4, 2, ACC, TAIL>(a, a_row, a_step, b, c, n, steps, mask),
+        }
+        rows.min(4)
+    }
+
+    /// Every column of `R` output rows: `V`-block tiles, 8-wide tiles,
+    /// then (with `TAIL`) the `n % 8` columns as one masked tile.
+    /// Arguments as [`tile`]'s.
+    ///
+    /// # Safety
+    ///
+    /// As [`tile`], for every column `< n` (`< n − n % 8` without `TAIL`).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tiles<const R: usize, const V: usize, const ACC: bool, const TAIL: bool>(
+        a: *const f32,
+        a_row: usize,
+        a_step: usize,
+        b: *const f32,
+        c: *mut f32,
+        n: usize,
+        steps: usize,
+        mask: __m256i,
+    ) {
+        let mut j = 0;
+        while j + 8 * V <= n {
+            tile::<R, V, ACC, false>(a, a_row, a_step, b.add(j), c.add(j), n, steps, mask);
+            j += 8 * V;
+        }
+        while j + 8 <= n {
+            tile::<R, 1, ACC, false>(a, a_row, a_step, b.add(j), c.add(j), n, steps, mask);
+            j += 8;
+        }
+        if TAIL && j < n {
+            tile::<R, 1, ACC, true>(a, a_row, a_step, b.add(j), c.add(j), n, steps, mask);
+        }
+    }
+
+    /// One `R × 8V` register tile of `C (+)= Â·B`, where `Â`'s element for
+    /// tile row `t` at reduction step `k` is `a[t·a_row + k·a_step]` and
+    /// `B`'s step-`k` row starts at `b + k·n`. Each lane is one output's
+    /// FMA chain from `+0.0` in step order; `ACC` adds it into `C` once,
+    /// `MASKED` (with `V = 1`) limits loads and stores to `mask`'s lanes.
+    ///
+    /// # Safety
+    ///
+    /// `a`, `b` and `c` must be valid for every element the tile reads or
+    /// writes over `steps` steps, with `C`'s rows `n` apart.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tile<const R: usize, const V: usize, const ACC: bool, const MASKED: bool>(
+        a: *const f32,
+        a_row: usize,
+        a_step: usize,
+        b: *const f32,
+        c: *mut f32,
+        n: usize,
+        steps: usize,
+        mask: __m256i,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for k in 0..steps {
+            let brow = b.add(k * n);
+            let mut bv = [_mm256_setzero_ps(); V];
+            for (v, bvv) in bv.iter_mut().enumerate() {
+                *bvv = if MASKED {
+                    _mm256_maskload_ps(brow.add(8 * v), mask)
+                } else {
+                    _mm256_loadu_ps(brow.add(8 * v))
+                };
+            }
+            for (t, acct) in acc.iter_mut().enumerate() {
+                let av = _mm256_broadcast_ss(&*a.add(t * a_row + k * a_step));
+                for (accv, &bvv) in acct.iter_mut().zip(&bv) {
+                    *accv = _mm256_fmadd_ps(av, bvv, *accv);
+                }
+            }
+        }
+        for (t, acct) in acc.iter().enumerate() {
+            for (v, &accv) in acct.iter().enumerate() {
+                let dst = c.add(t * n + 8 * v);
+                if MASKED {
+                    let out =
+                        if ACC { _mm256_add_ps(_mm256_maskload_ps(dst, mask), accv) } else { accv };
+                    _mm256_maskstore_ps(dst, mask, out);
+                } else {
+                    let out = if ACC { _mm256_add_ps(_mm256_loadu_ps(dst), accv) } else { accv };
                     _mm256_storeu_ps(dst, out);
                 }
-                j += 8;
             }
-            while j < n {
-                let mut acc = 0.0f32;
-                for r in 0..m {
-                    acc += a[r * kd + i] * b[r * n + j];
-                }
-                let cell = &mut c[i * n + j];
-                if ACC {
-                    *cell += acc;
+        }
+    }
+
+    /// Output rows `0..rows` (`rows ≤ 8V`) of one column of `C += Aᵀ·B`, a
+    /// lane per output row: at step `r` the rows' `A` values are contiguous
+    /// at `a + r·kd` and share the broadcast `b[r·n]`. Each lane is the
+    /// same r-order FMA chain [`tile`] computes, added into `C` (`c`, rows
+    /// `n` apart) once; `MASKED` (with `V = 1`) loads only `rows` lanes.
+    ///
+    /// # Safety
+    ///
+    /// `a`, `b` and `c` must be valid for the `m` steps and the `rows` rows.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn column<const V: usize, const MASKED: bool>(
+        a: *const f32,
+        kd: usize,
+        b: *const f32,
+        n: usize,
+        c: *mut f32,
+        m: usize,
+        rows: usize,
+    ) {
+        let mask = tail_mask(rows);
+        let mut acc = [_mm256_setzero_ps(); V];
+        for r in 0..m {
+            let bv = _mm256_broadcast_ss(&*b.add(r * n));
+            let arow = a.add(r * kd);
+            for (v, accv) in acc.iter_mut().enumerate() {
+                let av = if MASKED {
+                    _mm256_maskload_ps(arow.add(8 * v), mask)
                 } else {
-                    *cell = acc;
-                }
-                j += 1;
+                    _mm256_loadu_ps(arow.add(8 * v))
+                };
+                *accv = _mm256_fmadd_ps(av, bv, *accv);
             }
-            i += 1;
+        }
+        let mut lanes = [0.0f32; 8];
+        for (v, &accv) in acc.iter().enumerate() {
+            _mm256_storeu_ps(lanes.as_mut_ptr(), accv);
+            for (l, &x) in lanes.iter().enumerate().take(rows - 8 * v) {
+                *c.add((8 * v + l) * n) += x;
+            }
         }
     }
 
@@ -1091,6 +968,24 @@ mod tests {
     }
 
     #[test]
+    fn env_choice_accepts_the_spellings_and_unset() {
+        assert_eq!(env_choice(None), KernelChoice::Auto);
+        for c in [KernelChoice::Auto, KernelChoice::Scalar, KernelChoice::Simd] {
+            assert_eq!(env_choice(Some(c.label())), c);
+        }
+    }
+
+    #[test]
+    fn env_choice_refuses_a_typo_naming_the_spellings() {
+        for typo in ["Scalar", "avx2", "", " simd"] {
+            let err = std::panic::catch_unwind(|| env_choice(Some(typo))).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("accepted spellings: auto, scalar, simd"), "{msg}");
+            assert!(msg.contains(&format!("{typo:?}")), "{msg}");
+        }
+    }
+
+    #[test]
     fn scalar_matmul_matches_reference_across_threshold() {
         for (m, kd, n) in [(3, 5, 4), (17, 19, 23), (16, 16, 16)] {
             let a = patterned(m * kd, 3);
@@ -1115,7 +1010,7 @@ mod tests {
         let a = patterned(m * kd, 11);
         let b = patterned(m * n, 13);
         let mut base = vec![0.0f32; kd * n];
-        transpose_matmul_with(KernelKind::Scalar, &a, &b, &mut base, m, kd, n);
+        transpose_matmul_acc_with(KernelKind::Scalar, &a, &b, &mut base, m, kd, n);
         let mut acc = patterned(kd * n, 17);
         let expect: Vec<f32> = acc.iter().zip(&base).map(|(x, y)| x + y).collect();
         transpose_matmul_acc_with(KernelKind::Scalar, &a, &b, &mut acc, m, kd, n);

@@ -82,6 +82,9 @@ pub struct Linear {
     grad_bias: Vec<f32>,
     #[serde(skip)]
     cached_input: Option<Matrix>,
+    /// `W[s..s+w, :]ᵀ` of the last input-gradient request, reused.
+    #[serde(skip)]
+    weight_block_t: Matrix,
 }
 
 impl Linear {
@@ -93,6 +96,7 @@ impl Linear {
             grad_weight: Matrix::zeros(fan_in, fan_out),
             grad_bias: vec![0.0; fan_out],
             cached_input: None,
+            weight_block_t: Matrix::default(),
         }
     }
 
@@ -149,10 +153,12 @@ impl Linear {
     /// `need.input` selects how much of `dL/dx = G · Wᵀ` lands in
     /// `grad_in`: nothing (`grad_in` is not touched), a column block
     /// (`grad_in` becomes `batch × width`) or all of it. `W` is stored
-    /// `fan_in × fan_out`, so a column block of `dL/dx` is the same
-    /// product against a contiguous row slice of `W`, and every kept
-    /// element is bitwise the one the full product holds. The steady state
-    /// performs zero heap allocations.
+    /// `fan_in × fan_out`, so a column block of `dL/dx` is
+    /// `G · W[s..s+w, :]ᵀ`: the row block is transposed into a reused
+    /// `fan_out × width` buffer and multiplied with the forward kernel,
+    /// whose elements depend only on their own row and column, so every
+    /// kept element is bitwise the one the full product holds. The steady
+    /// state performs zero heap allocations.
     ///
     /// # Panics
     ///
@@ -185,7 +191,8 @@ impl Linear {
             start.checked_add(width).is_some_and(|end| end <= fan_in),
             "input-gradient column block (start {start}, width {width}) exceeds the layer's fan_in {fan_in}"
         );
-        grad_out.matmul_transpose_rows_into(&self.weight, start, width, grad_in);
+        self.weight.transpose_rows_into(start, width, &mut self.weight_block_t);
+        grad_out.matmul_into(&self.weight_block_t, grad_in);
     }
 
     /// Checks what a deserialized layer may violate: the weight and its

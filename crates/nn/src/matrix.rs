@@ -222,8 +222,8 @@ impl Matrix {
     /// Dispatches to the process-wide kernel selected by
     /// [`crate::kernels::active`]: the blocked-scalar path accumulates each
     /// output element in ascending-`k` order (bitwise-stable at every
-    /// size), the SIMD path uses AVX2+FMA and agrees within the documented
-    /// ULP tolerance.
+    /// size), the SIMD path as one k-order AVX2 FMA chain; they agree
+    /// within the documented rounding bound.
     ///
     /// # Panics
     ///
@@ -264,53 +264,32 @@ impl Matrix {
         );
     }
 
-    /// `out = self · rhs[start..start + width, :]ᵀ` — columns
-    /// `start..start + width` of the full product `self · rhsᵀ`, as a
-    /// `self.rows × width` matrix. The rows of a row-major `rhs` are
-    /// contiguous, so this is the same kernel on a sub-slice, and each
-    /// output element is reduced in an order that does not depend on which
-    /// other rows of `rhs` take part: the block is bitwise the matching
-    /// columns of the full product.
+    /// `out = self[start..start + width, :]ᵀ`, a `self.cols × width`
+    /// matrix, reusing `out`'s backing storage — how
+    /// [`crate::linear::Linear`] turns an input-gradient column block
+    /// `G · W[s..s+w, :]ᵀ` into a plain [`Matrix::matmul_into`].
     ///
     /// # Panics
     ///
-    /// Panics on column mismatch or if the row range exceeds `rhs.rows`.
-    pub fn matmul_transpose_rows_into(
-        &self,
-        rhs: &Matrix,
-        start: usize,
-        width: usize,
-        out: &mut Matrix,
-    ) {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_transpose shape mismatch: {}x{} vs {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
+    /// Panics if the row range exceeds `self.rows`.
+    pub fn transpose_rows_into(&self, start: usize, width: usize, out: &mut Matrix) {
         assert!(
-            start.checked_add(width).is_some_and(|end| end <= rhs.rows),
-            "matmul_transpose row range out of bounds"
+            start.checked_add(width).is_some_and(|end| end <= self.rows),
+            "transpose row range out of bounds"
         );
-        out.resize(self.rows, width);
-        kernels::matmul_transpose(
-            &self.data,
-            &rhs.data[start * rhs.cols..(start + width) * rhs.cols],
-            &mut out.data,
-            self.rows,
-            self.cols,
-            width,
-        );
+        out.resize(self.cols, width);
+        for r in 0..width {
+            for (c, &v) in self.row(start + r).iter().enumerate() {
+                out.data[c * width + r] = v;
+            }
+        }
     }
 
     /// Returns an explicit transpose (the kernel tests build their
     /// reference products from it).
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
+        let mut out = Matrix::default();
+        self.transpose_rows_into(0, self.rows, &mut out);
         out
     }
 
@@ -377,9 +356,10 @@ mod tests {
         out
     }
 
+    /// `0 + Aᵀ·B` pinned to the scalar kernel.
     fn transpose_matmul_scalar(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.cols(), b.cols());
-        kernels::transpose_matmul_with(
+        kernels::transpose_matmul_acc_with(
             KernelKind::Scalar,
             a.as_slice(),
             b.as_slice(),
@@ -387,20 +367,6 @@ mod tests {
             a.rows(),
             a.cols(),
             b.cols(),
-        );
-        out
-    }
-
-    fn matmul_transpose_scalar(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.rows());
-        kernels::matmul_transpose_with(
-            KernelKind::Scalar,
-            a.as_slice(),
-            b.as_slice(),
-            out.as_mut_slice(),
-            a.rows(),
-            a.cols(),
-            b.rows(),
         );
         out
     }
@@ -454,14 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matmul_transpose_matches_reference_bitwise() {
-        let a = patterned(17, 23, 13);
-        let b = patterned(19, 23, 17);
-        let expect = reference_matmul(&a, &b.transpose());
-        assert_eq!(matmul_transpose_scalar(&a, &b).as_slice(), expect.as_slice());
-    }
-
-    #[test]
     fn exact_tile_multiple_shapes_match_reference() {
         let a = patterned(16, 16, 23);
         let b = patterned(16, 16, 29);
@@ -469,10 +427,6 @@ mod tests {
         assert_eq!(
             transpose_matmul_scalar(&a, &b).as_slice(),
             reference_matmul(&a.transpose(), &b).as_slice()
-        );
-        assert_eq!(
-            matmul_transpose_scalar(&a, &b).as_slice(),
-            reference_matmul(&a, &b.transpose()).as_slice()
         );
     }
 
@@ -486,9 +440,12 @@ mod tests {
         a.matmul_into(&b, &mut out);
         assert_eq!(out, reference_matmul(&a, &b));
 
-        let bt = patterned(5, 7, 41);
-        a.matmul_transpose_rows_into(&bt, 0, 5, &mut out);
-        assert_eq!(out, reference_matmul(&a, &bt.transpose()));
+        let w = patterned(6, 4, 41);
+        w.transpose_rows_into(1, 3, &mut out);
+        assert_eq!(out.shape(), (4, 3));
+        for (r, c) in (0..3).flat_map(|r| (0..4).map(move |c| (r, c))) {
+            assert_eq!(out.at(c, r), w.at(1 + r, c));
+        }
 
         let g = patterned(9, 4, 43);
         let mut acc = patterned(7, 4, 47);

@@ -147,23 +147,6 @@ proptest! {
         let y = loss_sum(&net, &x);
         prop_assert!((y - target).abs() < 0.1, "y={} target={}", y, target);
     }
-
-    /// Matrix algebra: (A·B)ᵀ == Bᵀ·Aᵀ for random shapes.
-    #[test]
-    fn matmul_transpose_identity(
-        m in 1usize..5, k in 1usize..5, n in 1usize..5, seed in 0u64..500,
-    ) {
-        let mut rng = seeded(seed);
-        let a = Init::XavierUniform.weights(m, k, &mut rng);
-        let b = Init::XavierUniform.weights(k, n, &mut rng);
-        let (mut ab, mut right) = (Matrix::default(), Matrix::default());
-        a.matmul_into(&b, &mut ab);
-        let left = ab.transpose();
-        b.transpose().matmul_into(&a.transpose(), &mut right);
-        for (x, y) in left.as_slice().iter().zip(right.as_slice()) {
-            prop_assert!((x - y).abs() < 1e-5);
-        }
-    }
 }
 
 proptest! {
@@ -172,14 +155,18 @@ proptest! {
     /// Whatever a request keeps is bitwise what the full backward pass
     /// produces on a clone, and whatever it does not ask for is not
     /// touched — for random depths, widths, ReLU and Tanh, on both kernels.
+    /// `dX` is the forward kernel against a transposed weight block, so
+    /// widths up to 40 pin that kernel's column independence: a column's
+    /// bits do not depend on whether it lands in a 16-wide, 8-wide or
+    /// masked tail block.
     #[test]
     fn every_request_keeps_the_bits_of_the_full_backward(
         seed in 0u64..10_000,
-        sizes in proptest::collection::vec(1usize..13, 2..6),
+        sizes in proptest::collection::vec(1usize..41, 2..6),
         batch in 1usize..9,
         relu in any::<bool>(),
-        start in 0usize..12,
-        width in 1usize..12,
+        start in 0usize..40,
+        width in 1usize..41,
     ) {
         let _guard = KERNEL_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         let fan_in = sizes[0];

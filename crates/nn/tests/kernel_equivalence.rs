@@ -1,23 +1,31 @@
 //! Scalar-vs-SIMD equivalence of the dispatched NN kernels on *float*
-//! valued inputs, where FMA and 8-lane reassociation in the AVX2 path are
-//! allowed to differ from the scalar ascending-order reduction.
+//! valued inputs, and the exact operation order of each kernel.
 //!
-//! Numeric contract checked here (documented in DESIGN.md):
+//! Numeric contract checked here (documented in the `kernels` module):
 //!
-//! * matmul family (`A·B`, `A·Bᵀ`, `Aᵀ·B`, `C += Aᵀ·B`): per output
-//!   element, `|simd − scalar| ≤ K·ε·Σₖ|aᵢₖ·bₖⱼ|` with `K = kd` (one
-//!   rounding per partial sum is a safe over-estimate; FMA only *removes*
-//!   roundings) plus a small absolute floor for results near zero.
+//! * matmul family (`A·B`, `C += Aᵀ·B`): per output element,
+//!   `|simd − scalar| ≤ K·ε·Σₖ|aᵢₖ·bₖⱼ|` with `K` the reduction length
+//!   (one rounding per partial sum is a safe over-estimate; FMA only
+//!   *removes* roundings) plus a small absolute floor for results near
+//!   zero.
+//! * AVX2 `A·B` is **bitwise** the k-order `f32::mul_add` chain from
+//!   `+0.0` on every element, and AVX2 `C += Aᵀ·B` the r-order chain
+//!   followed by one add into `C` — in the 16-wide, 8-wide and masked
+//!   tail columns, the 4-row tiles and the remainder rows alike.
 //! * element-wise ops (bias-add, ReLU fwd/bwd, Adam step): bitwise
 //!   identical — the AVX2 implementations deliberately avoid FMA so both
 //!   paths perform the same arithmetic.
-//! * within one kernel, `A·Bᵀ` on a row slice of `B` is bitwise the
-//!   matching columns of the full product (what a column-block backward
-//!   request relies on).
+//! * within one kernel, row `i` of an `m`-row `A·B` is bitwise the 1-row
+//!   product of row `i` (what serve batched == serial and K = 1 vec ==
+//!   scalar rest on); the column counterpart, a backward column block
+//!   against the full input gradient, is pinned in
+//!   `gradient_properties.rs`.
 //!
-//! The scalar-vs-SIMD tests are no-ops (trivially pass) on hosts without
-//! AVX2+FMA; the CI `simd` leg only asserts real coverage on capable
-//! runners.
+//! The SIMD tests are no-ops (trivially pass) on hosts without AVX2+FMA;
+//! `simd_pin_resolves_to_simd_on_a_capable_host` makes the CI `simd` leg
+//! fail if a capable runner resolves to anything else. Nothing in this
+//! binary calls `kernels::set_active`, so that check sees the kernel
+//! `MARL_KERNEL` resolves to.
 
 use marl_nn::kernels::{self, KernelKind};
 use proptest::prelude::*;
@@ -82,31 +90,9 @@ proptest! {
         })?;
     }
 
-    /// `A·Bᵀ`: SIMD within tolerance of scalar.
+    /// `C += Aᵀ·B` into a zeroed `C`: SIMD within tolerance of scalar.
     #[test]
-    fn matmul_transpose_simd_within_tolerance(
-        m in 1usize..48,
-        kd in 1usize..48,
-        n in 1usize..48,
-        seed in 0u64..1_000_000,
-    ) {
-        if !kernels::simd_available() { return Ok(()); }
-        let a = float_data(m * kd, seed);
-        let b = float_data(n * kd, seed ^ 0xf00d);
-        let mut c_scalar = vec![f32::NAN; m * n];
-        let mut c_simd = vec![f32::NAN; m * n];
-        kernels::matmul_transpose_with(KernelKind::Scalar, &a, &b, &mut c_scalar, m, kd, n);
-        kernels::matmul_transpose_with(KernelKind::Simd, &a, &b, &mut c_simd, m, kd, n);
-        assert_within_bound(&c_simd, &c_scalar, kd, |i| {
-            let (r, col) = (i / n, i % n);
-            (0..kd).map(|k| (a[r * kd + k] * b[col * kd + k]).abs()).sum()
-        })?;
-    }
-
-    /// `Aᵀ·B` (overwrite) and `C += Aᵀ·B` (accumulate): both within
-    /// tolerance, and the accumulate form equals overwrite + add exactly.
-    #[test]
-    fn transpose_matmul_simd_within_tolerance(
+    fn transpose_matmul_acc_simd_within_tolerance(
         m in 1usize..48,
         kd in 1usize..48,
         n in 1usize..48,
@@ -115,27 +101,15 @@ proptest! {
         if !kernels::simd_available() { return Ok(()); }
         let a = float_data(m * kd, seed);
         let b = float_data(m * n, seed ^ 0x5eed);
-        let mut c_scalar = vec![f32::NAN; kd * n];
-        let mut c_simd = vec![f32::NAN; kd * n];
-        kernels::transpose_matmul_with(KernelKind::Scalar, &a, &b, &mut c_scalar, m, kd, n);
-        kernels::transpose_matmul_with(KernelKind::Simd, &a, &b, &mut c_simd, m, kd, n);
+        let mut c_scalar = vec![0.0f32; kd * n];
+        let mut c_simd = vec![0.0f32; kd * n];
+        kernels::transpose_matmul_acc_with(KernelKind::Scalar, &a, &b, &mut c_scalar, m, kd, n);
+        kernels::transpose_matmul_acc_with(KernelKind::Simd, &a, &b, &mut c_simd, m, kd, n);
         // Reduction length here is m (rows of A).
         assert_within_bound(&c_simd, &c_scalar, m, |i| {
             let (r, col) = (i / n, i % n);
             (0..m).map(|row| (a[row * kd + r] * b[row * n + col]).abs()).sum()
         })?;
-
-        // acc form: C += Aᵀ·B must equal "compute product, then add once".
-        let base = float_data(kd * n, seed ^ 0xacc);
-        let mut acc = base.clone();
-        kernels::transpose_matmul_acc_with(KernelKind::Simd, &a, &b, &mut acc, m, kd, n);
-        for (i, ((&got, &prod), &b0)) in acc.iter().zip(&c_simd).zip(&base).enumerate() {
-            prop_assert_eq!(
-                got.to_bits(),
-                (b0 + prod).to_bits(),
-                "acc element {} is not single-add", i
-            );
-        }
     }
 
     /// Element-wise kernels are bitwise identical across dispatch paths on
@@ -193,47 +167,144 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+/// `1`, `5` (the thin heads) or anything below 41: with `m` below 14
+/// that covers 16-wide, 8-wide and masked tail columns, 4-row tiles and
+/// every remainder row count.
+fn dim() -> impl Strategy<Value = usize> {
+    (0usize..4, 1usize..41).prop_map(|(pick, d)| [1, 5, d, d][pick])
+}
 
-    /// `A·Bᵀ` on a row slice `B[s..s+w]` is **bitwise** columns `s..s+w`
-    /// of the full product, on each kernel: what lets a backward pass ask
-    /// for a column block of `dL/dx` and get the bits the full pass holds.
-    /// Scalar reduces ascending-`k` on both sides of `BLOCK_THRESHOLD`
-    /// (the full product and its slice may land on different sides); AVX2
-    /// reduces 8 lanes over `k`, then `hsum`, then the scalar tail, in the
-    /// 4-wide j-tile and the 1-wide remainder alike. Shapes cover
-    /// `kd % 8 ≠ 0`, `w` on both sides of the tile, unaligned `s` and
-    /// `m % 4 ≠ 0`.
+/// `C = A·B` with every element the k-order `mul_add` chain from `+0.0`.
+fn mul_add_matmul(a: &[f32], b: &[f32], m: usize, kd: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            c[i * n + j] = (0..kd).fold(0.0f32, |acc, k| a[i * kd + k].mul_add(b[k * n + j], acc));
+        }
+    }
+    c
+}
+
+/// `C += Aᵀ·B` with every element the r-order `mul_add` chain from `+0.0`,
+/// then one add into `C`.
+fn mul_add_transpose_matmul_acc(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    kd: usize,
+    n: usize,
+) {
+    for i in 0..kd {
+        for j in 0..n {
+            c[i * n + j] += (0..m).fold(0.0f32, |acc, r| a[r * kd + i].mul_add(b[r * n + j], acc));
+        }
+    }
+}
+
+fn assert_bits(got: &[f32], want: &[f32], what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), want.len());
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        prop_assert_eq!(g.to_bits(), w.to_bits(), "{} element {}: {} vs {}", what, i, g, w);
+    }
+    Ok(())
+}
+
+/// AVX2 `A·B` against the k-order `mul_add` reference on one shape.
+fn check_simd_matmul(m: usize, kd: usize, n: usize, seed: u64) -> Result<(), TestCaseError> {
+    let a = float_data(m * kd, seed);
+    let b = float_data(kd * n, seed ^ 0xdead_beef);
+    let mut c = vec![f32::NAN; m * n];
+    kernels::matmul_with(KernelKind::Simd, &a, &b, &mut c, m, kd, n);
+    assert_bits(&c, &mul_add_matmul(&a, &b, m, kd, n), &format!("A·B {m}x{kd}x{n}"))
+}
+
+/// AVX2 `C += Aᵀ·B` against the r-order `mul_add` reference plus one add.
+fn check_simd_transpose_matmul_acc(
+    m: usize,
+    kd: usize,
+    n: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let a = float_data(m * kd, seed);
+    let b = float_data(m * n, seed ^ 0x5eed);
+    let mut c = float_data(kd * n, seed ^ 0xacc);
+    let mut want = c.clone();
+    kernels::transpose_matmul_acc_with(KernelKind::Simd, &a, &b, &mut c, m, kd, n);
+    mul_add_transpose_matmul_acc(&a, &b, &mut want, m, kd, n);
+    assert_bits(&c, &want, &format!("C += Aᵀ·B {m}x{kd}x{n}"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// AVX2 `A·B` is bitwise the k-order `mul_add` chain on every element.
     #[test]
-    fn matmul_transpose_row_slice_is_bitwise_the_full_products_columns(
-        m in 1usize..14,
-        kd in 1usize..41,
-        n in 1usize..25,
-        start in 0usize..24,
-        w in 1usize..10,
-        seed in 0u64..1_000_000,
+    fn simd_matmul_is_the_k_order_mul_add_chain(
+        m in 1usize..14, kd in dim(), n in dim(), seed in 0u64..1_000_000,
     ) {
-        let w = w.min(n);
-        let s = start % (n - w + 1);
+        if !kernels::simd_available() { return Ok(()); }
+        check_simd_matmul(m, kd, n, seed)?;
+    }
+
+    /// AVX2 `C += Aᵀ·B` is bitwise the r-order `mul_add` chain plus one add;
+    /// here `kd` is the output row count, so it spans the 4-row tiles, the
+    /// remainder rows and the 32-, 8- and masked row blocks of the column
+    /// tail.
+    #[test]
+    fn simd_transpose_matmul_acc_is_the_r_order_mul_add_chain(
+        m in dim(), kd in 1usize..70, n in dim(), seed in 0u64..1_000_000,
+    ) {
+        if !kernels::simd_available() { return Ok(()); }
+        check_simd_transpose_matmul_acc(m, kd, n, seed)?;
+    }
+
+    /// Row `i` of an `m`-row `A·B` is bitwise the 1-row product of row `i`
+    /// on each kernel, across `BLOCK_THRESHOLD` (the `m`-row product and
+    /// the 1-row one may land on different sides) and every column tail.
+    #[test]
+    fn matmul_rows_are_the_one_row_products(
+        m in 1usize..24, kd in dim(), n in dim(), seed in 0u64..1_000_000,
+    ) {
         let a = float_data(m * kd, seed);
-        let b = float_data(n * kd, seed ^ 0x51ce);
+        let b = float_data(kd * n, seed ^ 0x0123);
         for kind in [KernelKind::Scalar, KernelKind::Simd] {
             let mut full = vec![f32::NAN; m * n];
-            let mut block = vec![f32::NAN; m * w];
-            kernels::matmul_transpose_with(kind, &a, &b, &mut full, m, kd, n);
-            let rows = &b[s * kd..(s + w) * kd];
-            kernels::matmul_transpose_with(kind, &a, rows, &mut block, m, kd, w);
+            kernels::matmul_with(kind, &a, &b, &mut full, m, kd, n);
+            let mut row = vec![f32::NAN; n];
             for i in 0..m {
-                for j in 0..w {
-                    prop_assert_eq!(
-                        block[i * w + j].to_bits(),
-                        full[i * n + s + j].to_bits(),
-                        "{:?} m={} kd={} n={} s={} w={}: row {} column {}",
-                        kind, m, kd, n, s, w, i, s + j
-                    );
-                }
+                kernels::matmul_with(kind, &a[i * kd..(i + 1) * kd], &b, &mut row, 1, kd, n);
+                assert_bits(&full[i * n..(i + 1) * n], &row, &format!("{kind:?} row {i}"))?;
             }
         }
+    }
+}
+
+/// The contract at the shape the update spends most on: the joint critic's
+/// layer 0 at cooperative-navigation N = 12 (B = 1024, J = 924, 64 wide),
+/// forward and `dW`.
+#[test]
+fn simd_products_keep_their_order_at_the_widest_critic_layer() {
+    if !kernels::simd_available() {
+        return;
+    }
+    check_simd_matmul(1024, 924, 64, 7).unwrap();
+    check_simd_transpose_matmul_acc(1024, 924, 64, 7).unwrap();
+}
+
+/// The CI `simd` leg must really run SIMD: under `MARL_KERNEL=simd`, on a
+/// host whose `/proc/cpuinfo` lists avx2 and fma, the resolved kernel is
+/// `Simd` — otherwise every SIMD test above would pass vacuously. Anywhere
+/// else this checks nothing.
+#[test]
+fn simd_pin_resolves_to_simd_on_a_capable_host() {
+    if std::env::var("MARL_KERNEL").as_deref() != Ok("simd") {
+        return;
+    }
+    let Ok(cpuinfo) = std::fs::read_to_string("/proc/cpuinfo") else { return };
+    let flags = cpuinfo.lines().find(|l| l.starts_with("flags")).unwrap_or_default();
+    let has = |flag: &str| flags.split_whitespace().any(|f| f == flag);
+    if has("avx2") && has("fma") {
+        assert_eq!(kernels::active(), KernelKind::Simd, "MARL_KERNEL=simd on an AVX2+FMA host");
     }
 }

@@ -7,10 +7,12 @@
 //! (the reason `alloc_steady_state.rs` is its own binary too).
 //!
 //! Every network is the paper's `in → 64 → 64 → out` MLP — 3 `Linear`
-//! layers, 2 ReLUs — and each of these is one dispatch: a matmul-family
-//! product, a bias add, a ReLU forward or backward, an Adam step over one
-//! parameter slice. A full `Linear` backward is 2 products (`dW`, `dX`),
-//! params-only 1, input-only 1; hidden layers always propagate `dX`.
+//! layers, 2 ReLUs — and each of these is one dispatch: a product (`A·B`
+//! or `C += Aᵀ·B`), a bias add, a ReLU forward or backward, an Adam step
+//! over one parameter slice. A full `Linear` backward is 2 products (`dW`
+//! as `C += Aᵀ·B`; `dX` as `A·B` against a transposed weight block, the
+//! transpose itself dispatching nothing), params-only 1, input-only 1;
+//! hidden layers always propagate `dX`.
 //!
 //! | pass                                | dispatches                     |
 //! |-------------------------------------|--------------------------------|
