@@ -1,5 +1,11 @@
-//! The adaptive micro-batcher: coalesce concurrent requests, flush on
-//! batch-size B or deadline T µs — whichever comes first.
+//! The work-conserving micro-batcher: a flush is due whenever anything
+//! is queued, and takes up to `max_batch` requests in arrival order.
+//!
+//! The batcher never holds a request back waiting for company. Batches
+//! form only from the requests that pile up while the engine is busy
+//! with the previous forward and its scatter: an idle engine answers a
+//! lone request at once, a saturated one drains full batches back to
+//! back.
 //!
 //! The core is deliberately *virtual-time*: every method takes `now_ns`
 //! instead of reading a clock, so the property tests can drive arbitrary
@@ -18,10 +24,8 @@ use std::collections::VecDeque;
 /// Flush policy and capacity of a [`MicroBatcher`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatcherConfig {
-    /// Flush as soon as this many requests are queued.
+    /// Largest batch one flush takes.
     pub max_batch: usize,
-    /// Flush once the *oldest* queued request has waited this long (µs).
-    pub max_delay_us: u64,
     /// Hard bound on queued requests; pushes beyond it are refused
     /// (callers block — bounded backpressure, never unbounded memory).
     pub queue_capacity: usize,
@@ -29,7 +33,7 @@ pub struct BatcherConfig {
 
 impl Default for BatcherConfig {
     fn default() -> Self {
-        BatcherConfig { max_batch: 32, max_delay_us: 200, queue_capacity: 1024 }
+        BatcherConfig { max_batch: 32, queue_capacity: 1024 }
     }
 }
 
@@ -44,7 +48,7 @@ pub struct RequestSlot {
     pub agent: u32,
     /// Observation (reused capacity).
     pub obs: Vec<f32>,
-    /// Monotonic enqueue timestamp (latency measurement + deadline).
+    /// Monotonic arrival timestamp, for latency measurement only.
     pub enqueued_at_ns: u64,
     /// Error code (`0` = ok; [`crate::proto::ERR_BAD_AGENT`] /
     /// [`crate::proto::ERR_BAD_OBS_DIM`] bypass inference).
@@ -77,7 +81,7 @@ impl RequestSlot {
     }
 }
 
-/// FIFO micro-batcher with a two-condition flush trigger.
+/// Bounded FIFO micro-batcher.
 #[derive(Debug)]
 pub struct MicroBatcher {
     queue: VecDeque<Box<RequestSlot>>,
@@ -116,9 +120,11 @@ impl MicroBatcher {
         self.queue.len() >= self.config.queue_capacity
     }
 
-    /// Enqueues a request, stamping its arrival time. Refuses (handing
-    /// the slot back) when the queue is at capacity — the caller blocks
-    /// and retries after a flush.
+    /// Enqueues a request, stamping it with its arrival instant
+    /// `now_ns`. Refuses (handing the slot back unstamped) when the queue
+    /// is at capacity — the caller blocks and retries after a flush,
+    /// passing the same arrival instant so the time spent blocked counts
+    /// toward the request's latency.
     pub fn push(
         &mut self,
         mut slot: Box<RequestSlot>,
@@ -132,23 +138,10 @@ impl MicroBatcher {
         Ok(())
     }
 
-    /// Whether a batch should flush now: a full batch is waiting, or the
-    /// oldest queued request has reached its delay deadline.
-    pub fn ready(&self, now_ns: u64) -> bool {
-        if self.queue.len() >= self.config.max_batch {
-            return true;
-        }
-        match self.queue.front() {
-            Some(front) => now_ns >= front.enqueued_at_ns + self.config.max_delay_us * 1_000,
-            None => false,
-        }
-    }
-
-    /// The absolute time at which [`MicroBatcher::ready`] will turn true
-    /// by deadline alone (`None` when empty). The batcher thread sleeps
-    /// until this instant or the next push, whichever is sooner.
-    pub fn next_deadline_ns(&self) -> Option<u64> {
-        self.queue.front().map(|f| f.enqueued_at_ns + self.config.max_delay_us * 1_000)
+    /// Whether a free engine should flush now: whether anything is queued.
+    /// The policy does not depend on the time, so `now_ns` is unused.
+    pub fn ready(&self, _now_ns: u64) -> bool {
+        !self.queue.is_empty()
     }
 
     /// Moves up to `max_batch` requests into `out` in arrival order
@@ -179,41 +172,40 @@ mod tests {
         Box::new(RequestSlot { req_id, ..RequestSlot::default() })
     }
 
-    fn cfg(max_batch: usize, max_delay_us: u64, cap: usize) -> BatcherConfig {
-        BatcherConfig { max_batch, max_delay_us, queue_capacity: cap }
+    fn cfg(max_batch: usize, cap: usize) -> BatcherConfig {
+        BatcherConfig { max_batch, queue_capacity: cap }
     }
 
     #[test]
-    fn flushes_on_batch_size() {
-        let mut b = MicroBatcher::new(cfg(3, 1_000_000, 8));
-        assert!(!b.ready(0));
+    fn a_lone_request_is_ready_the_instant_it_arrives() {
+        let mut b = MicroBatcher::new(cfg(32, 64));
+        assert!(!b.ready(0), "nothing queued, nothing to flush");
         b.push(slot(1), 10).unwrap();
-        b.push(slot(2), 11).unwrap();
-        assert!(!b.ready(12), "two of three queued, deadline far away");
-        b.push(slot(3), 12).unwrap();
-        assert!(b.ready(12), "full batch flushes immediately");
+        assert!(b.ready(10), "one queued request flushes without waiting for company");
         let mut out = Vec::new();
         b.drain_into(&mut out);
-        assert_eq!(out.iter().map(|s| s.req_id).collect::<Vec<_>>(), [1, 2, 3]);
-        assert!(b.is_empty());
+        assert_eq!(out.iter().map(|s| (s.req_id, s.enqueued_at_ns)).collect::<Vec<_>>(), [(1, 10)]);
+        assert!(!b.ready(10));
     }
 
     #[test]
-    fn flushes_on_oldest_deadline() {
-        let mut b = MicroBatcher::new(cfg(64, 200, 128));
-        b.push(slot(1), 1_000).unwrap();
-        b.push(slot(2), 150_000).unwrap();
-        assert_eq!(b.next_deadline_ns(), Some(1_000 + 200_000));
-        assert!(!b.ready(200_000));
-        assert!(b.ready(201_000), "oldest request crossed 200µs");
+    fn a_flush_takes_min_of_queued_and_max_batch() {
+        let mut b = MicroBatcher::new(cfg(3, 8));
+        for i in 0..5 {
+            b.push(slot(i), i).unwrap();
+        }
         let mut out = Vec::new();
         b.drain_into(&mut out);
-        assert_eq!(out.len(), 2, "deadline flush takes everything queued");
+        assert_eq!(out.iter().map(|s| s.req_id).collect::<Vec<_>>(), [0, 1, 2]);
+        assert!(b.ready(5), "the pile-up behind a full batch is due at once");
+        b.drain_into(&mut out);
+        assert_eq!(out.iter().map(|s| s.req_id).collect::<Vec<_>>(), [3, 4]);
+        assert!(!b.ready(5));
     }
 
     #[test]
     fn capacity_refusal_hands_the_slot_back() {
-        let mut b = MicroBatcher::new(cfg(2, 100, 2));
+        let mut b = MicroBatcher::new(cfg(2, 2));
         b.push(slot(1), 0).unwrap();
         b.push(slot(2), 0).unwrap();
         assert!(b.is_full());
@@ -226,8 +218,25 @@ mod tests {
     }
 
     #[test]
+    fn refused_then_accepted_push_keeps_the_first_stamp() {
+        let mut b = MicroBatcher::new(cfg(1, 1));
+        b.push(slot(1), 0).unwrap();
+        // Arrives at 100 ns into a full queue; the retry after the drain
+        // happens at 900 ns but passes the arrival instant again.
+        let arrived_ns = 100;
+        let refused = b.push(slot(2), arrived_ns).unwrap_err();
+        assert_eq!(refused.enqueued_at_ns, 0, "a refused push leaves the slot unstamped");
+        let mut out = Vec::new();
+        b.drain_into(&mut out);
+        b.push(refused, arrived_ns).unwrap();
+        b.drain_into(&mut out);
+        assert_eq!(out[0].req_id, 2);
+        assert_eq!(out[0].enqueued_at_ns, arrived_ns, "blocked time counts toward latency");
+    }
+
+    #[test]
     fn drain_respects_max_batch_and_order() {
-        let mut b = MicroBatcher::new(cfg(2, 100, 8));
+        let mut b = MicroBatcher::new(cfg(2, 8));
         for i in 0..5 {
             b.push(slot(i), i).unwrap();
         }

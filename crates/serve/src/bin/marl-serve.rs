@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! marl-serve --checkpoint FILE (--socket PATH | --tcp HOST:PORT)
-//!            [--max-batch B] [--max-delay-us T] [--queue-capacity Q]
+//!            [--max-batch B] [--queue-capacity Q]
 //!            [--frame-deadline-ms MS] [--reload-poll-ms MS]
 //!            [--metrics-out FILE] [--prometheus-out FILE]
 //!            [--trace-out FILE]
@@ -10,9 +10,10 @@
 //!
 //! Loads the MARC checkpoint (with its `.prev` crash-safety fallback),
 //! binds the listener, and serves observation → greedy-action requests
-//! until a client sends a `CTL_SHUTDOWN` frame. Concurrent requests
-//! coalesce into micro-batches (flush on `--max-batch` requests or when
-//! the oldest has waited `--max-delay-us`, whichever first); batching is
+//! until a client sends a `CTL_SHUTDOWN` frame. The batcher is
+//! work-conserving: a request that finds the engine free is answered at
+//! once, and requests that arrive while a forward is running coalesce
+//! into the next micro-batch (at most `--max-batch`); batching is
 //! bitwise-invisible to clients. `--reload-poll-ms` enables hot reload:
 //! when the checkpoint file changes, the new model (same architecture)
 //! is swapped in between batches — in-flight requests still get answers
@@ -86,7 +87,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
             "--socket" => bind = Some(Bind::Unix(value("--socket")?.into())),
             "--tcp" => bind = Some(Bind::Tcp(value("--tcp")?.clone())),
             "--max-batch" => config.max_batch = parse_num(value("--max-batch")?)? as usize,
-            "--max-delay-us" => config.max_delay_us = parse_num(value("--max-delay-us")?)?,
             "--queue-capacity" => {
                 config.queue_capacity = parse_num(value("--queue-capacity")?)? as usize;
             }
@@ -123,13 +123,13 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
 fn usage() {
     eprintln!(
         "usage: marl-serve --checkpoint FILE (--socket PATH | --tcp HOST:PORT)\n\
-         \x20                 [--max-batch B] [--max-delay-us T] [--queue-capacity Q]\n\
+         \x20                 [--max-batch B] [--queue-capacity Q]\n\
          \x20                 [--frame-deadline-ms MS] [--reload-poll-ms MS]\n\
          \x20                 [--metrics-out FILE] [--prometheus-out FILE]\n\
          \x20                 [--trace-out FILE]\n\
          \n\
-         \x20 --max-batch B        flush a micro-batch at B requests (default 32)\n\
-         \x20 --max-delay-us T     ... or once the oldest waited T µs (default 200)\n\
+         \x20 --max-batch B        largest micro-batch; a free engine flushes whatever\n\
+         \x20                      is queued at once (default 32)\n\
          \x20 --reload-poll-ms MS  watch --checkpoint and hot-swap same-architecture\n\
          \x20                      updates without dropping in-flight requests\n\
          \n\
@@ -170,9 +170,8 @@ fn main() -> ExitCode {
         }
     );
     println!(
-        "micro-batching: flush at {} requests or {} µs | queue {}{}",
+        "micro-batching: flush when the engine is free, up to {} requests | queue {}{}",
         cli.config.max_batch,
-        cli.config.max_delay_us,
         cli.config.queue_capacity,
         match cli.config.reload_poll {
             Some(d) => format!(" | hot reload every {} ms", d.as_millis()),
@@ -274,4 +273,89 @@ fn main() -> ExitCode {
     };
     println!("{}", serde_json::to_string(&summary).expect("summary serializes"));
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, CliError> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    fn rejects(args: &[&str], reason: &str) {
+        match parse(args) {
+            Ok(cli) => panic!("{args:?} parsed: {cli:?}"),
+            Err(CliError(msg)) => assert!(msg.contains(reason), "{args:?}: {msg}"),
+        }
+    }
+
+    #[test]
+    fn every_flag_is_accepted() {
+        let cli = parse(&[
+            "--checkpoint",
+            "m.marc",
+            "--socket",
+            "s.sock",
+            "--max-batch",
+            "16",
+            "--queue-capacity",
+            "64",
+            "--frame-deadline-ms",
+            "250",
+            "--reload-poll-ms",
+            "5",
+            "--metrics-out",
+            "m.jsonl",
+            "--prometheus-out",
+            "p.prom",
+            "--trace-out",
+            "t.json",
+        ])
+        .expect("parses");
+        assert_eq!(cli.checkpoint, PathBuf::from("m.marc"));
+        assert!(matches!(&cli.bind, Bind::Unix(p) if p == &PathBuf::from("s.sock")));
+        assert_eq!((cli.config.max_batch, cli.config.queue_capacity), (16, 64));
+        assert_eq!(cli.config.frame_deadline, Duration::from_millis(250));
+        assert_eq!(cli.config.reload_poll, Some(Duration::from_millis(5)));
+        assert_eq!(cli.metrics_out, Some(PathBuf::from("m.jsonl")));
+        assert_eq!(cli.prometheus_out, Some(PathBuf::from("p.prom")));
+        assert_eq!(cli.trace_out, Some(PathBuf::from("t.json")));
+
+        let cli = parse(&["--checkpoint", "m.marc", "--tcp", "127.0.0.1:0"]).expect("parses");
+        assert!(matches!(&cli.bind, Bind::Tcp(a) if a == "127.0.0.1:0"));
+        let defaults = ServeConfig::default();
+        assert_eq!(cli.config.max_batch, defaults.max_batch);
+        assert_eq!(cli.config.queue_capacity, defaults.queue_capacity);
+        assert_eq!(cli.config.reload_poll, None);
+        assert!(cli.metrics_out.is_none() && cli.prometheus_out.is_none());
+        assert!(cli.trace_out.is_none());
+    }
+
+    #[test]
+    fn the_removed_deadline_flag_fails_loudly() {
+        let base = ["--checkpoint", "m.marc", "--socket", "s.sock"];
+        rejects(&[&base[..], &["--max-delay-us", "200"]].concat(), "unknown flag --max-delay-us");
+    }
+
+    #[test]
+    fn degenerate_batch_geometry_is_rejected() {
+        let base = ["--checkpoint", "m.marc", "--socket", "s.sock"];
+        rejects(&[&base[..], &["--max-batch", "0"]].concat(), "--max-batch must be at least 1");
+        rejects(
+            &[&base[..], &["--max-batch", "8", "--queue-capacity", "7"]].concat(),
+            "--queue-capacity must hold at least one batch",
+        );
+        parse(&[&base[..], &["--max-batch", "8", "--queue-capacity", "8"]].concat())
+            .expect("a queue of exactly one batch is enough");
+    }
+
+    #[test]
+    fn missing_or_malformed_values_are_rejected() {
+        rejects(&["--socket", "s.sock"], "--checkpoint is required");
+        rejects(&["--checkpoint", "m.marc"], "one of --socket/--tcp is required");
+        rejects(&["--checkpoint", "m.marc", "--socket"], "--socket requires a value");
+        rejects(&["--checkpoint", "m.marc", "--tcp", "h:1", "--max-batch", "x"], "not a number");
+        rejects(&["--help"], "help");
+    }
 }

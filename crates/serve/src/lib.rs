@@ -5,13 +5,15 @@
 //! over the MARD wire format (raw binary frames, [`proto`]) on a Unix
 //! socket or TCP — the same transports the distributed runtime uses.
 //!
-//! The throughput lever is **adaptive micro-batching** ([`batcher`]):
-//! concurrent requests from any number of connections coalesce into one
-//! batched `forward_inference_into` call on the SIMD kernels, flushed as
-//! soon as `max_batch` requests are queued *or* the oldest request has
-//! waited `max_delay_us` — whichever comes first. Batching changes the
-//! latency/throughput trade-off, never the answers: batched rows are
-//! bitwise identical to batch-of-one inference ([`engine`]).
+//! The throughput lever is **work-conserving micro-batching**
+//! ([`batcher`]): the batcher thread flushes the moment it is free and a
+//! request is queued, so a request that finds the engine idle is answered
+//! at once, and the requests from any number of connections that pile up
+//! during a forward coalesce into the next batched
+//! `forward_inference_into` call on the SIMD kernels (at most
+//! `max_batch`). Load sets the batch size; no request ever waits for
+//! company. Batching changes throughput, never the answers: batched rows
+//! are bitwise identical to batch-of-one inference ([`engine`]).
 //!
 //! The steady-state request path is allocation-free: pooled request
 //! slots, reusable per-connection frame buffers, and engine-owned

@@ -4,11 +4,17 @@
 //! Request life cycle (all buffers pooled, steady state allocation-free):
 //!
 //! ```text
-//! reader: recv_raw_into(conn buf) → slot from pool → validate → batcher
-//! batcher thread: flush on B or T µs → InferenceEngine (one batched
+//! reader: recv_raw_into(conn buf) → stamp arrival → slot from pool →
+//!         validate → batcher
+//! batcher thread: take up to B queued → InferenceEngine (one batched
 //!                 forward per agent) → scatter slots to conn outboxes
 //! writer: pop outbox → encode into conn buf → send_raw → slot to pool
 //! ```
+//!
+//! The batcher thread is work-conserving ([`crate::batcher`]) and
+//! sleeps on its own condition variable, signaled only when a push makes
+//! the queue non-empty. Latency runs from the moment a request's frame
+//! was read, so time blocked on the pool or a full queue counts.
 //!
 //! Backpressure is the slot pool: it holds exactly `queue_capacity +
 //! max_batch` slots, so queued + in-flight requests are hard-bounded and
@@ -47,10 +53,8 @@ const POLL: Duration = Duration::from_millis(50);
 /// Serve runtime configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Micro-batch flush size B.
+    /// Largest micro-batch one forward takes.
     pub max_batch: usize,
-    /// Micro-batch flush deadline T, microseconds.
-    pub max_delay_us: u64,
     /// Batcher queue bound (pool size is this plus one batch).
     pub queue_capacity: usize,
     /// Per-connection mid-frame read deadline. Much shorter than the
@@ -65,7 +69,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 32,
-            max_delay_us: 200,
             queue_capacity: 1024,
             frame_deadline: Duration::from_secs(1),
             reload_poll: None,
@@ -142,10 +145,12 @@ struct ConnOut {
 struct Shared {
     model: RwLock<Arc<PolicyModel>>,
     ingress: Mutex<Ingress>,
-    /// Signaled on batcher push (wake the batcher), batcher drain (wake
-    /// readers blocked on a full queue), and pool return (wake readers
-    /// blocked on an empty pool).
+    /// Signaled on batcher drain (wake readers blocked on a full queue)
+    /// and pool return (wake readers blocked on an empty pool).
     ingress_cv: Condvar,
+    /// Wakes the idle batcher thread: signaled when a push takes the
+    /// queue from empty to non-empty, and on shutdown.
+    work_cv: Condvar,
     conns: Mutex<HashMap<u64, Arc<ConnOut>>>,
     metrics: Arc<MetricsRegistry>,
     config: ServeConfig,
@@ -161,6 +166,46 @@ struct Shared {
 }
 
 impl Shared {
+    /// The shared state for serving `model`: an empty queue and a full
+    /// pool of `queue_capacity + max_batch` slots, sized for the widest
+    /// agent so steady-state requests never grow a slot.
+    fn new(
+        model: PolicyModel,
+        config: ServeConfig,
+        metrics: Arc<MetricsRegistry>,
+        obs: Option<Arc<Telemetry>>,
+    ) -> Shared {
+        let max_obs = (0..model.num_agents()).map(|a| model.obs_dim(a)).max().unwrap_or(0);
+        let max_act = (0..model.num_agents()).map(|a| model.act_dim(a)).max().unwrap_or(0);
+        let pool_size = config.queue_capacity + config.max_batch;
+        let pool = (0..pool_size)
+            .map(|_| {
+                Box::new(RequestSlot {
+                    obs: Vec::with_capacity(max_obs),
+                    logits: Vec::with_capacity(max_act),
+                    ..RequestSlot::default()
+                })
+            })
+            .collect();
+        let batcher = MicroBatcher::new(BatcherConfig {
+            max_batch: config.max_batch,
+            queue_capacity: config.queue_capacity,
+        });
+        Shared {
+            model: RwLock::new(Arc::new(model)),
+            ingress: Mutex::new(Ingress { batcher, pool }),
+            ingress_cv: Condvar::new(),
+            work_cv: Condvar::new(),
+            conns: Mutex::new(HashMap::new()),
+            metrics,
+            config,
+            shutdown: AtomicBool::new(false),
+            drained: AtomicBool::new(false),
+            epoch0: Instant::now(),
+            obs,
+        }
+    }
+
     fn now_ns(&self) -> u64 {
         self.epoch0.elapsed().as_nanos() as u64
     }
@@ -168,6 +213,7 @@ impl Shared {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.ingress_cv.notify_all();
+        self.work_cv.notify_one();
         let conns = self.conns.lock().expect("conns lock");
         for out in conns.values() {
             out.cv.notify_all();
@@ -210,35 +256,7 @@ impl Server {
         checkpoint: Option<PathBuf>,
         obs: Option<Arc<Telemetry>>,
     ) -> Server {
-        let max_obs = (0..model.num_agents()).map(|a| model.obs_dim(a)).max().unwrap_or(0);
-        let max_act = (0..model.num_agents()).map(|a| model.act_dim(a)).max().unwrap_or(0);
-        let pool_size = config.queue_capacity + config.max_batch;
-        let pool = (0..pool_size)
-            .map(|_| {
-                Box::new(RequestSlot {
-                    obs: Vec::with_capacity(max_obs),
-                    logits: Vec::with_capacity(max_act),
-                    ..RequestSlot::default()
-                })
-            })
-            .collect();
-        let batcher = MicroBatcher::new(BatcherConfig {
-            max_batch: config.max_batch,
-            max_delay_us: config.max_delay_us,
-            queue_capacity: config.queue_capacity,
-        });
-        let shared = Arc::new(Shared {
-            model: RwLock::new(Arc::new(model)),
-            ingress: Mutex::new(Ingress { batcher, pool }),
-            ingress_cv: Condvar::new(),
-            conns: Mutex::new(HashMap::new()),
-            metrics,
-            config: config.clone(),
-            shutdown: AtomicBool::new(false),
-            drained: AtomicBool::new(false),
-            epoch0: Instant::now(),
-            obs,
-        });
+        let shared = Arc::new(Shared::new(model, config.clone(), metrics, obs));
         let conn_handles = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
         handles.push(spawn_named("serve-accept", {
@@ -350,11 +368,43 @@ fn take_slot(shared: &Shared) -> Option<Box<RequestSlot>> {
     }
 }
 
-/// Returns a slot to the pool and wakes pool/queue waiters.
+/// Returns a slot to the pool and wakes readers blocked on it.
 fn return_slot(shared: &Shared, mut slot: Box<RequestSlot>) {
     slot.reset();
     shared.ingress.lock().expect("ingress lock").pool.push(slot);
     shared.ingress_cv.notify_all();
+}
+
+/// Queues `slot` stamped with its arrival instant, blocking while the
+/// queue is full; every retry passes the same instant, so the wait counts
+/// toward the request's latency. Wakes the batcher only when the queue
+/// turns non-empty: a non-empty queue means the batcher is busy and will
+/// look again when it is free. Returns false (recycling the slot) once
+/// shutdown begins.
+fn enqueue(shared: &Shared, mut slot: Box<RequestSlot>, arrived_ns: u64) -> bool {
+    let mut ingress = shared.ingress.lock().expect("ingress lock");
+    loop {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            ingress.pool.push(slot);
+            return false;
+        }
+        match ingress.batcher.push(slot, arrived_ns) {
+            Ok(()) => break,
+            Err(refused) => {
+                slot = refused;
+                let (guard, _) =
+                    shared.ingress_cv.wait_timeout(ingress, POLL).expect("ingress wait");
+                ingress = guard;
+            }
+        }
+    }
+    let depth = ingress.batcher.len();
+    shared.metrics.serve_queue_depth.set(depth as f64);
+    drop(ingress);
+    if depth == 1 {
+        shared.work_cv.notify_one();
+    }
+    true
 }
 
 fn reader_loop(
@@ -368,9 +418,9 @@ fn reader_loop(
     // to an orderly shutdown: only a vanished peer closes the outbox —
     // during shutdown the writer must stay up for the final drain.
     let mut peer_gone = false;
-    'conn: while !shared.shutdown.load(Ordering::SeqCst) {
-        let kind = match transport.recv_raw_into(&mut frame, POLL) {
-            Ok(kind) => kind,
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let (kind, arrived_ns) = match transport.recv_raw_into(&mut frame, POLL) {
+            Ok(kind) => (kind, shared.now_ns()),
             Err(DistError::Timeout { .. }) => continue,
             Err(_) => {
                 peer_gone = true;
@@ -403,7 +453,6 @@ fn reader_loop(
                         slot.error = proto::ERR_BAD_OBS_DIM;
                     }
                 }
-                slot.enqueued_at_ns = shared.now_ns();
                 if slot.error != 0 {
                     // Error responses skip the batcher entirely.
                     shared.metrics.serve_errors.inc();
@@ -411,28 +460,9 @@ fn reader_loop(
                     out.cv.notify_all();
                     continue;
                 }
-                // Enqueue, blocking while the batcher is at capacity.
-                let mut ingress = shared.ingress.lock().expect("ingress lock");
-                loop {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        ingress.pool.push(slot);
-                        break 'conn;
-                    }
-                    match ingress.batcher.push(slot, shared.now_ns()) {
-                        Ok(()) => break,
-                        Err(refused) => {
-                            slot = refused;
-                            let (guard, _) = shared
-                                .ingress_cv
-                                .wait_timeout(ingress, POLL)
-                                .expect("ingress wait");
-                            ingress = guard;
-                        }
-                    }
+                if !enqueue(&shared, slot, arrived_ns) {
+                    break;
                 }
-                shared.metrics.serve_queue_depth.set(ingress.batcher.len() as f64);
-                drop(ingress);
-                shared.ingress_cv.notify_all();
             }
             KIND_SERVE_CTL => match proto::decode_ctl(payload) {
                 Ok(proto::CTL_SHUTDOWN) => {
@@ -563,28 +593,28 @@ fn batcher_loop(shared: Arc<Shared>) {
     let mut batch: Vec<Box<RequestSlot>> =
         Vec::with_capacity(shared.config.max_batch.max(shared.config.queue_capacity));
     loop {
-        {
+        // Only the drain taken under the lock after the shutdown flag is
+        // seen is the last: no reader can push behind it. A batch already
+        // in flight when shutdown lands is followed by that drain.
+        let last = {
             let mut ingress = shared.ingress.lock().expect("ingress lock");
-            loop {
+            let last = loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     ingress.batcher.drain_all_into(&mut batch);
-                    break;
+                    break true;
                 }
-                let now = shared.now_ns();
-                if ingress.batcher.ready(now) {
+                if ingress.batcher.ready(shared.now_ns()) {
                     ingress.batcher.drain_into(&mut batch);
-                    break;
+                    break false;
                 }
-                let wait = match ingress.batcher.next_deadline_ns() {
-                    Some(deadline) => Duration::from_nanos(deadline.saturating_sub(now).max(1)),
-                    None => POLL,
-                };
-                let (guard, _) =
-                    shared.ingress_cv.wait_timeout(ingress, wait.min(POLL)).expect("ingress wait");
+                // Idle: a push wakes us; the timeout only re-checks
+                // the shutdown flag.
+                let (guard, _) = shared.work_cv.wait_timeout(ingress, POLL).expect("work wait");
                 ingress = guard;
-            }
+            };
             shared.metrics.serve_queue_depth.set(ingress.batcher.len() as f64);
-        }
+            last
+        };
         shared.ingress_cv.notify_all(); // queue space freed
         if !batch.is_empty() {
             let fwd_start = shared.obs.as_ref().map(|t| t.tracer.now_ns());
@@ -610,7 +640,7 @@ fn batcher_loop(shared: Arc<Shared>) {
             shared.metrics.serve_batch_fill.record(batch.len() as u64);
             scatter(&shared, &mut batch);
         }
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if last {
             // Everything queued before shutdown has now been scattered.
             shared.drained.store(true, Ordering::SeqCst);
             let conns = shared.conns.lock().expect("conns lock");
@@ -622,15 +652,20 @@ fn batcher_loop(shared: Arc<Shared>) {
     }
 }
 
-fn modified(path: &std::path::Path) -> Option<SystemTime> {
-    std::fs::metadata(path).and_then(|m| m.modified()).ok()
+/// The checkpoint file's version: mtime and inode. The atomic writer
+/// renames a fresh file into place, so the inode tells a rewrite apart
+/// even when it lands within the filesystem's mtime granularity.
+fn file_version(path: &std::path::Path) -> Option<(SystemTime, u64)> {
+    use std::os::unix::fs::MetadataExt;
+    let meta = std::fs::metadata(path).ok()?;
+    Some((meta.modified().ok()?, meta.ino()))
 }
 
 fn reload_loop(shared: Arc<Shared>, path: PathBuf, interval: Duration) {
-    let mut last_seen = modified(&path);
+    let mut last_seen = file_version(&path);
     while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(interval.min(POLL));
-        let now = modified(&path);
+        let now = file_version(&path);
         if now == last_seen || now.is_none() {
             continue;
         }
@@ -653,5 +688,94 @@ fn reload_loop(shared: Arc<Shared>, path: PathBuf, interval: Duration) {
                 // so a writer that finishes after our read still lands.
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use marl_algo::{Algorithm, Task, TrainConfig, Trainer};
+
+    fn serving(max_batch: usize, queue_capacity: usize) -> Arc<Shared> {
+        let train = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3);
+        let ckpt = Trainer::new(train).expect("trainer").checkpoint();
+        let config = ServeConfig { max_batch, queue_capacity, ..ServeConfig::default() };
+        let metrics = Arc::new(MetricsRegistry::new());
+        Arc::new(Shared::new(PolicyModel::from_checkpoint(&ckpt, 0), config, metrics, None))
+    }
+
+    /// A pooled slot carrying a valid agent-0 request on connection 1.
+    fn take(shared: &Shared, req_id: u64) -> Box<RequestSlot> {
+        let obs_dim = shared.model.read().expect("model lock").obs_dim(0);
+        let mut slot = shared.ingress.lock().expect("ingress lock").pool.pop().expect("pool");
+        slot.req_id = req_id;
+        slot.conn_id = 1;
+        slot.obs.resize(obs_dim, 0.0);
+        slot
+    }
+
+    #[test]
+    fn a_push_blocked_on_a_full_queue_keeps_its_arrival_stamp() {
+        let shared = serving(1, 1);
+        assert!(enqueue(&shared, take(&shared, 1), 10));
+        let arrived_ns = 20;
+        let reader = std::thread::spawn({
+            let shared = Arc::clone(&shared);
+            let slot = take(&shared, 2);
+            move || enqueue(&shared, slot, arrived_ns)
+        });
+        // The stamp must be the handed-in instant whether or not the
+        // reader was refused first; the pause makes the refusal the usual
+        // case. Then make room the way the batcher thread does.
+        std::thread::sleep(Duration::from_millis(20));
+        let mut batch = Vec::new();
+        shared.ingress.lock().expect("ingress lock").batcher.drain_into(&mut batch);
+        shared.ingress_cv.notify_all();
+        assert!(reader.join().expect("reader thread"), "admitted once there was room");
+        assert_eq!(batch[0].req_id, 1);
+        shared.ingress.lock().expect("ingress lock").batcher.drain_into(&mut batch);
+        assert_eq!((batch[0].req_id, batch[0].enqueued_at_ns), (2, arrived_ns));
+    }
+
+    #[test]
+    fn enqueue_after_shutdown_recycles_the_slot() {
+        let shared = serving(1, 1);
+        let pooled = shared.ingress.lock().expect("ingress lock").pool.len();
+        let slot = take(&shared, 1);
+        shared.begin_shutdown();
+        assert!(!enqueue(&shared, slot, 0));
+        let ingress = shared.ingress.lock().expect("ingress lock");
+        assert!(ingress.batcher.is_empty());
+        assert_eq!(ingress.pool.len(), pooled);
+    }
+
+    #[test]
+    fn shutdown_behind_an_in_flight_forward_drains_the_backlog() {
+        let shared = serving(1, 8);
+        let out = Arc::new(ConnOut::default());
+        shared.conns.lock().expect("conns lock").insert(1, Arc::clone(&out));
+        let mut requests: Vec<_> = (0..4).map(|req_id| take(&shared, req_id)).collect();
+        let backlog = requests.split_off(1);
+        // Holding the model's write lock parks the batcher between its
+        // drain and its forward: a batch in flight.
+        let model = shared.model.write().expect("model lock");
+        assert!(enqueue(&shared, requests.pop().expect("first request"), 0));
+        let batcher = std::thread::spawn({
+            let shared = Arc::clone(&shared);
+            move || batcher_loop(shared)
+        });
+        while !shared.ingress.lock().expect("ingress lock").batcher.is_empty() {
+            std::thread::yield_now();
+        }
+        for slot in backlog {
+            assert!(enqueue(&shared, slot, 0));
+        }
+        shared.begin_shutdown();
+        drop(model);
+        batcher.join().expect("batcher thread");
+        assert!(shared.drained.load(Ordering::SeqCst));
+        let answered: Vec<u64> =
+            out.queue.lock().expect("outbox lock").iter().map(|s| s.req_id).collect();
+        assert_eq!(answered, [0, 1, 2, 3], "the in-flight batch, then the whole backlog");
     }
 }

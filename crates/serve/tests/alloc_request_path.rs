@@ -130,7 +130,7 @@ fn steady_state_request_path_allocates_nothing() {
     drop(trainer);
 
     const WAVE: usize = 24;
-    let config = BatcherConfig { max_batch: 8, max_delay_us: 200, queue_capacity: WAVE };
+    let config = BatcherConfig { max_batch: 8, queue_capacity: WAVE };
     let mut batcher = MicroBatcher::new(config);
     let mut engine = InferenceEngine::new();
     let metrics = MetricsRegistry::new();

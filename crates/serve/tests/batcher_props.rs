@@ -1,19 +1,31 @@
-//! Property tests for the micro-batcher, driven in virtual time.
+//! Property tests for the work-conserving micro-batcher, driven in
+//! virtual time.
 //!
-//! A simulated server loop replays random arrival interleavings (random
-//! inter-arrival gaps, connection assignments, early connection closes)
-//! against random flush policies, mirroring the real batcher thread's
-//! discipline: deadline flushes fire exactly at the oldest request's
-//! deadline, size flushes fire at push time, refused pushes retry after
-//! the flush they force. Invariants:
+//! A simulated batcher thread replays random arrival schedules (random
+//! inter-arrival gaps with same-instant bursts, connection assignments,
+//! early connection closes, a shutdown instant) against random batch
+//! geometries. It mirrors the real thread's discipline: the engine is
+//! busy for a drawn service time after each flush; whenever it comes free
+//! it flushes again if [`MicroBatcher::ready`] says so, otherwise it goes
+//! idle until the next push. A push refused by a full queue blocks until
+//! the in-flight forward ends and retries with its original arrival
+//! stamp. A shutdown is noticed when the engine next comes free, which
+//! then drains everything queued in one final batch. Invariants:
 //!
-//! * **No request is lost** — every submitted request appears in exactly
-//!   one flush (delivered, or recycled when its connection closed early).
-//! * **No request waits past its deadline** — at every non-shutdown
-//!   flush, each request's wait is at most `max_delay_us`.
+//! * **No request is lost or duplicated, and FIFO order holds** — the
+//!   flushed stream is exactly the submitted stream, in order.
 //! * **Responses map to the right connection** — each flushed slot still
-//!   carries the `(conn, req)` identity it was submitted with, and FIFO
-//!   order is preserved end-to-end.
+//!   carries the `(conn, req)` identity it was submitted with, and only
+//!   closed connections ever have responses recycled.
+//! * **The engine is never idle while a request is queued** — each flush
+//!   starts at the later of its first request's arrival and the end of
+//!   the previous busy interval.
+//! * **A request that arrives at an idle engine waits 0 ns** — any wait
+//!   means some earlier forward was in flight at the arrival instant.
+//! * **A flush takes min(queued, `max_batch`)**.
+//! * **A shutdown that lands during a busy interval drains everything
+//!   queued** — in one batch, the moment the forward ends, even past
+//!   `max_batch`.
 
 // Slots are boxed end to end in the real server (pointer-sized
 // hand-offs, stable heap identity for the zero-alloc pool); the tests
@@ -22,6 +34,7 @@
 
 use marl_serve::batcher::{BatcherConfig, MicroBatcher, RequestSlot};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone)]
@@ -33,14 +46,13 @@ enum Event {
 }
 
 fn event_strategy() -> impl Strategy<Value = Event> {
-    // Arrivals outnumber closes ~8:1 (the vendored proptest stub has no
+    // A quarter of arrivals land in the same instant as the previous
+    // one (bursts), closes are rare (the vendored proptest stub has no
     // `prop_oneof`, so weight by mapping a selector range).
-    (0u64..9, 0u64..400_000, 0u64..4).prop_map(|(pick, gap_ns, conn)| {
-        if pick < 8 {
-            Event::Arrive { gap_ns, conn }
-        } else {
-            Event::Close { conn }
-        }
+    (0u64..12, 0u64..400_000, 0u64..4).prop_map(|(pick, gap_ns, conn)| match pick {
+        0..=2 => Event::Arrive { gap_ns: 0, conn },
+        3..=10 => Event::Arrive { gap_ns, conn },
+        _ => Event::Close { conn },
     })
 }
 
@@ -48,118 +60,207 @@ fn event_strategy() -> impl Strategy<Value = Event> {
 struct Flushed {
     conn: u64,
     req: u64,
-    wait_ns: u64,
+    arrived_ns: u64,
     delivered: bool,
-    shutdown_flush: bool,
 }
 
-/// Replays `events`, flushing with the real batcher-thread discipline,
-/// and returns every flushed slot in flush order.
-fn simulate(config: BatcherConfig, events: &[Event]) -> (Vec<Flushed>, u64) {
-    let mut b = MicroBatcher::new(config);
-    let mut now = 0u64;
-    let mut next_req = 0u64;
-    let mut closed = BTreeSet::new();
-    let mut flushed = Vec::new();
-    let mut out: Vec<Box<RequestSlot>> = Vec::new();
+#[derive(Debug)]
+struct Flush {
+    start_ns: u64,
+    end_ns: u64,
+    /// Queue length the instant before the flush drained it.
+    queued: usize,
+    shutdown: bool,
+    slots: Vec<Flushed>,
+}
 
-    fn flush(
-        b: &mut MicroBatcher,
-        out: &mut Vec<Box<RequestSlot>>,
-        flushed: &mut Vec<Flushed>,
-        closed: &BTreeSet<u64>,
-        at_ns: u64,
-        shutdown_flush: bool,
-    ) {
-        if shutdown_flush {
-            b.drain_all_into(out);
-        } else {
-            b.drain_into(out);
+/// The virtual-time batcher thread: one engine, one queue.
+struct Sim {
+    batcher: MicroBatcher,
+    /// Engine service times, one per flush, cycled.
+    services_ns: Vec<u64>,
+    now_ns: u64,
+    /// When the in-flight forward ends; `None` while the engine is idle.
+    free_at_ns: Option<u64>,
+    closed: BTreeSet<u64>,
+    next_req: u64,
+    out: Vec<Box<RequestSlot>>,
+    flushes: Vec<Flush>,
+}
+
+impl Sim {
+    fn new(config: BatcherConfig, services_ns: Vec<u64>) -> Self {
+        Sim {
+            batcher: MicroBatcher::new(config),
+            services_ns,
+            now_ns: 0,
+            free_at_ns: None,
+            closed: BTreeSet::new(),
+            next_req: 0,
+            out: Vec::new(),
+            flushes: Vec::new(),
         }
-        for slot in out.drain(..) {
-            flushed.push(Flushed {
+    }
+
+    fn flush(&mut self, at_ns: u64, shutdown: bool) {
+        let queued = self.batcher.len();
+        if shutdown {
+            self.batcher.drain_all_into(&mut self.out);
+        } else {
+            self.batcher.drain_into(&mut self.out);
+        }
+        let end_ns = at_ns + self.services_ns[self.flushes.len() % self.services_ns.len()];
+        let closed = &self.closed;
+        let slots = self
+            .out
+            .drain(..)
+            .map(|slot| Flushed {
                 conn: slot.conn_id,
                 req: slot.req_id,
-                wait_ns: at_ns.saturating_sub(slot.enqueued_at_ns),
+                arrived_ns: slot.enqueued_at_ns,
                 delivered: !closed.contains(&slot.conn_id),
-                shutdown_flush,
-            });
+            })
+            .collect();
+        self.flushes.push(Flush { start_ns: at_ns, end_ns, queued, shutdown, slots });
+        self.free_at_ns = Some(end_ns);
+    }
+
+    /// Runs the engine through instant `t_ns`: each time it comes free
+    /// with work queued it flushes at once, otherwise it goes idle. A
+    /// forward ending exactly at `t_ns` checks the queue before anything
+    /// arriving at `t_ns` is pushed.
+    fn run_until(&mut self, t_ns: u64) {
+        while let Some(free_ns) = self.free_at_ns.filter(|&f| f <= t_ns) {
+            if self.batcher.ready(free_ns) {
+                self.flush(free_ns, false);
+            } else {
+                self.free_at_ns = None;
+            }
         }
     }
 
-    for event in events {
-        match event {
-            Event::Arrive { gap_ns, conn } => {
-                now += gap_ns;
-                // The batcher thread sleeps until the oldest deadline:
-                // deadline flushes due before this arrival fire at their
-                // exact deadline instants, oldest first.
-                while let Some(deadline) = b.next_deadline_ns() {
-                    if deadline > now {
-                        break;
-                    }
-                    flush(&mut b, &mut out, &mut flushed, &closed, deadline, false);
-                }
-                let mut slot = Box::new(RequestSlot {
-                    req_id: next_req,
-                    conn_id: *conn,
-                    ..RequestSlot::default()
-                });
-                next_req += 1;
-                // A refusal means the queue is at capacity >= max_batch,
-                // so a size flush is due; the real reader blocks until
-                // the batcher drains, then retries.
-                while let Err(refused) = b.push(slot, now) {
-                    slot = refused;
-                    flush(&mut b, &mut out, &mut flushed, &closed, now, false);
-                }
-                if b.ready(now) {
-                    flush(&mut b, &mut out, &mut flushed, &closed, now, false);
-                }
-            }
-            Event::Close { conn } => {
-                closed.insert(*conn);
-            }
+    fn arrive(&mut self, gap_ns: u64, conn: u64) {
+        self.now_ns += gap_ns;
+        self.run_until(self.now_ns);
+        let arrived_ns = self.now_ns;
+        let mut slot = Box::new(RequestSlot {
+            req_id: self.next_req,
+            conn_id: conn,
+            ..RequestSlot::default()
+        });
+        self.next_req += 1;
+        while let Err(refused) = self.batcher.push(slot, arrived_ns) {
+            slot = refused;
+            // Only a busy engine leaves a queue to fill: the reader
+            // blocks until the forward ends and the batcher drains.
+            let free_ns = self.free_at_ns.expect("a full queue means the engine is busy");
+            self.now_ns = free_ns;
+            self.run_until(free_ns);
+        }
+        // The push woke an idle batcher.
+        if self.free_at_ns.is_none() && self.batcher.ready(self.now_ns) {
+            self.flush(self.now_ns, false);
         }
     }
-    // Shutdown: one final unbounded drain.
-    flush(&mut b, &mut out, &mut flushed, &closed, now, true);
-    assert!(b.is_empty());
-    (flushed, next_req)
+
+    /// Sets the shutdown flag `gap_ns` after the last arrival. An idle
+    /// batcher wakes to an empty queue; a busy one sees the flag when
+    /// its forward ends and drains the whole backlog.
+    fn shutdown(&mut self, gap_ns: u64) {
+        self.now_ns += gap_ns;
+        self.run_until(self.now_ns);
+        if let Some(free_ns) = self.free_at_ns {
+            if !self.batcher.is_empty() {
+                self.flush(free_ns, true);
+            }
+        }
+        assert!(self.batcher.is_empty(), "shutdown leaves nothing queued");
+    }
+
+    fn replay(config: BatcherConfig, services_ns: Vec<u64>, events: &[Event], stop: u64) -> Self {
+        let mut sim = Sim::new(config, services_ns);
+        for event in events {
+            match event {
+                Event::Arrive { gap_ns, conn } => sim.arrive(*gap_ns, *conn),
+                Event::Close { conn } => {
+                    sim.closed.insert(*conn);
+                }
+            }
+        }
+        sim.shutdown(stop);
+        sim
+    }
+}
+
+/// The engine-side invariants every schedule must satisfy.
+fn check_flush_policy(flushes: &[Flush], max_batch: usize) -> Result<(), TestCaseError> {
+    let mut prev_end_ns = 0;
+    for (k, f) in flushes.iter().enumerate() {
+        prop_assert!(!f.slots.is_empty(), "flush {} is empty", k);
+        // Never idle while a request is queued.
+        let first_arrival_ns = f.slots[0].arrived_ns;
+        prop_assert_eq!(
+            f.start_ns,
+            prev_end_ns.max(first_arrival_ns),
+            "flush {} starts at neither its first arrival nor the previous busy end",
+            k
+        );
+        // A flush takes min(queued, max_batch); the shutdown drain takes
+        // everything queued.
+        let want = if f.shutdown { f.queued } else { f.queued.min(max_batch) };
+        prop_assert_eq!(f.slots.len(), want, "flush {} size", k);
+        prop_assert!(!f.shutdown || k + 1 == flushes.len(), "the shutdown drain is last");
+        // A request that arrives at an idle engine waits 0 ns: any wait
+        // means an earlier forward was in flight at its arrival.
+        for s in &f.slots {
+            if f.start_ns > s.arrived_ns {
+                let engine_busy = flushes[..k]
+                    .iter()
+                    .any(|p| p.start_ns <= s.arrived_ns && s.arrived_ns < p.end_ns);
+                prop_assert!(
+                    engine_busy,
+                    "req {} arrived at an idle engine at {} ns but waited until {} ns",
+                    s.req,
+                    s.arrived_ns,
+                    f.start_ns
+                );
+            }
+        }
+        prev_end_ns = f.end_ns;
+    }
+    Ok(())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(160))]
 
     #[test]
-    fn no_request_lost_none_late_all_correctly_routed(
+    fn work_conserving_flushes_lose_nothing_and_route_every_response(
         max_batch in 1usize..=8,
-        max_delay_us in 1u64..=1_000,
         extra_capacity in 0usize..=8,
+        services_ns in proptest::collection::vec(0u64..300_000, 1..16),
         events in proptest::collection::vec(event_strategy(), 1..200),
+        stop_ns in 0u64..400_000,
     ) {
-        let config = BatcherConfig {
-            max_batch,
-            max_delay_us,
-            queue_capacity: max_batch + extra_capacity,
-        };
-        let (flushed, submitted) = simulate(config, &events);
+        let config = BatcherConfig { max_batch, queue_capacity: max_batch + extra_capacity };
+        let sim = Sim::replay(config, services_ns, &events, stop_ns);
+        let flushes = &sim.flushes;
+        check_flush_policy(flushes, max_batch)?;
 
         // No request lost, none duplicated: the flushed stream is exactly
         // the submitted stream, in FIFO order.
-        prop_assert_eq!(flushed.len() as u64, submitted);
+        let flushed: Vec<&Flushed> = flushes.iter().flat_map(|f| &f.slots).collect();
+        prop_assert_eq!(flushed.len() as u64, sim.next_req);
         for (i, f) in flushed.iter().enumerate() {
             prop_assert_eq!(f.req, i as u64, "FIFO order preserved");
         }
 
-        // No request waits past its deadline at a non-shutdown flush.
-        let deadline_ns = max_delay_us * 1_000;
-        for f in &flushed {
-            if !f.shutdown_flush {
-                prop_assert!(
-                    f.wait_ns <= deadline_ns,
-                    "req {} waited {} ns > deadline {} ns", f.req, f.wait_ns, deadline_ns
-                );
+        // A shutdown drain only follows a forward that was in flight when
+        // the shutdown landed, and starts the moment that forward ends.
+        if let [.., prev, last] = &flushes[..] {
+            if last.shutdown {
+                prop_assert!(prev.start_ns <= sim.now_ns && sim.now_ns < prev.end_ns);
+                prop_assert_eq!(last.start_ns, prev.end_ns);
             }
         }
 
@@ -188,21 +289,39 @@ proptest! {
     }
 
     #[test]
-    fn size_flushes_never_exceed_max_batch(
+    fn shutdown_behind_an_in_flight_forward_drains_the_whole_backlog(
         max_batch in 1usize..=6,
-        events in proptest::collection::vec(event_strategy(), 1..120),
+        extra_capacity in 0usize..=12,
+        backlog_pick in 0usize..1_000,
+        service_ns in 1u64..1_000_000,
+        more_services_ns in proptest::collection::vec(0u64..1_000_000, 1..4),
+        start_ns in 0u64..1_000_000,
+        shutdown_pick in 0u64..1_000_000,
+        conns in proptest::collection::vec(0u64..4, 20..21),
     ) {
-        // With delay effectively infinite, only size flushes (and the
-        // final shutdown drain) occur — each normal flush is exactly one
-        // full batch.
-        let config = BatcherConfig {
-            max_batch,
-            max_delay_us: u64::MAX / 2_000,
-            queue_capacity: max_batch,
-        };
-        let (flushed, submitted) = simulate(config, &events);
-        prop_assert_eq!(flushed.len() as u64, submitted);
-        let normal = flushed.iter().filter(|f| !f.shutdown_flush).count();
-        prop_assert_eq!(normal % max_batch, 0, "size flushes are whole batches");
+        // A burst of 1 + backlog requests at one instant on an idle
+        // engine: the first goes straight into a forward, the backlog
+        // queues behind it (never more than the queue holds, so no push
+        // blocks), and the shutdown lands before that forward ends.
+        let capacity = max_batch + extra_capacity;
+        let backlog = 1 + backlog_pick % capacity.min(conns.len() - 1);
+        let mut events = vec![Event::Arrive { gap_ns: start_ns, conn: conns[0] }];
+        events.extend((0..backlog).map(|i| Event::Arrive { gap_ns: 0, conn: conns[i + 1] }));
+        let services_ns = [vec![service_ns], more_services_ns].concat();
+        let stop_ns = shutdown_pick % service_ns;
+        let config = BatcherConfig { max_batch, queue_capacity: capacity };
+        let sim = Sim::replay(config, services_ns, &events, stop_ns);
+        check_flush_policy(&sim.flushes, max_batch)?;
+
+        prop_assert_eq!(sim.flushes.len(), 2, "one lone forward, then the shutdown drain");
+        let (first, drain) = (&sim.flushes[0], &sim.flushes[1]);
+        prop_assert_eq!((first.start_ns, first.slots.len()), (start_ns, 1));
+        prop_assert_eq!(first.slots[0].arrived_ns, start_ns, "the lone arrival waited 0 ns");
+        prop_assert!(drain.shutdown);
+        prop_assert_eq!(drain.start_ns, start_ns + service_ns, "drained when the forward ended");
+        prop_assert_eq!(drain.slots.len(), backlog, "the whole backlog, even past max_batch");
+        for (i, s) in drain.slots.iter().enumerate() {
+            prop_assert_eq!((s.req, s.conn), (i as u64 + 1, conns[i + 1]));
+        }
     }
 }

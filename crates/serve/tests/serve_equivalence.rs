@@ -23,7 +23,7 @@ use marl_serve::{proto, InferenceEngine, PolicyModel, ServeConfig, ServeListener
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tiny_checkpoint(seed: u64) -> Checkpoint {
     let config =
@@ -75,13 +75,9 @@ fn concurrent_clients_get_bitwise_identical_answers() {
     let ckpt = tiny_checkpoint(7);
     let model = PolicyModel::from_checkpoint(&ckpt, 0);
     let path = sock_path("equiv");
-    // Aggressive batching so requests from different clients coalesce.
-    let config = ServeConfig {
-        max_batch: 8,
-        max_delay_us: 2_000,
-        queue_capacity: 64,
-        ..ServeConfig::default()
-    };
+    // Small batches: requests from different clients that land during
+    // one forward coalesce into the next.
+    let config = ServeConfig { max_batch: 8, queue_capacity: 64, ..ServeConfig::default() };
     let server = start_server(&path, &ckpt, config, None);
 
     const CLIENTS: usize = 4;
@@ -152,12 +148,7 @@ fn comm_scenario_heads_serve_bitwise_across_heterogeneous_widths() {
     let ckpt = Trainer::new(config).expect("trainer").checkpoint();
     let model = PolicyModel::from_checkpoint(&ckpt, 0);
     let path = sock_path("comm-heads");
-    let serve_config = ServeConfig {
-        max_batch: 8,
-        max_delay_us: 2_000,
-        queue_capacity: 64,
-        ..ServeConfig::default()
-    };
+    let serve_config = ServeConfig { max_batch: 8, queue_capacity: 64, ..ServeConfig::default() };
     let server = start_server(&path, &ckpt, serve_config, None);
 
     let mut conn = connect(&path);
@@ -244,14 +235,13 @@ fn shutdown_frame_drains_every_admitted_request() {
     let ckpt = tiny_checkpoint(11);
     let model = PolicyModel::from_checkpoint(&ckpt, 0);
     let path = sock_path("drain");
-    // A long flush deadline, so the final requests are still queued when
-    // the shutdown frame lands — the drain has real work to do.
-    let config = ServeConfig {
-        max_batch: 64,
-        max_delay_us: 500_000,
-        queue_capacity: 128,
-        ..ServeConfig::default()
-    };
+    // The requests and the shutdown frame go out back to back. How many
+    // are still queued when the frame lands depends on scheduling (the
+    // work-conserving batcher may have answered them all already), so
+    // this checks the end-to-end contract — every admitted request is
+    // answered exactly once — and `batcher_props` covers the drain of a
+    // backlog queued behind an in-flight forward deterministically.
+    let config = ServeConfig { max_batch: 64, queue_capacity: 128, ..ServeConfig::default() };
     let server = start_server(&path, &ckpt, config, None);
 
     let mut conn = connect(&path);
@@ -298,7 +288,6 @@ fn hot_reload_under_load_drops_nothing_and_versions_every_answer() {
     let path = sock_path("reload");
     let config = ServeConfig {
         max_batch: 4,
-        max_delay_us: 500,
         queue_capacity: 64,
         reload_poll: Some(Duration::from_millis(5)),
         ..ServeConfig::default()
@@ -316,10 +305,13 @@ fn hot_reload_under_load_drops_nothing_and_versions_every_answer() {
     let mut conn = connect(&path);
     let mut frame = Vec::new();
     let mut logits = Vec::new();
-    let mut swapped = false;
+    // The budget for observing the reload is wall time, not a request
+    // count: the work-conserving batcher answers hundreds of requests in
+    // the few milliseconds a poll and a load take.
+    let mut swapped_at: Option<Instant> = None;
     let mut answered = 0u64;
     let mut epochs_seen = [0u64; 2];
-    for req_id in 0..400u64 {
+    for req_id in 0u64.. {
         let agent = (req_id % model0.num_agents() as u64) as u32;
         let obs = deterministic_obs(model0.obs_dim(agent as usize), req_id as usize);
         proto::encode_request(req_id, agent, &obs, marl_obs::context::TraceCtx::NONE, &mut frame);
@@ -340,16 +332,19 @@ fn hot_reload_under_load_drops_nothing_and_versions_every_answer() {
         assert_eq!(resp.action, want_action);
         assert_eq!(logits, want_logits, "req {req_id}: logits must match epoch {}", resp.epoch);
         answered += 1;
-        if req_id == 50 && !swapped {
+        if req_id == 50 {
             // Swap the checkpoint mid-stream; keep the request flow up.
             write_checkpoint_file(&ckpt_path, &ckpt1, &[]).expect("write v1");
-            swapped = true;
+            swapped_at = Some(Instant::now());
         }
-        if swapped && resp.epoch == 1 && req_id > 120 {
+        if resp.epoch == 1 && req_id > 120 {
             break; // reload observed end-to-end
         }
+        if swapped_at.is_some_and(|t| t.elapsed() > Duration::from_secs(10)) {
+            break;
+        }
     }
-    assert!(swapped);
+    assert!(swapped_at.is_some());
     assert!(epochs_seen[0] > 0, "some answers from the boot generation");
     assert!(epochs_seen[1] > 0, "reload was picked up under load, got {answered} answers");
 
