@@ -195,6 +195,9 @@ fn run_training_leg(cli: &Cli) -> Result<(ProcessSummary, Vec<ProcessSummary>), 
         .arg(&worker_bin)
         .arg("--episodes")
         .arg(cli.episodes.to_string())
+        // A small batch and buffer, so short legs still reach an update and
+        // a Params broadcast.
+        .args(["--batch", "64", "--capacity", "20000"])
         .arg("--trace-out")
         .arg(cli.out.join("learner.trace.json"))
         .arg("--metrics-out")

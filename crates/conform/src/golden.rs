@@ -4,11 +4,15 @@
 //!
 //! A golden trace is a plain-text file — one line per update iteration,
 //! every checksum in fixed-width hex — so behaviour drift shows up as a
-//! readable one-line diff in review. Traces are compared with
-//! [`first_divergence`], which names the earliest disagreeing update
-//! step *and* which digest field drifted (sample indices? run lengths?
-//! IS weights? losses? TD errors? parameters?), turning "the numbers
-//! changed" into "the IS weights changed at update 3".
+//! readable one-line diff in review. Its `# config:` header is the
+//! recorded [`TrainConfig`] as JSON (the form checkpoints store), so a
+//! trace names the exact run that produced it, and a trace whose header
+//! no longer matches its run's configuration fails like a digest drift.
+//! Traces are compared with [`first_divergence`], which names the
+//! earliest disagreeing update step *and* which digest field drifted
+//! (sample indices? run lengths? IS weights? losses? TD errors?
+//! parameters?), turning "the numbers changed" into "the IS weights
+//! changed at update 3".
 //!
 //! Regeneration is explicit: running the golden suite with the
 //! [`BLESS_ENV`] environment variable set (`MARL_BLESS=1`) rewrites the
@@ -47,27 +51,6 @@ pub fn golden_dir() -> PathBuf {
         .join("golden")
 }
 
-/// A stable one-line description of the configuration a trace was
-/// recorded under, embedded in the file header for review context.
-pub fn describe_config(cfg: &TrainConfig) -> String {
-    format!(
-        "{} {:?} {:?} agents={} episodes={} batch={} capacity={} update_every={} warmup={} \
-         seed={} kernel={:?} num_envs={}",
-        cfg.algorithm.label(),
-        cfg.sampler,
-        cfg.layout,
-        cfg.agents,
-        cfg.episodes,
-        cfg.batch_size,
-        cfg.buffer_capacity,
-        cfg.update_every,
-        cfg.warmup,
-        cfg.seed,
-        cfg.kernel,
-        cfg.num_envs(),
-    )
-}
-
 /// Trains `cfg` with an attached [`UpdateTraceRecorder`] and returns the
 /// recorded per-update digests.
 ///
@@ -85,13 +68,18 @@ pub fn record_run(cfg: TrainConfig) -> Result<Vec<UpdateDigest>, TrainError> {
     Ok(trainer.detach_trace_recorder().expect("recorder attached above").into_digests())
 }
 
-/// Serializes digests into the golden trace text format.
-pub fn serialize_trace(config_line: &str, digests: &[UpdateDigest]) -> String {
-    let mut out = String::with_capacity(80 * (digests.len() + 2));
+/// Prefix of the header line that carries the recorded configuration.
+const CONFIG_PREFIX: &str = "# config: ";
+
+/// Serializes digests into the golden trace text format, headed by the
+/// configuration they were recorded under.
+pub fn serialize_trace(config: &TrainConfig, digests: &[UpdateDigest]) -> String {
+    let json = serde_json::to_string(config).expect("TrainConfig serializes");
+    let mut out = String::with_capacity(80 * (digests.len() + 2) + json.len());
     out.push_str(TRACE_HEADER);
     out.push('\n');
-    out.push_str("# config: ");
-    out.push_str(config_line);
+    out.push_str(CONFIG_PREFIX);
+    out.push_str(&json);
     out.push('\n');
     for d in digests {
         out.push_str(&format!("step={}", d.step));
@@ -103,19 +91,27 @@ pub fn serialize_trace(config_line: &str, digests: &[UpdateDigest]) -> String {
     out
 }
 
-/// Parses a golden trace file back into digests.
+/// Parses a golden trace file back into its configuration and digests.
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending line for malformed input.
-pub fn parse_trace(text: &str) -> Result<Vec<UpdateDigest>, String> {
+/// Returns a message naming the offending line for malformed input, or
+/// the missing `# config:` header.
+pub fn parse_trace(text: &str) -> Result<(TrainConfig, Vec<UpdateDigest>), String> {
+    let mut config = None;
     let mut out = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
+        let lineno = i + 1;
+        if let Some(json) = line.strip_prefix(CONFIG_PREFIX) {
+            let cfg = serde_json::from_str(json)
+                .map_err(|e| format!("line {lineno}: bad config header: {e}"))?;
+            config = Some(cfg);
+            continue;
+        }
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let lineno = i + 1;
         let mut d = UpdateDigest {
             step: 0,
             indices: 0,
@@ -159,7 +155,24 @@ pub fn parse_trace(text: &str) -> Result<Vec<UpdateDigest>, String> {
         }
         out.push(d);
     }
-    Ok(out)
+    let config = config.ok_or_else(|| format!("no `{}` header line", CONFIG_PREFIX.trim_end()))?;
+    Ok((config, out))
+}
+
+/// Reads and parses the committed golden trace `name`.
+///
+/// # Errors
+///
+/// A message naming the file when it is missing or malformed.
+pub fn load_trace(name: &str) -> Result<(TrainConfig, Vec<UpdateDigest>), String> {
+    let path = golden_dir().join(format!("{name}.trace"));
+    let text = std::fs::read_to_string(&path).map_err(|e| {
+        format!(
+            "missing golden trace {}: {e}; generate with `MARL_BLESS=1 cargo test -q golden`",
+            path.display()
+        )
+    })?;
+    parse_trace(&text).map_err(|e| format!("golden trace {name}: {e}"))
 }
 
 /// The first point at which two traces disagree.
@@ -234,39 +247,43 @@ pub fn first_divergence(expected: &[UpdateDigest], actual: &[UpdateDigest]) -> O
     None
 }
 
-/// Compares recorded digests against the committed golden trace `name`
-/// (or rewrites it when [`bless_requested`]).
+/// Compares a run — its configuration and recorded digests — against the
+/// committed golden trace `name` (or rewrites it when
+/// [`bless_requested`]).
 ///
 /// # Errors
 ///
-/// Returns a human-readable report — naming the first divergent update
-/// step and field — when the trace is missing, unparsable, or diverges.
+/// Returns a human-readable report when the trace is missing or
+/// unparsable, when its header is not `config`, or — naming the first
+/// divergent update step and field — when the digests diverge.
 pub fn check_or_bless(
     name: &str,
-    config_line: &str,
+    config: &TrainConfig,
     digests: &[UpdateDigest],
 ) -> Result<(), String> {
-    let dir = golden_dir();
-    let path = dir.join(format!("{name}.trace"));
+    let rebless = "If this change is intended, re-bless with `MARL_BLESS=1 cargo test -q golden` \
+                   and record it in CHANGELOG.md.";
     if bless_requested() {
+        let dir = golden_dir();
+        let path = dir.join(format!("{name}.trace"));
         std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        std::fs::write(&path, serialize_trace(config_line, digests))
+        std::fs::write(&path, serialize_trace(config, digests))
             .map_err(|e| format!("write {}: {e}", path.display()))?;
         return Ok(());
     }
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "missing golden trace {}: {e}; generate with `MARL_BLESS=1 cargo test -q golden`",
-            path.display()
-        )
-    })?;
-    let expected = parse_trace(&text).map_err(|e| format!("golden trace {name}: {e}"))?;
+    let (recorded, expected) = load_trace(name)?;
+    if recorded != *config {
+        let json = |c: &TrainConfig| serde_json::to_string(c).expect("TrainConfig serializes");
+        return Err(format!(
+            "golden trace {name}: the `# config:` header is not this run's configuration\n  \
+             header: {}\n  run:    {}\n{rebless}",
+            json(&recorded),
+            json(config)
+        ));
+    }
     match first_divergence(&expected, digests) {
         None => Ok(()),
-        Some(d) => Err(format!(
-            "golden trace {name}: {d}. If this change is intended, re-bless with \
-             `MARL_BLESS=1 cargo test -q golden` and record it in CHANGELOG.md."
-        )),
+        Some(d) => Err(format!("golden trace {name}: {d}. {rebless}")),
     }
 }
 
@@ -287,14 +304,36 @@ mod tests {
         }
     }
 
+    fn config() -> TrainConfig {
+        use marl_algo::config::{Algorithm, Task};
+        TrainConfig::paper_defaults(Algorithm::Matd3, Task::PredatorPrey, 3)
+            .with_seed(4242)
+            .with_kernel(marl_nn::kernels::KernelChoice::Scalar)
+    }
+
     #[test]
     fn serialize_parse_roundtrip() {
         let digests = vec![digest(0, 0xdead_0000), digest(1, 0xbeef_0000)];
-        let text = serialize_trace("MADDPG Uniform PerAgent", &digests);
+        let text = serialize_trace(&config(), &digests);
         assert!(text.starts_with(TRACE_HEADER));
-        assert!(text.contains("# config: MADDPG Uniform PerAgent"));
-        let back = parse_trace(&text).unwrap();
-        assert_eq!(back, digests);
+        assert_eq!(
+            text.lines().nth(1),
+            Some(&*format!("# config: {}", serde_json::to_string(&config()).unwrap()))
+        );
+        assert_eq!(parse_trace(&text).unwrap(), (config(), digests));
+    }
+
+    #[test]
+    fn the_header_tells_apart_configs_that_differ_in_any_field() {
+        let base = serialize_trace(&config(), &[]);
+        let mut annealed = config();
+        annealed.exploration = marl_algo::explore::ExplorationSchedule::annealed(500);
+        assert_ne!(serialize_trace(&annealed, &[]), base);
+        assert_ne!(serialize_trace(&config().with_update_threads(2), &[]), base);
+        let err = parse_trace(&base.replace("# config: {", "# config: [")).unwrap_err();
+        assert!(err.contains("line 2: bad config header"), "{err}");
+        let err = parse_trace("# marl-conform golden trace v1\n").unwrap_err();
+        assert!(err.contains("no `# config:` header"), "{err}");
     }
 
     #[test]
@@ -341,15 +380,5 @@ mod tests {
         let dir = golden_dir();
         assert!(dir.ends_with("results/golden"), "{}", dir.display());
         assert!(!dir.to_string_lossy().contains("crates"), "{}", dir.display());
-    }
-
-    #[test]
-    fn describe_config_is_stable_and_complete() {
-        use marl_algo::config::{Algorithm, Task};
-        let cfg = TrainConfig::paper_defaults(Algorithm::Matd3, Task::PredatorPrey, 3)
-            .with_seed(4242)
-            .with_kernel(marl_nn::kernels::KernelChoice::Scalar);
-        let line = describe_config(&cfg);
-        assert!(line.contains("MATD3") && line.contains("seed=4242") && line.contains("Scalar"));
     }
 }

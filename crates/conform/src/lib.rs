@@ -30,7 +30,7 @@ pub mod stats;
 
 pub use fuzz::{apply_mutation, length_field_offsets, patch_crc, Format, Mutation};
 pub use golden::{
-    check_or_bless, describe_config, first_divergence, golden_dir, parse_trace, record_run,
+    check_or_bless, first_divergence, golden_dir, load_trace, parse_trace, record_run,
     serialize_trace, Divergence,
 };
 pub use stats::{chi_square_critical, chi_square_statistic, Z_P999};

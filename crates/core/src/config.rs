@@ -90,6 +90,27 @@ impl SamplerConfig {
             SamplerConfig::PerReuse { window } => format!("per-reuse{window}"),
         }
     }
+
+    /// Parses a sampler name: every [`label`](Self::label) reads back to
+    /// its strategy, and the command-line spellings `uniform`, `n16r64`,
+    /// `n64r16` and `per-reuse:W` are accepted too.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Some(match name {
+            "baseline" | "uniform" => SamplerConfig::Uniform,
+            "n16-r64" | "n16r64" => SamplerConfig::LocalityN16R64,
+            "n64-r16" | "n64r16" => SamplerConfig::LocalityN64R16,
+            "per" => SamplerConfig::Per,
+            "ip" => SamplerConfig::IpLocality,
+            other => match other.strip_prefix("per-reuse") {
+                Some(w) => SamplerConfig::PerReuse {
+                    window: w.strip_prefix(':').unwrap_or(w).parse().ok()?,
+                },
+                None => {
+                    SamplerConfig::Locality { neighbors: other.strip_prefix('n')?.parse().ok()? }
+                }
+            },
+        })
+    }
 }
 
 #[cfg(test)]
@@ -149,5 +170,35 @@ mod tests {
         assert_eq!(SamplerConfig::Uniform.label(), "baseline");
         assert_eq!(SamplerConfig::LocalityN16R64.label(), "n16-r64");
         assert_eq!(SamplerConfig::Locality { neighbors: 32 }.label(), "n32");
+    }
+
+    #[test]
+    fn every_label_reads_back() {
+        for cfg in [
+            SamplerConfig::Uniform,
+            SamplerConfig::LocalityN16R64,
+            SamplerConfig::LocalityN64R16,
+            SamplerConfig::Locality { neighbors: 16 },
+            SamplerConfig::Per,
+            SamplerConfig::IpLocality,
+            SamplerConfig::PerReuse { window: 3 },
+        ] {
+            assert_eq!(SamplerConfig::from_name(&cfg.label()), Some(cfg), "{}", cfg.label());
+        }
+    }
+
+    #[test]
+    fn command_line_spellings_parse() {
+        assert_eq!(SamplerConfig::from_name("uniform"), Some(SamplerConfig::Uniform));
+        assert_eq!(SamplerConfig::from_name("n16r64"), Some(SamplerConfig::LocalityN16R64));
+        assert_eq!(SamplerConfig::from_name("n64r16"), Some(SamplerConfig::LocalityN64R16));
+        assert_eq!(SamplerConfig::from_name("n8"), Some(SamplerConfig::Locality { neighbors: 8 }));
+        assert_eq!(
+            SamplerConfig::from_name("per-reuse:4"),
+            Some(SamplerConfig::PerReuse { window: 4 })
+        );
+        for bad in ["", "n", "nx", "n16-r32", "per-reuse", "per-reuse:", "per-reuse:x", "lru"] {
+            assert_eq!(SamplerConfig::from_name(bad), None, "{bad:?}");
+        }
     }
 }

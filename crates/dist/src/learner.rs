@@ -23,7 +23,7 @@ use crate::transport::Transport;
 use crate::wire::{ActorParams, Bye, Heartbeat, HeartbeatAck, Msg, Params, Steps, Welcome};
 use crate::worker::worker_noise_state;
 use marl_algo::trainer::Trainer;
-use marl_algo::TrainConfig;
+use marl_algo::{TrainConfig, TrainError};
 use marl_core::transition::TransitionLayout;
 use marl_obs::context::{span_id, TraceCtx};
 use marl_obs::metrics::MetricsRegistry;
@@ -139,8 +139,17 @@ impl Learner {
     ///
     /// # Errors
     ///
-    /// Propagates trainer construction failures.
+    /// A configuration error when `num_envs` is not 1 (every worker steps
+    /// exactly one world, so a K-world config would not train the run it
+    /// names), and any trainer construction failure.
     pub fn new(config: TrainConfig, opts: LearnerOptions) -> Result<Self, DistError> {
+        if config.num_envs() != 1 {
+            return Err(TrainError::InvalidConfig(format!(
+                "distributed workers step one world each, so num_envs must be 1 (got {})",
+                config.num_envs()
+            ))
+            .into());
+        }
         let trace_id = config.seed;
         Ok(Learner {
             trainer: Trainer::new(config)?,
@@ -152,22 +161,6 @@ impl Learner {
             trace_id,
             ctx_seq: 0,
         })
-    }
-
-    /// Wraps an existing trainer (e.g. one restored from a checkpoint).
-    pub fn from_trainer(trainer: Trainer, opts: LearnerOptions) -> Self {
-        let episodes_recorded = trainer.episodes_done();
-        let trace_id = trainer.config().seed;
-        Learner {
-            trainer,
-            supervisor: Supervisor::new(opts.supervisor),
-            epoch: 0,
-            opts,
-            snapshots: BTreeMap::new(),
-            episodes_recorded,
-            trace_id,
-            ctx_seq: 0,
-        }
     }
 
     /// The wrapped trainer.
@@ -593,5 +586,24 @@ impl Learner {
             }));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use marl_algo::{Algorithm, Task};
+
+    #[test]
+    fn new_refuses_a_multi_world_config() {
+        let cfg = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3)
+            .with_batch_size(32)
+            .with_buffer_capacity(1024);
+        assert!(Learner::new(cfg, LearnerOptions::default()).is_ok());
+        let Err(err) = Learner::new(cfg.with_num_envs(4), LearnerOptions::default()) else {
+            panic!("a 4-world config must be refused");
+        };
+        assert!(matches!(err, DistError::Train(TrainError::InvalidConfig(_))), "{err:?}");
+        assert!(err.to_string().contains("num_envs must be 1 (got 4)"), "{err}");
     }
 }

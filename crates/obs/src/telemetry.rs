@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 
 /// Where (and how often) telemetry is emitted.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Chrome trace-event JSON output path (`--trace-out`).
     pub trace_out: Option<PathBuf>,

@@ -3,15 +3,16 @@
 //! ```text
 //! marl-learner (--socket PATH | --tcp HOST:PORT | --lockstep)
 //!              [--workers N] [--worker-bin PATH] [--max-restarts K]
-//!              [--algo maddpg|matd3] [--scenario NAME] [--agents N]
-//!              [--sampler S] [--episodes E] [--batch B] [--capacity C]
-//!              [--seed S] [--kernel auto|scalar|simd]
 //!              [--steps-per-frame F] [--params-every U]
 //!              [--dead-after-ms MS] [--stall-timeout-ms MS]
 //!              [--chaos-kill-after-frames K] [--chaos-victim V]
-//!              [--metrics-out FILE] [--metrics-every N] [--prometheus-out FILE]
-//!              [--trace-out FILE]
+//!              [TRAINING FLAGS]
 //! ```
+//!
+//! The training and telemetry flags are parsed by [`marl_repro::cli`],
+//! the parser `marl-train` shares: the same flags, the same defaults, so
+//! a learner run trains exactly the configuration its flags name in
+//! `marl-train` (workers step one world, so `--num-envs` must stay 1).
 //!
 //! Owns the replay store and the trainer. With `--socket`/`--tcp` it
 //! binds a listener, spawns `--workers` `marl-worker` child processes
@@ -23,41 +24,31 @@
 //! arms the chaos drill: SIGKILL `--chaos-victim` after it delivers K
 //! step frames, then let supervision restart and re-admit it.
 
-use marl_repro::algo::{Algorithm, Task, TrainConfig};
-use marl_repro::core::SamplerConfig;
+use marl_repro::algo::TrainConfig;
+use marl_repro::cli::{self, CliError, TrainArgs};
 use marl_repro::dist::{
     loopback_pair, run_worker, Backoff, ChaosPlan, DistError, Endpoint, Learner, LearnerOptions,
     NoAccept, TcpAcceptor, Transport, UnixAcceptor, WorkerPool,
 };
-use marl_repro::obs::{KernelTally, SnapshotContext, Telemetry, TelemetryConfig};
+use marl_repro::obs::TelemetryConfig;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-#[derive(Debug)]
-struct CliError(String);
+const USAGE: &str = "\
+usage: marl-learner (--socket PATH | --tcp HOST:PORT | --lockstep)
+                    [--workers N] [--worker-bin PATH] [--max-restarts K]
+                    [--steps-per-frame F] [--params-every U]
+                    [--dead-after-ms MS] [--stall-timeout-ms MS]
+                    [--chaos-kill-after-frames K] [--chaos-victim V]
+                    [TRAINING FLAGS]
 
-impl std::fmt::Display for CliError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-fn parse_num(v: &str) -> Result<usize, CliError> {
-    v.parse().map_err(|_| CliError(format!("not a number: {v}")))
-}
-
-fn parse_sampler(v: &str) -> Result<SamplerConfig, CliError> {
-    Ok(match v {
-        "baseline" | "uniform" => SamplerConfig::Uniform,
-        "n16r64" => SamplerConfig::LocalityN16R64,
-        "n64r16" => SamplerConfig::LocalityN64R16,
-        "per" => SamplerConfig::Per,
-        "ip" => SamplerConfig::IpLocality,
-        other => return Err(CliError(format!("unknown sampler {other}"))),
-    })
-}
+  --lockstep                runs one in-process worker over the deterministic
+                            loopback (bitwise-identical to marl-train)
+  --worker-bin PATH         marl-worker binary (default: next to marl-learner)
+  --chaos-kill-after-frames SIGKILL --chaos-victim after K step frames
+                            (0 = off), then restart it under supervision";
 
 #[derive(Debug, Clone)]
 enum Mode {
@@ -84,114 +75,40 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
     let mut workers = 2u32;
     let mut worker_bin: Option<PathBuf> = None;
     let mut max_restarts = 2u32;
-    let mut algorithm = Algorithm::Maddpg;
-    let mut task = Task::PredatorPrey;
-    let mut agents = 3usize;
-    let mut sampler = SamplerConfig::Uniform;
-    let mut episodes = 20usize;
-    let mut batch = 64usize;
-    let mut capacity = 20_000usize;
-    let mut seed = 0u64;
-    let mut kernel = marl_repro::nn::kernels::KernelChoice::Auto;
     let mut opts = LearnerOptions::default();
     let mut chaos_after_frames = 0u64;
     let mut chaos_victim = 1u32;
-    let mut telemetry = TelemetryConfig::default();
-
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, CliError> {
-            it.next().ok_or_else(|| CliError(format!("{name} requires a value")))
-        };
-        match flag.as_str() {
-            "--socket" => mode = Some(Mode::Unix(value("--socket")?.into())),
-            "--tcp" => mode = Some(Mode::Tcp(value("--tcp")?.clone())),
+    let TrainArgs { config, telemetry } = cli::parse(args, |flag, it| {
+        match flag {
+            "--socket" => mode = Some(Mode::Unix(cli::value(it, flag)?.into())),
+            "--tcp" => mode = Some(Mode::Tcp(cli::value(it, flag)?.into())),
             "--lockstep" => mode = Some(Mode::Lockstep),
-            "--workers" => workers = parse_num(value("--workers")?)? as u32,
-            "--worker-bin" => worker_bin = Some(value("--worker-bin")?.into()),
-            "--max-restarts" => max_restarts = parse_num(value("--max-restarts")?)? as u32,
-            "--algo" => {
-                algorithm = match value("--algo")?.as_str() {
-                    "maddpg" => Algorithm::Maddpg,
-                    "matd3" => Algorithm::Matd3,
-                    v => return Err(CliError(format!("unknown algorithm {v}"))),
-                }
-            }
-            "--task" | "--scenario" => {
-                let v = value("--scenario")?;
-                task = match Task::from_name(v) {
-                    Some(id) => id,
-                    None => {
-                        let known: Vec<&str> = Task::all().iter().map(|s| s.label()).collect();
-                        return Err(CliError(format!(
-                            "unknown scenario {v} (registered: {})",
-                            known.join(", ")
-                        )));
-                    }
-                }
-            }
-            "--agents" => agents = parse_num(value("--agents")?)?,
-            "--sampler" => sampler = parse_sampler(value("--sampler")?)?,
-            "--episodes" => episodes = parse_num(value("--episodes")?)?,
-            "--batch" => batch = parse_num(value("--batch")?)?,
-            "--capacity" => capacity = parse_num(value("--capacity")?)?,
-            "--seed" => seed = parse_num(value("--seed")?)? as u64,
-            "--kernel" => {
-                let v = value("--kernel")?;
-                kernel = marl_repro::nn::kernels::KernelChoice::parse(v)
-                    .ok_or_else(|| CliError(format!("unknown kernel {v}")))?;
-            }
-            "--steps-per-frame" => opts.steps_per_frame = parse_num(value("--steps-per-frame")?)?,
-            "--params-every" => {
-                opts.params_every_updates = parse_num(value("--params-every")?)? as u64;
-            }
+            "--workers" => workers = cli::num(it, flag)?,
+            "--worker-bin" => worker_bin = Some(cli::value(it, flag)?.into()),
+            "--max-restarts" => max_restarts = cli::num(it, flag)?,
+            "--steps-per-frame" => opts.steps_per_frame = cli::num(it, flag)?,
+            "--params-every" => opts.params_every_updates = cli::num(it, flag)?,
             "--dead-after-ms" => {
-                let ms = parse_num(value("--dead-after-ms")?)? as u64;
+                let ms: u64 = cli::num(it, flag)?;
                 opts.supervisor.dead_after = Duration::from_millis(ms);
                 opts.supervisor.suspect_after =
                     Duration::from_millis(ms / 4).max(Duration::from_millis(1));
             }
             "--stall-timeout-ms" => {
-                opts.stall_timeout =
-                    Duration::from_millis(parse_num(value("--stall-timeout-ms")?)? as u64);
+                opts.stall_timeout = Duration::from_millis(cli::num(it, flag)?);
             }
-            "--chaos-kill-after-frames" => {
-                chaos_after_frames = parse_num(value("--chaos-kill-after-frames")?)? as u64;
-            }
-            "--chaos-victim" => chaos_victim = parse_num(value("--chaos-victim")?)? as u32,
-            "--metrics-out" => telemetry.metrics_out = Some(value("--metrics-out")?.into()),
-            "--metrics-every" => {
-                telemetry.metrics_every = parse_num(value("--metrics-every")?)? as u64;
-            }
-            "--prometheus-out" => {
-                telemetry.prometheus_out = Some(value("--prometheus-out")?.into());
-            }
-            "--trace-out" => telemetry.trace_out = Some(value("--trace-out")?.into()),
-            "--help" | "-h" => return Err(CliError("help".into())),
-            v => return Err(CliError(format!("unknown flag {v}"))),
+            "--chaos-kill-after-frames" => chaos_after_frames = cli::num(it, flag)?,
+            "--chaos-victim" => chaos_victim = cli::num(it, flag)?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let Some(mode) = mode else {
-        return Err(CliError("one of --socket/--tcp/--lockstep is required".into()));
+        return Err(CliError::Bad("one of --socket/--tcp/--lockstep is required".into()));
     };
     if workers == 0 {
-        return Err(CliError("--workers must be at least 1".into()));
+        return Err(CliError::Bad("--workers must be at least 1".into()));
     }
-    let mut config = TrainConfig::paper_defaults(algorithm, task, agents)
-        .with_sampler(sampler)
-        .with_episodes(episodes)
-        .with_batch_size(batch)
-        .with_buffer_capacity(capacity)
-        .with_seed(seed)
-        .with_kernel(kernel);
-    // Same short-run warmup policy as marl-train, so small distributed
-    // smokes still perform updates.
-    config.warmup = (2 * batch).clamp(batch, capacity / 2).max(batch);
-    if telemetry.metrics_out.is_some() && telemetry.metrics_every == 0 {
-        telemetry.metrics_every = 10;
-    }
-    // Fleet merges label the learner's trace lane by its role.
-    telemetry.process_name = Some("learner".to_string());
     Ok(Cli {
         mode,
         workers,
@@ -203,27 +120,6 @@ fn parse_args(args: &[String]) -> Result<Cli, CliError> {
         chaos_victim,
         telemetry,
     })
-}
-
-fn usage() {
-    eprintln!(
-        "usage: marl-learner (--socket PATH | --tcp HOST:PORT | --lockstep)\n\
-         \x20                   [--workers N] [--worker-bin PATH] [--max-restarts K]\n\
-         \x20                   [--algo maddpg|matd3] [--scenario NAME] [--agents N]\n\
-         \x20                   [--sampler baseline|n16r64|n64r16|per|ip] [--episodes E]\n\
-         \x20                   [--batch B] [--capacity C] [--seed S]\n\
-         \x20                   [--kernel auto|scalar|simd] [--steps-per-frame F]\n\
-         \x20                   [--params-every U] [--dead-after-ms MS]\n\
-         \x20                   [--stall-timeout-ms MS] [--chaos-kill-after-frames K]\n\
-         \x20                   [--chaos-victim V] [--metrics-out FILE] [--metrics-every N]\n\
-         \x20                   [--prometheus-out FILE] [--trace-out FILE]\n\
-         \n\
-         \x20 --lockstep                runs one in-process worker over the deterministic\n\
-         \x20                           loopback (bitwise-identical to marl-train)\n\
-         \x20 --worker-bin PATH         marl-worker binary (default: next to marl-learner)\n\
-         \x20 --chaos-kill-after-frames SIGKILL --chaos-victim after K step frames\n\
-         \x20                           (0 = off), then restart it under supervision"
-    );
 }
 
 /// The sibling `marl-worker` binary, next to the running learner.
@@ -295,16 +191,12 @@ fn serve_fleet(learner: &mut Learner, cli: &Cli) -> Result<(), DistError> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_args(&args) {
+    let mut cli = match parse_args(&args) {
         Ok(v) => v,
-        Err(CliError(msg)) => {
-            if msg != "help" {
-                eprintln!("error: {msg}\n");
-            }
-            usage();
-            return if msg == "help" { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-        }
+        Err(e) => return cli::usage_exit(&e, USAGE),
     };
+    // Fleet merges label the learner's trace lane by its role.
+    cli.telemetry.process_name = Some("learner".to_string());
 
     println!(
         "learner: {} / {} / {} agents / sampler {} / {} episodes / {}",
@@ -326,24 +218,16 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let telemetry_requested = cli.telemetry.metrics_out.is_some()
-        || cli.telemetry.prometheus_out.is_some()
-        || cli.telemetry.trace_out.is_some();
-    let tel: Option<Arc<Telemetry>> = if telemetry_requested {
-        match Telemetry::new(&cli.telemetry) {
-            Ok(t) => {
-                let t = Arc::new(t);
-                learner.trainer_mut().attach_telemetry(Arc::clone(&t));
-                Some(t)
-            }
-            Err(e) => {
-                eprintln!("error: opening telemetry sinks failed: {e}");
-                return ExitCode::FAILURE;
-            }
+    let tel = match cli::open_telemetry(&cli.telemetry) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
-    } else {
-        None
     };
+    if let Some(t) = &tel {
+        learner.trainer_mut().attach_telemetry(Arc::clone(t));
+    }
 
     let served = match &cli.mode {
         Mode::Lockstep => {
@@ -373,12 +257,11 @@ fn main() -> ExitCode {
         sup.total_quarantined()
     );
     if let Some(t) = &tel {
-        let (scalar, simd) = marl_repro::nn::kernels::dispatch_tally();
-        let snap = t.finish(&SnapshotContext {
-            episode: learner.episodes_recorded() as u64,
-            profile: learner.trainer().profile(),
-            kernels: KernelTally { scalar, simd },
-        });
+        let snap = cli::finish_telemetry(
+            t,
+            learner.episodes_recorded() as u64,
+            learner.trainer().profile(),
+        );
         println!(
             "telemetry: {} updates | {} quarantined | {} reconnects | {} restarts",
             snap.updates,
@@ -403,4 +286,56 @@ fn main() -> ExitCode {
         println!("{}", serde_json::to_string(&summary).expect("summary serializes"));
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    /// Every shared training and telemetry flag, each off its default.
+    const SHARED: &str = "--algo matd3 --scenario cn --agents 4 --sampler per-reuse:4 \
+        --layout interleaved --episodes 9 --batch 32 --capacity 4096 --threads 2 \
+        --update-threads 2 --seed 7 --kernel scalar --num-envs 2 --trace-out t.json \
+        --metrics-out m.jsonl --metrics-every 3 --prometheus-out p.prom \
+        --span-capacity 512 --hw-counters";
+
+    /// `marl-train` carries the same test: both binaries turn the shared
+    /// flags into exactly what `cli::parse` alone does, so they accept the
+    /// same training flags and build equal configurations from them.
+    #[test]
+    fn shared_flags_give_the_shared_parsers_configuration() {
+        let shared = cli::parse(&words(SHARED), |_, _| Ok(false)).unwrap();
+        let mut args = words(SHARED);
+        args.extend(words("--lockstep --workers 3"));
+        let cli = parse_args(&args).unwrap();
+        assert_eq!(cli.config, shared.config);
+        assert_eq!(cli.telemetry, shared.telemetry);
+        assert!(matches!(cli.mode, Mode::Lockstep));
+        assert_eq!(cli.workers, 3);
+    }
+
+    #[test]
+    fn process_flag_rules() {
+        let err = |w: &str| parse_args(&words(w)).unwrap_err();
+        assert_eq!(
+            err("--lockstep --metrics-every 5"),
+            CliError::Bad("--metrics-every requires --metrics-out".into())
+        );
+        assert_eq!(
+            err("--episodes 5"),
+            CliError::Bad("one of --socket/--tcp/--lockstep is required".into())
+        );
+        assert_eq!(
+            err("--lockstep --workers 0"),
+            CliError::Bad("--workers must be at least 1".into())
+        );
+        assert_eq!(err("--lockstep --task cn"), CliError::Bad("unknown flag --task".into()));
+        let cli = parse_args(&words("--tcp 127.0.0.1:0 --dead-after-ms 400")).unwrap();
+        assert_eq!(cli.opts.supervisor.dead_after, Duration::from_millis(400));
+        assert_eq!(cli.opts.supervisor.suspect_after, Duration::from_millis(100));
+    }
 }

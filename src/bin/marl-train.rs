@@ -1,68 +1,41 @@
 //! `marl-train` — command-line entry point for training runs.
 //!
 //! ```text
-//! marl-train [--algo maddpg|matd3] [--scenario NAME] [--agents N]
-//!            [--sampler baseline|n16r64|n64r16|per|ip|per-reuse:W]
-//!            [--layout per-agent|interleaved] [--episodes E] [--batch B]
-//!            [--capacity C] [--threads T] [--update-threads U] [--seed S]
-//!            [--kernel auto|scalar|simd] [--num-envs K] [--eval-episodes K]
-//!            [--checkpoint-out FILE] [--checkpoint-every N] [--resume FILE]
-//!            [--trace-out FILE] [--metrics-out FILE] [--metrics-every N]
-//!            [--prometheus-out FILE] [--hw-counters]
+//! marl-train [--eval-episodes K] [--checkpoint-out FILE]
+//!            [--checkpoint-every N] [--resume FILE] [TRAINING FLAGS]
 //! ```
+//!
+//! The training and telemetry flags (`--algo`, `--scenario`, `--sampler`,
+//! `--layout`, `--trace-out`, …) are parsed by [`marl_repro::cli`], the
+//! parser `marl-learner` shares, so both binaries accept the same flags
+//! with the same defaults; `--help` lists them.
 //!
 //! Prints the phase breakdown and reward summary. `--checkpoint-out`
 //! writes crash-safe full checkpoints (atomic rename + CRC + `.prev`
 //! rotation); with `--checkpoint-every N` the run autosaves every N
 //! episodes, and `--resume` continues a run bitwise-identically from such
 //! a file (falling back to `.prev` when the live file is corrupt).
-//!
-//! Telemetry: `--trace-out` records a Chrome trace-event JSON (load it in
-//! Perfetto or `chrome://tracing`), `--metrics-out` streams JSONL metric
-//! snapshots every `--metrics-every` episodes plus a final one, and
-//! `--hw-counters` brackets the mini-batch sampling phase with live
-//! `perf_event_open` hardware counters when the kernel permits.
 
 use marl_repro::algo::checkpoint::{load_checkpoint_with_fallback, write_checkpoint_file};
-use marl_repro::algo::{Algorithm, LayoutMode, Task, TrainConfig, Trainer};
-use marl_repro::core::SamplerConfig;
-use marl_repro::obs::{KernelTally, SnapshotContext, Telemetry, TelemetryConfig};
+use marl_repro::algo::{TrainConfig, Trainer};
+use marl_repro::cli::{self, CliError, TrainArgs};
+use marl_repro::obs::TelemetryConfig;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-#[derive(Debug)]
-struct CliError(String);
+const USAGE: &str = "\
+usage: marl-train [--eval-episodes K] [--checkpoint-out F] [--checkpoint-every N]
+                  [--resume F] [TRAINING FLAGS]
 
-impl std::fmt::Display for CliError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-fn parse_sampler(v: &str) -> Result<SamplerConfig, CliError> {
-    Ok(match v {
-        "baseline" | "uniform" => SamplerConfig::Uniform,
-        "n16r64" => SamplerConfig::LocalityN16R64,
-        "n64r16" => SamplerConfig::LocalityN64R16,
-        "per" => SamplerConfig::Per,
-        "ip" => SamplerConfig::IpLocality,
-        other => {
-            if let Some(w) = other.strip_prefix("per-reuse:") {
-                let window: usize = w
-                    .parse()
-                    .map_err(|_| CliError(format!("bad reuse window in --sampler {other}")))?;
-                SamplerConfig::PerReuse { window }
-            } else if let Some(n) = other.strip_prefix("n") {
-                let neighbors: usize =
-                    n.parse().map_err(|_| CliError(format!("unknown sampler {other}")))?;
-                SamplerConfig::Locality { neighbors }
-            } else {
-                return Err(CliError(format!("unknown sampler {other}")));
-            }
-        }
-    })
-}
+  --eval-episodes K        greedy evaluation episodes after training (default 10;
+                           with --num-envs K averaged over all K worlds)
+  --checkpoint-out F       write a crash-safe full checkpoint to F (atomic rename
+                           + CRC-32 + .prev rotation) when the run finishes
+  --checkpoint-every N     additionally autosave to F every N episodes (0 = off;
+                           requires --checkpoint-out)
+  --resume F               resume bitwise-identically from a checkpoint file,
+                           falling back to F.prev when F is corrupt";
 
 /// Everything `main` needs from the command line.
 #[derive(Debug)]
@@ -75,185 +48,32 @@ struct Cli {
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, CliError> {
-    let mut algorithm = Algorithm::Maddpg;
-    let mut task = Task::PredatorPrey;
-    let mut agents = 3usize;
-    let mut sampler = SamplerConfig::Uniform;
-    let mut layout = LayoutMode::PerAgent;
-    let mut episodes = 300usize;
-    let mut batch = 256usize;
-    let mut capacity = 50_000usize;
-    let mut threads = 1usize;
-    let mut update_threads = 1usize;
-    let mut seed = 0u64;
-    let mut kernel = marl_repro::nn::kernels::KernelChoice::Auto;
-    let mut num_envs = 1usize;
     let mut eval_episodes = 10usize;
     let mut checkpoint_out = None;
     let mut checkpoint_every = 0usize;
     let mut resume = None;
-    let mut telemetry = TelemetryConfig::default();
-
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, CliError> {
-            it.next().ok_or_else(|| CliError(format!("{name} requires a value")))
-        };
-        match flag.as_str() {
-            "--algo" => {
-                algorithm = match value("--algo")?.as_str() {
-                    "maddpg" => Algorithm::Maddpg,
-                    "matd3" => Algorithm::Matd3,
-                    v => return Err(CliError(format!("unknown algorithm {v}"))),
-                }
-            }
-            "--task" | "--scenario" => {
-                let v = value("--scenario")?;
-                task = match Task::from_name(v) {
-                    Some(id) => id,
-                    None => {
-                        let known: Vec<&str> = Task::all().iter().map(|s| s.label()).collect();
-                        return Err(CliError(format!(
-                            "unknown scenario {v} (registered: {})",
-                            known.join(", ")
-                        )));
-                    }
-                }
-            }
-            "--agents" => agents = parse_num(value("--agents")?)?,
-            "--sampler" => sampler = parse_sampler(value("--sampler")?)?,
-            "--layout" => {
-                layout = match value("--layout")?.as_str() {
-                    "per-agent" => LayoutMode::PerAgent,
-                    "interleaved" => LayoutMode::Interleaved,
-                    v => return Err(CliError(format!("unknown layout {v}"))),
-                }
-            }
-            "--episodes" => episodes = parse_num(value("--episodes")?)?,
-            "--batch" => batch = parse_num(value("--batch")?)?,
-            "--capacity" => capacity = parse_num(value("--capacity")?)?,
-            "--threads" => threads = parse_num(value("--threads")?)?,
-            "--update-threads" => update_threads = parse_num(value("--update-threads")?)?,
-            "--seed" => seed = parse_num(value("--seed")?)? as u64,
-            "--kernel" => {
-                let v = value("--kernel")?;
-                kernel = marl_repro::nn::kernels::KernelChoice::parse(v)
-                    .ok_or_else(|| CliError(format!("unknown kernel {v}")))?;
-            }
-            "--num-envs" => {
-                num_envs = parse_num(value("--num-envs")?)?;
-                if num_envs == 0 {
-                    return Err(CliError("--num-envs must be at least 1".into()));
-                }
-            }
-            "--eval-episodes" => eval_episodes = parse_num(value("--eval-episodes")?)?,
-            "--checkpoint-out" => checkpoint_out = Some(value("--checkpoint-out")?.clone()),
-            "--checkpoint-every" => checkpoint_every = parse_num(value("--checkpoint-every")?)?,
-            "--resume" => resume = Some(value("--resume")?.clone()),
-            "--trace-out" => telemetry.trace_out = Some(value("--trace-out")?.into()),
-            "--metrics-out" => telemetry.metrics_out = Some(value("--metrics-out")?.into()),
-            "--metrics-every" => {
-                telemetry.metrics_every = parse_num(value("--metrics-every")?)? as u64;
-            }
-            "--prometheus-out" => {
-                telemetry.prometheus_out = Some(value("--prometheus-out")?.into());
-            }
-            "--span-capacity" => telemetry.span_capacity = parse_num(value("--span-capacity")?)?,
-            "--hw-counters" => telemetry.hw_counters = true,
-            "--help" | "-h" => {
-                return Err(CliError("help".into()));
-            }
-            v => return Err(CliError(format!("unknown flag {v}"))),
+    let TrainArgs { mut config, telemetry } = cli::parse(args, |flag, it| {
+        match flag {
+            "--eval-episodes" => eval_episodes = cli::num(it, flag)?,
+            "--checkpoint-out" => checkpoint_out = Some(cli::value(it, flag)?.to_string()),
+            "--checkpoint-every" => checkpoint_every = cli::num(it, flag)?,
+            "--resume" => resume = Some(cli::value(it, flag)?.to_string()),
+            _ => return Ok(false),
         }
-    }
-    let mut config = TrainConfig::paper_defaults(algorithm, task, agents)
-        .with_sampler(sampler)
-        .with_layout(layout)
-        .with_episodes(episodes)
-        .with_batch_size(batch)
-        .with_buffer_capacity(capacity)
-        .with_sampling_threads(threads)
-        .with_update_threads(update_threads)
-        .with_seed(seed)
-        .with_kernel(kernel)
-        .with_num_envs(num_envs)
-        .with_checkpoint_every(checkpoint_every);
-    // Keep the warmup proportionate to the run so short CLI runs still
-    // perform updates.
-    config.warmup = (2 * batch).clamp(batch, capacity / 2).max(batch);
+        Ok(true)
+    })?;
     if checkpoint_every > 0 && checkpoint_out.is_none() {
-        return Err(CliError("--checkpoint-every requires --checkpoint-out".into()));
+        return Err(CliError::Bad("--checkpoint-every requires --checkpoint-out".into()));
     }
-    // A snapshot cadence without a sink would silently record nothing.
-    if telemetry.metrics_every > 0 && telemetry.metrics_out.is_none() {
-        return Err(CliError("--metrics-every requires --metrics-out".into()));
-    }
-    // Default cadence: with a metrics sink but no explicit cadence,
-    // snapshot every 10 episodes (plus the final snapshot).
-    if telemetry.metrics_out.is_some() && telemetry.metrics_every == 0 {
-        telemetry.metrics_every = 10;
-    }
+    config.checkpoint_every = checkpoint_every;
     Ok(Cli { config, eval_episodes, checkpoint_out, resume, telemetry })
-}
-
-fn parse_num(v: &str) -> Result<usize, CliError> {
-    v.parse().map_err(|_| CliError(format!("not a number: {v}")))
-}
-
-fn usage() {
-    eprintln!(
-        "usage: marl-train [--algo maddpg|matd3] [--scenario NAME] [--agents N]\n\
-         \x20                 [--sampler baseline|n16r64|n64r16|nK|per|ip|per-reuse:W]\n\
-         \x20                 [--layout per-agent|interleaved] [--episodes E] [--batch B]\n\
-         \x20                 [--capacity C] [--threads T] [--update-threads U] [--seed S]\n\
-         \x20                 [--kernel auto|scalar|simd] [--num-envs K] [--eval-episodes K]\n\
-         \x20                 [--checkpoint-out FILE] [--checkpoint-every N] [--resume FILE]\n\
-         \x20                 [--trace-out FILE] [--metrics-out FILE] [--metrics-every N]\n\
-         \x20                 [--prometheus-out FILE] [--span-capacity N] [--hw-counters]\n\
-         \n\
-         \x20 --scenario NAME      MPE scenario from the registry: predator-prey (pp),\n\
-         \x20                      cooperative-navigation (cn), physical-deception (pd),\n\
-         \x20                      keep-away (ka), cooperative-reference (cr),\n\
-         \x20                      world-comm (wc), or any registered plugin scenario;\n\
-         \x20                      --task is accepted as an alias flag\n\
-         \x20 --threads T          worker threads for each mini-batch gather (default 1)\n\
-         \x20 --update-threads U   worker threads for the per-agent critic/actor updates\n\
-         \x20                      (default 1; results are identical for any value)\n\
-         \x20 --kernel K           NN compute kernels: auto (default; SIMD when the CPU\n\
-         \x20                      has AVX2+FMA), scalar, or simd. The MARL_KERNEL env\n\
-         \x20                      var sets the default when the flag is absent\n\
-         \x20 --num-envs K         step K environment worlds per rollout iteration over\n\
-         \x20                      SoA physics with batched inference (default 1;\n\
-         \x20                      --eval-episodes then averages over all K worlds)\n\
-         \x20 --checkpoint-out F   write a crash-safe full checkpoint to F (atomic rename\n\
-         \x20                      + CRC-32 + .prev rotation) when the run finishes\n\
-         \x20 --checkpoint-every N additionally autosave to F every N episodes (0 = off;\n\
-         \x20                      requires --checkpoint-out)\n\
-         \x20 --resume F           resume bitwise-identically from a checkpoint file,\n\
-         \x20                      falling back to F.prev when F is corrupt\n\
-         \x20 --trace-out F        record spans to F as Chrome trace-event JSON\n\
-         \x20                      (open in Perfetto or chrome://tracing)\n\
-         \x20 --metrics-out F      stream metric snapshots to F as JSONL\n\
-         \x20 --metrics-every N    episodes between snapshots (default 10 when\n\
-         \x20                      --metrics-out is set; a final snapshot always writes)\n\
-         \x20 --prometheus-out F   rewrite F in Prometheus text format at each snapshot\n\
-         \x20 --span-capacity N    span ring size in events (default 65536)\n\
-         \x20 --hw-counters        read live perf_event hardware counters around the\n\
-         \x20                      sampling phase (falls back gracefully when denied)"
-    );
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Cli { config, eval_episodes, checkpoint_out, resume, telemetry } = match parse_args(&args) {
         Ok(v) => v,
-        Err(CliError(msg)) => {
-            if msg != "help" {
-                eprintln!("error: {msg}\n");
-            }
-            usage();
-            return if msg == "help" { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-        }
+        Err(e) => return cli::usage_exit(&e, USAGE),
     };
 
     println!(
@@ -271,33 +91,16 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Attach telemetry when any sink or the hardware counters were
-    // requested; a fully-default config records nothing anyone can read.
-    let telemetry_requested = telemetry.trace_out.is_some()
-        || telemetry.metrics_out.is_some()
-        || telemetry.prometheus_out.is_some()
-        || telemetry.hw_counters;
-    let tel: Option<Arc<Telemetry>> = if telemetry_requested {
-        match Telemetry::new(&telemetry) {
-            Ok(t) => {
-                let t = Arc::new(t);
-                if telemetry.hw_counters && !t.hw_live() {
-                    eprintln!(
-                        "warning: perf_event_open unavailable (permissions/kernel); \
-                         hardware counters disabled"
-                    );
-                }
-                trainer.attach_telemetry(Arc::clone(&t));
-                Some(t)
-            }
-            Err(e) => {
-                eprintln!("error: opening telemetry sinks failed: {e}");
-                return ExitCode::FAILURE;
-            }
+    let tel = match cli::open_telemetry(&telemetry) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
-    } else {
-        None
     };
+    if let Some(t) = &tel {
+        trainer.attach_telemetry(Arc::clone(t));
+    }
     if let Some(path) = &resume {
         let loaded =
             load_checkpoint_with_fallback(Path::new(path)).and_then(|(ckpt, replay, from_prev)| {
@@ -340,14 +143,7 @@ fn main() -> ExitCode {
     let window = (report.curve.len() / 5).max(1);
     println!("final score (smoothed): {:.2}", report.curve.final_score(window));
     if let Some(t) = &tel {
-        // Final snapshot (fin: true) to every configured sink, then close
-        // the trace file so the JSON array is well-formed.
-        let (scalar, simd) = marl_repro::nn::kernels::dispatch_tally();
-        let snap = t.finish(&SnapshotContext {
-            episode: report.curve.len() as u64,
-            profile: &report.profile,
-            kernels: KernelTally { scalar, simd },
-        });
+        let snap = cli::finish_telemetry(t, report.curve.len() as u64, &report.profile);
         println!(
             "telemetry: {} updates | replay occupancy {:.1}% | run-length p50 {} | \
              {} spans dropped",
@@ -387,4 +183,50 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    /// Every shared training and telemetry flag, each off its default.
+    const SHARED: &str = "--algo matd3 --scenario cn --agents 4 --sampler per-reuse:4 \
+        --layout interleaved --episodes 9 --batch 32 --capacity 4096 --threads 2 \
+        --update-threads 2 --seed 7 --kernel scalar --num-envs 2 --trace-out t.json \
+        --metrics-out m.jsonl --metrics-every 3 --prometheus-out p.prom \
+        --span-capacity 512 --hw-counters";
+
+    /// `marl-learner` carries the same test: both binaries turn the shared
+    /// flags into exactly what `cli::parse` alone does, so they accept the
+    /// same training flags and build equal configurations from them.
+    #[test]
+    fn shared_flags_give_the_shared_parsers_configuration() {
+        let shared = cli::parse(&words(SHARED), |_, _| Ok(false)).unwrap();
+        let mut args = words(SHARED);
+        args.extend(words("--eval-episodes 0 --checkpoint-out c.bin"));
+        let cli = parse_args(&args).unwrap();
+        assert_eq!(cli.config, shared.config);
+        assert_eq!(cli.telemetry, shared.telemetry);
+        assert_eq!((cli.eval_episodes, cli.checkpoint_out.as_deref()), (0, Some("c.bin")));
+    }
+
+    #[test]
+    fn process_flag_rules() {
+        let err = |w: &str| parse_args(&words(w)).unwrap_err();
+        assert_eq!(
+            err("--metrics-every 5"),
+            CliError::Bad("--metrics-every requires --metrics-out".into())
+        );
+        assert_eq!(
+            err("--checkpoint-every 5"),
+            CliError::Bad("--checkpoint-every requires --checkpoint-out".into())
+        );
+        assert_eq!(err("--task cn"), CliError::Bad("unknown flag --task".into()));
+        let cli = parse_args(&words("--checkpoint-out c.bin --checkpoint-every 5"));
+        assert_eq!(cli.unwrap().config.checkpoint_every, 5);
+    }
 }

@@ -25,6 +25,9 @@
 //!   wire format (adaptive batching, zero-allocation request path, hot
 //!   checkpoint reload).
 //!
+//! It also owns [`cli`], the training and telemetry flag parser the
+//! `marl-train` and `marl-learner` binaries share.
+//!
 //! See `examples/` for runnable entry points and `crates/bench` for the
 //! binaries that regenerate every table and figure of the paper.
 //!
@@ -44,6 +47,8 @@
 //! ```
 
 #![warn(missing_docs)]
+
+pub mod cli;
 
 pub use marl_algo as algo;
 pub use marl_core as core;

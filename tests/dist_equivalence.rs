@@ -13,7 +13,7 @@
 //! up here as the first divergent digest field.
 
 use marl_repro::algo::trace::UpdateTraceRecorder;
-use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
+use marl_repro::algo::{Algorithm, LayoutMode, Task, TrainConfig, Trainer};
 use marl_repro::core::SamplerConfig;
 use marl_repro::dist::{
     loopback_pair, run_worker, Backoff, DistError, Learner, LearnerOptions, Transport,
@@ -122,6 +122,20 @@ fn annealed_exploration_lockstep_is_bitwise_identical() {
     let dist = dist_lockstep_digests(cfg);
     assert!(!single.is_empty());
     assert_eq!(single, dist);
+}
+
+/// The paper's interleaved layout (§IV-B2) through the learner: the
+/// replay the learner ingests worker rows into is the single interleaved
+/// store, and the digests still match the single-process run bitwise.
+#[test]
+fn interleaved_layout_lockstep_is_bitwise_identical() {
+    for algorithm in [Algorithm::Maddpg, Algorithm::Matd3] {
+        let cfg = dist_config(algorithm).with_layout(LayoutMode::Interleaved);
+        let single = single_process_digests(cfg);
+        let dist = dist_lockstep_digests(cfg);
+        assert!(!single.is_empty(), "run must record updates");
+        assert_eq!(single, dist, "{algorithm:?}");
+    }
 }
 
 /// Running the dist pair twice yields identical chains: the loopback

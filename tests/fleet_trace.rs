@@ -5,7 +5,7 @@
 //! merged timeline. Also pins the bitwise guarantee: attaching tracing
 //! to both sides of the wire changes nothing about training.
 
-use marl_repro::algo::{Algorithm, Task, TrainConfig};
+use marl_repro::algo::TrainConfig;
 use marl_repro::dist::{
     loopback_pair, run_worker_traced, Backoff, DistError, Learner, LearnerOptions, Transport,
 };
@@ -20,16 +20,13 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("marl-fleet-trace-{}-{name}", std::process::id()))
 }
 
+/// Built through the flag parser the binaries share, so the run gets the
+/// `marl-learner` short-run warmup: with the small batch the 150-step run
+/// reaches an update (and therefore a Params broadcast).
 fn config() -> TrainConfig {
-    let mut c = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3)
-        .with_episodes(6)
-        .with_batch_size(32)
-        .with_seed(9);
-    // Same short-run warmup policy as the marl-learner binary; with the
-    // small batch the 150-step run reaches an update (and therefore a
-    // Params broadcast).
-    c.warmup = (2 * c.batch_size).clamp(c.batch_size, c.buffer_capacity / 2).max(c.batch_size);
-    c
+    let args: Vec<String> =
+        ["--episodes", "6", "--batch", "32", "--seed", "9"].map(String::from).into();
+    marl_repro::cli::parse(&args, |_, _| Ok(false)).expect("flags parse").config
 }
 
 fn trace_telemetry(path: &Path, process: &str) -> Arc<Telemetry> {

@@ -4,14 +4,16 @@
 //! layout combination with an attached `UpdateTraceRecorder` and diffs
 //! the recorded digest chain against the committed
 //! `results/golden/*.trace` file. A mismatch names the first divergent
-//! update step and digest field.
+//! update step and digest field; a trace whose `# config:` header (the
+//! run's `TrainConfig` as JSON) is not the configuration it is replayed
+//! under fails too.
 //!
 //! Regenerate after an *intended* numeric change with
 //! `MARL_BLESS=1 cargo test -q golden` (and record it in CHANGELOG.md —
 //! CI enforces that pairing).
 
 use marl_conform::golden;
-use marl_repro::algo::{Algorithm, LayoutMode};
+use marl_repro::algo::{Algorithm, LayoutMode, Task, TrainConfig};
 use marl_repro::core::SamplerConfig;
 
 mod common;
@@ -27,29 +29,96 @@ const SAMPLERS: [(SamplerConfig, &str); 4] = [
 const LAYOUTS: [(LayoutMode, &str); 2] =
     [(LayoutMode::PerAgent, "per_agent"), (LayoutMode::Interleaved, "interleaved")];
 
-/// All 16 committed combinations, replayed and diffed (or re-blessed
-/// under `MARL_BLESS=1`). One test so a bless run regenerates the whole
-/// set atomically; failures accumulate so one report lists every
-/// diverged combination.
-#[test]
-fn golden_traces_match_committed_digests() {
-    let mut failures = Vec::new();
+const SCENARIOS: [(Task, &str); 4] = [
+    (Task::PhysicalDeception, "physical_deception"),
+    (Task::KeepAway, "keep_away"),
+    (Task::CooperativeReference, "cooperative_reference"),
+    (Task::WorldComm, "world_comm"),
+];
+
+/// The algorithm × sampler × layout matrix on predator-prey: 16 traces.
+fn matrix_cases() -> Vec<(String, TrainConfig)> {
+    let mut cases = Vec::new();
     for (algorithm, algo_tag) in ALGORITHMS {
         for (sampler, sampler_tag) in SAMPLERS {
             for (layout, layout_tag) in LAYOUTS {
-                let name = format!("{algo_tag}_{sampler_tag}_{layout_tag}");
-                let cfg = common::golden_config(algorithm, sampler, layout);
-                let digests = golden::record_run(cfg).expect("training failed");
-                assert!(!digests.is_empty(), "{name}: run recorded no updates");
-                if let Err(report) =
-                    golden::check_or_bless(&name, &golden::describe_config(&cfg), &digests)
-                {
-                    failures.push(report);
-                }
+                cases.push((
+                    format!("{algo_tag}_{sampler_tag}_{layout_tag}"),
+                    common::golden_config(algorithm, sampler, layout),
+                ));
             }
         }
     }
+    cases
+}
+
+/// One trace per scenario × algorithm for the rest of the registered MPE
+/// suite: 8 traces.
+fn scenario_cases() -> Vec<(String, TrainConfig)> {
+    let mut cases = Vec::new();
+    for (task, tag) in SCENARIOS {
+        for (algorithm, algo_tag) in ALGORITHMS {
+            cases.push((
+                format!("{algo_tag}_{tag}"),
+                common::scenario_golden_config(algorithm, task),
+            ));
+        }
+    }
+    cases
+}
+
+/// K = 8 worlds of predator-prey; one vectorized episode.
+fn k8_case() -> TrainConfig {
+    common::golden_config(Algorithm::Maddpg, SamplerConfig::Uniform, LayoutMode::PerAgent)
+        .with_num_envs(8)
+        .with_episodes(8)
+}
+
+/// The annealed exploration schedule (ε 0.1 → 0.01 over 500 steps).
+fn annealed_case() -> TrainConfig {
+    let mut cfg =
+        common::golden_config(Algorithm::Maddpg, SamplerConfig::Uniform, LayoutMode::PerAgent);
+    cfg.exploration = marl_repro::algo::explore::ExplorationSchedule::annealed(500);
+    cfg
+}
+
+/// K = 8 worlds of cooperative-reference (comm actions).
+fn comm_k8_case() -> TrainConfig {
+    common::scenario_golden_config(Algorithm::Maddpg, Task::CooperativeReference)
+        .with_num_envs(8)
+        .with_episodes(8)
+}
+
+/// Every committed golden and the configuration it is recorded under.
+fn all_cases() -> Vec<(String, TrainConfig)> {
+    let mut cases = matrix_cases();
+    cases.extend(scenario_cases());
+    cases.push(("maddpg_uniform_per_agent_k8".into(), k8_case()));
+    cases.push(("maddpg_uniform_per_agent_annealed".into(), annealed_case()));
+    cases.push(("maddpg_cooperative_reference_k8".into(), comm_k8_case()));
+    cases
+}
+
+/// Records every case and diffs it against its committed trace (or
+/// re-blesses under `MARL_BLESS=1`); failures accumulate so one report
+/// lists every diverged trace.
+fn check_cases(cases: Vec<(String, TrainConfig)>) {
+    let mut failures = Vec::new();
+    for (name, cfg) in cases {
+        let digests = golden::record_run(cfg).expect("training failed");
+        assert!(!digests.is_empty(), "{name}: run recorded no updates");
+        if let Err(report) = golden::check_or_bless(&name, &cfg, &digests) {
+            failures.push(report);
+        }
+    }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+/// All 16 committed combinations, replayed and diffed. One test so a
+/// bless run regenerates the whole set atomically.
+#[test]
+fn golden_traces_match_committed_digests() {
+    check_cases(matrix_cases());
 }
 
 /// The vectorized-rollout golden: the 17th committed trace pins the
@@ -61,19 +130,7 @@ fn golden_traces_match_committed_digests() {
 /// update_every 10 ⇒ a healthy digest chain.
 #[test]
 fn vectorized_k8_golden_trace_matches_committed_digest() {
-    let cfg =
-        common::golden_config(Algorithm::Maddpg, SamplerConfig::Uniform, LayoutMode::PerAgent)
-            .with_num_envs(8)
-            .with_episodes(8);
-    let digests = golden::record_run(cfg).expect("training failed");
-    assert!(!digests.is_empty(), "k8 run recorded no updates");
-    if let Err(report) = golden::check_or_bless(
-        "maddpg_uniform_per_agent_k8",
-        &golden::describe_config(&cfg),
-        &digests,
-    ) {
-        panic!("{report}");
-    }
+    check_cases(vec![("maddpg_uniform_per_agent_k8".into(), k8_case())]);
 }
 
 /// The ε-greedy golden: every other golden runs the paper's default
@@ -83,18 +140,7 @@ fn vectorized_k8_golden_trace_matches_committed_digest() {
 /// and its extra master-stream draws.
 #[test]
 fn annealed_exploration_golden_trace_matches_committed_digest() {
-    let mut cfg =
-        common::golden_config(Algorithm::Maddpg, SamplerConfig::Uniform, LayoutMode::PerAgent);
-    cfg.exploration = marl_repro::algo::explore::ExplorationSchedule::annealed(500);
-    let digests = golden::record_run(cfg).expect("training failed");
-    assert!(!digests.is_empty(), "annealed run recorded no updates");
-    if let Err(report) = golden::check_or_bless(
-        "maddpg_uniform_per_agent_annealed",
-        &golden::describe_config(&cfg),
-        &digests,
-    ) {
-        panic!("{report}");
-    }
+    check_cases(vec![("maddpg_uniform_per_agent_annealed".into(), annealed_case())]);
 }
 
 /// One golden per scenario × algorithm for the rest of the registered
@@ -106,28 +152,7 @@ fn annealed_exploration_golden_trace_matches_committed_digest() {
 /// the numerics the scalar matrix cannot reach.
 #[test]
 fn per_scenario_golden_traces_match_committed_digests() {
-    use marl_repro::algo::Task;
-    const SCENARIOS: [(Task, &str); 4] = [
-        (Task::PhysicalDeception, "physical_deception"),
-        (Task::KeepAway, "keep_away"),
-        (Task::CooperativeReference, "cooperative_reference"),
-        (Task::WorldComm, "world_comm"),
-    ];
-    let mut failures = Vec::new();
-    for (task, tag) in SCENARIOS {
-        for (algorithm, algo_tag) in ALGORITHMS {
-            let name = format!("{algo_tag}_{tag}");
-            let cfg = common::scenario_golden_config(algorithm, task);
-            let digests = golden::record_run(cfg).expect("training failed");
-            assert!(!digests.is_empty(), "{name}: run recorded no updates");
-            if let Err(report) =
-                golden::check_or_bless(&name, &golden::describe_config(&cfg), &digests)
-            {
-                failures.push(report);
-            }
-        }
-    }
-    assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+    check_cases(scenario_cases());
 }
 
 /// The vectorized comm golden: K = 8 worlds of cooperative-reference,
@@ -136,19 +161,29 @@ fn per_scenario_golden_traces_match_committed_digests() {
 /// and the per-world RNG streams together in one committed digest chain.
 #[test]
 fn vectorized_k8_comm_golden_trace_matches_committed_digest() {
-    use marl_repro::algo::Task;
-    let cfg = common::scenario_golden_config(Algorithm::Maddpg, Task::CooperativeReference)
-        .with_num_envs(8)
-        .with_episodes(8);
-    let digests = golden::record_run(cfg).expect("training failed");
-    assert!(!digests.is_empty(), "comm k8 run recorded no updates");
-    if let Err(report) = golden::check_or_bless(
-        "maddpg_cooperative_reference_k8",
-        &golden::describe_config(&cfg),
-        &digests,
-    ) {
-        panic!("{report}");
+    check_cases(vec![("maddpg_cooperative_reference_k8".into(), comm_k8_case())]);
+}
+
+/// Every committed trace's `# config:` header deserializes to exactly the
+/// configuration it is recorded from, no two traces share a header, and
+/// the directory holds no trace without a case.
+#[test]
+fn every_golden_header_is_the_config_it_was_recorded_from() {
+    let cases = all_cases();
+    let mut headers = std::collections::BTreeSet::new();
+    for (name, cfg) in &cases {
+        let (recorded, _) = golden::load_trace(name).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(recorded, *cfg, "{name}: header is not its config");
+        assert!(headers.insert(serde_json::to_string(cfg).unwrap()), "{name}: duplicate header");
     }
+    let mut on_disk: Vec<String> = std::fs::read_dir(golden::golden_dir())
+        .expect("golden dir")
+        .filter_map(|e| e.ok()?.file_name().to_str()?.strip_suffix(".trace").map(String::from))
+        .collect();
+    on_disk.sort();
+    let mut names: Vec<String> = cases.into_iter().map(|(n, _)| n).collect();
+    names.sort();
+    assert_eq!(on_disk, names);
 }
 
 /// Recording twice under one configuration yields identical digest
