@@ -16,9 +16,9 @@
 //! 4. [`Rollout::advance`]: rewards accumulate and the next observations
 //!    become the current ones.
 //!
-//! **Streams.** World 0's env stream is seeded like a single
-//! [`ParticleEnv`](marl_env::env::ParticleEnv) (the checkpoint's
-//! `env_rng` slot), worlds `w > 0` draw from stream 4, sub-stream `w`. At
+//! **Streams.** World 0's env stream is the env seed itself, so world 0
+//! does not depend on K (the checkpoint's `env_rng` slot); worlds
+//! `w > 0` draw from stream 4, sub-stream `w`. At
 //! K = 1 the exploration noise comes from the caller's master RNG; at
 //! K > 1 world `w` has its own stream (stream 3, sub-stream `w`). Building
 //! a `Rollout` draws nothing from any caller stream.

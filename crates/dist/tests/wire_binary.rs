@@ -10,6 +10,7 @@ use marl_core::transition::TransitionRef;
 use marl_dist::wire::{decode_frame, encode_frame, ActorParams, Msg, Params, StepRows, Steps};
 use marl_dist::DistError;
 use marl_env::spaces::ActionSpace;
+use marl_env::ScenarioId;
 use marl_nn::activation::Activation;
 use marl_nn::init::Init;
 use marl_nn::mlp::Mlp;
@@ -56,7 +57,8 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 }
 
 /// Per-agent `(obs_dim, act_dim)` of a 3-agent scenario.
-fn dims_of(env: &marl_env::env::ParticleEnv) -> Vec<(usize, usize)> {
+fn dims_of(id: ScenarioId) -> Vec<(usize, usize)> {
+    let env = id.make_env(3, 25, 0);
     let obs = env.observation_spaces().into_iter().map(|s| s.dim);
     obs.zip(env.action_spaces().iter().map(ActionSpace::flat_dim)).collect()
 }
@@ -123,14 +125,14 @@ fn check_params_roundtrip(dims: &[(usize, usize)]) {
 
 #[test]
 fn params_roundtrip_is_bit_exact_for_predator_prey() {
-    let dims = dims_of(&marl_env::predator_prey(3, 25, 0));
+    let dims = dims_of(ScenarioId::PredatorPrey);
     assert_eq!(dims, [(16, 5); 3]);
     check_params_roundtrip(&dims);
 }
 
 #[test]
 fn params_roundtrip_is_bit_exact_for_world_comm_heterogeneous_heads() {
-    let dims = dims_of(&marl_env::world_comm(3, 25, 0));
+    let dims = dims_of(ScenarioId::WorldComm);
     assert_eq!(dims, [(16, 9), (20, 5), (20, 5)]);
     check_params_roundtrip(&dims);
 }
@@ -196,7 +198,7 @@ fn row_bits(rows: &StepRows) -> Vec<Vec<u32>> {
 #[test]
 fn steps_roundtrip_rows_of_unequal_width_and_every_optional_block() {
     // World-comm: observation and action widths both differ by agent.
-    let dims = dims_of(&marl_env::world_comm(3, 25, 0));
+    let dims = dims_of(ScenarioId::WorldComm);
     let rows = numbered_rows(&dims, 10);
     assert_eq!(rows.len(), 10);
     let ctx = TraceCtx { trace_id: 0xAB, span_id: 0xCD, send_ns: 123 };
@@ -237,7 +239,7 @@ fn steps_roundtrip_rows_of_unequal_width_and_every_optional_block() {
 
 #[test]
 fn a_misfit_install_is_a_protocol_error_and_writes_nothing() {
-    let dims = dims_of(&marl_env::predator_prey(3, 25, 0));
+    let dims = dims_of(ScenarioId::PredatorPrey);
     let donor = agents_for(&dims, 1);
     let actor = |i: usize| &donor[i].actor;
     let mut rng = StdRng::seed_from_u64(3);
@@ -264,7 +266,7 @@ fn a_misfit_install_is_a_protocol_error_and_writes_nothing() {
 
 #[test]
 fn steady_state_install_and_step_accumulate_allocate_nothing() {
-    let dims = dims_of(&marl_env::predator_prey(3, 25, 0));
+    let dims = dims_of(ScenarioId::PredatorPrey);
     let learner_nets = agents_for(&dims, 1);
     let mut worker_nets = agents_for(&dims, 2);
     let Msg::Params(params) = roundtrip(&Msg::Params(Box::new(Params {

@@ -1,13 +1,12 @@
-//! The environment wrapper: episodic reset/step over a scenario, with
-//! scripted agents driven internally.
+//! The single-world environment: episodic reset/step over a scenario,
+//! with scripted agents driven internally, returning owned observations
+//! and rewards.
 
-use crate::entity::DiscreteAction;
 use crate::error::EnvError;
 use crate::scenario::Scenario;
 use crate::spaces::{ActionSpace, BoxSpace};
+use crate::vecenv::VecParticleEnv;
 use crate::world::World;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Result of one environment step for the trained agents.
 #[derive(Debug, Clone)]
@@ -20,12 +19,15 @@ pub struct StepResult {
     pub done: bool,
 }
 
-/// An episodic multi-agent particle environment.
+/// An episodic multi-agent particle environment: the one-world
+/// [`VecParticleEnv`] behind an allocating interface that hands back
+/// owned observations and rewards.
 ///
 /// Scripted (environment-controlled) agents — the prey in predator-prey —
 /// are stepped internally; callers only provide actions for *trained*
 /// agents and only receive observations/rewards for them, exactly as the
-/// paper's training loop does.
+/// paper's training loop does. A same-seed `ParticleEnv` replays world 0
+/// of any K-world [`VecParticleEnv`] bit for bit.
 ///
 /// # Examples
 ///
@@ -43,112 +45,47 @@ pub struct StepResult {
 /// ```
 #[derive(Debug)]
 pub struct ParticleEnv {
-    scenario: Box<dyn Scenario>,
-    world: World,
-    max_episode_len: usize,
-    t: usize,
-    rng: StdRng,
-    trained: Vec<usize>,
-    scripted: Vec<usize>,
-    action_spaces: Vec<ActionSpace>,
+    env: VecParticleEnv,
 }
 
 impl ParticleEnv {
     /// Creates an environment with episode horizon `max_episode_len`
     /// (the paper uses 25) and a deterministic seed.
     pub fn new(scenario: Box<dyn Scenario>, max_episode_len: usize, seed: u64) -> Self {
-        let world = scenario.make_world();
-        let trained: Vec<usize> = world
-            .agents
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.is_trained())
-            .map(|(i, _)| i)
-            .collect();
-        let scripted = world
-            .agents
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| !a.is_trained())
-            .map(|(i, _)| i)
-            .collect();
-        let action_spaces: Vec<ActionSpace> =
-            trained.iter().map(|&i| scenario.action_space(&world, i)).collect();
-        for (&i, space) in trained.iter().zip(&action_spaces) {
-            if space.comm_dim() > 0 {
-                assert_eq!(
-                    world.agents[i].comm.len(),
-                    space.comm_dim(),
-                    "scenario must size agent {i}'s comm buffer to its declared comm factors"
-                );
-            }
-        }
-        ParticleEnv {
-            scenario,
-            world,
-            max_episode_len,
-            t: 0,
-            rng: StdRng::seed_from_u64(seed),
-            trained,
-            scripted,
-            action_spaces,
-        }
+        ParticleEnv { env: VecParticleEnv::new(vec![scenario], max_episode_len, seed) }
     }
 
     /// Number of trained agents (the paper's N).
     pub fn trained_agents(&self) -> usize {
-        self.trained.len()
-    }
-
-    /// Scenario name.
-    pub fn scenario_name(&self) -> &str {
-        self.scenario.name()
-    }
-
-    /// Episode horizon.
-    pub fn max_episode_len(&self) -> usize {
-        self.max_episode_len
+        self.env.trained_agents()
     }
 
     /// Observation space of each trained agent.
     pub fn observation_spaces(&self) -> Vec<BoxSpace> {
-        self.trained.iter().map(|&i| self.scenario.observation_space(&self.world, i)).collect()
+        self.env.observation_spaces()
     }
 
     /// Action space of each trained agent (movement-only scenarios share
     /// the 5-way space; communication scenarios may differ per agent).
     pub fn action_spaces(&self) -> &[ActionSpace] {
-        &self.action_spaces
+        self.env.action_spaces()
     }
 
     /// Read-only access to the underlying world (for tests/diagnostics).
     pub fn world(&self) -> &World {
-        &self.world
-    }
-
-    /// The raw state of the environment's random stream, captured for
-    /// checkpointing. At an episode boundary this state (plus the seed-built
-    /// scenario) fully determines every future rollout, so restoring it
-    /// makes a resumed run bitwise-identical to an uninterrupted one.
-    pub fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
-    }
-
-    /// Restores the random stream captured by [`ParticleEnv::rng_state`].
-    pub fn set_rng_state(&mut self, state: [u64; 4]) {
-        self.rng = StdRng::from_state(state);
+        self.env.world(0)
     }
 
     /// Starts a new episode; returns the initial observation per trained
     /// agent.
     pub fn reset(&mut self) -> Vec<Vec<f32>> {
-        self.scenario.reset_world(&mut self.world, &mut self.rng);
-        self.t = 0;
+        self.env.reset();
         self.observe()
     }
 
     /// Applies one action per trained agent, steps scripted agents and
-    /// physics, and returns the transition outcome.
+    /// physics, and returns the transition outcome. A rejected step
+    /// leaves the environment untouched.
     ///
     /// # Errors
     ///
@@ -156,55 +93,18 @@ impl ParticleEnv {
     /// from [`ParticleEnv::trained_agents`], or
     /// [`EnvError::InvalidAction`] for an out-of-range action index.
     pub fn step(&mut self, actions: &[usize]) -> Result<StepResult, EnvError> {
-        if actions.len() != self.trained.len() {
-            return Err(EnvError::ActionCountMismatch {
-                expected: self.trained.len(),
-                got: actions.len(),
-            });
-        }
-        for ((&agent_idx, &action), space) in
-            self.trained.iter().zip(actions).zip(&self.action_spaces)
-        {
-            if !space.contains(action) {
-                return Err(EnvError::InvalidAction { agent: agent_idx, action });
-            }
-            let segments = space.segments();
-            let mut rest = action;
-            let act = DiscreteAction::from_index(rest % segments[0])
-                .expect("movement factor is the 5-way discrete set");
-            rest /= segments[0];
-            let agent = &mut self.world.agents[agent_idx];
-            agent.action_force = act.direction();
-            // Communication factors: the one-hot utterance replaces the
-            // previous step's, becoming visible in teammates' *next*
-            // observations. Physics never reads it.
-            if segments.len() > 1 {
-                agent.comm.fill(0.0);
-                let mut off = 0;
-                for &s in &segments[1..] {
-                    agent.comm[off + rest % s] = 1.0;
-                    rest /= s;
-                    off += s;
-                }
-            }
-        }
-        for k in 0..self.scripted.len() {
-            let agent_idx = self.scripted[k];
-            let act = self.scenario.scripted_action(&self.world, agent_idx, &mut self.rng);
-            self.world.agents[agent_idx].action_force = act.direction();
-        }
-        self.world.step();
-        self.t += 1;
-        let rewards = self.trained.iter().map(|&i| self.scenario.reward(&self.world, i)).collect();
-        Ok(StepResult {
-            observations: self.observe(),
-            rewards,
-            done: self.t >= self.max_episode_len,
-        })
+        let mut rewards = vec![0.0; self.trained_agents()];
+        let done = self.env.step(actions, &mut rewards)?;
+        Ok(StepResult { observations: self.observe(), rewards, done })
     }
 
     fn observe(&self) -> Vec<Vec<f32>> {
-        self.trained.iter().map(|&i| self.scenario.observation(&self.world, i)).collect()
+        let spaces = self.env.observation_spaces();
+        let mut obs: Vec<Vec<f32>> = spaces.iter().map(|s| vec![0.0; s.dim]).collect();
+        for (a, o) in obs.iter_mut().enumerate() {
+            self.env.observe_into(a, 0, o);
+        }
+        obs
     }
 }
 

@@ -3,7 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors returned by [`crate::env::ParticleEnv`].
+/// Errors returned by [`crate::vecenv::VecParticleEnv`] (and so by
+/// [`crate::env::ParticleEnv`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EnvError {
     /// The caller supplied a different number of actions than there are

@@ -27,18 +27,30 @@
 //!
 //! ## Quickstart
 //!
-//! ```
-//! use marl_env::env::ParticleEnv;
-//! use marl_env::scenarios::simple_tag::{PredatorPrey, PredatorPreyConfig};
+//! [`VecParticleEnv`] is the one environment implementation: K worlds
+//! stepped as one batch, observations pulled into caller buffers. A
+//! [`ParticleEnv`] is its K = 1 case behind an allocating interface.
 //!
-//! let scenario = PredatorPrey::new(PredatorPreyConfig::scaled(3));
-//! let mut env = ParticleEnv::new(Box::new(scenario), 25, 0);
+//! ```
+//! use marl_env::ScenarioId;
+//!
+//! let mut env = ScenarioId::PredatorPrey.make_env(3, 25, 0);
 //! let mut obs = env.reset();
 //! while let Ok(step) = env.step(&vec![0; env.trained_agents()]) {
 //!     obs = step.observations;
 //!     if step.done { break; }
 //! }
 //! assert_eq!(obs.len(), 3);
+//!
+//! // Four worlds in lockstep; actions and rewards are world-major.
+//! let mut vec_env = ScenarioId::PredatorPrey.make_vec_env(3, 25, 0, 4);
+//! vec_env.reset();
+//! let mut rewards = vec![0.0; 4 * 3];
+//! let done = vec_env.step(&[0; 4 * 3], &mut rewards)?;
+//! assert!(!done);
+//! let mut o = vec![0.0; vec_env.observation_spaces()[0].dim];
+//! vec_env.observe_into(0, 3, &mut o); // agent 0 in world 3
+//! # Ok::<(), marl_env::EnvError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -66,129 +78,3 @@ pub use soa::SoaBatch;
 pub use spaces::ActionSpace;
 pub use vecenv::VecParticleEnv;
 pub use world::World;
-
-/// Convenience constructor for the paper's predator-prey configuration at
-/// `n` trained agents.
-pub fn predator_prey(n: usize, max_episode_len: usize, seed: u64) -> ParticleEnv {
-    use scenarios::simple_tag::{PredatorPrey, PredatorPreyConfig};
-    ParticleEnv::new(
-        Box::new(PredatorPrey::new(PredatorPreyConfig::scaled(n))),
-        max_episode_len,
-        seed,
-    )
-}
-
-/// Convenience constructor for the paper's cooperative-navigation
-/// configuration at `n` trained agents.
-pub fn cooperative_navigation(n: usize, max_episode_len: usize, seed: u64) -> ParticleEnv {
-    use scenarios::simple_spread::{CooperativeNavigation, CooperativeNavigationConfig};
-    ParticleEnv::new(
-        Box::new(CooperativeNavigation::new(CooperativeNavigationConfig::scaled(n))),
-        max_episode_len,
-        seed,
-    )
-}
-
-/// Convenience constructor for the physical-deception extension scenario
-/// (`simple_adversary`) at `n` trained agents.
-pub fn physical_deception(n: usize, max_episode_len: usize, seed: u64) -> ParticleEnv {
-    use scenarios::simple_adversary::{PhysicalDeception, PhysicalDeceptionConfig};
-    ParticleEnv::new(
-        Box::new(PhysicalDeception::new(PhysicalDeceptionConfig::scaled(n))),
-        max_episode_len,
-        seed,
-    )
-}
-
-/// Vectorized predator-prey: `worlds` copies stepped as one batch.
-pub fn predator_prey_vec(
-    n: usize,
-    max_episode_len: usize,
-    seed: u64,
-    worlds: usize,
-) -> VecParticleEnv {
-    use scenarios::simple_tag::{PredatorPrey, PredatorPreyConfig};
-    let scenarios = (0..worlds)
-        .map(|_| Box::new(PredatorPrey::new(PredatorPreyConfig::scaled(n))) as Box<dyn Scenario>)
-        .collect();
-    VecParticleEnv::new(scenarios, max_episode_len, seed)
-}
-
-/// Vectorized cooperative navigation: `worlds` copies stepped as one batch.
-pub fn cooperative_navigation_vec(
-    n: usize,
-    max_episode_len: usize,
-    seed: u64,
-    worlds: usize,
-) -> VecParticleEnv {
-    use scenarios::simple_spread::{CooperativeNavigation, CooperativeNavigationConfig};
-    let scenarios = (0..worlds)
-        .map(|_| {
-            Box::new(CooperativeNavigation::new(CooperativeNavigationConfig::scaled(n)))
-                as Box<dyn Scenario>
-        })
-        .collect();
-    VecParticleEnv::new(scenarios, max_episode_len, seed)
-}
-
-/// Vectorized physical deception: `worlds` copies stepped as one batch
-/// (each world holds its own scenario instance so the per-episode goal
-/// landmark stays per-world).
-pub fn physical_deception_vec(
-    n: usize,
-    max_episode_len: usize,
-    seed: u64,
-    worlds: usize,
-) -> VecParticleEnv {
-    use scenarios::simple_adversary::{PhysicalDeception, PhysicalDeceptionConfig};
-    let scenarios = (0..worlds)
-        .map(|_| {
-            Box::new(PhysicalDeception::new(PhysicalDeceptionConfig::scaled(n)))
-                as Box<dyn Scenario>
-        })
-        .collect();
-    VecParticleEnv::new(scenarios, max_episode_len, seed)
-}
-
-/// Convenience constructor for the keep-away scenario (`simple_push`) at
-/// `n` trained agents.
-pub fn keep_away(n: usize, max_episode_len: usize, seed: u64) -> ParticleEnv {
-    ScenarioId::KeepAway.make_env(n, max_episode_len, seed)
-}
-
-/// Convenience constructor for the cooperative-reference scenario
-/// (`simple_reference`) at `n` trained agents.
-pub fn cooperative_reference(n: usize, max_episode_len: usize, seed: u64) -> ParticleEnv {
-    ScenarioId::CooperativeReference.make_env(n, max_episode_len, seed)
-}
-
-/// Convenience constructor for the world-comm scenario
-/// (`simple_world_comm`) at `n` trained agents.
-pub fn world_comm(n: usize, max_episode_len: usize, seed: u64) -> ParticleEnv {
-    ScenarioId::WorldComm.make_env(n, max_episode_len, seed)
-}
-
-/// Vectorized keep-away: `worlds` copies stepped as one batch.
-pub fn keep_away_vec(n: usize, max_episode_len: usize, seed: u64, worlds: usize) -> VecParticleEnv {
-    ScenarioId::KeepAway.make_vec_env(n, max_episode_len, seed, worlds)
-}
-
-/// Vectorized cooperative reference: `worlds` copies stepped as one batch.
-pub fn cooperative_reference_vec(
-    n: usize,
-    max_episode_len: usize,
-    seed: u64,
-    worlds: usize,
-) -> VecParticleEnv {
-    ScenarioId::CooperativeReference.make_vec_env(n, max_episode_len, seed, worlds)
-}
-
-/// Vectorized world-comm: `worlds` copies stepped as one batch.
-pub fn world_comm_vec(
-    n: usize,
-    max_episode_len: usize,
-    seed: u64,
-    worlds: usize,
-) -> VecParticleEnv {
-    ScenarioId::WorldComm.make_vec_env(n, max_episode_len, seed, worlds)
-}

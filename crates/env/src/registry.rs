@@ -154,7 +154,8 @@ impl ScenarioId {
         factory(agents)
     }
 
-    /// Builds a scalar environment for this scenario.
+    /// Builds a one-world environment for this scenario (the K = 1
+    /// [`VecParticleEnv`] behind an allocating interface).
     pub fn make_env(self, agents: usize, max_episode_len: usize, seed: u64) -> ParticleEnv {
         ParticleEnv::new(self.build(agents), max_episode_len, seed)
     }
@@ -317,12 +318,12 @@ mod tests {
     fn factories_build_scaled_scenarios() {
         let env = ScenarioId::PredatorPrey.make_env(3, 25, 0);
         assert_eq!(env.trained_agents(), 3);
-        assert_eq!(env.scenario_name(), "predator-prey");
         let env = ScenarioId::WorldComm.make_env(3, 25, 0);
         assert_eq!(env.trained_agents(), 3);
         assert_eq!(env.action_spaces()[0].segments(), &[5, 4]);
         let vec = ScenarioId::CooperativeReference.make_vec_env(2, 25, 0, 4);
         assert_eq!(vec.world_count(), 4);
+        assert_eq!(vec.scenario_name(), "cooperative-reference");
     }
 
     #[test]

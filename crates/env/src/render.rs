@@ -31,7 +31,7 @@ impl Default for RenderOptions {
 ///
 /// ```
 /// use marl_env::render::{render_svg, RenderOptions};
-/// let env = marl_env::predator_prey(3, 25, 0);
+/// let env = marl_env::ScenarioId::PredatorPrey.make_env(3, 25, 0);
 /// let svg = render_svg(env.world(), &RenderOptions::default());
 /// assert!(svg.starts_with("<svg"));
 /// assert!(svg.contains("</svg>"));
@@ -106,10 +106,11 @@ pub fn render_strip(frames: &[&World], options: &RenderOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScenarioId;
 
     #[test]
     fn svg_contains_all_entities() {
-        let env = crate::predator_prey(3, 25, 1);
+        let env = ScenarioId::PredatorPrey.make_env(3, 25, 1);
         let svg = render_svg(env.world(), &RenderOptions::default());
         // 3 predators + 1 prey + 2 landmarks = 6 circles minimum.
         assert!(svg.matches("<circle").count() >= 6);
@@ -119,7 +120,7 @@ mod tests {
 
     #[test]
     fn coordinates_map_into_viewport() {
-        let env = crate::cooperative_navigation(3, 25, 2);
+        let env = ScenarioId::CooperativeNavigation.make_env(3, 25, 2);
         let opts = RenderOptions { size_px: 100, extent: 1.2, velocities: false };
         let svg = render_svg(env.world(), &opts);
         // No coordinate may exceed the viewport (crude but effective check:
@@ -132,7 +133,7 @@ mod tests {
 
     #[test]
     fn strip_tiles_frames() {
-        let env = crate::predator_prey(3, 25, 3);
+        let env = ScenarioId::PredatorPrey.make_env(3, 25, 3);
         let opts = RenderOptions { size_px: 64, extent: 1.2, velocities: false };
         let w1 = env.world().clone();
         let strip = render_strip(&[&w1, &w1, &w1], &opts);
@@ -142,7 +143,7 @@ mod tests {
 
     #[test]
     fn velocity_vectors_togglable() {
-        let mut env = crate::predator_prey(3, 25, 4);
+        let mut env = ScenarioId::PredatorPrey.make_env(3, 25, 4);
         env.reset();
         for _ in 0..3 {
             env.step(&[2, 2, 2]).unwrap();

@@ -2,7 +2,7 @@
 //! scripted (environment-controlled) behaviour.
 
 use crate::entity::DiscreteAction;
-use crate::spaces::{ActionSpace, BoxSpace};
+use crate::spaces::ActionSpace;
 use crate::world::World;
 use rand::rngs::StdRng;
 
@@ -23,19 +23,24 @@ pub trait Scenario: std::fmt::Debug + Send {
     /// Randomizes entity positions/velocities at episode start.
     fn reset_world(&self, world: &mut World, rng: &mut StdRng);
 
-    /// Observation vector for agent `agent_idx`.
-    fn observation(&self, world: &World, agent_idx: usize) -> Vec<f32>;
+    /// Length of agent `agent_idx`'s observation: the buffer length
+    /// [`Scenario::observation_into`] fills.
+    fn observation_dim(&self, world: &World, agent_idx: usize) -> usize;
 
     /// Writes agent `agent_idx`'s observation into `out` without
-    /// allocating. The default routes through [`Scenario::observation`]
-    /// (which allocates); scenarios on the vectorized rollout path
-    /// override it to fill the buffer directly.
+    /// allocating. This is the one observation body; training and
+    /// [`Scenario::observation`] both run it.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len()` differs from the observation dimension.
-    fn observation_into(&self, world: &World, agent_idx: usize, out: &mut [f32]) {
-        out.copy_from_slice(&self.observation(world, agent_idx));
+    /// Panics if `out.len()` differs from [`Scenario::observation_dim`].
+    fn observation_into(&self, world: &World, agent_idx: usize, out: &mut [f32]);
+
+    /// Observation vector for agent `agent_idx`, allocated.
+    fn observation(&self, world: &World, agent_idx: usize) -> Vec<f32> {
+        let mut out = vec![0.0; self.observation_dim(world, agent_idx)];
+        self.observation_into(world, agent_idx, &mut out);
+        out
     }
 
     /// Reward for agent `agent_idx` in the current world state.
@@ -52,11 +57,6 @@ pub trait Scenario: std::fmt::Debug + Send {
         _rng: &mut StdRng,
     ) -> DiscreteAction {
         DiscreteAction::Stay
-    }
-
-    /// Observation space of agent `agent_idx` (derived from a fresh world).
-    fn observation_space(&self, world: &World, agent_idx: usize) -> BoxSpace {
-        BoxSpace::new(self.observation(world, agent_idx).len())
     }
 
     /// Action space of agent `agent_idx`. The default is the movement-only

@@ -130,29 +130,13 @@ impl Scenario for PhysicalDeception {
         self.goal.set(rng.gen_range(0..world.landmarks.len()));
     }
 
-    /// Good agents observe `[goal_rel(2), landmarks_rel(2L),
-    /// others_rel(2(A−1))]`; adversaries the same minus the goal prefix.
-    fn observation(&self, world: &World, agent_idx: usize) -> Vec<f32> {
-        let me = &world.agents[agent_idx];
-        let mut obs = Vec::new();
-        if !self.is_adversary(agent_idx) {
-            let g = self.goal_position(world) - me.state.position;
-            obs.extend_from_slice(&[g.x, g.y]);
-        }
-        for l in &world.landmarks {
-            let d = l.state.position - me.state.position;
-            obs.extend_from_slice(&[d.x, d.y]);
-        }
-        for (i, other) in world.agents.iter().enumerate() {
-            if i == agent_idx {
-                continue;
-            }
-            let d = other.state.position - me.state.position;
-            obs.extend_from_slice(&[d.x, d.y]);
-        }
-        obs
+    fn observation_dim(&self, world: &World, agent_idx: usize) -> usize {
+        let goal = if self.is_adversary(agent_idx) { 0 } else { 2 };
+        goal + 2 * world.landmarks.len() + 2 * (world.agents.len() - 1)
     }
 
+    /// Good agents observe `[goal_rel(2), landmarks_rel(2L),
+    /// others_rel(2(A−1))]`; adversaries the same minus the goal prefix.
     fn observation_into(&self, world: &World, agent_idx: usize, out: &mut [f32]) {
         let me = &world.agents[agent_idx];
         let mut off = 0;

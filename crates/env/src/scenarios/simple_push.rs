@@ -129,29 +129,13 @@ impl Scenario for KeepAway {
         self.goal.set(rng.gen_range(0..world.landmarks.len()));
     }
 
-    /// Good agents observe `[vel(2), goal_rel(2), landmarks_rel(2L),
-    /// others_rel(2(A−1))]`; adversaries the same minus the goal prefix.
-    fn observation(&self, world: &World, agent_idx: usize) -> Vec<f32> {
-        let me = &world.agents[agent_idx];
-        let mut obs = vec![me.state.velocity.x, me.state.velocity.y];
-        if !self.is_adversary(agent_idx) {
-            let g = self.goal_position(world) - me.state.position;
-            obs.extend_from_slice(&[g.x, g.y]);
-        }
-        for l in &world.landmarks {
-            let d = l.state.position - me.state.position;
-            obs.extend_from_slice(&[d.x, d.y]);
-        }
-        for (i, other) in world.agents.iter().enumerate() {
-            if i == agent_idx {
-                continue;
-            }
-            let d = other.state.position - me.state.position;
-            obs.extend_from_slice(&[d.x, d.y]);
-        }
-        obs
+    fn observation_dim(&self, world: &World, agent_idx: usize) -> usize {
+        let goal = if self.is_adversary(agent_idx) { 0 } else { 2 };
+        2 + goal + 2 * world.landmarks.len() + 2 * (world.agents.len() - 1)
     }
 
+    /// Good agents observe `[vel(2), goal_rel(2), landmarks_rel(2L),
+    /// others_rel(2(A−1))]`; adversaries the same minus the goal prefix.
     fn observation_into(&self, world: &World, agent_idx: usize, out: &mut [f32]) {
         let me = &world.agents[agent_idx];
         out[0] = me.state.velocity.x;
@@ -225,20 +209,6 @@ mod tests {
         assert_eq!(s.observation(&w, 0).len(), 10);
         assert_eq!(s.observation(&w, 1).len(), 12);
         assert_eq!(s.observation(&w, 2).len(), 12);
-    }
-
-    #[test]
-    fn observation_into_matches_allocating_path() {
-        let s = KeepAway::new(KeepAwayConfig::scaled(4));
-        let mut w = s.make_world();
-        let mut r = rng();
-        s.reset_world(&mut w, &mut r);
-        for a in 0..w.agents.len() {
-            let want = s.observation(&w, a);
-            let mut got = vec![0.0; want.len()];
-            s.observation_into(&w, a, &mut got);
-            assert_eq!(got, want, "agent {a}");
-        }
     }
 
     #[test]

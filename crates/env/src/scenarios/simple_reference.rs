@@ -134,32 +134,13 @@ impl Scenario for CooperativeReference {
         }
     }
 
+    fn observation_dim(&self, world: &World, _agent_idx: usize) -> usize {
+        2 + 3 * world.landmarks.len() + self.config.comm_symbols * (world.agents.len() - 1)
+    }
+
     /// `[self_vel(2), landmark_rel(2L), partner_goal_onehot(L),
     ///   others_comm(C·(N−1))]` — note the agent's *own* goal never
     /// appears; it must be decoded from teammates' utterances.
-    fn observation(&self, world: &World, agent_idx: usize) -> Vec<f32> {
-        let me = &world.agents[agent_idx];
-        let l = world.landmarks.len();
-        let mut obs =
-            Vec::with_capacity(2 + 2 * l + l + self.config.comm_symbols * (world.agents.len() - 1));
-        obs.extend_from_slice(&[me.state.velocity.x, me.state.velocity.y]);
-        for lm in &world.landmarks {
-            let d = lm.state.position - me.state.position;
-            obs.extend_from_slice(&[d.x, d.y]);
-        }
-        let partner_goal = self.goal_of(self.partner_of(agent_idx));
-        for i in 0..l {
-            obs.push(if i == partner_goal { 1.0 } else { 0.0 });
-        }
-        for (i, other) in world.agents.iter().enumerate() {
-            if i == agent_idx {
-                continue;
-            }
-            obs.extend_from_slice(&other.comm);
-        }
-        obs
-    }
-
     fn observation_into(&self, world: &World, agent_idx: usize, out: &mut [f32]) {
         let me = &world.agents[agent_idx];
         out[0] = me.state.velocity.x;
@@ -223,22 +204,6 @@ mod tests {
         let s = CooperativeReference::new(CooperativeReferenceConfig::scaled(3));
         let w = s.make_world();
         assert_eq!(s.observation(&w, 0).len(), 31);
-    }
-
-    #[test]
-    fn observation_into_matches_allocating_path() {
-        let s = CooperativeReference::new(CooperativeReferenceConfig::scaled(3));
-        let mut w = s.make_world();
-        let mut r = rng();
-        s.reset_world(&mut w, &mut r);
-        w.agents[1].comm[4] = 1.0;
-        w.agents[2].comm[9] = 1.0;
-        for a in 0..w.agents.len() {
-            let want = s.observation(&w, a);
-            let mut got = vec![0.0; want.len()];
-            s.observation_into(&w, a, &mut got);
-            assert_eq!(got, want, "agent {a}");
-        }
     }
 
     #[test]

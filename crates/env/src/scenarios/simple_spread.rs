@@ -107,30 +107,8 @@ impl Scenario for CooperativeNavigation {
         }
     }
 
-    fn observation(&self, world: &World, agent_idx: usize) -> Vec<f32> {
-        let me = &world.agents[agent_idx];
-        let n = world.agents.len();
-        let mut obs = Vec::with_capacity(6 * n);
-        obs.extend_from_slice(&[me.state.velocity.x, me.state.velocity.y]);
-        obs.extend_from_slice(&[me.state.position.x, me.state.position.y]);
-        for l in &world.landmarks {
-            let d = l.state.position - me.state.position;
-            obs.extend_from_slice(&[d.x, d.y]);
-        }
-        for (i, other) in world.agents.iter().enumerate() {
-            if i == agent_idx {
-                continue;
-            }
-            let d = other.state.position - me.state.position;
-            obs.extend_from_slice(&[d.x, d.y]);
-        }
-        for (i, other) in world.agents.iter().enumerate() {
-            if i == agent_idx {
-                continue;
-            }
-            obs.extend_from_slice(&other.comm);
-        }
-        obs
+    fn observation_dim(&self, world: &World, _agent_idx: usize) -> usize {
+        4 + 2 * world.landmarks.len() + 4 * (world.agents.len() - 1)
     }
 
     fn observation_into(&self, world: &World, agent_idx: usize, out: &mut [f32]) {

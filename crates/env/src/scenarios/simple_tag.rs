@@ -120,32 +120,9 @@ impl Scenario for PredatorPrey {
         }
     }
 
-    fn observation(&self, world: &World, agent_idx: usize) -> Vec<f32> {
-        let me = &world.agents[agent_idx];
-        let mut obs = Vec::with_capacity(
-            4 + 2 * world.landmarks.len() + 2 * (world.agents.len() - 1) + 2 * self.config.prey,
-        );
-        obs.extend_from_slice(&[me.state.velocity.x, me.state.velocity.y]);
-        obs.extend_from_slice(&[me.state.position.x, me.state.position.y]);
-        for l in &world.landmarks {
-            let d = l.state.position - me.state.position;
-            obs.extend_from_slice(&[d.x, d.y]);
-        }
-        for (i, other) in world.agents.iter().enumerate() {
-            if i == agent_idx {
-                continue;
-            }
-            let d = other.state.position - me.state.position;
-            obs.extend_from_slice(&[d.x, d.y]);
-        }
-        // Velocities of prey (excluding self if self is prey).
-        for (i, other) in world.agents.iter().enumerate() {
-            if i == agent_idx || other.role != Role::Prey {
-                continue;
-            }
-            obs.extend_from_slice(&[other.state.velocity.x, other.state.velocity.y]);
-        }
-        obs
+    fn observation_dim(&self, world: &World, agent_idx: usize) -> usize {
+        let prey = Self::prey_indices(world).filter(|&i| i != agent_idx).count();
+        4 + 2 * world.landmarks.len() + 2 * (world.agents.len() - 1) + 2 * prey
     }
 
     fn observation_into(&self, world: &World, agent_idx: usize, out: &mut [f32]) {

@@ -135,39 +135,19 @@ impl Scenario for WorldComm {
         }
     }
 
+    fn observation_dim(&self, world: &World, agent_idx: usize) -> usize {
+        let prey = Self::prey_indices(world).filter(|&i| i != agent_idx).count();
+        let listener =
+            world.agents[agent_idx].role == Role::Cooperator && !self.is_leader(agent_idx);
+        let heard = if listener { world.agents[0].comm.len() } else { 0 };
+        4 + 2 * world.landmarks.len() + 2 * (world.agents.len() - 1) + 2 * prey + heard
+    }
+
     /// The `simple_tag` layout, with the leader's utterance appended for
     /// non-leader predators:
     ///
     /// `[self_vel(2), self_pos(2), landmark_rel(2L), others_rel(2(A−1)),
     ///   prey_vels, leader_comm(C — listeners only)]`
-    fn observation(&self, world: &World, agent_idx: usize) -> Vec<f32> {
-        let me = &world.agents[agent_idx];
-        let mut obs = Vec::new();
-        obs.extend_from_slice(&[me.state.velocity.x, me.state.velocity.y]);
-        obs.extend_from_slice(&[me.state.position.x, me.state.position.y]);
-        for l in &world.landmarks {
-            let d = l.state.position - me.state.position;
-            obs.extend_from_slice(&[d.x, d.y]);
-        }
-        for (i, other) in world.agents.iter().enumerate() {
-            if i == agent_idx {
-                continue;
-            }
-            let d = other.state.position - me.state.position;
-            obs.extend_from_slice(&[d.x, d.y]);
-        }
-        for (i, other) in world.agents.iter().enumerate() {
-            if i == agent_idx || other.role != Role::Prey {
-                continue;
-            }
-            obs.extend_from_slice(&[other.state.velocity.x, other.state.velocity.y]);
-        }
-        if me.role == Role::Cooperator && !self.is_leader(agent_idx) {
-            obs.extend_from_slice(&world.agents[0].comm);
-        }
-        obs
-    }
-
     fn observation_into(&self, world: &World, agent_idx: usize, out: &mut [f32]) {
         let me = &world.agents[agent_idx];
         out[0] = me.state.velocity.x;
@@ -315,21 +295,6 @@ mod tests {
         assert_eq!(s.action_space(&w, 0).joint_count(), 20);
         assert_eq!(s.action_space(&w, 1).segments(), &[5]);
         assert_eq!(s.action_space(&w, 2).segments(), &[5]);
-    }
-
-    #[test]
-    fn observation_into_matches_allocating_path() {
-        let s = WorldComm::new(WorldCommConfig::scaled(4));
-        let mut w = s.make_world();
-        let mut r = rng();
-        s.reset_world(&mut w, &mut r);
-        w.agents[0].comm[2] = 1.0;
-        for a in 0..w.agents.len() {
-            let want = s.observation(&w, a);
-            let mut got = vec![0.0; want.len()];
-            s.observation_into(&w, a, &mut got);
-            assert_eq!(got, want, "agent {a}");
-        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl fmt::Display for DiscreteSpace {
 /// * the **joint index** — one `usize` in `0..joint_count()`, mixed-radix
 ///   encoded with the movement factor least significant (so a
 ///   movement-only space's joint index *is* the [`crate::entity::DiscreteAction`]
-///   index) — what [`crate::env::ParticleEnv::step`] consumes;
+///   index) — what [`crate::vecenv::VecParticleEnv::step`] consumes;
 /// * the **multi-hot vector** of width `flat_dim()` — the concatenated
 ///   per-factor one-hots that replay buffers and centralized critics see.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

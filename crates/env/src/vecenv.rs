@@ -1,5 +1,7 @@
 //! The vectorized multi-world environment: K episodic particle
-//! environments stepped in lockstep over one [`SoaBatch`].
+//! environments stepped in lockstep over one [`SoaBatch`]. This is the
+//! only environment implementation; [`ParticleEnv`] is its one-world,
+//! allocating adapter.
 //!
 //! Per-world state that the [`Scenario`] seam owns — observations,
 //! rewards, scripted behaviour, reset randomization, interior scenario
@@ -8,9 +10,9 @@
 //! world carries its *own* scenario instance (scenarios may hold
 //! per-episode state) and its own RNG stream:
 //!
-//! * world 0 is seeded `StdRng::seed_from_u64(seed)`, exactly like
-//!   [`ParticleEnv`], so world 0 replays a same-seed `ParticleEnv`
-//!   bitwise and its stream fills a checkpoint's single `env_rng` slot;
+//! * world 0 is seeded `StdRng::seed_from_u64(seed)`, so world 0 of any
+//!   K replays a same-seed one-world env bitwise and its stream fills a
+//!   checkpoint's single `env_rng` slot;
 //! * world `w > 0` draws from `derive_seed(derive_seed(seed, 4), w)`, a
 //!   stream disjoint from the trainer's master (stream 1), update
 //!   (stream 2) and exploration (stream 3) streams.
@@ -130,7 +132,7 @@ impl VecParticleEnv {
     pub fn observation_spaces(&self) -> Vec<BoxSpace> {
         self.trained
             .iter()
-            .map(|&i| self.scenarios[0].observation_space(&self.worlds[0], i))
+            .map(|&i| BoxSpace::new(self.scenarios[0].observation_dim(&self.worlds[0], i)))
             .collect()
     }
 
@@ -164,24 +166,6 @@ impl VecParticleEnv {
         assert_eq!(states.len(), self.rngs.len(), "rng state count mismatch");
         for (r, &s) in self.rngs.iter_mut().zip(states) {
             *r = StdRng::from_state(s);
-        }
-    }
-
-    /// Reseeds every world's random stream from sub-streams of `seed`'s
-    /// env stream (stream 4): world `w` draws from
-    /// `derive_seed(derive_seed(seed, 4), world_offset + w)`.
-    ///
-    /// This is the sharding seam for distributed rollout workers: worker
-    /// `s` holding K worlds passes a disjoint `world_offset` (e.g.
-    /// `(s + 1) * 2^32 + s * K`) so no two workers — and no worker and
-    /// the single-process vectorized path, whose worlds sit at offsets
-    /// `1..K` — ever share an environment stream. Unlike
-    /// [`VecParticleEnv::set_rng_states`] this derives states instead of
-    /// installing captured ones, so it is usable before any state exists.
-    pub fn reseed_worlds(&mut self, seed: u64, world_offset: u64) {
-        let stream = derive_seed(seed, 4);
-        for (w, rng) in self.rngs.iter_mut().enumerate() {
-            *rng = StdRng::seed_from_u64(derive_seed(stream, world_offset + w as u64));
         }
     }
 
@@ -229,15 +213,17 @@ impl VecParticleEnv {
             return Err(EnvError::ActionCountMismatch { expected, got: actions.len() });
         }
         assert_eq!(rewards.len(), expected, "reward buffer size mismatch");
+        // Validate every world's actions before applying any, so a
+        // rejected step leaves all K worlds untouched.
+        for (i, &action) in actions.iter().enumerate() {
+            if !self.action_spaces[i % n].contains(action) {
+                return Err(EnvError::InvalidAction { agent: self.trained[i % n], action });
+            }
+        }
         for (w, world) in self.worlds.iter_mut().enumerate() {
             for (a, &agent_idx) in self.trained.iter().enumerate() {
-                let action = actions[w * n + a];
-                let space = &self.action_spaces[a];
-                if !space.contains(action) {
-                    return Err(EnvError::InvalidAction { agent: agent_idx, action });
-                }
-                let segments = space.segments();
-                let mut rest = action;
+                let segments = self.action_spaces[a].segments();
+                let mut rest = actions[w * n + a];
                 let act = DiscreteAction::from_index(rest % segments[0])
                     .expect("movement factor is the 5-way discrete set");
                 rest /= segments[0];
@@ -245,9 +231,9 @@ impl VecParticleEnv {
                 agent.action_force = act.direction();
                 // Comm utterances land on the authoritative AoS worlds
                 // before the SoA gather; the batched physics never reads
-                // them, and observations read the AoS state post-scatter,
-                // so the vectorized comm path is bitwise-trivially equal
-                // to the scalar one.
+                // them, and observations read the AoS state post-scatter.
+                // The one-hot utterance replaces the previous step's and
+                // shows in teammates' *next* observations.
                 if segments.len() > 1 {
                     agent.comm.fill(0.0);
                     let mut off = 0;
@@ -282,7 +268,6 @@ impl VecParticleEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::ParticleEnv;
     use crate::scenarios::simple_tag::{PredatorPrey, PredatorPreyConfig};
 
     fn vec_env(k: usize, seed: u64) -> VecParticleEnv {
@@ -292,52 +277,6 @@ mod tests {
             })
             .collect();
         VecParticleEnv::new(scenarios, 25, seed)
-    }
-
-    /// World 0 of a vectorized env replays the scalar env exactly: same
-    /// seed, same reset draws, same scripted prey, bit-identical physics.
-    #[test]
-    fn world_zero_matches_scalar_env_bitwise() {
-        for k in [1, 4] {
-            let mut scalar = ParticleEnv::new(
-                Box::new(PredatorPrey::new(PredatorPreyConfig::scaled(3))),
-                25,
-                1234,
-            );
-            let mut obs_ref = scalar.reset();
-            let mut vec = vec_env(k, 1234);
-            vec.reset();
-            let n = vec.trained_agents();
-            let mut rewards = vec![0.0; n * k];
-            let mut obs = vec![0.0f32; obs_ref[0].len()];
-            let mut actions = vec![0usize; n * k];
-            for t in 0..25 {
-                for (a, o) in obs_ref.iter().enumerate() {
-                    vec.observe_into(a, 0, &mut obs);
-                    assert_eq!(
-                        obs,
-                        o.as_slice(),
-                        "t={t} agent={a} K={k}: world-0 observation drifted"
-                    );
-                }
-                for w in 0..k {
-                    for a in 0..n {
-                        actions[w * n + a] = (t + a + w) % 5;
-                    }
-                }
-                let step = scalar.step(&actions[..n]).unwrap();
-                let done = vec.step(&actions, &mut rewards).unwrap();
-                assert_eq!(done, step.done, "t={t}");
-                for (a, r) in rewards.iter().take(n).enumerate() {
-                    assert_eq!(
-                        r.to_bits(),
-                        step.rewards[a].to_bits(),
-                        "t={t} agent={a} K={k}: world-0 reward drifted"
-                    );
-                }
-                obs_ref = step.observations;
-            }
-        }
     }
 
     /// Worlds beyond 0 draw from disjoint streams: same seed reproduces
@@ -365,24 +304,5 @@ mod tests {
         let mut rewards = vec![0.0; 6];
         let err = env.step(&[0, 0, 0], &mut rewards).unwrap_err();
         assert!(matches!(err, EnvError::ActionCountMismatch { expected: 6, got: 3 }));
-    }
-
-    #[test]
-    fn reseed_worlds_shards_disjoint_deterministic_streams() {
-        // Two workers sharding the same seed at disjoint offsets must get
-        // different streams; the same (seed, offset) must reproduce.
-        let mut w0 = vec_env(2, 7);
-        let mut w1 = vec_env(2, 7);
-        let mut w0b = vec_env(2, 7);
-        w0.reseed_worlds(7, 100);
-        w1.reseed_worlds(7, 102);
-        w0b.reseed_worlds(7, 100);
-        assert_eq!(w0.rng_states(), w0b.rng_states(), "same shard must reproduce");
-        assert_ne!(w0.rng_states(), w1.rng_states(), "shards must be disjoint");
-        w0.reset();
-        w1.reset();
-        let p0 = w0.world(0).agents[0].state.position;
-        let p1 = w1.world(0).agents[0].state.position;
-        assert_ne!(p0, p1, "sharded worlds share a random stream");
     }
 }

@@ -77,6 +77,10 @@ impl World {
 
     /// Advances physics by one step: action forces + collision forces, then
     /// damped Euler integration with speed clamping.
+    ///
+    /// Environments step through [`crate::soa::SoaBatch`]; this one-world
+    /// AoS step is the reference the SoA step is tested against, bit for
+    /// bit.
     pub fn step(&mut self) {
         let n = self.agents.len();
         let mut forces = vec![Vec2::ZERO; n];

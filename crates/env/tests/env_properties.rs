@@ -3,7 +3,7 @@
 //! action sequences.
 
 use marl_env::entity::DiscreteAction;
-use marl_env::{cooperative_navigation, predator_prey};
+use marl_env::ScenarioId;
 use proptest::prelude::*;
 
 proptest! {
@@ -20,9 +20,9 @@ proptest! {
     ) {
         let n = [3, 6, 12][n_pick];
         let mut env = if pp {
-            predator_prey(n, 25, seed)
+            ScenarioId::PredatorPrey.make_env(n, 25, seed)
         } else {
-            cooperative_navigation(n, 25, seed)
+            ScenarioId::CooperativeNavigation.make_env(n, 25, seed)
         };
         let spaces = env.observation_spaces();
         let mut obs = env.reset();
@@ -48,8 +48,8 @@ proptest! {
         seed in any::<u64>(),
         actions in proptest::collection::vec(0usize..5, 1..40),
     ) {
-        let mut a = predator_prey(3, 25, seed);
-        let mut b = predator_prey(3, 25, seed);
+        let mut a = ScenarioId::PredatorPrey.make_env(3, 25, seed);
+        let mut b = ScenarioId::PredatorPrey.make_env(3, 25, seed);
         let oa = a.reset();
         let ob = b.reset();
         prop_assert_eq!(oa, ob);
@@ -65,7 +65,7 @@ proptest! {
     /// non-colliding agents.
     #[test]
     fn velocities_damp_without_input(seed in any::<u64>()) {
-        let mut env = cooperative_navigation(3, 1000, seed);
+        let mut env = ScenarioId::CooperativeNavigation.make_env(3, 1000, seed);
         env.reset();
         // Give the system a kick, then coast.
         for _ in 0..3 {
@@ -85,7 +85,7 @@ proptest! {
     /// Discrete actions map to the expected displacement signs from rest.
     #[test]
     fn action_directions_are_respected(seed in any::<u64>(), action in 1usize..5) {
-        let mut env = cooperative_navigation(1, 25, seed);
+        let mut env = ScenarioId::CooperativeNavigation.make_env(1, 25, seed);
         env.reset();
         let before = env.world().agents[0].state.position;
         env.step(&[action]).unwrap();
@@ -105,7 +105,7 @@ proptest! {
 fn prey_survival_improves_when_predators_idle() {
     // Scripted prey should collide less when predators do not chase.
     let collisions = |chase: bool| -> usize {
-        let mut env = predator_prey(3, 25, 42);
+        let mut env = ScenarioId::PredatorPrey.make_env(3, 25, 42);
         env.reset();
         let mut count = 0;
         for t in 0..200 {

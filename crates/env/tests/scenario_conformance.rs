@@ -8,13 +8,16 @@
 //! * resets are a pure function of the seed (bitwise);
 //! * observations and actions match the declared spaces exactly;
 //! * rewards stay finite under seeded random play;
-//! * the vectorized K=1 engine is bit-identical to the scalar env;
+//! * every agent's observation, scripted agents' included, is exactly
+//!   `Scenario::observation_dim` wide;
+//! * world 0 of a K-world env is bit-identical to a one-world env;
+//! * a rejected step leaves every world's observations unchanged;
 //! * one scalar SoA batch step equals [`World::step`] per world, bit for
 //!   bit, with comm state surviving the gather/scatter transposition.
 
 use marl_env::registry::ScenarioId;
 use marl_env::soa::SoaBatch;
-use marl_env::World;
+use marl_env::{VecParticleEnv, World};
 use marl_nn::kernels::{self, KernelKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -132,51 +135,105 @@ fn rewards_are_finite_under_random_play() {
     }
 }
 
-/// The K = 1 vectorized engine (SoA physics + comm lanes) replays the
-/// scalar env bit for bit: same seed, same actions, same observations
-/// and rewards on every step of every episode.
+/// Every trained agent's observation in every world, as bits.
+fn vec_obs_bits(env: &VecParticleEnv) -> Vec<Vec<u32>> {
+    let spaces = env.observation_spaces();
+    let mut out = Vec::new();
+    for w in 0..env.world_count() {
+        for (a, space) in spaces.iter().enumerate() {
+            let mut o = vec![0.0f32; space.dim];
+            env.observe_into(a, w, &mut o);
+            out.push(o.iter().map(|x| x.to_bits()).collect());
+        }
+    }
+    out
+}
+
+/// `observation_dim` is the width `observation_into` fills, for every
+/// agent (scripted prey included) at every scale: the allocating
+/// `observation` sizes its buffer by the formula and the body asserts it
+/// filled exactly that many floats.
 #[test]
-fn vectorized_k1_matches_scalar_env_bitwise() {
+fn observation_dim_matches_the_observation_body() {
     for id in all_scenarios() {
-        let mut scalar = id.make_env(AGENTS, EPISODE_LEN, 5);
-        let mut vec_env = id.make_vec_env(AGENTS, EPISODE_LEN, 5, 1);
-        let n = scalar.trained_agents();
-        let mut rng = StdRng::seed_from_u64(23);
-        for _ in 0..2 {
-            let obs = scalar.reset();
-            vec_env.reset();
-            let mut vo = vec![0.0f32; 0];
-            for (a, o) in obs.iter().enumerate() {
-                vo.resize(o.len(), 0.0);
-                vec_env.observe_into(a, 0, &mut vo);
-                assert_eq!(
-                    obs_bits(std::slice::from_ref(o)),
-                    obs_bits(std::slice::from_ref(&vo)),
-                    "{id}: reset obs"
-                );
+        for n in [1, 2, 3, 4, 6, 12, 24] {
+            // Some scenarios need two or more agents; their factories
+            // reject smaller teams.
+            let Ok(scenario) = std::panic::catch_unwind(|| id.build(n)) else {
+                continue;
+            };
+            let mut world = scenario.make_world();
+            scenario.reset_world(&mut world, &mut StdRng::seed_from_u64(n as u64));
+            for i in 0..world.agents.len() {
+                let dim = scenario.observation_dim(&world, i);
+                assert_eq!(scenario.observation(&world, i).len(), dim, "{id} N={n} agent {i}");
             }
-            let mut rewards = vec![0.0f32; n];
-            loop {
-                let actions = random_actions(&scalar, &mut rng);
-                let step = scalar.step(&actions).expect("scalar step");
-                let done = vec_env.step(&actions, &mut rewards).expect("vec step");
-                assert_eq!(done, step.done, "{id}: episode boundary");
-                for (a, o) in step.observations.iter().enumerate() {
-                    vo.resize(o.len(), 0.0);
-                    vec_env.observe_into(a, 0, &mut vo);
-                    assert_eq!(
-                        obs_bits(std::slice::from_ref(o)),
-                        obs_bits(std::slice::from_ref(&vo)),
-                        "{id}: step obs agent {a}"
-                    );
-                }
-                for (a, (r, v)) in step.rewards.iter().zip(&rewards).enumerate() {
-                    assert_eq!(r.to_bits(), v.to_bits(), "{id}: reward agent {a}");
-                }
-                if step.done {
-                    break;
+        }
+    }
+}
+
+/// World 0 does not depend on K: a same-seed one-world env replays it
+/// bit for bit (observations, rewards, `done`) across episodes. The
+/// checkpoint's single `env_rng` slot and every K = 1 pin rest on this.
+#[test]
+fn world_zero_matches_a_one_world_env_bitwise() {
+    let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for id in all_scenarios() {
+        for k in [3, 8] {
+            let mut one = id.make_env(AGENTS, EPISODE_LEN, 5);
+            let mut many = id.make_vec_env(AGENTS, EPISODE_LEN, 5, k);
+            let n = one.trained_agents();
+            let counts: Vec<usize> = one.action_spaces().iter().map(|s| s.joint_count()).collect();
+            let mut rng = StdRng::seed_from_u64(23);
+            let mut actions = vec![0usize; k * n];
+            let mut rewards = vec![0.0f32; k * n];
+            for episode in 0..2 {
+                let mut obs = one.reset();
+                many.reset();
+                let mut done = false;
+                for t in 0.. {
+                    let world0 = &vec_obs_bits(&many)[..n];
+                    assert_eq!(obs_bits(&obs), world0, "{id} K={k} ep {episode} t={t}: obs");
+                    if done {
+                        break;
+                    }
+                    for (i, a) in actions.iter_mut().enumerate() {
+                        *a = rng.gen_range(0..counts[i % n]);
+                    }
+                    let step = one.step(&actions[..n]).expect("one-world step");
+                    assert_eq!(many.step(&actions, &mut rewards), Ok(step.done), "{id} K={k}");
+                    let want = bits(&step.rewards);
+                    assert_eq!(bits(&rewards[..n]), want, "{id} K={k} ep {episode} t={t}: reward");
+                    (obs, done) = (step.observations, step.done);
                 }
             }
+        }
+    }
+}
+
+/// A step with one invalid action, in the last world, changes nothing:
+/// no world's observations or state move, so the earlier agents'
+/// utterances must not have been written.
+#[test]
+fn rejected_step_leaves_every_world_unchanged() {
+    const K: usize = 2;
+    for id in all_scenarios() {
+        let mut env = id.make_vec_env(AGENTS, EPISODE_LEN, 9, K);
+        let n = env.trained_agents();
+        let counts: Vec<usize> = env.action_spaces().iter().map(|s| s.joint_count()).collect();
+        let mut rewards = vec![0.0f32; K * n];
+        env.reset();
+        env.step(&vec![0; K * n], &mut rewards).expect("valid step");
+        let obs = vec_obs_bits(&env);
+        let worlds: Vec<Vec<u32>> = (0..K).map(|w| world_bits(env.world(w))).collect();
+        // Every agent moves and says its last symbol, except the last
+        // agent of the last world, whose action is out of range.
+        let mut bad: Vec<usize> = (0..K * n).map(|i| counts[i % n] - 1).collect();
+        bad[K * n - 1] = counts[n - 1];
+        assert!(env.step(&bad, &mut rewards).is_err(), "{id}: out-of-range action must error");
+        assert_eq!(vec_obs_bits(&env), obs, "{id}: a rejected step changed an observation");
+        for (w, want) in worlds.iter().enumerate() {
+            assert_eq!(&world_bits(env.world(w)), want, "{id}: a rejected step changed world {w}");
         }
     }
 }

@@ -8,10 +8,10 @@
 //! Writes `episode.svg` in the current directory.
 
 use marl_repro::env::render::{render_strip, RenderOptions};
-use marl_repro::env::World;
+use marl_repro::env::{ScenarioId, World};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut env = marl_repro::env::predator_prey(3, 25, 7);
+    let mut env = ScenarioId::PredatorPrey.make_env(3, 25, 7);
     env.reset();
     let mut frames: Vec<World> = vec![env.world().clone()];
     // Simple chase: each predator moves toward the prey's quadrant.

@@ -79,7 +79,7 @@ pub fn scenario_golden_config(algorithm: Algorithm, task: Task) -> TrainConfig {
 /// `n` zeroed joint steps (action 0 taken) with predator-prey N=3's
 /// exact observation and action dimensions — a hand-built `Steps` body.
 pub fn zero_step_rows(n: usize) -> StepRows {
-    let env = marl_repro::env::predator_prey(3, 25, 0);
+    let env = Task::PredatorPrey.make_env(3, 25, 0);
     let dims: Vec<usize> = env.observation_spaces().iter().map(|s| s.dim).collect();
     let mut rows = StepRows::new(dims.iter().map(|&d| (d, 5)));
     let (zeros, action) = ([0.0f32; 32], [1.0, 0.0, 0.0, 0.0, 0.0]);

@@ -89,7 +89,7 @@ fn replay_stays_aligned_with_environment_dimensions() {
     let replay = trainer.replay().expect("per-agent layout exposes the replay");
     assert_eq!(replay.agent_count(), 6);
     assert_eq!(replay.len(), 300);
-    let env = marl_repro::env::predator_prey(6, 25, 0);
+    let env = Task::PredatorPrey.make_env(6, 25, 0);
     for (buffer_idx, space) in env.observation_spaces().iter().enumerate() {
         assert_eq!(replay.buffer(buffer_idx).layout().obs_dim, space.dim);
     }
