@@ -141,6 +141,7 @@ impl Rollout {
         epsilon: f32,
         master: &mut StdRng,
     ) {
+        let _fp = marl_nn::fp::flush_to_zero();
         let n = agents.len();
         let rngs: &mut [StdRng] =
             if self.noise.is_empty() { std::slice::from_mut(master) } else { &mut self.noise };
@@ -171,6 +172,7 @@ impl Rollout {
     /// Greedy actions for every world (per-factor arg-max of one batched
     /// actor inference per agent); draws nothing.
     pub fn select_greedy(&mut self, agents: &[AgentNets]) {
+        let _fp = marl_nn::fp::flush_to_zero();
         let n = agents.len();
         for (a, (agent, space)) in agents.iter().zip(self.env.action_spaces()).enumerate() {
             agent.act_greedy_batch(

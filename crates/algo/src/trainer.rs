@@ -604,6 +604,7 @@ impl Trainer {
     ///
     /// Propagates replay/sampler failures.
     pub fn update_all_trainers(&mut self) -> Result<(), TrainError> {
+        let _fp = marl_nn::fp::flush_to_zero();
         let n = self.agents.len();
         let cfg = self.config;
         let matd3 = cfg.algorithm == Algorithm::Matd3;
@@ -812,6 +813,9 @@ impl Trainer {
                         )| {
                             let worker_profiles = &worker_profiles;
                             scope.spawn(move || {
+                                // The worker's own scope: whether a new
+                                // thread inherits the mode is up to the OS.
+                                let _fp = marl_nn::fp::flush_to_zero();
                                 let mut local = PhaseProfile::new();
                                 let base = c * chunk;
                                 for (k, ((agent, ascr), (td, loss))) in agent_chunk
@@ -1826,6 +1830,28 @@ mod tests {
         // MATD3 delays policy updates but updates critics every iteration:
         // consecutive digests must differ.
         assert!(digests.windows(2).all(|w| w[0].chain != w[1].chain));
+    }
+
+    /// The `marl_nn::fp` scopes hand the caller's mode back as they found
+    /// it, whether that mode is IEEE or flush-to-zero.
+    #[test]
+    fn compute_calls_leave_the_callers_fp_mode_unchanged() {
+        let mut cfg = quick_config(Algorithm::Maddpg, Task::PredatorPrey, 3).with_update_threads(2);
+        cfg.warmup = 40;
+        cfg.update_every = 25;
+        let mut t = Trainer::new(cfg).unwrap();
+        for caller_flushes in [false, true] {
+            let _caller = caller_flushes.then(marl_nn::fp::flush_to_zero);
+            let before = marl_nn::fp::control_word();
+            t.run_episode().unwrap();
+            t.run_episode().unwrap();
+            assert_eq!(marl_nn::fp::control_word(), before, "run_episode");
+            t.update_all_trainers().unwrap();
+            assert_eq!(marl_nn::fp::control_word(), before, "update_all_trainers");
+            t.evaluate(1).unwrap();
+            assert_eq!(marl_nn::fp::control_word(), before, "evaluate");
+        }
+        assert!(t.update_iterations() >= 2);
     }
 
     #[test]

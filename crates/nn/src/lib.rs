@@ -43,6 +43,7 @@
 
 pub mod activation;
 pub mod adam;
+pub mod fp;
 pub mod gumbel;
 pub mod init;
 pub mod kernels;

@@ -59,6 +59,7 @@ impl InferenceEngine {
     /// forward pass; results scatter back by the recorded row maps, so
     /// response-to-request attribution is positional and exact.
     pub fn infer(&mut self, model: &PolicyModel, batch: &mut [Box<RequestSlot>]) {
+        let _fp = marl_nn::fp::flush_to_zero();
         if self.agents.len() < model.num_agents() {
             self.agents.resize_with(model.num_agents(), AgentBuffers::default);
         }
@@ -109,6 +110,19 @@ mod tests {
 
     fn request(agent: u32, obs: Vec<f32>) -> Box<RequestSlot> {
         Box::new(RequestSlot { agent, obs, ..RequestSlot::default() })
+    }
+
+    #[test]
+    fn infer_leaves_the_callers_fp_mode_unchanged() {
+        let model = tiny_model();
+        let mut engine = InferenceEngine::new();
+        let mut batch = vec![request(0, vec![0.1; model.obs_dim(0)])];
+        for caller_flushes in [false, true] {
+            let _caller = caller_flushes.then(marl_nn::fp::flush_to_zero);
+            let before = marl_nn::fp::control_word();
+            engine.infer(&model, &mut batch);
+            assert_eq!(marl_nn::fp::control_word(), before);
+        }
     }
 
     #[test]

@@ -70,15 +70,17 @@ fn start_server(
     Server::start(listener, model, config, Arc::new(MetricsRegistry::new()), watch)
 }
 
-#[test]
-fn concurrent_clients_get_bitwise_identical_answers() {
-    let ckpt = tiny_checkpoint(7);
-    let model = PolicyModel::from_checkpoint(&ckpt, 0);
-    let path = sock_path("equiv");
+/// Four concurrent clients send 25 requests each to a server on `ckpt`;
+/// every answer must equal a batch-of-one reference bitwise. With
+/// `reference_flushes` the references run on client threads that already
+/// have flush-to-zero set, while the server's threads do not.
+fn assert_concurrent_answers_match_serial(ckpt: &Checkpoint, tag: &str, reference_flushes: bool) {
+    let model = PolicyModel::from_checkpoint(ckpt, 0);
+    let path = sock_path(tag);
     // Small batches: requests from different clients that land during
     // one forward coalesce into the next.
     let config = ServeConfig { max_batch: 8, queue_capacity: 64, ..ServeConfig::default() };
-    let server = start_server(&path, &ckpt, config, None);
+    let server = start_server(&path, ckpt, config, None);
 
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 25;
@@ -88,6 +90,7 @@ fn concurrent_clients_get_bitwise_identical_answers() {
             let path = path.clone();
             let model = Arc::clone(&model);
             std::thread::spawn(move || {
+                let _caller = reference_flushes.then(marl_nn::fp::flush_to_zero);
                 let mut conn = connect(&path);
                 let mut frame = Vec::new();
                 let mut logits = Vec::new();
@@ -128,6 +131,33 @@ fn concurrent_clients_get_bitwise_identical_answers() {
     server.shutdown();
     server.wait();
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn concurrent_clients_get_bitwise_identical_answers() {
+    assert_concurrent_answers_match_serial(&tiny_checkpoint(7), "equiv", false);
+}
+
+/// Batched == serial under subnormal pressure: with every actor's output
+/// layer scaled by 1e-37, many of its weights and most of its products
+/// are subnormal under IEEE arithmetic. The answers still match the
+/// references made under the clients' flush-to-zero mode only if the
+/// engine's own `marl_nn::fp` scope decides the arithmetic.
+#[test]
+fn batched_answers_match_serial_under_subnormal_pressure() {
+    let mut ckpt = tiny_checkpoint(7);
+    for agent in &mut ckpt.agents {
+        // `visit_params` yields weights then bias, layer by layer.
+        let head = 2 * agent.actor.layer_count() - 2;
+        let mut k = 0;
+        agent.actor.visit_params(|p, _| {
+            if k >= head {
+                p.iter_mut().for_each(|x| *x *= 1e-37);
+            }
+            k += 1;
+        });
+    }
+    assert_concurrent_answers_match_serial(&ckpt, "equiv-subnormal", true);
 }
 
 /// Communication scenarios give agents segmented heads (movement ⊕

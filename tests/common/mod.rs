@@ -11,7 +11,8 @@
 //! every item, hence the file-level `dead_code` allowance.
 #![allow(dead_code)]
 
-use marl_repro::algo::{Algorithm, LayoutMode, Task, TrainConfig};
+use marl_repro::algo::checkpoint::Checkpoint;
+use marl_repro::algo::{Algorithm, LayoutMode, Task, TrainConfig, Trainer};
 use marl_repro::core::transition::TransitionRef;
 use marl_repro::core::SamplerConfig;
 use marl_repro::dist::wire::StepRows;
@@ -93,4 +94,27 @@ pub fn zero_step_rows(n: usize) -> StepRows {
         });
     }
     rows
+}
+
+/// A fresh `config` trainer's checkpoint with every actor's output layer
+/// (live and target) scaled by `factor`. At ×1e3 the logit gaps run to
+/// hundreds, so the softmax segments underflow and the first updates
+/// already compute on subnormals, which the short bitwise gates otherwise
+/// never produce.
+pub fn scaled_actor_heads(config: TrainConfig, factor: f32) -> Checkpoint {
+    let mut ckpt = Trainer::new(config).expect("config is valid").checkpoint();
+    for agent in &mut ckpt.agents {
+        for net in [&mut agent.actor, &mut agent.target_actor] {
+            // `visit_params` yields weights then bias, layer by layer.
+            let head = 2 * net.layer_count() - 2;
+            let mut k = 0;
+            net.visit_params(|p, _| {
+                if k >= head {
+                    p.iter_mut().for_each(|x| *x *= factor);
+                }
+                k += 1;
+            });
+        }
+    }
+    ckpt
 }

@@ -12,7 +12,8 @@
 //! construction draw, an RNG handoff, a replay-mirror off-by-one) shows
 //! up here as the first divergent digest field.
 
-use marl_repro::algo::trace::UpdateTraceRecorder;
+use marl_repro::algo::checkpoint::Checkpoint;
+use marl_repro::algo::trace::{UpdateDigest, UpdateTraceRecorder};
 use marl_repro::algo::{Algorithm, LayoutMode, Task, TrainConfig, Trainer};
 use marl_repro::core::SamplerConfig;
 use marl_repro::dist::{
@@ -42,18 +43,38 @@ fn dist_config(algorithm: Algorithm) -> TrainConfig {
 }
 
 /// Runs the single-process trainer and returns its digest chain.
-fn single_process_digests(cfg: TrainConfig) -> Vec<marl_repro::algo::trace::UpdateDigest> {
+fn single_process_digests(cfg: TrainConfig) -> Vec<UpdateDigest> {
+    single_process_run(cfg, None).0
+}
+
+/// Runs the single-process trainer, from `init`'s networks when given, and
+/// returns its digest chain and final agent states (serialized).
+fn single_process_run(cfg: TrainConfig, init: Option<&Checkpoint>) -> (Vec<UpdateDigest>, String) {
     let mut trainer = Trainer::new(cfg).expect("trainer builds");
+    if let Some(ckpt) = init {
+        trainer.restore(ckpt.clone()).expect("same architecture");
+    }
     trainer.attach_trace_recorder(UpdateTraceRecorder::new());
     trainer.train().expect("single-process run trains");
-    trainer.detach_trace_recorder().expect("recorder attached").into_digests()
+    let states = serde_json::to_string(&trainer.agent_states()).expect("serializable");
+    (trainer.detach_trace_recorder().expect("recorder attached").into_digests(), states)
 }
 
 /// Runs the same configuration as a lockstep dist pair (learner thread =
 /// this thread, worker on a spawned thread, loopback transport) and
 /// returns the learner's digest chain.
-fn dist_lockstep_digests(cfg: TrainConfig) -> Vec<marl_repro::algo::trace::UpdateDigest> {
+fn dist_lockstep_digests(cfg: TrainConfig) -> Vec<UpdateDigest> {
+    dist_lockstep_run(cfg, None).0
+}
+
+/// [`dist_lockstep_digests`] from `init`'s networks when given (the
+/// worker receives them in its `Welcome`), plus the learner's final agent
+/// states (serialized).
+fn dist_lockstep_run(cfg: TrainConfig, init: Option<&Checkpoint>) -> (Vec<UpdateDigest>, String) {
     let mut learner = Learner::new(cfg, LearnerOptions::default()).expect("learner builds");
+    if let Some(ckpt) = init {
+        learner.trainer_mut().restore(ckpt.clone()).expect("same architecture");
+    }
     learner.trainer_mut().attach_trace_recorder(UpdateTraceRecorder::new());
     let (mut learner_end, worker_end) = loopback_pair(1024, Duration::from_secs(10));
     let worker = std::thread::spawn(move || {
@@ -72,7 +93,9 @@ fn dist_lockstep_digests(cfg: TrainConfig) -> Vec<marl_repro::algo::trace::Updat
     });
     learner.serve_lockstep(&mut learner_end).expect("lockstep serve completes");
     worker.join().expect("worker thread").expect("worker run completes");
-    learner.into_trainer().detach_trace_recorder().expect("recorder attached").into_digests()
+    let mut trainer = learner.into_trainer();
+    let states = serde_json::to_string(&trainer.agent_states()).expect("serializable");
+    (trainer.detach_trace_recorder().expect("recorder attached").into_digests(), states)
 }
 
 /// MADDPG: the dist lockstep digest chain equals the single-process one
@@ -136,6 +159,26 @@ fn interleaved_layout_lockstep_is_bitwise_identical() {
         assert!(!single.is_empty(), "run must record updates");
         assert_eq!(single, dist, "{algorithm:?}");
     }
+}
+
+/// Under subnormal pressure (actor heads scaled ×1e3, so softmax outputs
+/// and their gradients underflow) the chains and the final states, Adam
+/// moments included, still match. The single-process run is made from a
+/// caller that already has flush-to-zero set and the dist pair from
+/// threads that do not, so they agree only if the update's own
+/// `marl_nn::fp` scope decides the arithmetic.
+#[test]
+fn lockstep_is_bitwise_identical_under_subnormal_pressure() {
+    let cfg = dist_config(Algorithm::Maddpg);
+    let init = common::scaled_actor_heads(cfg, 1e3);
+    let single = {
+        let _caller = marl_repro::nn::fp::flush_to_zero();
+        single_process_run(cfg, Some(&init))
+    };
+    let dist = dist_lockstep_run(cfg, Some(&init));
+    assert!(!single.0.is_empty(), "run must record updates");
+    assert_eq!(single.0, dist.0, "digest chains diverged");
+    assert_eq!(single.1, dist.1, "final agent states diverged");
 }
 
 /// Running the dist pair twice yields identical chains: the loopback

@@ -208,6 +208,26 @@ fn k1_prefill_and_evaluate_match_recorded_pins() {
 
 /// The curve counts completed environment episodes: one entry per world
 /// per vectorized episode, and env-steps scale with K.
+/// Greedy actions are the arg-max of raw logits, so subnormal logits can
+/// decide them. With every actor head scaled by 1e-37 the greedy
+/// evaluation at K = 1 and K = 4 must not depend on whether the caller
+/// already had flush-to-zero set: the rollout's own `marl_nn::fp` scope
+/// decides the arithmetic.
+#[test]
+fn greedy_evaluation_under_subnormal_logits_ignores_the_callers_mode() {
+    for k in [1, 4] {
+        let cfg = base_config(Task::PredatorPrey, 3).with_num_envs(k);
+        let init = common::scaled_actor_heads(cfg, 1e-37);
+        let evaluate = |caller_flushes: bool| {
+            let mut t = Trainer::new(cfg).unwrap();
+            t.restore(init.clone()).unwrap();
+            let _caller = caller_flushes.then(marl_repro::nn::fp::flush_to_zero);
+            t.evaluate(2).unwrap().to_bits()
+        };
+        assert_eq!(evaluate(false), evaluate(true), "K = {k}");
+    }
+}
+
 #[test]
 fn k4_curve_records_one_entry_per_world() {
     let cfg = base_config(Task::PredatorPrey, 11).with_num_envs(4).with_episodes(8);
