@@ -3,8 +3,9 @@
 //! Random byte noise almost always dies at the outermost CRC check, which
 //! exercises one code path out of dozens. These mutators are *format
 //! aware* instead: they know where the headers, checksums, and length
-//! fields of the MARC checkpoint frame, the replay-snapshot frame and
-//! the two binary MARD wire frames (`Steps`, `Params`) live, so a drawn
+//! fields of the MARC checkpoint frame, the replay-snapshot frame, the
+//! two binary MARD wire frames (`Steps`, `Params`) and a stream of serve
+//! request frames live, so a drawn
 //! mutation can place corruption *behind* the checksum (re-patching the
 //! CRC) and reach the interior bounds checks that a naive fuzzer never
 //! touches.
@@ -40,6 +41,10 @@ pub enum Format {
     MardSteps,
     /// MARD `Params` wire frame (kind 4): same header, actor-only payload.
     MardParams,
+    /// A stream of serve request frames back to back, as a pipelining
+    /// client sends them: each a MARD header (kind 8) over the payload
+    /// `req_id u64 | agent u32 | obs_len u32 | obs f32 × obs_len | ctx 24 B`.
+    ServeRequests,
 }
 
 /// MARD header layout: `kind` at 6, `len` at 8, CRC at 12, payload at 16.
@@ -56,7 +61,7 @@ impl Format {
             Format::Checkpoint => 12,
             Format::SnapshotV2 => 10,
             Format::SnapshotV1 => 6,
-            Format::MardSteps | Format::MardParams => MARD_PAYLOAD,
+            Format::MardSteps | Format::MardParams | Format::ServeRequests => MARD_PAYLOAD,
         }
     }
 
@@ -64,12 +69,22 @@ impl Format {
     fn length_field_width(self) -> usize {
         match self {
             Format::Checkpoint | Format::SnapshotV2 | Format::SnapshotV1 => 8,
-            Format::MardSteps | Format::MardParams => 4,
+            Format::MardSteps | Format::MardParams | Format::ServeRequests => 4,
         }
     }
 
     fn is_mard(self) -> bool {
         matches!(self, Format::MardSteps | Format::MardParams)
+    }
+
+    /// The frame kind a [`Mutation::KindConfusion`] relabels `kind` to:
+    /// `Steps` ↔ `Params`, and serve request ↔ serve control.
+    fn confused_kind(self, kind: u8) -> Option<u16> {
+        match self {
+            Format::MardSteps | Format::MardParams => Some(if kind == 3 { 4 } else { 3 }),
+            Format::ServeRequests => Some(if kind == 8 { 11 } else { 8 }),
+            _ => None,
+        }
     }
 
     /// `(crc_offset, payload_offset)` for formats that carry a CRC-32.
@@ -78,7 +93,9 @@ impl Format {
             Format::Checkpoint => Some((8, 12)),
             Format::SnapshotV2 => Some((6, 10)),
             Format::SnapshotV1 => None,
-            Format::MardSteps | Format::MardParams => Some((MARD_CRC, MARD_PAYLOAD)),
+            Format::MardSteps | Format::MardParams | Format::ServeRequests => {
+                Some((MARD_CRC, MARD_PAYLOAD))
+            }
         }
     }
 }
@@ -131,8 +148,9 @@ pub enum Mutation {
         b: usize,
     },
     /// Relabel a MARD `Steps` frame as `Params` or the reverse (header
-    /// kind 3 ↔ 4) and re-patch the CRC, so each binary decoder meets
-    /// the other's payload. No-op on the other formats.
+    /// kind 3 ↔ 4), or a stream's first serve request as a control frame
+    /// or the reverse (8 ↔ 11), and re-patch the CRC, so each binary
+    /// decoder meets the other's payload. No-op on the other formats.
     KindConfusion,
 }
 
@@ -146,8 +164,20 @@ fn u64_at(bytes: &[u8], off: usize) -> u64 {
 
 /// Recomputes and re-writes the frame's CRC-32 over its current payload
 /// (no-op for V1 snapshots and frames shorter than their header). A MARD
-/// CRC also covers the header's `kind` and `len` fields.
+/// CRC also covers the header's `kind` and `len` fields. In a serve
+/// request stream every whole frame is re-sealed, found by walking the
+/// headers' lengths.
 pub fn patch_crc(bytes: &mut [u8], fmt: Format) {
+    if fmt == Format::ServeRequests {
+        for (start, end) in serve_frames(bytes) {
+            let crc = Crc32::new()
+                .update(&bytes[start + MARD_KIND..start + MARD_CRC])
+                .update(&bytes[start + MARD_PAYLOAD..end])
+                .finish();
+            bytes[start + MARD_CRC..start + MARD_PAYLOAD].copy_from_slice(&crc.to_le_bytes());
+        }
+        return;
+    }
     if let Some((crc_off, payload_off)) = fmt.crc_site() {
         if bytes.len() >= payload_off {
             let crc = if fmt.is_mard() {
@@ -161,6 +191,25 @@ pub fn patch_crc(bytes: &mut [u8], fmt: Format) {
             bytes[crc_off..crc_off + 4].copy_from_slice(&crc.to_le_bytes());
         }
     }
+}
+
+/// `(start, end)` of every whole frame of a serve request stream, walking
+/// the headers' length fields from the front; stops at the first frame
+/// that runs past the end.
+fn serve_frames(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let mut start = 0usize;
+    while start + MARD_PAYLOAD <= bytes.len() {
+        let len = u32_at(bytes, start + MARD_LEN) as usize;
+        match (start + MARD_PAYLOAD).checked_add(len).filter(|&end| end <= bytes.len()) {
+            Some(end) => {
+                out.push((start, end));
+                start = end;
+            }
+            None => break,
+        }
+    }
+    out
 }
 
 /// Offsets of the u32 count fields of a MARD `Steps`/`Params` frame: the
@@ -278,6 +327,16 @@ pub fn length_field_offsets(bytes: &[u8], fmt: Format) -> Vec<usize> {
             }
         }
         Format::MardSteps | Format::MardParams => return mard_field_offsets(bytes, fmt),
+        Format::ServeRequests => {
+            // Each frame's header length, then its payload's `obs_len`.
+            for (start, end) in serve_frames(bytes) {
+                out.push(start + MARD_LEN);
+                let obs_len = start + MARD_PAYLOAD + 12;
+                if obs_len + 4 <= end {
+                    out.push(obs_len);
+                }
+            }
+        }
     }
     out
 }
@@ -326,10 +385,11 @@ pub fn apply_mutation(bytes: &[u8], m: &Mutation, fmt: Format) -> Vec<u8> {
         }
         Mutation::KindConfusion => {
             let mut out = bytes.to_vec();
-            if fmt.is_mard() && bytes.len() >= MARD_PAYLOAD {
-                let other: u16 = if out[MARD_KIND] == 3 { 4 } else { 3 };
-                out[MARD_KIND..MARD_KIND + 2].copy_from_slice(&other.to_le_bytes());
-                patch_crc(&mut out, fmt);
+            if let Some(other) = fmt.confused_kind(out.get(MARD_KIND).copied().unwrap_or(0)) {
+                if bytes.len() >= MARD_PAYLOAD {
+                    out[MARD_KIND..MARD_KIND + 2].copy_from_slice(&other.to_le_bytes());
+                    patch_crc(&mut out, fmt);
+                }
             }
             out
         }
@@ -462,6 +522,7 @@ mod tests {
             Format::SnapshotV1,
             Format::MardSteps,
             Format::MardParams,
+            Format::ServeRequests,
         ] {
             assert!(length_field_offsets(&[0u8; 4], fmt).is_empty());
             let out = apply_mutation(

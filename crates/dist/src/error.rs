@@ -60,6 +60,14 @@ pub enum DistError {
         /// The queue's capacity in frames.
         capacity: usize,
     },
+    /// A frame header declared more payload than the receiver's fixed
+    /// buffer holds; refused before any of the body is read.
+    FrameTooLarge {
+        /// Payload bytes the header declared.
+        len: usize,
+        /// Largest payload the buffer holds.
+        max: usize,
+    },
     /// The peer closed the connection (or its queue was dropped).
     Disconnected,
     /// The peer violated the frame protocol (unexpected message, bad
@@ -115,6 +123,9 @@ impl fmt::Display for DistError {
             }
             DistError::QueueFull { capacity } => {
                 write!(f, "backpressure queue full ({capacity} frames)")
+            }
+            DistError::FrameTooLarge { len, max } => {
+                write!(f, "frame payload of {len} bytes exceeds the {max}-byte receive buffer")
             }
             DistError::Disconnected => write!(f, "peer disconnected"),
             DistError::Protocol(msg) => write!(f, "protocol violation: {msg}"),

@@ -37,5 +37,5 @@ pub use learner::{Acceptor, Learner, LearnerOptions, NoAccept, RestartHandler};
 pub use process::{ChaosPlan, Endpoint, TcpAcceptor, UnixAcceptor, WorkerPool};
 pub use queue::BoundedQueue;
 pub use supervisor::{Liveness, Supervisor, SupervisorConfig};
-pub use transport::{loopback_pair, LoopbackTransport, StreamTransport, Transport};
+pub use transport::{loopback_pair, FrameReader, LoopbackTransport, StreamTransport, Transport};
 pub use worker::{run_worker, run_worker_from, run_worker_traced, Worker, WorkerStats};

@@ -21,7 +21,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A bidirectional frame transport.
 pub trait Transport: Send {
@@ -380,6 +380,198 @@ impl StreamTransport {
         let (kind, _) = wire::decode_raw_frame(buf)?;
         Ok(kind)
     }
+
+    /// Sets the read timeout [`StreamTransport::recv_frames`] waits
+    /// under. It is a socket option, set once per connection; the
+    /// receive itself changes no option.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the OS `setsockopt` failure.
+    pub fn set_recv_poll(&mut self, poll: Duration) -> Result<(), DistError> {
+        self.set_read_timeout(poll)
+    }
+
+    /// Bounds every send on this socket: a send that makes no progress
+    /// for `deadline` fails instead of blocking behind a peer that has
+    /// stopped reading.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the OS `setsockopt` failure.
+    pub fn set_send_deadline(&mut self, deadline: Duration) -> Result<(), DistError> {
+        // A zero Duration means "no timeout" to the OS; clamp up instead.
+        let t = Some(deadline.max(Duration::from_millis(1)));
+        match &self.stream {
+            StreamKind::Unix(s) => s.set_write_timeout(t)?,
+            StreamKind::Tcp(s) => s.set_write_timeout(t)?,
+        }
+        Ok(())
+    }
+
+    /// Shuts down both directions of the socket. A thread blocked reading
+    /// or writing on any handle to it returns at once.
+    pub fn shutdown(&self) {
+        // Fails only on a socket that is already disconnected.
+        let _ = match &self.stream {
+            StreamKind::Unix(s) => s.shutdown(std::net::Shutdown::Both),
+            StreamKind::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
+        };
+    }
+
+    /// One `read` into `frames`' free space, so one system call takes a
+    /// whole run of frames (or part of one). Returns the bytes received;
+    /// take the complete frames with [`FrameReader::next_frame`] before
+    /// the next call.
+    ///
+    /// The wait is bounded by [`StreamTransport::set_recv_poll`]. The
+    /// frame deadline runs only while a frame is partly received: a
+    /// buffer that holds only whole frames may wait forever, while a
+    /// partial frame that makes no progress for the deadline is
+    /// truncated.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError::Timeout`] when nothing arrived within the poll and no
+    /// partial frame is overdue; [`DistError::Truncated`] for an overdue
+    /// partial frame, or a peer that closed in the middle of one;
+    /// [`DistError::Disconnected`] when the peer closed between frames.
+    pub fn recv_frames(&mut self, frames: &mut FrameReader) -> Result<usize, DistError> {
+        // Cleared whenever the buffer holds only whole frames, so an idle
+        // connection never inherits an old partial frame's clock.
+        frames.stalled_since = match frames.pending() {
+            0 => None,
+            _ => Some(frames.stalled_since.unwrap_or_else(Instant::now)),
+        };
+        if frames.unfilled().is_empty() {
+            return Err(DistError::Protocol("receive buffer holds undrained frames".into()));
+        }
+        loop {
+            match self.read(frames.unfilled()) {
+                Ok(0) if frames.pending() == 0 => return Err(DistError::Disconnected),
+                Ok(0) => return Err(frames.truncated()),
+                Ok(n) => {
+                    frames.filled(n);
+                    frames.stalled_since = None;
+                    return Ok(n);
+                }
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    return match frames.stalled_since {
+                        Some(t) if t.elapsed() >= self.frame_deadline => Err(frames.truncated()),
+                        _ => Err(DistError::Timeout { site: "recv", after_ms: 0 }),
+                    };
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+}
+
+/// A fixed receive buffer that splits a byte stream into `MARD` frames,
+/// for a reader that takes a whole run of frames per `read`
+/// ([`StreamTransport::recv_frames`]).
+///
+/// The buffer is allocated once and never grows. A header that declares
+/// more payload than the buffer holds is refused with
+/// [`DistError::FrameTooLarge`] as soon as its 16 bytes are in, so a
+/// hostile length costs nothing. Frames are validated as
+/// [`wire::decode_raw_frame`] validates them (magic, version, CRC). A
+/// partial frame stays and moves to the front of the buffer before the
+/// next receive.
+#[derive(Debug)]
+pub struct FrameReader {
+    buf: Box<[u8]>,
+    /// First byte not yet returned as a frame.
+    head: usize,
+    /// End of the received bytes.
+    tail: usize,
+    /// When the current wait on a partial frame began.
+    stalled_since: Option<Instant>,
+}
+
+impl FrameReader {
+    /// A reader with a `capacity`-byte buffer: it takes frames of up to
+    /// `capacity - wire::HEADER_LEN` payload bytes.
+    ///
+    /// # Panics
+    ///
+    /// If `capacity` is smaller than one frame header.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity >= wire::HEADER_LEN, "FrameReader: capacity below one frame header");
+        FrameReader {
+            buf: vec![0; capacity].into_boxed_slice(),
+            head: 0,
+            tail: 0,
+            stalled_since: None,
+        }
+    }
+
+    /// Received bytes not yet returned as frames: zero once
+    /// [`FrameReader::next_frame`] has taken every whole frame and no
+    /// partial one is held.
+    pub fn pending(&self) -> usize {
+        self.tail - self.head
+    }
+
+    /// The free space after the received bytes; a partial frame moves to
+    /// the front first. Receive into it, then report the count to
+    /// [`FrameReader::filled`].
+    pub fn unfilled(&mut self) -> &mut [u8] {
+        if self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+        &mut self.buf[self.tail..]
+    }
+
+    /// Marks the first `n` bytes of [`FrameReader::unfilled`] received.
+    ///
+    /// # Panics
+    ///
+    /// If `n` exceeds the free space.
+    pub fn filled(&mut self, n: usize) {
+        assert!(n <= self.buf.len() - self.tail, "FrameReader::filled past the buffer");
+        self.tail += n;
+    }
+
+    /// The next complete frame's kind and payload; `None` until more
+    /// bytes arrive.
+    ///
+    /// # Errors
+    ///
+    /// The header and CRC errors of [`wire::decode_raw_frame`], and
+    /// [`DistError::FrameTooLarge`]. Each is fatal to the stream: after a
+    /// bad header there is no trustworthy next frame boundary.
+    pub fn next_frame(&mut self) -> Result<Option<(u16, &[u8])>, DistError> {
+        if self.pending() < wire::HEADER_LEN {
+            return Ok(None);
+        }
+        let header = wire::decode_header(&self.buf[self.head..self.tail])?;
+        let max = self.buf.len() - wire::HEADER_LEN;
+        if header.len > max {
+            return Err(DistError::FrameTooLarge { len: header.len, max });
+        }
+        let end = wire::HEADER_LEN + header.len;
+        if self.pending() < end {
+            return Ok(None);
+        }
+        let start = self.head;
+        self.head += end;
+        wire::decode_raw_frame(&self.buf[start..start + end]).map(Some)
+    }
+
+    /// The error for a stream that stopped inside the held partial frame.
+    fn truncated(&self) -> DistError {
+        let held = &self.buf[self.head..self.tail];
+        let needed =
+            wire::decode_header(held).map_or(wire::HEADER_LEN, |h| wire::HEADER_LEN + h.len);
+        DistError::Truncated { needed, got: held.len() }
+    }
 }
 
 impl Transport for StreamTransport {
@@ -545,6 +737,94 @@ mod tests {
         let mut buf = Vec::new();
         let err = b.recv_raw_into(&mut buf, Duration::from_millis(10)).unwrap_err();
         assert!(matches!(err, DistError::Timeout { site: "recv", .. }), "{err}");
+    }
+
+    /// A raw frame of `kind` carrying `payload`.
+    fn raw(kind: u16, payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        wire::begin_raw_frame(&mut frame);
+        frame.extend_from_slice(payload);
+        wire::finish_raw_frame(kind, &mut frame);
+        frame
+    }
+
+    /// Copies `bytes` into the reader's free space, as a `read` would.
+    fn feed(frames: &mut FrameReader, bytes: &[u8]) {
+        frames.unfilled()[..bytes.len()].copy_from_slice(bytes);
+        frames.filled(bytes.len());
+    }
+
+    #[test]
+    fn frame_reader_splits_runs_and_reassembles_frames_split_across_reads() {
+        let stream: Vec<u8> = (0u8..5).flat_map(|i| raw(wire::KIND_INFER_REQ, &[i; 7])).collect();
+        let want: Vec<Vec<u8>> = (0u8..5).map(|i| vec![i; 7]).collect();
+        // 23-byte frames. The first read ends at `cut` (inside a header,
+        // inside a payload, or on a boundary), then 29-byte reads.
+        for cut in [0, 3, 16, 20, 23, 40, 46] {
+            let mut frames = FrameReader::new(64);
+            let mut seen = Vec::new();
+            let (first, rest) = stream.split_at(cut);
+            for read in std::iter::once(first).chain(rest.chunks(29)) {
+                feed(&mut frames, read);
+                while let Some((kind, payload)) = frames.next_frame().unwrap() {
+                    assert_eq!(kind, wire::KIND_INFER_REQ);
+                    seen.push(payload.to_vec());
+                }
+            }
+            assert_eq!(frames.pending(), 0, "cut {cut}: only whole frames were sent");
+            assert_eq!(seen, want, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn frame_reader_refuses_a_header_too_large_for_its_buffer() {
+        let mut frames = FrameReader::new(64);
+        let mut header = raw(wire::KIND_INFER_REQ, &[0; 48])[..wire::HEADER_LEN].to_vec();
+        feed(&mut frames, &header);
+        assert_eq!(frames.next_frame().unwrap(), None, "48 bytes fit: wait for the body");
+        let mut frames = FrameReader::new(64);
+        header[8..12].copy_from_slice(&(wire::MAX_PAYLOAD as u32).to_le_bytes());
+        feed(&mut frames, &header);
+        let err = frames.next_frame().unwrap_err();
+        assert_eq!(err, DistError::FrameTooLarge { len: wire::MAX_PAYLOAD, max: 48 });
+        let mut frames = FrameReader::new(64);
+        let mut corrupt = raw(wire::KIND_INFER_REQ, &[1; 4]);
+        corrupt[wire::HEADER_LEN] ^= 1;
+        feed(&mut frames, &corrupt);
+        assert!(matches!(frames.next_frame(), Err(DistError::CrcMismatch { .. })));
+    }
+
+    #[test]
+    fn recv_frames_waits_forever_between_frames_but_not_inside_one() {
+        let (sa, sb) = UnixStream::pair().expect("socketpair");
+        let mut a = StreamTransport::unix(sa);
+        let mut b = StreamTransport::unix(sb).with_frame_deadline(Duration::from_millis(30));
+        b.set_recv_poll(Duration::from_millis(10)).unwrap();
+        let mut frames = FrameReader::new(256);
+        let frame = raw(wire::KIND_INFER_REQ, &[9; 20]);
+        a.send_raw(&frame).unwrap();
+        assert_eq!(b.recv_frames(&mut frames).unwrap(), frame.len());
+        assert!(frames.next_frame().unwrap().is_some());
+        // Idle for several frame deadlines: a clean timeout every poll.
+        let idle = std::time::Instant::now();
+        while idle.elapsed() < Duration::from_millis(100) {
+            let err = b.recv_frames(&mut frames).unwrap_err();
+            assert!(matches!(err, DistError::Timeout { site: "recv", .. }), "{err}");
+        }
+        // A frame cut short stalls: truncated once the deadline passes.
+        a.send_raw(&frame[..wire::HEADER_LEN + 3]).unwrap();
+        b.recv_frames(&mut frames).unwrap();
+        assert_eq!(frames.next_frame().unwrap(), None);
+        let err = loop {
+            match b.recv_frames(&mut frames) {
+                Err(DistError::Timeout { .. }) => continue,
+                other => break other.unwrap_err(),
+            }
+        };
+        assert_eq!(err, DistError::Truncated { needed: frame.len(), got: wire::HEADER_LEN + 3 });
+        drop(a);
+        let mut frames = FrameReader::new(256);
+        assert_eq!(b.recv_frames(&mut frames).unwrap_err(), DistError::Disconnected);
     }
 
     #[test]

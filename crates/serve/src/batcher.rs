@@ -3,7 +3,7 @@
 //!
 //! The batcher never holds a request back waiting for company. Batches
 //! form only from the requests that pile up while the engine is busy
-//! with the previous forward and its scatter: an idle engine answers a
+//! with the previous forward: an idle engine answers a
 //! lone request at once, a saturated one drains full batches back to
 //! back.
 //!
@@ -14,7 +14,7 @@
 //!
 //! Requests travel as pooled [`RequestSlot`] boxes: a slot is taken from
 //! the pool on arrival, carries the observation into the batch, carries
-//! the action/logits back out to the connection's writer, and returns to
+//! the action/logits back out to the combiner's coalesced send, and returns to
 //! the pool — no allocation anywhere in the cycle once the pool and the
 //! per-slot vectors are warmed.
 

@@ -23,7 +23,7 @@
 //! On exit the final metrics snapshot is printed; `--metrics-out`
 //! additionally appends it as JSONL and `--prometheus-out` writes the
 //! Prometheus text exposition. `--trace-out` attaches a span tracer to
-//! the batcher thread: each batched forward becomes a `serve-forward`
+//! the combining readers: each batched forward becomes a `serve-forward`
 //! span, every traced request (trace-context trailer set) gets a
 //! `serve-recv` flow event pairing with the client's send, and the file
 //! is a Chrome/Perfetto trace with a `serve` process lane. The last

@@ -35,6 +35,11 @@ pub const ERR_BAD_AGENT: u32 = 1;
 /// Error code: the observation length does not match the agent's input.
 pub const ERR_BAD_OBS_DIM: u32 = 2;
 
+/// Bytes of an inference-request frame carrying `obs_len` floats.
+pub fn request_frame_len(obs_len: usize) -> usize {
+    wire::HEADER_LEN + 16 + 4 * obs_len + TRACE_CTX_WIRE_LEN
+}
+
 /// Builds a complete inference-request frame into `frame` (cleared and
 /// refilled; capacity is reused, so a warmed buffer allocates nothing).
 /// Untraced callers pass [`TraceCtx::NONE`].
@@ -95,17 +100,33 @@ pub fn encode_response(
     ctx: TraceCtx,
     frame: &mut Vec<u8>,
 ) {
-    wire::begin_raw_frame(frame);
-    frame.extend_from_slice(&req_id.to_le_bytes());
-    frame.extend_from_slice(&epoch.to_le_bytes());
-    frame.extend_from_slice(&agent.to_le_bytes());
-    frame.extend_from_slice(&action.to_le_bytes());
-    frame.extend_from_slice(&(logits.len() as u32).to_le_bytes());
+    frame.clear();
+    append_response(req_id, epoch, agent, action, logits, ctx, frame);
+}
+
+/// [`encode_response`] appended after the frames already in `out`, so a
+/// run of responses leaves in one send.
+pub fn append_response(
+    req_id: u64,
+    epoch: u64,
+    agent: u32,
+    action: u32,
+    logits: &[f32],
+    ctx: TraceCtx,
+    out: &mut Vec<u8>,
+) {
+    let start = out.len();
+    out.resize(start + wire::HEADER_LEN, 0);
+    out.extend_from_slice(&req_id.to_le_bytes());
+    out.extend_from_slice(&epoch.to_le_bytes());
+    out.extend_from_slice(&agent.to_le_bytes());
+    out.extend_from_slice(&action.to_le_bytes());
+    out.extend_from_slice(&(logits.len() as u32).to_le_bytes());
     for x in logits {
-        frame.extend_from_slice(&x.to_le_bytes());
+        out.extend_from_slice(&x.to_le_bytes());
     }
-    ctx.write_to(frame);
-    wire::finish_raw_frame(KIND_INFER_RESP, frame);
+    ctx.write_to(out);
+    wire::finish_raw_frame(KIND_INFER_RESP, &mut out[start..]);
 }
 
 /// A decoded inference response (logits land in a caller buffer).

@@ -1,54 +1,80 @@
-//! The multi-threaded serve runtime: accept loop, per-connection
-//! reader/writer threads, the batcher thread, and the hot-reload poller.
+//! The multi-threaded serve runtime: the accept loop, one reader thread
+//! per connection, and the hot-reload poller. The reader that finds the
+//! engine free runs the batch and writes its answers (flat combining,
+//! Hendler, Incze, Shavit and Tzafrir, SPAA 2010), so a request crosses
+//! no thread between its read and its answer.
 //!
 //! Request life cycle (all buffers pooled, steady state allocation-free):
 //!
 //! ```text
-//! reader: recv_raw_into(conn buf) → stamp arrival → slot from pool →
-//!         validate → batcher
-//! batcher thread: take up to B queued → InferenceEngine (one batched
-//!                 forward per agent) → scatter slots to conn outboxes
-//! writer: pop outbox → encode into conn buf → send_raw → slot to pool
+//! reader: one read → fixed receive buffer → each whole frame: decode →
+//!         validate → slot from pool → batcher (one arrival stamp per read)
+//!         → try_lock(engine) ─ busy → read again (the holder's next pass
+//!                │                     takes this reader's requests)
+//!                └ won → drain ≤ max_batch → forward → unlock
+//!                        → per connection: encode → one send
+//!                        → slots to pool → again while anything is queued
 //! ```
 //!
-//! The batcher thread is work-conserving ([`crate::batcher`]) and
-//! sleeps on its own condition variable, signaled only when a push makes
-//! the queue non-empty. Latency runs from the moment a request's frame
-//! was read, so time blocked on the pool or a full queue counts.
+//! The batcher stays work-conserving ([`crate::batcher`]) without a
+//! hand-off: a request that finds the engine free is answered by its own
+//! reader, and the requests that arrive during a forward are taken by the
+//! next pass of whichever reader holds the engine. A combiner releases the
+//! engine before it writes, so another reader can run the next forward
+//! while the responses go out. A pass that finds the queue empty releases
+//! the engine and looks once more, so a push whose `try_lock` lost to that
+//! pass is still served. Latency runs from the read that delivered the
+//! request, so time blocked on the pool or a full queue counts.
+//!
+//! I/O is batched on both sides: one `read` admits every frame it
+//! carries, and each connection's share of a batch leaves in one send
+//! under that connection's send lock. The read timeout is set once per
+//! connection. The receive buffer is allocated once, sized from the
+//! widest request the model accepts; a frame that cannot fit is a typed
+//! protocol error that closes only its connection.
+//!
+//! Slow clients: every send is bounded by `frame_deadline`. A send that
+//! times out closes its connection (waking that connection's reader), and
+//! the slots queued for it go back to the pool as they are drained, so a
+//! client that stops reading cannot stall the other connections.
 //!
 //! Backpressure is the slot pool: it holds exactly `queue_capacity +
-//! max_batch` slots, so queued + in-flight requests are hard-bounded and
-//! a reader whose client outruns the server blocks on the empty pool
-//! instead of growing memory.
+//! max_batch` slots, so queued + in-flight requests are hard-bounded. A
+//! reader whose client outruns the server combines, or waits while
+//! another reader does, instead of growing memory.
 //!
 //! Hot reload swaps the `Arc<PolicyModel>` between batches: a batch
 //! captures the Arc once, so every response in it is answered by one
 //! generation and in-flight requests are never dropped by a reload.
 //!
-//! Shutdown (a `CTL_SHUTDOWN` frame or [`Server::shutdown`]) drains:
-//! readers stop ingesting, the batcher flushes everything queued in one
-//! final oversized batch, writers empty their outboxes, then all threads
-//! join. Every accepted request gets its response before the process
-//! exits.
+//! Shutdown (a `CTL_SHUTDOWN` frame or [`Server::shutdown`]) drains: the
+//! flag stops admission, then every reader takes the engine lock (behind
+//! any forward in flight), answers everything still queued, and exits.
+//! Every admitted request gets its response before the process exits.
 
 use crate::batcher::{BatcherConfig, MicroBatcher, RequestSlot};
 use crate::engine::InferenceEngine;
 use crate::model::PolicyModel;
 use crate::proto;
-use marl_dist::wire::{self, KIND_INFER_REQ, KIND_SERVE_CTL};
-use marl_dist::{DistError, StreamTransport, TcpAcceptor, UnixAcceptor};
+use marl_dist::wire::{KIND_INFER_REQ, KIND_SERVE_CTL};
+use marl_dist::{DistError, FrameReader, StreamTransport, TcpAcceptor, UnixAcceptor};
+use marl_obs::context::TraceCtx;
 use marl_obs::metrics::MetricsRegistry;
 use marl_obs::span::FlowDir;
 use marl_obs::telemetry::Telemetry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 /// How often blocked waits re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
+
+/// Widest requests one receive buffer holds, so one `read` can admit a
+/// full batch and more.
+const READ_FRAMES: usize = 64;
 
 /// Serve runtime configuration.
 #[derive(Debug, Clone)]
@@ -57,9 +83,10 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Batcher queue bound (pool size is this plus one batch).
     pub queue_capacity: usize,
-    /// Per-connection mid-frame read deadline. Much shorter than the
-    /// dist default: serve frames are small, and a stalled client must
-    /// not pin a reader thread.
+    /// Per-connection deadline for a partly received frame and for each
+    /// response send. Much shorter than the dist default: serve frames
+    /// are small, and a stalled client must not pin a reader thread or
+    /// hold the connections a combiner is answering.
     pub frame_deadline: Duration,
     /// Poll interval for hot checkpoint reload; `None` disables.
     pub reload_poll: Option<Duration>,
@@ -125,42 +152,76 @@ impl ServeListener {
 #[derive(Debug)]
 struct Ingress {
     batcher: MicroBatcher,
-    // Slots stay boxed end to end (pool → batcher → outbox → pool):
-    // every hand-off moves one pointer instead of memcpy'ing the slot's
-    // inline fields, and the buffers keep a stable heap identity, which
-    // is what the zero-allocation steady-state contract is built on.
+    // Slots stay boxed end to end (pool → batcher → batch → pool): every
+    // hand-off moves one pointer instead of memcpy'ing the slot's inline
+    // fields, and the buffers keep a stable heap identity, which is what
+    // the zero-allocation steady-state contract is built on.
     #[allow(clippy::vec_box)]
     pool: Vec<Box<RequestSlot>>,
+    /// Readers parked on `ingress_cv` for queue space or a slot.
+    waiting: usize,
 }
 
-/// One connection's outbox: completed slots awaiting the writer thread.
-#[derive(Debug, Default)]
-struct ConnOut {
-    queue: Mutex<VecDeque<Box<RequestSlot>>>,
-    cv: Condvar,
+/// One connection's send side, shared by every combiner that answers it.
+#[derive(Debug)]
+struct Conn {
+    id: u64,
+    /// The send half. Holding the lock makes one coalesced send one unit.
+    tx: Mutex<StreamTransport>,
+    /// Set once the peer is gone or a send failed; combiners then drop
+    /// this connection's responses.
     closed: AtomicBool,
+}
+
+impl Conn {
+    /// Writes `frames` in one send. A failed or timed-out send closes the
+    /// connection and wakes its reader. False when nothing was sent.
+    fn send(&self, frames: &[u8]) -> bool {
+        let mut tx = self.tx.lock().expect("send lock poisoned by a panicked sender");
+        if self.closed.load(Ordering::SeqCst) {
+            return false;
+        }
+        if tx.send_raw(frames).is_ok() {
+            return true;
+        }
+        self.closed.store(true, Ordering::SeqCst);
+        tx.shutdown();
+        false
+    }
+}
+
+/// A reader's reusable buffers, for admitting and for combining; they
+/// grow to their working size over the first batches.
+#[derive(Default)]
+struct Buffers {
+    /// The batch this reader forwards and answers as combiner.
+    #[allow(clippy::vec_box)] // boxed end to end: see `Ingress::pool`
+    batch: Vec<Box<RequestSlot>>,
+    /// Encoded responses for one connection, sent in one write.
+    out: Vec<u8>,
+    /// The observation of the request being admitted.
+    obs: Vec<f32>,
 }
 
 /// State shared by every serve thread.
 struct Shared {
     model: RwLock<Arc<PolicyModel>>,
+    /// Observation width per agent. Hot reload keeps the architecture,
+    /// so these never change.
+    obs_dims: Vec<usize>,
     ingress: Mutex<Ingress>,
-    /// Signaled on batcher drain (wake readers blocked on a full queue)
-    /// and pool return (wake readers blocked on an empty pool).
+    /// Wakes readers parked on a full queue or an empty pool: signaled
+    /// when a batch's slots return and any are parked, and on shutdown.
     ingress_cv: Condvar,
-    /// Wakes the idle batcher thread: signaled when a push takes the
-    /// queue from empty to non-empty, and on shutdown.
-    work_cv: Condvar,
-    conns: Mutex<HashMap<u64, Arc<ConnOut>>>,
+    /// Whoever holds this lock is the combiner.
+    engine: Mutex<InferenceEngine>,
+    conns: Mutex<HashMap<u64, Arc<Conn>>>,
     metrics: Arc<MetricsRegistry>,
     config: ServeConfig,
     shutdown: AtomicBool,
-    /// Set by the batcher thread after the final shutdown flush has been
-    /// scattered; writers may exit once their outbox is empty.
-    drained: AtomicBool,
     epoch0: Instant,
-    /// Attached telemetry: the batcher records `serve-forward` spans and
-    /// pairs traced requests' flow arrows on its span tracer. All span
+    /// Attached telemetry: combiners record `serve-forward` spans and
+    /// pair traced requests' flow arrows on its span tracer. All span
     /// timestamps use the tracer's clock, never `epoch0`.
     obs: Option<Arc<Telemetry>>,
 }
@@ -175,7 +236,8 @@ impl Shared {
         metrics: Arc<MetricsRegistry>,
         obs: Option<Arc<Telemetry>>,
     ) -> Shared {
-        let max_obs = (0..model.num_agents()).map(|a| model.obs_dim(a)).max().unwrap_or(0);
+        let obs_dims: Vec<usize> = (0..model.num_agents()).map(|a| model.obs_dim(a)).collect();
+        let max_obs = obs_dims.iter().copied().max().unwrap_or(0);
         let max_act = (0..model.num_agents()).map(|a| model.act_dim(a)).max().unwrap_or(0);
         let pool_size = config.queue_capacity + config.max_batch;
         let pool = (0..pool_size)
@@ -193,14 +255,14 @@ impl Shared {
         });
         Shared {
             model: RwLock::new(Arc::new(model)),
-            ingress: Mutex::new(Ingress { batcher, pool }),
+            obs_dims,
+            ingress: Mutex::new(Ingress { batcher, pool, waiting: 0 }),
             ingress_cv: Condvar::new(),
-            work_cv: Condvar::new(),
+            engine: Mutex::new(InferenceEngine::new()),
             conns: Mutex::new(HashMap::new()),
             metrics,
             config,
             shutdown: AtomicBool::new(false),
-            drained: AtomicBool::new(false),
             epoch0: Instant::now(),
             obs,
         }
@@ -212,12 +274,252 @@ impl Shared {
 
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        let _ingress = self.ingress.lock().expect("ingress lock");
         self.ingress_cv.notify_all();
-        self.work_cv.notify_one();
-        let conns = self.conns.lock().expect("conns lock");
-        for out in conns.values() {
-            out.cv.notify_all();
+    }
+
+    /// Routes responses to `conn` (`routed`) or stops routing them.
+    fn route(&self, conn: &Arc<Conn>, routed: bool) {
+        let mut conns = self.conns.lock().expect("conns lock");
+        if routed {
+            conns.insert(conn.id, Arc::clone(conn));
+        } else {
+            conn.closed.store(true, Ordering::SeqCst);
+            conns.remove(&conn.id);
         }
+        self.metrics.serve_connections.set(conns.len() as f64);
+    }
+
+    /// Moves up to `max_batch` queued requests (all of them when `all`)
+    /// into `batch`.
+    #[allow(clippy::vec_box)] // boxed end to end: see `Ingress::pool`
+    fn take_batch(&self, batch: &mut Vec<Box<RequestSlot>>, all: bool) {
+        let mut ingress = self.ingress.lock().expect("ingress lock");
+        if all {
+            ingress.batcher.drain_all_into(batch);
+        } else {
+            ingress.batcher.drain_into(batch);
+        }
+        self.metrics.serve_queue_depth.set(ingress.batcher.len() as f64);
+    }
+
+    /// Runs one batch through the engine on the current model generation.
+    fn forward(&self, engine: &mut InferenceEngine, batch: &mut [Box<RequestSlot>]) {
+        let fwd_start = self.obs.as_ref().map(|t| t.tracer.now_ns());
+        let model = Arc::clone(&self.model.read().expect("model lock"));
+        engine.infer(&model, batch);
+        if let Some(t) = self.obs.as_ref() {
+            let end = t.tracer.now_ns();
+            let start = fwd_start.unwrap_or(end);
+            t.tracer.record("serve-forward", 0, start, end);
+            for slot in batch.iter() {
+                if slot.trace.is_set() {
+                    t.tracer.record_flow(
+                        "serve-recv",
+                        0,
+                        start,
+                        end,
+                        slot.trace.span_id,
+                        FlowDir::In,
+                    );
+                }
+            }
+        }
+        self.metrics.serve_batch_fill.record(batch.len() as u64);
+    }
+
+    /// Writes a forwarded batch back, one send per connection carrying
+    /// its responses in batch order, then returns the slots to the pool.
+    /// Responses for a closed or unknown connection are dropped.
+    fn respond(&self, bufs: &mut Buffers) {
+        let batch = &mut bufs.batch;
+        let mut start = 0;
+        while start < batch.len() {
+            // Gather this connection's slots at `start..end`. Rotating
+            // moves pointers and keeps both groups in order.
+            let conn_id = batch[start].conn_id;
+            let mut end = start + 1;
+            for i in start + 1..batch.len() {
+                if batch[i].conn_id == conn_id {
+                    batch[end..=i].rotate_right(1);
+                    end += 1;
+                }
+            }
+            let conn = self.conns.lock().expect("conns lock").get(&conn_id).cloned();
+            if let Some(conn) = conn {
+                bufs.out.clear();
+                for slot in &batch[start..end] {
+                    proto::append_response(
+                        slot.req_id,
+                        slot.epoch,
+                        slot.agent,
+                        slot.action,
+                        &slot.logits,
+                        slot.trace,
+                        &mut bufs.out,
+                    );
+                }
+                if conn.send(&bufs.out) {
+                    let now_ns = self.now_ns();
+                    self.metrics.serve_requests.add((end - start) as u64);
+                    for slot in &batch[start..end] {
+                        self.metrics
+                            .serve_latency_ns
+                            .record(now_ns.saturating_sub(slot.enqueued_at_ns));
+                    }
+                }
+            }
+            start = end;
+        }
+        for slot in batch.iter_mut() {
+            slot.reset();
+        }
+        // Every drained batch ends here, so this one wake-up covers both
+        // the queue space and the slots parked readers wait for.
+        let mut ingress = self.ingress.lock().expect("ingress lock");
+        ingress.pool.append(batch);
+        if ingress.waiting > 0 {
+            self.ingress_cv.notify_all();
+        }
+    }
+
+    /// Combines while anything is queued: drain up to `max_batch` and
+    /// forward under the engine lock, then release it and write the
+    /// responses while another reader may run the next forward. Returns
+    /// at once if another reader holds the engine: every holder looks at
+    /// the queue again after it releases, so a push whose `try_lock`
+    /// lost to it is still served.
+    fn combine(&self, bufs: &mut Buffers) {
+        while !self.ingress.lock().expect("ingress lock").batcher.is_empty() {
+            let mut engine = match self.engine.try_lock() {
+                Ok(engine) => engine,
+                Err(TryLockError::WouldBlock) => return,
+                Err(TryLockError::Poisoned(_)) => panic!("engine lock poisoned by a combiner"),
+            };
+            self.take_batch(&mut bufs.batch, false);
+            if bufs.batch.is_empty() {
+                continue; // another combiner took it between the look and the lock
+            }
+            self.forward(&mut engine, &mut bufs.batch);
+            drop(engine);
+            self.respond(bufs);
+        }
+    }
+
+    /// The shutdown drain: waits for the engine (behind any forward in
+    /// flight) and answers everything queued in one batch. Admission has
+    /// stopped, so nothing can queue behind it.
+    fn drain(&self, bufs: &mut Buffers) {
+        let mut engine = self.engine.lock().expect("engine lock poisoned by a combiner");
+        self.take_batch(&mut bufs.batch, true);
+        if !bufs.batch.is_empty() {
+            self.forward(&mut engine, &mut bufs.batch);
+        }
+        drop(engine);
+        self.respond(bufs);
+    }
+
+    /// Queues one validated request, its observation in `bufs.obs`,
+    /// stamped `arrived_ns`. While the queue is full or the pool empty
+    /// the reader combines, or parks while another reader holds the
+    /// engine; every retry passes the same stamp, so the wait counts
+    /// toward the request's latency. False, with nothing queued, once
+    /// shutdown begins or the connection closes.
+    fn enqueue(
+        &self,
+        conn: &Conn,
+        (req_id, agent, trace): (u64, u32, TraceCtx),
+        arrived_ns: u64,
+        bufs: &mut Buffers,
+    ) -> bool {
+        let stopped = || self.shutdown.load(Ordering::SeqCst) || conn.closed.load(Ordering::SeqCst);
+        loop {
+            {
+                let mut ingress = self.ingress.lock().expect("ingress lock");
+                if stopped() {
+                    return false;
+                }
+                if let Some(mut slot) = ingress.pool.pop() {
+                    slot.req_id = req_id;
+                    slot.conn_id = conn.id;
+                    slot.agent = agent;
+                    slot.trace = trace;
+                    slot.obs.extend_from_slice(&bufs.obs);
+                    match ingress.batcher.push(slot, arrived_ns) {
+                        Ok(()) => {
+                            let depth = ingress.batcher.len();
+                            self.metrics.serve_queue_depth.set(depth as f64);
+                            return true;
+                        }
+                        Err(mut refused) => {
+                            refused.reset();
+                            ingress.pool.push(refused);
+                        }
+                    }
+                }
+            }
+            self.combine(bufs);
+            let mut ingress = self.ingress.lock().expect("ingress lock");
+            if (ingress.batcher.is_full() || ingress.pool.is_empty()) && !stopped() {
+                ingress.waiting += 1;
+                let (mut ingress, _) =
+                    self.ingress_cv.wait_timeout(ingress, POLL).expect("ingress wait");
+                ingress.waiting -= 1;
+            }
+        }
+    }
+
+    /// Admits every whole frame `frames` holds, all stamped `arrived_ns`;
+    /// a request the model cannot take is answered at once. False
+    /// when the reader must stop: shutdown, a closed connection, or a
+    /// protocol error (a bad header or CRC, a frame too large for the
+    /// buffer, a malformed payload, an unexpected kind).
+    fn admit(
+        &self,
+        conn: &Conn,
+        frames: &mut FrameReader,
+        arrived_ns: u64,
+        bufs: &mut Buffers,
+    ) -> bool {
+        let mut open = true;
+        while open {
+            let (kind, payload) = match frames.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(_) => return false,
+            };
+            open = match kind {
+                KIND_INFER_REQ => match proto::decode_request_into(payload, &mut bufs.obs) {
+                    Ok((req_id, agent, trace)) => {
+                        let error = match self.obs_dims.get(agent as usize) {
+                            None => proto::ERR_BAD_AGENT,
+                            Some(&dim) if dim != bufs.obs.len() => proto::ERR_BAD_OBS_DIM,
+                            Some(_) => 0,
+                        };
+                        if error == 0 {
+                            self.enqueue(conn, (req_id, agent, trace), arrived_ns, bufs)
+                        } else {
+                            // Error answers skip the batcher entirely.
+                            self.metrics.serve_errors.inc();
+                            proto::encode_error(req_id, error, &mut bufs.out);
+                            conn.send(&bufs.out);
+                            true
+                        }
+                    }
+                    Err(_) => false,
+                },
+                KIND_SERVE_CTL => match proto::decode_ctl(payload) {
+                    Ok(proto::CTL_SHUTDOWN) => {
+                        self.begin_shutdown();
+                        false
+                    }
+                    Ok(_) => true, // ping and unknown ops: connectivity probes
+                    Err(_) => false,
+                },
+                _ => false,
+            };
+        }
+        open
     }
 }
 
@@ -226,7 +528,7 @@ impl Shared {
 pub struct Server {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
-    /// Reader/writer threads spawned by the accept loop.
+    /// Reader threads spawned by the accept loop.
     conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -244,7 +546,7 @@ impl Server {
         Server::start_traced(listener, model, config, metrics, checkpoint, None)
     }
 
-    /// [`Server::start`] with telemetry attached: the batcher records a
+    /// [`Server::start`] with telemetry attached: each combiner records a
     /// `serve-forward` span per batch and a flow-destination marker per
     /// traced request, pairing the merged timeline's client→forward
     /// arrows.
@@ -263,10 +565,6 @@ impl Server {
             let shared = Arc::clone(&shared);
             let conn_handles = Arc::clone(&conn_handles);
             move || accept_loop(listener, shared, conn_handles)
-        }));
-        handles.push(spawn_named("serve-batcher", {
-            let shared = Arc::clone(&shared);
-            move || batcher_loop(shared)
         }));
         if let (Some(interval), Some(path)) = (config.reload_poll, checkpoint) {
             handles.push(spawn_named("serve-reload", {
@@ -298,7 +596,8 @@ impl Server {
         Arc::clone(&self.shared.metrics)
     }
 
-    /// Blocks until shutdown completes and every thread has joined.
+    /// Blocks until shutdown completes and every thread has joined; the
+    /// connections the drain answered close as the server drops.
     pub fn wait(self) {
         for h in self.handles {
             let _ = h.join();
@@ -322,28 +621,30 @@ fn accept_loop(
     let mut next_conn_id: u64 = 1;
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.try_accept() {
-            Ok(Some(transport)) => {
+            Ok(Some(mut rx)) => {
                 let conn_id = next_conn_id;
                 next_conn_id += 1;
-                let transport = transport.with_frame_deadline(shared.config.frame_deadline);
-                let Ok(send_half) = transport.try_clone() else {
+                let deadline = shared.config.frame_deadline;
+                rx.set_frame_deadline(deadline);
+                // Socket options are set once per connection: the read
+                // poll here, the send deadline on the shared socket.
+                let Ok(mut tx) = rx.try_clone() else {
                     continue; // dup failed: drop the connection
                 };
-                let out = Arc::new(ConnOut::default());
-                shared.conns.lock().expect("conns lock").insert(conn_id, Arc::clone(&out));
-                shared
-                    .metrics
-                    .serve_connections
-                    .set(shared.conns.lock().expect("conns lock").len() as f64);
-                let mut guard = conn_handles.lock().expect("conn handles");
-                guard.push(spawn_named("serve-reader", {
+                if rx.set_recv_poll(POLL.min(deadline)).is_err()
+                    || tx.set_send_deadline(deadline).is_err()
+                {
+                    continue;
+                }
+                let conn = Arc::new(Conn {
+                    id: conn_id,
+                    tx: Mutex::new(tx),
+                    closed: AtomicBool::new(false),
+                });
+                shared.route(&conn, true);
+                conn_handles.lock().expect("conn handles").push(spawn_named("serve-reader", {
                     let shared = Arc::clone(&shared);
-                    let out = Arc::clone(&out);
-                    move || reader_loop(transport, conn_id, shared, out)
-                }));
-                guard.push(spawn_named("serve-writer", {
-                    let shared = Arc::clone(&shared);
-                    move || writer_loop(send_half, shared, out)
+                    move || reader_loop(rx, conn, shared)
                 }));
             }
             Ok(None) => std::thread::sleep(Duration::from_millis(2)),
@@ -352,303 +653,30 @@ fn accept_loop(
     }
 }
 
-/// Takes a slot from the pool, blocking (bounded backpressure) while it
-/// is empty. `None` once shutdown begins.
-fn take_slot(shared: &Shared) -> Option<Box<RequestSlot>> {
-    let mut ingress = shared.ingress.lock().expect("ingress lock");
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return None;
-        }
-        if let Some(slot) = ingress.pool.pop() {
-            return Some(slot);
-        }
-        let (guard, _) = shared.ingress_cv.wait_timeout(ingress, POLL).expect("ingress wait");
-        ingress = guard;
-    }
-}
-
-/// Returns a slot to the pool and wakes readers blocked on it.
-fn return_slot(shared: &Shared, mut slot: Box<RequestSlot>) {
-    slot.reset();
-    shared.ingress.lock().expect("ingress lock").pool.push(slot);
-    shared.ingress_cv.notify_all();
-}
-
-/// Queues `slot` stamped with its arrival instant, blocking while the
-/// queue is full; every retry passes the same instant, so the wait counts
-/// toward the request's latency. Wakes the batcher only when the queue
-/// turns non-empty: a non-empty queue means the batcher is busy and will
-/// look again when it is free. Returns false (recycling the slot) once
-/// shutdown begins.
-fn enqueue(shared: &Shared, mut slot: Box<RequestSlot>, arrived_ns: u64) -> bool {
-    let mut ingress = shared.ingress.lock().expect("ingress lock");
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            ingress.pool.push(slot);
-            return false;
-        }
-        match ingress.batcher.push(slot, arrived_ns) {
-            Ok(()) => break,
-            Err(refused) => {
-                slot = refused;
-                let (guard, _) =
-                    shared.ingress_cv.wait_timeout(ingress, POLL).expect("ingress wait");
-                ingress = guard;
-            }
-        }
-    }
-    let depth = ingress.batcher.len();
-    shared.metrics.serve_queue_depth.set(depth as f64);
-    drop(ingress);
-    if depth == 1 {
-        shared.work_cv.notify_one();
-    }
-    true
-}
-
-fn reader_loop(
-    mut transport: StreamTransport,
-    conn_id: u64,
-    shared: Arc<Shared>,
-    out: Arc<ConnOut>,
-) {
-    let mut frame = Vec::new();
-    // Whether the peer vanished (disconnect / protocol error), as opposed
-    // to an orderly shutdown: only a vanished peer closes the outbox —
-    // during shutdown the writer must stay up for the final drain.
-    let mut peer_gone = false;
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        let (kind, arrived_ns) = match transport.recv_raw_into(&mut frame, POLL) {
-            Ok(kind) => (kind, shared.now_ns()),
-            Err(DistError::Timeout { .. }) => continue,
-            Err(_) => {
-                peer_gone = true;
-                break; // disconnect or framing corruption: close
-            }
+/// One connection's only thread: read, admit, combine, until the peer
+/// goes, the connection breaks the protocol, or shutdown drains.
+fn reader_loop(mut rx: StreamTransport, conn: Arc<Conn>, shared: Arc<Shared>) {
+    let widest = shared.obs_dims.iter().copied().max().unwrap_or(0);
+    let mut frames = FrameReader::new(READ_FRAMES * proto::request_frame_len(widest));
+    let mut bufs = Buffers::default();
+    let mut open = true;
+    while open && !shared.shutdown.load(Ordering::SeqCst) && !conn.closed.load(Ordering::SeqCst) {
+        open = match rx.recv_frames(&mut frames) {
+            Ok(_) => shared.admit(&conn, &mut frames, shared.now_ns(), &mut bufs),
+            Err(DistError::Timeout { .. }) => true,
+            // Disconnect, a stalled partial frame, or a socket error.
+            Err(_) => false,
         };
-        let payload = &frame[wire::HEADER_LEN..];
-        match kind {
-            KIND_INFER_REQ => {
-                let Some(mut slot) = take_slot(&shared) else { break };
-                let (req_id, agent, ctx) = match proto::decode_request_into(payload, &mut slot.obs)
-                {
-                    Ok(triple) => triple,
-                    Err(_) => {
-                        return_slot(&shared, slot);
-                        peer_gone = true;
-                        break; // malformed payload: protocol-fatal
-                    }
-                };
-                slot.req_id = req_id;
-                slot.agent = agent;
-                slot.conn_id = conn_id;
-                slot.trace = ctx;
-                slot.error = 0;
-                {
-                    let model = shared.model.read().expect("model lock");
-                    if (agent as usize) >= model.num_agents() {
-                        slot.error = proto::ERR_BAD_AGENT;
-                    } else if slot.obs.len() != model.obs_dim(agent as usize) {
-                        slot.error = proto::ERR_BAD_OBS_DIM;
-                    }
-                }
-                if slot.error != 0 {
-                    // Error responses skip the batcher entirely.
-                    shared.metrics.serve_errors.inc();
-                    out.queue.lock().expect("outbox lock").push_back(slot);
-                    out.cv.notify_all();
-                    continue;
-                }
-                if !enqueue(&shared, slot, arrived_ns) {
-                    break;
-                }
-            }
-            KIND_SERVE_CTL => match proto::decode_ctl(payload) {
-                Ok(proto::CTL_SHUTDOWN) => {
-                    shared.begin_shutdown();
-                    break;
-                }
-                Ok(_) => {} // ping and unknown ops: connectivity probes
-                Err(_) => {
-                    peer_gone = true;
-                    break;
-                }
-            },
-            _ => {
-                peer_gone = true;
-                break; // unexpected kind on a serve connection
-            }
-        }
+        // Serve what this read admitted. After a timeout this only looks:
+        // the queue is normally empty between reads.
+        shared.combine(&mut bufs);
     }
-    if peer_gone {
-        // The peer vanished: unregister so the batcher stops scattering
-        // here, close the outbox, and recycle anything already queued
-        // (the writer may have exited the instant `closed` was set).
-        let mut conns = shared.conns.lock().expect("conns lock");
-        conns.remove(&conn_id);
-        shared.metrics.serve_connections.set(conns.len() as f64);
-        drop(conns);
-        let orphans: Vec<_> = {
-            let mut queue = out.queue.lock().expect("outbox lock");
-            out.closed.store(true, Ordering::SeqCst);
-            queue.drain(..).collect()
-        };
-        out.cv.notify_all();
-        for slot in orphans {
-            return_slot(&shared, slot);
-        }
-    }
-    // On orderly shutdown the connection stays registered: the writer
-    // keeps draining until the batcher's final flush lands (`drained`),
-    // so every admitted request is answered before the stream closes.
-}
-
-fn writer_loop(mut transport: StreamTransport, shared: Arc<Shared>, out: Arc<ConnOut>) {
-    let mut frame = Vec::new();
-    loop {
-        let slot = {
-            let mut queue = out.queue.lock().expect("outbox lock");
-            loop {
-                if let Some(slot) = queue.pop_front() {
-                    break slot;
-                }
-                let done = out.closed.load(Ordering::SeqCst)
-                    || (shared.shutdown.load(Ordering::SeqCst)
-                        && shared.drained.load(Ordering::SeqCst));
-                if done {
-                    return;
-                }
-                let (guard, _) = out.cv.wait_timeout(queue, POLL).expect("outbox wait");
-                queue = guard;
-            }
-        };
-        if slot.error != 0 {
-            proto::encode_error(slot.req_id, slot.error, &mut frame);
-        } else {
-            proto::encode_response(
-                slot.req_id,
-                slot.epoch,
-                slot.agent,
-                slot.action,
-                &slot.logits,
-                slot.trace,
-                &mut frame,
-            );
-        }
-        let sent = transport.send_raw(&frame).is_ok();
-        if sent && slot.error == 0 {
-            shared.metrics.serve_requests.inc();
-            shared
-                .metrics
-                .serve_latency_ns
-                .record(shared.now_ns().saturating_sub(slot.enqueued_at_ns));
-        }
-        return_slot(&shared, slot);
-        if !sent {
-            // Peer is gone: close the outbox (under its lock, so the
-            // batcher stops scattering here) and recycle the backlog.
-            let orphans: Vec<_> = {
-                let mut queue = out.queue.lock().expect("outbox lock");
-                out.closed.store(true, Ordering::SeqCst);
-                queue.drain(..).collect()
-            };
-            for slot in orphans {
-                return_slot(&shared, slot);
-            }
-            return;
-        }
-    }
-}
-
-/// Scatters a completed batch to the owning connections' outboxes;
-/// slots whose connection has closed go straight back to the pool.
-#[allow(clippy::vec_box)] // boxed end to end: see `Ingress::pool`
-fn scatter(shared: &Shared, batch: &mut Vec<Box<RequestSlot>>) {
-    for slot in batch.drain(..) {
-        let target = shared.conns.lock().expect("conns lock").get(&slot.conn_id).cloned();
-        match target {
-            Some(out) => {
-                // `closed` is checked under the queue lock (the reader
-                // sets it under the same lock when the peer vanishes),
-                // so a slot is either drained by the closing reader or
-                // recycled here — never stranded in a dead outbox.
-                let mut queue = out.queue.lock().expect("outbox lock");
-                if out.closed.load(Ordering::SeqCst) {
-                    drop(queue);
-                    return_slot(shared, slot);
-                } else {
-                    queue.push_back(slot);
-                    drop(queue);
-                    out.cv.notify_all();
-                }
-            }
-            None => return_slot(shared, slot),
-        }
-    }
-}
-
-fn batcher_loop(shared: Arc<Shared>) {
-    let mut engine = InferenceEngine::new();
-    let mut batch: Vec<Box<RequestSlot>> =
-        Vec::with_capacity(shared.config.max_batch.max(shared.config.queue_capacity));
-    loop {
-        // Only the drain taken under the lock after the shutdown flag is
-        // seen is the last: no reader can push behind it. A batch already
-        // in flight when shutdown lands is followed by that drain.
-        let last = {
-            let mut ingress = shared.ingress.lock().expect("ingress lock");
-            let last = loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    ingress.batcher.drain_all_into(&mut batch);
-                    break true;
-                }
-                if ingress.batcher.ready(shared.now_ns()) {
-                    ingress.batcher.drain_into(&mut batch);
-                    break false;
-                }
-                // Idle: a push wakes us; the timeout only re-checks
-                // the shutdown flag.
-                let (guard, _) = shared.work_cv.wait_timeout(ingress, POLL).expect("work wait");
-                ingress = guard;
-            };
-            shared.metrics.serve_queue_depth.set(ingress.batcher.len() as f64);
-            last
-        };
-        shared.ingress_cv.notify_all(); // queue space freed
-        if !batch.is_empty() {
-            let fwd_start = shared.obs.as_ref().map(|t| t.tracer.now_ns());
-            let model = Arc::clone(&shared.model.read().expect("model lock"));
-            engine.infer(&model, &mut batch);
-            if let Some(t) = shared.obs.as_ref() {
-                let end = t.tracer.now_ns();
-                let start = fwd_start.unwrap_or(end);
-                t.tracer.record("serve-forward", 0, start, end);
-                for slot in batch.iter() {
-                    if slot.trace.is_set() {
-                        t.tracer.record_flow(
-                            "serve-recv",
-                            0,
-                            start,
-                            end,
-                            slot.trace.span_id,
-                            FlowDir::In,
-                        );
-                    }
-                }
-            }
-            shared.metrics.serve_batch_fill.record(batch.len() as u64);
-            scatter(&shared, &mut batch);
-        }
-        if last {
-            // Everything queued before shutdown has now been scattered.
-            shared.drained.store(true, Ordering::SeqCst);
-            let conns = shared.conns.lock().expect("conns lock");
-            for out in conns.values() {
-                out.cv.notify_all();
-            }
-            return;
-        }
+    if shared.shutdown.load(Ordering::SeqCst) {
+        // The connection stays registered until `Server::wait`: this
+        // drain, and any combiner still writing, answer it too.
+        shared.drain(&mut bufs);
+    } else {
+        shared.route(&conn, false);
     }
 }
 
@@ -695,55 +723,76 @@ fn reload_loop(shared: Arc<Shared>, path: PathBuf, interval: Duration) {
 mod tests {
     use super::*;
     use marl_algo::{Algorithm, Task, TrainConfig, Trainer};
+    use marl_dist::wire::{self, KIND_INFER_RESP};
+    use std::io::Write;
+    use std::os::unix::net::UnixStream;
+    use std::sync::Barrier;
 
-    fn serving(max_batch: usize, queue_capacity: usize) -> Arc<Shared> {
+    fn model() -> PolicyModel {
         let train = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3);
-        let ckpt = Trainer::new(train).expect("trainer").checkpoint();
-        let config = ServeConfig { max_batch, queue_capacity, ..ServeConfig::default() };
-        let metrics = Arc::new(MetricsRegistry::new());
-        Arc::new(Shared::new(PolicyModel::from_checkpoint(&ckpt, 0), config, metrics, None))
+        PolicyModel::from_checkpoint(&Trainer::new(train).expect("trainer").checkpoint(), 0)
     }
 
-    /// A pooled slot carrying a valid agent-0 request on connection 1.
-    fn take(shared: &Shared, req_id: u64) -> Box<RequestSlot> {
-        let obs_dim = shared.model.read().expect("model lock").obs_dim(0);
-        let mut slot = shared.ingress.lock().expect("ingress lock").pool.pop().expect("pool");
-        slot.req_id = req_id;
-        slot.conn_id = 1;
-        slot.obs.resize(obs_dim, 0.0);
-        slot
+    fn serving(max_batch: usize, queue_capacity: usize) -> Arc<Shared> {
+        let config = ServeConfig { max_batch, queue_capacity, ..ServeConfig::default() };
+        Arc::new(Shared::new(model(), config, Arc::new(MetricsRegistry::new()), None))
+    }
+
+    /// Connection `id` on one end of a socket pair, registered when
+    /// `routed`; returns it with the client's end.
+    fn attach(shared: &Shared, id: u64, routed: bool) -> (Arc<Conn>, StreamTransport) {
+        let (server_end, client_end) = UnixStream::pair().expect("socketpair");
+        let tx = Mutex::new(StreamTransport::unix(server_end));
+        let conn = Arc::new(Conn { id, tx, closed: AtomicBool::new(false) });
+        if routed {
+            shared.route(&conn, true);
+        }
+        (conn, StreamTransport::unix(client_end))
+    }
+
+    /// A reader's buffers holding a valid agent-0 observation.
+    fn reader_bufs(shared: &Shared) -> Buffers {
+        let mut bufs = Buffers::default();
+        bufs.obs.resize(shared.obs_dims[0], 0.0);
+        bufs
+    }
+
+    fn request(req_id: u64) -> (u64, u32, TraceCtx) {
+        (req_id, 0, TraceCtx::NONE)
     }
 
     #[test]
     fn a_push_blocked_on_a_full_queue_keeps_its_arrival_stamp() {
         let shared = serving(1, 1);
-        assert!(enqueue(&shared, take(&shared, 1), 10));
+        let (conn, _client) = attach(&shared, 1, false);
+        assert!(shared.enqueue(&conn, request(1), 10, &mut reader_bufs(&shared)));
+        // Holding the engine keeps the blocked reader from combining, so
+        // it parks until room is made the way a combiner makes it.
+        let engine = shared.engine.lock().expect("engine lock");
         let arrived_ns = 20;
         let reader = std::thread::spawn({
-            let shared = Arc::clone(&shared);
-            let slot = take(&shared, 2);
-            move || enqueue(&shared, slot, arrived_ns)
+            let (shared, conn) = (Arc::clone(&shared), Arc::clone(&conn));
+            move || shared.enqueue(&conn, request(2), arrived_ns, &mut reader_bufs(&shared))
         });
-        // The stamp must be the handed-in instant whether or not the
-        // reader was refused first; the pause makes the refusal the usual
-        // case. Then make room the way the batcher thread does.
-        std::thread::sleep(Duration::from_millis(20));
+        while shared.ingress.lock().expect("ingress lock").waiting == 0 {
+            std::thread::yield_now();
+        }
         let mut batch = Vec::new();
-        shared.ingress.lock().expect("ingress lock").batcher.drain_into(&mut batch);
-        shared.ingress_cv.notify_all();
+        shared.take_batch(&mut batch, false);
         assert!(reader.join().expect("reader thread"), "admitted once there was room");
         assert_eq!(batch[0].req_id, 1);
-        shared.ingress.lock().expect("ingress lock").batcher.drain_into(&mut batch);
+        shared.take_batch(&mut batch, false);
         assert_eq!((batch[0].req_id, batch[0].enqueued_at_ns), (2, arrived_ns));
+        drop(engine);
     }
 
     #[test]
-    fn enqueue_after_shutdown_recycles_the_slot() {
+    fn enqueue_after_shutdown_admits_nothing() {
         let shared = serving(1, 1);
+        let (conn, _client) = attach(&shared, 1, false);
         let pooled = shared.ingress.lock().expect("ingress lock").pool.len();
-        let slot = take(&shared, 1);
         shared.begin_shutdown();
-        assert!(!enqueue(&shared, slot, 0));
+        assert!(!shared.enqueue(&conn, request(1), 0, &mut reader_bufs(&shared)));
         let ingress = shared.ingress.lock().expect("ingress lock");
         assert!(ingress.batcher.is_empty());
         assert_eq!(ingress.pool.len(), pooled);
@@ -752,30 +801,155 @@ mod tests {
     #[test]
     fn shutdown_behind_an_in_flight_forward_drains_the_backlog() {
         let shared = serving(1, 8);
-        let out = Arc::new(ConnOut::default());
-        shared.conns.lock().expect("conns lock").insert(1, Arc::clone(&out));
-        let mut requests: Vec<_> = (0..4).map(|req_id| take(&shared, req_id)).collect();
-        let backlog = requests.split_off(1);
-        // Holding the model's write lock parks the batcher between its
-        // drain and its forward: a batch in flight.
+        let (conn, mut client) = attach(&shared, 1, true);
+        let mut bufs = reader_bufs(&shared);
+        // Holding the model's write lock parks a combiner between its
+        // drain and its forward, engine held: a batch in flight.
         let model = shared.model.write().expect("model lock");
-        assert!(enqueue(&shared, requests.pop().expect("first request"), 0));
-        let batcher = std::thread::spawn({
+        assert!(shared.enqueue(&conn, request(0), 0, &mut bufs));
+        let combiner = std::thread::spawn({
             let shared = Arc::clone(&shared);
-            move || batcher_loop(shared)
+            move || shared.combine(&mut reader_bufs(&shared))
         });
         while !shared.ingress.lock().expect("ingress lock").batcher.is_empty() {
             std::thread::yield_now();
         }
-        for slot in backlog {
-            assert!(enqueue(&shared, slot, 0));
+        for req_id in 1..4 {
+            assert!(shared.enqueue(&conn, request(req_id), 0, &mut bufs));
         }
         shared.begin_shutdown();
+        let drainer = std::thread::spawn({
+            let shared = Arc::clone(&shared);
+            move || shared.drain(&mut reader_bufs(&shared))
+        });
         drop(model);
-        batcher.join().expect("batcher thread");
-        assert!(shared.drained.load(Ordering::SeqCst));
-        let answered: Vec<u64> =
-            out.queue.lock().expect("outbox lock").iter().map(|s| s.req_id).collect();
-        assert_eq!(answered, [0, 1, 2, 3], "the in-flight batch, then the whole backlog");
+        combiner.join().expect("combiner thread");
+        drainer.join().expect("drainer thread");
+        assert!(shared.ingress.lock().expect("ingress lock").batcher.is_empty());
+        let fill = &shared.metrics.serve_batch_fill;
+        assert_eq!(fill.sum(), 4, "the in-flight batch, then the whole backlog");
+        let mut answered = Vec::new();
+        let mut frame = Vec::new();
+        for _ in 0..4 {
+            let kind = client.recv_raw_into(&mut frame, Duration::from_secs(5)).expect("answer");
+            assert_eq!(kind, KIND_INFER_RESP);
+            let mut logits = Vec::new();
+            let resp = proto::decode_response_into(&frame[wire::HEADER_LEN..], &mut logits)
+                .expect("decodes");
+            answered.push(resp.req_id);
+        }
+        answered.sort_unstable();
+        assert_eq!(answered, [0, 1, 2, 3], "every admitted request answered once");
+    }
+
+    /// Rounds of concurrent push-then-combine: once every reader's
+    /// `combine` has returned, nothing may be left queued. A combiner
+    /// that released the engine without looking at the queue again would
+    /// strand the pushes whose `try_lock` lost to it.
+    #[test]
+    fn no_request_is_stranded_when_a_combiner_releases() {
+        const READERS: usize = 4;
+        const ROUNDS: u64 = 3_000;
+        let shared = serving(2, 8);
+        let (conn, _client) = attach(&shared, 1, false);
+        let start = Barrier::new(READERS + 1);
+        let done = Barrier::new(READERS + 1);
+        let stop = AtomicBool::new(false);
+        let mut stranded = None;
+        std::thread::scope(|s| {
+            for reader in 0..READERS as u64 {
+                let (shared, conn, start, done, stop) = (&shared, &conn, &start, &done, &stop);
+                s.spawn(move || {
+                    let mut bufs = reader_bufs(shared);
+                    for round in 0..ROUNDS {
+                        start.wait();
+                        if stop.load(Ordering::SeqCst) {
+                            return;
+                        }
+                        assert!(shared.enqueue(conn, request(round * 8 + reader), 0, &mut bufs));
+                        shared.combine(&mut bufs);
+                        done.wait();
+                    }
+                });
+            }
+            for round in 0..ROUNDS {
+                // A failed round stops the readers at the next barrier
+                // rather than leaving them waiting at it.
+                stop.store(stranded.is_some(), Ordering::SeqCst);
+                start.wait();
+                if stranded.is_some() {
+                    return;
+                }
+                done.wait();
+                let queued = shared.ingress.lock().expect("ingress lock").batcher.len();
+                if queued > 0 {
+                    stranded = Some((round, queued));
+                }
+            }
+        });
+        assert_eq!(stranded, None, "(round, requests stranded)");
+        let pooled = shared.ingress.lock().expect("ingress lock").pool.len();
+        assert_eq!(pooled, shared.config.queue_capacity + shared.config.max_batch);
+        assert_eq!(shared.metrics.serve_batch_fill.sum(), READERS as u64 * ROUNDS);
+    }
+
+    /// A client that floods requests and never reads its answers: its
+    /// sends time out after `frame_deadline` and close it, another
+    /// client is still answered within that deadline plus a margin, the
+    /// pool fills up again, and shutdown joins.
+    #[test]
+    fn a_client_that_never_reads_stalls_no_one_and_returns_its_slots() {
+        let path =
+            std::env::temp_dir().join(format!("marl-serve-unit-flood-{}.sock", std::process::id()));
+        let model = model();
+        let obs = vec![0.25; model.obs_dim(0)];
+        let deadline = Duration::from_millis(200);
+        let config = ServeConfig { frame_deadline: deadline, ..ServeConfig::default() };
+        let pool_size = config.queue_capacity + config.max_batch;
+        let listener = ServeListener::unix(&path).expect("bind");
+        let server = Server::start(listener, model, config, Arc::new(MetricsRegistry::new()), None);
+        let connect = || loop {
+            if let Ok(s) = UnixStream::connect(&path) {
+                break s;
+            }
+            std::thread::yield_now();
+        };
+
+        let mut flood = connect();
+        flood.set_write_timeout(Some(Duration::from_millis(100))).expect("write timeout");
+        let mut frame = Vec::new();
+        proto::encode_request(0, 0, &obs, TraceCtx::NONE, &mut frame);
+        // Far more answers than the socket buffers hold: the server's
+        // sends to this client must stall.
+        let mut sent = 0;
+        while sent < 20_000 && flood.write_all(&frame).is_ok() {
+            sent += 1;
+        }
+
+        let mut probe = StreamTransport::unix(connect());
+        proto::encode_request(1, 0, &obs, TraceCtx::NONE, &mut frame);
+        let asked = Instant::now();
+        probe.send_raw(&frame).expect("probe send");
+        let kind = probe.recv_raw_into(&mut frame, Duration::from_secs(5)).expect("probe answer");
+        let waited = asked.elapsed();
+        assert_eq!(kind, KIND_INFER_RESP);
+        assert!(waited < deadline + Duration::from_secs(1), "probe answered after {waited:?}");
+
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while shared_pool(&server) < pool_size && Instant::now() < give_up {
+            std::thread::yield_now();
+        }
+        assert_eq!(shared_pool(&server), pool_size, "the flood's slots came back");
+        assert!(
+            flood.write_all(&frame).and_then(|()| flood.write_all(&frame)).is_err(),
+            "the flooding connection was closed"
+        );
+        server.shutdown();
+        server.wait();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn shared_pool(server: &Server) -> usize {
+        server.shared.ingress.lock().expect("ingress lock").pool.len()
     }
 }

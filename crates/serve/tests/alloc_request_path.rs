@@ -1,12 +1,13 @@
 //! Proves the zero-allocation claim of the serve request path: once the
 //! slot pool, frame buffers, and engine scratch are warmed, the whole
-//! steady-state cycle — decode request frame → pooled slot → micro-batch
-//! → batched inference → scatter → encode response frame → decode
-//! response (client side) → slot reset and return — touches the heap
-//! zero times.
+//! steady-state cycle touches the heap zero times: a pipelined burst of
+//! request frames → buffered read (the fixed receive buffer splits it
+//! into frames) → decode → pooled slot → micro-batch → batched inference
+//! → every response of the batch encoded into one coalesced send →
+//! client-side split and decode → slot reset and return.
 //!
 //! The cycle is driven single-threaded through the same components the
-//! server threads use (the threads only add handoff, not allocation), so
+//! reader threads use (the threads only add locking, not allocation), so
 //! the counting allocator isn't polluted by unrelated thread traffic.
 
 // Slots are boxed end to end in the real server (pointer-sized
@@ -15,7 +16,7 @@
 #![allow(clippy::vec_box)]
 
 use marl_algo::{Algorithm, Task, TrainConfig, Trainer};
-use marl_dist::wire;
+use marl_dist::FrameReader;
 use marl_obs::context::{span_id, TraceCtx};
 use marl_obs::metrics::MetricsRegistry;
 use marl_obs::span::{FlowDir, SpanTracer};
@@ -53,71 +54,119 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// One full request wave: `n` requests framed, decoded, batched,
-/// inferred, scattered, framed back, decoded client-side, recycled.
-#[allow(clippy::too_many_arguments)]
-fn run_wave(
-    n: usize,
-    model: &PolicyModel,
-    batcher: &mut MicroBatcher,
-    engine: &mut InferenceEngine,
-    pool: &mut Vec<Box<RequestSlot>>,
-    batch: &mut Vec<Box<RequestSlot>>,
-    req_frame: &mut Vec<u8>,
-    resp_frame: &mut Vec<u8>,
-    obs: &[f32],
-    client_logits: &mut Vec<f32>,
-    metrics: &MetricsRegistry,
-    tracer: &SpanTracer,
-) {
-    // Ingest: client encodes (trace context attached), server decodes
-    // into a pooled slot.
-    for i in 0..n {
-        let agent = (i % model.num_agents()) as u32;
-        let ctx = TraceCtx { trace_id: 0xF1EE7, span_id: span_id(9, i as u64 + 1), send_ns: 10 };
-        proto::encode_request(i as u64, agent, obs, ctx, req_frame);
-        let mut slot = pool.pop().expect("pool sized for the wave");
-        let (req_id, agent, ctx) =
-            proto::decode_request_into(&req_frame[wire::HEADER_LEN..], &mut slot.obs)
-                .expect("decodes");
-        slot.req_id = req_id;
-        slot.agent = agent;
-        slot.trace = ctx;
-        slot.error = 0;
-        batcher.push(slot, (i as u64) * 1_000).expect("capacity sized for the wave");
-    }
-    // Flush + batched inference + scatter, as the batcher thread does.
-    while !batcher.is_empty() {
-        batcher.drain_into(batch);
-        engine.infer(model, batch);
-        metrics.serve_batch_fill.record(batch.len() as u64);
-        // Flow markers for every traced request, as the batcher records.
-        for slot in batch.iter() {
-            if slot.trace.is_set() {
-                tracer.record_flow("serve-recv", 0, 100, 200, slot.trace.span_id, FlowDir::In);
+/// The server's and the client's reusable state for one connection.
+struct Loop {
+    model: PolicyModel,
+    batcher: MicroBatcher,
+    engine: InferenceEngine,
+    pool: Vec<Box<RequestSlot>>,
+    batch: Vec<Box<RequestSlot>>,
+    /// The server's fixed receive buffer.
+    server_rx: FrameReader,
+    /// A decoded observation awaiting its slot.
+    server_obs: Vec<f32>,
+    /// One batch's responses, encoded for one send.
+    server_out: Vec<u8>,
+    /// The client's pipelined burst of requests and its scratch frame.
+    client_burst: Vec<u8>,
+    client_frame: Vec<u8>,
+    client_rx: FrameReader,
+    client_logits: Vec<f32>,
+    obs: Vec<f32>,
+    metrics: MetricsRegistry,
+    tracer: SpanTracer,
+}
+
+/// Copies as much of `bytes` as fits into `rx`, as one `read` would;
+/// returns what is left.
+fn read_into<'a>(rx: &mut FrameReader, bytes: &'a [u8]) -> &'a [u8] {
+    let free = rx.unfilled();
+    let n = free.len().min(bytes.len());
+    free[..n].copy_from_slice(&bytes[..n]);
+    rx.filled(n);
+    &bytes[n..]
+}
+
+impl Loop {
+    /// One full request wave: `n` requests pipelined in one burst, read
+    /// and admitted, batched, inferred, answered in coalesced sends, read
+    /// back by the client, recycled.
+    fn wave(&mut self, n: usize) {
+        // The client pipelines the wave (trace context attached).
+        self.client_burst.clear();
+        for i in 0..n {
+            let agent = (i % self.model.num_agents()) as u32;
+            let ctx =
+                TraceCtx { trace_id: 0xF1EE7, span_id: span_id(9, i as u64 + 1), send_ns: 10 };
+            proto::encode_request(i as u64, agent, &self.obs, ctx, &mut self.client_frame);
+            self.client_burst.extend_from_slice(&self.client_frame);
+        }
+        // The server reads the burst into its fixed buffer and admits
+        // every whole frame of each read into a pooled slot.
+        let mut rest = &self.client_burst[..];
+        while !rest.is_empty() {
+            rest = read_into(&mut self.server_rx, rest);
+            while let Some((_, payload)) = self.server_rx.next_frame().expect("valid frame") {
+                let (req_id, agent, ctx) =
+                    proto::decode_request_into(payload, &mut self.server_obs).expect("decodes");
+                let mut slot = self.pool.pop().expect("pool sized for the wave");
+                slot.req_id = req_id;
+                slot.agent = agent;
+                slot.trace = ctx;
+                slot.obs.extend_from_slice(&self.server_obs);
+                self.batcher.push(slot, req_id * 1_000).expect("capacity sized for the wave");
             }
         }
-        // Respond: server encodes (context echoed), client decodes, slot
-        // returns to pool.
-        for slot in batch.drain(..) {
-            proto::encode_response(
-                slot.req_id,
-                slot.epoch,
-                slot.agent,
-                slot.action,
-                &slot.logits,
-                slot.trace,
-                resp_frame,
-            );
-            metrics.serve_requests.inc();
-            metrics.serve_latency_ns.record(1_000);
-            let resp = proto::decode_response_into(&resp_frame[wire::HEADER_LEN..], client_logits)
-                .expect("decodes");
-            assert_eq!(resp.req_id, slot.req_id);
-            assert_eq!(resp.ctx, slot.trace, "trace context echoes through the response");
-            let mut slot = slot;
-            slot.reset();
-            pool.push(slot);
+        // Combine: batched inference, then the batch's responses in one
+        // coalesced send.
+        while !self.batcher.is_empty() {
+            self.batcher.drain_into(&mut self.batch);
+            self.engine.infer(&self.model, &mut self.batch);
+            self.metrics.serve_batch_fill.record(self.batch.len() as u64);
+            // Flow markers for every traced request, as a combiner records.
+            for slot in self.batch.iter() {
+                if slot.trace.is_set() {
+                    self.tracer.record_flow(
+                        "serve-recv",
+                        0,
+                        100,
+                        200,
+                        slot.trace.span_id,
+                        FlowDir::In,
+                    );
+                }
+            }
+            self.server_out.clear();
+            for slot in self.batch.iter() {
+                proto::append_response(
+                    slot.req_id,
+                    slot.epoch,
+                    slot.agent,
+                    slot.action,
+                    &slot.logits,
+                    slot.trace,
+                    &mut self.server_out,
+                );
+                self.metrics.serve_requests.inc();
+                self.metrics.serve_latency_ns.record(1_000);
+            }
+            // The client splits the send back into responses.
+            let mut answers = self.batch.iter();
+            let mut rest = &self.server_out[..];
+            while !rest.is_empty() {
+                rest = read_into(&mut self.client_rx, rest);
+                while let Some((_, payload)) = self.client_rx.next_frame().expect("valid frame") {
+                    let resp = proto::decode_response_into(payload, &mut self.client_logits)
+                        .expect("decodes");
+                    let slot = answers.next().expect("one answer per request");
+                    assert_eq!(resp.req_id, slot.req_id);
+                    assert_eq!(resp.ctx, slot.trace, "trace context echoes through the response");
+                }
+            }
+            for mut slot in self.batch.drain(..) {
+                slot.reset();
+                self.pool.push(slot);
+            }
         }
     }
 }
@@ -131,12 +180,9 @@ fn steady_state_request_path_allocates_nothing() {
 
     const WAVE: usize = 24;
     let config = BatcherConfig { max_batch: 8, queue_capacity: WAVE };
-    let mut batcher = MicroBatcher::new(config);
-    let mut engine = InferenceEngine::new();
-    let metrics = MetricsRegistry::new();
     let max_obs = (0..model.num_agents()).map(|a| model.obs_dim(a)).max().unwrap();
     let max_act = (0..model.num_agents()).map(|a| model.act_dim(a)).max().unwrap();
-    let mut pool: Vec<Box<RequestSlot>> = (0..WAVE)
+    let pool = (0..WAVE)
         .map(|_| {
             Box::new(RequestSlot {
                 obs: Vec::with_capacity(max_obs),
@@ -145,52 +191,39 @@ fn steady_state_request_path_allocates_nothing() {
             })
         })
         .collect();
-    let mut batch = Vec::with_capacity(config.max_batch);
-    let mut req_frame = Vec::new();
-    let mut resp_frame = Vec::new();
-    let mut client_logits = Vec::new();
-    let obs: Vec<f32> = (0..model.obs_dim(0)).map(|c| c as f32 * 0.03 - 0.2).collect();
-    // Small ring: overwrite-on-full is part of the steady state and must
-    // also be allocation-free.
-    let tracer = SpanTracer::new(64);
+    // A receive buffer smaller than the burst, so reads end inside frames.
+    let rx_capacity = 5 * proto::request_frame_len(max_obs) + 7;
+    let mut lp = Loop {
+        obs: (0..model.obs_dim(0)).map(|c| c as f32 * 0.03 - 0.2).collect(),
+        model,
+        batcher: MicroBatcher::new(config),
+        engine: InferenceEngine::new(),
+        pool,
+        batch: Vec::with_capacity(config.max_batch),
+        server_rx: FrameReader::new(rx_capacity),
+        server_obs: Vec::new(),
+        server_out: Vec::new(),
+        client_burst: Vec::new(),
+        client_frame: Vec::new(),
+        client_rx: FrameReader::new(rx_capacity),
+        client_logits: Vec::new(),
+        metrics: MetricsRegistry::new(),
+        // Small ring: overwrite-on-full is part of the steady state and
+        // must also be allocation-free.
+        tracer: SpanTracer::new(64),
+    };
 
     // Warm-up waves size every reusable buffer: frame vectors, per-slot
     // vectors, engine matrices and scratch, the drained-batch vector.
     for _ in 0..3 {
-        run_wave(
-            WAVE,
-            &model,
-            &mut batcher,
-            &mut engine,
-            &mut pool,
-            &mut batch,
-            &mut req_frame,
-            &mut resp_frame,
-            &obs,
-            &mut client_logits,
-            &metrics,
-            &tracer,
-        );
+        lp.wave(WAVE);
     }
 
     ALLOCS.store(0, Ordering::SeqCst);
     REALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     for _ in 0..5 {
-        run_wave(
-            WAVE,
-            &model,
-            &mut batcher,
-            &mut engine,
-            &mut pool,
-            &mut batch,
-            &mut req_frame,
-            &mut resp_frame,
-            &obs,
-            &mut client_logits,
-            &metrics,
-            &tracer,
-        );
+        lp.wave(WAVE);
     }
     ARMED.store(false, Ordering::SeqCst);
 
@@ -199,5 +232,5 @@ fn steady_state_request_path_allocates_nothing() {
         (0, 0),
         "steady-state serve request path must not touch the heap"
     );
-    assert_eq!(metrics.serve_requests.get(), 8 * WAVE as u64);
+    assert_eq!(lp.metrics.serve_requests.get(), 8 * WAVE as u64);
 }

@@ -1,16 +1,20 @@
 //! Property tests for the work-conserving micro-batcher, driven in
 //! virtual time.
 //!
-//! A simulated batcher thread replays random arrival schedules (random
+//! A simulated engine replays random arrival schedules (random
 //! inter-arrival gaps with same-instant bursts, connection assignments,
 //! early connection closes, a shutdown instant) against random batch
-//! geometries. It mirrors the real thread's discipline: the engine is
-//! busy for a drawn service time after each flush; whenever it comes free
-//! it flushes again if [`MicroBatcher::ready`] says so, otherwise it goes
-//! idle until the next push. A push refused by a full queue blocks until
-//! the in-flight forward ends and retries with its original arrival
-//! stamp. A shutdown is noticed when the engine next comes free, which
-//! then drains everything queued in one final batch. Invariants:
+//! geometries. It mirrors the server's combining discipline, where
+//! whichever reader holds the engine runs the batch: the engine is busy
+//! for a drawn service time after each flush; whenever it comes free it
+//! flushes again if [`MicroBatcher::ready`] says so (the combiner's next
+//! pass), otherwise it goes idle until the next push (a reader that wins
+//! the engine). A push refused by a full queue blocks until the in-flight
+//! forward ends and retries with its original arrival stamp. A shutdown
+//! is noticed when the engine next comes free, which then drains
+//! everything queued in one final batch. The threads themselves — no
+//! push stranded when a combiner releases — are stress-tested in
+//! `server.rs`. Invariants:
 //!
 //! * **No request is lost or duplicated, and FIFO order holds** — the
 //!   flushed stream is exactly the submitted stream, in order.
@@ -74,7 +78,7 @@ struct Flush {
     slots: Vec<Flushed>,
 }
 
-/// The virtual-time batcher thread: one engine, one queue.
+/// The virtual-time engine: one engine, one queue.
 struct Sim {
     batcher: MicroBatcher,
     /// Engine service times, one per flush, cycled.
@@ -152,19 +156,19 @@ impl Sim {
         while let Err(refused) = self.batcher.push(slot, arrived_ns) {
             slot = refused;
             // Only a busy engine leaves a queue to fill: the reader
-            // blocks until the forward ends and the batcher drains.
+            // blocks until the forward ends and the combiner drains.
             let free_ns = self.free_at_ns.expect("a full queue means the engine is busy");
             self.now_ns = free_ns;
             self.run_until(free_ns);
         }
-        // The push woke an idle batcher.
+        // The push found the engine idle: its reader combines.
         if self.free_at_ns.is_none() && self.batcher.ready(self.now_ns) {
             self.flush(self.now_ns, false);
         }
     }
 
     /// Sets the shutdown flag `gap_ns` after the last arrival. An idle
-    /// batcher wakes to an empty queue; a busy one sees the flag when
+    /// engine has an empty queue; a busy one sees the flag when
     /// its forward ends and drains the whole backlog.
     fn shutdown(&mut self, gap_ns: u64) {
         self.now_ns += gap_ns;

@@ -423,3 +423,131 @@ fn served_action_is_the_rollouts_greedy_joint_action() {
         assert!(with_comm > 0, "{task}: no greedy action used a comm symbol");
     }
 }
+
+/// A pipelining client: 64 requests leave in one send, then 64 answers
+/// are read. One read admits many frames, each connection's answers
+/// leave in coalesced sends, and every answer is still bitwise the
+/// batch-of-one reference.
+#[test]
+fn pipelined_requests_in_one_send_match_serial_answers() {
+    let ckpt = tiny_checkpoint(17);
+    let model = PolicyModel::from_checkpoint(&ckpt, 0);
+    let path = sock_path("pipelined");
+    let config = ServeConfig { max_batch: 8, queue_capacity: 64, ..ServeConfig::default() };
+    let server = start_server(&path, &ckpt, config, None);
+
+    const N: usize = 64;
+    let mut conn = connect(&path);
+    let (mut burst, mut frame) = (Vec::new(), Vec::new());
+    let mut sent = Vec::new();
+    for i in 0..N {
+        let agent = (i % model.num_agents()) as u32;
+        let obs = deterministic_obs(model.obs_dim(agent as usize), 500 + i);
+        proto::encode_request(i as u64, agent, &obs, marl_obs::context::TraceCtx::NONE, &mut frame);
+        burst.extend_from_slice(&frame);
+        sent.push((agent, obs));
+    }
+    conn.send_raw(&burst).expect("one send");
+    let mut logits = Vec::new();
+    let mut seen = [false; N];
+    for _ in 0..N {
+        let kind = conn.recv_raw_into(&mut frame, Duration::from_secs(5)).expect("answer");
+        assert_eq!(kind, KIND_INFER_RESP);
+        let resp = proto::decode_response_into(&frame[marl_dist::wire::HEADER_LEN..], &mut logits)
+            .expect("decodes");
+        let i = resp.req_id as usize;
+        assert!(!std::mem::replace(&mut seen[i], true), "req {i} answered twice");
+        let (agent, obs) = &sent[i];
+        let (want_action, want_logits) = reference(&model, *agent, obs);
+        assert_eq!((resp.agent, resp.action), (*agent, want_action), "req {i}");
+        assert_eq!(logits, want_logits, "req {i} logits must match bitwise");
+    }
+    let fill = &server.metrics().serve_batch_fill;
+    assert!(fill.count() < N as u64, "{} forwards for {N} pipelined requests", fill.count());
+    server.shutdown();
+    server.wait();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The frame deadline bounds a partly received frame, not the quiet
+/// between frames: a connection idle for several deadlines is still
+/// served, and so is a frame whose halves arrive within one deadline.
+#[test]
+fn a_connection_idle_past_the_frame_deadline_stays_open() {
+    let ckpt = tiny_checkpoint(5);
+    let model = PolicyModel::from_checkpoint(&ckpt, 0);
+    let path = sock_path("idle");
+    let deadline = Duration::from_millis(100);
+    let config = ServeConfig { frame_deadline: deadline, ..ServeConfig::default() };
+    let server = start_server(&path, &ckpt, config, None);
+
+    let mut conn = connect(&path);
+    let mut frame = Vec::new();
+    let obs = deterministic_obs(model.obs_dim(0), 3);
+    let mut ask = |conn: &mut StreamTransport, req_id: u64, split: Option<usize>| {
+        proto::encode_request(req_id, 0, &obs, marl_obs::context::TraceCtx::NONE, &mut frame);
+        let cut = split.unwrap_or(frame.len());
+        conn.send_raw(&frame[..cut]).expect("send");
+        if cut < frame.len() {
+            std::thread::sleep(deadline / 5);
+            conn.send_raw(&frame[cut..]).expect("send the rest");
+        }
+        let kind = conn.recv_raw_into(&mut frame, Duration::from_secs(5)).expect("answer");
+        assert_eq!(kind, KIND_INFER_RESP, "req {req_id}");
+    };
+    ask(&mut conn, 0, None);
+    std::thread::sleep(deadline * 4);
+    ask(&mut conn, 1, None);
+    ask(&mut conn, 2, Some(10));
+    std::thread::sleep(deadline * 4);
+    ask(&mut conn, 3, None);
+    server.shutdown();
+    server.wait();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The resident set of this process, from `/proc/self/status`.
+fn rss_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("proc status");
+    let line = status.lines().find(|l| l.starts_with("VmRSS:")).expect("VmRSS line");
+    let kib: u64 = line.split_whitespace().nth(1).and_then(|v| v.parse().ok()).expect("kB value");
+    kib * 1024
+}
+
+/// One 16-byte header declaring a 256 MiB payload, body never sent: the
+/// server refuses it from the header alone (no allocation, no wait for
+/// the frame deadline), closes that connection only, and keeps serving.
+#[test]
+fn a_header_declaring_a_huge_frame_closes_only_its_connection() {
+    let ckpt = tiny_checkpoint(13);
+    let model = PolicyModel::from_checkpoint(&ckpt, 0);
+    let path = sock_path("huge-header");
+    // Far longer than the test's bound: waiting for the body would fail.
+    let config = ServeConfig { frame_deadline: Duration::from_secs(10), ..ServeConfig::default() };
+    let server = start_server(&path, &ckpt, config, None);
+
+    let mut bystander = connect(&path);
+    let mut hostile = connect(&path);
+    let rss_before = rss_bytes();
+    let mut header = Vec::new();
+    proto::encode_ctl(proto::CTL_PING, &mut header);
+    header[6..8].copy_from_slice(&marl_dist::wire::KIND_INFER_REQ.to_le_bytes());
+    header[8..12].copy_from_slice(&(marl_dist::wire::MAX_PAYLOAD as u32).to_le_bytes());
+    let sent = Instant::now();
+    hostile.send_raw(&header[..marl_dist::wire::HEADER_LEN]).expect("send header");
+    let mut frame = Vec::new();
+    let err = hostile.recv_raw_into(&mut frame, Duration::from_secs(5)).expect_err("closed");
+    assert_eq!(err, marl_dist::DistError::Disconnected, "the server closed the connection");
+    assert!(sent.elapsed() < Duration::from_secs(2), "closed after {:?}", sent.elapsed());
+    let grown = rss_bytes().saturating_sub(rss_before);
+    assert!(grown < 64 << 20, "the header cost the server {grown} bytes of memory");
+
+    let obs = deterministic_obs(model.obs_dim(0), 1);
+    proto::encode_request(1, 0, &obs, marl_obs::context::TraceCtx::NONE, &mut frame);
+    bystander.send_raw(&frame).expect("send");
+    let kind = bystander.recv_raw_into(&mut frame, Duration::from_secs(5)).expect("answer");
+    assert_eq!(kind, KIND_INFER_RESP, "the other connection is still served");
+    server.shutdown();
+    server.wait();
+    let _ = std::fs::remove_file(&path);
+}

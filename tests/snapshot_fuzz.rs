@@ -1,8 +1,9 @@
 //! Structured snapshot fuzzing (conformance pillar 3).
 //!
 //! Draws ≥ 256 structured mutations per format — MARC checkpoint
-//! frames, V2/V1 replay snapshots and the two binary MARD wire frames
-//! (`Steps`, `Params`) — and asserts the decoding oracle: every mutated
+//! frames, V2/V1 replay snapshots, the two binary MARD wire frames
+//! (`Steps`, `Params`) and a stream of serve request frames — and
+//! asserts the decoding oracle: every mutated
 //! frame yields a *typed* error or a structurally valid value; never a
 //! panic, hang, or mis-load. The mutators are format aware
 //! (`marl_conform::fuzz`), so corruption lands both in front of and
@@ -11,6 +12,10 @@
 //! swaps, and `Steps`↔`Params` kind confusion. The wire decoders are
 //! additionally held to an allocation bound: whatever a hostile count
 //! says, decoding never asks the heap for more than the frame is long.
+//! The serve stream goes through the socket path's own parser — the
+//! fixed-buffer frame splitter, fed in drawn read sizes so frames split
+//! across reads, then `decode_request_into` — which may allocate nothing
+//! beyond its fixed buffer.
 //!
 //! A final test drives structured corruption through the crash-safety
 //! path: a checksum-valid-but-hostile live checkpoint must fall back to
@@ -30,8 +35,9 @@ use marl_repro::core::snapshot::{decode_replay, encode_replay};
 use marl_repro::core::transition::{Transition, TransitionLayout};
 use marl_repro::core::SamplerConfig;
 use marl_repro::dist::wire::{self, ActorParams, Msg, Params, Steps};
-use marl_repro::dist::DistError;
+use marl_repro::dist::{DistError, FrameReader};
 use marl_repro::obs::context::TraceCtx;
+use marl_repro::serve::proto;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -177,6 +183,112 @@ fn mard_steps_bytes() -> &'static [u8] {
             ctx: Some(TraceCtx { trace_id: 7, span_id: 8, send_ns: 9 }),
         }))
     })
+}
+
+/// Observation widths of the serve stream's requests: every width a
+/// predator-prey actor takes, and an empty one.
+const SERVE_OBS_LENS: [usize; 5] = [16, 14, 0, 16, 3];
+
+/// The serve splitter's buffer: room for four of the stream's widest
+/// requests, as the server sizes its buffer from the widest request the
+/// model accepts.
+fn serve_rx_capacity() -> usize {
+    4 * proto::request_frame_len(16)
+}
+
+/// Serve request frames back to back, as one pipelining client sends
+/// them; traced and untraced requests alternate.
+fn serve_stream_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let (mut stream, mut frame) = (Vec::new(), Vec::new());
+        for (i, &len) in SERVE_OBS_LENS.iter().enumerate() {
+            let obs: Vec<f32> = (0..len).map(|c| (i * 31 + c) as f32 * 0.125 - 1.0).collect();
+            let ctx = match i % 2 {
+                0 => TraceCtx::NONE,
+                _ => TraceCtx { trace_id: 7, span_id: i as u64, send_ns: 9 },
+            };
+            proto::encode_request(100 + i as u64, i as u32 % 3, &obs, ctx, &mut frame);
+            stream.extend_from_slice(&frame);
+        }
+        stream
+    })
+}
+
+/// What the serve splitter made of a stream.
+#[derive(Debug, PartialEq)]
+enum Parsed {
+    /// Every whole frame decoded; this many requests.
+    Requests(usize),
+    /// Stopped at a typed error, as the server closes the connection.
+    Refused,
+}
+
+/// The serve socket oracle: feed `stream` to a fixed-buffer frame
+/// splitter in reads of the drawn sizes, decode every request it yields,
+/// and stop at the first error, as a reader closes its connection. Every
+/// error must be typed, every decoded request must encode back to the
+/// payload it came from, and nothing may allocate beyond the buffers set
+/// up before the stream arrives.
+fn serve_stream_oracle(stream: &[u8], reads: &[usize]) -> Result<Parsed, String> {
+    let capacity = serve_rx_capacity();
+    let mut frames = FrameReader::new(capacity);
+    let mut obs = Vec::with_capacity(capacity / 4);
+    let mut again = Vec::with_capacity(capacity);
+    let (parsed, heap) = heap_requested(|| {
+        let mut rest = stream;
+        let mut sizes = reads.iter().cycle();
+        let mut requests = 0;
+        while !rest.is_empty() {
+            let free = frames.unfilled();
+            if free.is_empty() {
+                return Err("the buffer filled up without a whole frame".to_owned());
+            }
+            let n = (1 + sizes.next().copied().unwrap_or(0) % free.len()).min(rest.len());
+            free[..n].copy_from_slice(&rest[..n]);
+            frames.filled(n);
+            rest = &rest[n..];
+            loop {
+                let refused = match frames.next_frame() {
+                    Ok(None) => break,
+                    Ok(Some((wire::KIND_INFER_REQ, payload))) => {
+                        match proto::decode_request_into(payload, &mut obs) {
+                            Ok((req_id, agent, ctx)) => {
+                                proto::encode_request(req_id, agent, &obs, ctx, &mut again);
+                                if &again[wire::HEADER_LEN..] != payload {
+                                    return Err("a request decoded to something it does not \
+                                                encode to"
+                                        .to_owned());
+                                }
+                                requests += 1;
+                                continue;
+                            }
+                            Err(e) => e,
+                        }
+                    }
+                    Ok(Some((wire::KIND_SERVE_CTL, payload))) => match proto::decode_ctl(payload) {
+                        Ok(_) => continue,
+                        Err(e) => e,
+                    },
+                    Ok(Some(_)) => return Ok(Parsed::Refused), // not a serve request
+                    Err(e) => e,
+                };
+                return match refused {
+                    DistError::BadMagic { .. }
+                    | DistError::UnsupportedVersion { .. }
+                    | DistError::CrcMismatch { .. }
+                    | DistError::FrameTooLarge { .. }
+                    | DistError::Protocol(_) => Ok(Parsed::Refused),
+                    other => Err(format!("untyped serve stream error: {other:?}")),
+                };
+            }
+        }
+        Ok(Parsed::Requests(requests))
+    });
+    if heap > DECODE_HEAP_SLACK {
+        return Err(format!("parsing a {}-byte stream requested {heap} heap bytes", stream.len()));
+    }
+    parsed
 }
 
 /// Maps drawn parameters onto one of the structured mutation kinds (the
@@ -346,6 +458,70 @@ proptest! {
         let verdict = mard_oracle(&mutated);
         prop_assert!(verdict.is_ok(), "{m:?}: {}", verdict.unwrap_err());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A stream of serve request frames, split across drawn read sizes
+    /// into the fixed receive buffer: a typed error or the identical
+    /// requests, never a panic, and no heap beyond the fixed buffers.
+    #[test]
+    fn serve_stream_mutations_split_across_reads_never_panic_or_allocate(
+        kind in 0usize..6,
+        a in any::<usize>(),
+        b in any::<usize>(),
+        value in any::<u64>(),
+        payload in prop::collection::vec(any::<u8>(), 1usize..24),
+        reads in prop::collection::vec(0usize..200, 1..8),
+    ) {
+        let m = build_mutation(kind, a, b, value, payload);
+        let mutated = apply_mutation(serve_stream_bytes(), &m, Format::ServeRequests);
+        let verdict = serve_stream_oracle(&mutated, &reads);
+        prop_assert!(verdict.is_ok(), "{m:?}: {}", verdict.unwrap_err());
+    }
+}
+
+/// Every header length and `obs_len` of the serve stream is reachable
+/// behind the re-sealed CRCs: a hostile header length is refused from
+/// the header alone, a hostile `obs_len` by the payload decoder, and the
+/// stream before the corrupted frame is still served.
+#[test]
+fn serve_stream_length_fields_are_all_reachable_behind_the_crc() {
+    let stream = serve_stream_bytes();
+    let frames = SERVE_OBS_LENS.len();
+    // The meter is live: the splitter's one allocation is its buffer.
+    let (_, heap) = heap_requested(|| FrameReader::new(serve_rx_capacity()));
+    assert!(heap >= serve_rx_capacity(), "FrameReader::new metered {heap}");
+    let one_byte_reads = [0usize];
+    assert_eq!(serve_stream_oracle(stream, &one_byte_reads), Ok(Parsed::Requests(frames)));
+    assert_eq!(serve_stream_oracle(stream, &[usize::MAX - 1]), Ok(Parsed::Requests(frames)));
+    // Header len and obs_len per frame.
+    assert_eq!(length_field_offsets(stream, Format::ServeRequests).len(), 2 * frames);
+    for field in 0..2 * frames {
+        for value in [0, 1, 0x7FFF_FFFF, u64::from(u32::MAX), serve_rx_capacity() as u64] {
+            let m = Mutation::CorruptLengthField { field, value };
+            let bad = apply_mutation(stream, &m, Format::ServeRequests);
+            if bad == stream {
+                continue;
+            }
+            let verdict = serve_stream_oracle(&bad, &[7, 64, 1]);
+            assert!(verdict.is_ok(), "{m:?}: {}", verdict.unwrap_err());
+        }
+        // A header length past the buffer is refused before its body.
+        if field % 2 == 0 {
+            let m = Mutation::CorruptLengthField { field, value: serve_rx_capacity() as u64 };
+            let bad = apply_mutation(stream, &m, Format::ServeRequests);
+            let mut rx = FrameReader::new(serve_rx_capacity());
+            let start = length_field_offsets(stream, Format::ServeRequests)[field] - 8;
+            let header = &bad[start..start + wire::HEADER_LEN];
+            rx.unfilled()[..header.len()].copy_from_slice(header);
+            rx.filled(header.len());
+            assert!(matches!(rx.next_frame(), Err(DistError::FrameTooLarge { .. })), "{m:?}");
+        }
+    }
+    let confused = apply_mutation(stream, &Mutation::KindConfusion, Format::ServeRequests);
+    assert_eq!(serve_stream_oracle(&confused, &[3]), Ok(Parsed::Refused));
 }
 
 /// The MARD walkers find every count of the fixtures, each hostile count
