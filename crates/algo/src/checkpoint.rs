@@ -204,6 +204,11 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
 pub fn encode_checkpoint_file(ckpt: &Checkpoint, replay: &[u8]) -> Result<Vec<u8>, TrainError> {
     let json = serde_json::to_string(ckpt)
         .map_err(|e| TrainError::Checkpoint(format!("serialize: {e}")))?;
+    Ok(frame(&json, replay))
+}
+
+/// The framed file around a checkpoint's JSON and replay sections.
+fn frame(json: &str, replay: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(16 + json.len() + replay.len());
     payload.extend_from_slice(&(json.len() as u64).to_le_bytes());
     payload.extend_from_slice(json.as_bytes());
@@ -215,7 +220,7 @@ pub fn encode_checkpoint_file(ckpt: &Checkpoint, replay: &[u8]) -> Result<Vec<u8
     out.extend_from_slice(&0u16.to_le_bytes()); // reserved
     out.extend_from_slice(&crc32(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
-    Ok(out)
+    out
 }
 
 /// Decodes a checkpoint file frame, verifying magic, version, and CRC.
@@ -429,5 +434,34 @@ mod tests {
         // Behaviour survives the round trip.
         let x = Matrix::full(1, 8, 0.5);
         assert_eq!(output_bits(&ckpt.agents[0].actor, &x), output_bits(&back.agents[0].actor, &x));
+    }
+
+    /// A checkpoint written while `TrainConfig` still had a `kernel` field
+    /// carries it in its config. It does not resume: loading refuses the
+    /// file with a checkpoint error naming the field, and nothing panics.
+    #[test]
+    fn a_checkpoint_whose_config_names_a_kernel_is_refused() {
+        let ckpt = Checkpoint {
+            config: TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3),
+            agents: vec![AgentState::capture(&nets(false))],
+            update_iterations: 0,
+            run: None,
+        };
+        let json = serde_json::to_string(&ckpt).unwrap();
+        let old = json.replacen(",\"num_envs\":", ",\"kernel\":\"Auto\",\"num_envs\":", 1);
+        assert_ne!(old, json, "the config serializes num_envs");
+        let dir = std::env::temp_dir().join(format!("marl_ckpt_kernel_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("with_kernel.bin");
+        std::fs::write(&path, frame(&old, &[])).unwrap();
+        let result = load_checkpoint_with_fallback(&path);
+        std::fs::remove_dir_all(&dir).ok();
+        match result {
+            Err(TrainError::Checkpoint(msg)) => {
+                assert!(msg.contains("unknown field `kernel`"), "{msg}");
+            }
+            Err(other) => panic!("expected a checkpoint error, got {other}"),
+            Ok(_) => panic!("a config with a kernel field was loaded"),
+        }
     }
 }

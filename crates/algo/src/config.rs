@@ -107,11 +107,6 @@ pub struct TrainConfig {
     pub checkpoint_every: usize,
     /// Divergence sentinel thresholds and retry budget.
     pub sentinel: crate::sentinel::SentinelConfig,
-    /// NN kernel selection (`auto` resolves to SIMD when the host supports
-    /// AVX2+FMA, scalar otherwise). Defaults to `auto`, so checkpoints
-    /// written before this field existed deserialize unchanged.
-    #[serde(default)]
-    pub kernel: marl_nn::kernels::KernelChoice,
     /// Parallel environments stepped per rollout batch (K) by the one
     /// rollout loop ([`crate::rollout::Rollout`]); K = 1 is one world.
     /// `#[serde(default)]` (0) is normalized to 1 by
@@ -152,7 +147,6 @@ impl TrainConfig {
             update_threads: 1,
             checkpoint_every: 0,
             sentinel: crate::sentinel::SentinelConfig::default(),
-            kernel: marl_nn::kernels::KernelChoice::Auto,
             num_envs: 1,
             seed: 0,
         }
@@ -223,12 +217,6 @@ impl TrainConfig {
     /// Overrides the divergence sentinel settings (builder style).
     pub fn with_sentinel(mut self, sentinel: crate::sentinel::SentinelConfig) -> Self {
         self.sentinel = sentinel;
-        self
-    }
-
-    /// Overrides the NN kernel selection (builder style).
-    pub fn with_kernel(mut self, kernel: marl_nn::kernels::KernelChoice) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -373,23 +361,6 @@ mod tests {
         let c = c.with_layout(LayoutMode::Interleaved);
         assert_eq!(c.layout, LayoutMode::Interleaved);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn kernel_defaults_to_auto_and_tolerates_old_configs() {
-        use marl_nn::kernels::KernelChoice;
-        let c = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3);
-        assert_eq!(c.kernel, KernelChoice::Auto);
-        let c = c.with_kernel(KernelChoice::Scalar);
-        assert_eq!(c.kernel, KernelChoice::Scalar);
-        // A config serialized before the `kernel` field existed must still
-        // deserialize (old checkpoints carry their TrainConfig verbatim).
-        let json = serde_json::to_string(&c).unwrap();
-        assert!(json.contains("\"kernel\":\"Scalar\""));
-        let legacy = json.replace(",\"kernel\":\"Scalar\"", "");
-        assert!(!legacy.contains("kernel"));
-        let back: TrainConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back.kernel, KernelChoice::Auto);
     }
 
     #[test]

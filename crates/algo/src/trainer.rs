@@ -203,8 +203,6 @@ impl Trainer {
     /// Returns [`TrainError::InvalidConfig`] for inconsistent settings.
     pub fn new(config: TrainConfig) -> Result<Self, TrainError> {
         config.validate().map_err(TrainError::InvalidConfig)?;
-        // Install the requested compute kernel before any NN work runs.
-        marl_nn::kernels::configure(config.kernel);
         // The scenario registry resolves the task by id: any registered
         // scenario (built-in or plugin) trains through the same loop.
         let rollout = Rollout::new(&config, config.num_envs());

@@ -54,9 +54,9 @@ pub fn golden_dir() -> PathBuf {
 /// Trains `cfg` with an attached [`UpdateTraceRecorder`] and returns the
 /// recorded per-update digests.
 ///
-/// Machine-independent traces require a pinned kernel
-/// (`KernelChoice::Scalar`): `Auto` resolves per-host and SIMD kernels
-/// are bitwise-different from scalar ones.
+/// The run uses whatever kernel the process resolves: scalar and SIMD
+/// compute the same bits, so a trace does not depend on the host's
+/// vector units.
 ///
 /// # Errors
 ///
@@ -306,9 +306,7 @@ mod tests {
 
     fn config() -> TrainConfig {
         use marl_algo::config::{Algorithm, Task};
-        TrainConfig::paper_defaults(Algorithm::Matd3, Task::PredatorPrey, 3)
-            .with_seed(4242)
-            .with_kernel(marl_nn::kernels::KernelChoice::Scalar)
+        TrainConfig::paper_defaults(Algorithm::Matd3, Task::PredatorPrey, 3).with_seed(4242)
     }
 
     #[test]

@@ -148,7 +148,6 @@ impl Worker {
         config
             .validate()
             .map_err(|e| DistError::Protocol(format!("welcome config invalid: {e}")))?;
-        marl_nn::kernels::configure(config.kernel);
         let mut rollout = Rollout::new(&config, 1);
         let env = rollout.env();
         let obs_dims: Vec<usize> = env.observation_spaces().iter().map(|s| s.dim).collect();

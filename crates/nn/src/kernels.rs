@@ -1,38 +1,40 @@
-//! Runtime-dispatched compute kernels: blocked scalar and AVX2+FMA SIMD.
+//! Runtime-dispatched compute kernels: scalar reference loops and AVX2+FMA
+//! SIMD.
 //!
 //! Every dense op the update phase spends time in — the two matmul
 //! variants (`C = A·B` and the gradient accumulation `C += Aᵀ·B`),
 //! bias-add, ReLU forward/backward, and the Adam parameter step — funnels
 //! through this module. An input gradient `dX = G·Wᵀ` is `A·B` against a
 //! transposed weight block (see [`crate::linear::Linear`]), so it needs no
-//! product of its own. The kernel is selected **once** (from
-//! `TrainConfig::kernel`, the `MARL_KERNEL` environment variable, or CPU
-//! feature detection) and cached in an atomic, so dispatch costs one
-//! relaxed load per op.
+//! product of its own. The kernel is resolved **once**, by CPU feature
+//! detection (SIMD when the host has AVX2+FMA, scalar otherwise), and
+//! cached in an atomic, so dispatch costs one relaxed load per op. There
+//! is nothing to select: both kernels compute the same bits, and
+//! [`set_active`] exists only so tests can run the scalar code on a SIMD
+//! host.
 //!
-//! ## Numeric contract
+//! ## Numeric contract: one arithmetic
 //!
-//! * [`KernelKind::Scalar`] accumulates every output element in ascending
-//!   reduction order with `acc += a * b` from `+0.0` and is bitwise
-//!   identical to the naive triple loop at every size (the
-//!   register-blocked tiles preserve the order).
-//! * [`KernelKind::Simd`] computes every output element of `C = A·B` as a
-//!   chain of fused multiply-adds in ascending `k` from `+0.0`
+//! * Both kernels compute every output element of `C = A·B` as a chain of
+//!   fused multiply-adds in ascending `k` from `+0.0`
 //!   (`acc = a[i][k].mul_add(b[k][j], acc)`), and every element of
 //!   `C += Aᵀ·B` as the same chain in ascending `r`
 //!   (`acc = a[r][i].mul_add(b[r][j], acc)`) followed by one add into
-//!   `C`. That holds in the full-width tiles, the masked column tails and
-//!   the remainder rows alike, so an element's bits depend only on its
-//!   own row of `A` and column of `B`, never on the shape around it. FMA
-//!   rounds once per step where scalar rounds twice, so the two kernels
-//!   differ by bounded rounding error: `|simd − scalar| ≤ K·ε·Σ|aᵢ·bᵢ|`
-//!   with `K` the reduction length (see `tests/kernel_equivalence.rs`,
-//!   which also pins both orders bitwise). The element-wise ops
-//!   (bias-add, ReLU, Adam) avoid FMA and are **bitwise identical** to
-//!   scalar.
-//! * Both kernels are individually deterministic: the same inputs on the
-//!   same kernel produce the same bits on every run, thread count, and
-//!   resume.
+//!   `C`. The scalar kernel is those loops written out with
+//!   [`f32::mul_add`]; the AVX2 kernel runs one chain per lane, in the
+//!   full-width tiles, the masked column tails and the remainder rows
+//!   alike. So an element's bits depend only on its own row of `A` and
+//!   column of `B` — never on the shape around it, and never on the
+//!   kernel: scalar and SIMD are **bitwise identical**
+//!   (`tests/kernel_equivalence.rs` pins both against `mul_add`
+//!   references, also with flush-to-zero in force).
+//! * The element-wise ops (bias-add, ReLU, Adam) avoid FMA on both paths
+//!   and are bitwise identical too.
+//! * [`f32::mul_add`] rounds once, on every target: where the CPU has no
+//!   FMA instruction it lowers to the C library's `fmaf`, which is
+//!   correct but slow. Bitwise agreement on such a host rests on that
+//!   `fmaf` being correctly rounded (and honouring flush-to-zero like the
+//!   hardware instruction); it has not been checked on one.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -40,44 +42,12 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 /// Which kernel implementation executes the dense ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelKind {
-    /// Register-blocked scalar loops; bitwise-stable reference path.
+    /// Plain `mul_add` reference loops: hosts without AVX2+FMA, and the
+    /// tests' reference.
     Scalar,
     /// AVX2+FMA vectorized loops (x86-64 only; falls back to scalar
     /// elsewhere or when the CPU lacks the features).
     Simd,
-}
-
-/// User-facing kernel selection for `TrainConfig` / `--kernel`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum KernelChoice {
-    /// Detect at startup: SIMD when the CPU supports AVX2+FMA, else scalar.
-    #[default]
-    Auto,
-    /// Force the scalar kernels.
-    Scalar,
-    /// Request the SIMD kernels (downgraded to scalar without AVX2+FMA).
-    Simd,
-}
-
-impl KernelChoice {
-    /// Parses the CLI / env spelling (`auto`, `scalar`, `simd`).
-    pub fn parse(s: &str) -> Option<KernelChoice> {
-        match s {
-            "auto" => Some(KernelChoice::Auto),
-            "scalar" => Some(KernelChoice::Scalar),
-            "simd" => Some(KernelChoice::Simd),
-            _ => None,
-        }
-    }
-
-    /// Stable display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelChoice::Auto => "auto",
-            KernelChoice::Scalar => "scalar",
-            KernelChoice::Simd => "simd",
-        }
-    }
 }
 
 /// Whether this host can run the AVX2+FMA kernels.
@@ -102,29 +72,13 @@ fn encode(k: KernelKind) -> u8 {
     }
 }
 
-/// First-use default: `MARL_KERNEL` env override, else feature detection.
+/// First-use default: SIMD when the CPU has AVX2+FMA, else scalar.
 fn resolve_default() -> KernelKind {
-    let value = std::env::var_os("MARL_KERNEL").map(|v| v.to_string_lossy().into_owned());
-    match env_choice(value.as_deref()) {
-        KernelChoice::Scalar => KernelKind::Scalar,
-        KernelChoice::Simd | KernelChoice::Auto => {
-            if simd_available() {
-                KernelKind::Simd
-            } else {
-                KernelKind::Scalar
-            }
-        }
+    if simd_available() {
+        KernelKind::Simd
+    } else {
+        KernelKind::Scalar
     }
-}
-
-/// The choice a `MARL_KERNEL` value names: unset is `Auto`, and anything
-/// but an accepted spelling panics, so a mistyped pin cannot silently run
-/// the default kernel.
-fn env_choice(value: Option<&str>) -> KernelChoice {
-    let Some(v) = value else { return KernelChoice::Auto };
-    KernelChoice::parse(v).unwrap_or_else(|| {
-        panic!("MARL_KERNEL={v:?} is not a kernel; accepted spellings: auto, scalar, simd")
-    })
 }
 
 /// The kernel currently in force, resolving and caching it on first use.
@@ -140,22 +94,13 @@ pub fn active() -> KernelKind {
     }
 }
 
-/// Forces the process-wide kernel; `Simd` downgrades to `Scalar` when the
-/// CPU lacks AVX2+FMA. Returns the kernel actually installed.
+/// Forces the process-wide kernel — a test hook, since both kernels give
+/// the same bits; `Simd` downgrades to `Scalar` when the CPU lacks
+/// AVX2+FMA. Returns the kernel actually installed.
 pub fn set_active(kind: KernelKind) -> KernelKind {
     let k = if kind == KernelKind::Simd && !simd_available() { KernelKind::Scalar } else { kind };
     ACTIVE.store(encode(k), Ordering::Relaxed);
     k
-}
-
-/// Applies a config-level choice: `Auto` keeps (or lazily resolves) the
-/// current kernel, explicit choices install it. Returns the effective kind.
-pub fn configure(choice: KernelChoice) -> KernelKind {
-    match choice {
-        KernelChoice::Auto => active(),
-        KernelChoice::Scalar => set_active(KernelKind::Scalar),
-        KernelChoice::Simd => set_active(KernelKind::Simd),
-    }
 }
 
 /// Process-wide dispatch tallies (telemetry): how many kernel-op calls
@@ -185,11 +130,6 @@ pub fn reset_dispatch_tally() {
     DISPATCH_SCALAR.store(0, Ordering::Relaxed);
     DISPATCH_SIMD.store(0, Ordering::Relaxed);
 }
-
-/// Multiply-add count above which the blocked scalar kernels dispatch;
-/// below it the simple loops win (no tile bookkeeping) and tiny test
-/// matrices stay on the historically exact path.
-pub const BLOCK_THRESHOLD: usize = 4096;
 
 // ---------------------------------------------------------------------------
 // Dispatched entry points. `C` buffers may hold stale scratch data: every op
@@ -371,33 +311,28 @@ pub fn adam_step_with(
 }
 
 // ---------------------------------------------------------------------------
-// Scalar kernels: ascending-reduction order, bitwise-stable at every size.
+// Scalar kernels: the reference loops of the numeric contract.
 // ---------------------------------------------------------------------------
 
 mod scalar {
-    use super::BLOCK_THRESHOLD;
-
-    /// Side length of the register-blocked micro-kernel tile.
-    const TILE: usize = 4;
-
+    /// `C = A·B`: each element of row `i` is the k-order `mul_add` chain
+    /// from `+0.0`, run for the whole row at once.
     pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, kd: usize, n: usize) {
-        if m * kd * n >= BLOCK_THRESHOLD {
-            matmul_blocked(a, b, c, m, kd, n);
-            return;
-        }
         c.fill(0.0);
         for i in 0..m {
             let arow = &a[i * kd..(i + 1) * kd];
             let orow = &mut c[i * n..(i + 1) * n];
             for (k, &av) in arow.iter().enumerate() {
                 let brow = &b[k * n..(k + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
+                for (o, &bv) in orow.iter_mut().zip(brow) {
+                    *o = av.mul_add(bv, *o);
                 }
             }
         }
     }
 
+    /// `C += Aᵀ·B`: each element is the r-order `mul_add` chain from
+    /// `+0.0`, then one add into `C`.
     pub fn transpose_matmul_acc(
         a: &[f32],
         b: &[f32],
@@ -406,119 +341,11 @@ mod scalar {
         kd: usize,
         n: usize,
     ) {
-        if m * kd * n >= BLOCK_THRESHOLD {
-            transpose_matmul_acc_blocked(a, b, c, m, kd, n);
-            return;
-        }
-        // Per-element local accumulator in ascending-`r` order, added to `C`
-        // once: matches the blocked tile and the "compute product, then
-        // add_assign" formulation bitwise.
         for i in 0..kd {
             for j in 0..n {
-                let mut acc = 0.0f32;
-                for r in 0..m {
-                    acc += a[r * kd + i] * b[r * n + j];
-                }
-                c[i * n + j] += acc;
+                c[i * n + j] +=
+                    (0..m).fold(0.0f32, |acc, r| a[r * kd + i].mul_add(b[r * n + j], acc));
             }
-        }
-    }
-
-    /// `C = A · B` with a 4×4 register tile: the 16 partial sums live in
-    /// registers across the whole `k` sweep, so `C` sees no memory traffic
-    /// in the inner loop and each `a` load feeds four multiply-adds.
-    ///
-    /// Each output element accumulates in ascending-`k` order — the same
-    /// order as the naive `i,k,j` loop — so the two paths agree bitwise.
-    fn matmul_blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, kd: usize, n: usize) {
-        let mut i0 = 0;
-        while i0 < m {
-            let ib = TILE.min(m - i0);
-            let mut j0 = 0;
-            while j0 < n {
-                let jb = TILE.min(n - j0);
-                let mut acc = [[0.0f32; TILE]; TILE];
-                if ib == TILE && jb == TILE {
-                    for k in 0..kd {
-                        let brow = &b[k * n + j0..k * n + j0 + TILE];
-                        for di in 0..TILE {
-                            let av = a[(i0 + di) * kd + k];
-                            for dj in 0..TILE {
-                                acc[di][dj] += av * brow[dj];
-                            }
-                        }
-                    }
-                } else {
-                    for k in 0..kd {
-                        let brow = &b[k * n + j0..k * n + j0 + jb];
-                        for (di, row) in acc.iter_mut().enumerate().take(ib) {
-                            let av = a[(i0 + di) * kd + k];
-                            for (dj, &bv) in brow.iter().enumerate() {
-                                row[dj] += av * bv;
-                            }
-                        }
-                    }
-                }
-                for (di, row) in acc.iter().enumerate().take(ib) {
-                    let off = (i0 + di) * n + j0;
-                    c[off..off + jb].copy_from_slice(&row[..jb]);
-                }
-                j0 += jb;
-            }
-            i0 += ib;
-        }
-    }
-
-    /// `C += Aᵀ · B` (`A` is `m×kd` traversed column-wise, output `kd×n`)
-    /// with the same 4×4 register tile; the reduction runs over the shared
-    /// row axis `r` in ascending order, matching the naive loop bitwise.
-    fn transpose_matmul_acc_blocked(
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        kd: usize,
-        n: usize,
-    ) {
-        let mut i0 = 0;
-        while i0 < kd {
-            let ib = TILE.min(kd - i0);
-            let mut j0 = 0;
-            while j0 < n {
-                let jb = TILE.min(n - j0);
-                let mut acc = [[0.0f32; TILE]; TILE];
-                if ib == TILE && jb == TILE {
-                    for r in 0..m {
-                        let arow = &a[r * kd + i0..r * kd + i0 + TILE];
-                        let brow = &b[r * n + j0..r * n + j0 + TILE];
-                        for di in 0..TILE {
-                            let av = arow[di];
-                            for dj in 0..TILE {
-                                acc[di][dj] += av * brow[dj];
-                            }
-                        }
-                    }
-                } else {
-                    for r in 0..m {
-                        let arow = &a[r * kd + i0..r * kd + i0 + ib];
-                        let brow = &b[r * n + j0..r * n + j0 + jb];
-                        for (di, row) in acc.iter_mut().enumerate().take(ib) {
-                            let av = arow[di];
-                            for (dj, &bv) in brow.iter().enumerate() {
-                                row[dj] += av * bv;
-                            }
-                        }
-                    }
-                }
-                for (di, row) in acc.iter().enumerate().take(ib) {
-                    let off = (i0 + di) * n + j0;
-                    for (cell, &v) in c[off..off + jb].iter_mut().zip(row.iter()) {
-                        *cell += v;
-                    }
-                }
-                j0 += jb;
-            }
-            i0 += ib;
         }
     }
 
@@ -960,44 +787,16 @@ mod tests {
     }
 
     #[test]
-    fn choice_parse_roundtrip() {
-        for c in [KernelChoice::Auto, KernelChoice::Scalar, KernelChoice::Simd] {
-            assert_eq!(KernelChoice::parse(c.label()), Some(c));
-        }
-        assert_eq!(KernelChoice::parse("avx512"), None);
-    }
-
-    #[test]
-    fn env_choice_accepts_the_spellings_and_unset() {
-        assert_eq!(env_choice(None), KernelChoice::Auto);
-        for c in [KernelChoice::Auto, KernelChoice::Scalar, KernelChoice::Simd] {
-            assert_eq!(env_choice(Some(c.label())), c);
-        }
-    }
-
-    #[test]
-    fn env_choice_refuses_a_typo_naming_the_spellings() {
-        for typo in ["Scalar", "avx2", "", " simd"] {
-            let err = std::panic::catch_unwind(|| env_choice(Some(typo))).unwrap_err();
-            let msg = err.downcast_ref::<String>().expect("formatted panic message");
-            assert!(msg.contains("accepted spellings: auto, scalar, simd"), "{msg}");
-            assert!(msg.contains(&format!("{typo:?}")), "{msg}");
-        }
-    }
-
-    #[test]
-    fn scalar_matmul_matches_reference_across_threshold() {
-        for (m, kd, n) in [(3, 5, 4), (17, 19, 23), (16, 16, 16)] {
+    fn scalar_matmul_overwrites_stale_output_with_the_k_order_chain() {
+        for (m, kd, n) in [(3, 5, 4), (17, 19, 23), (1, 1, 1)] {
             let a = patterned(m * kd, 3);
             let b = patterned(kd * n, 7);
             let mut c = vec![f32::NAN; m * n]; // stale scratch must be overwritten
             matmul_with(KernelKind::Scalar, &a, &b, &mut c, m, kd, n);
             for i in 0..m {
                 for j in 0..n {
-                    let mut acc = 0.0f32;
-                    for k in 0..kd {
-                        acc += a[i * kd + k] * b[k * n + j];
-                    }
+                    let acc =
+                        (0..kd).fold(0.0f32, |acc, k| a[i * kd + k].mul_add(b[k * n + j], acc));
                     assert_eq!(c[i * n + j].to_bits(), acc.to_bits(), "({i},{j})");
                 }
             }

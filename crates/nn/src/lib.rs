@@ -57,7 +57,7 @@ pub mod scratch;
 pub use activation::Activation;
 pub use adam::{Adam, AdamConfig};
 pub use init::Init;
-pub use kernels::{KernelChoice, KernelKind};
+pub use kernels::KernelKind;
 pub use linear::{BackwardNeed, InputGrad, Linear};
 pub use matrix::Matrix;
 pub use mlp::Mlp;

@@ -219,11 +219,9 @@ impl Matrix {
 
     /// `out = self · rhs`, reusing `out`'s backing storage.
     ///
-    /// Dispatches to the process-wide kernel selected by
-    /// [`crate::kernels::active`]: the blocked-scalar path accumulates each
-    /// output element in ascending-`k` order (bitwise-stable at every
-    /// size), the SIMD path as one k-order AVX2 FMA chain; they agree
-    /// within the documented rounding bound.
+    /// Dispatches to the process-wide kernel ([`crate::kernels::active`]).
+    /// Every output element is one k-order fused multiply-add chain from
+    /// `+0.0` on either kernel, so the bits do not depend on which runs.
     ///
     /// # Panics
     ///
@@ -341,7 +339,7 @@ mod tests {
     }
 
     /// `A·B` pinned to the scalar kernel, regardless of the process-wide
-    /// dispatch (these bitwise tests must hold under `MARL_KERNEL=simd`).
+    /// dispatch.
     fn matmul_scalar(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
         kernels::matmul_with(
@@ -371,7 +369,9 @@ mod tests {
         out
     }
 
-    /// Triple-loop reference with ascending-`k` accumulation; every kernel
+    /// Triple-loop reference with ascending-`k` accumulation. On the
+    /// small-integer [`patterned`] inputs every product and partial sum is
+    /// exact, so fusing the multiply-add changes nothing and every kernel
     /// must match it bitwise.
     fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
@@ -402,17 +402,15 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matmul_matches_reference_bitwise() {
-        // 17·19·23 multiply-adds exceed BLOCK_THRESHOLD, and the odd
-        // dimensions exercise every remainder-tile path.
+    fn odd_shape_matmul_matches_reference_bitwise() {
+        // Odd dimensions, none a multiple of a SIMD lane count or tile.
         let a = patterned(17, 19, 3);
         let b = patterned(19, 23, 7);
-        const { assert!(17 * 19 * 23 >= kernels::BLOCK_THRESHOLD) };
         assert_eq!(matmul_scalar(&a, &b).as_slice(), reference_matmul(&a, &b).as_slice());
     }
 
     #[test]
-    fn blocked_transpose_matmul_matches_reference_bitwise() {
+    fn odd_shape_transpose_matmul_matches_reference_bitwise() {
         let a = patterned(23, 17, 5);
         let b = patterned(23, 19, 11);
         let expect = reference_matmul(&a.transpose(), &b);
@@ -482,7 +480,7 @@ mod tests {
         let mut t = Matrix::zeros(2, 2);
         a.transpose_matmul_acc_into(&b, &mut t);
         assert!(t.at(0, 0).is_nan() && t.at(1, 1).is_nan());
-        // Same contract on the blocked path.
+        // Same contract on a shape that fills whole SIMD tiles.
         let big_a = Matrix::full(32, 32, 0.0);
         let mut big_b = Matrix::full(32, 32, 1.0);
         *big_b.at_mut(0, 0) = f32::NAN;

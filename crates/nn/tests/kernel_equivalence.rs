@@ -1,35 +1,32 @@
 //! Scalar-vs-SIMD equivalence of the dispatched NN kernels on *float*
-//! valued inputs, and the exact operation order of each kernel.
+//! valued inputs, and the exact operation order both kernels share.
 //!
 //! Numeric contract checked here (documented in the `kernels` module):
 //!
-//! * matmul family (`A·B`, `C += Aᵀ·B`): per output element,
-//!   `|simd − scalar| ≤ K·ε·Σₖ|aᵢₖ·bₖⱼ|` with `K` the reduction length
-//!   (one rounding per partial sum is a safe over-estimate; FMA only
-//!   *removes* roundings) plus a small absolute floor for results near
-//!   zero.
-//! * AVX2 `A·B` is **bitwise** the k-order `f32::mul_add` chain from
-//!   `+0.0` on every element, and AVX2 `C += Aᵀ·B` the r-order chain
-//!   followed by one add into `C` — in the 16-wide, 8-wide and masked
-//!   tail columns, the 4-row tiles and the remainder rows alike.
+//! * `A·B` is **bitwise** the k-order `f32::mul_add` chain from `+0.0` on
+//!   every element, and `C += Aᵀ·B` the r-order chain followed by one add
+//!   into `C`, on the scalar kernel and on AVX2 alike — in the 16-wide,
+//!   8-wide and masked tail columns, the 4-row tiles and the remainder
+//!   rows. So scalar == SIMD bitwise, with flush-to-zero in force too.
 //! * element-wise ops (bias-add, ReLU fwd/bwd, Adam step): bitwise
-//!   identical — the AVX2 implementations deliberately avoid FMA so both
-//!   paths perform the same arithmetic.
-//! * within one kernel, row `i` of an `m`-row `A·B` is bitwise the 1-row
-//!   product of row `i` (what serve batched == serial and K = 1 vec ==
-//!   scalar rest on); the column counterpart, a backward column block
-//!   against the full input gradient, is pinned in
-//!   `gradient_properties.rs`.
+//!   identical — no path uses FMA for them.
+//! * row `i` of an `m`-row `A·B` is bitwise the 1-row product of row `i`
+//!   (what serve batched == serial and K = 1 vec == scalar rest on); the
+//!   column counterpart, a backward column block against the full input
+//!   gradient, is pinned in `gradient_properties.rs`.
 //!
-//! The SIMD tests are no-ops (trivially pass) on hosts without AVX2+FMA;
-//! `simd_pin_resolves_to_simd_on_a_capable_host` makes the CI `simd` leg
-//! fail if a capable runner resolves to anything else. Nothing in this
-//! binary calls `kernels::set_active`, so that check sees the kernel
-//! `MARL_KERNEL` resolves to.
+//! On hosts without AVX2+FMA a `Simd` request runs the scalar code, so
+//! the cross-kernel checks compare scalar with itself there;
+//! `simd_pin_resolves_to_simd_on_a_capable_host` fails if a host whose
+//! `/proc/cpuinfo` lists avx2 and fma resolves to anything but SIMD.
+//! Nothing in this binary calls `kernels::set_active`, so that check sees
+//! the kernel the process resolves by itself.
 
 use marl_nn::kernels::{self, KernelKind};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+
+const KINDS: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Simd];
 
 /// Deterministic float matrix with values in roughly [-4, 4], including
 /// non-representable fractions so reassociation actually changes bits.
@@ -43,74 +40,8 @@ fn float_data(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Checks `|got − want| ≤ kd·ε·(Σ|terms| + floor)` element-wise, where the
-/// magnitude sum is recomputed per element from the inputs.
-fn assert_within_bound(
-    got: &[f32],
-    want: &[f32],
-    kd: usize,
-    mag: impl Fn(usize) -> f32,
-) -> Result<(), TestCaseError> {
-    let eps = f32::EPSILON;
-    for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
-        let bound = kd as f32 * eps * (mag(i) + 1.0);
-        prop_assert!(
-            (g - w).abs() <= bound,
-            "element {}: simd {} vs scalar {} exceeds bound {}",
-            i,
-            g,
-            w,
-            bound
-        );
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// `A·B`: SIMD within the documented reduction-error bound of scalar.
-    #[test]
-    fn matmul_simd_within_tolerance(
-        m in 1usize..48,
-        kd in 1usize..48,
-        n in 1usize..48,
-        seed in 0u64..1_000_000,
-    ) {
-        if !kernels::simd_available() { return Ok(()); }
-        let a = float_data(m * kd, seed);
-        let b = float_data(kd * n, seed ^ 0xdead_beef);
-        let mut c_scalar = vec![f32::NAN; m * n];
-        let mut c_simd = vec![f32::NAN; m * n];
-        kernels::matmul_with(KernelKind::Scalar, &a, &b, &mut c_scalar, m, kd, n);
-        kernels::matmul_with(KernelKind::Simd, &a, &b, &mut c_simd, m, kd, n);
-        assert_within_bound(&c_simd, &c_scalar, kd, |i| {
-            let (r, col) = (i / n, i % n);
-            (0..kd).map(|k| (a[r * kd + k] * b[k * n + col]).abs()).sum()
-        })?;
-    }
-
-    /// `C += Aᵀ·B` into a zeroed `C`: SIMD within tolerance of scalar.
-    #[test]
-    fn transpose_matmul_acc_simd_within_tolerance(
-        m in 1usize..48,
-        kd in 1usize..48,
-        n in 1usize..48,
-        seed in 0u64..1_000_000,
-    ) {
-        if !kernels::simd_available() { return Ok(()); }
-        let a = float_data(m * kd, seed);
-        let b = float_data(m * n, seed ^ 0x5eed);
-        let mut c_scalar = vec![0.0f32; kd * n];
-        let mut c_simd = vec![0.0f32; kd * n];
-        kernels::transpose_matmul_acc_with(KernelKind::Scalar, &a, &b, &mut c_scalar, m, kd, n);
-        kernels::transpose_matmul_acc_with(KernelKind::Simd, &a, &b, &mut c_simd, m, kd, n);
-        // Reduction length here is m (rows of A).
-        assert_within_bound(&c_simd, &c_scalar, m, |i| {
-            let (r, col) = (i / n, i % n);
-            (0..m).map(|row| (a[row * kd + r] * b[row * n + col]).abs()).sum()
-        })?;
-    }
 
     /// Element-wise kernels are bitwise identical across dispatch paths on
     /// arbitrary float inputs (no FMA in the AVX2 implementations).
@@ -210,17 +141,44 @@ fn assert_bits(got: &[f32], want: &[f32], what: &str) -> Result<(), TestCaseErro
     Ok(())
 }
 
-/// AVX2 `A·B` against the k-order `mul_add` reference on one shape.
-fn check_simd_matmul(m: usize, kd: usize, n: usize, seed: u64) -> Result<(), TestCaseError> {
-    let a = float_data(m * kd, seed);
-    let b = float_data(kd * n, seed ^ 0xdead_beef);
-    let mut c = vec![f32::NAN; m * n];
-    kernels::matmul_with(KernelKind::Simd, &a, &b, &mut c, m, kd, n);
-    assert_bits(&c, &mul_add_matmul(&a, &b, m, kd, n), &format!("A·B {m}x{kd}x{n}"))
+/// `A·B` on each kernel, in [`KINDS`] order.
+fn matmuls(a: &[f32], b: &[f32], m: usize, kd: usize, n: usize) -> [Vec<f32>; 2] {
+    KINDS.map(|kind| {
+        let mut c = vec![f32::NAN; m * n]; // stale scratch must be overwritten
+        kernels::matmul_with(kind, a, b, &mut c, m, kd, n);
+        c
+    })
 }
 
-/// AVX2 `C += Aᵀ·B` against the r-order `mul_add` reference plus one add.
-fn check_simd_transpose_matmul_acc(
+/// `C += Aᵀ·B` into copies of `c` on each kernel, in [`KINDS`] order.
+fn transpose_matmul_accs(
+    a: &[f32],
+    b: &[f32],
+    c: &[f32],
+    m: usize,
+    kd: usize,
+    n: usize,
+) -> [Vec<f32>; 2] {
+    KINDS.map(|kind| {
+        let mut out = c.to_vec();
+        kernels::transpose_matmul_acc_with(kind, a, b, &mut out, m, kd, n);
+        out
+    })
+}
+
+/// Scalar == SIMD bitwise, and both are the k-order `mul_add` reference.
+fn check_matmul(m: usize, kd: usize, n: usize, seed: u64) -> Result<(), TestCaseError> {
+    let a = float_data(m * kd, seed);
+    let b = float_data(kd * n, seed ^ 0xdead_beef);
+    let [scalar, simd] = matmuls(&a, &b, m, kd, n);
+    let shape = format!("A·B {m}x{kd}x{n}");
+    assert_bits(&simd, &scalar, &format!("{shape} SIMD vs scalar"))?;
+    assert_bits(&scalar, &mul_add_matmul(&a, &b, m, kd, n), &shape)
+}
+
+/// Scalar == SIMD bitwise, and both are the r-order `mul_add` reference
+/// plus one add.
+fn check_transpose_matmul_acc(
     m: usize,
     kd: usize,
     n: usize,
@@ -228,47 +186,47 @@ fn check_simd_transpose_matmul_acc(
 ) -> Result<(), TestCaseError> {
     let a = float_data(m * kd, seed);
     let b = float_data(m * n, seed ^ 0x5eed);
-    let mut c = float_data(kd * n, seed ^ 0xacc);
-    let mut want = c.clone();
-    kernels::transpose_matmul_acc_with(KernelKind::Simd, &a, &b, &mut c, m, kd, n);
+    let c = float_data(kd * n, seed ^ 0xacc);
+    let [scalar, simd] = transpose_matmul_accs(&a, &b, &c, m, kd, n);
+    let mut want = c;
     mul_add_transpose_matmul_acc(&a, &b, &mut want, m, kd, n);
-    assert_bits(&c, &want, &format!("C += Aᵀ·B {m}x{kd}x{n}"))
+    let shape = format!("C += Aᵀ·B {m}x{kd}x{n}");
+    assert_bits(&simd, &scalar, &format!("{shape} SIMD vs scalar"))?;
+    assert_bits(&scalar, &want, &shape)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// AVX2 `A·B` is bitwise the k-order `mul_add` chain on every element.
+    /// `A·B` is bitwise the same on both kernels: the k-order `mul_add`
+    /// chain on every element.
     #[test]
-    fn simd_matmul_is_the_k_order_mul_add_chain(
+    fn matmul_scalar_is_bitwise_simd(
         m in 1usize..14, kd in dim(), n in dim(), seed in 0u64..1_000_000,
     ) {
-        if !kernels::simd_available() { return Ok(()); }
-        check_simd_matmul(m, kd, n, seed)?;
+        check_matmul(m, kd, n, seed)?;
     }
 
-    /// AVX2 `C += Aᵀ·B` is bitwise the r-order `mul_add` chain plus one add;
-    /// here `kd` is the output row count, so it spans the 4-row tiles, the
-    /// remainder rows and the 32-, 8- and masked row blocks of the column
-    /// tail.
+    /// `C += Aᵀ·B` is bitwise the same on both kernels: the r-order
+    /// `mul_add` chain plus one add. Here `kd` is the output row count, so
+    /// it spans the 4-row tiles, the remainder rows and the 32-, 8- and
+    /// masked row blocks of the AVX2 column tail.
     #[test]
-    fn simd_transpose_matmul_acc_is_the_r_order_mul_add_chain(
+    fn transpose_matmul_acc_scalar_is_bitwise_simd(
         m in dim(), kd in 1usize..70, n in dim(), seed in 0u64..1_000_000,
     ) {
-        if !kernels::simd_available() { return Ok(()); }
-        check_simd_transpose_matmul_acc(m, kd, n, seed)?;
+        check_transpose_matmul_acc(m, kd, n, seed)?;
     }
 
     /// Row `i` of an `m`-row `A·B` is bitwise the 1-row product of row `i`
-    /// on each kernel, across `BLOCK_THRESHOLD` (the `m`-row product and
-    /// the 1-row one may land on different sides) and every column tail.
+    /// on each kernel, across every remainder row count and column tail.
     #[test]
     fn matmul_rows_are_the_one_row_products(
         m in 1usize..24, kd in dim(), n in dim(), seed in 0u64..1_000_000,
     ) {
         let a = float_data(m * kd, seed);
         let b = float_data(kd * n, seed ^ 0x0123);
-        for kind in [KernelKind::Scalar, KernelKind::Simd] {
+        for kind in KINDS {
             let mut full = vec![f32::NAN; m * n];
             kernels::matmul_with(kind, &a, &b, &mut full, m, kd, n);
             let mut row = vec![f32::NAN; n];
@@ -284,27 +242,57 @@ proptest! {
 /// layer 0 at cooperative-navigation N = 12 (B = 1024, J = 924, 64 wide),
 /// forward and `dW`.
 #[test]
-fn simd_products_keep_their_order_at_the_widest_critic_layer() {
-    if !kernels::simd_available() {
-        return;
-    }
-    check_simd_matmul(1024, 924, 64, 7).unwrap();
-    check_simd_transpose_matmul_acc(1024, 924, 64, 7).unwrap();
+fn both_products_agree_at_the_widest_critic_layer() {
+    check_matmul(1024, 924, 64, 7).unwrap();
+    check_transpose_matmul_acc(1024, 924, 64, 7).unwrap();
 }
 
-/// The CI `simd` leg must really run SIMD: under `MARL_KERNEL=simd`, on a
-/// host whose `/proc/cpuinfo` lists avx2 and fma, the resolved kernel is
-/// `Simd` — otherwise every SIMD test above would pass vacuously. Anywhere
-/// else this checks nothing.
+/// Operands around 2⁻⁶⁴, so products and partial sums straddle the
+/// smallest normal 2⁻¹²⁶, with every fifth operand a subnormal (2⁻¹³⁰).
+fn tiny_data(len: usize, seed: u64) -> Vec<f32> {
+    let mut v: Vec<f32> = float_data(len, seed).iter().map(|x| x * 2f32.powi(-64)).collect();
+    for x in v.iter_mut().step_by(5) {
+        *x *= 2f32.powi(-66);
+    }
+    v
+}
+
+/// Both products under [`marl_nn::fp::flush_to_zero`], the mode every
+/// update, rollout step and serve batch runs in: subnormal operands read
+/// as zero and subnormal results flush, identically on both kernels.
+/// Shapes cover the 16-wide, 8-wide and masked columns, the remainder
+/// rows and the column tail's row blocks.
+#[test]
+fn both_products_agree_under_flush_to_zero_on_subnormals() {
+    let (m, kd, n) = (13, 45, 29);
+    let a = tiny_data(m * kd, 1);
+    let b = tiny_data(kd * n, 2);
+    let g = tiny_data(m * n, 3);
+    let c = tiny_data(kd * n, 4);
+    assert!(a.iter().any(|x| x.is_subnormal()) && c.iter().any(|x| x.is_subnormal()));
+    let (fwd, dw) = {
+        let _fp = marl_nn::fp::flush_to_zero();
+        (matmuls(&a, &b, m, kd, n), transpose_matmul_accs(&a, &g, &c, m, kd, n))
+    };
+    assert_bits(&fwd[1], &fwd[0], "A·B SIMD vs scalar under FTZ").unwrap();
+    assert_bits(&dw[1], &dw[0], "C += Aᵀ·B SIMD vs scalar under FTZ").unwrap();
+    // Not vacuous: the mode changes these products.
+    if cfg!(target_arch = "x86_64") {
+        assert_ne!(fwd[0], matmuls(&a, &b, m, kd, n)[0], "A·B never met a subnormal");
+        assert_ne!(dw[0], transpose_matmul_accs(&a, &g, &c, m, kd, n)[0], "dW never met one");
+    }
+}
+
+/// With AVX2 and FMA in `/proc/cpuinfo`, the kernel the process resolves
+/// by itself is `Simd` — otherwise every cross-kernel test above would
+/// compare scalar with scalar and pass vacuously. Anywhere else this
+/// checks nothing.
 #[test]
 fn simd_pin_resolves_to_simd_on_a_capable_host() {
-    if std::env::var("MARL_KERNEL").as_deref() != Ok("simd") {
-        return;
-    }
     let Ok(cpuinfo) = std::fs::read_to_string("/proc/cpuinfo") else { return };
     let flags = cpuinfo.lines().find(|l| l.starts_with("flags")).unwrap_or_default();
     let has = |flag: &str| flags.split_whitespace().any(|f| f == flag);
     if has("avx2") && has("fma") {
-        assert_eq!(kernels::active(), KernelKind::Simd, "MARL_KERNEL=simd on an AVX2+FMA host");
+        assert_eq!(kernels::active(), KernelKind::Simd, "AVX2+FMA host");
     }
 }

@@ -1,22 +1,22 @@
-//! Property-based equivalence of the register-blocked matmul kernels and
+//! Property-based equivalence of the matmul kernels' tiles and tails and
 //! a naive triple-loop reference, through the two `Matrix` products the
 //! network layers call.
 //!
 //! Inputs are small-integer-valued floats, so every product and partial
-//! sum is exactly representable in `f32`: any summation reordering or
-//! dropped term in the blocked kernels would surface as a bitwise (0 ULP)
-//! mismatch, not a tolerance failure. Because the arithmetic is exact,
-//! these properties hold under *both* dispatch kernels (scalar and AVX2)
-//! — FMA and lane reassociation cannot change an exact sum — so this file
-//! runs on whatever kernel `MARL_KERNEL` selects. Float-valued
-//! scalar-vs-SIMD tolerance checks live in `kernel_equivalence.rs`.
+//! sum is exactly representable in `f32`: a dropped or doubled term in
+//! any tile, column tail or remainder row would surface as a bitwise
+//! (0 ULP) mismatch, while fusing a multiply-add cannot change an exact
+//! sum. So the plain `acc += a * b` reference holds on whatever kernel
+//! the process resolves. The float-valued operation-order checks, where
+//! the fused `mul_add` chain is what makes scalar and SIMD agree, live in
+//! `kernel_equivalence.rs`.
 
 use marl_nn::matrix::Matrix;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 /// Reference `A·B` accumulating each output element in ascending-`k`
-/// order — the contract both dispatch paths promise.
+/// order, exact on the integer inputs below.
 fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.rows(), b.cols());
     for i in 0..a.rows() {
@@ -54,10 +54,10 @@ fn assert_bitwise_eq(got: &Matrix, expect: &Matrix) -> Result<(), TestCaseError>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Blocked `A·B` is 0 ULP from the reference for shapes spanning the
-    /// dispatch threshold and every remainder-tile combination.
+    /// `A·B` is 0 ULP from the reference for shapes spanning every tile,
+    /// column tail and remainder-row combination.
     #[test]
-    fn blocked_matmul_is_exact(
+    fn matmul_is_exact(
         m in 1usize..40,
         k in 1usize..40,
         n in 1usize..40,
@@ -70,9 +70,9 @@ proptest! {
         assert_bitwise_eq(&got, &reference_matmul(&a, &b))?;
     }
 
-    /// Blocked `C += Aᵀ·B` into a zeroed `C` is 0 ULP from the reference.
+    /// `C += Aᵀ·B` into a zeroed `C` is 0 ULP from the reference.
     #[test]
-    fn blocked_transpose_matmul_is_exact(
+    fn transpose_matmul_is_exact(
         m in 1usize..40,
         k in 1usize..40,
         n in 1usize..40,

@@ -444,7 +444,7 @@ pub struct PhaseRow {
 /// independent of the NN crate).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelTally {
-    /// Kernel invocations dispatched to the blocked-scalar path.
+    /// Kernel invocations dispatched to the scalar path.
     pub scalar: u64,
     /// Kernel invocations dispatched to the AVX2+FMA path.
     pub simd: u64,

@@ -19,7 +19,7 @@
 
 use crate::algo::{Algorithm, LayoutMode, Task, TrainConfig};
 use crate::core::SamplerConfig;
-use crate::nn::kernels::{dispatch_tally, KernelChoice};
+use crate::nn::kernels::dispatch_tally;
 use crate::obs::{KernelTally, MetricsSnapshot, SnapshotContext, Telemetry, TelemetryConfig};
 use crate::perf::phase::PhaseProfile;
 use std::process::ExitCode;
@@ -46,9 +46,6 @@ training flags (the same in marl-train and marl-learner):
   --update-threads U       worker threads for the per-agent critic/actor
                            updates (default 1; results are identical for any U)
   --seed S                 experiment seed (default 0)
-  --kernel K               NN compute kernels: auto (default; SIMD when the CPU
-                           has AVX2+FMA), scalar, or simd. The MARL_KERNEL env
-                           var sets the default when the flag is absent
   --num-envs K             step K environment worlds per rollout iteration over
                            SoA physics with batched inference (default 1;
                            marl-learner workers step one world, so K must be 1)
@@ -164,11 +161,6 @@ pub fn parse(
             "--threads" => c.sampling_threads = num(it, flag)?,
             "--update-threads" => c.update_threads = num(it, flag)?,
             "--seed" => c.seed = num(it, flag)?,
-            "--kernel" => {
-                let v = value(it, flag)?;
-                c.kernel =
-                    KernelChoice::parse(v).ok_or_else(|| bad(format!("unknown kernel {v}")))?;
-            }
             "--num-envs" => {
                 c.num_envs = num(it, flag)?;
                 if c.num_envs == 0 {
@@ -258,7 +250,7 @@ mod tests {
     }
 
     /// One valid value (or none, for a switch) per flag named in [`HELP`].
-    const EXAMPLES: [(&str, Option<&str>); 19] = [
+    const EXAMPLES: [(&str, Option<&str>); 18] = [
         ("--algo", Some("matd3")),
         ("--scenario", Some("cn")),
         ("--agents", Some("6")),
@@ -270,7 +262,6 @@ mod tests {
         ("--threads", Some("2")),
         ("--update-threads", Some("2")),
         ("--seed", Some("7")),
-        ("--kernel", Some("scalar")),
         ("--num-envs", Some("4")),
         ("--trace-out", Some("t.json")),
         ("--metrics-out", Some("m.jsonl")),

@@ -92,8 +92,8 @@ fn assert_zero_alloc_updates(telemetry: bool, seed: u64) {
     t.prefill(256).unwrap();
 
     // Warm-up updates size every scratch buffer and resolve one-time lazy
-    // state (Adam moment matrices, the MARL_KERNEL env read, MLP
-    // activation caches).
+    // state (Adam moment matrices, the kernel's first-use resolution,
+    // MLP activation caches).
     for _ in 0..3 {
         t.update_all_trainers().unwrap();
     }

@@ -16,11 +16,12 @@ use marl_repro::algo::{Algorithm, LayoutMode, Task, TrainConfig, Trainer};
 use marl_repro::core::transition::TransitionRef;
 use marl_repro::core::SamplerConfig;
 use marl_repro::dist::wire::StepRows;
-use marl_repro::nn::kernels::KernelChoice;
+
+pub mod goldens;
 
 /// The common small-seeded-trainer configuration. Applies the shared
 /// shrinkage (warmup 64 after the batch override) and leaves
-/// suite-specific fields (`update_every`, `kernel`, `layout`, …) to the
+/// suite-specific fields (`update_every`, `layout`, …) to the
 /// caller.
 #[allow(clippy::too_many_arguments)]
 pub fn seeded_config(
@@ -48,31 +49,28 @@ pub fn seeded_config(
 /// 4 × 25-step episodes, batch 32, seed 4242, updates every 10 samples
 /// past warmup ⇒ a handful of update iterations per trace).
 ///
-/// The kernel is pinned to scalar: `Auto` resolves per-host, and SIMD
-/// kernels are bitwise-different from scalar ones, so only the scalar
-/// path yields machine-independent traces.
+/// No kernel is named: scalar and SIMD compute the same bits, so the
+/// trace is what the default kernel trains on every host.
 pub fn golden_config(
     algorithm: Algorithm,
     sampler: SamplerConfig,
     layout: LayoutMode,
 ) -> TrainConfig {
     let mut c = seeded_config(algorithm, Task::PredatorPrey, 3, sampler, 4, 32, 1024, 4242)
-        .with_layout(layout)
-        .with_kernel(KernelChoice::Scalar);
+        .with_layout(layout);
     c.update_every = 10;
     c
 }
 
 /// The per-scenario golden configuration: the [`golden_config`] shape
-/// (3 agents, 4 × 25-step episodes, batch 32, seed 4242, scalar kernel,
+/// (3 agents, 4 × 25-step episodes, batch 32, seed 4242,
 /// uniform sampling, per-agent layout) pointed at an arbitrary registered
 /// scenario, so every scenario's full training numerics — comm actions
 /// and heterogeneous heads included — pin to one committed trace per
 /// algorithm.
 pub fn scenario_golden_config(algorithm: Algorithm, task: Task) -> TrainConfig {
     let mut c = seeded_config(algorithm, task, 3, SamplerConfig::Uniform, 4, 32, 1024, 4242)
-        .with_layout(LayoutMode::PerAgent)
-        .with_kernel(KernelChoice::Scalar);
+        .with_layout(LayoutMode::PerAgent);
     c.update_every = 10;
     c
 }

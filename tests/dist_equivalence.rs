@@ -19,13 +19,12 @@ use marl_repro::core::SamplerConfig;
 use marl_repro::dist::{
     loopback_pair, run_worker, Backoff, DistError, Learner, LearnerOptions, Transport,
 };
-use marl_repro::nn::kernels::KernelChoice;
 use std::time::Duration;
 
 mod common;
 
-/// The golden-seed configuration both sides run: scalar kernel (machine
-/// independent), warmup 64, updates every 10 samples.
+/// The golden-seed configuration both sides run: warmup 64, updates
+/// every 10 samples.
 fn dist_config(algorithm: Algorithm) -> TrainConfig {
     let mut c = common::seeded_config(
         algorithm,
@@ -36,8 +35,7 @@ fn dist_config(algorithm: Algorithm) -> TrainConfig {
         32,
         1024,
         4242,
-    )
-    .with_kernel(KernelChoice::Scalar);
+    );
     c.update_every = 10;
     c
 }

@@ -15,7 +15,6 @@ use marl_repro::dist::{
     loopback_pair, run_worker, Acceptor, Backoff, ChaosPlan, DistError, Endpoint, Learner,
     LearnerOptions, RestartHandler, Transport, UnixAcceptor, WorkerPool,
 };
-use marl_repro::nn::kernels::KernelChoice;
 use std::time::Duration;
 
 mod common;
@@ -30,8 +29,7 @@ fn dist_config(episodes: usize, seed: u64) -> TrainConfig {
         32,
         2048,
         seed,
-    )
-    .with_kernel(KernelChoice::Scalar);
+    );
     c.update_every = 10;
     c
 }

@@ -12,106 +12,26 @@
 //! `MARL_BLESS=1 cargo test -q golden` (and record it in CHANGELOG.md —
 //! CI enforces that pairing).
 
+use common::goldens::{
+    self, all_cases, annealed_case, comm_k8_case, k8_case, matrix_cases, scenario_cases,
+};
 use marl_conform::golden;
-use marl_repro::algo::{Algorithm, LayoutMode, Task, TrainConfig};
+use marl_repro::algo::{Algorithm, LayoutMode, TrainConfig};
 use marl_repro::core::SamplerConfig;
+use marl_repro::nn::kernels;
 
 mod common;
 
-const ALGORITHMS: [(Algorithm, &str); 2] =
-    [(Algorithm::Maddpg, "maddpg"), (Algorithm::Matd3, "matd3")];
-const SAMPLERS: [(SamplerConfig, &str); 4] = [
-    (SamplerConfig::Uniform, "uniform"),
-    (SamplerConfig::Per, "per"),
-    (SamplerConfig::LocalityN16R64, "locality"),
-    (SamplerConfig::IpLocality, "ip"),
-];
-const LAYOUTS: [(LayoutMode, &str); 2] =
-    [(LayoutMode::PerAgent, "per_agent"), (LayoutMode::Interleaved, "interleaved")];
-
-const SCENARIOS: [(Task, &str); 4] = [
-    (Task::PhysicalDeception, "physical_deception"),
-    (Task::KeepAway, "keep_away"),
-    (Task::CooperativeReference, "cooperative_reference"),
-    (Task::WorldComm, "world_comm"),
-];
-
-/// The algorithm × sampler × layout matrix on predator-prey: 16 traces.
-fn matrix_cases() -> Vec<(String, TrainConfig)> {
-    let mut cases = Vec::new();
-    for (algorithm, algo_tag) in ALGORITHMS {
-        for (sampler, sampler_tag) in SAMPLERS {
-            for (layout, layout_tag) in LAYOUTS {
-                cases.push((
-                    format!("{algo_tag}_{sampler_tag}_{layout_tag}"),
-                    common::golden_config(algorithm, sampler, layout),
-                ));
-            }
-        }
-    }
-    cases
-}
-
-/// One trace per scenario × algorithm for the rest of the registered MPE
-/// suite: 8 traces.
-fn scenario_cases() -> Vec<(String, TrainConfig)> {
-    let mut cases = Vec::new();
-    for (task, tag) in SCENARIOS {
-        for (algorithm, algo_tag) in ALGORITHMS {
-            cases.push((
-                format!("{algo_tag}_{tag}"),
-                common::scenario_golden_config(algorithm, task),
-            ));
-        }
-    }
-    cases
-}
-
-/// K = 8 worlds of predator-prey; one vectorized episode.
-fn k8_case() -> TrainConfig {
-    common::golden_config(Algorithm::Maddpg, SamplerConfig::Uniform, LayoutMode::PerAgent)
-        .with_num_envs(8)
-        .with_episodes(8)
-}
-
-/// The annealed exploration schedule (ε 0.1 → 0.01 over 500 steps).
-fn annealed_case() -> TrainConfig {
-    let mut cfg =
-        common::golden_config(Algorithm::Maddpg, SamplerConfig::Uniform, LayoutMode::PerAgent);
-    cfg.exploration = marl_repro::algo::explore::ExplorationSchedule::annealed(500);
-    cfg
-}
-
-/// K = 8 worlds of cooperative-reference (comm actions).
-fn comm_k8_case() -> TrainConfig {
-    common::scenario_golden_config(Algorithm::Maddpg, Task::CooperativeReference)
-        .with_num_envs(8)
-        .with_episodes(8)
-}
-
-/// Every committed golden and the configuration it is recorded under.
-fn all_cases() -> Vec<(String, TrainConfig)> {
-    let mut cases = matrix_cases();
-    cases.extend(scenario_cases());
-    cases.push(("maddpg_uniform_per_agent_k8".into(), k8_case()));
-    cases.push(("maddpg_uniform_per_agent_annealed".into(), annealed_case()));
-    cases.push(("maddpg_cooperative_reference_k8".into(), comm_k8_case()));
-    cases
-}
-
-/// Records every case and diffs it against its committed trace (or
-/// re-blesses under `MARL_BLESS=1`); failures accumulate so one report
-/// lists every diverged trace.
+/// Replays `cases` on the kernel the process resolves by itself. On a
+/// host whose `/proc/cpuinfo` lists avx2 and fma every dispatch must be
+/// SIMD, so these goldens pin what a default run computes there;
+/// `golden_traces_scalar.rs` replays the same traces on the scalar code.
 fn check_cases(cases: Vec<(String, TrainConfig)>) {
-    let mut failures = Vec::new();
-    for (name, cfg) in cases {
-        let digests = golden::record_run(cfg).expect("training failed");
-        assert!(!digests.is_empty(), "{name}: run recorded no updates");
-        if let Err(report) = golden::check_or_bless(&name, &cfg, &digests) {
-            failures.push(report);
-        }
+    goldens::check_cases(cases);
+    if goldens::simd_host() {
+        let (scalar, simd) = kernels::dispatch_tally();
+        assert!(scalar == 0 && simd > 0, "dispatches (scalar, simd) = ({scalar}, {simd})");
     }
-    assert!(failures.is_empty(), "\n{}", failures.join("\n"));
 }
 
 /// All 16 committed combinations, replayed and diffed. One test so a
@@ -122,8 +42,8 @@ fn golden_traces_match_committed_digests() {
 }
 
 /// The vectorized-rollout golden: the 17th committed trace pins the
-/// K = 8 engine (SoA physics, batched inference, per-world RNG streams)
-/// on the scalar kernel, so any numeric drift in the multi-world path is
+/// K = 8 engine (SoA physics, batched inference, per-world RNG streams),
+/// so any numeric drift in the multi-world path is
 /// caught even though the 16 scalar-rollout goldens never exercise it.
 /// Episodes = 8 with K = 8 means exactly one vectorized episode: 25
 /// steps x 8 worlds x 3 agents = 600 samples past warmup 64 with

@@ -31,7 +31,6 @@
 
 use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
 use marl_repro::core::SamplerConfig;
-use marl_repro::nn::kernels::KernelChoice;
 use marl_repro::obs::{
     KernelTally, MetricsSnapshot, SnapshotContext, SpanEvent, Telemetry, TelemetryConfig,
 };
@@ -85,7 +84,6 @@ fn short_config(seed: u64) -> TrainConfig {
         2048,
         seed,
     )
-    .with_kernel(KernelChoice::Scalar)
 }
 
 /// Trains with the given telemetry attachment and returns the

@@ -8,7 +8,6 @@
 use marl_repro::algo::checkpoint::{load_checkpoint_with_fallback, write_checkpoint_file};
 use marl_repro::algo::{Algorithm, Task, TrainConfig, TrainError, Trainer};
 use marl_repro::core::SamplerConfig;
-use marl_repro::nn::kernels::KernelChoice;
 use std::path::PathBuf;
 
 mod common;
@@ -29,8 +28,7 @@ fn base_config(task: Task, seed: u64) -> TrainConfig {
         32,
         1024,
         seed,
-    )
-    .with_kernel(KernelChoice::Scalar);
+    );
     c.update_every = 10;
     c
 }
