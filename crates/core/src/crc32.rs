@@ -1,31 +1,59 @@
-//! CRC-32 (IEEE 802.3) checksums for snapshot/checkpoint integrity.
+//! CRC-32 (IEEE 802.3) checksums for every frame, checkpoint and
+//! snapshot the system writes.
 //!
 //! Crash-safe persistence needs to distinguish "file ended early" from
 //! "file silently corrupted"; the length fields in the snapshot framing
 //! catch the former, this checksum catches the latter (bit rot, torn
-//! sector writes, buggy copies). Implemented locally — the offline build
-//! has no `crc32fast` — as a table-driven byte-at-a-time loop, which is
-//! plenty for checkpoint-sized payloads.
+//! sector writes, buggy copies). The same checksum guards every MARD
+//! actor–learner frame and every serve frame, once when it is encoded
+//! and once when it is decoded, so on the distributed hot path it runs
+//! on every byte the learner and its workers exchange.
+//!
+//! Implemented locally (the offline build has no `crc32fast`) as
+//! slicing-by-16: per 16-byte block, the running state is xored into
+//! the block's first four bytes (one little-endian word) and every byte
+//! is looked up in the table for its distance from the block's end;
+//! the 16 tables of 256 entries are built at compile time, and the
+//! byte-at-a-time loop takes the tail of fewer than 16 bytes. The 16
+//! lookups of a block are independent, where the byte loop chains one
+//! dependent load per byte. Safe, portable code: no `unsafe`, no CPU
+//! dispatch. Cost per byte on a 2-vCPU x86_64 host (release build, best
+//! of five timed loops; slicing-by-8 was measured beside it and not
+//! kept):
+//!
+//! | payload | byte at a time | slicing-by-8 | slicing-by-16 |
+//! |---|---|---|---|
+//! | 67 021 B (a `Params` frame) | 1.59 ns/B | 0.35 ns/B | 0.15 ns/B |
+//! | 9 453 B (a mean `Steps` frame) | 1.59 ns/B | 0.35 ns/B | 0.15 ns/B |
+//! | 110 B | 1.36 ns/B | 0.28 ns/B | 0.26 ns/B |
+//!
+//! Reading a block as four words and cutting each byte out by shift and
+//! mask measured 0.28 ns/B on the large payloads; looking the bytes up
+//! straight from the block avoids those shifts.
 
 /// The reflected CRC-32 polynomial used by zlib, PNG, and Ethernet.
 const POLY: u32 = 0xEDB8_8320;
 
-/// Lazily built lookup table (256 entries, one per byte value).
-fn table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+/// `TABLES[k][b]` is the CRC state after byte `b` and then `k` zero
+/// bytes (`8 (k + 1)` shift-and-reduce steps), so one step can fold 16
+/// bytes at once; `TABLES[0]` is the byte-at-a-time table.
+static TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
+    let mut b = 0;
+    while b < 256 {
+        let mut c = b as u32;
+        let mut step = 1;
+        while step <= 16 * 8 {
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            if step % 8 == 0 {
+                t[step / 8 - 1][b] = c;
             }
-            *entry = c;
+            step += 1;
         }
-        t
-    })
-}
+        b += 1;
+    }
+    t
+};
 
 /// Computes the CRC-32 of `data` (zlib-compatible: init `0xFFFF_FFFF`,
 /// final xor `0xFFFF_FFFF`).
@@ -76,10 +104,23 @@ impl Crc32 {
 
     /// Folds `data` into the running checksum.
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
-        let t = table();
-        for &b in data {
-            self.state = t[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
+        let t = &TABLES;
+        let (blocks, tail) = data.as_chunks::<16>();
+        let mut crc = self.state;
+        for block in blocks {
+            let mut b = *block;
+            let head = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) ^ crc;
+            b[..4].copy_from_slice(&head.to_le_bytes());
+            // Byte `i` of the block is followed by `15 - i` more bytes.
+            crc = 0;
+            for (i, &byte) in b.iter().enumerate() {
+                crc ^= t[15 - i][byte as usize];
+            }
         }
+        for &b in tail {
+            crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.state = crc;
         self
     }
 
@@ -93,6 +134,79 @@ impl Crc32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time loop over a table built at run time: the oracle
+    /// the slicing-by-16 `update` must equal on every input.
+    fn reference_update(state: u32, data: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, entry) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            }
+            *entry = c;
+        }
+        let mut state = state;
+        for &b in data {
+            state = table[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+        }
+        state
+    }
+
+    fn reference(data: &[u8]) -> u32 {
+        reference_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+    }
+
+    /// Every tail length (0..16) after every whole-block count (0..4).
+    #[test]
+    fn every_length_up_to_64_matches_the_byte_loop() {
+        let data: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=64 {
+            assert_eq!(crc32(&data[..len]), reference(&data[..len]), "length {len}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Slicing == byte loop for any length, at every start offset
+        /// inside a larger buffer (so the blocks straddle alignment), and
+        /// for any chunking of the stream into `update` calls, including
+        /// the 2-byte kind and 4-byte length updates a frame CRC starts
+        /// with.
+        #[test]
+        fn slicing_matches_the_byte_loop(
+            buf in prop::collection::vec(any::<u8>(), 4096 + 16..4096 + 17),
+            len in 0usize..=4096,
+            offset in 0usize..16,
+            cuts in prop::collection::vec(0usize..=4096, 0..6),
+            kind in any::<u16>(),
+        ) {
+            let data = &buf[offset..offset + len];
+            let expected = reference(data);
+            prop_assert_eq!(crc32(data), expected);
+
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len)).collect();
+            cuts.sort_unstable();
+            let mut h = Crc32::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                h.update(&data[at..cut]);
+                at = cut;
+            }
+            prop_assert_eq!(h.finish(), expected);
+
+            let framed = Crc32::new()
+                .update(&kind.to_le_bytes())
+                .update(&(len as u32).to_le_bytes())
+                .update(data)
+                .finish();
+            let state = reference_update(0xFFFF_FFFF, &kind.to_le_bytes());
+            let state = reference_update(state, &(len as u32).to_le_bytes());
+            prop_assert_eq!(framed, reference_update(state, data) ^ 0xFFFF_FFFF);
+        }
+    }
 
     #[test]
     fn known_vectors() {

@@ -479,9 +479,13 @@ fn put_rng(out: &mut Vec<u8>, state: &[u64; 4]) {
     }
 }
 
+/// One `resize` of the frame, then a fixed-width copy per float: no
+/// capacity check or length update per value.
 fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
+    let at = out.len();
+    out.resize(at + 4 * values.len(), 0);
+    for (dst, v) in out[at..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
 }
 

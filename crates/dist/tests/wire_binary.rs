@@ -237,6 +237,77 @@ fn steps_roundtrip_rows_of_unequal_width_and_every_optional_block() {
     assert_eq!(got, empty);
 }
 
+/// Every class of f32 bit pattern the bulk float copy must carry
+/// untouched: quiet and signalling NaNs of both signs with payload bits,
+/// ±0, ±∞, subnormals of both signs, and the largest finite value.
+const SPECIALS: [u32; 14] = [
+    0x7FC0_0000, // quiet NaN, no payload
+    0x7FC0_1234, // quiet NaN with payload
+    0xFFC0_0001, // negative quiet NaN with payload
+    0x7F80_0001, // signalling NaN, lowest payload
+    0x7FA5_5AA5, // signalling NaN with payload
+    0xFFA5_5AA5, // negative signalling NaN with payload
+    0x0000_0000, // +0.0
+    0x8000_0000, // -0.0
+    0x7F80_0000, // +inf
+    0xFF80_0000, // -inf
+    0x0000_0001, // smallest subnormal
+    0x807F_FFFF, // largest negative subnormal
+    0x0040_0000, // mid subnormal
+    0x7F7F_FFFF, // f32::MAX
+];
+
+/// The next value of `SPECIALS`, cycling.
+fn special(next: &mut usize) -> f32 {
+    *next += 1;
+    f32::from_bits(SPECIALS[*next % SPECIALS.len()])
+}
+
+#[test]
+fn every_float_of_params_and_steps_survives_bit_for_bit() {
+    let dims = dims_of(ScenarioId::WorldComm);
+    let mut next = 0;
+
+    // Params: every weight and bias of every actor is a special value.
+    let mut src = agents_for(&dims, 1);
+    for nets in &mut src {
+        nets.actor.visit_params(|p, _| p.iter_mut().for_each(|x| *x = special(&mut next)));
+    }
+    let Msg::Params(got) = roundtrip(&Msg::Params(Box::new(Params {
+        epoch: 3,
+        actors: ActorParams::capture(src.iter().map(|a| &a.actor)),
+        master_rng: None,
+        ctx: None,
+    }))) else {
+        panic!("params decoded as another kind");
+    };
+    let mut dst = agents_for(&dims, 2);
+    got.actors.install(&mut dst).expect("same architecture installs");
+    assert_eq!(actor_bits(&dst), actor_bits(&src));
+
+    // Steps: every observation, action, reward and done is a special value.
+    let mut rows = StepRows::new(dims.iter().copied());
+    for _ in 0..7 {
+        let mut fill = |len: usize| -> Vec<f32> { (0..len).map(|_| special(&mut next)).collect() };
+        let parts: Vec<[Vec<f32>; 4]> =
+            dims.iter().map(|&(o, a)| [fill(o), fill(a), fill(o), fill(2)]).collect();
+        rows.push_step(|agent| TransitionRef {
+            obs: &parts[agent][0],
+            action: &parts[agent][1],
+            reward: parts[agent][3][0],
+            next_obs: &parts[agent][2],
+            done: parts[agent][3][1],
+        });
+    }
+    let sent = Steps { worker_id: 2, epoch: 3, seq: 4, rows, rng: None, sync: false, ctx: None };
+    let Msg::Steps(got) = roundtrip(&Msg::Steps(sent.clone())) else {
+        panic!("steps decoded as another kind");
+    };
+    assert_eq!(row_bits(&got.rows), row_bits(&sent.rows));
+    let seen: std::collections::BTreeSet<u32> = row_bits(&got.rows).into_iter().flatten().collect();
+    assert!(SPECIALS.iter().all(|b| seen.contains(b)), "every pattern was on the wire");
+}
+
 #[test]
 fn a_misfit_install_is_a_protocol_error_and_writes_nothing() {
     let dims = dims_of(ScenarioId::PredatorPrey);

@@ -215,18 +215,53 @@ fn stale_epoch_frame_is_quarantined_and_answered_with_refresh() {
     );
 }
 
+/// How long the learner holds each survivor frame while the victim is
+/// not yet back (see the sizing rule in the chaos drill below).
+const SURVIVOR_PACE: Duration = Duration::from_millis(5);
+
+/// The chaos drill's restart handler: the pool itself, plus a pause of
+/// [`SURVIVOR_PACE`] on every survivor frame until the restarted victim
+/// delivers its first step frame (by then it has been restarted and
+/// re-admitted).
+struct PacedUntilReadmitted<'a> {
+    pool: &'a mut WorkerPool,
+    victim: u32,
+    readmitted: bool,
+}
+
+impl RestartHandler for PacedUntilReadmitted<'_> {
+    fn restart(&mut self, worker_id: u32) -> bool {
+        self.pool.restart(worker_id)
+    }
+
+    fn on_steps_frame(&mut self, worker_id: u32) {
+        self.pool.on_steps_frame(worker_id);
+        if worker_id == self.victim {
+            self.readmitted |= self.pool.restart_count(worker_id) > 0;
+        } else if !self.readmitted {
+            std::thread::sleep(SURVIVOR_PACE);
+        }
+    }
+}
+
 /// The full process-level chaos drill: two real `marl-worker` child
 /// processes stream over a Unix socket; after the victim delivers three
 /// step frames it is SIGKILLed mid-episode. The learner must keep
 /// training on the survivor, declare the victim dead by heartbeat
 /// silence, restart it through the pool, re-admit it with `resume`, and
 /// still reach the episode target.
+///
+/// Sizing rule: the run must outlast `dead_after` plus a respawn in any
+/// build, and an unpaced release build finishes 60 episodes in ~0.17 s.
+/// The victim is killed before it completes an episode, so the survivor
+/// alone sends the 60 × 25 steps, at most 8 per frame: ≥ 188 frames.
+/// Until the victim is back, the learner pauses [`SURVIVOR_PACE`] on each
+/// of them, so the run cannot end sooner than 188 × 5 ms = 0.94 s
+/// (> 6 × the 150 ms `dead_after`) without the restart and re-admission
+/// having happened, whatever the build's speed.
 #[test]
 fn sigkill_worker_is_restarted_and_run_completes() {
     let sock = std::env::temp_dir().join(format!("marl-dist-chaos-{}.sock", std::process::id()));
-    // The episode target must keep the survivor busy well past the death
-    // deadline, or the run can finish before the victim's silence is
-    // noticed and no restart happens.
     let cfg = dist_config(60, 14);
     let mut opts = fast_opts();
     opts.supervisor.suspect_after = Duration::from_millis(50);
@@ -245,7 +280,8 @@ fn sigkill_worker_is_restarted_and_run_completes() {
     pool.spawn(0).expect("spawn worker 0");
     pool.spawn(1).expect("spawn worker 1");
 
-    learner.serve_free(Vec::new(), &mut acceptor, Some(&mut pool)).expect("serve completes");
+    let mut paced = PacedUntilReadmitted { pool: &mut pool, victim: 1, readmitted: false };
+    learner.serve_free(Vec::new(), &mut acceptor, Some(&mut paced)).expect("serve completes");
     pool.join_all(Duration::from_secs(5));
 
     assert!(pool.chaos_fired(), "the SIGKILL never fired");
