@@ -22,7 +22,7 @@
 //!   (`acc = a[r][i].mul_add(b[r][j], acc)`) followed by one add into
 //!   `C`. The scalar kernel is those loops written out with
 //!   [`f32::mul_add`]; the AVX2 kernel runs one chain per lane, in the
-//!   full-width tiles, the masked column tails and the remainder rows
+//!   full-width tiles, the masked column tails and every strip height
 //!   alike. So an element's bits depend only on its own row of `A` and
 //!   column of `B` — never on the shape around it, and never on the
 //!   kernel: scalar and SIMD are **bitwise identical**
@@ -399,6 +399,23 @@ mod scalar {
     }
 }
 
+/// Height of the next AVX2 row strip when `rows` output rows remain.
+///
+/// A 6-row × 16-column tile holds 12 accumulators, 2 `B` vectors and 1
+/// broadcast: 15 of the 16 ymm registers, and 12 independent FMA chains,
+/// enough to keep both FMA ports busy across an L2 wait on `B`. So strips
+/// are 6 rows high wherever at least 9 rows remain or exactly 6 do; 5, 4,
+/// 3, 2 or 1 remaining rows run as one strip of that height; and 7 or 8
+/// remaining rows run as 4 + 3 or 4 + 4. No 1- or 2-row strip, whose
+/// tiles keep only 4 chains, ever follows a taller one.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn strip_height(rows: usize) -> usize {
+    match rows {
+        7 | 8 => 4,
+        r => r.min(6),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // AVX2+FMA kernels. Callers verify feature support before dispatching here.
 // ---------------------------------------------------------------------------
@@ -413,10 +430,12 @@ mod avx2 {
         _mm256_cmpgt_epi32(_mm256_set1_epi32(len as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
     }
 
-    /// `C = A·B`: 4-row × 16-column register tiles (8 FMA chains), a 4 × 8
-    /// tile, then the `n % 8` columns as one masked 4 × 8 tile; the last
-    /// `m % 4` rows run as one narrower [`strip`]. Every lane is one
-    /// output's k-order FMA chain, so no shape changes an element.
+    /// `C = A·B` in row strips of [`strip_height`](super::strip_height)
+    /// rows: 6-row × 16-column register tiles (12 FMA chains), a 6 × 8
+    /// tile, then the `n % 8` columns as one masked 6 × 8 tile, with
+    /// shorter strips only where fewer rows remain. Every lane is one
+    /// output's k-order FMA chain, so the strip height only decides which
+    /// outputs share a broadcast, and no shape changes an element.
     #[target_feature(enable = "avx2,fma")]
     pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, kd: usize, n: usize) {
         let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
@@ -432,10 +451,11 @@ mod avx2 {
     }
 
     /// `C += Aᵀ·B` (`C` is `kd × n`, the reduction runs over A's `m`
-    /// rows): the same tiles as [`matmul`] over the `n − n % 8` full
-    /// columns, where output row `i` reads A's column `i`. The `n % 8`
-    /// columns go one at a time with eight output rows per lane vector,
-    /// since A's row `r` holds those rows contiguously.
+    /// rows): the same strips and 6-row tiles as [`matmul`] over the
+    /// `n − n % 8` full columns, where output row `i` reads A's column `i`
+    /// (a tile's 6 broadcasts at step `r` are adjacent in A's row `r`).
+    /// The `n % 8` columns go one at a time with eight output rows per
+    /// lane vector, since A's row `r` holds those rows contiguously.
     #[target_feature(enable = "avx2,fma")]
     pub fn transpose_matmul_acc(
         a: &[f32],
@@ -477,10 +497,10 @@ mod avx2 {
         }
     }
 
-    /// Every column of the next `min(rows, 4)` output rows, which it
-    /// returns: 4-, 3- and 2-row strips in 16-wide tiles, a single row in
-    /// 32-wide ones, so every strip keeps at least 4 FMA chains in flight.
-    /// Arguments as [`tile`]'s.
+    /// Every column of the next [`strip_height`](super::strip_height)
+    /// output rows, which it returns: 6-, 5-, 4-, 3- and 2-row strips in
+    /// 16-wide tiles, a single row in 32-wide ones, so every strip keeps
+    /// at least 4 FMA chains in flight. Arguments as [`tile`]'s.
     ///
     /// # Safety
     ///
@@ -498,18 +518,23 @@ mod avx2 {
         mask: __m256i,
         rows: usize,
     ) -> usize {
-        match rows {
+        let height = super::strip_height(rows);
+        match height {
             1 => tiles::<1, 4, ACC, TAIL>(a, a_row, a_step, b, c, n, steps, mask),
             2 => tiles::<2, 2, ACC, TAIL>(a, a_row, a_step, b, c, n, steps, mask),
             3 => tiles::<3, 2, ACC, TAIL>(a, a_row, a_step, b, c, n, steps, mask),
-            _ => tiles::<4, 2, ACC, TAIL>(a, a_row, a_step, b, c, n, steps, mask),
+            4 => tiles::<4, 2, ACC, TAIL>(a, a_row, a_step, b, c, n, steps, mask),
+            5 => tiles::<5, 2, ACC, TAIL>(a, a_row, a_step, b, c, n, steps, mask),
+            _ => tiles::<6, 2, ACC, TAIL>(a, a_row, a_step, b, c, n, steps, mask),
         }
-        rows.min(4)
+        height
     }
 
     /// Every column of `R` output rows: `V`-block tiles, 8-wide tiles,
-    /// then (with `TAIL`) the `n % 8` columns as one masked tile.
-    /// Arguments as [`tile`]'s.
+    /// then (with `TAIL`) the `n % 8` columns as one masked tile. An
+    /// `R × 8V` tile holds `R·V` accumulators, `V` `B` vectors and one
+    /// broadcast, so `R·V + V + 1 ≤ 16` keeps it in the ymm registers
+    /// (15 at the widest, `6 × 2`). Arguments as [`tile`]'s.
     ///
     /// # Safety
     ///
@@ -894,6 +919,27 @@ mod tests {
             ps.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             pv.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn strip_heights_cover_every_row_with_no_thin_strip_after_a_tall_one() {
+        for m in 1..=256 {
+            let mut heights = Vec::new();
+            let mut rows = m;
+            while rows > 0 {
+                let h = strip_height(rows);
+                assert!((1..=6).contains(&h) && h <= rows, "m = {m}: height {h} at {rows} rows");
+                heights.push(h);
+                rows -= h;
+            }
+            assert_eq!(heights.iter().sum::<usize>(), m);
+            for pair in heights.windows(2) {
+                assert!(
+                    pair[1] >= 3 || pair[1] >= pair[0],
+                    "m = {m}: {heights:?} puts a thin strip after a taller one"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! * `A·B` is **bitwise** the k-order `f32::mul_add` chain from `+0.0` on
 //!   every element, and `C += Aᵀ·B` the r-order chain followed by one add
 //!   into `C`, on the scalar kernel and on AVX2 alike — in the 16-wide,
-//!   8-wide and masked tail columns, the 4-row tiles and the remainder
-//!   rows. So scalar == SIMD bitwise, with flush-to-zero in force too.
+//!   8-wide and masked tail columns, and in every strip height the AVX2
+//!   kernel splits rows into (6-row tiles, the 5/4/3/2/1-row strips, and
+//!   the 4 + 3 and 4 + 4 splits of 7 and 8 rows). So scalar == SIMD
+//!   bitwise, with flush-to-zero in force too.
 //! * element-wise ops (bias-add, ReLU fwd/bwd, Adam step): bitwise
 //!   identical — no path uses FMA for them.
 //! * row `i` of an `m`-row `A·B` is bitwise the 1-row product of row `i`
@@ -98,9 +100,9 @@ proptest! {
     }
 }
 
-/// `1`, `5` (the thin heads) or anything below 41: with `m` below 14
-/// that covers 16-wide, 8-wide and masked tail columns, 4-row tiles and
-/// every remainder row count.
+/// `1`, `5` (the thin heads) or anything below 41: with `m` below 27
+/// that covers 16-wide, 8-wide and masked tail columns, 6-row tiles and
+/// every strip composition up to four 6-row strips and a remainder.
 fn dim() -> impl Strategy<Value = usize> {
     (0usize..4, 1usize..41).prop_map(|(pick, d)| [1, 5, d, d][pick])
 }
@@ -202,14 +204,14 @@ proptest! {
     /// chain on every element.
     #[test]
     fn matmul_scalar_is_bitwise_simd(
-        m in 1usize..14, kd in dim(), n in dim(), seed in 0u64..1_000_000,
+        m in 1usize..27, kd in dim(), n in dim(), seed in 0u64..1_000_000,
     ) {
         check_matmul(m, kd, n, seed)?;
     }
 
     /// `C += Aᵀ·B` is bitwise the same on both kernels: the r-order
     /// `mul_add` chain plus one add. Here `kd` is the output row count, so
-    /// it spans the 4-row tiles, the remainder rows and the 32-, 8- and
+    /// it spans the 6-row tiles, every shorter strip and the 32-, 8- and
     /// masked row blocks of the AVX2 column tail.
     #[test]
     fn transpose_matmul_acc_scalar_is_bitwise_simd(
@@ -234,6 +236,27 @@ proptest! {
                 kernels::matmul_with(kind, &a[i * kd..(i + 1) * kd], &b, &mut row, 1, kd, n);
                 assert_bits(&full[i * n..(i + 1) * n], &row, &format!("{kind:?} row {i}"))?;
             }
+        }
+    }
+}
+
+/// Column counts for [`every_strip_composition_is_the_mul_add_chain`]:
+/// the single-column and thin heads, one 8-wide block with and without a
+/// masked tail, one and two 16-wide tiles with a tail, and a hidden layer.
+const SWEEP_COLS: [usize; 8] = [1, 5, 8, 9, 16, 17, 33, 64];
+
+/// Every row count up to 26 on both kernels, against the `mul_add`
+/// references: `m` for `A·B`, and the output row count `kd` for
+/// `C += Aᵀ·B`. That is every sequence of AVX2 strip heights through
+/// four 6-row strips and each remainder after them, so a tile that
+/// drops, repeats or misplaces a row fails here whatever proptest draws.
+#[test]
+fn every_strip_composition_is_the_mul_add_chain() {
+    for rows in 1..=26 {
+        for (c, &n) in SWEEP_COLS.iter().enumerate() {
+            let seed = (rows * SWEEP_COLS.len() + c) as u64;
+            check_matmul(rows, 13, n, seed).unwrap();
+            check_transpose_matmul_acc(11, rows, n, seed).unwrap();
         }
     }
 }

@@ -4,8 +4,9 @@
 //!
 //! Inputs are small-integer-valued floats, so every product and partial
 //! sum is exactly representable in `f32`: a dropped or doubled term in
-//! any tile, column tail or remainder row would surface as a bitwise
-//! (0 ULP) mismatch, while fusing a multiply-add cannot change an exact
+//! any 6-row tile, shorter row strip (the AVX2 kernel's strip heights run
+//! 6, 5, 4, 3, 2 and 1) or column tail would surface as a bitwise (0 ULP)
+//! mismatch, while fusing a multiply-add cannot change an exact
 //! sum. So the plain `acc += a * b` reference holds on whatever kernel
 //! the process resolves. The float-valued operation-order checks, where
 //! the fused `mul_add` chain is what makes scalar and SIMD agree, live in
@@ -55,7 +56,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `A·B` is 0 ULP from the reference for shapes spanning every tile,
-    /// column tail and remainder-row combination.
+    /// column tail and strip-height combination.
     #[test]
     fn matmul_is_exact(
         m in 1usize..40,
