@@ -436,11 +436,12 @@ mod tests {
         assert_eq!(output_bits(&ckpt.agents[0].actor, &x), output_bits(&back.agents[0].actor, &x));
     }
 
-    /// A checkpoint written while `TrainConfig` still had a `kernel` field
-    /// carries it in its config. It does not resume: loading refuses the
-    /// file with a checkpoint error naming the field, and nothing panics.
+    /// A checkpoint written while `TrainConfig` still had a `kernel` or a
+    /// `sampling_threads` field carries it in its config. It does not
+    /// resume: loading refuses the file with a checkpoint error naming the
+    /// field, and nothing panics.
     #[test]
-    fn a_checkpoint_whose_config_names_a_kernel_is_refused() {
+    fn a_checkpoint_whose_config_names_a_removed_field_is_refused() {
         let ckpt = Checkpoint {
             config: TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3),
             agents: vec![AgentState::capture(&nets(false))],
@@ -448,20 +449,24 @@ mod tests {
             run: None,
         };
         let json = serde_json::to_string(&ckpt).unwrap();
-        let old = json.replacen(",\"num_envs\":", ",\"kernel\":\"Auto\",\"num_envs\":", 1);
-        assert_ne!(old, json, "the config serializes num_envs");
-        let dir = std::env::temp_dir().join(format!("marl_ckpt_kernel_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("marl_ckpt_removed_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("with_kernel.bin");
-        std::fs::write(&path, frame(&old, &[])).unwrap();
-        let result = load_checkpoint_with_fallback(&path);
-        std::fs::remove_dir_all(&dir).ok();
-        match result {
-            Err(TrainError::Checkpoint(msg)) => {
-                assert!(msg.contains("unknown field `kernel`"), "{msg}");
+        for (field, entry, before) in [
+            ("kernel", "\"kernel\":\"Auto\",", "\"num_envs\":"),
+            ("sampling_threads", "\"sampling_threads\":1,", "\"update_threads\":"),
+        ] {
+            let old = json.replacen(before, &format!("{entry}{before}"), 1);
+            assert_ne!(old, json, "the config serializes {before}");
+            let path = dir.join(format!("with_{field}.bin"));
+            std::fs::write(&path, frame(&old, &[])).unwrap();
+            match load_checkpoint_with_fallback(&path) {
+                Err(TrainError::Checkpoint(msg)) => {
+                    assert!(msg.contains(&format!("unknown field `{field}`")), "{msg}");
+                }
+                Err(other) => panic!("expected a checkpoint error, got {other}"),
+                Ok(_) => panic!("a config with a {field} field was loaded"),
             }
-            Err(other) => panic!("expected a checkpoint error, got {other}"),
-            Ok(_) => panic!("a config with a kernel field was loaded"),
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

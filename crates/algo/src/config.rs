@@ -36,16 +36,10 @@ impl Algorithm {
 /// name with the legacy CamelCase variant spellings accepted on read.
 pub use marl_env::registry::ScenarioId as Task;
 
-/// How transition data is laid out in memory (Section IV-B2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum LayoutMode {
-    /// One buffer per agent in separate allocations (the baseline).
-    #[default]
-    PerAgent,
-    /// A single interleaved key-value store: all agents' data for one time
-    /// step is contiguous, so a joint gather is O(m) instead of O(N·m).
-    Interleaved,
-}
+/// How transition data is laid out in memory (Section IV-B2): the address
+/// map of the trainer's one replay store. Serialized as `"PerAgent"` /
+/// `"Interleaved"`.
+pub use marl_core::multi::LayoutMode;
 
 /// Full training configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -90,14 +84,11 @@ pub struct TrainConfig {
     pub target_noise: f32,
     /// MATD3 only: clip bound for the smoothing noise.
     pub noise_clip: f32,
-    /// Worker threads for the mini-batch gather (1 = serial; an extension
-    /// beyond the paper — the sampling phase is CPU-bound, so independent
-    /// per-agent gathers can be fanned out).
-    pub sampling_threads: usize,
-    /// Worker threads for the per-agent critic/actor updates inside
-    /// *update all trainers* (1 = serial). The N trainers are independent
-    /// once mini-batches and target actions are staged, so the update
-    /// phase fans out without changing results.
+    /// Worker threads for *update all trainers* (1 = serial): the N
+    /// trainers' mini-batch gathers and their critic/actor updates. Plans
+    /// are drawn and target actions staged serially, after which the
+    /// trainers are independent, so the phase fans out without changing
+    /// results.
     pub update_threads: usize,
     /// Autosave a full run-state checkpoint every this many episodes
     /// (0 = no autosave). Checkpoints are taken at episode boundaries,
@@ -143,7 +134,6 @@ impl TrainConfig {
             policy_delay: 2,
             target_noise: 0.2,
             noise_clip: 0.5,
-            sampling_threads: 1,
             update_threads: 1,
             checkpoint_every: 0,
             sentinel: crate::sentinel::SentinelConfig::default(),
@@ -186,12 +176,6 @@ impl TrainConfig {
     pub fn with_batch_size(mut self, batch: usize) -> Self {
         self.batch_size = batch;
         self.warmup = self.warmup.max(2 * batch);
-        self
-    }
-
-    /// Overrides the parallel-gather thread count (builder style).
-    pub fn with_sampling_threads(mut self, threads: usize) -> Self {
-        self.sampling_threads = threads;
         self
     }
 
@@ -259,9 +243,6 @@ impl TrainConfig {
         }
         if self.policy_delay == 0 {
             return Err("policy delay must be >= 1".into());
-        }
-        if self.sampling_threads == 0 {
-            return Err("sampling threads must be >= 1".into());
         }
         if self.update_threads == 0 {
             return Err("update threads must be >= 1".into());
@@ -332,9 +313,6 @@ mod tests {
         c.policy_delay = 0;
         assert!(c.validate().is_err());
         c = base;
-        c.sampling_threads = 0;
-        assert!(c.validate().is_err());
-        c = base;
         c.update_threads = 0;
         assert!(c.validate().is_err());
     }
@@ -361,6 +339,11 @@ mod tests {
         let c = c.with_layout(LayoutMode::Interleaved);
         assert_eq!(c.layout, LayoutMode::Interleaved);
         assert!(c.validate().is_ok());
+        // Serialized as the variant names, which checkpoints and goldens store.
+        let json = serde_json::to_string(&c).unwrap();
+        assert!(json.contains("\"layout\":\"Interleaved\""), "{json}");
+        let per = json.replace("\"Interleaved\"", "\"PerAgent\"");
+        assert_eq!(serde_json::from_str::<TrainConfig>(&per).unwrap().layout, LayoutMode::PerAgent);
     }
 
     #[test]

@@ -8,14 +8,12 @@
 
 use crate::agent::AgentNets;
 use crate::checkpoint::{write_checkpoint_file, Checkpoint, RunState};
-use crate::config::{Algorithm, LayoutMode, Task, TrainConfig};
+use crate::config::{Algorithm, Task, TrainConfig};
 use crate::error::TrainError;
 use crate::eval::RewardCurve;
 use crate::rollout::Rollout;
 use marl_core::config::SamplerConfig;
-use marl_core::error::ReplayError;
 use marl_core::indices::SamplePlan;
-use marl_core::layout::InterleavedStore;
 use marl_core::multi::MultiAgentReplay;
 use marl_core::sampler::Sampler;
 use marl_core::transition::{MultiBatch, TransitionLayout, TransitionRef};
@@ -72,74 +70,6 @@ pub struct TrainReport {
     pub sampling: SamplingTelemetry,
 }
 
-/// Replay storage behind one of the paper's two data layouts.
-#[derive(Debug)]
-enum ReplayBackend {
-    /// Per-agent buffers (baseline, Figure 5).
-    PerAgent(MultiAgentReplay),
-    /// Interleaved key-value store (Section IV-B2), kept up to date
-    /// incrementally so no periodic reshape is needed during training.
-    Interleaved(InterleavedStore),
-}
-
-impl ReplayBackend {
-    fn len(&self) -> usize {
-        match self {
-            ReplayBackend::PerAgent(r) => r.len(),
-            ReplayBackend::Interleaved(s) => s.len(),
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        match self {
-            ReplayBackend::PerAgent(r) => r.capacity(),
-            ReplayBackend::Interleaved(s) => s.capacity(),
-        }
-    }
-
-    /// Fill fraction `len / capacity` in `[0, 1]` (telemetry gauge).
-    fn occupancy(&self) -> f64 {
-        let cap = self.capacity();
-        if cap == 0 {
-            0.0
-        } else {
-            self.len() as f64 / cap as f64
-        }
-    }
-
-    /// Pushes one joint step built on the fly from borrowed rows
-    /// (allocation-free).
-    fn push_step_with<'a, F>(&mut self, f: F) -> usize
-    where
-        F: FnMut(usize) -> TransitionRef<'a>,
-    {
-        match self {
-            ReplayBackend::PerAgent(r) => r.push_step_with(f),
-            ReplayBackend::Interleaved(s) => s.push_step_with(f),
-        }
-    }
-
-    /// Gathers `plan` into `out`, reusing its storage. With per-agent
-    /// buffers and `threads > 1` the gather fans out over a scoped pool
-    /// (allocating); the serial paths are allocation-free once warmed.
-    fn sample_into(
-        &self,
-        plan: &SamplePlan,
-        threads: usize,
-        out: &mut MultiBatch,
-    ) -> Result<(), ReplayError> {
-        match self {
-            ReplayBackend::PerAgent(r) if threads > 1 => {
-                *out = r.sample_parallel(plan, threads)?;
-                Ok(())
-            }
-            ReplayBackend::PerAgent(r) => r.sample_into(plan, out),
-            // The interleaved layout's single pass is already one stream.
-            ReplayBackend::Interleaved(s) => s.sample_into(plan, out),
-        }
-    }
-}
-
 /// A full MADDPG/MATD3 trainer over a particle environment.
 ///
 /// # Examples
@@ -163,7 +93,8 @@ pub struct Trainer {
     /// with their noise streams and step buffers.
     rollout: Rollout,
     agents: Vec<AgentNets>,
-    replay: ReplayBackend,
+    /// The one replay store, under the address map `config.layout`.
+    replay: MultiAgentReplay,
     sampler: Box<dyn Sampler>,
     rng: StdRng,
     profile: PhaseProfile,
@@ -231,14 +162,7 @@ impl Trainer {
             .zip(&act_dims)
             .map(|(&od, &ad)| TransitionLayout::new(od, ad))
             .collect();
-        let replay = match config.layout {
-            LayoutMode::PerAgent => {
-                ReplayBackend::PerAgent(MultiAgentReplay::new(&layouts, config.buffer_capacity))
-            }
-            LayoutMode::Interleaved => {
-                ReplayBackend::Interleaved(InterleavedStore::new(&layouts, config.buffer_capacity))
-            }
-        };
+        let replay = MultiAgentReplay::with_mode(&layouts, config.buffer_capacity, config.layout);
         let sampler = config.sampler.build(config.buffer_capacity);
         let scratch = UpdateScratch::new(obs_dims.len(), &layouts, config.batch_size);
         Ok(Trainer {
@@ -335,13 +259,10 @@ impl Trainer {
         self.curve.len()
     }
 
-    /// Read access to the per-agent replay buffers; `None` when training
-    /// with the interleaved layout (diagnostics/benches).
+    /// Read access to the replay store, under either address map
+    /// (diagnostics/benches). Always `Some`.
     pub fn replay(&self) -> Option<&MultiAgentReplay> {
-        match &self.replay {
-            ReplayBackend::PerAgent(r) => Some(r),
-            ReplayBackend::Interleaved(_) => None,
-        }
+        Some(&self.replay)
     }
 
     /// Trains until the configured number of episodes is reached. On a
@@ -427,7 +348,7 @@ impl Trainer {
             let every = self.config.checkpoint_every;
             if every > 0 && self.curve.len().is_multiple_of(every) {
                 let tc = Instant::now();
-                let (ckpt, replay) = self.checkpoint_full()?;
+                let (ckpt, replay) = self.checkpoint_full();
                 if let Some(path) = checkpoint_out {
                     write_checkpoint_file(path, &ckpt, &replay)?;
                 }
@@ -657,17 +578,12 @@ impl Trainer {
         }
         {
             let scratch = &mut self.scratch;
-            match &self.replay {
-                // Whole-plan gathers fan out over the update worker pool.
-                ReplayBackend::PerAgent(r) if cfg.update_threads > 1 => {
-                    r.sample_many_into(&scratch.plans, &mut scratch.batches, cfg.update_threads)?;
-                }
-                backend => {
-                    for (plan, out) in scratch.plans.iter().zip(scratch.batches.iter_mut()) {
-                        backend.sample_into(plan, cfg.sampling_threads, out)?;
-                    }
-                }
-            }
+            // Whole-plan gathers fan out over the update worker pool.
+            self.replay.sample_many_into(
+                &scratch.plans,
+                &mut scratch.batches,
+                cfg.update_threads,
+            )?;
             for (view, mb) in scratch.views.iter_mut().zip(&scratch.batches) {
                 view.refill(mb, &self.obs_dims, &self.act_dims);
             }
@@ -1050,15 +966,9 @@ impl Trainer {
     /// autosaves): there the env world is regenerated from its RNG on the
     /// next `reset()`, so no mid-episode environment state is needed.
     ///
-    /// # Errors
-    ///
-    /// Returns [`TrainError::Replay`] if the interleaved layout cannot be
-    /// de-interleaved for snapshotting.
-    pub fn checkpoint_full(&self) -> Result<(Checkpoint, Vec<u8>), TrainError> {
-        let replay = match &self.replay {
-            ReplayBackend::PerAgent(r) => marl_core::snapshot::encode_replay(r),
-            ReplayBackend::Interleaved(s) => marl_core::snapshot::encode_replay(&s.deinterleave()?),
-        };
+    /// The replay snapshot is read in place from either address map.
+    pub fn checkpoint_full(&self) -> (Checkpoint, Vec<u8>) {
+        let replay = marl_core::snapshot::encode_replay(&self.replay);
         let mut ckpt = self.checkpoint();
         // World 0's stream occupies the `env_rng` slot; worlds 1..K and the
         // per-world noise streams ride in the `#[serde(default)]` fields,
@@ -1076,13 +986,15 @@ impl Trainer {
             rollout_rngs: self.rollout.noise_rng_states(),
             vec_env_rngs: env_rngs[1..].to_vec(),
         });
-        Ok((ckpt, replay.as_ref().to_vec()))
+        (ckpt, replay)
     }
 
     /// Restores the complete resumable state captured by
     /// [`Trainer::checkpoint_full`] (or loaded from a checkpoint file)
     /// into this trainer. The trainer must have been built from a
-    /// compatible configuration (same task, agents, capacity, layout).
+    /// compatible configuration (same task, agents and capacity). The
+    /// replay restores in place under this trainer's address map, which
+    /// need not be the one the checkpoint was written under.
     ///
     /// World 0's env stream always restores from `env_rng`. A checkpoint
     /// without per-world streams (written at K = 1, or before the
@@ -1104,19 +1016,6 @@ impl Trainer {
         let run = ckpt.run.clone().ok_or_else(|| {
             TrainError::Checkpoint("checkpoint is weights-only and cannot resume a run".into())
         })?;
-        let decoded = marl_core::snapshot::decode_replay(replay_bytes.into())
-            .map_err(|e| TrainError::Checkpoint(format!("replay snapshot: {e}")))?;
-        let expected: Vec<TransitionLayout> = self
-            .obs_dims
-            .iter()
-            .zip(&self.act_dims)
-            .map(|(&od, &ad)| TransitionLayout::new(od, ad))
-            .collect();
-        if decoded.layouts() != expected || decoded.capacity() != self.config.buffer_capacity {
-            return Err(TrainError::Checkpoint(
-                "replay snapshot geometry does not match the trainer".into(),
-            ));
-        }
         let k = self.config.num_envs();
         if !run.vec_env_rngs.is_empty() && run.vec_env_rngs.len() + 1 != k {
             return Err(TrainError::Checkpoint(format!(
@@ -1132,12 +1031,13 @@ impl Trainer {
                 run.rollout_rngs.len()
             )));
         }
+        // Decoded in place, under this trainer's address map. Every check
+        // (checksum, geometry, length) runs before the first write, so a
+        // refused snapshot leaves the replay as it was.
+        marl_core::snapshot::decode_replay_into(&mut self.replay, replay_bytes)
+            .map_err(|e| TrainError::Checkpoint(format!("replay snapshot: {e}")))?;
         self.restore(ckpt)?;
         self.sampler.import_state(&run.sampler)?;
-        match &mut self.replay {
-            ReplayBackend::PerAgent(r) => *r = decoded,
-            ReplayBackend::Interleaved(s) => *s = InterleavedStore::reorganize_from(&decoded).0,
-        }
         self.rng = StdRng::from_state(run.master_rng);
         // A fresh rollout holds the fresh streams; the checkpoint's
         // streams overwrite them where it has any.
@@ -1499,6 +1399,7 @@ pub fn ip_maddpg_config(task: Task, agents: usize) -> TrainConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LayoutMode;
 
     fn quick_config(algorithm: Algorithm, task: Task, agents: usize) -> TrainConfig {
         TrainConfig::paper_defaults(algorithm, task, agents)
@@ -1571,7 +1472,6 @@ mod tests {
 
     #[test]
     fn interleaved_layout_trains_identically_in_shape() {
-        use crate::config::LayoutMode;
         let mut cfg = quick_config(Algorithm::Maddpg, Task::PredatorPrey, 3);
         cfg.warmup = 40;
         cfg.update_every = 25;
@@ -1589,29 +1489,14 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_layout_hides_per_agent_replay() {
-        use crate::config::LayoutMode;
+    fn interleaved_layout_exposes_its_time_major_replay() {
         let cfg = quick_config(Algorithm::Maddpg, Task::PredatorPrey, 3)
             .with_layout(LayoutMode::Interleaved);
         let mut t = Trainer::new(cfg).unwrap();
-        assert!(t.replay().is_none());
+        assert_eq!(t.replay().map(MultiAgentReplay::mode), Some(LayoutMode::Interleaved));
         t.prefill(100).unwrap();
-        assert_eq!(t.replay_len(), 100);
+        assert_eq!(t.replay().map(MultiAgentReplay::len), Some(100));
         t.update_all_trainers().unwrap();
-    }
-
-    #[test]
-    fn parallel_sampling_matches_serial_training() {
-        let mut cfg = quick_config(Algorithm::Maddpg, Task::PredatorPrey, 3);
-        cfg.warmup = 40;
-        cfg.update_every = 25;
-        let run = |threads: usize| {
-            let mut c = cfg;
-            c.sampling_threads = threads;
-            let mut t = Trainer::new(c).unwrap();
-            t.train().unwrap().curve.values().to_vec()
-        };
-        assert_eq!(run(1), run(3), "gather parallelism must not change results");
     }
 
     #[test]
@@ -1756,7 +1641,7 @@ mod tests {
 
             let mut first = Trainer::new(cfg.with_episodes(3)).unwrap();
             first.train().unwrap();
-            let (ckpt, replay) = first.checkpoint_full().unwrap();
+            let (ckpt, replay) = first.checkpoint_full();
 
             let mut resumed = Trainer::new(cfg).unwrap();
             resumed.restore_full(ckpt, &replay).unwrap();
@@ -1773,7 +1658,7 @@ mod tests {
     fn restore_full_rejects_weights_only_checkpoints() {
         let cfg = quick_config(Algorithm::Maddpg, Task::PredatorPrey, 3);
         let mut t = Trainer::new(cfg).unwrap();
-        let (_, replay) = t.checkpoint_full().unwrap();
+        let (_, replay) = t.checkpoint_full();
         let weights_only = t.checkpoint();
         assert!(matches!(t.restore_full(weights_only, &replay), Err(TrainError::Checkpoint(_))));
     }
@@ -1784,7 +1669,7 @@ mod tests {
         let other =
             quick_config(Algorithm::Maddpg, Task::PredatorPrey, 3).with_buffer_capacity(2048);
         let a = Trainer::new(cfg).unwrap();
-        let (ckpt, replay) = a.checkpoint_full().unwrap();
+        let (ckpt, replay) = a.checkpoint_full();
         let mut b = Trainer::new(other).unwrap();
         assert!(matches!(b.restore_full(ckpt, &replay), Err(TrainError::Checkpoint(_))));
     }

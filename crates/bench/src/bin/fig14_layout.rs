@@ -13,7 +13,7 @@
 use marl_algo::Task;
 use marl_bench::{env_agents, env_usize, maybe_json, synthetic_replay, PAPER_BATCH};
 use marl_core::config::SamplerConfig;
-use marl_core::layout::InterleavedStore;
+use marl_core::multi::{LayoutMode, MultiAgentReplay};
 use marl_perf::report::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,20 +75,24 @@ fn main() {
                 best
             };
 
-            // Baseline: per-agent buffers, common indices, O(N·m) gathers
-            // per trainer.
+            // Baseline: the agent-major map, common indices, O(N·m) row
+            // reads per trainer.
             let baseline = time_iterations(&mut |plan| {
                 std::hint::black_box(replay.sample(plan).expect("sample"));
             });
 
-            // Interleaved key-value layout: a periodic reshape, then O(m)
-            // gathers. Reshape cost = best of three (first run pays
-            // allocator page faults that a steady-state trainer would not).
-            let (store, _report) = InterleavedStore::reorganize_from(&replay);
+            // The time-major map (the interleaved key-value layout): a
+            // periodic reshape, then O(m) fat-row gathers. Reshape cost =
+            // best of three (first run pays allocator page faults that a
+            // steady-state trainer would not).
+            let store = MultiAgentReplay::reorganize_from(&replay, LayoutMode::Interleaved);
             let mut reshape = std::time::Duration::MAX;
             for _ in 0..3 {
                 let t0 = Instant::now();
-                std::hint::black_box(InterleavedStore::reorganize_from(&replay));
+                std::hint::black_box(MultiAgentReplay::reorganize_from(
+                    &replay,
+                    LayoutMode::Interleaved,
+                ));
                 reshape = reshape.min(t0.elapsed());
             }
             let layout = time_iterations(&mut |plan| {

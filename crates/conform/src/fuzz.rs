@@ -433,7 +433,7 @@ mod tests {
                 .collect();
             r.push_step(&step).unwrap();
         }
-        encode_replay(&r).to_vec()
+        encode_replay(&r)
     }
 
     #[test]
@@ -453,7 +453,7 @@ mod tests {
         let m = Mutation::CorruptLengthField { field: 1, value: u64::MAX };
         let bad = apply_mutation(&bytes, &m, Format::SnapshotV2);
         assert_ne!(bad, bytes);
-        let err = decode_replay(bad.into()).unwrap_err();
+        let err = decode_replay(&bad).unwrap_err();
         // The CRC was re-patched, so the error must come from a bounds
         // check behind the checksum, not the checksum itself.
         assert!(!matches!(err, SnapshotError::ChecksumMismatch { .. }), "{err:?}");
@@ -464,7 +464,7 @@ mod tests {
         let bytes = snapshot_bytes(2, 4);
         let m = Mutation::CrcPreservingSwap { a: 3, b: 47 };
         let bad = apply_mutation(&bytes, &m, Format::SnapshotV2);
-        match decode_replay(bad.into()) {
+        match decode_replay(&bad) {
             Ok(_) => {} // a swap can be structurally harmless
             Err(e) => {
                 assert!(!matches!(e, SnapshotError::ChecksumMismatch { .. }), "{e:?}");
@@ -477,13 +477,10 @@ mod tests {
         let mut bytes = snapshot_bytes(1, 3);
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
-        assert!(matches!(
-            decode_replay(bytes.clone().into()),
-            Err(SnapshotError::ChecksumMismatch { .. })
-        ));
+        assert!(matches!(decode_replay(&bytes), Err(SnapshotError::ChecksumMismatch { .. })));
         patch_crc(&mut bytes, Format::SnapshotV2);
         // Checksum-valid again; the flipped float decodes fine.
-        decode_replay(bytes.into()).unwrap();
+        decode_replay(&bytes).unwrap();
     }
 
     #[test]
@@ -496,7 +493,7 @@ mod tests {
         ] {
             // Arbitrary positions are reduced into range — no panics.
             let out = apply_mutation(&bytes, &m, Format::SnapshotV2);
-            let _ = decode_replay(out.into());
+            let _ = decode_replay(&out);
         }
         assert!(apply_mutation(
             &[],
@@ -510,7 +507,7 @@ mod tests {
     fn v1_reframe_decodes_and_walks() {
         let v2 = snapshot_bytes(2, 3);
         let v1 = snapshot_v1_from_v2(&v2);
-        assert_eq!(decode_replay(v1.clone().into()).unwrap().agent_count(), 2);
+        assert_eq!(decode_replay(&v1).unwrap().agent_count(), 2);
         assert_eq!(length_field_offsets(&v1, Format::SnapshotV1).len(), 6);
     }
 

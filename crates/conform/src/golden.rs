@@ -344,6 +344,21 @@ mod tests {
         assert!(err.contains("expected 8 fields"), "{err}");
     }
 
+    /// A trace recorded while `TrainConfig` still had `sampling_threads`
+    /// names it in its header; such a header is refused, naming the field.
+    #[test]
+    fn a_header_naming_sampling_threads_is_refused() {
+        let text = serialize_trace(&config(), &[]);
+        let old =
+            text.replacen("\"update_threads\":", "\"sampling_threads\":1,\"update_threads\":", 1);
+        assert_ne!(old, text);
+        let err = parse_trace(&old).unwrap_err();
+        assert!(
+            err.contains("line 2") && err.contains("unknown field `sampling_threads`"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn divergence_names_step_and_field() {
         let a = vec![digest(0, 10), digest(1, 20), digest(2, 30)];

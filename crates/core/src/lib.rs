@@ -5,8 +5,12 @@
 //! *"Characterizing and Optimizing the End-to-End Performance of
 //! Multi-Agent Reinforcement Learning Systems"* (IISWC 2024).
 //!
-//! * [`storage`] / [`multi`] — per-agent flat ring buffers pushed in
-//!   lockstep and sampled with a common indices array (Figure 5).
+//! * [`multi`] — the replay store: every agent's ring of transitions,
+//!   pushed in lockstep and sampled with a common indices array
+//!   (Figure 5). Its address map is chosen at construction: agent-major
+//!   (the baseline) or time-major, the paper's transition data layout
+//!   reorganization into an interleaved key-value store (Section IV-B2,
+//!   `O(N·m)` → `O(m)` gathers).
 //! * [`sampler::uniform`] — the baseline random mini-batch sampling.
 //! * [`sampler::locality`] — intra-agent cache locality-aware neighbor
 //!   sampling (Algorithm 1).
@@ -15,8 +19,8 @@
 //! * [`sampler::ip_locality`] — information-prioritized locality-aware
 //!   sampling: priority-chosen reference points + the threshold neighbor
 //!   predictor.
-//! * [`layout`] — transition data layout reorganization into an
-//!   interleaved key-value store (`O(N·m)` → `O(m)` gathers).
+//! * [`snapshot`] — the layout-free binary replay snapshot, restored in
+//!   place into either address map.
 //! * [`stats`] — access-pattern statistics feeding the cache/TLB model.
 //!
 //! ## Quickstart
@@ -58,20 +62,16 @@ pub mod config;
 pub mod crc32;
 pub mod error;
 pub mod indices;
-pub mod layout;
 pub mod multi;
 pub mod sampler;
 pub mod snapshot;
 pub mod stats;
-pub mod storage;
 pub mod sumtree;
 pub mod transition;
 
 pub use config::SamplerConfig;
 pub use error::ReplayError;
 pub use indices::{SamplePlan, Segment};
-pub use layout::InterleavedStore;
-pub use multi::MultiAgentReplay;
+pub use multi::{LayoutMode, MultiAgentReplay};
 pub use sampler::{Sampler, SamplerState};
-pub use storage::ReplayStorage;
 pub use transition::{AgentBatch, MultiBatch, Transition, TransitionLayout, TransitionRef};

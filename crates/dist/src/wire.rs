@@ -844,6 +844,39 @@ mod tests {
         }
     }
 
+    /// A `Welcome` from a learner whose `TrainConfig` still had
+    /// `sampling_threads` is refused with a protocol error naming the
+    /// field.
+    #[test]
+    fn a_welcome_naming_sampling_threads_is_refused() {
+        use marl_algo::{Algorithm, Task};
+        let welcome = Welcome {
+            worker_id: 0,
+            epoch: 0,
+            config: TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3),
+            agents: Vec::new(),
+            master_rng: [1, 2, 3, 4],
+            env_rng: None,
+            env_steps: 0,
+            samples_since_update: 0,
+            replay_len: 0,
+            episodes: 1,
+            lockstep: true,
+            steps_per_frame: 1,
+        };
+        let json = serde_json::to_string(&welcome).unwrap();
+        assert!(get_json::<Welcome>(json.as_bytes()).is_ok());
+        let old =
+            json.replacen(",\"update_threads\":", ",\"sampling_threads\":1,\"update_threads\":", 1);
+        assert_ne!(old, json);
+        match get_json::<Welcome>(old.as_bytes()) {
+            Err(DistError::Protocol(msg)) => {
+                assert!(msg.contains("unknown field `sampling_threads`"), "{msg}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn heartbeat_ack_roundtrips_at_kind_12() {
         let ack = Msg::HeartbeatAck(HeartbeatAck {

@@ -9,8 +9,7 @@
 //! ```
 
 use marl_repro::core::config::SamplerConfig;
-use marl_repro::core::layout::InterleavedStore;
-use marl_repro::core::multi::MultiAgentReplay;
+use marl_repro::core::multi::{LayoutMode, MultiAgentReplay};
 use marl_repro::core::transition::{Transition, TransitionLayout};
 use marl_repro::perf::report::Table;
 use rand::rngs::StdRng;
@@ -83,10 +82,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ]);
     }
 
-    // Layout reorganization: interleaved store, O(m) gathers.
+    // Layout reorganization: the time-major map, O(m) fat-row gathers.
     {
         let t_reorg = Instant::now();
-        let (store, report) = InterleavedStore::reorganize_from(&replay);
+        let store = MultiAgentReplay::reorganize_from(&replay, LayoutMode::Interleaved);
         let reorg_ms = t_reorg.elapsed().as_secs_f64() * 1e3;
         let mut sampler = SamplerConfig::Uniform.build(ROWS);
         let mut rng = StdRng::seed_from_u64(0);
@@ -107,7 +106,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ]);
         println!(
             "(one-time layout reorganization: {:.1} ms for {} rows x {} agents)",
-            reorg_ms, report.rows, report.agents
+            reorg_ms,
+            store.len(),
+            store.agent_count()
         );
     }
 

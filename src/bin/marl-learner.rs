@@ -298,7 +298,7 @@ mod tests {
 
     /// Every shared training and telemetry flag, each off its default.
     const SHARED: &str = "--algo matd3 --scenario cn --agents 4 --sampler per-reuse:4 \
-        --layout interleaved --episodes 9 --batch 32 --capacity 4096 --threads 2 \
+        --layout interleaved --episodes 9 --batch 32 --capacity 4096 \
         --update-threads 2 --seed 7 --num-envs 2 --trace-out t.json \
         --metrics-out m.jsonl --metrics-every 3 --prometheus-out p.prom \
         --span-capacity 512 --hw-counters";

@@ -171,10 +171,8 @@ fn main() -> ExitCode {
     if let Some(path) = checkpoint_out {
         // A checkpoint the user asked for must actually be durable: any
         // serialization or I/O failure is fatal, not a warning.
-        let written = trainer
-            .checkpoint_full()
-            .and_then(|(ckpt, replay)| write_checkpoint_file(Path::new(&path), &ckpt, &replay));
-        match written {
+        let (ckpt, replay) = trainer.checkpoint_full();
+        match write_checkpoint_file(Path::new(&path), &ckpt, &replay) {
             Ok(()) => println!("checkpoint written to {path}"),
             Err(e) => {
                 eprintln!("error: {e}");
@@ -195,7 +193,7 @@ mod tests {
 
     /// Every shared training and telemetry flag, each off its default.
     const SHARED: &str = "--algo matd3 --scenario cn --agents 4 --sampler per-reuse:4 \
-        --layout interleaved --episodes 9 --batch 32 --capacity 4096 --threads 2 \
+        --layout interleaved --episodes 9 --batch 32 --capacity 4096 \
         --update-threads 2 --seed 7 --num-envs 2 --trace-out t.json \
         --metrics-out m.jsonl --metrics-every 3 --prometheus-out p.prom \
         --span-capacity 512 --hw-counters";

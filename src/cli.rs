@@ -42,9 +42,9 @@ training flags (the same in marl-train and marl-learner):
   --batch B                mini-batch size (default 256; warmup is 2B,
                            clamped to half the capacity)
   --capacity C             replay capacity in rows (default 50000)
-  --threads T              worker threads for each mini-batch gather (default 1)
-  --update-threads U       worker threads for the per-agent critic/actor
-                           updates (default 1; results are identical for any U)
+  --update-threads U       worker threads for the per-agent gathers and
+                           critic/actor updates (default 1; results are
+                           identical for any U)
   --seed S                 experiment seed (default 0)
   --num-envs K             step K environment worlds per rollout iteration over
                            SoA physics with batched inference (default 1;
@@ -158,7 +158,6 @@ pub fn parse(
             "--episodes" => c.episodes = num(it, flag)?,
             "--batch" => c.batch_size = num(it, flag)?,
             "--capacity" => c.buffer_capacity = num(it, flag)?,
-            "--threads" => c.sampling_threads = num(it, flag)?,
             "--update-threads" => c.update_threads = num(it, flag)?,
             "--seed" => c.seed = num(it, flag)?,
             "--num-envs" => {
@@ -250,7 +249,7 @@ mod tests {
     }
 
     /// One valid value (or none, for a switch) per flag named in [`HELP`].
-    const EXAMPLES: [(&str, Option<&str>); 18] = [
+    const EXAMPLES: [(&str, Option<&str>); 17] = [
         ("--algo", Some("matd3")),
         ("--scenario", Some("cn")),
         ("--agents", Some("6")),
@@ -259,7 +258,6 @@ mod tests {
         ("--episodes", Some("12")),
         ("--batch", Some("32")),
         ("--capacity", Some("4096")),
-        ("--threads", Some("2")),
         ("--update-threads", Some("2")),
         ("--seed", Some("7")),
         ("--num-envs", Some("4")),

@@ -1,18 +1,19 @@
 //! Proves the zero-allocation claims of the update pipeline and the
 //! rollout loop: once the persistent scratch arenas are warmed up,
 //! `update_all_trainers` and whole `run_episode` calls (K = 1 and K = 4)
-//! perform no heap allocations on the serial path.
+//! perform no heap allocations on the serial path, under both address
+//! maps of the replay store (agent-major and time-major).
 //!
 //! A counting wrapper around the system allocator is armed only around
 //! the measured updates, so test-harness and warm-up allocations are not
-//! counted. The parallel paths (`update_threads > 1`,
-//! `sampling_threads > 1`) spawn scoped threads and are exempt by
-//! design; this test pins both to 1.
+//! counted. `update_threads > 1` spawns scoped threads and is exempt by
+//! design; this test pins it to 1.
 //!
 //! Arming is per thread: only the measuring test's own thread is
 //! counted, so other tests' warm-ups and the harness's result printing
 //! cannot land in an armed window.
 
+use marl_repro::algo::LayoutMode;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -68,16 +69,22 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// [`marl_repro::obs::Telemetry`] first — span recording, metric
 /// atomics, and hardware-counter windows must all stay off the heap.
 fn assert_zero_alloc_updates(telemetry: bool, seed: u64) {
+    for layout in [LayoutMode::PerAgent, LayoutMode::Interleaved] {
+        assert_zero_alloc_updates_on(layout, telemetry, seed);
+    }
+}
+
+fn assert_zero_alloc_updates_on(layout: LayoutMode, telemetry: bool, seed: u64) {
     use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
     use marl_repro::core::SamplerConfig;
 
-    let mut cfg = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3)
+    let cfg = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3)
         .with_batch_size(32)
         .with_buffer_capacity(4096)
         .with_sampler(SamplerConfig::Uniform)
+        .with_layout(layout)
         .with_update_threads(1)
         .with_seed(seed);
-    cfg.sampling_threads = 1;
     let mut t = Trainer::new(cfg).unwrap();
     if telemetry {
         // No sinks: sinks flush only at episode boundaries, which this
@@ -106,7 +113,8 @@ fn assert_zero_alloc_updates(telemetry: bool, seed: u64) {
     assert_eq!(
         counts,
         (0, 0),
-        "steady-state update_all_trainers must not touch the heap (telemetry: {telemetry})"
+        "steady-state update_all_trainers must not touch the heap \
+         ({layout:?}, telemetry: {telemetry})"
     );
     assert_eq!(t.update_iterations(), 8);
 }
@@ -120,15 +128,18 @@ fn assert_zero_alloc_rollout(telemetry: bool, seed: u64) {
     use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
     use marl_repro::core::SamplerConfig;
 
-    for k in [1usize, 4] {
+    let cells = [1usize, 4]
+        .into_iter()
+        .flat_map(|k| [LayoutMode::PerAgent, LayoutMode::Interleaved].map(|l| (k, l)));
+    for (k, layout) in cells {
         let mut cfg = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3)
             .with_batch_size(32)
             .with_buffer_capacity(4096)
             .with_sampler(SamplerConfig::Uniform)
+            .with_layout(layout)
             .with_update_threads(1)
             .with_num_envs(k)
             .with_seed(seed);
-        cfg.sampling_threads = 1;
         cfg.warmup = 64;
         let mut t = Trainer::new(cfg).unwrap();
         if telemetry {
@@ -155,7 +166,8 @@ fn assert_zero_alloc_rollout(telemetry: bool, seed: u64) {
         assert_eq!(
             counts,
             (0, 0),
-            "steady-state rollout at K={k} must not touch the heap (telemetry: {telemetry})"
+            "steady-state rollout at K={k} must not touch the heap \
+             ({layout:?}, telemetry: {telemetry})"
         );
     }
 }

@@ -5,7 +5,7 @@
 use marl_repro::algo::checkpoint::{
     decode_checkpoint_file, load_checkpoint_with_fallback, write_checkpoint_file,
 };
-use marl_repro::algo::{Algorithm, Task, TrainConfig, TrainError, Trainer};
+use marl_repro::algo::{Algorithm, LayoutMode, Task, TrainConfig, TrainError, Trainer};
 use marl_repro::core::SamplerConfig;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -43,29 +43,34 @@ fn weights_json(t: &Trainer) -> String {
 /// N episodes straight vs. N/2 → checkpoint file → fresh process image
 /// (fresh trainer) → restore → N/2 more. Rewards and weights must be
 /// bitwise equal for both algorithms and both a stateless and a
-/// prioritized sampler.
+/// prioritized sampler, for a run on the time-major replay map, and for a
+/// run checkpointed on the agent-major map and resumed on the time-major
+/// one.
 #[test]
 fn resume_from_file_is_bitwise_identical() {
     let _guard = updates_lock();
-    for (algorithm, sampler, tag) in [
-        (Algorithm::Maddpg, SamplerConfig::Uniform, "maddpg_uniform"),
-        (Algorithm::Maddpg, SamplerConfig::IpLocality, "maddpg_ip"),
-        (Algorithm::Matd3, SamplerConfig::Uniform, "matd3_uniform"),
-        (Algorithm::Matd3, SamplerConfig::IpLocality, "matd3_ip"),
+    let (per, tm) = (LayoutMode::PerAgent, LayoutMode::Interleaved);
+    for (algorithm, sampler, saved_under, resumed_under, tag) in [
+        (Algorithm::Maddpg, SamplerConfig::Uniform, per, per, "maddpg_uniform"),
+        (Algorithm::Maddpg, SamplerConfig::IpLocality, per, per, "maddpg_ip"),
+        (Algorithm::Matd3, SamplerConfig::Uniform, per, per, "matd3_uniform"),
+        (Algorithm::Matd3, SamplerConfig::IpLocality, per, per, "matd3_ip"),
+        (Algorithm::Maddpg, SamplerConfig::Per, tm, tm, "maddpg_per_time_major"),
+        (Algorithm::Matd3, SamplerConfig::IpLocality, per, tm, "matd3_ip_cross_map"),
     ] {
-        let cfg = config(algorithm, sampler);
+        let cfg = config(algorithm, sampler).with_layout(saved_under);
         let mut straight = Trainer::new(cfg).unwrap();
         let full = straight.train().unwrap();
 
         let mut first = Trainer::new(cfg.with_episodes(3)).unwrap();
         first.train().unwrap();
-        let (ckpt, replay) = first.checkpoint_full().unwrap();
+        let (ckpt, replay) = first.checkpoint_full();
         let path = tmp_path(&format!("resume_{tag}.bin"));
         write_checkpoint_file(&path, &ckpt, &replay).unwrap();
 
         let (ckpt, replay, from_prev) = load_checkpoint_with_fallback(&path).unwrap();
         assert!(!from_prev);
-        let mut resumed = Trainer::new(cfg).unwrap();
+        let mut resumed = Trainer::new(cfg.with_layout(resumed_under)).unwrap();
         resumed.restore_full(ckpt, &replay).unwrap();
         assert_eq!(resumed.episodes_done(), 3, "{tag}");
         let rest = resumed.train().unwrap();
@@ -83,10 +88,10 @@ fn rotation_keeps_the_previous_checkpoint() {
     let mut t = Trainer::new(config(Algorithm::Maddpg, SamplerConfig::Uniform)).unwrap();
     t.prefill(100).unwrap();
     let path = tmp_path("rotate.bin");
-    let (first, first_replay) = t.checkpoint_full().unwrap();
+    let (first, first_replay) = t.checkpoint_full();
     write_checkpoint_file(&path, &first, &first_replay).unwrap();
     t.prefill(100).unwrap();
-    let (second, second_replay) = t.checkpoint_full().unwrap();
+    let (second, second_replay) = t.checkpoint_full();
     write_checkpoint_file(&path, &second, &second_replay).unwrap();
 
     let prev = PathBuf::from(format!("{}.prev", path.display()));
@@ -109,10 +114,10 @@ fn corrupt_live_file_falls_back_to_prev() {
     let mut t = Trainer::new(config(Algorithm::Maddpg, SamplerConfig::Uniform)).unwrap();
     t.prefill(150).unwrap();
     let path = tmp_path("fallback.bin");
-    let (ckpt, replay) = t.checkpoint_full().unwrap();
+    let (ckpt, replay) = t.checkpoint_full();
     write_checkpoint_file(&path, &ckpt, &replay).unwrap();
     t.prefill(50).unwrap();
-    let (ckpt2, replay2) = t.checkpoint_full().unwrap();
+    let (ckpt2, replay2) = t.checkpoint_full();
     write_checkpoint_file(&path, &ckpt2, &replay2).unwrap();
 
     // Flip one payload bit in the live file.
@@ -136,7 +141,7 @@ fn truncated_live_file_falls_back_to_prev() {
     let mut t = Trainer::new(config(Algorithm::Maddpg, SamplerConfig::Uniform)).unwrap();
     t.prefill(80).unwrap();
     let path = tmp_path("truncated.bin");
-    let (ckpt, replay) = t.checkpoint_full().unwrap();
+    let (ckpt, replay) = t.checkpoint_full();
     write_checkpoint_file(&path, &ckpt, &replay).unwrap();
     write_checkpoint_file(&path, &ckpt, &replay).unwrap();
     let bytes = std::fs::read(&path).unwrap();
@@ -214,7 +219,7 @@ fn small_checkpoint_bytes() -> Vec<u8> {
         Trainer::new(config(Algorithm::Maddpg, SamplerConfig::Uniform).with_buffer_capacity(256))
             .unwrap();
     t.prefill(20).unwrap();
-    let (ckpt, replay) = t.checkpoint_full().unwrap();
+    let (ckpt, replay) = t.checkpoint_full();
     marl_repro::algo::checkpoint::encode_checkpoint_file(&ckpt, &replay).unwrap()
 }
 

@@ -86,12 +86,12 @@ fn replay_stays_aligned_with_environment_dimensions() {
         Trainer::new(quick(Algorithm::Maddpg, Task::PredatorPrey, 6, SamplerConfig::Uniform))
             .unwrap();
     trainer.prefill(300).unwrap();
-    let replay = trainer.replay().expect("per-agent layout exposes the replay");
+    let replay = trainer.replay().expect("the trainer exposes its replay");
     assert_eq!(replay.agent_count(), 6);
     assert_eq!(replay.len(), 300);
     let env = Task::PredatorPrey.make_env(6, 25, 0);
-    for (buffer_idx, space) in env.observation_spaces().iter().enumerate() {
-        assert_eq!(replay.buffer(buffer_idx).layout().obs_dim, space.dim);
+    for (layout, space) in replay.layouts().iter().zip(env.observation_spaces()) {
+        assert_eq!(layout.obs_dim, space.dim);
     }
 }
 
@@ -109,7 +109,7 @@ fn physical_deception_trains_with_heterogeneous_observations() {
     let report = trainer.train().unwrap();
     assert!(report.update_iterations > 0);
     let replay = trainer.replay().unwrap();
-    let dims: Vec<usize> = (0..3).map(|a| replay.buffer(a).layout().obs_dim).collect();
+    let dims: Vec<usize> = replay.layouts().iter().map(|l| l.obs_dim).collect();
     assert_eq!(dims, vec![8, 10, 10]);
 }
 

@@ -198,7 +198,7 @@ fn injected_io_error_fails_the_write_cleanly() {
     let path = tmp_path("io_error.bin");
     let mut t = Trainer::new(config(SamplerConfig::Uniform)).unwrap();
     t.prefill(80).unwrap();
-    let (ckpt, replay) = t.checkpoint_full().unwrap();
+    let (ckpt, replay) = t.checkpoint_full();
     write_checkpoint_file(&path, &ckpt, &replay).unwrap();
 
     failpoint::arm("checkpoint::write", Fault::Io);
@@ -441,12 +441,12 @@ fn injected_corruption_is_caught_and_prev_restores() {
         let path = tmp_path(&format!("corrupt_{fault:?}.bin"));
         let mut t = Trainer::new(config(SamplerConfig::Uniform)).unwrap();
         t.prefill(100).unwrap();
-        let (ckpt, replay) = t.checkpoint_full().unwrap();
+        let (ckpt, replay) = t.checkpoint_full();
         write_checkpoint_file(&path, &ckpt, &replay).unwrap();
 
         failpoint::arm("checkpoint::write", fault);
         t.prefill(20).unwrap();
-        let (ckpt2, replay2) = t.checkpoint_full().unwrap();
+        let (ckpt2, replay2) = t.checkpoint_full();
         write_checkpoint_file(&path, &ckpt2, &replay2).unwrap();
 
         let (loaded, loaded_replay, from_prev) = load_checkpoint_with_fallback(&path).unwrap();

@@ -115,6 +115,32 @@ fn every_golden_header_is_the_config_it_was_recorded_from() {
     assert_eq!(on_disk, names);
 }
 
+/// The replay's address map changes no bit: for each of the 8
+/// algorithm × sampler pairs, the committed time-major trace carries the
+/// same digest lines (line 3 on) as its agent-major twin; only the
+/// `# config:` header, which names the layout, differs.
+#[test]
+fn interleaved_goldens_carry_their_per_agent_twins_digests() {
+    let read = |name: &str| {
+        let path = golden::golden_dir().join(format!("{name}.trace"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    let mut pairs = 0;
+    for (name, cfg) in matrix_cases() {
+        let Some(stem) = name.strip_suffix("_per_agent") else {
+            assert_eq!(cfg.layout, LayoutMode::Interleaved, "{name}");
+            continue;
+        };
+        let (per, tm) = (read(&name), read(&format!("{stem}_interleaved")));
+        let digests = |text: &str| text.lines().skip(2).map(String::from).collect::<Vec<_>>();
+        assert!(!digests(&per).is_empty(), "{name}: no digest lines");
+        assert_eq!(digests(&tm), digests(&per), "{stem}: the layout moved a digest");
+        assert_ne!(per.lines().nth(1), tm.lines().nth(1), "{stem}: headers must name the layout");
+        pairs += 1;
+    }
+    assert_eq!(pairs, 8);
+}
+
 /// Recording twice under one configuration yields identical digest
 /// chains — the trace is a pure function of the config, so the committed
 /// goldens can only fail when behaviour actually changes.

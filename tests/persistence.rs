@@ -1,7 +1,7 @@
 //! Integration tests of the persistence features: trainer checkpoints and
 //! binary replay snapshots surviving a full save/restore cycle.
 
-use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
+use marl_repro::algo::{Algorithm, LayoutMode, Task, TrainConfig, Trainer};
 use marl_repro::core::snapshot::{decode_replay, encode_replay};
 use marl_repro::core::SamplerConfig;
 
@@ -43,27 +43,30 @@ fn checkpoint_json_roundtrip_through_disk_format() {
     }
 }
 
+/// Trained under either address map, the replay snapshots to the same
+/// bytes, and the decoded copy holds every stored row.
 #[test]
 fn replay_snapshot_roundtrip_after_training() {
-    let mut t = Trainer::new(config()).unwrap();
-    t.train().unwrap();
-    let replay = t.replay().expect("per-agent layout");
-    let bytes = encode_replay(replay);
-    assert!(bytes.len() > 100, "snapshot should carry payload");
-    let restored = decode_replay(bytes).unwrap();
-    assert_eq!(restored.len(), replay.len());
-    assert_eq!(restored.agent_count(), replay.agent_count());
-    assert_eq!(restored.next_slot(), replay.next_slot());
-    // Every stored transition identical.
-    for a in 0..replay.agent_count() {
-        for slot in 0..replay.len() {
-            assert_eq!(
-                restored.buffer(a).transition(slot),
-                replay.buffer(a).transition(slot),
-                "agent {a} slot {slot}"
-            );
+    let snapshot = |layout: LayoutMode| {
+        let mut t = Trainer::new(config().with_layout(layout)).unwrap();
+        t.train().unwrap();
+        let replay = t.replay().expect("the trainer's replay");
+        assert_eq!(replay.mode(), layout);
+        let bytes = encode_replay(replay);
+        assert!(bytes.len() > 100, "snapshot should carry payload");
+        let restored = decode_replay(&bytes).unwrap();
+        assert_eq!(restored.len(), replay.len());
+        assert_eq!(restored.agent_count(), replay.agent_count());
+        assert_eq!(restored.next_slot(), replay.next_slot());
+        // Every stored transition identical.
+        for a in 0..replay.agent_count() {
+            for slot in 0..replay.len() {
+                assert_eq!(restored.row(a, slot), replay.row(a, slot), "agent {a} slot {slot}");
+            }
         }
-    }
+        bytes
+    };
+    assert_eq!(snapshot(LayoutMode::PerAgent), snapshot(LayoutMode::Interleaved));
 }
 
 #[test]
@@ -74,7 +77,7 @@ fn snapshot_of_wrapped_training_buffer() {
     t.prefill(1500).unwrap(); // wraps the 1024 ring
     let replay = t.replay().unwrap();
     assert_eq!(replay.len(), 1024);
-    let restored = decode_replay(encode_replay(replay)).unwrap();
+    let restored = decode_replay(&encode_replay(replay)).unwrap();
     assert_eq!(restored.next_slot(), replay.next_slot());
-    assert_eq!(restored.buffer(2).transition(1000), replay.buffer(2).transition(1000));
+    assert_eq!(restored.row(2, 1000), replay.row(2, 1000));
 }

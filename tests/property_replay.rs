@@ -1,13 +1,14 @@
 //! Property-based tests (proptest) on the replay/sampling core: data
-//! integrity, plan bounds, layout equivalence, and sum-tree invariants
-//! under arbitrary operation sequences.
+//! integrity, plan bounds, the equivalence of the replay store's two
+//! address maps, and sum-tree invariants under arbitrary operation
+//! sequences.
 
 use marl_repro::core::config::SamplerConfig;
-use marl_repro::core::indices::SamplePlan;
-use marl_repro::core::layout::InterleavedStore;
-use marl_repro::core::multi::MultiAgentReplay;
+use marl_repro::core::indices::{SamplePlan, Segment};
+use marl_repro::core::multi::{LayoutMode, MultiAgentReplay};
+use marl_repro::core::snapshot::{decode_replay, decode_replay_into, encode_replay};
 use marl_repro::core::sumtree::SumTree;
-use marl_repro::core::transition::{Transition, TransitionLayout};
+use marl_repro::core::transition::{MultiBatch, Transition, TransitionLayout};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,7 +45,7 @@ proptest! {
         // The slot for time t (if still stored) is t % capacity.
         let newest = pushes - 1;
         let slot = newest % capacity;
-        let got = replay.buffer(0).transition(slot);
+        let got = Transition::from_row(&layouts[0], replay.row(0, slot));
         prop_assert_eq!(got.reward, (newest * 10) as f32);
     }
 
@@ -83,29 +84,79 @@ proptest! {
         }
     }
 
-    /// The interleaved layout agrees with the per-agent layout on every
-    /// plan, for arbitrary pushes (including ring wraparound).
+    /// The two address maps are one store: for heterogeneous agent
+    /// layouts, any capacity, pushes that wrap the ring and arbitrary
+    /// plans of single rows and runs, the agent-major and time-major maps
+    /// give identical `sample_into` batches, identical `sample_many_into`
+    /// batches at 1–3 threads, identical snapshot bytes, identical
+    /// restores of that snapshot into either map, and identical map-to-map
+    /// copies, ring cursor included.
     #[test]
     fn layout_equivalence(
-        capacity in 8usize..64,
-        pushes in 8usize..150,
-        indices in proptest::collection::vec(0usize..8, 1..32),
+        widths in proptest::collection::vec((1usize..6, 1usize..4), 1..5),
+        capacity in 1usize..48,
+        pushes in 1usize..150,
+        plans in proptest::collection::vec(
+            proptest::collection::vec((0usize..1000, 1usize..5), 1..12),
+            1..4,
+        ),
     ) {
-        let layouts = vec![TransitionLayout::new(5, 3); 3];
-        let mut replay = MultiAgentReplay::new(&layouts, capacity);
-        let mut store = InterleavedStore::new(&layouts, capacity);
+        let layouts: Vec<TransitionLayout> =
+            widths.iter().map(|&(o, a)| TransitionLayout::new(o, a)).collect();
+        let n = layouts.len();
+        let mut per = MultiAgentReplay::with_mode(&layouts, capacity, LayoutMode::PerAgent);
+        let mut tm = MultiAgentReplay::with_mode(&layouts, capacity, LayoutMode::Interleaved);
         for t in 0..pushes {
             let step: Vec<Transition> =
-                (0..3).map(|a| transition(&layouts[a], (t * 10 + a) as f32)).collect();
-            replay.push_step(&step).unwrap();
-            store.push_step(&step).unwrap();
+                (0..n).map(|a| transition(&layouts[a], (t * 10 + a) as f32)).collect();
+            prop_assert_eq!(per.push_step(&step).unwrap(), tm.push_step(&step).unwrap());
         }
-        let len = replay.len();
-        let idx: Vec<usize> = indices.into_iter().map(|i| i % len).collect();
-        let plan = SamplePlan::from_indices(&idx);
-        let a = replay.sample(&plan).unwrap();
-        let b = store.sample(&plan).unwrap();
-        prop_assert_eq!(a.agents, b.agents);
+        let len = per.len();
+        // Segments of one row or a run, clamped into the stored rows.
+        let plans: Vec<SamplePlan> = plans
+            .iter()
+            .map(|segs| SamplePlan {
+                segments: segs
+                    .iter()
+                    .map(|&(start, run)| {
+                        let run = run.min(len);
+                        Segment::run(start % (len - run + 1), run)
+                    })
+                    .collect(),
+                weights: None,
+            })
+            .collect();
+
+        for plan in &plans {
+            prop_assert_eq!(per.sample(plan).unwrap(), tm.sample(plan).unwrap());
+        }
+        let expect: Vec<MultiBatch> = plans.iter().map(|p| per.sample(p).unwrap()).collect();
+        for threads in 1..=3 {
+            for store in [&per, &tm] {
+                let mut outs = vec![MultiBatch::preallocate(&layouts, 1); plans.len()];
+                store.sample_many_into(&plans, &mut outs, threads).unwrap();
+                prop_assert_eq!(&outs, &expect, "{:?} threads={}", store.mode(), threads);
+            }
+        }
+
+        let bytes = encode_replay(&per);
+        prop_assert_eq!(&encode_replay(&tm), &bytes);
+        for mode in [LayoutMode::PerAgent, LayoutMode::Interleaved] {
+            let mut restored = MultiAgentReplay::with_mode(&layouts, capacity, mode);
+            decode_replay_into(&mut restored, &bytes).unwrap();
+            prop_assert_eq!(restored.next_slot(), per.next_slot());
+            prop_assert_eq!(&encode_replay(&restored), &bytes);
+            for plan in &plans {
+                prop_assert_eq!(restored.sample(plan).unwrap(), per.sample(plan).unwrap());
+            }
+        }
+
+        for (src, mode) in [(&per, LayoutMode::Interleaved), (&tm, LayoutMode::PerAgent)] {
+            let copy = MultiAgentReplay::reorganize_from(src, mode);
+            prop_assert_eq!(copy.mode(), mode);
+            prop_assert_eq!((copy.len(), copy.next_slot()), (src.len(), src.next_slot()));
+            prop_assert_eq!(&encode_replay(&copy), &bytes);
+        }
     }
 
     /// Sum-tree invariant: the root always equals the sum of the leaves,
@@ -140,7 +191,6 @@ proptest! {
         flips in proptest::collection::vec((0usize..4096, any::<u8>()), 1..16),
         pushes in 1usize..20,
     ) {
-        use marl_repro::core::snapshot::{decode_replay, encode_replay};
         let layouts = vec![TransitionLayout::new(4, 2); 2];
         let mut replay = MultiAgentReplay::new(&layouts, 32);
         for t in 0..pushes {
@@ -149,14 +199,14 @@ proptest! {
             replay.push_step(&step).unwrap();
         }
         let good = encode_replay(&replay);
-        let mut bad = good.to_vec();
+        let mut bad = good.clone();
         for (pos, byte) in flips {
             let i = pos % bad.len();
             bad[i] = byte;
         }
         // Must terminate without panicking; content equality only required
         // when the bytes happen to still be valid.
-        let _ = decode_replay(bytes::Bytes::from(bad));
+        let _ = decode_replay(&bad);
     }
 
     /// With V2 framing (CRC-32 over the body), *every* single-bit flip in
@@ -168,7 +218,6 @@ proptest! {
         bit in 0u8..8,
         pushes in 1usize..20,
     ) {
-        use marl_repro::core::snapshot::{decode_replay, encode_replay};
         let layouts = vec![TransitionLayout::new(4, 2); 2];
         let mut replay = MultiAgentReplay::new(&layouts, 32);
         for t in 0..pushes {
@@ -176,17 +225,16 @@ proptest! {
                 (0..2).map(|a| transition(&layouts[a], (t * 10 + a) as f32)).collect();
             replay.push_step(&step).unwrap();
         }
-        let mut bad = encode_replay(&replay).to_vec();
+        let mut bad = encode_replay(&replay);
         let i = ((bad.len() - 1) as f64 * pos) as usize;
         bad[i] ^= 1 << bit;
-        prop_assert!(decode_replay(bytes::Bytes::from(bad)).is_err());
+        prop_assert!(decode_replay(&bad).is_err());
     }
 
     /// Truncating a snapshot anywhere before its end is always rejected —
     /// a torn write can never decode into a shorter-but-plausible buffer.
     #[test]
     fn snapshot_truncation_is_detected(cut in 0.0f64..1.0, pushes in 1usize..20) {
-        use marl_repro::core::snapshot::{decode_replay, encode_replay};
         let layouts = vec![TransitionLayout::new(4, 2); 2];
         let mut replay = MultiAgentReplay::new(&layouts, 32);
         for t in 0..pushes {
@@ -194,18 +242,17 @@ proptest! {
                 (0..2).map(|a| transition(&layouts[a], (t * 10 + a) as f32)).collect();
             replay.push_step(&step).unwrap();
         }
-        let good = encode_replay(&replay).to_vec();
+        let good = encode_replay(&replay);
         let len = ((good.len() - 1) as f64 * cut) as usize;
-        prop_assert!(decode_replay(bytes::Bytes::from(good[..len].to_vec())).is_err());
+        prop_assert!(decode_replay(&good[..len]).is_err());
     }
 
-    /// `deinterleave` is the exact inverse of `reorganize_from` for every
-    /// reachable ring state — partially filled, exactly full, and wrapped
-    /// with the write cursor at an arbitrary slot — across agent counts
-    /// and heterogeneous row widths. The checkpoint path leans on this
-    /// inverse (an interleaved trainer snapshots through the common
-    /// per-agent format), so a mismatch at a wrap boundary would silently
-    /// corrupt resumed runs.
+    /// The time-major → agent-major copy is the exact inverse of the
+    /// agent-major → time-major one for every reachable ring state —
+    /// partially filled, exactly full, and wrapped with the write cursor at
+    /// an arbitrary slot — across agent counts and heterogeneous row
+    /// widths. A mismatch at a wrap boundary would silently corrupt a
+    /// resume that crosses maps.
     #[test]
     fn reorganize_then_deinterleave_is_identity(
         agents in 1usize..5,
@@ -227,24 +274,24 @@ proptest! {
             replay.push_step(&step).unwrap();
         }
 
-        let (store, report) = InterleavedStore::reorganize_from(&replay);
-        prop_assert_eq!(report.rows, replay.len());
-        let back = store.deinterleave().unwrap();
+        let store = MultiAgentReplay::reorganize_from(&replay, LayoutMode::Interleaved);
+        prop_assert_eq!(store.len(), replay.len());
+        let back = MultiAgentReplay::reorganize_from(&store, LayoutMode::PerAgent);
 
         prop_assert_eq!(back.agent_count(), replay.agent_count());
+        prop_assert_eq!(back.capacity(), replay.capacity());
+        prop_assert_eq!(back.len(), replay.len());
+        prop_assert_eq!(back.next_slot(), replay.next_slot());
         for a in 0..replay.agent_count() {
-            let (orig, rt) = (replay.buffer(a), back.buffer(a));
-            prop_assert_eq!(rt.len(), orig.len(), "agent {} length", a);
-            prop_assert_eq!(rt.capacity(), orig.capacity(), "agent {} capacity", a);
-            prop_assert_eq!(rt.next_slot(), orig.next_slot(), "agent {} cursor", a);
-            prop_assert_eq!(rt.raw_rows(), orig.raw_rows(), "agent {} rows", a);
+            for slot in 0..replay.len() {
+                prop_assert_eq!(back.row(a, slot), replay.row(a, slot), "agent {} slot {}", a, slot);
+            }
         }
     }
 
-    /// The identity also holds after the store keeps running: pushes
-    /// after the reshape must land in the same slots the per-agent rings
-    /// would have used, so the two layouts stay deinterleave-equal
-    /// forever, not just at the handoff.
+    /// The identity also holds after the copy keeps running: pushes after
+    /// the reshape land in the same slots the agent-major ring uses, so
+    /// the two maps stay equal forever, not just at the handoff.
     #[test]
     fn post_reshape_pushes_track_the_per_agent_rings(
         capacity in 2usize..16,
@@ -258,18 +305,15 @@ proptest! {
                 (0..2).map(|a| transition(&layouts[a], (t * 10 + a) as f32)).collect();
             replay.push_step(&step).unwrap();
         }
-        let (mut store, _) = InterleavedStore::reorganize_from(&replay);
+        let mut store = MultiAgentReplay::reorganize_from(&replay, LayoutMode::Interleaved);
         for t in prefill..prefill + extra {
             let step: Vec<Transition> =
                 (0..2).map(|a| transition(&layouts[a], (t * 10 + a) as f32)).collect();
             let slot = store.push_step(&step).unwrap();
             prop_assert_eq!(slot, replay.push_step(&step).unwrap(), "slot at t={}", t);
         }
-        let back = store.deinterleave().unwrap();
-        for a in 0..2 {
-            prop_assert_eq!(back.buffer(a).raw_rows(), replay.buffer(a).raw_rows());
-            prop_assert_eq!(back.buffer(a).next_slot(), replay.buffer(a).next_slot());
-        }
+        prop_assert_eq!(store.next_slot(), replay.next_slot());
+        prop_assert_eq!(encode_replay(&store), encode_replay(&replay));
     }
 
     /// Transition serialization roundtrips for arbitrary payloads.

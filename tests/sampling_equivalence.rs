@@ -4,8 +4,7 @@
 
 use marl_repro::core::config::SamplerConfig;
 use marl_repro::core::indices::SamplePlan;
-use marl_repro::core::layout::InterleavedStore;
-use marl_repro::core::multi::MultiAgentReplay;
+use marl_repro::core::multi::{LayoutMode, MultiAgentReplay};
 use marl_repro::core::transition::{Transition, TransitionLayout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,8 +31,8 @@ fn filled(agents: usize, rows: usize, obs_dim: usize) -> MultiAgentReplay {
 #[test]
 fn interleaved_layout_returns_identical_batches() {
     let replay = filled(4, 500, 16);
-    let (store, report) = InterleavedStore::reorganize_from(&replay);
-    assert_eq!(report.rows, 500);
+    let store = MultiAgentReplay::reorganize_from(&replay, LayoutMode::Interleaved);
+    assert_eq!(store.len(), 500);
     let mut rng = StdRng::seed_from_u64(0);
     for _ in 0..10 {
         let mut sampler = SamplerConfig::Uniform.build(500);
@@ -148,6 +147,6 @@ fn heterogeneous_observation_widths_stay_consistent() {
     let batch = replay.sample(&plan).unwrap();
     assert_eq!(batch.agents[0].obs.len(), 3 * 16);
     assert_eq!(batch.agents[2].obs.len(), 3 * 14);
-    let (store, _) = InterleavedStore::reorganize_from(&replay);
+    let store = MultiAgentReplay::reorganize_from(&replay, LayoutMode::Interleaved);
     assert_eq!(store.sample(&plan).unwrap().agents, batch.agents);
 }

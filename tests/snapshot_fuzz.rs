@@ -21,7 +21,6 @@
 //! path: a checksum-valid-but-hostile live checkpoint must fall back to
 //! the rotated `.prev` file.
 
-use bytes::Bytes;
 use marl_conform::fuzz::{
     apply_mutation, length_field_offsets, snapshot_v1_from_v2, Format, Mutation,
 };
@@ -30,8 +29,8 @@ use marl_repro::algo::checkpoint::{
     write_checkpoint_file, Checkpoint,
 };
 use marl_repro::algo::{Algorithm, Task, TrainError, Trainer};
-use marl_repro::core::multi::MultiAgentReplay;
-use marl_repro::core::snapshot::{decode_replay, encode_replay};
+use marl_repro::core::multi::{LayoutMode, MultiAgentReplay};
+use marl_repro::core::snapshot::{decode_replay, decode_replay_into, encode_replay, SnapshotError};
 use marl_repro::core::transition::{Transition, TransitionLayout};
 use marl_repro::core::SamplerConfig;
 use marl_repro::dist::wire::{self, ActorParams, Msg, Params, Steps};
@@ -103,7 +102,7 @@ fn trained_checkpoint() -> &'static (Checkpoint, Vec<u8>) {
         );
         let mut t = Trainer::new(cfg).unwrap();
         t.prefill(120).unwrap();
-        t.checkpoint_full().unwrap()
+        t.checkpoint_full()
     })
 }
 
@@ -134,7 +133,7 @@ fn snapshot_v2_bytes() -> &'static [u8] {
                 .collect();
             r.push_step(&step).unwrap();
         }
-        encode_replay(&r).to_vec()
+        encode_replay(&r)
     })
 }
 
@@ -338,24 +337,28 @@ fn mard_oracle(mutated: &[u8]) -> Result<(), String> {
 }
 
 /// The snapshot decoding oracle: typed error, or a replay whose
-/// structural invariants hold.
+/// structural invariants hold and which encodes back to exactly the body
+/// it was decoded from (so nothing was skipped or reinterpreted).
 fn snapshot_oracle(mutated: Vec<u8>) -> Result<(), String> {
-    match decode_replay(Bytes::from(mutated)) {
+    match decode_replay(&mutated) {
         Err(_typed) => Ok(()), // every SnapshotError variant is acceptable
         Ok(r) => {
             if r.agent_count() == 0 {
                 return Err("decoded a replay with zero agents".into());
             }
-            for a in 0..r.agent_count() {
-                let buf = r.buffer(a);
-                if buf.len() > buf.capacity() || buf.next_slot() >= buf.capacity() {
-                    return Err(format!(
-                        "agent {a}: len {} / next {} out of range for capacity {}",
-                        buf.len(),
-                        buf.next_slot(),
-                        buf.capacity()
-                    ));
-                }
+            if r.len() > r.capacity() || r.next_slot() >= r.capacity() {
+                return Err(format!(
+                    "len {} / next {} out of range for capacity {}",
+                    r.len(),
+                    r.next_slot(),
+                    r.capacity()
+                ));
+            }
+            // A V2 frame's body starts after magic, version and CRC; a V1
+            // frame's after magic and version.
+            let body = if mutated[4] == 2 { 10 } else { 6 };
+            if encode_replay(&r)[10..] != mutated[body..] {
+                return Err("the decoded replay does not encode to its own body".into());
             }
             Ok(())
         }
@@ -565,8 +568,59 @@ fn baselines_are_valid() {
     let (ckpt, replay) = decode_checkpoint_file(checkpoint_bytes()).unwrap();
     assert_eq!(ckpt.agents.len(), 3);
     assert!(!replay.is_empty());
-    assert_eq!(decode_replay(Bytes::from(snapshot_v2_bytes().to_vec())).unwrap().len(), 16);
-    assert_eq!(decode_replay(Bytes::from(snapshot_v1_bytes().to_vec())).unwrap().len(), 16);
+    assert_eq!(decode_replay(snapshot_v2_bytes()).unwrap().len(), 16);
+    assert_eq!(decode_replay(snapshot_v1_bytes()).unwrap().len(), 16);
+}
+
+/// `decode_replay_into` restores into the caller's arena, under either
+/// address map: it requests no heap when it succeeds, nor when it refuses
+/// a snapshot of another capacity or row layout or a corrupt one, and a
+/// refusal leaves every destination row and the cursor as they were.
+#[test]
+fn decode_replay_into_allocates_nothing_and_a_refusal_writes_nothing() {
+    let bytes = snapshot_v2_bytes();
+    let (layouts, capacity) = (vec![TransitionLayout::new(4, 2); 3], 16);
+    let mut corrupt = bytes.to_vec();
+    corrupt[40] ^= 1;
+    for mode in [LayoutMode::PerAgent, LayoutMode::Interleaved] {
+        let mut dst = MultiAgentReplay::with_mode(&layouts, capacity, mode);
+        let (result, heap) = heap_requested(|| decode_replay_into(&mut dst, bytes));
+        result.unwrap();
+        assert_eq!(heap, 0, "{mode:?}: a restore requested {heap} heap bytes");
+        assert_eq!(encode_replay(&dst), bytes, "{mode:?}");
+
+        let other_layouts = vec![TransitionLayout::new(5, 2); 3];
+        for (dst_layouts, dst_capacity, frame) in [
+            (&layouts, 2 * capacity, bytes),
+            (&other_layouts, capacity, bytes),
+            (&layouts, capacity, &corrupt[..]),
+        ] {
+            // Every slot holds a row, so an encode sees all of them.
+            let mut other = MultiAgentReplay::with_mode(dst_layouts, dst_capacity, mode);
+            for t in 0..dst_capacity + 3 {
+                let step: Vec<Transition> = dst_layouts
+                    .iter()
+                    .map(|l| Transition {
+                        obs: vec![-(t as f32); l.obs_dim],
+                        action: vec![0.5; l.act_dim],
+                        reward: 1.0,
+                        next_obs: vec![t as f32; l.obs_dim],
+                        done: 0.0,
+                    })
+                    .collect();
+                other.push_step(&step).unwrap();
+            }
+            let before = encode_replay(&other);
+            let (result, heap) = heap_requested(|| decode_replay_into(&mut other, frame));
+            let err = result.expect_err("a mismatched or corrupt snapshot must be refused");
+            assert!(
+                matches!(err, SnapshotError::Mismatch(_) | SnapshotError::ChecksumMismatch { .. }),
+                "{mode:?}: {err:?}"
+            );
+            assert_eq!(heap, 0, "{mode:?}: a refusal requested {heap} heap bytes");
+            assert_eq!(encode_replay(&other), before, "{mode:?}: a refusal wrote to the replay");
+        }
+    }
 }
 
 /// Structured corruption through the crash-safety path: a hostile

@@ -104,7 +104,7 @@ fn train_fingerprint(tel: Option<Arc<Telemetry>>) -> (String, Vec<u8>) {
             kernels: KernelTally::default(),
         });
     }
-    let (mut ckpt, replay) = t.checkpoint_full().unwrap();
+    let (mut ckpt, replay) = t.checkpoint_full();
     if let Some(run) = ckpt.run.as_mut() {
         run.profile = marl_repro::perf::PhaseProfile::default();
     }

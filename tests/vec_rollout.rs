@@ -77,7 +77,7 @@ fn k8_resume_from_file_is_bitwise_identical() {
 
     let mut first = Trainer::new(cfg.with_episodes(16)).unwrap();
     first.train().unwrap();
-    let (ckpt, replay) = first.checkpoint_full().unwrap();
+    let (ckpt, replay) = first.checkpoint_full();
     let run = ckpt.run.as_ref().unwrap();
     assert_eq!(run.vec_env_rngs.len(), 7, "worlds 1..8 persist beside env_rng");
     assert_eq!(run.rollout_rngs.len(), 8, "one noise stream per world");
@@ -108,7 +108,7 @@ fn pre_vectorization_checkpoints_still_restore_and_resume() {
 
     let mut first = Trainer::new(cfg.with_episodes(3)).unwrap();
     first.train().unwrap();
-    let (ckpt, replay) = first.checkpoint_full().unwrap();
+    let (ckpt, replay) = first.checkpoint_full();
 
     // Re-encode the checkpoint JSON with the vectorized-engine fields
     // stripped, exactly as an older binary would have written it. Both
@@ -134,16 +134,16 @@ fn k1_checkpoint_resumed_at_k4_restores_world_zero() {
     let cfg = base_config(Task::PredatorPrey, 21);
     let mut first = Trainer::new(cfg.with_episodes(2)).unwrap();
     first.train().unwrap();
-    let (ckpt, replay) = first.checkpoint_full().unwrap();
+    let (ckpt, replay) = first.checkpoint_full();
     let saved = ckpt.run.clone().unwrap();
     assert!(saved.vec_env_rngs.is_empty() && saved.rollout_rngs.is_empty());
 
     let wide = cfg.with_num_envs(4);
-    let fresh = Trainer::new(wide).unwrap().checkpoint_full().unwrap().0.run.unwrap();
+    let fresh = Trainer::new(wide).unwrap().checkpoint_full().0.run.unwrap();
     let mut resumed = Trainer::new(wide).unwrap();
     resumed.run_episode().unwrap();
     resumed.restore_full(ckpt, &replay).unwrap();
-    let run = resumed.checkpoint_full().unwrap().0.run.unwrap();
+    let run = resumed.checkpoint_full().0.run.unwrap();
     assert_ne!(saved.env_rng, fresh.env_rng, "the checkpointed world 0 has moved");
     assert_eq!(run.env_rng, saved.env_rng, "world 0 resumes from env_rng");
     assert_eq!(run.vec_env_rngs, fresh.vec_env_rngs, "worlds 1..4 start fresh");
@@ -160,7 +160,7 @@ fn checkpoint_for_another_world_count_is_refused() {
     let cfg = base_config(Task::PredatorPrey, 23).with_num_envs(4).with_episodes(4);
     let mut first = Trainer::new(cfg).unwrap();
     first.train().unwrap();
-    let (ckpt, replay) = first.checkpoint_full().unwrap();
+    let (ckpt, replay) = first.checkpoint_full();
     let mut noise_only = ckpt.clone();
     noise_only.run.as_mut().unwrap().vec_env_rngs.clear();
     for (tag, ckpt) in [("env", ckpt), ("exploration", noise_only)] {
@@ -196,7 +196,7 @@ fn k1_prefill_and_evaluate_match_recorded_pins() {
         let mut t = Trainer::new(base_config(task, 31)).unwrap();
         t.prefill(300).unwrap();
         assert_eq!(t.replay_len(), 300);
-        let (_, replay) = t.checkpoint_full().unwrap();
+        let (_, replay) = t.checkpoint_full();
         let crc = marl_repro::core::crc32::crc32(&replay);
         let score = t.evaluate(2).unwrap();
         assert_eq!(crc, replay_crc, "{task:?}: prefill replay bytes");
