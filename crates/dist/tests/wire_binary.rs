@@ -137,6 +137,27 @@ fn params_roundtrip_is_bit_exact_for_world_comm_heterogeneous_heads() {
     check_params_roundtrip(&dims);
 }
 
+/// The CRC-32 and length of a whole encoded `Params` frame for freshly
+/// seeded actors: the frame's bytes are the wire contract, so a change
+/// to how actors are stored or captured must leave them exactly here.
+fn params_frame_pin(id: ScenarioId) -> (u32, usize) {
+    let agents = agents_for(&dims_of(id), 17);
+    let msg = Msg::Params(Box::new(Params {
+        epoch: 3,
+        actors: ActorParams::capture(agents.iter().map(|a| &a.actor)),
+        master_rng: Some([11, 12, 13, 14]),
+        ctx: None,
+    }));
+    let frame = encode_frame(&msg);
+    (marl_core::crc32::crc32(&frame), frame.len())
+}
+
+#[test]
+fn params_frame_bytes_are_pinned() {
+    assert_eq!(params_frame_pin(ScenarioId::PredatorPrey), (0xB889_6BA0, 67_021), "predator-prey");
+    assert_eq!(params_frame_pin(ScenarioId::WorldComm), (0x25B3_38E3, 70_109), "world-comm");
+}
+
 #[test]
 fn params_optional_blocks_roundtrip_independently() {
     let src = agents_for(&[(4, 3)], 5);

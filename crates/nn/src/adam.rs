@@ -202,6 +202,44 @@ mod tests {
         assert!(params.iter().all(|p| p.abs() <= 1.5), "{params:?}");
     }
 
+    /// Pins the clip's norm: each tensor's squared-gradient sum, added in
+    /// tensor order. These gradients round differently when summed in one
+    /// pass over all parameters, and the scale that difference leaves in
+    /// the moments reaches the outputs within four steps; the pin sees
+    /// only the public API, so it holds across storage layouts.
+    #[test]
+    fn clip_norm_sums_each_tensor_then_adds_in_tensor_order() {
+        let mut r = rng::seeded(21);
+        let mut net = Mlp::new(
+            &[5, 7, 3],
+            crate::activation::Activation::Tanh,
+            crate::init::Init::XavierUniform,
+            &mut r,
+        );
+        let mut opt = Adam::new(AdamConfig { grad_clip: Some(0.05), ..AdamConfig::default() });
+        let wave = |rows: usize, cols: usize, phase: f32| {
+            let mut m = Matrix::zeros(rows, cols);
+            for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
+                *v = ((i as f32 + phase) * 0.731).sin() * (1.0 + i as f32 * 0.173);
+            }
+            m
+        };
+        let (mut y, mut grad_in, mut scratch) =
+            (Matrix::default(), Matrix::default(), Scratch::new());
+        for step in 0..4 {
+            net.zero_grad();
+            net.forward_into(&wave(6, 5, step as f32), &mut y);
+            net.backward_into(&wave(6, 3, 10.0 + step as f32), &mut grad_in, &mut scratch);
+            opt.step(&mut net);
+        }
+        net.forward_inference_into(&wave(16, 5, 0.5), &mut y, &mut scratch);
+        // FNV-1a over the output bits.
+        let digest = y.as_slice().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+            (h ^ u64::from(x.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(digest, 2_298_657_482_755_832_343, "outputs after four clipped steps");
+    }
+
     #[test]
     fn step_counter_advances() {
         let mut r = rng::seeded(13);
