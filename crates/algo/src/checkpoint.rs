@@ -3,16 +3,22 @@
 //! and the replay buffer — persisted crash-safely so long
 //! characterization runs can be killed and resumed bitwise-identically.
 //!
-//! ## On-disk format (version 2)
+//! ## On-disk format (version 3)
 //!
 //! ```text
 //! magic  u32 LE = 0x4D41_5243 ("MARC")
-//! version u16 LE = 2 | reserved u16 = 0
+//! version u16 LE = 3 | reserved u16 = 0
 //! crc32  u32 LE over the payload
 //! payload:
 //!   json_len   u64 LE | json bytes   (serde_json of [`Checkpoint`])
 //!   replay_len u64 LE | replay bytes ([`marl_core::snapshot`] V2 frame)
 //! ```
+//!
+//! In the JSON a network is `{hidden_activation, widths, params}` and an
+//! optimizer carries its moments `m` and `v`; each tensor is one string
+//! of its values' IEEE-754 bits, eight hex digits per value, so every
+//! value round-trips bit for bit. Gradients are not state and are not
+//! written.
 //!
 //! Persistence is atomic: the frame is written to `<path>.tmp`, fsynced,
 //! the previous live file is rotated to `<path>.prev`, and the temp file
@@ -55,17 +61,40 @@ pub struct AgentState {
 }
 
 impl AgentState {
-    /// Every network this state carries: actor, target actor, critic,
-    /// target critic, then the twin critic and its target when present.
-    fn nets(&self) -> impl Iterator<Item = &Mlp> {
-        [&self.actor, &self.target_actor, &self.critic, &self.target_critic]
-            .into_iter()
-            .chain(self.critic2.iter().flat_map(|(c, t)| [c, t]))
+    /// Every network this state carries, named: actor, target actor,
+    /// critic, target critic, then the twin critic and its target when
+    /// present.
+    fn nets(&self) -> impl Iterator<Item = (&'static str, &Mlp)> {
+        let twin = self.critic2.iter().flat_map(|(c, t)| [("twin critic", c), ("twin target", t)]);
+        [
+            ("actor", &self.actor),
+            ("target actor", &self.target_actor),
+            ("critic", &self.critic),
+            ("target critic", &self.target_critic),
+        ]
+        .into_iter()
+        .chain(twin)
     }
 
-    /// Checks every carried network with [`Mlp::validate`].
+    /// Checks every carried network with [`Mlp::validate`], and each
+    /// optimizer's moments against the network it steps with
+    /// [`Adam::validate_for`] (the twin critic and its optimizer come
+    /// together or not at all).
     fn validate(&self) -> Result<(), String> {
-        self.nets().try_for_each(Mlp::validate)
+        for (name, net) in self.nets() {
+            net.validate().map_err(|e| format!("{name}: {e}"))?;
+        }
+        let twin = match (&self.critic2, &self.critic2_opt) {
+            (Some((c, _)), Some(opt)) => Some(("twin critic", opt, c)),
+            (None, None) => None,
+            _ => return Err("twin critic and its optimizer must come together".into()),
+        };
+        let opts =
+            [("actor", &self.actor_opt, &self.actor), ("critic", &self.critic_opt, &self.critic)];
+        for (name, opt, net) in opts.into_iter().chain(twin) {
+            opt.validate_for(net).map_err(|e| format!("{name} optimizer: {e}"))?;
+        }
+        Ok(())
     }
 
     /// Captures an agent's state.
@@ -86,16 +115,16 @@ impl AgentState {
     ///
     /// # Errors
     ///
-    /// Returns an error if any carried network is malformed or differs
-    /// from `nets`' in any layer's shape (or in having a twin critic).
+    /// Returns an error if any carried network or optimizer is malformed,
+    /// or a network differs from `nets`' in its widths (or in having a
+    /// twin critic).
     pub fn restore(self, nets: &mut AgentNets) -> Result<(), TrainError> {
-        self.validate()
-            .map_err(|e| TrainError::InvalidConfig(format!("checkpoint network: {e}")))?;
+        self.validate().map_err(|e| TrainError::InvalidConfig(format!("checkpoint {e}")))?;
         let compatible = self.critic2.is_some() == nets.critic2.is_some() && {
             let ours = [&nets.actor, &nets.target_actor, &nets.critic, &nets.target_critic]
                 .into_iter()
                 .chain(nets.critic2.iter().flat_map(|(c, t)| [c, t]));
-            self.nets().zip(ours).all(|(theirs, ours)| theirs.same_shape(ours))
+            self.nets().zip(ours).all(|((_, theirs), ours)| theirs.same_shape(ours))
         };
         if !compatible {
             return Err(TrainError::InvalidConfig(
@@ -185,7 +214,7 @@ pub struct RunState {
 /// Magic prefix of a checkpoint file ("MARC").
 pub const CHECKPOINT_MAGIC: u32 = 0x4D41_5243;
 /// Current checkpoint file version.
-pub const CHECKPOINT_VERSION: u16 = 2;
+pub const CHECKPOINT_VERSION: u16 = 3;
 
 /// Derives the sibling path used by the rotation scheme (`.tmp`/`.prev`).
 fn sibling(path: &Path, suffix: &str) -> PathBuf {
@@ -271,7 +300,7 @@ pub fn decode_checkpoint_file(bytes: &[u8]) -> Result<(Checkpoint, Vec<u8>), Tra
     let ckpt: Checkpoint =
         serde_json::from_str(json).map_err(|e| TrainError::Checkpoint(format!("decode: {e}")))?;
     for (i, agent) in ckpt.agents.iter().enumerate() {
-        agent.validate().map_err(|e| err(&format!("agent {i} network: {e}")))?;
+        agent.validate().map_err(|e| err(&format!("agent {i} {e}")))?;
     }
     let replay_len = take_u64(&mut off)?;
     if payload.len() - off < replay_len {

@@ -190,7 +190,7 @@ mod tests {
     fn poisoned_network_trips() {
         let cfg = SentinelConfig::default();
         let mut a = nets();
-        a.critic.visit_params(|p, _| p[0] = f32::INFINITY);
+        a.critic.params_mut()[0] = f32::INFINITY;
         let report = check_agents(&[a], &cfg, 3).unwrap_err();
         assert_eq!(report.agent, 0);
         assert!(report.what.contains("critic"));

@@ -154,11 +154,9 @@ impl UpdateTraceRecorder {
     pub fn record_params(&mut self, agents: &[AgentNets]) {
         let h = &mut self.params;
         let mut hash_net = |net: &marl_nn::mlp::Mlp| {
-            net.visit_params_ref(|p| {
-                for &x in p {
-                    h.update(&x.to_bits().to_le_bytes());
-                }
-            });
+            for &x in net.params() {
+                h.update(&x.to_bits().to_le_bytes());
+            }
         };
         for a in agents {
             hash_net(&a.actor);

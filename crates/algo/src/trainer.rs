@@ -19,10 +19,10 @@ use marl_core::sampler::Sampler;
 use marl_core::transition::{MultiBatch, TransitionLayout, TransitionRef};
 use marl_env::spaces::ActionSpace;
 use marl_nn::gumbel::{relaxation_backward_segments_into, softmax_relaxation_segments_into};
-use marl_nn::linear::{BackwardNeed, InputGrad};
 use marl_nn::loss::{mse_into, td_errors_into, weighted_mse_into};
 use marl_nn::matrix::Matrix;
 use marl_nn::scratch::Scratch;
+use marl_nn::{BackwardNeed, InputGrad};
 use marl_obs::metrics::{IS_WEIGHT_SCALE, PRIORITY_SCALE};
 use marl_obs::{KernelTally, SnapshotContext, Telemetry};
 use marl_perf::phase::{Phase, PhaseProfile};

@@ -232,29 +232,21 @@ pub struct ActorParams {
     layer_counts: Vec<u32>,
     /// `(rows, cols)` of every layer, actors concatenated.
     shapes: Vec<(u32, u32)>,
-    /// Per layer `rows * cols` weights then `cols` biases, same order.
+    /// Every actor's parameter slab (per layer `rows * cols` weights then
+    /// `cols` biases), concatenated in agent order.
     data: Vec<f32>,
 }
 
 impl ActorParams {
-    /// Copies the parameters of `actors` (one network per agent).
+    /// Copies the parameters of `actors` (one network per agent): each
+    /// actor's shapes from its widths, its values in one slab copy.
     pub fn capture<'a>(actors: impl IntoIterator<Item = &'a Mlp>) -> Self {
         let mut out = ActorParams::default();
         for actor in actors {
-            out.layer_counts.push(actor.layer_count() as u32);
-            // The visitor yields each layer's weights, then its bias; the
-            // bias length is the layer's column count.
-            let mut weights_len = None;
-            actor.visit_params_ref(|p| {
-                match weights_len.take() {
-                    None => weights_len = Some(p.len()),
-                    Some(w) => {
-                        let rows = w.checked_div(p.len()).unwrap_or(0);
-                        out.shapes.push((rows as u32, p.len() as u32));
-                    }
-                }
-                out.data.extend_from_slice(p);
-            });
+            let widths = actor.widths();
+            out.layer_counts.push(widths.len() as u32 - 1);
+            out.shapes.extend(widths.windows(2).map(|w| (w[0] as u32, w[1] as u32)));
+            out.data.extend_from_slice(actor.params());
         }
         out
     }
@@ -264,9 +256,9 @@ impl ActorParams {
         self.layer_counts.len()
     }
 
-    /// Overwrites the live actor of every agent in place, allocating
-    /// nothing. Everything is checked before anything is written, so a
-    /// mismatch leaves `agents` untouched.
+    /// Overwrites the live actor of every agent in place, one slab copy
+    /// each, allocating nothing. Everything is checked before anything is
+    /// written, so a mismatch leaves `agents` untouched.
     ///
     /// # Errors
     ///
@@ -280,13 +272,15 @@ impl ActorParams {
                 agents.len()
             )));
         }
-        let mut expected =
-            self.shapes.iter().flat_map(|&(r, c)| [r as usize * c as usize, c as usize]);
+        let mut shapes = self.shapes.iter();
         for (agent, (&layers, nets)) in self.layer_counts.iter().zip(agents.iter()).enumerate() {
-            let mut fits = layers as usize == nets.actor.layer_count();
-            if fits {
-                nets.actor.visit_params_ref(|p| fits &= expected.next() == Some(p.len()));
-            }
+            let widths = nets.actor.widths();
+            let fits = layers as usize + 1 == widths.len()
+                && shapes
+                    .by_ref()
+                    .take(layers as usize)
+                    .zip(widths.windows(2))
+                    .all(|(&(r, c), w)| (r as usize, c as usize) == (w[0], w[1]));
             if !fits {
                 return Err(DistError::Protocol(format!(
                     "params for agent {agent} do not fit the worker's actor"
@@ -295,11 +289,10 @@ impl ActorParams {
         }
         let mut rest = self.data.as_slice();
         for nets in agents {
-            nets.actor.visit_params(|p, _| {
-                let (head, tail) = rest.split_at(p.len());
-                p.copy_from_slice(head);
-                rest = tail;
-            });
+            let params = nets.actor.params_mut();
+            let (head, tail) = rest.split_at(params.len());
+            params.copy_from_slice(head);
+            rest = tail;
         }
         Ok(())
     }

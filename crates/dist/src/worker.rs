@@ -172,10 +172,10 @@ impl Worker {
                 agents.len()
             )));
         }
-        for (state, nets) in w.agents.into_iter().zip(&mut agents) {
+        for (a, (state, nets)) in w.agents.into_iter().zip(&mut agents).enumerate() {
             state
                 .restore(nets)
-                .map_err(|e| DistError::Protocol(format!("welcome parameters: {e}")))?;
+                .map_err(|e| DistError::Protocol(format!("welcome agent {a} parameters: {e}")))?;
         }
         rng = StdRng::from_state(w.master_rng);
         match w.env_rng {

@@ -71,9 +71,7 @@ fn agents_for(dims: &[(usize, usize)], seed: u64) -> Vec<AgentNets> {
 }
 
 fn bits(net: &Mlp) -> Vec<u32> {
-    let mut out = Vec::new();
-    net.visit_params_ref(|p| out.extend(p.iter().map(|x| x.to_bits())));
-    out
+    net.params().iter().map(|x| x.to_bits()).collect()
 }
 
 fn actor_bits(agents: &[AgentNets]) -> Vec<Vec<u32>> {
@@ -92,14 +90,17 @@ const AWKWARD: [u32; 6] =
 fn check_params_roundtrip(dims: &[(usize, usize)]) {
     let mut src = agents_for(dims, 1);
     for nets in &mut src {
-        let mut k = 0;
-        nets.actor.visit_params(|p, _| {
-            // Awkward values at both ends of every weight and bias slice.
-            for at in [0, p.len() - 1] {
-                p[at] = f32::from_bits(AWKWARD[k % AWKWARD.len()]);
+        // Awkward values at both ends of every weight and bias tensor.
+        let widths = nets.actor.widths().to_vec();
+        let tensors = widths.windows(2).flat_map(|w| [w[0] * w[1], w[1]]);
+        let (mut k, mut start) = (0, 0);
+        for len in tensors {
+            for at in [start, start + len - 1] {
+                nets.actor.params_mut()[at] = f32::from_bits(AWKWARD[k % AWKWARD.len()]);
                 k += 1;
             }
-        });
+            start += len;
+        }
     }
     let sent = Params {
         epoch: 41,
@@ -292,7 +293,7 @@ fn every_float_of_params_and_steps_survives_bit_for_bit() {
     // Params: every weight and bias of every actor is a special value.
     let mut src = agents_for(&dims, 1);
     for nets in &mut src {
-        nets.actor.visit_params(|p, _| p.iter_mut().for_each(|x| *x = special(&mut next)));
+        nets.actor.params_mut().iter_mut().for_each(|x| *x = special(&mut next));
     }
     let Msg::Params(got) = roundtrip(&Msg::Params(Box::new(Params {
         epoch: 3,

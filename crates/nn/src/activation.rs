@@ -3,7 +3,7 @@
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
-/// Activation applied after a hidden [`crate::linear::Linear`] layer.
+/// Activation applied after each hidden layer of an [`crate::mlp::Mlp`].
 ///
 /// The paper's networks are "two-layer ReLU MLPs with 64 units per layer";
 /// `Tanh` and `Identity` are provided for output heads and tests.

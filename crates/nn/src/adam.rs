@@ -2,6 +2,7 @@
 //! (`lr = 0.01` by default).
 
 use crate::mlp::Mlp;
+use crate::slab::Slab;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of an [`Adam`] optimizer.
@@ -31,10 +32,11 @@ impl Default for AdamConfig {
     }
 }
 
-/// Adam state for one network.
+/// Adam state for one network: the two moment slabs, in the network's
+/// parameter layout.
 ///
-/// The optimizer lazily sizes its moment buffers on the first
-/// [`Adam::step`], so it can be constructed before the network.
+/// The optimizer sizes its moments on the first [`Adam::step`], so it can
+/// be constructed before the network.
 ///
 /// # Examples
 ///
@@ -50,19 +52,20 @@ impl Default for AdamConfig {
 /// net.backward_need_into(&Matrix::full(1, 2, 0.5), need, &mut unused, &mut scratch);
 /// opt.step(&mut net);
 /// assert_eq!(opt.steps(), 1);
+/// assert_eq!(opt.validate_for(&net), Ok(()));
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Adam {
     config: AdamConfig,
-    m: Vec<f32>,
-    v: Vec<f32>,
+    m: Slab,
+    v: Slab,
     t: u64,
 }
 
 impl Adam {
     /// Creates an optimizer with the given configuration.
     pub fn new(config: AdamConfig) -> Self {
-        Adam { config, m: Vec::new(), v: Vec::new(), t: 0 }
+        Adam { config, m: Slab::default(), v: Slab::default(), t: 0 }
     }
 
     /// Convenience constructor with only the learning rate overridden.
@@ -80,27 +83,51 @@ impl Adam {
         self.t
     }
 
+    /// Checks what a deserialized optimizer may violate: its two moment
+    /// slabs are equally long, and either empty (sized on the first step)
+    /// or one value per parameter of `net`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming both lengths and the network's.
+    pub fn validate_for(&self, net: &Mlp) -> Result<(), String> {
+        let (m, v, n) = (self.m.len(), self.v.len(), net.parameter_count());
+        if m == v && (m == 0 || m == n) {
+            Ok(())
+        } else {
+            Err(format!("moments hold {m} and {v} values, the network has {n} parameters"))
+        }
+    }
+
     /// Applies one Adam update using the gradients accumulated on `net`.
     ///
     /// Gradients are *not* cleared; call [`Mlp::zero_grad`] before the next
     /// backward pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the moments were sized for a network with a different
+    /// parameter count ([`Adam::validate_for`] refuses such a pair).
     pub fn step(&mut self, net: &mut Mlp) {
-        // Size moments lazily.
-        let mut total = 0;
-        net.visit_params(|p, _| total += p.len());
-        if self.m.len() != total {
-            self.m = vec![0.0; total];
-            self.v = vec![0.0; total];
-            self.t = 0;
+        if self.m.is_empty() {
+            self.m = Slab(vec![0.0; net.parameter_count()]);
+            self.v = Slab(vec![0.0; net.parameter_count()]);
         }
         self.t += 1;
+        let (widths, params, grads) = net.slabs();
 
-        // Optional global-norm clip.
+        // Optional global-norm clip. The squared norm is summed per tensor
+        // (each layer's weights, then its bias) and the partial sums added
+        // in layer order: one pass over the slab would round differently.
         let mut scale = 1.0f32;
         if let Some(clip) = self.config.grad_clip {
-            let mut sq = 0.0f32;
-            net.visit_params(|_, g| sq += g.iter().map(|x| x * x).sum::<f32>());
-            let norm = sq.sqrt();
+            let tensors = widths.windows(2).flat_map(|w| [w[0] * w[1], w[1]]);
+            let partial = tensors.scan(grads, |rest, len| {
+                let (g, tail) = rest.split_at(len);
+                *rest = tail;
+                Some(g.iter().map(|x| x * x).sum::<f32>())
+            });
+            let norm = partial.fold(0.0f32, |sq, s| sq + s).sqrt();
             if norm > clip && norm > 0.0 {
                 scale = clip / norm;
             }
@@ -109,27 +136,23 @@ impl Adam {
         let AdamConfig { learning_rate, beta1, beta2, epsilon, .. } = self.config;
         let bc1 = 1.0 - beta1.powi(self.t as i32);
         let bc2 = 1.0 - beta2.powi(self.t as i32);
-        let mut off = 0;
-        let (m, v) = (&mut self.m, &mut self.v);
-        // The element-wise update runs on the dispatched kernel; scalar and
-        // SIMD paths are bitwise identical (no FMA reassociation).
-        net.visit_params(|p, g| {
-            let len = p.len();
-            crate::kernels::adam_step(
-                p,
-                g,
-                &mut m[off..off + len],
-                &mut v[off..off + len],
-                scale,
-                learning_rate,
-                beta1,
-                beta2,
-                epsilon,
-                bc1,
-                bc2,
-            );
-            off += len;
-        });
+        // One element-wise pass over the whole slab on the dispatched
+        // kernel: each element's bits depend on nothing around it, so where
+        // the slab is cut never matters, and scalar and SIMD paths are
+        // bitwise identical (no FMA reassociation).
+        crate::kernels::adam_step(
+            params,
+            grads,
+            &mut self.m,
+            &mut self.v,
+            scale,
+            learning_rate,
+            beta1,
+            beta2,
+            epsilon,
+            bc1,
+            bc2,
+        );
     }
 }
 
@@ -197,8 +220,7 @@ mod tests {
         opt.step(&mut net);
         // with clipping the first Adam step is bounded by lr regardless of
         // raw gradient magnitude
-        let mut params = vec![];
-        net.visit_params(|p, _| params.extend_from_slice(p));
+        let params = net.params();
         assert!(params.iter().all(|p| p.abs() <= 1.5), "{params:?}");
     }
 

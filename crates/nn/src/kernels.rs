@@ -5,8 +5,8 @@
 //! variants (`C = A·B` and the gradient accumulation `C += Aᵀ·B`),
 //! bias-add, ReLU forward/backward, and the Adam parameter step — funnels
 //! through this module. An input gradient `dX = G·Wᵀ` is `A·B` against a
-//! transposed weight block (see [`crate::linear::Linear`]), so it needs no
-//! product of its own. The kernel is resolved **once**, by CPU feature
+//! transposed weight block (see [`crate::mlp::Mlp::backward_need_into`]),
+//! so it needs no product of its own. The kernel is resolved **once**, by CPU feature
 //! detection (SIMD when the host has AVX2+FMA, scalar otherwise), and
 //! cached in an atomic, so dispatch costs one relaxed load per op. There
 //! is nothing to select: both kernels compute the same bits, and
@@ -168,7 +168,7 @@ pub fn matmul_with(
 }
 
 /// `C += Aᵀ·B` for row-major `A (m×kd)`, `B (m×n)`, `C (kd×n)` — the
-/// gradient accumulation of [`crate::linear::Linear`]: each product
+/// gradient accumulation of a layer's `dL/dW`: each product
 /// element is reduced into a local accumulator and added to `C` once, so
 /// the result matches computing the product separately and adding it.
 pub fn transpose_matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, kd: usize, n: usize) {

@@ -1,9 +1,14 @@
 //! # marl-nn
 //!
 //! Minimal dense neural-network substrate for the MARL systems
-//! reproduction: row-major `f32` matrices, fully-connected layers with
+//! reproduction: row-major `f32` matrices, multi-layer perceptrons with
 //! explicit backpropagation, Adam, losses, and the Gumbel-softmax
 //! relaxation used for discrete particle-environment actions.
+//!
+//! A network is its layer widths and one parameter slab `[W0|b0|W1|b1|…]`
+//! (gradients, and Adam's two moments, in the same layout), so every
+//! whole-network operation — optimizer step, Polyak update, parameter
+//! broadcast, checkpoint — is one pass over one slice.
 //!
 //! The paper's networks are small ("two-layer ReLU MLP with 64 units per
 //! layer"), so a hand-rolled substrate keeps the end-to-end phase structure
@@ -47,18 +52,17 @@ pub mod fp;
 pub mod gumbel;
 pub mod init;
 pub mod kernels;
-pub mod linear;
 pub mod loss;
 pub mod matrix;
 pub mod mlp;
 pub mod rng;
 pub mod scratch;
+mod slab;
 
 pub use activation::Activation;
 pub use adam::{Adam, AdamConfig};
 pub use init::Init;
 pub use kernels::KernelKind;
-pub use linear::{BackwardNeed, InputGrad, Linear};
 pub use matrix::Matrix;
-pub use mlp::Mlp;
+pub use mlp::{BackwardNeed, InputGrad, Mlp};
 pub use scratch::Scratch;

@@ -7,7 +7,6 @@
 //! without pulling in a BLAS dependency.
 
 use crate::kernels;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense row-major matrix of `f32` values.
@@ -26,7 +25,7 @@ use std::fmt;
 /// a.matmul_into(&b, &mut c);
 /// assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -236,58 +235,11 @@ impl Matrix {
         kernels::matmul(&self.data, &rhs.data, &mut out.data, self.rows, self.cols, rhs.cols);
     }
 
-    /// `out += selfᵀ · rhs` — the fused gradient accumulation used by
-    /// [`crate::linear::Linear::backward_need_into`]. Each product element
-    /// is reduced completely before the single add into `out`, so the
-    /// result matches computing `selfᵀ · rhs` on its own and adding it,
-    /// without the temporary.
-    ///
-    /// # Panics
-    ///
-    /// Panics on row mismatch or if `out` is not `self.cols × rhs.cols`.
-    pub fn transpose_matmul_acc_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.rows, rhs.rows,
-            "transpose_matmul shape mismatch: {}x{} vs {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        assert_eq!(out.shape(), (self.cols, rhs.cols), "transpose_matmul_acc output shape");
-        kernels::transpose_matmul_acc(
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            rhs.cols,
-        );
-    }
-
-    /// `out = self[start..start + width, :]ᵀ`, a `self.cols × width`
-    /// matrix, reusing `out`'s backing storage — how
-    /// [`crate::linear::Linear`] turns an input-gradient column block
-    /// `G · W[s..s+w, :]ᵀ` into a plain [`Matrix::matmul_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row range exceeds `self.rows`.
-    pub fn transpose_rows_into(&self, start: usize, width: usize, out: &mut Matrix) {
-        assert!(
-            start.checked_add(width).is_some_and(|end| end <= self.rows),
-            "transpose row range out of bounds"
-        );
-        out.resize(self.cols, width);
-        for r in 0..width {
-            for (c, &v) in self.row(start + r).iter().enumerate() {
-                out.data[c * width + r] = v;
-            }
-        }
-    }
-
     /// Returns an explicit transpose (the kernel tests build their
     /// reference products from it).
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::default();
-        self.transpose_rows_into(0, self.rows, &mut out);
+        transpose_into(&self.data, self.rows, self.cols, &mut out);
         out
     }
 
@@ -303,6 +255,23 @@ impl Matrix {
     pub fn scale(&mut self, s: f32) {
         for a in &mut self.data {
             *a *= s;
+        }
+    }
+}
+
+/// `out = srcᵀ` for a row-major `rows × cols` slice, reusing `out`'s
+/// storage — how a layer turns an input-gradient column block
+/// `G · W[s..s+w, :]ᵀ` into a plain product.
+///
+/// # Panics
+///
+/// Panics if `src.len() != rows * cols`.
+pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, out: &mut Matrix) {
+    assert_eq!(src.len(), rows * cols, "transpose source length");
+    out.resize(cols, rows);
+    for (r, row) in src.chunks_exact(cols.max(1)).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            out.data[c * rows + r] = v;
         }
     }
 }
@@ -439,7 +408,7 @@ mod tests {
         assert_eq!(out, reference_matmul(&a, &b));
 
         let w = patterned(6, 4, 41);
-        w.transpose_rows_into(1, 3, &mut out);
+        transpose_into(&w.as_slice()[4..16], 3, 4, &mut out);
         assert_eq!(out.shape(), (4, 3));
         for (r, c) in (0..3).flat_map(|r| (0..4).map(move |c| (r, c))) {
             assert_eq!(out.at(c, r), w.at(1 + r, c));
@@ -451,7 +420,7 @@ mod tests {
         for (e, &c) in expect.as_mut_slice().iter_mut().zip(acc.as_slice()) {
             *e += c;
         }
-        a.transpose_matmul_acc_into(&g, &mut acc);
+        kernels::transpose_matmul_acc(a.as_slice(), g.as_slice(), acc.as_mut_slice(), 9, 7, 4);
         assert_eq!(acc, expect);
     }
 
@@ -478,7 +447,7 @@ mod tests {
         a.matmul_into(&b, &mut c);
         assert!(c.as_slice().iter().all(|x| x.is_nan()));
         let mut t = Matrix::zeros(2, 2);
-        a.transpose_matmul_acc_into(&b, &mut t);
+        kernels::transpose_matmul_acc(a.as_slice(), b.as_slice(), t.as_mut_slice(), 2, 2, 2);
         assert!(t.at(0, 0).is_nan() && t.at(1, 1).is_nan());
         // Same contract on a shape that fills whole SIMD tiles.
         let big_a = Matrix::full(32, 32, 0.0);

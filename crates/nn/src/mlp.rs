@@ -1,15 +1,75 @@
-//! Multi-layer perceptron assembled from [`Linear`] layers.
+//! Multi-layer perceptron over one parameter slab, with explicit
+//! backpropagation.
 
 use crate::activation::Activation;
 use crate::init::Init;
-use crate::linear::{BackwardNeed, InputGrad, Linear};
+use crate::kernels;
 use crate::matrix::Matrix;
 use crate::scratch::Scratch;
+use crate::slab::Slab;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
-/// A feed-forward network: hidden layers use a shared activation, the output
-/// layer is linear.
+/// How much of the input gradient `dL/dx` a backward pass must produce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InputGrad {
+    /// Nobody reads `dL/dx`: the product is skipped and the destination
+    /// matrix is left untouched.
+    None,
+    /// Only columns `start..start + width` of `dL/dx`, written as a
+    /// `batch × width` matrix.
+    Columns {
+        /// First input column wanted.
+        start: usize,
+        /// Number of input columns wanted.
+        width: usize,
+    },
+    /// The whole `batch × fan_in` gradient.
+    Full,
+}
+
+/// What the caller of a backward pass will read afterwards; everything
+/// else is not computed.
+///
+/// # Examples
+///
+/// ```
+/// use marl_nn::{BackwardNeed, InputGrad, Matrix, Mlp, Scratch, rng};
+/// let mut rng = rng::seeded(0);
+/// let mut critic = Mlp::two_layer_relu(10, 1, &mut rng);
+/// let mut q = Matrix::default();
+/// critic.forward_into(&Matrix::zeros(4, 10), &mut q);
+/// // Policy pass: only dQ/d(columns 6..9) is read, no parameter gradients.
+/// let need = BackwardNeed { params: false, input: InputGrad::Columns { start: 6, width: 3 } };
+/// let (mut grad_action, mut scratch) = (Matrix::default(), Scratch::new());
+/// critic.backward_need_into(&Matrix::full(4, 1, 1.0), need, &mut grad_action, &mut scratch);
+/// assert_eq!(grad_action.shape(), (4, 3));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BackwardNeed {
+    /// Accumulate `dL/dW` and `dL/db` into the gradient slab.
+    pub params: bool,
+    /// Which part of `dL/dx` to write.
+    pub input: InputGrad,
+}
+
+impl BackwardNeed {
+    /// Parameter gradients and the whole input gradient — what
+    /// [`Mlp::backward_into`] passes.
+    pub const FULL: BackwardNeed = BackwardNeed { params: true, input: InputGrad::Full };
+}
+
+/// A feed-forward network: dense layers `y = x · W + b`, hidden layers
+/// followed by a shared activation, the output layer linear.
+///
+/// The network is its layer widths `[in, h1, …, out]` and one parameter
+/// slab laid out `[W0|b0|W1|b1|…]`, each `W` row-major `fan_in × fan_out`.
+/// Parameter gradients accumulate in a second slab of the same layout
+/// until [`Mlp::zero_grad`] clears it (the usual
+/// `zero_grad → forward → backward → step` loop), so every whole-network
+/// operation — an Adam step, a Polyak update, a copy onto the wire — is
+/// one pass over one slice.
 ///
 /// The paper parameterizes actors and critics as "two-layer ReLU MLPs with
 /// 64 units per layer"; [`Mlp::two_layer_relu`] builds exactly that.
@@ -20,33 +80,94 @@ use serde::{Deserialize, Serialize};
 /// use marl_nn::{mlp::Mlp, matrix::Matrix, rng, scratch::Scratch};
 /// let mut rng = rng::seeded(0);
 /// let net = Mlp::two_layer_relu(8, 5, &mut rng);
+/// assert_eq!(net.widths(), [8, 64, 64, 5]);
 /// let (mut out, mut scratch) = (Matrix::default(), Scratch::new());
 /// net.forward_inference_into(&Matrix::zeros(3, 8), &mut out, &mut scratch);
 /// assert_eq!(out.shape(), (3, 5));
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mlp {
-    layers: Vec<Linear>,
     hidden_activation: Activation,
+    widths: Vec<usize>,
+    params: Slab,
+    /// Not state: every parameter backward follows a `zero_grad`, so a
+    /// decoded network starts without one and sizes it on first use.
+    #[serde(skip)]
+    grads: Slab,
+    /// Layer 0's input of the last training forward; hidden layers read
+    /// `activations` instead.
+    #[serde(skip)]
+    input: Option<Matrix>,
+    /// Each hidden layer's activated output of the last training forward.
     #[serde(skip)]
     activations: Vec<Matrix>,
+    /// `W[s..s+w, :]ᵀ` of the last input-gradient product, reused.
+    #[serde(skip)]
+    weight_block_t: Matrix,
+}
+
+/// Layer `i`'s view into the slabs: `fan_in × fan_out` weights from
+/// `offset`, then `fan_out` biases.
+#[derive(Clone, Copy)]
+struct Layer {
+    offset: usize,
+    fan_in: usize,
+    fan_out: usize,
+}
+
+impl Layer {
+    fn nth(widths: &[usize], i: usize) -> Layer {
+        let offset = widths[..=i].windows(2).map(|w| w[0] * w[1] + w[1]).sum();
+        Layer { offset, fan_in: widths[i], fan_out: widths[i + 1] }
+    }
+
+    fn weights(self) -> Range<usize> {
+        self.offset..self.offset + self.fan_in * self.fan_out
+    }
+
+    fn bias(self) -> Range<usize> {
+        let start = self.weights().end;
+        start..start + self.fan_out
+    }
+
+    /// `out = input · W + b`, reusing `out`'s storage.
+    fn forward(self, params: &[f32], input: &Matrix, out: &mut Matrix) {
+        out.resize(input.rows(), self.fan_out);
+        let (a, w, c) = (input.as_slice(), &params[self.weights()], out.as_mut_slice());
+        kernels::matmul(a, w, c, input.rows(), self.fan_in, self.fan_out);
+        kernels::add_bias(c, &params[self.bias()]);
+    }
 }
 
 impl Mlp {
-    /// Builds an MLP with the given layer sizes, e.g. `[in, 64, 64, out]`.
+    /// Builds an MLP with the given layer widths, e.g. `[in, 64, 64, out]`:
+    /// each layer's weights drawn from `init` in layer order, every bias
+    /// zero.
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two sizes are given.
+    /// Panics if fewer than two widths are given.
     pub fn new<R: Rng + ?Sized>(
-        sizes: &[usize],
+        widths: &[usize],
         hidden_activation: Activation,
         init: Init,
         rng: &mut R,
     ) -> Self {
-        assert!(sizes.len() >= 2, "an MLP needs at least input and output sizes");
-        let layers = sizes.windows(2).map(|w| Linear::new(w[0], w[1], init, rng)).collect();
-        Mlp { layers, hidden_activation, activations: Vec::new() }
+        assert!(widths.len() >= 2, "an MLP needs at least input and output sizes");
+        let mut params = vec![0.0; widths.windows(2).map(|w| w[0] * w[1] + w[1]).sum()];
+        for i in 0..widths.len() - 1 {
+            let l = Layer::nth(widths, i);
+            init.fill(l.fan_in, l.fan_out, &mut params[l.weights()], rng);
+        }
+        Mlp {
+            hidden_activation,
+            widths: widths.to_vec(),
+            grads: Slab(vec![0.0; params.len()]),
+            params: Slab(params),
+            input: None,
+            activations: Vec::new(),
+            weight_block_t: Matrix::default(),
+        }
     }
 
     /// The paper's default architecture: `input → 64 → 64 → output` with
@@ -55,45 +176,77 @@ impl Mlp {
         Mlp::new(&[input, 64, 64, output], Activation::Relu, Init::HeUniform, rng)
     }
 
+    /// Layer widths `[in, h1, …, out]`.
+    pub fn widths(&self) -> &[usize] {
+        &self.widths
+    }
+
     /// Input feature count.
     pub fn input_dim(&self) -> usize {
-        self.layers.first().map_or(0, Linear::fan_in)
+        self.widths.first().copied().unwrap_or(0)
     }
 
     /// Output feature count.
     pub fn output_dim(&self) -> usize {
-        self.layers.last().map_or(0, Linear::fan_out)
+        self.widths.last().copied().unwrap_or(0)
     }
 
     /// Total trainable scalar count.
     pub fn parameter_count(&self) -> usize {
-        self.layers.iter().map(Linear::parameter_count).sum()
+        self.params.len()
     }
 
-    /// Number of dense layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
+    /// The parameter slab, `[W0|b0|W1|b1|…]`.
+    pub fn params(&self) -> &[f32] {
+        &self.params
     }
 
-    /// Training forward pass writing the output into `out`; the input and
-    /// hidden activations are cached into persistent per-layer buffers
-    /// (reused across calls) for the backward pass, so the steady state
-    /// performs zero heap allocations.
+    /// The parameter slab, writable.
+    pub fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.params
+    }
+
+    /// The gradient slab, in the parameters' layout (empty on a decoded
+    /// network until its first [`Mlp::zero_grad`] or backward pass).
+    pub fn grads(&self) -> &[f32] {
+        &self.grads
+    }
+
+    /// The widths, the parameter slab and the gradient slab (sized on
+    /// first use) — what an optimizer step reads and writes.
+    pub(crate) fn slabs(&mut self) -> (&[usize], &mut [f32], &[f32]) {
+        self.size_grads();
+        (&self.widths, &mut self.params, &self.grads)
+    }
+
+    fn size_grads(&mut self) {
+        if self.grads.len() != self.params.len() {
+            self.grads = Slab(vec![0.0; self.params.len()]);
+        }
+    }
+
+    /// Training forward pass writing the output into `out`. Layer 0's
+    /// input and every hidden activation are cached into persistent
+    /// buffers (reused across calls) for the backward pass, so the steady
+    /// state performs zero heap allocations.
     pub fn forward_into(&mut self, input: &Matrix, out: &mut Matrix) {
-        let n = self.layers.len();
+        let n = self.widths.len() - 1;
         if self.activations.len() != n - 1 {
             self.activations.resize_with(n - 1, Matrix::default);
         }
-        let Mlp { layers, hidden_activation, activations } = self;
-        for i in 0..n - 1 {
+        self.input.get_or_insert_with(Matrix::default).copy_from(input);
+        let Mlp { widths, params, hidden_activation, activations, .. } = self;
+        for i in 0..n {
             let (done, rest) = activations.split_at_mut(i);
-            let prev: &Matrix = if i == 0 { input } else { &done[i - 1] };
-            let a = &mut rest[0];
-            layers[i].forward_into(prev, a);
-            hidden_activation.forward_inplace(a);
+            let (x, dst) = (
+                if i == 0 { input } else { &done[i - 1] },
+                if i + 1 == n { &mut *out } else { &mut rest[0] },
+            );
+            Layer::nth(widths, i).forward(params, x, dst);
+            if i + 1 < n {
+                hidden_activation.forward_inplace(dst);
+            }
         }
-        let prev: &Matrix = if n == 1 { input } else { &activations[n - 2] };
-        layers[n - 1].forward_into(prev, out);
     }
 
     /// Inference forward pass on `&self` writing into `out`, ping-ponging
@@ -101,21 +254,17 @@ impl Mlp {
     /// once the arena is warm). Caches nothing, and each output row
     /// depends only on its own input row.
     pub fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix, scratch: &mut Scratch) {
-        let n = self.layers.len();
-        if n == 1 {
-            self.layers[0].forward_inference_into(input, out);
-            return;
+        let n = self.widths.len() - 1;
+        let (mut cur, mut next) = (scratch.take(), scratch.take());
+        for i in 0..n {
+            let (x, dst) =
+                (if i == 0 { input } else { &cur }, if i + 1 == n { &mut *out } else { &mut next });
+            Layer::nth(&self.widths, i).forward(&self.params, x, dst);
+            if i + 1 < n {
+                self.hidden_activation.forward_inplace(dst);
+                std::mem::swap(&mut cur, &mut next);
+            }
         }
-        let mut cur = scratch.take();
-        let mut next = scratch.take();
-        self.layers[0].forward_inference_into(input, &mut cur);
-        self.hidden_activation.forward_inplace(&mut cur);
-        for i in 1..n - 1 {
-            self.layers[i].forward_inference_into(&cur, &mut next);
-            self.hidden_activation.forward_inplace(&mut next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        self.layers[n - 1].forward_inference_into(&cur, out);
         scratch.put(cur);
         scratch.put(next);
     }
@@ -140,12 +289,19 @@ impl Mlp {
     /// ping-ponging the inter-layer gradient through two [`Scratch`]
     /// buffers.
     ///
-    /// Hidden layers always propagate their full input gradient (the layer
-    /// below needs it) and accumulate `dL/dW`/`dL/db` only under
-    /// `need.params`; `need.input` applies to the first layer alone, whose
-    /// input is the network's: [`InputGrad::None`] leaves `grad_in`
-    /// untouched, [`InputGrad::Columns`] makes it `batch × width`. Every
-    /// output a request keeps is bitwise what the full request produces.
+    /// Under `need.params` each layer's `dL/dW` accumulates into the
+    /// gradient slab through the fused [`kernels::transpose_matmul_acc`]
+    /// (no temporary product) and `dL/db` sums straight into it; without
+    /// it the slab is left exactly as it was. Hidden layers always
+    /// propagate their full input gradient (the layer below needs it);
+    /// `need.input` applies to the first layer alone, whose input is the
+    /// network's: [`InputGrad::None`] leaves `grad_in` untouched,
+    /// [`InputGrad::Columns`] makes it `batch × width`. `W` is stored
+    /// `fan_in × fan_out`, so a column block of `dL/dx` is
+    /// `G · W[s..s+w, :]ᵀ`: the row block is transposed into a reused
+    /// buffer and multiplied with the forward kernel, whose elements
+    /// depend only on their own row and column. So every output a request
+    /// keeps is bitwise what the full request produces.
     ///
     /// # Panics
     ///
@@ -158,122 +314,122 @@ impl Mlp {
         grad_in: &mut Matrix,
         scratch: &mut Scratch,
     ) {
-        let n = self.layers.len();
-        assert_eq!(self.activations.len() + 1, n, "Mlp backward called before forward");
-        let hidden = BackwardNeed { params: need.params, input: InputGrad::Full };
+        if need.params {
+            self.size_grads();
+        }
+        let n = self.widths.len() - 1;
+        let Mlp { widths, params, grads, hidden_activation, input, activations, weight_block_t } =
+            self;
+        let input = input.as_ref().expect("Mlp backward called before forward");
         let mut g = scratch.take();
         let mut g2 = scratch.take();
         g.copy_from(grad_out);
         for i in (0..n).rev() {
             if i + 1 < n {
-                self.hidden_activation.backward_inplace(&mut g, &self.activations[i]);
+                hidden_activation.backward_inplace(&mut g, &activations[i]);
             }
-            if i == 0 {
-                self.layers[0].backward_need_into(&g, need, grad_in);
-            } else {
-                self.layers[i].backward_need_into(&g, hidden, &mut g2);
-                std::mem::swap(&mut g, &mut g2);
+            let (l, x) = (Layer::nth(widths, i), if i == 0 { input } else { &activations[i - 1] });
+            let rows = g.rows();
+            assert_eq!(rows, x.rows(), "backward batch mismatch");
+            if need.params {
+                let dw = &mut grads[l.weights()];
+                kernels::transpose_matmul_acc(
+                    x.as_slice(),
+                    g.as_slice(),
+                    dw,
+                    rows,
+                    l.fan_in,
+                    l.fan_out,
+                );
+                let db = &mut grads[l.bias()];
+                for r in 0..rows {
+                    db.iter_mut().zip(g.row(r)).for_each(|(b, &d)| *b += d);
+                }
             }
+            let (start, width) = match (i, need.input) {
+                (0, InputGrad::None) => break,
+                (0, InputGrad::Columns { start, width }) => (start, width),
+                _ => (0, l.fan_in),
+            };
+            assert!(
+                start.checked_add(width).is_some_and(|end| end <= l.fan_in),
+                "input-gradient column block (start {start}, width {width}) exceeds the layer's fan_in {}",
+                l.fan_in
+            );
+            let block = &params[l.weights()][start * l.fan_out..(start + width) * l.fan_out];
+            crate::matrix::transpose_into(block, width, l.fan_out, weight_block_t);
+            g.matmul_into(weight_block_t, if i == 0 { &mut *grad_in } else { &mut g2 });
+            std::mem::swap(&mut g, &mut g2);
         }
         scratch.put(g);
         scratch.put(g2);
     }
 
     /// Checks the invariants a deserialized network can break: at least
-    /// one layer, every layer's weight, bias and gradient buffers sized to
-    /// its shape, and each layer's input width equal to the previous
-    /// layer's output width. Decoders run this before a network can reach
-    /// the kernels, whose loops trust those sizes.
+    /// two widths, and exactly `Σ (wᵢ·wᵢ₊₁ + wᵢ₊₁)` parameters. Decoders
+    /// run this before a network can reach the kernels, whose loops trust
+    /// those sizes.
     ///
     /// # Errors
     ///
-    /// A message naming the first offending layer.
+    /// A message naming what does not fit.
     pub fn validate(&self) -> Result<(), String> {
-        if self.layers.is_empty() {
-            return Err("network has no layers".into());
+        let widths = &self.widths;
+        if widths.len() < 2 {
+            return Err(format!("{} widths, a network needs at least 2", widths.len()));
         }
-        for (i, l) in self.layers.iter().enumerate() {
-            l.check().map_err(|e| format!("layer {i}: {e}"))?;
-            if i > 0 && l.fan_in() != self.layers[i - 1].fan_out() {
-                return Err(format!(
-                    "layer {i} takes {} inputs but layer {} gives {}",
-                    l.fan_in(),
-                    i - 1,
-                    self.layers[i - 1].fan_out()
-                ));
-            }
+        let want = widths
+            .windows(2)
+            .try_fold(0usize, |n, w| w[0].checked_mul(w[1])?.checked_add(w[1])?.checked_add(n))
+            .ok_or_else(|| format!("widths {widths:?} overflow"))?;
+        match self.params.len() {
+            len if len == want => Ok(()),
+            len => Err(format!("params hold {len} values, widths {widths:?} need {want}")),
         }
-        Ok(())
     }
 
-    /// Whether `other` has the same hidden activation and the same
-    /// `fan_in × fan_out` shape at every layer.
+    /// Whether `other` has the same hidden activation and widths.
     pub fn same_shape(&self, other: &Mlp) -> bool {
-        self.hidden_activation == other.hidden_activation
-            && self.layers.len() == other.layers.len()
-            && self
-                .layers
-                .iter()
-                .zip(&other.layers)
-                .all(|(a, b)| a.weight().shape() == b.weight().shape())
+        self.hidden_activation == other.hidden_activation && self.widths == other.widths
     }
 
-    /// Clears accumulated gradients on every layer.
+    /// Clears accumulated gradients to `+0.0` (a fill, not a scale: a
+    /// NaN/Inf accumulator would survive multiplication by zero).
     pub fn zero_grad(&mut self) {
-        for l in &mut self.layers {
-            l.zero_grad();
-        }
+        self.size_grads();
+        self.grads.fill(0.0);
     }
 
-    /// Visits every `(parameter slice, gradient slice)` pair in a stable
-    /// order; the optimizer relies on this ordering being deterministic.
-    pub fn visit_params(&mut self, mut f: impl FnMut(&mut [f32], &[f32])) {
-        for l in &mut self.layers {
-            l.visit_params(&mut f);
-        }
-    }
-
-    /// Visits every parameter slice read-only, in the same stable order as
-    /// [`Mlp::visit_params`] (per layer: weights, then bias) — for
-    /// checksumming and fingerprinting without mutable access.
-    pub fn visit_params_ref(&self, mut f: impl FnMut(&[f32])) {
-        for l in &self.layers {
-            f(l.weight().as_slice());
-            f(l.bias());
-        }
-    }
-
-    /// Largest absolute parameter value across every layer, or `NaN` as
-    /// soon as any weight or bias is non-finite — a cheap health probe for
-    /// divergence sentinels (one linear scan, no allocation).
+    /// Largest absolute parameter value, or `NaN` as soon as any weight or
+    /// bias is non-finite — a cheap health probe for divergence sentinels
+    /// (one linear scan, no allocation).
     pub fn max_abs_param(&self) -> f32 {
-        let mut m = 0.0f32;
-        for l in &self.layers {
-            for &x in l.weight().as_slice().iter().chain(l.bias()) {
-                if !x.is_finite() {
-                    return f32::NAN;
-                }
-                m = m.max(x.abs());
-            }
-        }
-        m
+        let max =
+            self.params.iter().try_fold(0.0f32, |m, &x| x.is_finite().then(|| m.max(x.abs())));
+        max.unwrap_or(f32::NAN)
     }
 
-    /// Polyak-averages parameters toward `source` with rate `tau`.
+    /// Polyak-averages parameters toward `source` with rate `tau`:
+    /// `θ ← τ·θ_src + (1−τ)·θ`.
     ///
     /// # Panics
     ///
-    /// Panics if architectures differ.
+    /// Panics if the widths differ.
     pub fn soft_update_from(&mut self, source: &Mlp, tau: f32) {
-        assert_eq!(self.layers.len(), source.layers.len(), "network depth mismatch");
-        for (t, s) in self.layers.iter_mut().zip(source.layers.iter()) {
-            t.soft_update_from(s, tau);
+        assert_eq!(self.widths, source.widths, "soft update shape mismatch");
+        for (t, s) in self.params.iter_mut().zip(source.params.iter()) {
+            *t = tau * s + (1.0 - tau) * *t;
         }
     }
 
-    /// Copies all parameters from `source`.
+    /// Copies every parameter verbatim from `source`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths differ.
     pub fn hard_update_from(&mut self, source: &Mlp) {
-        self.soft_update_from(source, 1.0);
+        assert_eq!(self.widths, source.widths, "hard update shape mismatch");
+        self.params.copy_from_slice(&source.params);
     }
 }
 
@@ -294,7 +450,7 @@ mod tests {
         let mut net = Mlp::two_layer_relu(10, 4, &mut r);
         assert_eq!(net.input_dim(), 10);
         assert_eq!(net.output_dim(), 4);
-        assert_eq!(net.layer_count(), 3);
+        assert_eq!(net.widths(), [10, 64, 64, 4]);
         let mut y = Matrix::default();
         net.forward_into(&Matrix::zeros(6, 10), &mut y);
         assert_eq!(y.shape(), (6, 4));
@@ -307,13 +463,7 @@ mod tests {
         let healthy = net.max_abs_param();
         assert!(healthy.is_finite() && healthy > 0.0);
         // Poison one weight; the probe must report NaN, not mask it.
-        let mut poisoned = false;
-        net.visit_params(|p, _| {
-            if !poisoned {
-                p[0] = f32::NAN;
-                poisoned = true;
-            }
-        });
+        net.params_mut()[0] = f32::NAN;
         assert!(net.max_abs_param().is_nan());
     }
 
@@ -323,6 +473,22 @@ mod tests {
         let net = Mlp::two_layer_relu(10, 4, &mut r);
         // (10*64+64) + (64*64+64) + (64*4+4)
         assert_eq!(net.parameter_count(), 10 * 64 + 64 + 64 * 64 + 64 + 64 * 4 + 4);
+    }
+
+    /// The slab is `[W0|b0|W1|b1|…]`: each layer's weights drawn in layer
+    /// order, each bias zero.
+    #[test]
+    fn slab_layout_is_weights_then_bias_per_layer() {
+        let net = Mlp::new(&[3, 4, 2], Activation::Relu, Init::XavierUniform, &mut rng::seeded(4));
+        let mut r = rng::seeded(4);
+        let (mut w0, mut w1) = ([0.0; 12], [0.0; 8]);
+        Init::XavierUniform.fill(3, 4, &mut w0, &mut r);
+        Init::XavierUniform.fill(4, 2, &mut w1, &mut r);
+        let p = net.params();
+        assert_eq!(p[..12], w0);
+        assert_eq!(p[12..16], [0.0; 4]);
+        assert_eq!(p[16..24], w1);
+        assert_eq!(&p[24..], [0.0; 2]);
     }
 
     #[test]
@@ -360,67 +526,89 @@ mod tests {
         let (mut y, mut gin) = (Matrix::default(), Matrix::default());
         net.forward_into(&x, &mut y);
         net.backward_into(&Matrix::full(2, 1, 1.0), &mut gin, &mut Scratch::new());
-        let mut analytic: Vec<f32> = Vec::new();
-        net.visit_params(|_, g| analytic.extend_from_slice(g));
-
-        // Finite differences on every parameter.
+        let analytic = net.grads().to_vec();
+        assert_eq!(analytic.len(), net.parameter_count());
         let eps = 1e-3f32;
-        let mut idx = 0;
-        let mut fds = Vec::new();
-        // Collect param count first to iterate with perturbation via closure.
-        let mut total = 0;
-        net.visit_params(|p, _| total += p.len());
-        for k in 0..total {
-            let perturb = |k: usize, delta: f32, net: &mut Mlp| {
-                let mut seen = 0;
-                net.visit_params(|p, _| {
-                    if k >= seen && k < seen + p.len() {
-                        p[k - seen] += delta;
-                    }
-                    seen += p.len();
-                });
-            };
-            perturb(k, eps, &mut net);
+        for (k, an) in analytic.iter().enumerate() {
+            net.params_mut()[k] += eps;
             let lp = loss_sum(&net, &x);
-            perturb(k, -2.0 * eps, &mut net);
+            net.params_mut()[k] -= 2.0 * eps;
             let lm = loss_sum(&net, &x);
-            perturb(k, eps, &mut net);
-            fds.push((lp - lm) / (2.0 * eps));
-            idx += 1;
-        }
-        assert_eq!(idx, analytic.len());
-        for (k, (fd, an)) in fds.iter().zip(analytic.iter()).enumerate() {
+            net.params_mut()[k] += eps;
+            let fd = (lp - lm) / (2.0 * eps);
             assert!((fd - an).abs() < 2e-2, "param {k}: fd={fd} analytic={an}");
         }
     }
 
     #[test]
-    fn visit_params_ref_matches_mutable_visitor_order() {
+    fn bias_grads_sum_the_batch_and_accumulate_until_zeroed() {
+        let mut net =
+            Mlp::new(&[2, 2], Activation::Identity, Init::XavierUniform, &mut rng::seeded(2));
+        let (x, g) = (Matrix::full(2, 2, 1.0), Matrix::full(2, 2, 1.0));
+        let (mut y, mut gin) = (Matrix::default(), Matrix::default());
+        for _ in 0..2 {
+            net.forward_into(&x, &mut y);
+            net.backward_into(&g, &mut gin, &mut Scratch::new());
+        }
+        assert_eq!(net.grads()[4..], [4.0, 4.0]);
+        net.zero_grad();
+        assert_eq!(net.grads(), [0.0; 6]);
+    }
+
+    #[test]
+    fn zero_grad_clears_a_poisoned_accumulator() {
+        let mut net =
+            Mlp::new(&[2, 3], Activation::Identity, Init::XavierUniform, &mut rng::seeded(5));
+        // NaN·0 and Inf·0 are NaN and −x·0 is −0.0: only a fill clears them.
+        let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -1.0, -0.0, 1.0];
+        net.grads.copy_from_slice(&[poison.as_slice(), &poison[..3]].concat());
+        net.zero_grad();
+        for (i, g) in net.grads().iter().enumerate() {
+            assert_eq!(g.to_bits(), 0, "gradient {i} is {g:?}, not +0.0");
+        }
+    }
+
+    #[test]
+    fn soft_update_moves_toward_source() {
         let mut r = rng::seeded(3);
-        let mut net = Mlp::new(&[3, 8, 2], Activation::Relu, Init::XavierUniform, &mut r);
-        let mut via_mut: Vec<f32> = Vec::new();
-        net.visit_params(|p, _| via_mut.extend_from_slice(p));
-        let mut via_ref: Vec<f32> = Vec::new();
-        net.visit_params_ref(|p| via_ref.extend_from_slice(p));
-        assert_eq!(via_ref, via_mut);
-        assert_eq!(via_ref.len(), net.parameter_count());
+        let src = Mlp::new(&[2, 2], Activation::Identity, Init::XavierUniform, &mut r);
+        let mut dst = Mlp::new(&[2, 2], Activation::Identity, Init::Zeros, &mut r);
+        dst.soft_update_from(&src, 0.5);
+        for (d, s) in dst.params().iter().zip(src.params()) {
+            assert!((d - 0.5 * s).abs() < 1e-6);
+        }
     }
 
+    /// A hard update is a copy: `−0.0` stays `−0.0` and a NaN already in
+    /// the target is overwritten (`1·s + 0·t` kept neither).
     #[test]
-    fn hard_update_clones_behaviour() {
+    fn hard_update_copies_verbatim() {
         let mut r = rng::seeded(9);
-        let src = Mlp::two_layer_relu(4, 2, &mut r);
+        let mut src = Mlp::two_layer_relu(4, 2, &mut r);
         let mut dst = Mlp::two_layer_relu(4, 2, &mut r);
+        src.params_mut()[0] = -0.0;
+        dst.params_mut()[0] = f32::NAN;
+        dst.params_mut()[1] = f32::INFINITY;
         dst.hard_update_from(&src);
-        let x = Matrix::full(1, 4, 0.3);
-        let (mut a, mut b, mut scratch) = (Matrix::default(), Matrix::default(), Scratch::new());
-        src.forward_inference_into(&x, &mut a, &mut scratch);
-        dst.forward_inference_into(&x, &mut b, &mut scratch);
-        assert_eq!(a, b);
+        let bits = |net: &Mlp| net.params().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dst), bits(&src));
     }
 
     #[test]
-    fn validate_and_same_shape_see_every_layer() {
+    #[should_panic(expected = "backward called before forward")]
+    fn backward_requires_forward() {
+        let mut net = Mlp::new(&[2, 2], Activation::Identity, Init::Zeros, &mut rng::seeded(4));
+        let need = BackwardNeed::FULL;
+        net.backward_need_into(
+            &Matrix::zeros(1, 2),
+            need,
+            &mut Matrix::default(),
+            &mut Scratch::new(),
+        );
+    }
+
+    #[test]
+    fn validate_and_same_shape_see_every_width() {
         let mut r = rng::seeded(10);
         let net = Mlp::new(&[3, 8, 2], Activation::Relu, Init::XavierUniform, &mut r);
         assert_eq!(net.validate(), Ok(()));
@@ -429,11 +617,52 @@ mod tests {
         assert!(!net.same_shape(&wider));
         let tanh = Mlp::new(&[3, 8, 2], Activation::Tanh, Init::XavierUniform, &mut r);
         assert!(!net.same_shape(&tanh));
-        // Layers that do not chain: 8 outputs feeding a 9-input layer.
-        let mut broken = net.clone();
-        broken.layers[1] = wider.layers[1].clone();
-        assert_eq!(broken.validate(), Err("layer 1 takes 9 inputs but layer 0 gives 8".into()));
-        let empty = Mlp { layers: Vec::new(), ..net };
-        assert!(empty.validate().is_err());
+    }
+
+    #[test]
+    fn validate_names_a_slab_that_does_not_fit_its_widths() {
+        let net = Mlp::new(&[3, 8, 2], Activation::Relu, Init::XavierUniform, &mut rng::seeded(6));
+        let with = |widths: Vec<usize>, extra: isize| {
+            let mut bad = net.clone();
+            bad.widths = widths;
+            let len = bad.params.len().checked_add_signed(extra).unwrap();
+            bad.params.resize(len, 0.0);
+            bad.validate()
+        };
+        assert_eq!(with(vec![3], 0), Err("1 widths, a network needs at least 2".into()));
+        assert_eq!(with(vec![], 0), Err("0 widths, a network needs at least 2".into()));
+        assert_eq!(
+            with(vec![3, 8, 2], -1),
+            Err("params hold 49 values, widths [3, 8, 2] need 50".into())
+        );
+        assert_eq!(
+            with(vec![3, 8, 2], 1),
+            Err("params hold 51 values, widths [3, 8, 2] need 50".into())
+        );
+        let huge = vec![3, usize::MAX / 2, 4];
+        assert_eq!(with(huge.clone(), 0), Err(format!("widths {huge:?} overflow")));
+    }
+
+    /// The JSON form is the widths and the parameter bits: NaN payloads,
+    /// infinities, −0.0 and subnormals come back bit for bit, and the
+    /// gradient slab is not carried.
+    #[test]
+    fn serde_round_trip_is_bitwise() {
+        let mut net =
+            Mlp::new(&[3, 4, 2], Activation::Tanh, Init::XavierUniform, &mut rng::seeded(11));
+        let awkward =
+            [0x7FC0_1234, 0xFFA5_5AA5, 0x8000_0000, 0x0000_0001, 0x807F_FFFF, 0x7F80_0000];
+        for (p, bits) in net.params_mut().iter_mut().zip(awkward) {
+            *p = f32::from_bits(bits);
+        }
+        net.grads[0] = 1.0;
+        let json = serde_json::to_string(&net).unwrap();
+        assert!(
+            json.starts_with(r#"{"hidden_activation":"Tanh","widths":[3,4,2],"params":"7fc01234"#)
+        );
+        let back: Mlp = serde_json::from_str(&json).unwrap();
+        let bits = |net: &Mlp| net.params().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&net));
+        assert!(back.same_shape(&net) && back.grads().is_empty());
     }
 }

@@ -7,11 +7,11 @@ use marl_nn::activation::Activation;
 use marl_nn::adam::{Adam, AdamConfig};
 use marl_nn::init::Init;
 use marl_nn::kernels::{self, KernelKind};
-use marl_nn::linear::{BackwardNeed, InputGrad};
 use marl_nn::matrix::Matrix;
 use marl_nn::mlp::Mlp;
 use marl_nn::rng::seeded;
 use marl_nn::scratch::Scratch;
+use marl_nn::{BackwardNeed, InputGrad};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -31,11 +31,9 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Every accumulated parameter gradient of `net`, as bits, in visit order.
-fn grad_bits(net: &mut Mlp) -> Vec<u32> {
-    let mut out = Vec::new();
-    net.visit_params(|_, g| out.extend(g.iter().map(|v| v.to_bits())));
-    out
+/// Every accumulated parameter gradient of `net`, as bits, in slab order.
+fn grad_bits(net: &Mlp) -> Vec<u32> {
+    bits(net.grads())
 }
 
 /// Deterministic values in roughly [-1, 1] with non-representable
@@ -111,8 +109,7 @@ proptest! {
     fn adam_fixed_point_at_zero_gradient(seed in 0u64..1000) {
         let mut rng = seeded(seed);
         let mut net = Mlp::two_layer_relu(2, 2, &mut rng);
-        let mut before = Vec::new();
-        net.visit_params(|p, _| before.extend_from_slice(p));
+        let before = net.params().to_vec();
         let mut opt = Adam::new(AdamConfig::default());
         let (mut y, mut grad_in, mut scratch) = (Matrix::default(), Matrix::default(), Scratch::new());
         net.zero_grad();
@@ -121,9 +118,7 @@ proptest! {
         // hidden grads may be nonzero? backward with zero grad_out yields
         // zero everywhere.
         opt.step(&mut net);
-        let mut after = Vec::new();
-        net.visit_params(|p, _| after.extend_from_slice(p));
-        prop_assert_eq!(before, after);
+        prop_assert_eq!(before, net.params());
     }
 
     /// Adam drives a random scalar quadratic toward its minimum.
@@ -187,11 +182,11 @@ proptest! {
             net.forward_into(&x, &mut out);
             let mut full_in = Matrix::default();
             net.backward_into(&grad_out, &mut full_in, &mut scratch);
-            let before = grad_bits(&mut net);
+            let before = grad_bits(&net);
 
             let mut full = net.clone();
             full.backward_into(&grad_out, &mut full_in, &mut scratch);
-            let full_grads = grad_bits(&mut full);
+            let full_grads = grad_bits(&full);
             prop_assert_ne!(&full_grads, &before);
 
             // Parameters only: the gradients of the full pass, and a
@@ -201,7 +196,7 @@ proptest! {
             let mut params_only = net.clone();
             let need = BackwardNeed { params: true, input: InputGrad::None };
             params_only.backward_need_into(&grad_out, need, &mut untouched, &mut scratch);
-            prop_assert_eq!(&grad_bits(&mut params_only), &full_grads);
+            prop_assert_eq!(&grad_bits(&params_only), &full_grads);
             prop_assert_eq!(untouched.shape(), sentinel.shape());
             prop_assert_eq!(bits(untouched.as_slice()), bits(sentinel.as_slice()));
 
@@ -211,7 +206,7 @@ proptest! {
             let mut columns_only = net.clone();
             let need = BackwardNeed { params: false, input: InputGrad::Columns { start, width } };
             columns_only.backward_need_into(&grad_out, need, &mut block, &mut scratch);
-            prop_assert_eq!(&grad_bits(&mut columns_only), &before);
+            prop_assert_eq!(&grad_bits(&columns_only), &before);
             prop_assert_eq!(block.shape(), (batch, width));
             for r in 0..batch {
                 prop_assert_eq!(
@@ -227,7 +222,7 @@ proptest! {
             let need =
                 BackwardNeed { params: true, input: InputGrad::Columns { start: 0, width: fan_in } };
             all_columns.backward_need_into(&grad_out, need, &mut all_in, &mut scratch);
-            prop_assert_eq!(&grad_bits(&mut all_columns), &full_grads);
+            prop_assert_eq!(&grad_bits(&all_columns), &full_grads);
             prop_assert_eq!(all_in.shape(), full_in.shape());
             prop_assert_eq!(bits(all_in.as_slice()), bits(full_in.as_slice()));
 

@@ -1,6 +1,6 @@
 //! Property-based equivalence of the matmul kernels' tiles and tails and
-//! a naive triple-loop reference, through the two `Matrix` products the
-//! network layers call.
+//! a naive triple-loop reference, through the two products the network
+//! layers call (`Matrix::matmul_into` and `kernels::transpose_matmul_acc`).
 //!
 //! Inputs are small-integer-valued floats, so every product and partial
 //! sum is exactly representable in `f32`: a dropped or doubled term in
@@ -12,6 +12,7 @@
 //! the fused `mul_add` chain is what makes scalar and SIMD agree, live in
 //! `kernel_equivalence.rs`.
 
+use marl_nn::kernels;
 use marl_nn::matrix::Matrix;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -82,7 +83,7 @@ proptest! {
         let a = int_matrix(m, k, seed);
         let b = int_matrix(m, n, seed ^ 0x5eed);
         let mut got = Matrix::zeros(k, n);
-        a.transpose_matmul_acc_into(&b, &mut got);
+        kernels::transpose_matmul_acc(a.as_slice(), b.as_slice(), got.as_mut_slice(), m, k, n);
         assert_bitwise_eq(&got, &reference_matmul(&a.transpose(), &b))?;
     }
 }

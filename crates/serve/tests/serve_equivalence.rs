@@ -147,15 +147,11 @@ fn concurrent_clients_get_bitwise_identical_answers() {
 fn batched_answers_match_serial_under_subnormal_pressure() {
     let mut ckpt = tiny_checkpoint(7);
     for agent in &mut ckpt.agents {
-        // `visit_params` yields weights then bias, layer by layer.
-        let head = 2 * agent.actor.layer_count() - 2;
-        let mut k = 0;
-        agent.actor.visit_params(|p, _| {
-            if k >= head {
-                p.iter_mut().for_each(|x| *x *= 1e-37);
-            }
-            k += 1;
-        });
+        // The output layer is the tail of the parameter slab.
+        let &[.., fan_in, fan_out] = agent.actor.widths() else { unreachable!() };
+        let params = agent.actor.params_mut();
+        let head = params.len() - (fan_in * fan_out + fan_out);
+        params[head..].iter_mut().for_each(|x| *x *= 1e-37);
     }
     assert_concurrent_answers_match_serial(&ckpt, "equiv-subnormal", true);
 }

@@ -103,15 +103,11 @@ pub fn scaled_actor_heads(config: TrainConfig, factor: f32) -> Checkpoint {
     let mut ckpt = Trainer::new(config).expect("config is valid").checkpoint();
     for agent in &mut ckpt.agents {
         for net in [&mut agent.actor, &mut agent.target_actor] {
-            // `visit_params` yields weights then bias, layer by layer.
-            let head = 2 * net.layer_count() - 2;
-            let mut k = 0;
-            net.visit_params(|p, _| {
-                if k >= head {
-                    p.iter_mut().for_each(|x| *x *= factor);
-                }
-                k += 1;
-            });
+            // The output layer is the tail of the parameter slab.
+            let &[.., fan_in, fan_out] = net.widths() else { unreachable!() };
+            let params = net.params_mut();
+            let head = params.len() - (fan_in * fan_out + fan_out);
+            params[head..].iter_mut().for_each(|x| *x *= factor);
         }
     }
     ckpt

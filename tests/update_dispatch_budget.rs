@@ -6,13 +6,13 @@
 //! One test, its own binary: `kernels::dispatch_tally` is process-global
 //! (the reason `alloc_steady_state.rs` is its own binary too).
 //!
-//! Every network is the paper's `in → 64 → 64 → out` MLP — 3 `Linear`
+//! Every network is the paper's `in → 64 → 64 → out` MLP — 3 dense
 //! layers, 2 ReLUs — and each of these is one dispatch: a product (`A·B`
 //! or `C += Aᵀ·B`), a bias add, a ReLU forward or backward, an Adam step
-//! over one parameter slice. A full `Linear` backward is 2 products (`dW`
-//! as `C += Aᵀ·B`; `dX` as `A·B` against a transposed weight block, the
-//! transpose itself dispatching nothing), params-only 1, input-only 1;
-//! hidden layers always propagate `dX`.
+//! over the network's whole parameter slab. A full layer backward is 2
+//! products (`dW` as `C += Aᵀ·B`; `dX` as `A·B` against a transposed
+//! weight block, the transpose itself dispatching nothing), params-only 1,
+//! input-only 1; hidden layers always propagate `dX`.
 //!
 //! | pass                                | dispatches                     |
 //! |-------------------------------------|--------------------------------|
@@ -20,15 +20,20 @@
 //! | backward, full request              | 2 ReLU + 3·2 products = 8      |
 //! | backward `{params: true, None}`     | 2 ReLU + 3 `dW` + 2 `dX` = 7   |
 //! | backward `{params: false, Columns}` | 2 ReLU + 3 `dX` = 5            |
-//! | Adam step                           | 3 weights + 3 biases = 6       |
+//! | Adam step                           | 1 (one slab)                   |
 //!
 //! Per update of N agents:
 //!
 //! * shared target actions: N batches × N target actors × 8 = 8N²
 //! * per agent, target Q: 8 per target critic
-//! * per agent, Q loss: forward 8 + backward 7 + Adam 6 = 21 per critic
+//! * per agent, Q loss: forward 8 + backward 7 + Adam 1 = 16 per critic
 //! * per agent, P loss: actor forward 8 + critic forward 8 + critic
-//!   backward 5 + actor backward 7 + Adam 6 = 34
+//!   backward 5 + actor backward 7 + Adam 1 = 29
+//!
+//! So MADDPG predator-prey at N = 3 dispatches 72 + 3·(8 + 16 + 29) =
+//! 231 per update; MATD3 cooperative navigation at N = 3 dispatches
+//! 72 + 3·(2·8 + 2·16 + 29) = 303 on a policy iteration and
+//! 72 + 3·(2·8 + 2·16) = 216 on a critic-only one.
 //!
 //! Soft updates, losses and the Gumbel relaxation dispatch nothing.
 //!
@@ -43,8 +48,9 @@ const N: u64 = 3;
 const FORWARD: u64 = 8;
 const TARGET_ACTIONS: u64 = FORWARD * N * N;
 const TARGET_Q: u64 = FORWARD;
-const Q_LOSS: u64 = FORWARD + 7 + 6;
-const P_LOSS: u64 = FORWARD + FORWARD + 5 + 7 + 6;
+const ADAM: u64 = 1;
+const Q_LOSS: u64 = FORWARD + 7 + ADAM;
+const P_LOSS: u64 = FORWARD + FORWARD + 5 + 7 + ADAM;
 
 fn trainer(algorithm: Algorithm, task: Task) -> Trainer {
     let cfg = TrainConfig::paper_defaults(algorithm, task, N as usize)
@@ -76,6 +82,7 @@ fn update_dispatches_exactly_the_products_it_reads() {
     let mut maddpg = trainer(Algorithm::Maddpg, Task::PredatorPrey);
     let per_agent = TARGET_Q + Q_LOSS + P_LOSS;
     assert_eq!(dispatches_of_one_update(&mut maddpg), TARGET_ACTIONS + N * per_agent);
+    assert_eq!(TARGET_ACTIONS + N * per_agent, 231);
 
     // MATD3: twin critics, the policy step on every `policy_delay`-th
     // update counted from 0.
@@ -91,6 +98,10 @@ fn update_dispatches_exactly_the_products_it_reads() {
         dispatches_of_one_update(&mut matd3),
         TARGET_ACTIONS + N * critics_only,
         "critic-only iteration"
+    );
+    assert_eq!(
+        (TARGET_ACTIONS + N * (critics_only + P_LOSS), TARGET_ACTIONS + N * critics_only),
+        (303, 216)
     );
 
     // Rollout: one batched actor forward per agent per step, whatever the
