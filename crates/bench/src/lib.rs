@@ -1,74 +1,48 @@
 //! # marl-bench
 //!
-//! Shared helpers for the paper-reproduction binaries that regenerate
-//! every table and figure of the paper's evaluation (see DESIGN.md for the
-//! experiment index, and EXPERIMENTS.md for recorded results), plus the
-//! `marl-fleet` multi-process trace orchestrator.
+//! The paper's evaluation (Table I; Figures 2–4, 6, 8–14; the §VI-A and
+//! §VI-C claims) as one sweep, plus the `marl-fleet` multi-process trace
+//! orchestrator:
+//!
+//! * [`cells`] — one [`cells::Cell`] per distinct configuration (a
+//!   training run, a timed gather, a cache/TLB simulation, a layout
+//!   reshape), each keyed by its own JSON and run once into
+//!   `results/cells.jsonl`;
+//! * [`views`] — one pure function per `results/<view>.txt`, rendering
+//!   a paper table or figure from the cells it lists.
+//!
+//! `cargo run -p marl-bench --release --bin repro [VIEW…]` runs the cells
+//! the views need that the file does not hold yet, then renders the views.
 //!
 //! This crate reproduces the paper's figures; it does not measure the
 //! system for regressions. That is `bench_e2e` (`benchmark/run.sh`), the
 //! one harness whose workloads and per-layer metrics every performance
 //! claim is compared on.
-//!
-//! The binaries print paper-style tables and optionally emit JSON (set
-//! `MARL_JSON=1`). Scale knobs come from environment variables so the same
-//! binary supports quick runs and long-fidelity runs:
-//!
-//! * `MARL_EPISODES` — override training episode counts;
-//! * `MARL_BATCH` — override mini-batch size;
-//! * `MARL_AGENTS` — override the agent-count sweep (comma-separated);
-//! * `MARL_ITERS` — override sampling-iteration counts.
 
 #![warn(missing_docs)]
 
-use marl_core::indices::SamplePlan;
+pub mod cells;
+pub mod views;
+
+use cells::TrainRun;
+use marl_algo::TrainConfig;
 use marl_core::multi::MultiAgentReplay;
 use marl_core::sampler::Sampler;
 use marl_core::transition::{Transition, TransitionLayout};
-use marl_perf::trace::GatherSegment;
+use marl_perf::phase::Phase;
+use marl_perf::platform::TransferModel;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
-/// The paper's agent-count sweep.
-pub const PAPER_AGENTS: [usize; 4] = [3, 6, 12, 24];
-
 /// Batch size used throughout the paper.
-pub const PAPER_BATCH: usize = 1024;
-
-/// Reads a `usize` override from the environment.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// Reads the agent sweep (`MARL_AGENTS=3,6,12`), defaulting to `default`.
-pub fn env_agents(default: &[usize]) -> Vec<usize> {
-    match std::env::var("MARL_AGENTS") {
-        Ok(v) => v.split(',').filter_map(|s| s.trim().parse().ok()).collect(),
-        Err(_) => default.to_vec(),
-    }
-}
-
-/// Whether JSON output was requested (`MARL_JSON=1`).
-pub fn json_requested() -> bool {
-    std::env::var("MARL_JSON").map(|v| v == "1").unwrap_or(false)
-}
-
-/// Prints a JSON value when `MARL_JSON=1`.
-pub fn maybe_json<T: serde::Serialize>(tag: &str, value: &T) {
-    if json_requested() {
-        println!(
-            "JSON {tag} {}",
-            serde_json::to_string(value).expect("experiment output serializes")
-        );
-    }
-}
+pub(crate) const PAPER_BATCH: usize = 1024;
 
 /// Observation dimension of the trained agents for a task at `n` agents
 /// (taken from a freshly constructed environment, so it always matches the
 /// env crate).
-pub fn obs_dim(task: marl_algo::Task, n: usize) -> usize {
+pub(crate) fn obs_dim(task: marl_algo::Task, n: usize) -> usize {
     let env = task.make_env(n, 25, 0);
     // Widths can be heterogeneous (physical deception); use the widest,
     // which bounds the gather traffic.
@@ -77,7 +51,7 @@ pub fn obs_dim(task: marl_algo::Task, n: usize) -> usize {
 
 /// Builds a filled synthetic multi-agent replay shaped like `task` at `n`
 /// agents: realistic row widths, `rows` aligned transitions.
-pub fn synthetic_replay(task: marl_algo::Task, n: usize, rows: usize) -> MultiAgentReplay {
+pub(crate) fn synthetic_replay(task: marl_algo::Task, n: usize, rows: usize) -> MultiAgentReplay {
     let od = obs_dim(task, n);
     let layouts = vec![TransitionLayout::new(od, 5); n];
     let mut replay = MultiAgentReplay::new(&layouts, rows);
@@ -106,7 +80,7 @@ pub fn synthetic_replay(task: marl_algo::Task, n: usize, rows: usize) -> MultiAg
 /// Times `iters` full update-iteration gathers (each of the `trainers`
 /// trainers plans and samples from all buffers) and returns the total
 /// duration.
-pub fn time_sampling_iterations(
+pub(crate) fn time_sampling_iterations(
     replay: &MultiAgentReplay,
     sampler: &mut dyn Sampler,
     trainers: usize,
@@ -125,34 +99,11 @@ pub fn time_sampling_iterations(
     t0.elapsed()
 }
 
-/// Converts a core sample plan into perf gather segments for the cache
-/// simulator.
-pub fn plan_to_segments(plan: &SamplePlan) -> Vec<GatherSegment> {
-    plan.segments.iter().map(|s| GatherSegment { start_row: s.start, rows: s.len }).collect()
-}
-
-/// Percentage reduction of `optimized` relative to `baseline`
-/// (positive = faster).
-pub fn reduction_percent(baseline: Duration, optimized: Duration) -> f64 {
-    if baseline.is_zero() {
-        return 0.0;
-    }
-    (1.0 - optimized.as_secs_f64() / baseline.as_secs_f64()) * 100.0
-}
-
-/// Prepares a sampler: prioritized strategies observe one push per stored
-/// row so their trees cover the buffer.
-pub fn prime_sampler(sampler: &mut dyn Sampler, rows: usize) {
-    for slot in 0..rows {
-        sampler.observe_push(slot);
-    }
-}
-
 /// Converts simulated cache-hierarchy counters into an estimated access
 /// time using textbook per-level latencies (L1 1 ns, L2 3.5 ns, L3 12.5 ns,
 /// DRAM 62.5 ns at ~4 GHz). Used by the cross-platform figures where the
 /// paper measured on hardware we do not have.
-pub fn estimated_access_time(c: &marl_perf::cache::CacheCounters) -> Duration {
+pub(crate) fn estimated_access_time(c: &marl_perf::cache::CacheCounters) -> Duration {
     let l1_hits = c.accesses.saturating_sub(c.l1_misses) as f64;
     let l2_hits = c.l1_misses.saturating_sub(c.l2_misses) as f64;
     let l3_hits = c.l2_misses.saturating_sub(c.l3_misses) as f64;
@@ -160,64 +111,49 @@ pub fn estimated_access_time(c: &marl_perf::cache::CacheCounters) -> Duration {
     Duration::from_secs_f64((l1_hits * 1.0 + l2_hits * 3.5 + l3_hits * 12.5 + dram * 62.5) * 1e-9)
 }
 
-/// Runs a scaled-down training run with the harness defaults
-/// (`MARL_EPISODES`, `MARL_BATCH` overridable), returning its report.
-///
-/// Episode counts shrink with agent count so the large configurations stay
-/// tractable on commodity hosts; the reported quantities are shares and
-/// ratios, which converge quickly.
-pub fn run_scaled_training(
-    algorithm: marl_algo::Algorithm,
-    task: marl_algo::Task,
-    agents: usize,
-    sampler: marl_core::config::SamplerConfig,
-    seed: u64,
-) -> marl_algo::TrainReport {
-    let default_episodes = match agents {
-        0..=3 => 120,
-        4..=6 => 80,
-        7..=12 => 40,
-        13..=24 => 16,
-        _ => 8,
-    };
-    let episodes = env_usize("MARL_EPISODES", default_episodes);
-    let batch = env_usize("MARL_BATCH", 256);
-    let mut config = marl_algo::TrainConfig::paper_defaults(algorithm, task, agents)
-        .with_sampler(sampler)
-        .with_episodes(episodes)
-        .with_batch_size(batch)
-        .with_buffer_capacity(env_usize("MARL_CAPACITY", 60_000))
-        .with_seed(seed);
-    // Updates must actually run at every scale: warm up after exactly one
-    // batch and update twice as often as the paper's cadence (the paper's
-    // 100-sample cadence assumes 60k-episode runs).
-    config.warmup = batch;
-    config.update_every = env_usize("MARL_UPDATE_EVERY", 50);
-    let mut trainer = marl_algo::Trainer::new(config).expect("valid scaled config");
-    // Pre-fill the replay to a realistic working set before measuring:
-    // the paper samples from up-to-1M-row buffers, so the gathers must not
-    // run against a few-thousand-row, cache-resident buffer.
-    let prefill = env_usize("MARL_PREFILL", config.buffer_capacity * 4 / 5);
-    trainer.prefill(prefill).expect("prefill");
-    trainer.train().expect("training run")
+/// Dense-math speedup of an RTX-class GPU over one CPU core on the
+/// update's matmuls.
+const GPU_SPEEDUP: f64 = 100.0;
+
+/// Python/NumPy per-row gather cost (µs) in the sampling phase: the
+/// paper's baseline gathers `N²·B` rows per update with fancy indexing.
+const PY_ROW_US: f64 = 4.0;
+
+/// Per-call framework costs of the TF1-era stack the paper measured, in
+/// µs. Two hosts need different values, hence two presets.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct FrameworkCosts {
+    /// `session.run` launch latency per agent per environment step (why
+    /// action selection costs 20–60 % in the paper despite tiny networks).
+    pub launch_us: f64,
+    /// Per-target-actor `session.run` cost inside one trainer's target-Q
+    /// calculation (N calls per trainer).
+    pub net_call_us: f64,
+}
+
+impl FrameworkCosts {
+    /// The paper's primary host (RTX 3090), calibrated to TF
+    /// `session.run` latency.
+    pub const RTX3090: FrameworkCosts = FrameworkCosts { launch_us: 300.0, net_call_us: 500.0 };
+
+    /// The GTX 1070 cross-validation host: every call additionally
+    /// launches a kernel and synchronizes the device across PCIe,
+    /// roughly doubling the per-call overheads.
+    pub const GTX1070: FrameworkCosts = FrameworkCosts { launch_us: 600.0, net_call_us: 1000.0 };
 }
 
 /// The GPU-substrate model used to reinterpret measured CPU phase times as
-/// the paper's TensorFlow + GPU stack would see them (Figures 2/3/6).
+/// the paper's TensorFlow + GPU stack would see them (Figures 2/3/6/12/13).
 ///
 /// * Dense network phases (action-selection inference, target-Q,
-///   Q-loss/P-loss) run `gpu_speedup`× faster than our scalar CPU (an RTX
-///   3090 sustains ≳100× a single scalar core on these matmuls; 100 is the
-///   conservative default, override with `MARL_GPU_SPEEDUP`).
-/// * Each per-step action selection pays a framework/launch overhead per
-///   agent (`MARL_LAUNCH_US`, default 300 µs — calibrated to TF
-///   `session.run` latency, which is why action selection costs 20–60 % in
-///   the paper despite tiny networks).
+///   Q-loss/P-loss) run 100× faster than our CPU.
+/// * Each per-step action selection pays a framework launch per agent
+///   ([`FrameworkCosts::launch_us`]).
 /// * Each update iteration uploads the joint mini-batch over PCIe 4.0.
 /// * Mini-batch sampling stays on the CPU unchanged — the paper's central
-///   premise.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
-pub struct GpuModeledBreakdown {
+///   premise — plus 4 µs of Python/NumPy dispatch per gathered row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GpuModeledBreakdown {
     /// Modeled action-selection seconds.
     pub action_selection: f64,
     /// Measured (CPU) mini-batch sampling seconds.
@@ -231,49 +167,30 @@ pub struct GpuModeledBreakdown {
 }
 
 impl GpuModeledBreakdown {
-    /// Derives the modeled breakdown from a measured training report.
-    ///
-    /// Four documented constants calibrate the TF1-era framework costs on
-    /// top of our measured counts (steps, updates, batch, N):
-    ///
-    /// * `MARL_GPU_SPEEDUP` (100) — dense-math speedup of an RTX-class GPU
-    ///   over one scalar CPU core;
-    /// * `MARL_LAUNCH_US` (300) — `session.run` launch latency per agent
-    ///   per environment step (why action selection costs 20–60 % in the
-    ///   paper despite tiny networks);
-    /// * `MARL_PY_ROW_US` (4) — Python/NumPy per-row gather cost in the
-    ///   sampling phase (the paper's baseline gathers `N²·B` rows per
-    ///   update with fancy indexing);
-    /// * `MARL_NET_CALL_US` (500) — per-target-actor `session.run` cost
-    ///   inside one trainer's target-Q calculation (N calls per trainer),
-    ///   plus a fixed 2 ms critic/optimizer call overhead charged to the
-    ///   loss phase.
-    pub fn from_report(report: &marl_algo::TrainReport) -> Self {
-        use marl_perf::phase::Phase;
-        let speedup = env_usize("MARL_GPU_SPEEDUP", 100) as f64;
-        let launch_us = env_usize("MARL_LAUNCH_US", 300) as f64;
-        let row_us = env_usize("MARL_PY_ROW_US", 4) as f64;
-        let net_call_us = env_usize("MARL_NET_CALL_US", 500) as f64;
-        let transfer = marl_perf::platform::TransferModel::pcie4_x16();
-        let p = &report.profile;
-        let n = report.config.agents as f64;
-        let updates = report.update_iterations as f64;
-        let batch = report.config.batch_size as f64;
-        let od = obs_dim(report.config.task, report.config.agents) as f64;
+    /// Derives the modeled breakdown of the run `config` produced, under
+    /// one host's framework `costs`. The loss phase also pays a fixed 2 ms
+    /// critic/optimizer call per trainer per update.
+    pub fn from_run(config: &TrainConfig, run: &TrainRun, costs: FrameworkCosts) -> Self {
+        let transfer = TransferModel::pcie4_x16();
+        let p = &run.profile;
+        let n = config.agents as f64;
+        let updates = run.updates as f64;
+        let batch = config.batch_size as f64;
+        let od = obs_dim(config.task, config.agents) as f64;
         let batch_bytes = (batch * n * (od + 5.0) * 4.0) as usize;
         // One upload per agent trainer per update.
         let per_update_transfer = transfer.transfer_time(batch_bytes).as_secs_f64() * n;
-        let action_selection = p.get(Phase::ActionSelection).as_secs_f64() / speedup
-            + report.env_steps as f64 * n * launch_us * 1e-6;
+        let action_selection = p.get(Phase::ActionSelection).as_secs_f64() / GPU_SPEEDUP
+            + run.env_steps as f64 * n * costs.launch_us * 1e-6;
         // Sampling stays on the CPU; the framework pays per-row dispatch
         // over the N buffers of each of the N trainers.
-        let sampling =
-            p.get(Phase::MiniBatchSampling).as_secs_f64() + updates * n * n * batch * row_us * 1e-6;
-        let target_q = p.get(Phase::TargetQ).as_secs_f64() / speedup
-            + updates * n * n * net_call_us * 1e-6 // N trainers × N target actors
+        let sampling = p.get(Phase::MiniBatchSampling).as_secs_f64()
+            + updates * n * n * batch * PY_ROW_US * 1e-6;
+        let target_q = p.get(Phase::TargetQ).as_secs_f64() / GPU_SPEEDUP
+            + updates * n * n * costs.net_call_us * 1e-6 // N trainers × N target actors
             + updates * per_update_transfer * 0.5;
         let q_loss_p_loss = (p.get(Phase::QLossPLoss) + p.get(Phase::SoftUpdate)).as_secs_f64()
-            / speedup
+            / GPU_SPEEDUP
             + updates * n * 2_000.0 * 1e-6 // critic/actor optimizer calls per trainer
             + updates * per_update_transfer * 0.5;
         GpuModeledBreakdown {
@@ -318,41 +235,23 @@ mod tests {
     }
 
     #[test]
-    fn timing_and_reduction_helpers() {
+    fn sampling_iterations_take_time() {
         let r = synthetic_replay(Task::CooperativeNavigation, 3, 2000);
         let mut s = SamplerConfig::Uniform.build(2000);
         let d = time_sampling_iterations(&r, s.as_mut(), 3, 256, 2, 0);
         assert!(d > Duration::ZERO);
-        assert!(
-            (reduction_percent(Duration::from_secs(2), Duration::from_secs(1)) - 50.0).abs() < 1e-9
-        );
-        assert_eq!(reduction_percent(Duration::ZERO, Duration::from_secs(1)), 0.0);
-    }
-
-    #[test]
-    fn plan_segments_convert() {
-        let plan = SamplePlan::from_indices(&[3, 9]);
-        let segs = plan_to_segments(&plan);
-        assert_eq!(segs.len(), 2);
-        assert_eq!(segs[0].start_row, 3);
-        assert_eq!(segs[0].rows, 1);
     }
 
     #[test]
     fn gpu_model_scales_with_counts() {
-        use marl_algo::{Algorithm, Task, TrainConfig};
-        use marl_perf::phase::PhaseProfile;
-        let report = |agents: usize, steps: u64, updates: u64| marl_algo::TrainReport {
-            config: TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, agents),
-            profile: PhaseProfile::new(),
-            curve: marl_algo::RewardCurve::new(),
-            wall_time: Duration::from_secs(1),
-            env_steps: steps,
-            update_iterations: updates,
-            sampling: marl_algo::SamplingTelemetry::default(),
+        use marl_algo::{Algorithm, TrainConfig};
+        let model = |agents: usize, steps: u64, updates: u64, costs: FrameworkCosts| {
+            let config = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, agents);
+            let run = TrainRun { env_steps: steps, updates, ..TrainRun::default() };
+            GpuModeledBreakdown::from_run(&config, &run, costs)
         };
-        let small = GpuModeledBreakdown::from_report(&report(3, 1000, 10));
-        let big = GpuModeledBreakdown::from_report(&report(12, 1000, 10));
+        let small = model(3, 1000, 10, FrameworkCosts::RTX3090);
+        let big = model(12, 1000, 10, FrameworkCosts::RTX3090);
         // More agents => more launches, more gathers, more net calls.
         assert!(big.action_selection > small.action_selection);
         assert!(big.sampling > small.sampling);
@@ -361,14 +260,11 @@ mod tests {
         let share = |m: &GpuModeledBreakdown| m.update_all_trainers() / m.total();
         assert!(share(&big) > share(&small));
         // And with update frequency at fixed agents.
-        let busy = GpuModeledBreakdown::from_report(&report(3, 1000, 40));
+        let busy = model(3, 1000, 40, FrameworkCosts::RTX3090);
         assert!(share(&busy) > share(&small));
-    }
-
-    #[test]
-    fn env_overrides_parse() {
-        std::env::set_var("MARL_TEST_USIZE", "42");
-        assert_eq!(env_usize("MARL_TEST_USIZE", 7), 42);
-        assert_eq!(env_usize("MARL_TEST_MISSING", 7), 7);
+        // The GTX 1070 host pays more per framework call.
+        let gtx = model(3, 1000, 10, FrameworkCosts::GTX1070);
+        assert!(gtx.action_selection > small.action_selection);
+        assert!(gtx.target_q > small.target_q);
     }
 }

@@ -11,7 +11,7 @@
 //!   i7-9700K) and the PCIe host↔device transfer model used in the
 //!   cross-platform study;
 //! * [`counters`] — counter snapshots and Figure-4 growth-rate arithmetic;
-//! * [`report`] — plain-text tables for the experiment binaries.
+//! * [`report`] — plain-text tables for the `repro` views and the CLI.
 //!
 //! ## Quickstart
 //!
@@ -39,7 +39,7 @@ pub mod trace;
 pub use cache::{CacheConfig, CacheHierarchy};
 pub use counters::{growth_rates, GrowthRates, HwCounters};
 pub use phase::{Phase, PhaseProfile};
-pub use platform::{ExecutionTarget, PlatformSpec, TransferModel};
+pub use platform::{PlatformSpec, TransferModel};
 pub use report::Table;
 pub use tlb::{Tlb, TlbConfig};
 pub use trace::{BufferGeometry, GatherSegment, MemoryModel};

@@ -155,19 +155,6 @@ impl PhaseProfile {
         }
     }
 
-    /// Renders the profile as a two-column share table (the breakdown the
-    /// paper's Figure 2 reports).
-    pub fn as_table(&self) -> crate::report::Table {
-        let mut t = crate::report::Table::new(&["phase", "share"]);
-        for phase in Phase::ALL {
-            t.row_owned(vec![
-                phase.label().to_owned(),
-                crate::report::percent(self.fraction(phase)),
-            ]);
-        }
-        t
-    }
-
     /// Renders the full end-of-training breakdown: accumulated time plus
     /// percent-of-total per phase (Figure 2's decomposition), with a
     /// closing `total` row.
@@ -224,17 +211,6 @@ mod tests {
         assert_eq!(v, 42);
         assert!(p.get(Phase::TargetQ) >= Duration::from_millis(2));
         assert_eq!(p.get(Phase::QLossPLoss), Duration::ZERO);
-    }
-
-    #[test]
-    fn as_table_lists_every_phase() {
-        let mut p = PhaseProfile::new();
-        p.add(Phase::TargetQ, Duration::from_millis(10));
-        let t = p.as_table();
-        assert_eq!(t.len(), Phase::ALL.len());
-        let rendered = t.to_string();
-        assert!(rendered.contains("target-q"));
-        assert!(rendered.contains("100.0%"));
     }
 
     #[test]

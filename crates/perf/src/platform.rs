@@ -76,35 +76,6 @@ impl TransferModel {
     }
 }
 
-/// Where the network phases execute — used by the cross-platform figures
-/// to contrast CPU-only with CPU+GPU execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ExecutionTarget {
-    /// Everything on the host CPU.
-    CpuOnly,
-    /// Network phases offloaded; each mini-batch pays an upload and each
-    /// gradient a download, while dense math runs `gpu_speedup`× faster.
-    CpuGpu {
-        /// Link model.
-        transfer: TransferModel,
-        /// Speedup of dense network math relative to the host CPU.
-        gpu_speedup: f64,
-    },
-}
-
-impl ExecutionTarget {
-    /// Estimated duration of a network phase that takes `cpu_time` on the
-    /// host and moves `bytes` of batch data to the device.
-    pub fn network_phase_time(&self, cpu_time: Duration, bytes: usize) -> Duration {
-        match *self {
-            ExecutionTarget::CpuOnly => cpu_time,
-            ExecutionTarget::CpuGpu { transfer, gpu_speedup } => {
-                transfer.transfer_time(bytes) + cpu_time.div_f64(gpu_speedup.max(1e-9))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,18 +98,5 @@ mod tests {
         assert!(big > small);
         // 120 MB over 12 GB/s ≈ 10 ms
         assert!((big.as_secs_f64() - 0.01).abs() < 0.002, "{big:?}");
-    }
-
-    #[test]
-    fn gpu_helps_big_compute_hurts_small_batches() {
-        let gpu =
-            ExecutionTarget::CpuGpu { transfer: TransferModel::pcie3_x16(), gpu_speedup: 10.0 };
-        // big compute, small data: GPU wins
-        let big = gpu.network_phase_time(Duration::from_millis(100), 1024);
-        assert!(big < Duration::from_millis(100));
-        // tiny compute, some data: transfer overhead dominates, CPU-only is
-        // better — the paper's "insufficient data ... to engage the GPU"
-        let small = gpu.network_phase_time(Duration::from_micros(5), 1024);
-        assert!(small > Duration::from_micros(5));
     }
 }

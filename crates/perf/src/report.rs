@@ -116,51 +116,6 @@ impl fmt::Display for Table {
     }
 }
 
-impl Table {
-    /// Serializes the table as RFC-4180-ish CSV (quotes cells containing
-    /// commas, quotes, or newlines).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use marl_perf::report::Table;
-    /// let mut t = Table::new(&["a", "b"]);
-    /// t.row(&["1", "x,y"]);
-    /// assert_eq!(t.to_csv(), "a,b\n1,\"x,y\"\n");
-    /// ```
-    pub fn to_csv(&self) -> String {
-        fn cell(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_owned()
-            }
-        }
-        let mut out = String::new();
-        let line = |cells: &[String], out: &mut String| {
-            let joined: Vec<String> = cells.iter().map(|c| cell(c)).collect();
-            out.push_str(&joined.join(","));
-            out.push('\n');
-        };
-        line(&self.headers, &mut out);
-        for row in &self.rows {
-            line(row, &mut out);
-        }
-        out
-    }
-
-    /// Serializes as a GitHub-flavoured Markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!("|{}\n", self.headers.iter().map(|_| " --- |").collect::<String>()));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
-}
-
 /// Formats a fraction as a percentage with one decimal, e.g. `0.512` →
 /// `"51.2%"`.
 pub fn percent(frac: f64) -> String {
@@ -176,11 +131,6 @@ pub fn seconds(s: f64) -> String {
     } else {
         format!("{:.2}ms", s * 1e3)
     }
-}
-
-/// Formats a signed percentage improvement, e.g. `-37.1%` for a slowdown.
-pub fn signed_percent(p: f64) -> String {
-    format!("{p:+.1}%")
 }
 
 #[cfg(test)]
@@ -211,28 +161,6 @@ mod tests {
         assert_eq!(seconds(123.4), "123");
         assert_eq!(seconds(3.13959), "3.14");
         assert_eq!(seconds(0.01), "10.00ms");
-        assert_eq!(signed_percent(-37.1), "-37.1%");
-        assert_eq!(signed_percent(25.8), "+25.8%");
-    }
-
-    #[test]
-    fn csv_quotes_special_cells() {
-        let mut t = Table::new(&["name", "value"]);
-        t.row(&["plain", "1"]);
-        t.row(&["with,comma", "say \"hi\""]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "name,value\nplain,1\n\"with,comma\",\"say \"\"hi\"\"\"\n");
-    }
-
-    #[test]
-    fn markdown_has_separator_row() {
-        let mut t = Table::new(&["x", "y"]);
-        t.row(&["1", "2"]);
-        let md = t.to_markdown();
-        let lines: Vec<&str> = md.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[1], "| --- | --- |");
-        assert_eq!(lines[2], "| 1 | 2 |");
     }
 
     #[test]
@@ -280,15 +208,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_row_table_renders_all_formats() {
+    fn zero_row_table_renders_header_only() {
         let t = Table::new(&["alpha", "beta"]);
         let s = t.to_string();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 2, "header + separator only");
         assert!(lines[0].contains("alpha"));
         assert!(lines[1].starts_with("|--"));
-        assert_eq!(t.to_csv(), "alpha,beta\n");
-        assert_eq!(t.to_markdown(), "| alpha | beta |\n| --- | --- |\n");
     }
 
     #[test]
@@ -297,7 +223,5 @@ mod tests {
         assert!(t.is_empty());
         let s = t.to_string();
         assert_eq!(s.lines().count(), 2);
-        let _ = t.to_csv();
-        let _ = t.to_markdown();
     }
 }

@@ -139,27 +139,27 @@ impl MemoryModel {
     }
 }
 
-/// Replays one full *update-all-trainers* sampling iteration: each of the
-/// `trainers` agent trainers gathers the same plan shape from **every**
-/// agent's buffer (the paper's O(N²·B) loop). Returns the counters for the
-/// iteration.
-pub fn replay_iteration(
-    model: &mut MemoryModel,
-    geometry: &[BufferGeometry],
-    plans: &[Vec<GatherSegment>],
-) -> HwCounters {
-    for plan in plans {
-        for geom in geometry {
-            model.replay_gather(geom, plan);
-        }
-    }
-    model.counters()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::platform::PlatformSpec;
+
+    /// Replays one full *update-all-trainers* sampling iteration: each of the
+    /// `trainers` agent trainers gathers the same plan shape from **every**
+    /// agent's buffer (the paper's O(N²·B) loop). Returns the counters for the
+    /// iteration.
+    fn replay_iteration(
+        model: &mut MemoryModel,
+        geometry: &[BufferGeometry],
+        plans: &[Vec<GatherSegment>],
+    ) -> HwCounters {
+        for plan in plans {
+            for geom in geometry {
+                model.replay_gather(geom, plan);
+            }
+        }
+        model.counters()
+    }
 
     fn model() -> MemoryModel {
         MemoryModel::new(&PlatformSpec::ryzen_3975wx())
