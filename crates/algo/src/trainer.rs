@@ -16,8 +16,7 @@ use marl_core::config::SamplerConfig;
 use marl_core::indices::SamplePlan;
 use marl_core::multi::MultiAgentReplay;
 use marl_core::sampler::Sampler;
-use marl_core::transition::{MultiBatch, TransitionLayout, TransitionRef};
-use marl_env::spaces::ActionSpace;
+use marl_core::transition::{JointBatch, JointLayout, JointRows, TransitionLayout, TransitionRef};
 use marl_nn::gumbel::{relaxation_backward_segments_into, softmax_relaxation_segments_into};
 use marl_nn::loss::{mse_into, td_errors_into, weighted_mse_into};
 use marl_nn::matrix::Matrix;
@@ -99,17 +98,6 @@ pub struct Trainer {
     rng: StdRng,
     profile: PhaseProfile,
     curve: RewardCurve,
-    obs_dims: Vec<usize>,
-    /// Per-agent flat action widths (Σ action-space segments). Scenarios
-    /// with communication actions make these heterogeneous — e.g.
-    /// world-comm's leader carries movement ⊕ broadcast while the other
-    /// predators are movement-only.
-    act_dims: Vec<usize>,
-    /// Prefix sums of `act_dims`: agent `i`'s action block starts at
-    /// column `total_obs_dim + act_offsets[i]` of joint critic inputs.
-    act_offsets: Vec<usize>,
-    total_obs_dim: usize,
-    total_act_dim: usize,
     env_steps: u64,
     updates: u64,
     samples_since_update: usize,
@@ -138,33 +126,25 @@ impl Trainer {
         // scenario (built-in or plugin) trains through the same loop.
         let rollout = Rollout::new(&config, config.num_envs());
         let env = rollout.env();
-        let obs_dims: Vec<usize> = env.observation_spaces().iter().map(|s| s.dim).collect();
-        let act_dims: Vec<usize> = env.action_spaces().iter().map(ActionSpace::flat_dim).collect();
-        let mut act_offsets = Vec::with_capacity(act_dims.len());
-        let mut total_act_dim = 0usize;
-        for &ad in &act_dims {
-            act_offsets.push(total_act_dim);
-            total_act_dim += ad;
-        }
-        let total_obs_dim: usize = obs_dims.iter().sum();
-        let joint_dim = total_obs_dim + total_act_dim;
-        let mut rng = StdRng::seed_from_u64(marl_nn::rng::derive_seed(config.seed, 1));
-        let twin = config.algorithm == Algorithm::Matd3;
-        let agents = obs_dims
+        // Action widths are Σ action-space segments: communication
+        // actions make them heterogeneous (world-comm's leader carries
+        // movement ⊕ broadcast, the other predators movement only).
+        let layouts: Vec<TransitionLayout> = env
+            .observation_spaces()
             .iter()
-            .zip(&act_dims)
-            .map(|(&od, &ad)| {
-                AgentNets::new(od, ad, joint_dim, twin, config.learning_rate, &mut rng)
-            })
-            .collect();
-        let layouts: Vec<TransitionLayout> = obs_dims
-            .iter()
-            .zip(&act_dims)
-            .map(|(&od, &ad)| TransitionLayout::new(od, ad))
+            .zip(env.action_spaces())
+            .map(|(o, a)| TransitionLayout::new(o.dim, a.flat_dim()))
             .collect();
         let replay = MultiAgentReplay::with_mode(&layouts, config.buffer_capacity, config.layout);
+        let joint_dim = replay.joint_layout().width();
+        let mut rng = StdRng::seed_from_u64(marl_nn::rng::derive_seed(config.seed, 1));
+        let (twin, lr) = (config.algorithm == Algorithm::Matd3, config.learning_rate);
+        let agents = layouts
+            .iter()
+            .map(|l| AgentNets::new(l.obs_dim, l.act_dim, joint_dim, twin, lr, &mut rng))
+            .collect();
         let sampler = config.sampler.build(config.buffer_capacity);
-        let scratch = UpdateScratch::new(obs_dims.len(), &layouts, config.batch_size);
+        let scratch = UpdateScratch::new(layouts.len());
         Ok(Trainer {
             config,
             rollout,
@@ -174,11 +154,6 @@ impl Trainer {
             rng,
             profile: PhaseProfile::new(),
             curve: RewardCurve::new(),
-            obs_dims,
-            act_dims,
-            act_offsets,
-            total_obs_dim,
-            total_act_dim,
             env_steps: 0,
             updates: 0,
             samples_since_update: 0,
@@ -438,7 +413,7 @@ impl Trainer {
             let t0 = Instant::now();
             for w in 0..k {
                 let rollout = &self.rollout;
-                let slot = self.replay.push_step_with(|a| rollout.transition(w, a));
+                let slot = self.replay.push_step_with(|a, _| rollout.transition(w, a));
                 self.sampler.observe_push(slot);
                 self.samples_since_update += 1;
             }
@@ -482,7 +457,7 @@ impl Trainer {
             let pushes = self.rollout.worlds().min(rows - filled);
             for w in 0..pushes {
                 let rollout = &self.rollout;
-                let slot = self.replay.push_step_with(|a| rollout.transition(w, a));
+                let slot = self.replay.push_step_with(|a, _| rollout.transition(w, a));
                 self.sampler.observe_push(slot);
             }
             filled += pushes;
@@ -499,13 +474,15 @@ impl Trainer {
     /// trainers) as a three-phase pipeline:
     ///
     /// 1. **Stage** — draw all N sampling plans (serially, on the master
-    ///    RNG) and gather all N mini-batches, fanning whole-plan gathers
-    ///    over the update worker pool when `update_threads > 1`.
+    ///    RNG) and gather all N mini-batches straight into the critics'
+    ///    joint rows, fanning whole-plan gathers over the update worker
+    ///    pool when `update_threads > 1`.
     /// 2. **Share** — compute every agent's target actions once per
-    ///    staged batch and assemble the joint next-state critic inputs.
-    ///    Target-policy smoothing noise comes from per-agent RNG streams
-    ///    derived from the master seed, so the draw sequence does not
-    ///    depend on the thread count.
+    ///    staged batch and write them into the action columns of the
+    ///    batch's joint next-state rows (the gather wrote the
+    ///    observation columns). Target-policy smoothing noise comes from
+    ///    per-agent RNG streams derived from the master seed, so the draw
+    ///    sequence does not depend on the thread count.
     /// 3. **Fan out** — run the N per-agent critic/actor updates on a
     ///    `std::thread::scope` worker pool sized by
     ///    [`TrainConfig::update_threads`]. Each worker owns a disjoint
@@ -514,10 +491,11 @@ impl Trainer {
     ///
     /// Results are bitwise identical for every `update_threads` value.
     ///
-    /// All working storage (plans, staged batches, matrix views, joint
-    /// inputs, per-agent scratch) lives in a persistent `UpdateScratch`
-    /// arena: after the first iteration sizes every buffer, steady-state
-    /// iterations perform no heap allocations on the serial path.
+    /// All working storage (plans, one staged batch per plan in the
+    /// critic's layout, actor-input copies, per-agent scratch) lives in a
+    /// persistent `UpdateScratch` arena: after the first iteration sizes
+    /// every buffer, steady-state iterations perform no heap allocations
+    /// on the serial path.
     ///
     /// # Errors
     ///
@@ -555,12 +533,8 @@ impl Trainer {
             self.telemetry.random_jumps += plan.random_jumps() as u64;
             let rows = plan.batch_len() as u64;
             self.telemetry.rows_gathered += rows * n as u64;
-            let bytes: u64 = self
-                .obs_dims
-                .iter()
-                .zip(&self.act_dims)
-                .map(|(&od, &ad)| rows * TransitionLayout::new(od, ad).row_bytes() as u64)
-                .sum();
+            let bytes: u64 =
+                self.replay.layouts().iter().map(|l| rows * l.row_bytes() as u64).sum();
             self.telemetry.bytes_gathered += bytes;
             if let Some(t) = tel {
                 t.metrics.random_jumps.add(plan.random_jumps() as u64);
@@ -576,18 +550,12 @@ impl Trainer {
                 }
             }
         }
-        {
-            let scratch = &mut self.scratch;
-            // Whole-plan gathers fan out over the update worker pool.
-            self.replay.sample_many_into(
-                &scratch.plans,
-                &mut scratch.batches,
-                cfg.update_threads,
-            )?;
-            for (view, mb) in scratch.views.iter_mut().zip(&scratch.batches) {
-                view.refill(mb, &self.obs_dims, &self.act_dims);
-            }
-        }
+        // Whole-plan gathers fan out over the update worker pool.
+        self.replay.sample_many_into(
+            &self.scratch.plans,
+            &mut self.scratch.batches,
+            cfg.update_threads,
+        )?;
         if let Some(rec) = self.trace.as_mut() {
             for plan in &self.scratch.plans {
                 rec.record_plan(plan);
@@ -599,14 +567,12 @@ impl Trainer {
             t.metrics.replay_occupancy.set(self.replay.occupancy());
             // Normalized priorities of the sampled rows (prioritized
             // strategies only — the first `None` ends the scan).
-            'views: for view in &self.scratch.views {
-                for &idx in &view.indices {
-                    match self.sampler.normalized_priority_of(idx, replay_len) {
-                        Some(p) => {
-                            t.metrics.norm_priority.record_scaled(f64::from(p), PRIORITY_SCALE);
-                        }
-                        None => break 'views,
-                    }
+            let sampled =
+                self.scratch.plans.iter().flat_map(|p| &p.segments).flat_map(|s| s.iter());
+            for idx in sampled {
+                match self.sampler.normalized_priority_of(idx, replay_len) {
+                    Some(p) => t.metrics.norm_priority.record_scaled(f64::from(p), PRIORITY_SCALE),
+                    None => break,
                 }
             }
             t.tracer.record("mini-batch-sampling", 0, start, t.tracer.now_ns());
@@ -622,35 +588,22 @@ impl Trainer {
         let noise = if matd3 { cfg.target_noise } else { 0.0 };
         let update_seed =
             marl_nn::rng::derive_seed(marl_nn::rng::derive_seed(cfg.seed, 2), self.updates);
-        let total_obs_dim = self.total_obs_dim;
-        let joint_dim = total_obs_dim + self.total_act_dim;
-        let act_offsets = &self.act_offsets;
+        let cols = self.replay.joint_layout();
         let action_spaces = self.rollout.env().action_spaces();
         let agents = &self.agents;
         let UpdateScratch {
-            views,
-            joint_nexts,
-            noise_streams,
-            ta_logits,
-            ta_value,
-            ta_scratch,
-            ..
+            batches, noise_streams, ta_obs, ta_logits, ta_value, ta_scratch, ..
         } = &mut self.scratch;
         for (j, stream) in noise_streams.iter_mut().enumerate() {
             // Reseeding in place draws the same sequence as a freshly
             // constructed stream, without allocating.
             *stream = StdRng::seed_from_u64(marl_nn::rng::derive_seed(update_seed, j as u64));
         }
-        for (view, joint_next) in views.iter().zip(joint_nexts.iter_mut()) {
-            joint_next.resize(view.batch, joint_dim);
-            let mut obs_col = 0;
-            for (j, ((a, next_obs), stream)) in
-                agents.iter().zip(&view.next_obs).zip(noise_streams.iter_mut()).enumerate()
-            {
-                joint_next.copy_columns_from(next_obs, obs_col);
-                obs_col += next_obs.cols();
+        for batch in batches.iter_mut() {
+            for (j, (a, stream)) in agents.iter().zip(noise_streams.iter_mut()).enumerate() {
+                columns_into(&batch.joint_next, cols.obs_cols(j), ta_obs);
                 a.target_actions_into(
-                    next_obs,
+                    ta_obs,
                     action_spaces[j].segments(),
                     cfg.temperature,
                     noise,
@@ -660,7 +613,7 @@ impl Trainer {
                     ta_value,
                     ta_scratch,
                 );
-                joint_next.copy_columns_from(ta_value, total_obs_dim + act_offsets[j]);
+                batch.joint_next.copy_columns_from(ta_value, cols.act_cols(j).start);
             }
         }
         self.telemetry.target_action_passes += n as u64;
@@ -672,27 +625,24 @@ impl Trainer {
         // --- Phase 3: per-agent updates on the worker pool.
         let threads = cfg.update_threads.clamp(1, n);
         let updates = self.updates;
-        let UpdateScratch { views, joint_nexts, tds, losses, agents: agent_scratch, .. } =
+        let UpdateScratch { plans, batches, indices, tds, losses, agents: agent_scratch, .. } =
             &mut self.scratch;
         if threads == 1 {
             let profile = &mut self.profile;
-            for (i, ((agent, ascr), ((view, joint_next), (td, loss)))) in self
+            for (i, ((agent, ascr), ((plan, batch), (td, loss)))) in self
                 .agents
                 .iter_mut()
                 .zip(agent_scratch.iter_mut())
-                .zip(
-                    views.iter().zip(joint_nexts.iter()).zip(tds.iter_mut().zip(losses.iter_mut())),
-                )
+                .zip(plans.iter().zip(batches.iter()).zip(tds.iter_mut().zip(losses.iter_mut())))
                 .enumerate()
             {
                 update_agent(
                     agent,
                     i,
-                    view,
-                    joint_next,
+                    batch,
+                    plan.weights.as_deref(),
                     &cfg,
-                    total_obs_dim,
-                    act_offsets[i],
+                    cols,
                     action_spaces[i].segments(),
                     updates,
                     profile,
@@ -711,9 +661,9 @@ impl Trainer {
                     .chunks_mut(chunk)
                     .zip(agent_scratch.chunks_mut(chunk))
                     .zip(
-                        views
+                        plans
                             .chunks(chunk)
-                            .zip(joint_nexts.chunks(chunk))
+                            .zip(batches.chunks(chunk))
                             .zip(tds.chunks_mut(chunk).zip(losses.chunks_mut(chunk))),
                     )
                     .enumerate()
@@ -722,7 +672,7 @@ impl Trainer {
                             c,
                             (
                                 (agent_chunk, scr_chunk),
-                                ((view_chunk, jn_chunk), (td_chunk, l_chunk)),
+                                ((plan_chunk, batch_chunk), (td_chunk, l_chunk)),
                             ),
                         )| {
                             let worker_profiles = &worker_profiles;
@@ -741,11 +691,10 @@ impl Trainer {
                                     update_agent(
                                         agent,
                                         base + k,
-                                        &view_chunk[k],
-                                        &jn_chunk[k],
+                                        &batch_chunk[k],
+                                        plan_chunk[k].weights.as_deref(),
                                         &cfg,
-                                        total_obs_dim,
-                                        act_offsets[base + k],
+                                        cols,
                                         action_spaces[base + k].segments(),
                                         updates,
                                         &mut local,
@@ -785,8 +734,9 @@ impl Trainer {
 
         // Priority refreshes happen in agent order after the pool drains,
         // matching the serial path exactly.
-        for (view, td) in views.iter().zip(tds.iter()) {
-            self.sampler.update_priorities(&view.indices, td);
+        for (plan, td) in plans.iter().zip(tds.iter()) {
+            plan.flatten_into(indices);
+            self.sampler.update_priorities(indices, td);
         }
 
         // --- Target-network soft updates ---
@@ -856,13 +806,11 @@ impl Trainer {
             )));
         }
         let t0 = Instant::now();
-        let (obs_dims, act_dims) = (&self.obs_dims, &self.act_dims);
         let mut rest = row;
-        let slot = self.replay.push_step_with(|a| {
-            let layout = TransitionLayout::new(obs_dims[a], act_dims[a]);
+        let slot = self.replay.push_step_with(|_, layout| {
             let (head, tail) = rest.split_at(layout.row_width());
             rest = tail;
-            TransitionRef::from_row(&layout, head)
+            TransitionRef::from_row(layout, head)
         });
         self.sampler.observe_push(slot);
         self.samples_since_update += 1;
@@ -877,7 +825,7 @@ impl Trainer {
     /// Each agent's replay row shape, in agent order (the dist learner
     /// checks incoming step blocks against it).
     pub fn transition_layouts(&self) -> impl Iterator<Item = TransitionLayout> + '_ {
-        self.obs_dims.iter().zip(&self.act_dims).map(|(&o, &a)| TransitionLayout::new(o, a))
+        self.replay.layouts().iter().copied()
     }
 
     /// The live actor networks, in agent order — all a rollout worker
@@ -1115,8 +1063,9 @@ impl Trainer {
 
 /// Target-Q tail plus critic/actor update for one agent trainer.
 ///
-/// Pure per-agent work: it reads the staged mini-batch and precomputed
-/// joint next-state input and mutates only `agent` and its scratch, so
+/// Pure per-agent work: it reads the staged mini-batch (its joint
+/// next-state rows completed by phase 2) and the plan's importance
+/// weights, and mutates only `agent` and its scratch, so
 /// the N calls of one iteration produce bitwise-identical results on any
 /// worker layout. Phase timings accumulate into `profile` (worker-local
 /// under the pool). The batch TD errors for the sampler's priority
@@ -1129,11 +1078,10 @@ impl Trainer {
 fn update_agent(
     agent: &mut AgentNets,
     i: usize,
-    view: &BatchView,
-    joint_next: &Matrix,
+    batch: &StagedBatch,
+    weights: Option<&[f32]>,
     cfg: &TrainConfig,
-    total_obs_dim: usize,
-    act_off: usize,
+    cols: &JointLayout,
     segments: &[usize],
     updates: u64,
     profile: &mut PhaseProfile,
@@ -1144,7 +1092,8 @@ fn update_agent(
 ) {
     // Per-agent lane span: tid `1 + i` matches the trace lane metadata.
     let _span = tel.map(|t| t.tracer.span("agent-update", 1 + i as u32));
-    let batch = view.batch;
+    let StagedBatch { joint, joint_next, rewards, dones } = batch;
+    let rows = joint.rows();
     let matd3 = cfg.algorithm == Algorithm::Matd3;
 
     // --- Target Q calculation (per-agent tail) ---
@@ -1157,27 +1106,15 @@ fn update_agent(
             *a = a.min(*b);
         }
     }
-    s.y.resize(batch, 1);
-    for r in 0..batch {
-        let not_done = 1.0 - view.dones[r];
-        *s.y.at_mut(r, 0) = view.rewards[i][r] + cfg.gamma * not_done * s.tq.at(r, 0);
+    s.y.resize(rows, 1);
+    let own_rewards = &rewards[i * rows..(i + 1) * rows];
+    for (r, (&reward, &done)) in own_rewards.iter().zip(dones).enumerate() {
+        *s.y.at_mut(r, 0) = reward + cfg.gamma * (1.0 - done) * s.tq.at(r, 0);
     }
     profile.add(Phase::TargetQ, t0.elapsed());
 
     // --- Q loss (critic) + P loss (actor) ---
     let t0 = Instant::now();
-    // Joint critic input [obs_1..obs_N, act_1..act_N], column-assembled
-    // in place. Action widths may
-    // differ per agent, so the action block width is summed from the
-    // staged matrices.
-    let joint_dim = total_obs_dim + view.actions.iter().map(Matrix::cols).sum::<usize>();
-    s.joint.resize(batch, joint_dim);
-    let mut col = 0;
-    for m in view.obs.iter().chain(view.actions.iter()) {
-        s.joint.copy_columns_from(m, col);
-        col += m.cols();
-    }
-
     // The Q-loss critics and the actor are stepped and nobody reads their
     // input gradient: `InputGrad::None` never writes its destination, so
     // an empty (unallocated) matrix stands in for it.
@@ -1186,8 +1123,8 @@ fn update_agent(
 
     // Critic 1.
     agent.critic.zero_grad();
-    agent.critic.forward_into(&s.joint, &mut s.q);
-    *loss = match &view.weights {
+    agent.critic.forward_into(joint, &mut s.q);
+    *loss = match weights {
         Some(w) => weighted_mse_into(&s.q, &s.y, w, &mut s.grad),
         None => mse_into(&s.q, &s.y, &mut s.grad),
     };
@@ -1197,8 +1134,8 @@ fn update_agent(
     // Twin critic (MATD3).
     if let Some((c2, _)) = &mut agent.critic2 {
         c2.zero_grad();
-        c2.forward_into(&s.joint, &mut s.q2);
-        let l2 = match &view.weights {
+        c2.forward_into(joint, &mut s.q2);
+        let l2 = match weights {
             Some(w) => weighted_mse_into(&s.q2, &s.y, w, &mut s.grad),
             None => mse_into(&s.q2, &s.y, &mut s.grad),
         };
@@ -1212,21 +1149,21 @@ fn update_agent(
     // Policy update (delayed for MATD3).
     let do_policy = !matd3 || updates.is_multiple_of(cfg.policy_delay as u64);
     if do_policy {
-        agent.actor.forward_into(&view.obs[i], &mut s.logits);
+        columns_into(joint, cols.obs_cols(i), &mut s.obs);
+        agent.actor.forward_into(&s.obs, &mut s.logits);
         softmax_relaxation_segments_into(&s.logits, segments, cfg.temperature, &mut s.action);
         // Joint input with agent i's action replaced by its relaxed
         // current-policy action (each factor normalized on its own).
-        let act_dim: usize = segments.iter().sum();
-        let col_off = total_obs_dim + act_off;
-        s.joint_pol.copy_from(&s.joint);
-        s.joint_pol.copy_columns_from(&s.action, col_off);
+        let act = cols.act_cols(i);
+        s.joint_pol.copy_from(joint);
+        s.joint_pol.copy_columns_from(&s.action, act.start);
         agent.critic.forward_into(&s.joint_pol, &mut s.q_pol);
         // Maximize Q ⇒ gradient −1/B on every Q output. Only dQ/da_i is
         // read: no critic step follows, so no parameter gradients, and of
         // the joint input gradient just agent i's action columns.
-        s.grad_q.resize(batch, 1);
-        s.grad_q.fill(-1.0 / batch as f32);
-        let action_cols = InputGrad::Columns { start: col_off, width: act_dim };
+        s.grad_q.resize(rows, 1);
+        s.grad_q.fill(-1.0 / rows as f32);
+        let action_cols = InputGrad::Columns { start: act.start, width: act.len() };
         agent.critic.backward_need_into(
             &s.grad_q,
             BackwardNeed { params: false, input: action_cols },
@@ -1249,21 +1186,21 @@ fn update_agent(
 
 /// Persistent working storage for [`Trainer::update_all_trainers`].
 ///
-/// Sized once in [`Trainer::new`] and refilled in place every iteration;
+/// Sized by the first iteration and refilled in place every iteration;
 /// steady-state updates reuse all backing buffers instead of allocating.
 #[derive(Debug)]
 struct UpdateScratch {
-    /// One sampling plan per agent trainer.
+    /// One sampling plan per agent trainer (its IS weights included).
     plans: Vec<SamplePlan>,
     /// One staged mini-batch per plan.
-    batches: Vec<MultiBatch>,
-    /// Per-plan matrix views over the staged batches.
-    views: Vec<BatchView>,
-    /// Per-plan joint next-state critic inputs.
-    joint_nexts: Vec<Matrix>,
+    batches: Vec<StagedBatch>,
+    /// One plan's flattened indices, for the priority refresh.
+    indices: Vec<usize>,
     /// Per-agent target-noise RNG streams, reseeded in place per update.
     noise_streams: Vec<StdRng>,
-    /// Target-action working buffers (phase 2 runs on the coordinator).
+    /// Target-action working buffers (phase 2 runs on the coordinator):
+    /// one agent's next observations, its target logits and actions.
+    ta_obs: Matrix,
     ta_logits: Matrix,
     ta_value: Matrix,
     ta_scratch: Scratch,
@@ -1277,13 +1214,13 @@ struct UpdateScratch {
 }
 
 impl UpdateScratch {
-    fn new(n: usize, layouts: &[TransitionLayout], batch: usize) -> Self {
+    fn new(n: usize) -> Self {
         UpdateScratch {
             plans: (0..n).map(|_| SamplePlan::new()).collect(),
-            batches: (0..n).map(|_| MultiBatch::preallocate(layouts, batch)).collect(),
-            views: (0..n).map(|_| BatchView::empty(n)).collect(),
-            joint_nexts: (0..n).map(|_| Matrix::default()).collect(),
+            batches: (0..n).map(|_| StagedBatch::default()).collect(),
+            indices: Vec::new(),
             noise_streams: (0..n).map(|_| StdRng::seed_from_u64(0)).collect(),
+            ta_obs: Matrix::default(),
             ta_logits: Matrix::default(),
             ta_value: Matrix::default(),
             ta_scratch: Scratch::new(),
@@ -1291,6 +1228,50 @@ impl UpdateScratch {
             losses: vec![0.0; n],
             agents: (0..n).map(|_| AgentScratch::default()).collect(),
         }
+    }
+}
+
+/// One plan's mini-batch in the critics' layout, as the replay gather
+/// writes it ([`JointRows`]): `B × J` joint rows, `B × J` next-step joint
+/// rows whose action columns phase 2 fills with target actions, `N × B`
+/// agent-major rewards and agent 0's `B` done flags.
+#[derive(Debug, Default)]
+struct StagedBatch {
+    joint: Matrix,
+    joint_next: Matrix,
+    rewards: Vec<f32>,
+    dones: Vec<f32>,
+}
+
+impl JointBatch for StagedBatch {
+    fn rows_for(&mut self, plan: &SamplePlan, cols: &JointLayout) -> JointRows<'_> {
+        let shape = (plan.batch_len(), cols.width());
+        // Reshaped only when the shape changes: the gather and phase 2
+        // overwrite every element, so no zero fill is needed.
+        for m in [&mut self.joint, &mut self.joint_next] {
+            if m.shape() != shape {
+                m.resize(shape.0, shape.1);
+            }
+        }
+        self.rewards.resize(cols.agents() * shape.0, 0.0);
+        self.dones.resize(shape.0, 0.0);
+        JointRows {
+            joint: self.joint.as_mut_slice(),
+            joint_next: self.joint_next.as_mut_slice(),
+            rewards: &mut self.rewards,
+            dones: &mut self.dones,
+        }
+    }
+}
+
+/// Copies the column block `cols` of `src` into `out` (`src.rows() ×
+/// cols.len()`): an actor's dense input cut from joint rows.
+fn columns_into(src: &Matrix, cols: std::ops::Range<usize>, out: &mut Matrix) {
+    if out.shape() != (src.rows(), cols.len()) {
+        out.resize(src.rows(), cols.len());
+    }
+    for r in 0..src.rows() {
+        out.row_mut(r).copy_from_slice(&src.row(r)[cols.clone()]);
     }
 }
 
@@ -1303,10 +1284,11 @@ struct AgentScratch {
     tq: Matrix,
     tq2: Matrix,
     y: Matrix,
-    joint: Matrix,
     q: Matrix,
     q2: Matrix,
     grad: Matrix,
+    /// The agent's own observations, its actor's input.
+    obs: Matrix,
     logits: Matrix,
     action: Matrix,
     joint_pol: Matrix,
@@ -1314,65 +1296,6 @@ struct AgentScratch {
     grad_q: Matrix,
     grad_action: Matrix,
     grad_logits: Matrix,
-}
-
-/// Mini-batch reshaped into per-agent matrices. Persistent: refilled in
-/// place from the staged [`MultiBatch`] each iteration.
-#[derive(Debug)]
-struct BatchView {
-    batch: usize,
-    obs: Vec<Matrix>,
-    actions: Vec<Matrix>,
-    next_obs: Vec<Matrix>,
-    rewards: Vec<Vec<f32>>,
-    dones: Vec<f32>,
-    weights: Option<Vec<f32>>,
-    indices: Vec<usize>,
-}
-
-impl BatchView {
-    /// An empty view with `agents` lanes, ready for [`BatchView::refill`].
-    fn empty(agents: usize) -> Self {
-        BatchView {
-            batch: 0,
-            obs: (0..agents).map(|_| Matrix::default()).collect(),
-            actions: (0..agents).map(|_| Matrix::default()).collect(),
-            next_obs: (0..agents).map(|_| Matrix::default()).collect(),
-            rewards: (0..agents).map(|_| Vec::new()).collect(),
-            dones: Vec::new(),
-            weights: None,
-            indices: Vec::new(),
-        }
-    }
-
-    /// Refills every lane from a staged batch, reusing all storage.
-    fn refill(&mut self, mb: &MultiBatch, obs_dims: &[usize], act_dims: &[usize]) {
-        debug_assert_eq!(self.obs.len(), mb.agents.len(), "agent count is fixed at build time");
-        let batch = mb.len();
-        self.batch = batch;
-        for (j, (ab, (&od, &ad))) in mb.agents.iter().zip(obs_dims.iter().zip(act_dims)).enumerate()
-        {
-            self.obs[j].assign_from_slice(batch, od, &ab.obs);
-            self.actions[j].assign_from_slice(batch, ad, &ab.actions);
-            self.next_obs[j].assign_from_slice(batch, od, &ab.next_obs);
-            self.rewards[j].clear();
-            self.rewards[j].extend_from_slice(&ab.rewards);
-        }
-        self.dones.clear();
-        if let Some(first) = mb.agents.first() {
-            self.dones.extend_from_slice(&first.dones);
-        }
-        match (&mb.weights, &mut self.weights) {
-            (None, w) => *w = None,
-            (Some(src), Some(dst)) => {
-                dst.clear();
-                dst.extend_from_slice(src);
-            }
-            (Some(src), w @ None) => *w = Some(src.clone()),
-        }
-        self.indices.clear();
-        self.indices.extend_from_slice(&mb.indices);
-    }
 }
 
 /// Convenience: trains a configuration end-to-end and returns the report.

@@ -74,4 +74,6 @@ pub use error::ReplayError;
 pub use indices::{SamplePlan, Segment};
 pub use multi::{LayoutMode, MultiAgentReplay};
 pub use sampler::{Sampler, SamplerState};
-pub use transition::{AgentBatch, MultiBatch, Transition, TransitionLayout, TransitionRef};
+pub use transition::{
+    JointBatch, JointLayout, JointRows, MultiBatch, Transition, TransitionLayout, TransitionRef,
+};

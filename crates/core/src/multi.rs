@@ -25,13 +25,24 @@
 //! three 9 MB ones.
 //!
 //! Push, snapshot and restore are written once against the map; only the
-//! gather's loop nesting follows it (agent-outer for agent-major,
-//! row-outer for time-major), because each map is fastest read in its own
-//! order.
+//! gather's loop nesting inside a plan segment follows it (agent-outer
+//! for agent-major, row-outer for time-major), because each map is
+//! fastest read in its own order.
+//!
+//! The gather writes the centralized critic's layout directly: sampled
+//! row `r` of agent `a` lands in row `r` of one `B × J` joint block
+//! `[obs_1..obs_N | act_1..act_N]` (its observation and action columns,
+//! [`MultiAgentReplay::joint_layout`]), in the observation columns of a
+//! `B × J` `joint_next` block, and at `a·B + r` of the rewards. One body
+//! serves every destination that implements [`JointBatch`]: the
+//! [`MultiBatch`] of [`MultiAgentReplay::sample`] and a trainer's
+//! per-plan matrices alike.
 
 use crate::error::ReplayError;
 use crate::indices::SamplePlan;
-use crate::transition::{AgentBatch, MultiBatch, Transition, TransitionLayout, TransitionRef};
+use crate::transition::{
+    JointBatch, JointLayout, JointRows, MultiBatch, Transition, TransitionLayout, TransitionRef,
+};
 use serde::{Deserialize, Serialize};
 
 /// How transition data is laid out in memory (Section IV-B2): the address
@@ -73,6 +84,8 @@ pub enum LayoutMode {
 #[derive(Debug, Clone)]
 pub struct MultiAgentReplay {
     layouts: Vec<TransitionLayout>,
+    /// The critic's joint-row columns of these agents.
+    joint: JointLayout,
     mode: LayoutMode,
     /// The rows: one block per agent (agent-major) or one block for all
     /// (time-major).
@@ -127,6 +140,7 @@ impl MultiAgentReplay {
         };
         MultiAgentReplay {
             layouts: layouts.to_vec(),
+            joint: JointLayout::new(layouts),
             mode,
             blocks,
             base,
@@ -188,6 +202,11 @@ impl MultiAgentReplay {
     /// Per-agent row layouts.
     pub fn layouts(&self) -> &[TransitionLayout] {
         &self.layouts
+    }
+
+    /// The columns of the joint rows a gather writes.
+    pub fn joint_layout(&self) -> &JointLayout {
+        &self.joint
     }
 
     /// Borrows agent `agent`'s row at ring slot `slot`.
@@ -259,18 +278,19 @@ impl MultiAgentReplay {
     }
 
     /// Pushes one transition per agent without intermediate `Vec`s: the
-    /// closure is called once per agent index and returns a borrowed row.
-    /// The agent count is fixed by construction, so no count mismatch can
-    /// occur. Returns the slot written.
+    /// closure is called once per agent index, with that agent's layout,
+    /// and returns a borrowed row. The agent count is fixed by
+    /// construction, so no count mismatch can occur. Returns the slot
+    /// written.
     ///
     /// # Panics
     ///
     /// Panics if a returned row disagrees with its agent's layout.
     pub fn push_step_with<'a, F>(&mut self, mut f: F) -> usize
     where
-        F: FnMut(usize) -> TransitionRef<'a>,
+        F: FnMut(usize, &TransitionLayout) -> TransitionRef<'a>,
     {
-        self.push_rows(|a, l, row| f(a).write_row(l, row))
+        self.push_rows(|a, l, row| f(a, l).write_row(l, row))
     }
 
     /// Executes a sample plan against **every** agent's rows with the
@@ -287,63 +307,84 @@ impl MultiAgentReplay {
         Ok(out)
     }
 
-    /// [`MultiAgentReplay::sample`] gathering into a caller-owned
-    /// [`MultiBatch`], reusing its column storage: once `out` has seen a
-    /// batch of this shape, the gather performs zero heap allocations.
+    /// The gather: [`MultiAgentReplay::sample`] into a caller-owned
+    /// container, which sizes its buffers for the plan
+    /// ([`JointBatch::rows_for`]) and receives every sampled row in the
+    /// critic's layout (module docs). A container that keeps its storage
+    /// across calls makes the gather allocation-free once it has seen a
+    /// batch of this shape.
     ///
-    /// The loop nesting follows the address map. Agent-major gathers agent
-    /// by agent, so rows within a plan segment stream sequentially through
-    /// one agent's block; time-major gathers index by index, so each index
-    /// reads one contiguous fat row. Either map read in the other order
-    /// is slower, and both give the same batch.
+    /// The gather goes segment by segment, so the destination rows of one
+    /// segment are finished before the next starts; a single-row segment
+    /// (uniform, PER) writes its joint rows whole. Inside a segment the
+    /// loop nesting follows the address map. Agent-major gathers agent
+    /// by agent, so a run streams sequentially through one agent's block;
+    /// time-major gathers index by index, so each index reads one
+    /// contiguous fat row. Both give the same batch.
     ///
-    /// `out` is reshaped on first use (or agent-count change); its contents
-    /// are unspecified if an error is returned.
+    /// The contents of `out` are unspecified if an error is returned.
     ///
     /// # Errors
     ///
     /// Returns [`ReplayError::IndexOutOfRange`] if the plan references
     /// unstored rows.
-    pub fn sample_into(&self, plan: &SamplePlan, out: &mut MultiBatch) -> Result<(), ReplayError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` lends buffers of the wrong size.
+    pub fn sample_into(
+        &self,
+        plan: &SamplePlan,
+        out: &mut impl JointBatch,
+    ) -> Result<(), ReplayError> {
         if let Some(seg) = plan.segments.iter().find(|s| s.start + s.len > self.len) {
             return Err(ReplayError::IndexOutOfRange {
                 index: seg.start + seg.len - 1,
                 len: self.len,
             });
         }
-        let batch = plan.batch_len();
-        if out.agents.len() != self.layouts.len() {
-            out.agents.clear();
-            out.agents.extend(self.layouts.iter().map(|&l| AgentBatch::with_capacity(l, batch)));
-        }
-        out.set_plan_meta(plan);
-        for (ab, &l) in out.agents.iter_mut().zip(&self.layouts) {
-            ab.layout = l;
-            ab.reset(batch);
-        }
-        match self.mode {
-            LayoutMode::PerAgent => {
-                for ((ab, block), &w) in out.agents.iter_mut().zip(&self.blocks).zip(&self.stride) {
-                    for seg in &plan.segments {
-                        for idx in seg.iter() {
-                            ab.push_row(&block[idx * w..(idx + 1) * w]);
-                        }
+        let (batch, width) = (plan.batch_len(), self.joint.width());
+        let JointRows { joint, joint_next, rewards, dones } = out.rows_for(plan, &self.joint);
+        assert!(
+            joint.len() == batch * width
+                && joint_next.len() == batch * width
+                && rewards.len() == self.layouts.len() * batch
+                && dones.len() == batch,
+            "gather buffers are not sized for {batch} rows of width {width}"
+        );
+        // Agent `a`'s stored row `src` into batch row `r`.
+        let mut put = |a: usize, r: usize, src: &[f32]| {
+            let t = TransitionRef::from_row(&self.layouts[a], src);
+            let (obs, act) = (self.joint.obs_cols(a), self.joint.act_cols(a));
+            let at = r * width;
+            joint[at + obs.start..at + obs.end].copy_from_slice(t.obs);
+            joint[at + act.start..at + act.end].copy_from_slice(t.action);
+            joint_next[at + obs.start..at + obs.end].copy_from_slice(t.next_obs);
+            rewards[a * batch + r] = t.reward;
+            if a == 0 {
+                dones[r] = t.done;
+            }
+        };
+        let mut first = 0;
+        for seg in &plan.segments {
+            let rows = || seg.iter().enumerate().map(|(k, idx)| (first + k, idx));
+            match self.mode {
+                LayoutMode::PerAgent => {
+                    for (a, (block, &w)) in self.blocks.iter().zip(&self.stride).enumerate() {
+                        rows().for_each(|(r, idx)| put(a, r, &block[idx * w..(idx + 1) * w]));
                     }
                 }
-            }
-            LayoutMode::Interleaved => {
-                let fat = self.stride[0];
-                for seg in &plan.segments {
-                    for idx in seg.iter() {
+                LayoutMode::Interleaved => {
+                    let fat = self.stride[0];
+                    for (r, idx) in rows() {
                         let row = &self.blocks[0][idx * fat..(idx + 1) * fat];
-                        for ((ab, l), &off) in
-                            out.agents.iter_mut().zip(&self.layouts).zip(&self.base)
-                        {
-                            ab.push_row(&row[off..off + l.row_width()]);
+                        for (a, (l, &off)) in self.layouts.iter().zip(&self.base).enumerate() {
+                            put(a, r, &row[off..off + l.row_width()]);
                         }
                     }
                 }
             }
+            first += seg.len;
         }
         Ok(())
     }
@@ -366,10 +407,10 @@ impl MultiAgentReplay {
     ///
     /// Propagates index-range errors; the contents of `outs` are
     /// unspecified on error.
-    pub fn sample_many_into(
+    pub fn sample_many_into<B: JointBatch + Send>(
         &self,
         plans: &[SamplePlan],
-        outs: &mut [MultiBatch],
+        outs: &mut [B],
         threads: usize,
     ) -> Result<(), ReplayError> {
         assert_eq!(plans.len(), outs.len(), "one output batch per plan");
@@ -453,7 +494,7 @@ mod tests {
             }
             assert_eq!((r.len(), r.next_slot()), (2, 1));
             // Slot 0 was overwritten by step 2.
-            let reward = |a, slot| r.row(a, slot)[layouts[0].reward_offset()];
+            let reward = |a, slot| TransitionRef::from_row(&layouts[a], r.row(a, slot)).reward;
             assert_eq!([reward(0, 0), reward(1, 0), reward(0, 1)], [20.0, 21.0, 10.0], "{mode:?}");
         }
     }
@@ -471,10 +512,23 @@ mod tests {
         for mode in MODES {
             let r = filled(3, 20, mode);
             let mb = r.sample(&SamplePlan::from_indices(&[5, 17, 0])).unwrap();
-            for (a, ab) in mb.agents.iter().enumerate() {
-                // Row 0 of every agent batch comes from time step 5.
-                assert_eq!(ab.rewards, vec![(50 + a) as f32, (170 + a) as f32, a as f32]);
-                assert_eq!(ab.obs.len(), 3 * (3 + a), "{mode:?}");
+            let (joint, width) = (r.joint_layout(), r.joint_layout().width());
+            assert_eq!((width, mb.joint.len(), mb.joint_next.len()), (18, 3 * 18, 3 * 18));
+            assert_eq!(mb.dones, [0.0; 3]);
+            for (a, lane) in mb.rewards.chunks(3).enumerate() {
+                // Row 0 of every agent's block comes from time step 5.
+                let v = [(50 + a) as f32, (170 + a) as f32, a as f32];
+                assert_eq!(lane, v, "{mode:?}");
+                for (r, &v) in v.iter().enumerate() {
+                    let row = |m: &[f32], cols: std::ops::Range<usize>| {
+                        m[r * width..(r + 1) * width][cols].to_vec()
+                    };
+                    assert_eq!(row(&mb.joint, joint.obs_cols(a)), vec![v; 3 + a], "{mode:?}");
+                    assert_eq!(row(&mb.joint, joint.act_cols(a)), vec![v; 2], "{mode:?}");
+                    let next = row(&mb.joint_next, joint.obs_cols(a));
+                    assert_eq!(next, vec![v + 0.5; 3 + a], "{mode:?}");
+                    assert_eq!(row(&mb.joint_next, joint.act_cols(a)), vec![0.0; 2], "{mode:?}");
+                }
             }
         }
     }
@@ -486,7 +540,7 @@ mod tests {
         let expect = filled(2, 30, LayoutMode::PerAgent).sample(&flat_plan).unwrap();
         for mode in MODES {
             let r = filled(2, 30, mode);
-            assert_eq!(r.sample(&run_plan).unwrap().agents, expect.agents, "{mode:?}");
+            assert_eq!(r.sample(&run_plan).unwrap(), expect, "{mode:?}");
             assert_eq!(r.sample(&flat_plan).unwrap(), expect, "{mode:?}");
         }
     }
@@ -516,16 +570,18 @@ mod tests {
             let plan_a = SamplePlan::from_indices(&(0..8).collect::<Vec<_>>());
             r.sample_into(&plan_a, &mut out).unwrap();
             assert_eq!(out, r.sample(&plan_a).unwrap());
-            let ptrs: Vec<_> = out.agents.iter().map(|a| a.obs.as_ptr()).collect();
+            let ptrs = (out.joint.as_ptr(), out.joint_next.as_ptr(), out.rewards.as_ptr());
             // A smaller follow-up batch reuses the same allocations and
             // leaves no stale rows behind.
             let plan_b = SamplePlan::from_indices(&[31, 2, 15]);
             r.sample_into(&plan_b, &mut out).unwrap();
             assert_eq!(out, r.sample(&plan_b).unwrap());
-            for (a, &p) in out.agents.iter().zip(&ptrs) {
-                assert_eq!(a.obs.as_ptr(), p, "obs storage must be reused");
-                assert_eq!(a.rewards.len(), 3);
-            }
+            assert_eq!(
+                (out.joint.as_ptr(), out.joint_next.as_ptr(), out.rewards.as_ptr()),
+                ptrs,
+                "row storage must be reused"
+            );
+            assert_eq!((out.rewards.len(), out.dones.len()), (3 * 3, 3));
         }
     }
 
@@ -554,7 +610,7 @@ mod tests {
     #[test]
     fn sample_many_into_handles_empty_and_errors() {
         let r = filled(2, 4, LayoutMode::Interleaved);
-        r.sample_many_into(&[], &mut [], 4).unwrap();
+        r.sample_many_into::<MultiBatch>(&[], &mut [], 4).unwrap();
         let plans = vec![SamplePlan::from_indices(&[0]), SamplePlan::from_indices(&[10])];
         let mut outs = vec![MultiBatch::preallocate(r.layouts(), 1); 2];
         assert!(r.sample_many_into(&plans, &mut outs, 2).is_err());

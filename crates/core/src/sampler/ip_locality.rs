@@ -52,7 +52,7 @@ impl IpLocalityConfig {
     /// degenerate buffers.
     ///
     /// [per]: crate::sampler::per::PriorityCore::normalized_priority
-    pub fn predict_neighbors(&self, normalized_priority: f32) -> usize {
+    fn predict_neighbors(&self, normalized_priority: f32) -> usize {
         if !normalized_priority.is_finite() || normalized_priority < self.thresholds[0] {
             self.neighbor_counts[0]
         } else if normalized_priority < self.thresholds[1] {

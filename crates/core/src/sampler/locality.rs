@@ -44,7 +44,7 @@ impl LocalityConfig {
     /// # Errors
     ///
     /// Returns an error if `batch` is not divisible by the neighbor count.
-    pub fn refs_for_batch(&self, batch: usize) -> Result<usize, ReplayError> {
+    fn refs_for_batch(&self, batch: usize) -> Result<usize, ReplayError> {
         if !batch.is_multiple_of(self.neighbors) {
             return Err(ReplayError::InvalidBatch {
                 reason: format!("batch {batch} not divisible by neighbor count {}", self.neighbors),

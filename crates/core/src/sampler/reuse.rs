@@ -63,11 +63,6 @@ impl ReuseWindowSampler {
     pub fn config(&self) -> &ReuseConfig {
         &self.config
     }
-
-    /// Drops the cached plan (e.g. after the buffer shrank).
-    pub fn invalidate(&mut self) {
-        self.cached = None;
-    }
 }
 
 impl Sampler for ReuseWindowSampler {
@@ -158,16 +153,6 @@ mod tests {
         let b = s.plan(1000, 64, &mut r).unwrap();
         assert_ne!(a.batch_len(), b.batch_len());
         assert_eq!(b.batch_len(), 64);
-    }
-
-    #[test]
-    fn explicit_invalidation_forces_replan() {
-        let mut s = ReuseWindowSampler::new(Box::new(UniformSampler::new()), ReuseConfig::new(10));
-        let mut r = rng();
-        let a = s.plan(1000, 32, &mut r).unwrap();
-        s.invalidate();
-        let b = s.plan(1000, 32, &mut r).unwrap();
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Transition records and batch containers.
 //!
 //! A transition is the tuple the paper stores per agent per step:
-//! `(obs_j, act_j, reward_j, next_obs_j, done_j)`.
+//! `(obs_j, act_j, reward_j, next_obs_j, done_j)`. A sampled mini-batch
+//! is stored the way the centralized critic reads it: joint rows
+//! `[obs_1..obs_N | act_1..act_N]` laid out by [`JointLayout`].
 
+use crate::indices::SamplePlan;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Shape of one agent's transition row inside the replay storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -31,22 +35,22 @@ impl TransitionLayout {
     }
 
     /// Offset of the action segment within a row.
-    pub fn act_offset(&self) -> usize {
+    fn act_offset(&self) -> usize {
         self.obs_dim
     }
 
     /// Offset of the reward scalar within a row.
-    pub fn reward_offset(&self) -> usize {
+    fn reward_offset(&self) -> usize {
         self.obs_dim + self.act_dim
     }
 
     /// Offset of the next-observation segment within a row.
-    pub fn next_obs_offset(&self) -> usize {
+    fn next_obs_offset(&self) -> usize {
         self.obs_dim + self.act_dim + 1
     }
 
     /// Offset of the done flag within a row.
-    pub fn done_offset(&self) -> usize {
+    fn done_offset(&self) -> usize {
         self.row_width() - 1
     }
 }
@@ -67,27 +71,22 @@ pub struct Transition {
 }
 
 impl Transition {
-    /// Serializes into `out` following `layout`.
+    /// Serializes into `out` following `layout` (see
+    /// [`TransitionRef::write_row`]).
     ///
     /// # Panics
     ///
     /// Panics if the component sizes disagree with `layout` or `out` is not
     /// exactly one row wide.
     pub fn write_row(&self, layout: &TransitionLayout, out: &mut [f32]) {
-        assert_eq!(self.obs.len(), layout.obs_dim, "obs dim mismatch");
-        assert_eq!(self.action.len(), layout.act_dim, "act dim mismatch");
-        assert_eq!(self.next_obs.len(), layout.obs_dim, "next_obs dim mismatch");
-        assert_eq!(out.len(), layout.row_width(), "row width mismatch");
-        let mut off = 0;
-        out[off..off + layout.obs_dim].copy_from_slice(&self.obs);
-        off += layout.obs_dim;
-        out[off..off + layout.act_dim].copy_from_slice(&self.action);
-        off += layout.act_dim;
-        out[off] = self.reward;
-        off += 1;
-        out[off..off + layout.obs_dim].copy_from_slice(&self.next_obs);
-        off += layout.obs_dim;
-        out[off] = self.done;
+        let t = TransitionRef {
+            obs: &self.obs,
+            action: &self.action,
+            reward: self.reward,
+            next_obs: &self.next_obs,
+            done: self.done,
+        };
+        t.write_row(layout, out);
     }
 
     /// Deserializes a row written by [`Transition::write_row`].
@@ -96,14 +95,13 @@ impl Transition {
     ///
     /// Panics if `row.len() != layout.row_width()`.
     pub fn from_row(layout: &TransitionLayout, row: &[f32]) -> Self {
-        assert_eq!(row.len(), layout.row_width(), "row width mismatch");
+        let t = TransitionRef::from_row(layout, row);
         Transition {
-            obs: row[..layout.obs_dim].to_vec(),
-            action: row[layout.act_offset()..layout.act_offset() + layout.act_dim].to_vec(),
-            reward: row[layout.reward_offset()],
-            next_obs: row[layout.next_obs_offset()..layout.next_obs_offset() + layout.obs_dim]
-                .to_vec(),
-            done: row[layout.done_offset()],
+            obs: t.obs.to_vec(),
+            action: t.action.to_vec(),
+            reward: t.reward,
+            next_obs: t.next_obs.to_vec(),
+            done: t.done,
         }
     }
 }
@@ -146,8 +144,8 @@ impl<'a> TransitionRef<'a> {
         }
     }
 
-    /// Serializes into `out` following `layout`; identical row format to
-    /// [`Transition::write_row`].
+    /// Serializes into `out` following `layout`: the row
+    /// `obs | action | reward | next_obs | done`.
     ///
     /// # Panics
     ///
@@ -158,82 +156,104 @@ impl<'a> TransitionRef<'a> {
         assert_eq!(self.action.len(), layout.act_dim, "act dim mismatch");
         assert_eq!(self.next_obs.len(), layout.obs_dim, "next_obs dim mismatch");
         assert_eq!(out.len(), layout.row_width(), "row width mismatch");
-        let mut off = 0;
-        out[off..off + layout.obs_dim].copy_from_slice(self.obs);
-        off += layout.obs_dim;
-        out[off..off + layout.act_dim].copy_from_slice(self.action);
-        off += layout.act_dim;
-        out[off] = self.reward;
-        off += 1;
-        out[off..off + layout.obs_dim].copy_from_slice(self.next_obs);
-        off += layout.obs_dim;
-        out[off] = self.done;
+        out[..layout.act_offset()].copy_from_slice(self.obs);
+        out[layout.act_offset()..layout.reward_offset()].copy_from_slice(self.action);
+        out[layout.reward_offset()] = self.reward;
+        out[layout.next_obs_offset()..layout.done_offset()].copy_from_slice(self.next_obs);
+        out[layout.done_offset()] = self.done;
     }
 }
 
-/// A sampled mini-batch for one agent, stored column-contiguously so the
-/// trainer can feed it straight into matrix code.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AgentBatch {
-    /// Row layout used to produce this batch.
-    pub layout: TransitionLayout,
-    /// Batch size.
-    pub len: usize,
-    /// Observations, `len × obs_dim` row-major.
-    pub obs: Vec<f32>,
-    /// Actions, `len × act_dim` row-major.
-    pub actions: Vec<f32>,
-    /// Rewards, `len`.
-    pub rewards: Vec<f32>,
-    /// Next observations, `len × obs_dim` row-major.
-    pub next_obs: Vec<f32>,
-    /// Done flags, `len`.
-    pub dones: Vec<f32>,
+/// Columns of the centralized critic's joint row
+/// `[obs_1..obs_N | act_1..act_N]`: every agent's observation block, then
+/// every agent's action block, in agent order. A replay store carries
+/// the one for its agents ([`crate::multi::MultiAgentReplay::joint_layout`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JointLayout {
+    /// `N + 1` column boundaries: agent `a`'s observations are
+    /// `obs[a]..obs[a + 1]`.
+    obs: Vec<usize>,
+    /// `N + 1` column boundaries, starting at `obs[N]`: agent `a`'s
+    /// actions are `act[a]..act[a + 1]`.
+    act: Vec<usize>,
 }
 
-impl AgentBatch {
-    /// Allocates an empty batch of the given size.
-    pub fn with_capacity(layout: TransitionLayout, len: usize) -> Self {
-        AgentBatch {
-            layout,
-            len,
-            obs: Vec::with_capacity(len * layout.obs_dim),
-            actions: Vec::with_capacity(len * layout.act_dim),
-            rewards: Vec::with_capacity(len),
-            next_obs: Vec::with_capacity(len * layout.obs_dim),
-            dones: Vec::with_capacity(len),
+impl JointLayout {
+    /// The joint columns of agents with row shapes `layouts`.
+    pub fn new(layouts: &[TransitionLayout]) -> Self {
+        fn bounds(start: usize, widths: impl Iterator<Item = usize>) -> Vec<usize> {
+            let ends = widths.scan(start, |end, w| {
+                *end += w;
+                Some(*end)
+            });
+            std::iter::once(start).chain(ends).collect()
         }
+        let obs = bounds(0, layouts.iter().map(|l| l.obs_dim));
+        let act = bounds(obs[layouts.len()], layouts.iter().map(|l| l.act_dim));
+        JointLayout { obs, act }
     }
 
-    /// Clears the column vectors and sets the expected batch size, keeping
-    /// every vector's capacity so refills are allocation-free.
-    pub fn reset(&mut self, len: usize) {
-        self.len = len;
-        self.obs.clear();
-        self.actions.clear();
-        self.rewards.clear();
-        self.next_obs.clear();
-        self.dones.clear();
+    /// Number of agents.
+    pub fn agents(&self) -> usize {
+        self.obs.len() - 1
     }
 
-    /// Appends one serialized row.
-    pub fn push_row(&mut self, row: &[f32]) {
-        let l = &self.layout;
-        self.obs.extend_from_slice(&row[..l.obs_dim]);
-        self.actions.extend_from_slice(&row[l.act_offset()..l.act_offset() + l.act_dim]);
-        self.rewards.push(row[l.reward_offset()]);
-        self.next_obs.extend_from_slice(&row[l.next_obs_offset()..l.next_obs_offset() + l.obs_dim]);
-        self.dones.push(row[l.done_offset()]);
+    /// Joint row width `J = Σ obs_dim + Σ act_dim`.
+    pub fn width(&self) -> usize {
+        self.act[self.agents()]
+    }
+
+    /// Agent `agent`'s observation columns.
+    pub fn obs_cols(&self, agent: usize) -> Range<usize> {
+        self.obs[agent]..self.obs[agent + 1]
+    }
+
+    /// Agent `agent`'s action columns.
+    pub fn act_cols(&self, agent: usize) -> Range<usize> {
+        self.act[agent]..self.act[agent + 1]
     }
 }
 
-/// A joint mini-batch: one [`AgentBatch`] per agent, plus optional
-/// importance-sampling weights shared across agents (the paper's Lemma 1
-/// weights from prioritized sampling).
+/// The buffers one joint gather writes, for a plan of `B` rows under a
+/// [`JointLayout`] of width `J`.
+#[derive(Debug)]
+pub struct JointRows<'a> {
+    /// `B × J` joint rows `[obs_1..obs_N | act_1..act_N]`, row-major.
+    pub joint: &'a mut [f32],
+    /// `B × J` next-step joint rows. The gather writes only the
+    /// observation columns; the action columns belong to the caller (a
+    /// trainer writes its target actions there).
+    pub joint_next: &'a mut [f32],
+    /// `N × B` rewards, agent-major: agent `a`'s are `a·B..(a + 1)·B`.
+    pub rewards: &'a mut [f32],
+    /// `B` done flags, agent 0's.
+    pub dones: &'a mut [f32],
+}
+
+/// A per-plan container a joint gather writes into
+/// ([`crate::multi::MultiAgentReplay::sample_into`]).
+pub trait JointBatch {
+    /// Sizes the buffers for `plan`'s rows under `joint` and lends them.
+    /// Their contents need not be cleared: the gather overwrites every
+    /// element it owns.
+    fn rows_for(&mut self, plan: &SamplePlan, joint: &JointLayout) -> JointRows<'_>;
+}
+
+/// A joint mini-batch in the critic's layout ([`JointRows`] owned), plus
+/// the plan's common indices and its optional importance-sampling
+/// weights, shared across agents (the paper's Lemma 1 weights from
+/// prioritized sampling).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiBatch {
-    /// Per-agent batches, indexed by agent id.
-    pub agents: Vec<AgentBatch>,
+    /// `B × J` joint rows `[obs_1..obs_N | act_1..act_N]`, row-major.
+    pub joint: Vec<f32>,
+    /// `B × J` next-step joint rows; the gather writes the observation
+    /// columns and leaves the action columns zero.
+    pub joint_next: Vec<f32>,
+    /// `N × B` rewards, agent-major.
+    pub rewards: Vec<f32>,
+    /// `B` done flags, agent 0's.
+    pub dones: Vec<f32>,
     /// The common indices used against every agent's buffer (Figure 5's
     /// "common indices array").
     pub indices: Vec<usize>,
@@ -256,29 +276,23 @@ impl MultiBatch {
     /// Allocates an empty batch container with capacity for `batch` rows
     /// per agent, for reuse across `sample_into` calls.
     pub fn preallocate(layouts: &[TransitionLayout], batch: usize) -> Self {
-        let mut agents: Vec<AgentBatch> =
-            layouts.iter().map(|&l| AgentBatch::with_capacity(l, batch)).collect();
-        for a in &mut agents {
-            a.reset(0);
-        }
-        MultiBatch { agents, indices: Vec::with_capacity(batch), weights: None }
-    }
-
-    /// Clears the rows of every agent batch (capacity retained).
-    pub fn clear(&mut self) {
-        for a in &mut self.agents {
-            a.reset(0);
-        }
-        self.indices.clear();
-        if let Some(w) = &mut self.weights {
-            w.clear();
+        let rows = batch * JointLayout::new(layouts).width();
+        MultiBatch {
+            joint: Vec::with_capacity(rows),
+            joint_next: Vec::with_capacity(rows),
+            rewards: Vec::with_capacity(layouts.len() * batch),
+            dones: Vec::with_capacity(batch),
+            indices: Vec::with_capacity(batch),
+            weights: None,
         }
     }
+}
 
-    /// Copies a plan's indices and weights into this batch, reusing the
-    /// existing buffers (allocation-free in steady state when the plan's
-    /// weight variant is stable across calls).
-    pub fn set_plan_meta(&mut self, plan: &crate::indices::SamplePlan) {
+/// Copies the plan's indices and weights and grows or shrinks the row
+/// buffers, reusing their storage (allocation-free in steady state when
+/// the plan's weight variant is stable across calls).
+impl JointBatch for MultiBatch {
+    fn rows_for(&mut self, plan: &SamplePlan, joint: &JointLayout) -> JointRows<'_> {
         plan.flatten_into(&mut self.indices);
         match (&plan.weights, &mut self.weights) {
             (None, w) => *w = None,
@@ -287,6 +301,17 @@ impl MultiBatch {
                 dst.extend_from_slice(src);
             }
             (Some(src), w @ None) => *w = Some(src.clone()),
+        }
+        let batch = self.indices.len();
+        self.joint.resize(batch * joint.width(), 0.0);
+        self.joint_next.resize(batch * joint.width(), 0.0);
+        self.rewards.resize(joint.agents() * batch, 0.0);
+        self.dones.resize(batch, 0.0);
+        JointRows {
+            joint: &mut self.joint,
+            joint_next: &mut self.joint_next,
+            rewards: &mut self.rewards,
+            dones: &mut self.dones,
         }
     }
 }
@@ -322,24 +347,11 @@ mod tests {
     }
 
     #[test]
-    fn agent_batch_accumulates_columns() {
-        let l = TransitionLayout::new(2, 1);
-        let mut b = AgentBatch::with_capacity(l, 2);
-        let t = Transition {
-            obs: vec![1.0, 2.0],
-            action: vec![0.5],
-            reward: 3.0,
-            next_obs: vec![4.0, 5.0],
-            done: 0.0,
-        };
-        let mut row = vec![0.0; l.row_width()];
-        t.write_row(&l, &mut row);
-        b.push_row(&row);
-        b.push_row(&row);
-        assert_eq!(b.obs, vec![1.0, 2.0, 1.0, 2.0]);
-        assert_eq!(b.actions, vec![0.5, 0.5]);
-        assert_eq!(b.rewards, vec![3.0, 3.0]);
-        assert_eq!(b.dones, vec![0.0, 0.0]);
+    fn joint_layout_puts_every_observation_before_every_action() {
+        let j = JointLayout::new(&[TransitionLayout::new(4, 2), TransitionLayout::new(3, 5)]);
+        assert_eq!((j.agents(), j.width()), (2, 14));
+        assert_eq!((j.obs_cols(0), j.obs_cols(1)), (0..4, 4..7));
+        assert_eq!((j.act_cols(0), j.act_cols(1)), (7..9, 9..14));
     }
 
     #[test]

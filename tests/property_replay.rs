@@ -8,8 +8,9 @@ use marl_repro::core::indices::{SamplePlan, Segment};
 use marl_repro::core::multi::{LayoutMode, MultiAgentReplay};
 use marl_repro::core::snapshot::{decode_replay, decode_replay_into, encode_replay};
 use marl_repro::core::sumtree::SumTree;
-use marl_repro::core::transition::{MultiBatch, Transition, TransitionLayout};
+use marl_repro::core::transition::{MultiBatch, Transition, TransitionLayout, TransitionRef};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -21,6 +22,43 @@ fn transition(layout: &TransitionLayout, tag: f32) -> Transition {
         next_obs: vec![tag + 0.25; layout.obs_dim],
         done: if (tag as usize).is_multiple_of(7) { 1.0 } else { 0.0 },
     }
+}
+
+/// The gather oracle: every element of `batch` is the stored row it was
+/// sampled from. Row `r` of index `idx` carries, for every agent `a`,
+/// `a`'s stored obs and action in `a`'s joint columns, its next obs in
+/// `a`'s `joint_next` observation columns (the action columns stay
+/// zero), its reward at `a·B + r`, and agent 0's done flag at `r`; the
+/// indices are the plan's, in order, and so are the weights.
+fn check_against_rows(
+    store: &MultiAgentReplay,
+    plan: &SamplePlan,
+    batch: &MultiBatch,
+) -> Result<(), TestCaseError> {
+    let indices = plan.flatten();
+    let (b, cols) = (indices.len(), store.joint_layout());
+    let w = cols.width();
+    prop_assert_eq!(&batch.indices, &indices);
+    prop_assert_eq!(&batch.weights, &plan.weights);
+    prop_assert_eq!((batch.joint.len(), batch.joint_next.len()), (b * w, b * w));
+    prop_assert_eq!((batch.rewards.len(), batch.dones.len()), (store.agent_count() * b, b));
+    for (r, &idx) in indices.iter().enumerate() {
+        let (joint, next) =
+            (&batch.joint[r * w..(r + 1) * w], &batch.joint_next[r * w..(r + 1) * w]);
+        for (a, layout) in store.layouts().iter().enumerate() {
+            let t = TransitionRef::from_row(layout, store.row(a, idx));
+            let (obs, act) = (cols.obs_cols(a), cols.act_cols(a));
+            prop_assert_eq!(&joint[obs.clone()], t.obs, "obs a={} r={}", a, r);
+            prop_assert_eq!(&joint[act.clone()], t.action, "action a={} r={}", a, r);
+            prop_assert_eq!(&next[obs], t.next_obs, "next_obs a={} r={}", a, r);
+            prop_assert!(next[act].iter().all(|&x| x == 0.0), "next action a={} r={}", a, r);
+            prop_assert_eq!(batch.rewards[a * b + r], t.reward, "reward a={} r={}", a, r);
+            if a == 0 {
+                prop_assert_eq!(batch.dones[r], t.done, "done r={}", r);
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -86,7 +124,9 @@ proptest! {
 
     /// The two address maps are one store: for heterogeneous agent
     /// layouts, any capacity, pushes that wrap the ring and arbitrary
-    /// plans of single rows and runs, the agent-major and time-major maps
+    /// plans of single rows and runs (every other one weighted), each
+    /// map's batches match the stored rows element by element
+    /// (`check_against_rows`), and the agent-major and time-major maps
     /// give identical `sample_into` batches, identical `sample_many_into`
     /// batches at 1–3 threads, identical snapshot bytes, identical
     /// restores of that snapshot into either map, and identical map-to-map
@@ -115,20 +155,26 @@ proptest! {
         // Segments of one row or a run, clamped into the stored rows.
         let plans: Vec<SamplePlan> = plans
             .iter()
-            .map(|segs| SamplePlan {
-                segments: segs
+            .enumerate()
+            .map(|(k, segs)| {
+                let segments: Vec<Segment> = segs
                     .iter()
                     .map(|&(start, run)| {
                         let run = run.min(len);
                         Segment::run(start % (len - run + 1), run)
                     })
-                    .collect(),
-                weights: None,
+                    .collect();
+                let rows = segments.iter().map(|s| s.len).sum::<usize>();
+                let weights = (k % 2 == 1).then(|| (0..rows).map(|r| 1.0 / (r + 1) as f32).collect());
+                SamplePlan { segments, weights }
             })
             .collect();
 
         for plan in &plans {
-            prop_assert_eq!(per.sample(plan).unwrap(), tm.sample(plan).unwrap());
+            let batch = per.sample(plan).unwrap();
+            check_against_rows(&per, plan, &batch)?;
+            check_against_rows(&tm, plan, &tm.sample(plan).unwrap())?;
+            prop_assert_eq!(batch, tm.sample(plan).unwrap());
         }
         let expect: Vec<MultiBatch> = plans.iter().map(|p| per.sample(p).unwrap()).collect();
         for threads in 1..=3 {

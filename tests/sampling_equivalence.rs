@@ -39,7 +39,7 @@ fn interleaved_layout_returns_identical_batches() {
         let plan = sampler.plan(500, 64, &mut rng).unwrap();
         let a = replay.sample(&plan).unwrap();
         let b = store.sample(&plan).unwrap();
-        assert_eq!(a.agents, b.agents, "layouts must agree on batch content");
+        assert_eq!(a, b, "layouts must agree on batch content");
         assert_eq!(a.indices, b.indices);
     }
 }
@@ -52,8 +52,8 @@ fn locality_plan_gathers_real_consecutive_rows() {
     let plan = sampler.plan(1000, 64, &mut rng).unwrap();
     let batch = replay.sample(&plan).unwrap();
     // Rewards encode the time index: inside each run of 16, consecutive
-    // rows must be consecutive time steps.
-    let rewards = &batch.agents[0].rewards;
+    // rows must be consecutive time steps. Agent 0's rewards come first.
+    let rewards = &batch.rewards[..batch.len()];
     for chunk in rewards.chunks(16) {
         for pair in chunk.windows(2) {
             assert_eq!(pair[1] - pair[0], 100.0, "neighbors must be consecutive transitions");
@@ -80,11 +80,12 @@ fn all_samplers_produce_aligned_multi_agent_batches() {
         let plan = sampler.plan(800, 128, &mut rng).unwrap();
         let batch = replay.sample(&plan).unwrap();
         assert_eq!(batch.len(), 128, "{cfg:?}");
-        // Alignment: rewards differ only by the agent offset.
+        // Alignment: rewards differ only by the agent offset (agent-major
+        // lanes of 128).
         for r in 0..128 {
-            let t0 = batch.agents[0].rewards[r];
-            assert_eq!(batch.agents[1].rewards[r], t0 + 1.0, "{cfg:?}");
-            assert_eq!(batch.agents[2].rewards[r], t0 + 2.0, "{cfg:?}");
+            let t0 = batch.rewards[r];
+            assert_eq!(batch.rewards[128 + r], t0 + 1.0, "{cfg:?}");
+            assert_eq!(batch.rewards[2 * 128 + r], t0 + 2.0, "{cfg:?}");
         }
     }
 }
@@ -145,8 +146,15 @@ fn heterogeneous_observation_widths_stay_consistent() {
     }
     let plan = SamplePlan::from_indices(&[0, 50, 99]);
     let batch = replay.sample(&plan).unwrap();
-    assert_eq!(batch.agents[0].obs.len(), 3 * 16);
-    assert_eq!(batch.agents[2].obs.len(), 3 * 14);
+    let cols = replay.joint_layout();
+    assert_eq!((cols.obs_cols(0), cols.obs_cols(2)), (0..16, 32..46));
+    assert_eq!(cols.width(), 16 + 16 + 14 + 3 * 5);
+    assert_eq!(batch.joint.len(), 3 * cols.width());
+    for r in 0..3 {
+        let row = |m: &[f32]| m[r * cols.width()..(r + 1) * cols.width()].to_vec();
+        assert_eq!(row(&batch.joint)[cols.obs_cols(2)], [1.0; 14]);
+        assert_eq!(row(&batch.joint_next)[cols.obs_cols(2)], [2.0; 14]);
+    }
     let store = MultiAgentReplay::reorganize_from(&replay, LayoutMode::Interleaved);
-    assert_eq!(store.sample(&plan).unwrap().agents, batch.agents);
+    assert_eq!(store.sample(&plan).unwrap(), batch);
 }
