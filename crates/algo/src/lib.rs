@@ -47,6 +47,7 @@ pub mod rollout;
 pub mod sentinel;
 pub mod trace;
 pub mod trainer;
+mod update;
 
 pub use agent::AgentNets;
 pub use checkpoint::{
