@@ -138,7 +138,7 @@ impl Trainer {
             .map(|l| AgentNets::new(l.obs_dim, l.act_dim, joint_dim, twin, lr, &mut rng))
             .collect();
         let sampler = config.sampler.build(config.buffer_capacity);
-        let scratch = UpdateScratch::new(layouts.len());
+        let scratch = UpdateScratch::new(layouts.len(), config.update_threads);
         Ok(Trainer {
             config,
             rollout,

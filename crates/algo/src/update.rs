@@ -1,6 +1,12 @@
 //! The update pipeline: one *update all trainers* iteration — mini-batch
 //! sampling, shared target actions, and the per-agent critic/actor
 //! updates — with the persistent scratch it runs in.
+//!
+//! Work that is independent per plan or per agent (the gathers, the
+//! agent updates) runs on `min(update_threads, N)` *lanes*: the N items
+//! are cut in agent order into `⌈N / lanes⌉`-long chunks, and each lane
+//! owns the state its chunk needs (one [`AgentScratch`], one phase
+//! profile). One lane runs on the calling thread.
 
 use crate::agent::AgentNets;
 use crate::config::{Algorithm, TrainConfig};
@@ -18,6 +24,7 @@ use marl_obs::Telemetry;
 use marl_perf::phase::{Phase, PhaseProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::convert::Infallible;
 use std::time::Instant;
 
 impl Trainer {
@@ -26,27 +33,26 @@ impl Trainer {
     ///
     /// 1. **Stage** — draw all N sampling plans (serially, on the master
     ///    RNG) and gather all N mini-batches straight into the critics'
-    ///    joint rows, fanning whole-plan gathers over the update worker
-    ///    pool when `update_threads > 1`.
+    ///    joint rows, whole plans fanned out over the update lanes.
     /// 2. **Share** — compute every agent's target actions once per
     ///    staged batch and write them into the action columns of the
     ///    batch's joint next-state rows (the gather wrote the
     ///    observation columns). Target-policy smoothing noise comes from
     ///    per-agent RNG streams derived from the master seed, so the draw
     ///    sequence does not depend on the thread count.
-    /// 3. **Fan out** — run the N per-agent critic/actor updates on a
-    ///    `std::thread::scope` worker pool sized by
-    ///    [`TrainConfig::update_threads`]. Each worker owns a disjoint
-    ///    split-borrowed chunk of the agent vector and accumulates phase
-    ///    timings in a worker-local profile, merged afterwards.
+    /// 3. **Fan out** — run the N per-agent critic/actor updates on the
+    ///    `min(`[`TrainConfig::update_threads`]`, N)` update lanes. Each
+    ///    lane takes a disjoint split-borrowed chunk of the agents, works
+    ///    in its own scratch and accumulates phase timings in its own
+    ///    profile, merged into the trainer's afterwards.
     ///
     /// Results are bitwise identical for every `update_threads` value.
     ///
     /// All working storage (plans, one staged batch per plan in the
-    /// critic's layout, actor-input copies, per-agent scratch) lives in a
-    /// persistent `UpdateScratch` arena: after the first iteration sizes
-    /// every buffer, steady-state iterations perform no heap allocations
-    /// on the serial path.
+    /// critic's layout, actor-input copies, one scratch per lane) lives
+    /// in a persistent `UpdateScratch` arena: after the first iteration
+    /// sizes every buffer, steady-state iterations perform no heap
+    /// allocations on one lane.
     ///
     /// # Errors
     ///
@@ -101,12 +107,10 @@ impl Trainer {
                 }
             }
         }
-        // Whole-plan gathers fan out over the update worker pool.
-        self.replay.sample_many_into(
-            &self.scratch.plans,
-            &mut self.scratch.batches,
-            cfg.update_threads,
-        )?;
+        // Whole-plan gathers fan out over the update lanes.
+        let replay = &self.replay;
+        let UpdateScratch { plans, batches, lanes, .. } = &mut self.scratch;
+        on_lanes(lanes, batches.iter_mut(), |_, k, batch| replay.sample_into(&plans[k], batch))?;
         if let Some(rec) = self.trace.as_mut() {
             for plan in &self.scratch.plans {
                 rec.record_plan(plan);
@@ -173,98 +177,33 @@ impl Trainer {
         }
         self.profile.add(Phase::TargetQ, t0.elapsed());
 
-        // --- Phase 3: per-agent updates on the worker pool.
-        let threads = cfg.update_threads.clamp(1, n);
+        // --- Phase 3: per-agent updates on the update lanes.
         let updates = self.updates;
-        let UpdateScratch { plans, batches, indices, tds, losses, agents: agent_scratch, .. } =
-            &mut self.scratch;
-        if threads == 1 {
-            let profile = &mut self.profile;
-            for (i, ((agent, ascr), ((plan, batch), (td, loss)))) in self
-                .agents
-                .iter_mut()
-                .zip(agent_scratch.iter_mut())
-                .zip(plans.iter().zip(batches.iter()).zip(tds.iter_mut().zip(losses.iter_mut())))
-                .enumerate()
-            {
-                update_agent(
-                    agent,
-                    i,
-                    batch,
-                    plan.weights.as_deref(),
-                    &cfg,
-                    cols,
-                    action_spaces[i].segments(),
-                    updates,
-                    profile,
-                    ascr,
-                    td,
-                    loss,
-                    tel,
-                );
-            }
-        } else {
-            let chunk = n.div_ceil(threads);
-            let worker_profiles = parking_lot::Mutex::new(PhaseProfile::new());
-            let agents = &mut self.agents;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = agents
-                    .chunks_mut(chunk)
-                    .zip(agent_scratch.chunks_mut(chunk))
-                    .zip(
-                        plans
-                            .chunks(chunk)
-                            .zip(batches.chunks(chunk))
-                            .zip(tds.chunks_mut(chunk).zip(losses.chunks_mut(chunk))),
-                    )
-                    .enumerate()
-                    .map(
-                        |(
-                            c,
-                            (
-                                (agent_chunk, scr_chunk),
-                                ((plan_chunk, batch_chunk), (td_chunk, l_chunk)),
-                            ),
-                        )| {
-                            let worker_profiles = &worker_profiles;
-                            scope.spawn(move || {
-                                // The worker's own scope: whether a new
-                                // thread inherits the mode is up to the OS.
-                                let _fp = marl_nn::fp::flush_to_zero();
-                                let mut local = PhaseProfile::new();
-                                let base = c * chunk;
-                                for (k, ((agent, ascr), (td, loss))) in agent_chunk
-                                    .iter_mut()
-                                    .zip(scr_chunk.iter_mut())
-                                    .zip(td_chunk.iter_mut().zip(l_chunk.iter_mut()))
-                                    .enumerate()
-                                {
-                                    update_agent(
-                                        agent,
-                                        base + k,
-                                        &batch_chunk[k],
-                                        plan_chunk[k].weights.as_deref(),
-                                        &cfg,
-                                        cols,
-                                        action_spaces[base + k].segments(),
-                                        updates,
-                                        &mut local,
-                                        ascr,
-                                        td,
-                                        loss,
-                                        tel,
-                                    );
-                                }
-                                worker_profiles.lock().merge(&local);
-                            })
-                        },
-                    )
-                    .collect();
-                for h in handles {
-                    h.join().expect("update worker panicked");
-                }
-            });
-            self.profile.merge(&worker_profiles.into_inner());
+        let UpdateScratch { plans, batches, indices, tds, losses, lanes, .. } = &mut self.scratch;
+        let work = self
+            .agents
+            .iter_mut()
+            .zip(batches.iter_mut())
+            .zip(tds.iter_mut().zip(losses.iter_mut()));
+        let Ok(()) = on_lanes(lanes, work, |lane, i, ((agent, batch), (td, loss))| {
+            update_agent(
+                agent,
+                i,
+                batch,
+                plans[i].weights.as_deref(),
+                &cfg,
+                cols,
+                action_spaces[i].segments(),
+                updates,
+                lane,
+                td,
+                loss,
+                tel,
+            );
+            Ok::<(), Infallible>(())
+        });
+        for lane in lanes.iter_mut() {
+            self.profile.merge(&std::mem::take(&mut lane.profile));
         }
 
         #[cfg(feature = "failpoints")]
@@ -283,8 +222,8 @@ impl Trainer {
             rec.record_tds(tds);
         }
 
-        // Priority refreshes happen in agent order after the pool drains,
-        // matching the serial path exactly.
+        // Priority refreshes happen in agent order after the lanes join,
+        // so the sampler stays single-threaded.
         for (plan, td) in plans.iter().zip(tds.iter()) {
             plan.flatten_into(indices);
             self.sampler.update_priorities(indices, td);
@@ -323,35 +262,36 @@ impl Trainer {
 
 /// Target-Q tail plus critic/actor update for one agent trainer.
 ///
-/// Pure per-agent work: it reads the staged mini-batch (its joint
-/// next-state rows completed by phase 2) and the plan's importance
-/// weights, and mutates only `agent` and its scratch, so
-/// the N calls of one iteration produce bitwise-identical results on any
-/// worker layout. Phase timings accumulate into `profile` (worker-local
-/// under the pool). The batch TD errors for the sampler's priority
+/// Pure per-agent work: it reads its plan's staged mini-batch (the joint
+/// next-state rows completed by phase 2) and importance weights, and
+/// mutates only `agent`, the batch and the lane, so the N calls of one
+/// iteration produce bitwise-identical results on any lane layout. The
+/// P-loss writes agent i's policy actions into the batch's action
+/// columns (see [`StagedBatch`]). Phase timings accumulate into the
+/// lane's profile. The batch TD errors for the sampler's priority
 /// refresh land in `td`, the scalar critic loss (twin included) in
 /// `loss`; the refresh stays on the coordinating thread.
 ///
-/// Every temporary lives in the per-agent [`AgentScratch`], so a warmed
+/// Every temporary lives in the lane's [`AgentScratch`], so a warmed
 /// call touches no heap.
 #[allow(clippy::too_many_arguments)]
 fn update_agent(
     agent: &mut AgentNets,
     i: usize,
-    batch: &StagedBatch,
+    batch: &mut StagedBatch,
     weights: Option<&[f32]>,
     cfg: &TrainConfig,
     cols: &JointLayout,
     segments: &[usize],
     updates: u64,
-    profile: &mut PhaseProfile,
-    s: &mut AgentScratch,
+    lane: &mut Lane,
     td: &mut Vec<f32>,
     loss: &mut f32,
     tel: Option<&Telemetry>,
 ) {
     // Per-agent lane span: tid `1 + i` matches the trace lane metadata.
     let _span = tel.map(|t| t.tracer.span("agent-update", 1 + i as u32));
+    let Lane { scratch: s, profile } = lane;
     let StagedBatch { joint, joint_next, rewards, dones } = batch;
     let rows = joint.rows();
     let matd3 = cfg.algorithm == Algorithm::Matd3;
@@ -368,7 +308,7 @@ fn update_agent(
     }
     s.y.resize(rows, 1);
     let own_rewards = &rewards[i * rows..(i + 1) * rows];
-    for (r, (&reward, &done)) in own_rewards.iter().zip(dones).enumerate() {
+    for (r, (&reward, &done)) in own_rewards.iter().zip(dones.iter()).enumerate() {
         *s.y.at_mut(r, 0) = reward + cfg.gamma * (1.0 - done) * s.tq.at(r, 0);
     }
     profile.add(Phase::TargetQ, t0.elapsed());
@@ -413,11 +353,11 @@ fn update_agent(
         agent.actor.forward_into(&s.obs, &mut s.logits);
         softmax_relaxation_segments_into(&s.logits, segments, cfg.temperature, &mut s.action);
         // Joint input with agent i's action replaced by its relaxed
-        // current-policy action (each factor normalized on its own).
+        // current-policy action (each factor normalized on its own),
+        // written in place: nothing reads the sampled actions again.
         let act = cols.act_cols(i);
-        s.joint_pol.copy_from(joint);
-        s.joint_pol.copy_columns_from(&s.action, act.start);
-        agent.critic.forward_into(&s.joint_pol, &mut s.q_pol);
+        joint.copy_columns_from(&s.action, act.start);
+        agent.critic.forward_into(joint, &mut s.q_pol);
         // Maximize Q ⇒ gradient −1/B on every Q output. Only dQ/da_i is
         // read: no critic step follows, so no parameter gradients, and of
         // the joint input gradient just agent i's action columns.
@@ -469,12 +409,13 @@ pub(crate) struct UpdateScratch {
     /// Per-agent critic losses of the current round (twin loss summed in
     /// for MATD3) — written by every update, read by the trace recorder.
     losses: Vec<f32>,
-    /// Per-agent update working sets (one per phase-3 worker lane).
-    agents: Vec<AgentScratch>,
+    /// `update_threads.clamp(1, N)` lanes, each serving a contiguous
+    /// chunk of the agents.
+    lanes: Vec<Lane>,
 }
 
 impl UpdateScratch {
-    pub(crate) fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize, update_threads: usize) -> Self {
         UpdateScratch {
             plans: (0..n).map(|_| SamplePlan::new()).collect(),
             batches: (0..n).map(|_| StagedBatch::default()).collect(),
@@ -486,7 +427,7 @@ impl UpdateScratch {
             ta_scratch: Scratch::new(),
             tds: (0..n).map(|_| Vec::new()).collect(),
             losses: vec![0.0; n],
-            agents: (0..n).map(|_| AgentScratch::default()).collect(),
+            lanes: (0..update_threads.clamp(1, n)).map(|_| Lane::default()).collect(),
         }
     }
 }
@@ -495,6 +436,11 @@ impl UpdateScratch {
 /// writes it ([`JointRows`]): `B × J` joint rows, `B × J` next-step joint
 /// rows whose action columns phase 2 fills with target actions, `N × B`
 /// agent-major rewards and agent 0's `B` done flags.
+///
+/// Phase 3 leaves agent i's action columns of plan i's `joint` holding
+/// agent i's relaxed policy actions (its P-loss input), not the sampled
+/// ones: agent i is the batch's only phase-3 reader, nothing reads it
+/// afterwards, and the next gather overwrites every element.
 #[derive(Debug, Default)]
 struct StagedBatch {
     joint: Matrix,
@@ -535,8 +481,8 @@ fn columns_into(src: &Matrix, cols: std::ops::Range<usize>, out: &mut Matrix) {
     }
 }
 
-/// Per-agent temporaries of one [`update_agent`] call; each phase-3
-/// worker lane owns exactly one, so the pool shares nothing.
+/// Temporaries of one [`update_agent`] call, reused by every agent of
+/// the lane that owns it, so lanes share nothing.
 #[derive(Debug, Default)]
 struct AgentScratch {
     /// Arena for MLP forward/backward temporaries.
@@ -551,9 +497,120 @@ struct AgentScratch {
     obs: Matrix,
     logits: Matrix,
     action: Matrix,
-    joint_pol: Matrix,
     q_pol: Matrix,
     grad_q: Matrix,
     grad_action: Matrix,
     grad_logits: Matrix,
+}
+
+/// One update lane's own state: the scratch of the agent update it is
+/// running and the phase timings it accumulates, merged into the
+/// trainer's profile after each fan-out.
+#[derive(Debug, Default)]
+struct Lane {
+    scratch: AgentScratch,
+    profile: PhaseProfile,
+}
+
+/// Runs `f(lane, i, item)` for every item, in order, with item `i` on
+/// `lanes[i / chunk]` where `chunk = ⌈N / lanes⌉`: the items are cut in
+/// agent order into contiguous chunks, each paired with its lane's state.
+/// When one chunk holds everything the call runs inline on the caller —
+/// no spawn, no allocation. Otherwise each non-empty chunk runs on its
+/// own scoped thread. Returns the error of the
+/// first failing lane (lane order), after every lane has finished.
+///
+/// # Panics
+///
+/// Panics if `lanes` is empty while there are items, or if a lane
+/// panicked.
+fn on_lanes<L, T, E>(
+    lanes: &mut [L],
+    items: impl ExactSizeIterator<Item = T>,
+    f: impl Fn(&mut L, usize, T) -> Result<(), E> + Sync,
+) -> Result<(), E>
+where
+    L: Send,
+    T: Send,
+    E: Send,
+{
+    let n = items.len();
+    if n == 0 {
+        return Ok(());
+    }
+    let chunk = n.div_ceil(lanes.len());
+    let mut items = items.enumerate();
+    if chunk == n {
+        let lane = &mut lanes[0];
+        return items.try_for_each(|(i, item)| f(lane, i, item));
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = lanes
+            .iter_mut()
+            .take(n.div_ceil(chunk))
+            .map(|lane| {
+                let mine: Vec<(usize, T)> = items.by_ref().take(chunk).collect();
+                scope.spawn(move || {
+                    // The lane's own scope: whether a new thread inherits
+                    // the mode is up to the OS.
+                    let _fp = marl_nn::fp::flush_to_zero();
+                    mine.into_iter().try_for_each(|(i, item)| f(lane, i, item))
+                })
+            })
+            .collect();
+        handles.into_iter().try_for_each(|h| h.join().expect("update lane panicked"))
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lanes_take_contiguous_chunks_in_agent_order() {
+        for n in [0usize, 1, 2, 5, 7, 12] {
+            for lanes in [1usize, 2, 3, 4, 16] {
+                let mut seen: Vec<Vec<(usize, usize)>> = vec![Vec::new(); lanes];
+                let items = (0..n).map(|i| 100 + i);
+                on_lanes(&mut seen, items, |lane, i, item| {
+                    lane.push((i, item));
+                    Ok::<(), Infallible>(())
+                })
+                .unwrap();
+                let chunk = n.div_ceil(lanes).max(1);
+                for (l, got) in seen.iter().enumerate() {
+                    let want: Vec<_> =
+                        (0..n).filter(|i| i / chunk == l).map(|i| (i, 100 + i)).collect();
+                    assert_eq!(got, &want, "n={n} lanes={lanes} lane={l}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_item_fails_the_fan_out_and_stops_its_lane() {
+        // Items 0..6 on 1 or 3 lanes; items 1 and 4 fail.
+        for (lanes, visits) in [(1usize, vec![2usize]), (3, vec![2, 2, 1])] {
+            let mut state = vec![0usize; lanes];
+            let out = on_lanes(&mut state, 0..6usize, |visits, i, _| {
+                *visits += 1;
+                if i % 3 == 1 {
+                    Err(i)
+                } else {
+                    Ok(())
+                }
+            });
+            // The first failing lane's error; later lanes still ran.
+            assert_eq!(out, Err(1), "lanes={lanes}");
+            assert_eq!(state, visits, "lanes={lanes}");
+        }
+    }
+
+    #[test]
+    fn the_scratch_holds_one_agent_scratch_per_lane() {
+        for (threads, lanes) in [(0usize, 1usize), (1, 1), (2, 2), (3, 3), (16, 3)] {
+            assert_eq!(UpdateScratch::new(3, threads).lanes.len(), lanes, "threads={threads}");
+        }
+    }
 }

@@ -388,56 +388,6 @@ impl MultiAgentReplay {
         }
         Ok(())
     }
-
-    /// Gathers one full mini-batch per plan into caller-owned batches (one
-    /// per plan, storage reused across calls), fanning the *plans* out over
-    /// up to `threads` scoped worker threads.
-    ///
-    /// This is the gather shape of the parallel update-all-trainers
-    /// pipeline: each trainer's plan is independent, so whole-batch
-    /// gathers parallelize without any cross-thread coordination. Results
-    /// are bitwise identical to calling [`MultiAgentReplay::sample_into`]
-    /// per plan, for either address map and any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plans.len() != outs.len()`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates index-range errors; the contents of `outs` are
-    /// unspecified on error.
-    pub fn sample_many_into<B: JointBatch + Send>(
-        &self,
-        plans: &[SamplePlan],
-        outs: &mut [B],
-        threads: usize,
-    ) -> Result<(), ReplayError> {
-        assert_eq!(plans.len(), outs.len(), "one output batch per plan");
-        let threads = threads.clamp(1, plans.len().max(1));
-        if threads == 1 {
-            for (p, o) in plans.iter().zip(outs.iter_mut()) {
-                self.sample_into(p, o)?;
-            }
-            return Ok(());
-        }
-        let chunk = plans.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = plans
-                .chunks(chunk)
-                .zip(outs.chunks_mut(chunk))
-                .map(|(ps, os)| {
-                    scope.spawn(move || {
-                        for (p, o) in ps.iter().zip(os.iter_mut()) {
-                            self.sample_into(p, o)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles.into_iter().try_for_each(|h| h.join().expect("gather worker panicked"))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -583,37 +533,6 @@ mod tests {
             );
             assert_eq!((out.rewards.len(), out.dones.len()), (3 * 3, 3));
         }
-    }
-
-    #[test]
-    fn sample_many_into_equals_per_plan_sample_on_both_maps() {
-        let plans: Vec<SamplePlan> = vec![
-            SamplePlan::from_indices(&[0, 5, 39]),
-            SamplePlan { segments: vec![Segment::run(10, 3)], weights: None },
-            SamplePlan::from_indices(&[7, 7, 2]),
-            SamplePlan::from_indices(&[21]),
-            SamplePlan::from_indices(&[3, 14, 15, 9]),
-        ];
-        let r = filled(3, 40, LayoutMode::PerAgent);
-        let expect: Vec<MultiBatch> = plans.iter().map(|p| r.sample(p).unwrap()).collect();
-        for mode in MODES {
-            let r = filled(3, 40, mode);
-            let mut outs: Vec<MultiBatch> =
-                plans.iter().map(|p| MultiBatch::preallocate(r.layouts(), p.batch_len())).collect();
-            for threads in [1usize, 2, 3, 8, 100] {
-                r.sample_many_into(&plans, &mut outs, threads).unwrap();
-                assert_eq!(outs, expect, "{mode:?} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn sample_many_into_handles_empty_and_errors() {
-        let r = filled(2, 4, LayoutMode::Interleaved);
-        r.sample_many_into::<MultiBatch>(&[], &mut [], 4).unwrap();
-        let plans = vec![SamplePlan::from_indices(&[0]), SamplePlan::from_indices(&[10])];
-        let mut outs = vec![MultiBatch::preallocate(r.layouts(), 1); 2];
-        assert!(r.sample_many_into(&plans, &mut outs, 2).is_err());
     }
 
     #[test]

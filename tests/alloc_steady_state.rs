@@ -13,7 +13,7 @@
 //! counted, so other tests' warm-ups and the harness's result printing
 //! cannot land in an armed window.
 
-use marl_repro::algo::LayoutMode;
+use marl_repro::algo::{Algorithm, LayoutMode, Task};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -68,17 +68,31 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// asserts no heap traffic. `telemetry` optionally attaches a live
 /// [`marl_repro::obs::Telemetry`] first — span recording, metric
 /// atomics, and hardware-counter windows must all stay off the heap.
+///
+/// Besides MADDPG predator-prey, MATD3 world-comm: its agents differ in
+/// action shape (the leader's heads `[5, 4]`, the others' `[5]`), so the
+/// one update lane's scratch serves several shapes in turn.
 fn assert_zero_alloc_updates(telemetry: bool, seed: u64) {
-    for layout in [LayoutMode::PerAgent, LayoutMode::Interleaved] {
-        assert_zero_alloc_updates_on(layout, telemetry, seed);
+    for (algorithm, task) in
+        [(Algorithm::Maddpg, Task::PredatorPrey), (Algorithm::Matd3, Task::WorldComm)]
+    {
+        for layout in [LayoutMode::PerAgent, LayoutMode::Interleaved] {
+            assert_zero_alloc_updates_on(algorithm, task, layout, telemetry, seed);
+        }
     }
 }
 
-fn assert_zero_alloc_updates_on(layout: LayoutMode, telemetry: bool, seed: u64) {
-    use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
+fn assert_zero_alloc_updates_on(
+    algorithm: Algorithm,
+    task: Task,
+    layout: LayoutMode,
+    telemetry: bool,
+    seed: u64,
+) {
+    use marl_repro::algo::{TrainConfig, Trainer};
     use marl_repro::core::SamplerConfig;
 
-    let cfg = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3)
+    let cfg = TrainConfig::paper_defaults(algorithm, task, 3)
         .with_batch_size(32)
         .with_buffer_capacity(4096)
         .with_sampler(SamplerConfig::Uniform)
@@ -114,7 +128,7 @@ fn assert_zero_alloc_updates_on(layout: LayoutMode, telemetry: bool, seed: u64) 
         counts,
         (0, 0),
         "steady-state update_all_trainers must not touch the heap \
-         ({layout:?}, telemetry: {telemetry})"
+         ({algorithm:?} {task:?}, {layout:?}, telemetry: {telemetry})"
     );
     assert_eq!(t.update_iterations(), 8);
 }
@@ -125,7 +139,7 @@ fn assert_zero_alloc_updates_on(layout: LayoutMode, telemetry: bool, seed: u64) 
 /// batched inference, SoA physics steps, replay pushes, and the scheduled
 /// updates they trigger — run without heap traffic.
 fn assert_zero_alloc_rollout(telemetry: bool, seed: u64) {
-    use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
+    use marl_repro::algo::{TrainConfig, Trainer};
     use marl_repro::core::SamplerConfig;
 
     let cells = [1usize, 4]

@@ -127,10 +127,9 @@ proptest! {
     /// plans of single rows and runs (every other one weighted), each
     /// map's batches match the stored rows element by element
     /// (`check_against_rows`), and the agent-major and time-major maps
-    /// give identical `sample_into` batches, identical `sample_many_into`
-    /// batches at 1–3 threads, identical snapshot bytes, identical
-    /// restores of that snapshot into either map, and identical map-to-map
-    /// copies, ring cursor included.
+    /// give identical `sample_into` batches, identical snapshot bytes,
+    /// identical restores of that snapshot into either map, and identical
+    /// map-to-map copies, ring cursor included.
     #[test]
     fn layout_equivalence(
         widths in proptest::collection::vec((1usize..6, 1usize..4), 1..5),
@@ -175,14 +174,6 @@ proptest! {
             check_against_rows(&per, plan, &batch)?;
             check_against_rows(&tm, plan, &tm.sample(plan).unwrap())?;
             prop_assert_eq!(batch, tm.sample(plan).unwrap());
-        }
-        let expect: Vec<MultiBatch> = plans.iter().map(|p| per.sample(p).unwrap()).collect();
-        for threads in 1..=3 {
-            for store in [&per, &tm] {
-                let mut outs = vec![MultiBatch::preallocate(&layouts, 1); plans.len()];
-                store.sample_many_into(&plans, &mut outs, threads).unwrap();
-                prop_assert_eq!(&outs, &expect, "{:?} threads={}", store.mode(), threads);
-            }
         }
 
         let bytes = encode_replay(&per);

@@ -1,5 +1,5 @@
 //! End-to-end determinism contract of the parallel update pipeline: for a
-//! fixed seed, `update_threads = 1` and `update_threads = 4` must produce
+//! fixed seed, `update_threads = 1` and `update_threads > 1` must produce
 //! bitwise-identical episode rewards and checkpoint weights.
 
 use marl_repro::algo::checkpoint::Checkpoint;
@@ -8,7 +8,11 @@ use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
 mod common;
 
 fn config(algorithm: Algorithm, threads: usize) -> TrainConfig {
-    let mut cfg = TrainConfig::paper_defaults(algorithm, Task::CooperativeNavigation, 3)
+    config_on(algorithm, Task::CooperativeNavigation, threads)
+}
+
+fn config_on(algorithm: Algorithm, task: Task, threads: usize) -> TrainConfig {
+    let mut cfg = TrainConfig::paper_defaults(algorithm, task, 3)
         .with_episodes(4)
         .with_batch_size(32)
         .with_buffer_capacity(4096)
@@ -24,7 +28,11 @@ fn config(algorithm: Algorithm, threads: usize) -> TrainConfig {
 /// (weights, targets, optimizer moments — everything except the config,
 /// which legitimately differs in its `update_threads` field).
 fn run(algorithm: Algorithm, threads: usize, init: Option<&Checkpoint>) -> (Vec<u32>, String) {
-    let mut trainer = Trainer::new(config(algorithm, threads)).expect("config is valid");
+    run_config(config(algorithm, threads), init)
+}
+
+fn run_config(cfg: TrainConfig, init: Option<&Checkpoint>) -> (Vec<u32>, String) {
+    let mut trainer = Trainer::new(cfg).expect("config is valid");
     if let Some(ckpt) = init {
         trainer.restore(ckpt.clone()).expect("same architecture");
     }
@@ -66,6 +74,20 @@ fn update_threads_are_bitwise_equivalent_under_subnormal_pressure() {
         let _caller = marl_repro::nn::fp::flush_to_zero();
         run(Algorithm::Maddpg, 2, Some(&init))
     };
+    assert_eq!(rewards_serial, rewards_pool, "reward curves diverged");
+    assert_eq!(agents_serial, agents_pool, "checkpoint weights diverged");
+}
+
+/// Lanes whose agents differ in shape: in world-comm at N = 3 the
+/// leader's action is movement ⊕ broadcast (heads `[5, 4]`) and the
+/// listener's movement only (`[5]`). With 2 threads, lane 0 runs both
+/// in one scratch and lane 1 runs the last agent; with 1 thread one
+/// lane runs all three.
+#[test]
+fn matd3_world_comm_lanes_serve_differently_shaped_agents() {
+    let cfg = |threads| config_on(Algorithm::Matd3, Task::WorldComm, threads);
+    let (rewards_serial, agents_serial) = run_config(cfg(1), None);
+    let (rewards_pool, agents_pool) = run_config(cfg(2), None);
     assert_eq!(rewards_serial, rewards_pool, "reward curves diverged");
     assert_eq!(agents_serial, agents_pool, "checkpoint weights diverged");
 }
