@@ -8,12 +8,11 @@
 
 use crate::agent::AgentNets;
 use crate::checkpoint::{write_checkpoint_file, Checkpoint, RunState};
-use crate::config::{Algorithm, Task, TrainConfig};
+use crate::config::{Algorithm, TrainConfig};
 use crate::error::TrainError;
 use crate::eval::RewardCurve;
 use crate::rollout::Rollout;
 use crate::update::UpdateScratch;
-use marl_core::config::SamplerConfig;
 use marl_core::multi::MultiAgentReplay;
 use marl_core::sampler::Sampler;
 use marl_core::transition::{TransitionLayout, TransitionRef};
@@ -538,7 +537,7 @@ impl Trainer {
     /// Whether the update schedule is due: warmup satisfied and at least
     /// `update_every` samples ingested since the last update. Mirrors the
     /// trigger the episode loops apply after every push.
-    pub fn update_due(&self) -> bool {
+    fn update_due(&self) -> bool {
         self.replay.len() >= self.config.warmup
             && self.samples_since_update >= self.config.update_every
     }
@@ -765,22 +764,11 @@ pub fn train(config: TrainConfig) -> Result<TrainReport, TrainError> {
     Trainer::new(config)?.train()
 }
 
-/// Convenience: the PER-MADDPG baseline of the paper (MADDPG + PER
-/// sampler).
-pub fn per_maddpg_config(task: Task, agents: usize) -> TrainConfig {
-    TrainConfig::paper_defaults(Algorithm::Maddpg, task, agents).with_sampler(SamplerConfig::Per)
-}
-
-/// Convenience: the information-prioritized MADDPG variant (IP-MADDPG).
-pub fn ip_maddpg_config(task: Task, agents: usize) -> TrainConfig {
-    TrainConfig::paper_defaults(Algorithm::Maddpg, task, agents)
-        .with_sampler(SamplerConfig::IpLocality)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LayoutMode;
+    use crate::config::{LayoutMode, Task};
+    use marl_core::config::SamplerConfig;
     use marl_nn::matrix::Matrix;
     use marl_nn::scratch::Scratch;
 
@@ -1118,13 +1106,5 @@ mod tests {
             assert_eq!(marl_nn::fp::control_word(), before, "evaluate");
         }
         assert!(t.update_iterations() >= 2);
-    }
-
-    #[test]
-    fn convenience_configs() {
-        let per = per_maddpg_config(Task::PredatorPrey, 3);
-        assert_eq!(per.sampler, SamplerConfig::Per);
-        let ip = ip_maddpg_config(Task::CooperativeNavigation, 6);
-        assert_eq!(ip.sampler, SamplerConfig::IpLocality);
     }
 }

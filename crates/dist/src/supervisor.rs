@@ -190,7 +190,8 @@ impl Supervisor {
     }
 
     /// Age of a worker's last heartbeat, if it is known.
-    pub fn heartbeat_age(&self, worker_id: u32, now: Instant) -> Option<Duration> {
+    #[cfg(test)]
+    fn heartbeat_age(&self, worker_id: u32, now: Instant) -> Option<Duration> {
         self.workers.get(&worker_id).map(|w| now.saturating_duration_since(w.last_seen))
     }
 

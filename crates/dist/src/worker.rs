@@ -51,6 +51,9 @@ pub const WORKER_NOISE_STREAM: u64 = 5;
 /// in-process vectorized worlds, which use small sub-stream indices.
 pub const WORKER_ENV_STRIDE: u64 = 1 << 32;
 
+/// Env steps between heartbeat beacons.
+const HEARTBEAT_EVERY_STEPS: u64 = 16;
+
 /// The RNG state a fresh free-running worker explores from.
 pub fn worker_noise_state(seed: u64, worker_id: u32) -> [u64; 4] {
     StdRng::seed_from_u64(derive_seed(derive_seed(seed, WORKER_NOISE_STREAM), worker_id as u64))
@@ -58,7 +61,7 @@ pub fn worker_noise_state(seed: u64, worker_id: u32) -> [u64; 4] {
 }
 
 /// The env RNG state a fresh free-running worker rolls out from.
-pub fn worker_env_state(seed: u64, worker_id: u32) -> [u64; 4] {
+fn worker_env_state(seed: u64, worker_id: u32) -> [u64; 4] {
     StdRng::seed_from_u64(derive_seed(derive_seed(seed, 4), WORKER_ENV_STRIDE * worker_id as u64))
         .state()
 }
@@ -91,7 +94,6 @@ pub struct Worker {
     episodes_done: usize,
     lockstep: bool,
     steps_per_frame: usize,
-    heartbeat_every_steps: u64,
     seq: u64,
     hb_seq: u64,
     /// Joint steps not yet flushed; one buffer, reused across frames.
@@ -202,7 +204,6 @@ impl Worker {
             episodes_done: 0,
             lockstep: w.lockstep,
             steps_per_frame: w.steps_per_frame.max(1),
-            heartbeat_every_steps: 16,
             seq: 0,
             hb_seq: 0,
             pending: StepRows::new(obs_dims.into_iter().zip(act_dims)),
@@ -211,12 +212,6 @@ impl Worker {
             trace_id,
             ctx_seq: 0,
         })
-    }
-
-    /// Overrides the heartbeat cadence (env steps between beacons).
-    pub fn with_heartbeat_every(mut self, steps: u64) -> Self {
-        self.heartbeat_every_steps = steps.max(1);
-        self
     }
 
     /// Attaches telemetry: outbound frames are stamped with trace
@@ -365,7 +360,7 @@ impl Worker {
             self.replay_len = (self.replay_len + 1).min(self.config.buffer_capacity);
             self.samples_since_update += 1;
 
-            if self.env_steps.is_multiple_of(self.heartbeat_every_steps) {
+            if self.env_steps.is_multiple_of(HEARTBEAT_EVERY_STEPS) {
                 self.hb_seq += 1;
                 // `send_ns` is this worker's tracer clock; the learner's
                 // ack echoes it so the round trip prices the clock offset.

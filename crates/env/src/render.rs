@@ -26,17 +26,7 @@ impl Default for RenderOptions {
 ///
 /// Cooperating agents are blue, scripted prey green, landmarks grey; the
 /// arena boundary (±1) is drawn as a dashed square.
-///
-/// # Examples
-///
-/// ```
-/// use marl_env::render::{render_svg, RenderOptions};
-/// let env = marl_env::ScenarioId::PredatorPrey.make_env(3, 25, 0);
-/// let svg = render_svg(env.world(), &RenderOptions::default());
-/// assert!(svg.starts_with("<svg"));
-/// assert!(svg.contains("</svg>"));
-/// ```
-pub fn render_svg(world: &World, options: &RenderOptions) -> String {
+fn render_svg(world: &World, options: &RenderOptions) -> String {
     let s = options.size_px as f32;
     let map = |x: f32| (x / options.extent + 1.0) * 0.5 * s;
     let scale = |r: f32| r / (2.0 * options.extent) * s;
@@ -89,7 +79,19 @@ pub fn render_svg(world: &World, options: &RenderOptions) -> String {
 }
 
 /// Renders a sequence of world snapshots into a single SVG film-strip
-/// (frames side by side), handy for episode documentation.
+/// (frames side by side), handy for episode documentation. Each frame is
+/// one world state: cooperating agents blue, scripted prey green,
+/// landmarks grey, the arena boundary (±1) a dashed square.
+///
+/// # Examples
+///
+/// ```
+/// use marl_env::render::{render_strip, RenderOptions};
+/// let env = marl_env::ScenarioId::PredatorPrey.make_env(3, 25, 0);
+/// let svg = render_strip(&[env.world()], &RenderOptions::default());
+/// assert!(svg.starts_with("<svg"));
+/// assert!(svg.contains("</svg>"));
+/// ```
 pub fn render_strip(frames: &[&World], options: &RenderOptions) -> String {
     let n = frames.len().max(1) as u32;
     let w = options.size_px;

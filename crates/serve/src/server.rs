@@ -586,11 +586,6 @@ impl Server {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// The serving model generation (bumps on each hot reload).
-    pub fn model_epoch(&self) -> u64 {
-        self.shared.model.read().expect("model lock").epoch
-    }
-
     /// The metrics registry the server records into.
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.shared.metrics)
