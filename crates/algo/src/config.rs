@@ -33,7 +33,7 @@ impl Algorithm {
 /// downstream — trains without touching this crate. The associated
 /// constants (`Task::PredatorPrey`, …) keep existing `match` patterns and
 /// call sites compiling, and the serde form is the kebab-case scenario
-/// name with the legacy CamelCase variant spellings accepted on read.
+/// name (any registered alias is accepted on read).
 pub use marl_env::registry::ScenarioId as Task;
 
 /// How transition data is laid out in memory (Section IV-B2): the address

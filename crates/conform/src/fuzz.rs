@@ -32,9 +32,6 @@ pub enum Format {
     /// Replay snapshot V2 (`marl_core::snapshot`): 10-byte header (magic
     /// u32, version u16, CRC-32 u32) then the checksummed body.
     SnapshotV2,
-    /// Legacy replay snapshot V1: 6-byte header (magic u32, version u16),
-    /// no checksum, same body as V2.
-    SnapshotV1,
     /// MARD `Steps` wire frame (`marl_dist::wire`, kind 3): 16-byte
     /// header (magic u32, version u16, kind u16, len u32, CRC-32 u32 over
     /// `kind | len | payload`) then the raw little-endian payload.
@@ -54,13 +51,11 @@ const MARD_CRC: usize = 12;
 const MARD_PAYLOAD: usize = 16;
 
 impl Format {
-    /// Offset where the checksummed payload (or unchecksummed V1 body)
-    /// begins.
+    /// Offset where the checksummed payload begins.
     pub fn payload_offset(self) -> usize {
         match self {
             Format::Checkpoint => 12,
             Format::SnapshotV2 => 10,
-            Format::SnapshotV1 => 6,
             Format::MardSteps | Format::MardParams | Format::ServeRequests => MARD_PAYLOAD,
         }
     }
@@ -68,7 +63,7 @@ impl Format {
     /// Byte width of this format's length/count fields.
     fn length_field_width(self) -> usize {
         match self {
-            Format::Checkpoint | Format::SnapshotV2 | Format::SnapshotV1 => 8,
+            Format::Checkpoint | Format::SnapshotV2 => 8,
             Format::MardSteps | Format::MardParams | Format::ServeRequests => 4,
         }
     }
@@ -92,7 +87,6 @@ impl Format {
         match self {
             Format::Checkpoint => Some((8, 12)),
             Format::SnapshotV2 => Some((6, 10)),
-            Format::SnapshotV1 => None,
             Format::MardSteps | Format::MardParams | Format::ServeRequests => {
                 Some((MARD_CRC, MARD_PAYLOAD))
             }
@@ -163,7 +157,7 @@ fn u64_at(bytes: &[u8], off: usize) -> u64 {
 }
 
 /// Recomputes and re-writes the frame's CRC-32 over its current payload
-/// (no-op for V1 snapshots and frames shorter than their header). A MARD
+/// (no-op for frames shorter than their header). A MARD
 /// CRC also covers the header's `kind` and `len` fields. In a serve
 /// request stream every whole frame is re-sealed, found by walking the
 /// headers' lengths.
@@ -297,7 +291,7 @@ pub fn length_field_offsets(bytes: &[u8], fmt: Format) -> Vec<usize> {
                 }
             }
         }
-        Format::SnapshotV2 | Format::SnapshotV1 => {
+        Format::SnapshotV2 => {
             let base = fmt.payload_offset();
             if bytes.len() < base + 4 {
                 return out;
@@ -396,21 +390,6 @@ pub fn apply_mutation(bytes: &[u8], m: &Mutation, fmt: Format) -> Vec<u8> {
     }
 }
 
-/// Re-frames a V2 snapshot as a legacy V1 frame (same body, 6-byte
-/// header, no checksum), for fuzzing the unchecksummed legacy path.
-///
-/// # Panics
-///
-/// Panics if `v2` is shorter than the 10-byte V2 header.
-pub fn snapshot_v1_from_v2(v2: &[u8]) -> Vec<u8> {
-    assert!(v2.len() >= 10, "not a V2 snapshot frame");
-    let mut out = Vec::with_capacity(v2.len() - 4);
-    out.extend_from_slice(&v2[0..4]);
-    out.extend_from_slice(&1u16.to_le_bytes());
-    out.extend_from_slice(&v2[10..]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,19 +483,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_reframe_decodes_and_walks() {
-        let v2 = snapshot_bytes(2, 3);
-        let v1 = snapshot_v1_from_v2(&v2);
-        assert_eq!(decode_replay(&v1).unwrap().agent_count(), 2);
-        assert_eq!(length_field_offsets(&v1, Format::SnapshotV1).len(), 6);
-    }
-
-    #[test]
     fn short_frames_yield_no_offsets_and_mutate_safely() {
         for fmt in [
             Format::Checkpoint,
             Format::SnapshotV2,
-            Format::SnapshotV1,
             Format::MardSteps,
             Format::MardParams,
             Format::ServeRequests,

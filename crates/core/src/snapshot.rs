@@ -11,9 +11,10 @@
 //! place, so either address map of a [`MultiAgentReplay`] writes the same
 //! bytes, and a snapshot restores into either map.
 //!
-//! Version 2 (the current write path) protects the body with a CRC-32,
-//! so a torn or bit-flipped snapshot is *detected* instead of silently
-//! mis-loaded; version 1 frames (no checksum) remain readable.
+//! Version 2 protects the body with a CRC-32, so a torn or bit-flipped
+//! snapshot is *detected* instead of silently mis-loaded. It is the only
+//! version read: a frame of any other version, among them the unchecked
+//! version 1, is refused with [`SnapshotError::BadVersion`].
 
 use crate::crc32::crc32;
 use crate::error::ReplayError;
@@ -22,10 +23,8 @@ use crate::transition::TransitionLayout;
 
 /// Magic prefix of a snapshot frame.
 const MAGIC: u32 = 0x4D41_524C; // "MARL"
-/// Current framing version: body is followed by a leading CRC-32.
+/// Framing version: body is followed by a leading CRC-32.
 const VERSION: u16 = 2;
-/// Legacy framing without a checksum (still decodable).
-const VERSION_V1: u16 = 1;
 /// Bytes of a V2 frame header: magic, version, CRC-32.
 const FRAME_HEADER: usize = 10;
 /// Bytes of one agent header: two `u32` dims and three `u64` counters.
@@ -163,22 +162,20 @@ pub fn decode_replay_into(dst: &mut MultiAgentReplay, buf: &[u8]) -> Result<(), 
     decode_body_into(dst, frame_body(buf)?)
 }
 
-/// Checks the frame's magic, version and (V2) checksum; returns its body.
+/// Checks the frame's magic, version and checksum; returns its body.
 fn frame_body(buf: &[u8]) -> Result<&[u8], SnapshotError> {
     let mut r = Reader(buf);
     if r.u32()? != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    match r.u16()? {
-        VERSION => {
-            let expected = r.u32()?;
-            let actual = crc32(r.0);
-            if actual != expected {
-                return Err(SnapshotError::ChecksumMismatch { expected, actual });
-            }
-        }
-        VERSION_V1 => {} // legacy: no checksum to verify
-        other => return Err(SnapshotError::BadVersion(other)),
+    let version = r.u16()?;
+    if version != VERSION {
+        return Err(SnapshotError::BadVersion(version));
+    }
+    let expected = r.u32()?;
+    let actual = crc32(r.0);
+    if actual != expected {
+        return Err(SnapshotError::ChecksumMismatch { expected, actual });
     }
     Ok(r.0)
 }
@@ -384,14 +381,23 @@ mod tests {
         ));
     }
 
+    /// `body` framed as `version` with a valid CRC-32, so a test body
+    /// reaches the body checks.
+    fn framed(version: u16, body: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_le_bytes().to_vec();
+        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&crc32(body).to_le_bytes());
+        out.extend_from_slice(body);
+        out
+    }
+
     #[test]
     fn trailing_bytes_are_refused() {
         let r = filled(1, 4, 2);
-        let mut v1 = MAGIC.to_le_bytes().to_vec();
-        v1.extend_from_slice(&VERSION_V1.to_le_bytes());
-        encode_body(&r, &mut v1);
-        v1.push(0);
-        let err = decode_replay(&v1).unwrap_err();
+        let mut body = Vec::new();
+        encode_body(&r, &mut body);
+        body.push(0);
+        let err = decode_replay(&framed(VERSION, &body)).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
     }
 
@@ -436,17 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_frames_still_decode() {
-        let r = filled(2, 8, 5);
-        // A V1 frame is header (magic + version 1) + body, no checksum.
-        let mut v1 = MAGIC.to_le_bytes().to_vec();
-        v1.extend_from_slice(&VERSION_V1.to_le_bytes());
-        encode_body(&r, &mut v1);
-        let restored = decode_replay(&v1).unwrap();
-        assert_same_rows(&restored, &r);
-    }
-
-    #[test]
     fn version_mismatch_detected() {
         let r = filled(1, 4, 1);
         let mut bad = encode_replay(&r);
@@ -457,16 +452,13 @@ mod tests {
 
     #[test]
     fn hostile_capacity_rejected_without_allocation() {
-        // Encoded as a V1 frame so the bomb reaches the capacity guard
-        // directly (a V2 frame would already fail its checksum).
-        let mut out = MAGIC.to_le_bytes().to_vec();
-        out.extend_from_slice(&VERSION_V1.to_le_bytes());
-        out.extend_from_slice(&1u32.to_le_bytes()); // one agent
-        out.extend_from_slice(&1000u32.to_le_bytes()); // obs_dim
-        out.extend_from_slice(&5u32.to_le_bytes()); // act_dim
-        out.extend_from_slice(&u64::MAX.to_le_bytes()); // capacity bomb
-        out.extend_from_slice(&[0; 16]);
-        let err = decode_replay(&out).unwrap_err();
+        // A valid checksum, so the bomb reaches the capacity guard.
+        let mut body = 1u32.to_le_bytes().to_vec(); // one agent
+        body.extend_from_slice(&1000u32.to_le_bytes()); // obs_dim
+        body.extend_from_slice(&5u32.to_le_bytes()); // act_dim
+        body.extend_from_slice(&u64::MAX.to_le_bytes()); // capacity bomb
+        body.extend_from_slice(&[0; 16]);
+        let err = decode_replay(&framed(VERSION, &body)).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
     }
 

@@ -46,32 +46,28 @@ fn ensure_builtins() {
         };
         // Slot order is part of the public contract: the associated
         // constants on ScenarioId index straight into this list.
-        add("predator-prey", &["pp", "simple_tag", "PredatorPrey"], |n| {
+        add("predator-prey", &["pp", "simple_tag"], |n| {
             Box::new(simple_tag::PredatorPrey::new(simple_tag::PredatorPreyConfig::scaled(n)))
         });
-        add("cooperative-navigation", &["cn", "simple_spread", "CooperativeNavigation"], |n| {
+        add("cooperative-navigation", &["cn", "simple_spread"], |n| {
             Box::new(simple_spread::CooperativeNavigation::new(
                 simple_spread::CooperativeNavigationConfig::scaled(n),
             ))
         });
-        add("physical-deception", &["pd", "simple_adversary", "PhysicalDeception"], |n| {
+        add("physical-deception", &["pd", "simple_adversary"], |n| {
             Box::new(simple_adversary::PhysicalDeception::new(
                 simple_adversary::PhysicalDeceptionConfig::scaled(n),
             ))
         });
-        add("keep-away", &["ka", "push", "simple_push", "KeepAway"], |n| {
+        add("keep-away", &["ka", "push", "simple_push"], |n| {
             Box::new(simple_push::KeepAway::new(simple_push::KeepAwayConfig::scaled(n)))
         });
-        add(
-            "cooperative-reference",
-            &["cr", "ref", "simple_reference", "CooperativeReference"],
-            |n| {
-                Box::new(simple_reference::CooperativeReference::new(
-                    simple_reference::CooperativeReferenceConfig::scaled(n),
-                ))
-            },
-        );
-        add("world-comm", &["wc", "simple_world_comm", "WorldComm"], |n| {
+        add("cooperative-reference", &["cr", "ref", "simple_reference"], |n| {
+            Box::new(simple_reference::CooperativeReference::new(
+                simple_reference::CooperativeReferenceConfig::scaled(n),
+            ))
+        });
+        add("world-comm", &["wc", "simple_world_comm"], |n| {
             Box::new(simple_world_comm::WorldComm::new(simple_world_comm::WorldCommConfig::scaled(
                 n,
             )))
@@ -268,7 +264,6 @@ mod tests {
         for (alias, want) in [
             ("pp", ScenarioId::PredatorPrey),
             ("simple_tag", ScenarioId::PredatorPrey),
-            ("PredatorPrey", ScenarioId::PredatorPrey),
             ("cn", ScenarioId::CooperativeNavigation),
             ("pd", ScenarioId::PhysicalDeception),
             ("simple_push", ScenarioId::KeepAway),
@@ -298,8 +293,8 @@ mod tests {
             assert_eq!(json, format!("\"{}\"", id.label()));
             assert_eq!(from_json(&json).unwrap(), id);
         }
-        // Legacy checkpoints carried the CamelCase enum variant.
-        assert_eq!(from_json("\"PredatorPrey\"").unwrap(), ScenarioId::PredatorPrey);
+        // Only names and aliases resolve, not the Rust constant's spelling.
+        assert!(from_json("\"PredatorPrey\"").is_err());
         assert!(from_json("\"bogus\"").is_err());
     }
 

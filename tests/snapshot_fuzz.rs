@@ -1,7 +1,7 @@
 //! Structured snapshot fuzzing (conformance pillar 3).
 //!
 //! Draws ≥ 256 structured mutations per format — MARC checkpoint
-//! frames, V2/V1 replay snapshots, the two binary MARD wire frames
+//! frames, V2 replay snapshots, the two binary MARD wire frames
 //! (`Steps`, `Params`) and a stream of serve request frames — and
 //! asserts the decoding oracle: every mutated
 //! frame yields a *typed* error or a structurally valid value; never a
@@ -21,9 +21,7 @@
 //! path: a checksum-valid-but-hostile live checkpoint must fall back to
 //! the rotated `.prev` file.
 
-use marl_conform::fuzz::{
-    apply_mutation, length_field_offsets, snapshot_v1_from_v2, Format, Mutation,
-};
+use marl_conform::fuzz::{apply_mutation, length_field_offsets, Format, Mutation};
 use marl_repro::algo::checkpoint::{
     decode_checkpoint_file, encode_checkpoint_file, load_checkpoint_with_fallback,
     write_checkpoint_file, Checkpoint,
@@ -135,11 +133,6 @@ fn snapshot_v2_bytes() -> &'static [u8] {
         }
         encode_replay(&r)
     })
-}
-
-fn snapshot_v1_bytes() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| snapshot_v1_from_v2(snapshot_v2_bytes()))
 }
 
 /// A `Params` broadcast of a real predator-prey trainer, with the
@@ -354,10 +347,8 @@ fn snapshot_oracle(mutated: Vec<u8>) -> Result<(), String> {
                     r.capacity()
                 ));
             }
-            // A V2 frame's body starts after magic, version and CRC; a V1
-            // frame's after magic and version.
-            let body = if mutated[4] == 2 { 10 } else { 6 };
-            if encode_replay(&r)[10..] != mutated[body..] {
+            // The body starts after magic, version and CRC.
+            if encode_replay(&r)[10..] != mutated[10..] {
                 return Err("the decoded replay does not encode to its own body".into());
             }
             Ok(())
@@ -406,23 +397,6 @@ proptest! {
     ) {
         let m = build_mutation(kind, a, b, value, payload);
         let mutated = apply_mutation(snapshot_v2_bytes(), &m, Format::SnapshotV2);
-        let verdict = snapshot_oracle(mutated);
-        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
-    }
-
-    /// Legacy V1 snapshots have *no* checksum, so every mutation reaches
-    /// the structural validation directly — the decoder must still be
-    /// total.
-    #[test]
-    fn snapshot_v1_mutations_never_panic_or_misload(
-        kind in 0usize..5,
-        a in any::<usize>(),
-        b in any::<usize>(),
-        value in any::<u64>(),
-        payload in prop::collection::vec(any::<u8>(), 1usize..24),
-    ) {
-        let m = build_mutation(kind, a, b, value, payload);
-        let mutated = apply_mutation(snapshot_v1_bytes(), &m, Format::SnapshotV1);
         let verdict = snapshot_oracle(mutated);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
@@ -569,7 +543,26 @@ fn baselines_are_valid() {
     assert_eq!(ckpt.agents.len(), 3);
     assert!(!replay.is_empty());
     assert_eq!(decode_replay(snapshot_v2_bytes()).unwrap().len(), 16);
-    assert_eq!(decode_replay(snapshot_v1_bytes()).unwrap().len(), 16);
+}
+
+/// Version-1 snapshot frames (magic, version 1, then the body with no
+/// checksum) are no longer read: the fixture's body framed as version 1
+/// is refused with a typed `BadVersion(1)` by both decoders, and the
+/// in-place refusal writes nothing, under either address map.
+#[test]
+fn snapshot_v1_frames_are_refused() {
+    let v2 = snapshot_v2_bytes();
+    let mut v1 = v2[..4].to_vec();
+    v1.extend_from_slice(&1u16.to_le_bytes());
+    v1.extend_from_slice(&v2[10..]);
+    assert_eq!(decode_replay(&v1).unwrap_err(), SnapshotError::BadVersion(1));
+    for mode in [LayoutMode::PerAgent, LayoutMode::Interleaved] {
+        let mut dst = MultiAgentReplay::with_mode(&[TransitionLayout::new(4, 2); 3], 16, mode);
+        let before = encode_replay(&dst);
+        let refused = decode_replay_into(&mut dst, &v1);
+        assert_eq!(refused, Err(SnapshotError::BadVersion(1)), "{mode:?}");
+        assert_eq!(encode_replay(&dst), before, "{mode:?}: a refusal wrote to the replay");
+    }
 }
 
 /// `decode_replay_into` restores into the caller's arena, under either
