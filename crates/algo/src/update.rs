@@ -137,7 +137,7 @@ impl Trainer {
         // --- Phase 2: shared target actions. Every agent's target actor
         // proposes next actions for each staged batch exactly once (the
         // N×(N−1) cross-agent reads), instead of once per consuming
-        // trainer; workers then only touch their own networks.
+        // trainer; the lanes then only touch their own networks.
         let t0 = Instant::now();
         let targetq_start = tel.map(|t| t.tracer.now_ns());
         let noise = if matd3 { cfg.target_noise } else { 0.0 };
@@ -517,8 +517,8 @@ struct Lane {
 /// agent order into contiguous chunks, each paired with its lane's state.
 /// When one chunk holds everything the call runs inline on the caller —
 /// no spawn, no allocation. Otherwise each non-empty chunk runs on its
-/// own scoped thread. Returns the error of the
-/// first failing lane (lane order), after every lane has finished.
+/// own scoped thread. Returns the error of the first failing lane (lane
+/// order), after every lane has finished.
 ///
 /// # Panics
 ///
