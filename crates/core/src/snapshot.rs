@@ -381,11 +381,11 @@ mod tests {
         ));
     }
 
-    /// `body` framed as `version` with a valid CRC-32, so a test body
-    /// reaches the body checks.
-    fn framed(version: u16, body: &[u8]) -> Vec<u8> {
+    /// `body` in a frame with a valid CRC-32, so a test body reaches the
+    /// body checks.
+    fn framed(body: &[u8]) -> Vec<u8> {
         let mut out = MAGIC.to_le_bytes().to_vec();
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&crc32(body).to_le_bytes());
         out.extend_from_slice(body);
         out
@@ -397,7 +397,7 @@ mod tests {
         let mut body = Vec::new();
         encode_body(&r, &mut body);
         body.push(0);
-        let err = decode_replay(&framed(VERSION, &body)).unwrap_err();
+        let err = decode_replay(&framed(&body)).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
     }
 
@@ -458,7 +458,7 @@ mod tests {
         body.extend_from_slice(&5u32.to_le_bytes()); // act_dim
         body.extend_from_slice(&u64::MAX.to_le_bytes()); // capacity bomb
         body.extend_from_slice(&[0; 16]);
-        let err = decode_replay(&framed(VERSION, &body)).unwrap_err();
+        let err = decode_replay(&framed(&body)).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
     }
 

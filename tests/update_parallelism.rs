@@ -8,11 +8,7 @@ use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
 mod common;
 
 fn config(algorithm: Algorithm, threads: usize) -> TrainConfig {
-    config_on(algorithm, Task::CooperativeNavigation, threads)
-}
-
-fn config_on(algorithm: Algorithm, task: Task, threads: usize) -> TrainConfig {
-    let mut cfg = TrainConfig::paper_defaults(algorithm, task, 3)
+    let mut cfg = TrainConfig::paper_defaults(algorithm, Task::CooperativeNavigation, 3)
         .with_episodes(4)
         .with_batch_size(32)
         .with_buffer_capacity(4096)
@@ -27,11 +23,7 @@ fn config_on(algorithm: Algorithm, task: Task, threads: usize) -> TrainConfig {
 /// returns the reward curve (as raw bits) plus the serialized agent states
 /// (weights, targets, optimizer moments — everything except the config,
 /// which legitimately differs in its `update_threads` field).
-fn run(algorithm: Algorithm, threads: usize, init: Option<&Checkpoint>) -> (Vec<u32>, String) {
-    run_config(config(algorithm, threads), init)
-}
-
-fn run_config(cfg: TrainConfig, init: Option<&Checkpoint>) -> (Vec<u32>, String) {
+fn run(cfg: TrainConfig, init: Option<&Checkpoint>) -> (Vec<u32>, String) {
     let mut trainer = Trainer::new(cfg).expect("config is valid");
     if let Some(ckpt) = init {
         trainer.restore(ckpt.clone()).expect("same architecture");
@@ -45,8 +37,8 @@ fn run_config(cfg: TrainConfig, init: Option<&Checkpoint>) -> (Vec<u32>, String)
 
 #[test]
 fn maddpg_update_threads_are_bitwise_equivalent() {
-    let (rewards_serial, agents_serial) = run(Algorithm::Maddpg, 1, None);
-    let (rewards_pool, agents_pool) = run(Algorithm::Maddpg, 4, None);
+    let (rewards_serial, agents_serial) = run(config(Algorithm::Maddpg, 1), None);
+    let (rewards_pool, agents_pool) = run(config(Algorithm::Maddpg, 4), None);
     assert_eq!(rewards_serial, rewards_pool, "reward curves diverged");
     assert_eq!(agents_serial, agents_pool, "checkpoint weights diverged");
 }
@@ -55,8 +47,8 @@ fn maddpg_update_threads_are_bitwise_equivalent() {
 fn matd3_update_threads_are_bitwise_equivalent() {
     // MATD3 additionally exercises the per-agent target-noise RNG
     // streams and the delayed policy/target updates.
-    let (rewards_serial, agents_serial) = run(Algorithm::Matd3, 1, None);
-    let (rewards_pool, agents_pool) = run(Algorithm::Matd3, 4, None);
+    let (rewards_serial, agents_serial) = run(config(Algorithm::Matd3, 1), None);
+    let (rewards_pool, agents_pool) = run(config(Algorithm::Matd3, 4), None);
     assert_eq!(rewards_serial, rewards_pool, "reward curves diverged");
     assert_eq!(agents_serial, agents_pool, "checkpoint weights diverged");
 }
@@ -69,10 +61,10 @@ fn matd3_update_threads_are_bitwise_equivalent() {
 #[test]
 fn update_threads_are_bitwise_equivalent_under_subnormal_pressure() {
     let init = common::scaled_actor_heads(config(Algorithm::Maddpg, 1), 1e3);
-    let (rewards_serial, agents_serial) = run(Algorithm::Maddpg, 1, Some(&init));
+    let (rewards_serial, agents_serial) = run(config(Algorithm::Maddpg, 1), Some(&init));
     let (rewards_pool, agents_pool) = {
         let _caller = marl_repro::nn::fp::flush_to_zero();
-        run(Algorithm::Maddpg, 2, Some(&init))
+        run(config(Algorithm::Maddpg, 2), Some(&init))
     };
     assert_eq!(rewards_serial, rewards_pool, "reward curves diverged");
     assert_eq!(agents_serial, agents_pool, "checkpoint weights diverged");
@@ -85,9 +77,9 @@ fn update_threads_are_bitwise_equivalent_under_subnormal_pressure() {
 /// lane runs all three.
 #[test]
 fn matd3_world_comm_lanes_serve_differently_shaped_agents() {
-    let cfg = |threads| config_on(Algorithm::Matd3, Task::WorldComm, threads);
-    let (rewards_serial, agents_serial) = run_config(cfg(1), None);
-    let (rewards_pool, agents_pool) = run_config(cfg(2), None);
+    let cfg = |threads| TrainConfig { task: Task::WorldComm, ..config(Algorithm::Matd3, threads) };
+    let (rewards_serial, agents_serial) = run(cfg(1), None);
+    let (rewards_pool, agents_pool) = run(cfg(2), None);
     assert_eq!(rewards_serial, rewards_pool, "reward curves diverged");
     assert_eq!(agents_serial, agents_pool, "checkpoint weights diverged");
 }
