@@ -69,71 +69,6 @@ impl AgentNets {
         }
     }
 
-    /// Batched exploration actions for `K` worlds over a segmented
-    /// (multi-discrete) head: one inference pass over `obs` (row `w` =
-    /// world `w`'s observation), then per row `flat_dim` Gumbel draws from
-    /// `rngs[w]`, a per-factor softmax and a per-factor arg-max. Writes
-    /// world `w`'s mixed-radix joint index (first factor least
-    /// significant, matching `ActionSpace::encode` in marl-env) into
-    /// `indices[w]`.
-    ///
-    /// `logits` and `scratch` are reusable working storage
-    /// (allocation-free once warmed); `logits` is left holding the relaxed
-    /// sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `temperature <= 0`, the stream or index count is not the
-    /// row count, or the segments do not tile the actor head.
-    #[allow(clippy::too_many_arguments)]
-    pub fn act_explore_batch(
-        &self,
-        obs: &Matrix,
-        segments: &[usize],
-        temperature: f32,
-        rngs: &mut [StdRng],
-        logits: &mut Matrix,
-        scratch: &mut Scratch,
-        indices: &mut [usize],
-    ) {
-        assert!(temperature > 0.0, "temperature must be positive");
-        assert_eq!(rngs.len(), obs.rows(), "one RNG stream per world");
-        self.actor.forward_inference_into(obs, logits, scratch);
-        for (w, rng) in rngs.iter_mut().enumerate() {
-            for x in logits.row_mut(w) {
-                *x = (*x + standard_gumbel(rng)) / temperature;
-            }
-        }
-        softmax_segments_inplace(logits, segments);
-        argmax_segments_into(logits, segments, indices);
-    }
-
-    /// Batched greedy joint actions: one inference pass over `obs` (row
-    /// `r` = one observation), then the per-factor arg-max of each logit
-    /// row, mixed-radix encoded into `indices[r]`.
-    ///
-    /// Because [`Mlp::forward_inference_into`] is row-independent, row
-    /// `r`'s logits are bitwise the ones a 1-row inference produces — the
-    /// serve path's batched==serial gate rests on this. `logits` and
-    /// `scratch` are reusable working storage (allocation-free once
-    /// warmed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is not one slot per row or the segments do not
-    /// tile the actor head.
-    pub fn act_greedy_batch(
-        &self,
-        obs: &Matrix,
-        segments: &[usize],
-        logits: &mut Matrix,
-        scratch: &mut Scratch,
-        indices: &mut [usize],
-    ) {
-        self.actor.forward_inference_into(obs, logits, scratch);
-        argmax_segments_into(logits, segments, indices);
-    }
-
     /// Target-policy relaxed actions for a batch of next observations,
     /// written into `value`: the target actor's logits, then (MATD3's
     /// target-policy smoothing, `target_noise > 0`) clipped Gaussian noise
@@ -179,6 +114,71 @@ impl AgentNets {
             + self.critic.parameter_count()
             + self.critic2.as_ref().map_or(0, |(c, _)| c.parameter_count())
     }
+}
+
+/// `actor`'s batched exploration actions for `K` worlds over a segmented
+/// (multi-discrete) head: one inference pass over `obs` (row `w` =
+/// world `w`'s observation), then per row `flat_dim` Gumbel draws from
+/// `rngs[w]`, a per-factor softmax and a per-factor arg-max. Writes
+/// world `w`'s mixed-radix joint index (first factor least
+/// significant, matching `ActionSpace::encode` in marl-env) into
+/// `indices[w]`.
+///
+/// `logits` and `scratch` are reusable working storage
+/// (allocation-free once warmed); `logits` is left holding the relaxed
+/// sample.
+///
+/// # Panics
+///
+/// Panics if `temperature <= 0`, the stream or index count is not the
+/// row count, or the segments do not tile the actor head.
+#[allow(clippy::too_many_arguments)]
+pub fn act_explore_batch(
+    actor: &Mlp,
+    obs: &Matrix,
+    segments: &[usize],
+    temperature: f32,
+    rngs: &mut [StdRng],
+    logits: &mut Matrix,
+    scratch: &mut Scratch,
+    indices: &mut [usize],
+) {
+    assert!(temperature > 0.0, "temperature must be positive");
+    assert_eq!(rngs.len(), obs.rows(), "one RNG stream per world");
+    actor.forward_inference_into(obs, logits, scratch);
+    for (w, rng) in rngs.iter_mut().enumerate() {
+        for x in logits.row_mut(w) {
+            *x = (*x + standard_gumbel(rng)) / temperature;
+        }
+    }
+    softmax_segments_inplace(logits, segments);
+    argmax_segments_into(logits, segments, indices);
+}
+
+/// `actor`'s batched greedy joint actions: one inference pass over `obs` (row
+/// `r` = one observation), then the per-factor arg-max of each logit
+/// row, mixed-radix encoded into `indices[r]`.
+///
+/// Because [`Mlp::forward_inference_into`] is row-independent, row
+/// `r`'s logits are bitwise the ones a 1-row inference produces — the
+/// serve path's batched==serial gate rests on this. `logits` and
+/// `scratch` are reusable working storage (allocation-free once
+/// warmed).
+///
+/// # Panics
+///
+/// Panics if `indices` is not one slot per row or the segments do not
+/// tile the actor head.
+pub fn act_greedy_batch(
+    actor: &Mlp,
+    obs: &Matrix,
+    segments: &[usize],
+    logits: &mut Matrix,
+    scratch: &mut Scratch,
+    indices: &mut [usize],
+) {
+    actor.forward_inference_into(obs, logits, scratch);
+    argmax_segments_into(logits, segments, indices);
 }
 
 #[cfg(test)]
@@ -275,7 +275,8 @@ mod tests {
         rngs: &mut [StdRng],
     ) -> Vec<usize> {
         let mut indices = vec![0usize; obs.rows()];
-        a.act_explore_batch(
+        act_explore_batch(
+            &a.actor,
             obs,
             segments,
             temperature,
@@ -332,8 +333,8 @@ mod tests {
         assert!(seen.len() > 1, "exploration should visit several actions");
         let (mut logits, mut scratch) = (Matrix::default(), Scratch::new());
         let (mut first, mut second) = ([0usize], [0usize]);
-        a.act_greedy_batch(&obs, &[5], &mut logits, &mut scratch, &mut first);
-        a.act_greedy_batch(&obs, &[5], &mut logits, &mut scratch, &mut second);
+        act_greedy_batch(&a.actor, &obs, &[5], &mut logits, &mut scratch, &mut first);
+        act_greedy_batch(&a.actor, &obs, &[5], &mut logits, &mut scratch, &mut second);
         assert_eq!(first, second);
     }
 
@@ -388,7 +389,7 @@ mod tests {
                 let (mut logits, mut solo, mut scratch) =
                     (Matrix::default(), Matrix::default(), Scratch::new());
                 let mut indices = vec![0usize; batch];
-                a.act_greedy_batch(&obs, segments, &mut logits, &mut scratch, &mut indices);
+                act_greedy_batch(&a.actor, &obs, segments, &mut logits, &mut scratch, &mut indices);
                 for (r, &idx) in indices.iter().enumerate() {
                     let at = format!("{segments:?} batch={batch} r={r}");
                     assert_eq!(idx, a.act_greedy_row(obs.row(r), segments), "{at}");

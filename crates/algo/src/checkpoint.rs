@@ -1,24 +1,40 @@
-//! Checkpointing: serializable snapshots of the complete resumable run
-//! state — networks, optimizers, counters, RNG streams, sampler state,
-//! and the replay buffer — persisted crash-safely so long
-//! characterization runs can be killed and resumed bitwise-identically.
+//! Checkpointing: snapshots of the complete resumable run state —
+//! networks, optimizers, counters, RNG streams, sampler state, and the
+//! replay buffer — persisted crash-safely so long characterization runs
+//! can be killed and resumed bitwise-identically.
 //!
-//! ## On-disk format (version 3)
+//! ## On-disk format (version 4)
 //!
 //! ```text
 //! magic  u32 LE = 0x4D41_5243 ("MARC")
-//! version u16 LE = 3 | reserved u16 = 0
+//! version u16 LE = 4 | reserved u16 = 0
 //! crc32  u32 LE over the payload
 //! payload:
-//!   json_len   u64 LE | json bytes   (serde_json of [`Checkpoint`])
-//!   replay_len u64 LE | replay bytes ([`marl_core::snapshot`] V2 frame)
+//!   head_len   u64 LE | head     serde_json: config, update_iterations and
+//!                                the run state but its two tensors
+//!   tensor_len u64 LE | tensors
+//!   replay_len u64 LE | replay   ([`marl_core::snapshot`] V2 frame)
+//! tensors:
+//!   n_agents u32 | n_agents agent records
+//!   curve_len u64 | the reward curve, f32 bits
+//!   priorities_len u64 | the sampler's priorities, f64 bits
+//! agent record:
+//!   twin u8 (0 or 1)
+//!   | each network in actor, target actor, critic, target critic[, twin
+//!     critic, twin target] order: activation u8 + network record
+//!   | each optimizer (actor, critic[, twin critic]): t u64, m, v
+//!     (each a u32 count and its f32 bits)
 //! ```
 //!
-//! In the JSON a network is `{hidden_activation, widths, params}` and an
-//! optimizer carries its moments `m` and `v`; each tensor is one string
-//! of its values' IEEE-754 bits, eight hex digits per value, so every
-//! value round-trips bit for bit. Gradients are not state and are not
-//! written.
+//! Networks and optimizers are the [`marl_nn::record`] records — a
+//! network record is exactly an actor of the dist `Params` frame — and
+//! every float is its bits, so every value a resume restores comes back
+//! bit for bit: NaN payloads, infinities and −0.0 included. In the head
+//! the run state's `curve` and the sampler's `priorities` are empty;
+//! their values are in the tensor section. Gradients are not state and
+//! are not written. Every count is checked against the bytes that remain
+//! before anything is allocated for it. Files of another version are
+//! refused; there is no reader for older ones.
 //!
 //! Persistence is atomic: the frame is written to `<path>.tmp`, fsynced,
 //! the previous live file is rotated to `<path>.prev`, and the temp file
@@ -32,15 +48,19 @@ use crate::error::TrainError;
 use crate::trainer::SamplingTelemetry;
 use marl_core::crc32::crc32;
 use marl_core::sampler::SamplerState;
-use marl_nn::adam::Adam;
+use marl_nn::adam::{Adam, AdamConfig};
 use marl_nn::mlp::Mlp;
+use marl_nn::record::{self, Reader};
 use marl_perf::phase::PhaseProfile;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Serializable state of one agent's networks + optimizers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The state of one agent's networks + optimizers.
+///
+/// Its JSON form (hex text of every tensor's bits) compares states; files
+/// and frames carry the binary agent record.
+#[derive(Debug, Clone, Serialize)]
 pub struct AgentState {
     /// Live actor.
     pub actor: Mlp,
@@ -60,20 +80,18 @@ pub struct AgentState {
     pub critic2_opt: Option<Adam>,
 }
 
+/// The networks of an agent record after the actor, named.
+const AFTER_ACTOR: [&str; 5] =
+    ["target actor", "critic", "target critic", "twin critic", "twin target"];
+
 impl AgentState {
     /// Every network this state carries, named: actor, target actor,
     /// critic, target critic, then the twin critic and its target when
     /// present.
     fn nets(&self) -> impl Iterator<Item = (&'static str, &Mlp)> {
-        let twin = self.critic2.iter().flat_map(|(c, t)| [("twin critic", c), ("twin target", t)]);
-        [
-            ("actor", &self.actor),
-            ("target actor", &self.target_actor),
-            ("critic", &self.critic),
-            ("target critic", &self.target_critic),
-        ]
-        .into_iter()
-        .chain(twin)
+        let twin = self.critic2.iter().flat_map(|(c, t)| [c, t]);
+        let nets = [&self.actor, &self.target_actor, &self.critic, &self.target_critic];
+        ["actor"].into_iter().chain(AFTER_ACTOR).zip(nets.into_iter().chain(twin))
     }
 
     /// Checks every carried network with [`Mlp::validate`], and each
@@ -95,6 +113,63 @@ impl AgentState {
             opt.validate_for(net).map_err(|e| format!("{name} optimizer: {e}"))?;
         }
         Ok(())
+    }
+
+    /// Appends this agent's record (see the module docs).
+    fn write_record(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(self.critic2.is_some()));
+        for (_, net) in self.nets() {
+            net.write_record(out);
+        }
+        for opt in [&self.actor_opt, &self.critic_opt].into_iter().chain(&self.critic2_opt) {
+            opt.write_record(out);
+        }
+    }
+
+    /// Reads one agent record; its optimizers run under `adam`. The state
+    /// is checked as [`AgentState::validate`] checks it.
+    fn read_record(r: &mut Reader<'_>, adam: AdamConfig) -> Result<AgentState, String> {
+        let twin = read_twin(r)?;
+        let mut net = |name: &str| Mlp::read_record(r).map_err(|e| format!("{name}: {e}"));
+        let (actor, target_actor, critic, target_critic) =
+            (net("actor")?, net("target actor")?, net("critic")?, net("target critic")?);
+        let critic2 = if twin { Some((net("twin critic")?, net("twin target")?)) } else { None };
+        let mut opt =
+            |name: &str| Adam::read_record(r, adam).map_err(|e| format!("{name} optimizer: {e}"));
+        let (actor_opt, critic_opt) = (opt("actor")?, opt("critic")?);
+        let critic2_opt = if twin { Some(opt("twin critic")?) } else { None };
+        let state = AgentState {
+            actor,
+            target_actor,
+            critic,
+            target_critic,
+            critic2,
+            actor_opt,
+            critic_opt,
+            critic2_opt,
+        };
+        state.validate()?;
+        Ok(state)
+    }
+
+    /// Reads one agent record and keeps its live actor. The other
+    /// networks are walked with [`Mlp::skip_record`] and the optimizers'
+    /// moments checked against them with [`Adam::skip_record`]; nothing
+    /// of them is copied.
+    fn read_actor(r: &mut Reader<'_>) -> Result<Mlp, String> {
+        let twin = read_twin(r)?;
+        let actor = Mlp::read_record(r).map_err(|e| format!("actor: {e}"))?;
+        // Parameter counts in record order; optimizers step nets 0, 2, 4.
+        let mut sizes = vec![actor.parameter_count()];
+        for name in &AFTER_ACTOR[..if twin { 5 } else { 3 }] {
+            sizes.push(Mlp::skip_record(r).map_err(|e| format!("{name}: {e}"))?);
+        }
+        for (name, net) in
+            [("actor", 0), ("critic", 2), ("twin critic", 4)].into_iter().take(sizes.len() / 2)
+        {
+            Adam::skip_record(r, sizes[net]).map_err(|e| format!("{name} optimizer: {e}"))?;
+        }
+        Ok(actor)
     }
 
     /// Captures an agent's state.
@@ -143,21 +218,32 @@ impl AgentState {
     }
 }
 
+/// An agent record's twin flag.
+fn read_twin(r: &mut Reader<'_>) -> Result<bool, String> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(format!("twin flag {other} is neither 0 nor 1")),
+    }
+}
+
 /// A full training checkpoint.
 ///
 /// # Examples
 ///
 /// ```no_run
+/// use marl_algo::checkpoint::{decode_checkpoint_file, encode_checkpoint_file};
 /// use marl_algo::{Algorithm, Task, TrainConfig, Trainer};
 ///
 /// let config = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3);
-/// let mut trainer = Trainer::new(config)?;
-/// let ckpt = trainer.checkpoint();
-/// let json = serde_json::to_string(&ckpt).unwrap();
-/// # let _ = json;
+/// let trainer = Trainer::new(config)?;
+/// let (ckpt, replay) = trainer.checkpoint_full();
+/// let bytes = encode_checkpoint_file(&ckpt, &replay)?;
+/// let (back, _replay) = decode_checkpoint_file(&bytes)?;
+/// assert_eq!(back.update_iterations, ckpt.update_iterations);
 /// # Ok::<(), marl_algo::error::TrainError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Checkpoint {
     /// The configuration the checkpoint was trained with.
     pub config: TrainConfig,
@@ -199,22 +285,37 @@ pub struct RunState {
     /// whole run's breakdown).
     pub profile: PhaseProfile,
     /// K > 1 only: per-world exploration-noise RNG states, world order.
-    /// Empty at K = 1 (which draws noise from `master_rng`), and
-    /// `#[serde(default)]` so checkpoints written before the vectorized
-    /// engine existed deserialize unchanged.
+    /// Empty at K = 1 (which draws noise from `master_rng`).
     #[serde(default)]
     pub rollout_rngs: Vec<[u64; 4]>,
     /// K > 1 only: per-world environment RNG states for worlds 1..K
-    /// (world 0 lives in `env_rng`, so K = 1 checkpoints keep the
-    /// pre-vectorization format). Also `#[serde(default)]`.
+    /// (world 0 lives in `env_rng`).
     #[serde(default)]
     pub vec_env_rngs: Vec<[u64; 4]>,
+}
+
+/// The JSON head of a checkpoint file: a [`Checkpoint`] without its
+/// agents, and without the run state's curve and priorities.
+#[derive(Serialize, Deserialize)]
+struct Head {
+    config: TrainConfig,
+    update_iterations: u64,
+    run: Option<RunState>,
+}
+
+/// The priority vector a sampler state carries, if any.
+fn priorities_mut(state: &mut SamplerState) -> Option<&mut Vec<f64>> {
+    match state {
+        SamplerState::Priority { priorities, .. } => Some(priorities),
+        SamplerState::Reuse { inner, .. } => priorities_mut(inner),
+        SamplerState::Stateless => None,
+    }
 }
 
 /// Magic prefix of a checkpoint file ("MARC").
 pub const CHECKPOINT_MAGIC: u32 = 0x4D41_5243;
 /// Current checkpoint file version.
-pub const CHECKPOINT_VERSION: u16 = 3;
+pub const CHECKPOINT_VERSION: u16 = 4;
 
 /// Derives the sibling path used by the rotation scheme (`.tmp`/`.prev`).
 fn sibling(path: &Path, suffix: &str) -> PathBuf {
@@ -225,89 +326,181 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
 }
 
 /// Serializes a checkpoint + replay snapshot into the framed binary
-/// format (header, CRC-32, length-prefixed JSON and replay sections).
+/// format (see the module docs).
 ///
 /// # Errors
 ///
-/// Returns [`TrainError::Checkpoint`] if JSON serialization fails.
+/// Returns [`TrainError::Checkpoint`] if the head does not serialize.
 pub fn encode_checkpoint_file(ckpt: &Checkpoint, replay: &[u8]) -> Result<Vec<u8>, TrainError> {
-    let json = serde_json::to_string(ckpt)
+    let mut run = ckpt.run.clone();
+    let (mut curve, mut priorities) = (Vec::new(), Vec::new());
+    if let Some(run) = &mut run {
+        curve = std::mem::take(&mut run.curve);
+        priorities = priorities_mut(&mut run.sampler).map(std::mem::take).unwrap_or_default();
+    }
+    let head = Head { config: ckpt.config, update_iterations: ckpt.update_iterations, run };
+    let head = serde_json::to_string(&head)
         .map_err(|e| TrainError::Checkpoint(format!("serialize: {e}")))?;
-    Ok(frame(&json, replay))
+    let mut tensors = Vec::new();
+    tensors.extend_from_slice(&(ckpt.agents.len() as u32).to_le_bytes());
+    for agent in &ckpt.agents {
+        agent.write_record(&mut tensors);
+    }
+    tensors.extend_from_slice(&(curve.len() as u64).to_le_bytes());
+    record::put_f32s(&mut tensors, &curve);
+    tensors.extend_from_slice(&(priorities.len() as u64).to_le_bytes());
+    for p in &priorities {
+        tensors.extend_from_slice(&p.to_le_bytes());
+    }
+    Ok(frame([head.as_bytes(), &tensors, replay]))
 }
 
-/// The framed file around a checkpoint's JSON and replay sections.
-fn frame(json: &str, replay: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(16 + json.len() + replay.len());
-    payload.extend_from_slice(&(json.len() as u64).to_le_bytes());
-    payload.extend_from_slice(json.as_bytes());
-    payload.extend_from_slice(&(replay.len() as u64).to_le_bytes());
-    payload.extend_from_slice(replay);
-    let mut out = Vec::with_capacity(12 + payload.len());
+/// The framed file around its three length-prefixed sections.
+fn frame(sections: [&[u8]; 3]) -> Vec<u8> {
+    let len = 12 + sections.iter().map(|s| 8 + s.len()).sum::<usize>();
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&CHECKPOINT_MAGIC.to_le_bytes());
     out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
     out.extend_from_slice(&0u16.to_le_bytes()); // reserved
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&[0; 4]); // the CRC, patched below
+    for section in sections {
+        out.extend_from_slice(&(section.len() as u64).to_le_bytes());
+        out.extend_from_slice(section);
+    }
+    let crc = crc32(&out[12..]);
+    out[8..12].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
-/// Decodes a checkpoint file frame, verifying magic, version, and CRC.
+/// A decode error: the file does not hold what its format says.
+fn malformed(what: impl std::fmt::Display) -> TrainError {
+    TrainError::Checkpoint(format!("decode: {what}"))
+}
+
+/// The head, tensor and replay sections of a checkpoint file, after its
+/// magic, version and checksum are verified.
+fn sections(bytes: &[u8]) -> Result<(Head, Reader<'_>, &[u8]), TrainError> {
+    if bytes.len() < 12 {
+        return Err(malformed("file shorter than the 12-byte header"));
+    }
+    let magic = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"));
+    if magic != CHECKPOINT_MAGIC {
+        return Err(malformed("bad magic (not a checkpoint file)"));
+    }
+    let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
+    if version != CHECKPOINT_VERSION {
+        return Err(malformed(format!("unsupported version {version}")));
+    }
+    let expected = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    let payload = &bytes[12..];
+    let actual = crc32(payload);
+    if actual != expected {
+        return Err(malformed(format!(
+            "checksum mismatch (expected {expected:#010x}, got {actual:#010x})"
+        )));
+    }
+    // Checksum verified: the lengths below are trustworthy, but still
+    // bounds-checked so a CRC collision cannot cause a panic.
+    let mut r = Reader::new(payload);
+    let mut section = |name: &str| {
+        let len = r.u64().map_err(|e| malformed(format!("{name} length: {e}")))?;
+        let len =
+            usize::try_from(len).map_err(|_| malformed(format!("{name} length overflows")))?;
+        r.take(len).map_err(|e| malformed(format!("{name} section: {e}")))
+    };
+    let (head, tensors, replay) = (section("head")?, section("tensor")?, section("replay")?);
+    r.finish().map_err(|e| malformed(format!("after the replay section: {e}")))?;
+    let head = std::str::from_utf8(head).map_err(|_| malformed("the head is not UTF-8"))?;
+    let head: Head = serde_json::from_str(head).map_err(malformed)?;
+    Ok((head, Reader::new(tensors), replay))
+}
+
+/// The agent count of a tensor section, checked against its bytes: an
+/// agent record takes at least 53 (the twin flag, four activation bytes
+/// and layer counts, two optimizers' step counts and moment counts).
+fn agent_count(r: &mut Reader<'_>) -> Result<usize, String> {
+    let n = r.u32()? as usize;
+    if n.saturating_mul(53) > r.rest().len() {
+        return Err(format!("{n} agents do not fit the {} tensor bytes", r.rest().len()));
+    }
+    Ok(n)
+}
+
+/// Decodes a checkpoint file frame, verifying magic, version, and CRC,
+/// and every network and optimizer as [`AgentState::restore`] does.
 ///
 /// # Errors
 ///
 /// Returns [`TrainError::Checkpoint`] describing exactly what is wrong
 /// (never panics on malformed input).
 pub fn decode_checkpoint_file(bytes: &[u8]) -> Result<(Checkpoint, Vec<u8>), TrainError> {
-    let err = |what: &str| TrainError::Checkpoint(format!("decode: {what}"));
-    if bytes.len() < 12 {
-        return Err(err("file shorter than the 12-byte header"));
+    let (head, mut r, replay) = sections(bytes)?;
+    let adam = AdamConfig { learning_rate: head.config.learning_rate, ..AdamConfig::default() };
+    let n_agents = agent_count(&mut r).map_err(malformed)?;
+    let mut agents = Vec::with_capacity(n_agents);
+    for i in 0..n_agents {
+        agents.push(
+            AgentState::read_record(&mut r, adam)
+                .map_err(|e| malformed(format!("agent {i} {e}")))?,
+        );
     }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"));
-    if magic != CHECKPOINT_MAGIC {
-        return Err(err("bad magic (not a checkpoint file)"));
-    }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
-    if version != CHECKPOINT_VERSION {
-        return Err(TrainError::Checkpoint(format!("decode: unsupported version {version}")));
-    }
-    let expected = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let payload = &bytes[12..];
-    let actual = crc32(payload);
-    if actual != expected {
-        return Err(TrainError::Checkpoint(format!(
-            "decode: checksum mismatch (expected {expected:#010x}, got {actual:#010x})"
-        )));
-    }
-    // Checksum verified: the lengths below are trustworthy, but still
-    // bounds-checked so a CRC collision cannot cause a panic.
-    let mut off = 0usize;
-    let take_u64 = |off: &mut usize| -> Result<usize, TrainError> {
-        if payload.len() - *off < 8 {
-            return Err(TrainError::Checkpoint("decode: truncated length field".into()));
+    let curve_len = r.u64().map_err(malformed)?;
+    let mut curve = Vec::new();
+    r.f32s(usize::try_from(curve_len).unwrap_or(usize::MAX), &mut curve)
+        .map_err(|e| malformed(format!("reward curve: {e}")))?;
+    let priorities_len = r.u64().map_err(malformed)?;
+    let priorities: Vec<f64> = r
+        .values(usize::try_from(priorities_len).unwrap_or(usize::MAX), 8)
+        .map_err(|e| malformed(format!("priorities: {e}")))?
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes")))
+        .collect();
+    r.finish().map_err(|e| malformed(format!("tensor section: {e}")))?;
+    let Head { config, update_iterations, mut run } = head;
+    match &mut run {
+        Some(run) => {
+            run.curve = curve;
+            match priorities_mut(&mut run.sampler) {
+                Some(slot) => *slot = priorities,
+                None if priorities.is_empty() => {}
+                None => return Err(malformed("priorities for a sampler that keeps none")),
+            }
         }
-        let v = u64::from_le_bytes(payload[*off..*off + 8].try_into().expect("8 bytes"));
-        *off += 8;
-        usize::try_from(v).map_err(|_| TrainError::Checkpoint("decode: length overflow".into()))
-    };
-    let json_len = take_u64(&mut off)?;
-    if payload.len() - off < json_len {
-        return Err(err("truncated JSON section"));
+        None if curve.is_empty() && priorities.is_empty() => {}
+        None => return Err(malformed("a weights-only checkpoint carries run tensors")),
     }
-    let json = std::str::from_utf8(&payload[off..off + json_len])
-        .map_err(|_| err("checkpoint JSON is not UTF-8"))?;
-    off += json_len;
-    let ckpt: Checkpoint =
-        serde_json::from_str(json).map_err(|e| TrainError::Checkpoint(format!("decode: {e}")))?;
-    for (i, agent) in ckpt.agents.iter().enumerate() {
-        agent.validate().map_err(|e| err(&format!("agent {i} {e}")))?;
+    Ok((Checkpoint { config, agents, update_iterations, run }, replay.to_vec()))
+}
+
+/// What serving reads of a checkpoint: its configuration, its update
+/// count and each agent's live actor.
+#[derive(Debug, Clone)]
+pub struct PolicyCheckpoint {
+    /// The configuration the checkpoint was trained with.
+    pub config: TrainConfig,
+    /// Update iterations completed when captured.
+    pub update_iterations: u64,
+    /// The live actor of every agent, in agent order.
+    pub actors: Vec<Mlp>,
+}
+
+/// Decodes the policy of a checkpoint file: the head and each agent's
+/// actor. The other networks and the optimizers are checked as
+/// [`decode_checkpoint_file`] checks them but not copied, and neither are
+/// the run tensors or the replay section.
+///
+/// # Errors
+///
+/// As [`decode_checkpoint_file`], for the parts it reads.
+pub fn decode_policy(bytes: &[u8]) -> Result<PolicyCheckpoint, TrainError> {
+    let (head, mut r, _replay) = sections(bytes)?;
+    let n_agents = agent_count(&mut r).map_err(malformed)?;
+    let mut actors = Vec::with_capacity(n_agents);
+    for i in 0..n_agents {
+        actors
+            .push(AgentState::read_actor(&mut r).map_err(|e| malformed(format!("agent {i} {e}")))?);
     }
-    let replay_len = take_u64(&mut off)?;
-    if payload.len() - off < replay_len {
-        return Err(err("truncated replay section"));
-    }
-    let replay = payload[off..off + replay_len].to_vec();
-    Ok((ckpt, replay))
+    Ok(PolicyCheckpoint { config: head.config, update_iterations: head.update_iterations, actors })
 }
 
 /// Writes a checkpoint atomically: temp file + fsync + rotation
@@ -354,9 +547,11 @@ pub fn write_checkpoint_file(
 ///
 /// Returns [`TrainError::Checkpoint`] on I/O or decode failure.
 pub fn read_checkpoint_file(path: &Path) -> Result<(Checkpoint, Vec<u8>), TrainError> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| TrainError::Checkpoint(format!("read {}: {e}", path.display())))?;
-    decode_checkpoint_file(&bytes)
+    decode_checkpoint_file(&read(path)?)
+}
+
+fn read(path: &Path) -> Result<Vec<u8>, TrainError> {
+    std::fs::read(path).map_err(|e| TrainError::Checkpoint(format!("read {}: {e}", path.display())))
 }
 
 /// Loads the live checkpoint, falling back to the rotated `.prev` file if
@@ -370,19 +565,39 @@ pub fn read_checkpoint_file(path: &Path) -> Result<(Checkpoint, Vec<u8>), TrainE
 pub fn load_checkpoint_with_fallback(
     path: &Path,
 ) -> Result<(Checkpoint, Vec<u8>, bool), TrainError> {
+    with_fallback(path, read_checkpoint_file).map(|((ckpt, replay), prev)| (ckpt, replay, prev))
+}
+
+/// [`load_checkpoint_with_fallback`] for serving: decodes the policy of
+/// the live file, or of `.prev` when the live one does not decode, with
+/// [`decode_policy`]. Returns whether the fallback was used.
+///
+/// # Errors
+///
+/// As [`load_checkpoint_with_fallback`].
+pub fn load_policy_with_fallback(path: &Path) -> Result<(PolicyCheckpoint, bool), TrainError> {
+    with_fallback(path, |p| decode_policy(&read(p)?))
+}
+
+/// `load(path)`, else `load` of the `.prev` sibling; `true` when the
+/// sibling was used.
+fn with_fallback<T>(
+    path: &Path,
+    load: impl Fn(&Path) -> Result<T, TrainError>,
+) -> Result<(T, bool), TrainError> {
     // Strips the variant's own "checkpoint error:" Display prefix so the
     // combined two-failure message reads cleanly.
     let inner = |e: TrainError| match e {
         TrainError::Checkpoint(msg) => msg,
         other => other.to_string(),
     };
-    let primary = match read_checkpoint_file(path) {
-        Ok((ckpt, replay)) => return Ok((ckpt, replay, false)),
+    let primary = match load(path) {
+        Ok(state) => return Ok((state, false)),
         Err(e) => inner(e),
     };
     let prev = sibling(path, "prev");
-    match read_checkpoint_file(&prev) {
-        Ok((ckpt, replay)) => Ok((ckpt, replay, true)),
+    match load(&prev) {
+        Ok(state) => Ok((state, true)),
         Err(fallback) => Err(TrainError::Checkpoint(format!(
             "{primary}; fallback to {} also failed: {}",
             prev.display(),
@@ -446,23 +661,54 @@ mod tests {
         assert!(state.restore(&mut nets(false)).is_err());
     }
 
-    #[test]
-    fn checkpoint_serializes_via_serde() {
-        let config = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3);
-        let ckpt = Checkpoint {
-            config,
-            agents: vec![AgentState::capture(&nets(false))],
+    fn weights_only(agents: Vec<AgentState>) -> Checkpoint {
+        Checkpoint {
+            config: TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3),
+            agents,
             update_iterations: 42,
             run: None,
-        };
-        let json = serde_json::to_string(&ckpt).unwrap();
-        let back: Checkpoint = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.update_iterations, 42);
-        assert_eq!(back.agents.len(), 1);
-        assert_eq!(back.config, config);
+        }
+    }
+
+    #[test]
+    fn checkpoint_file_roundtrip_is_bitwise() {
+        let ckpt =
+            weights_only(vec![AgentState::capture(&nets(false)), AgentState::capture(&nets(true))]);
+        let (back, replay) =
+            decode_checkpoint_file(&encode_checkpoint_file(&ckpt, &[7, 8, 9]).unwrap()).unwrap();
+        assert_eq!((back.update_iterations, replay), (42, vec![7, 8, 9]));
+        assert_eq!(back.config, ckpt.config);
+        assert!(back.run.is_none());
+        let json = |agents: &[AgentState]| serde_json::to_string(agents).unwrap();
+        assert_eq!(json(&back.agents), json(&ckpt.agents), "every tensor bit for bit");
         // Behaviour survives the round trip.
         let x = Matrix::full(1, 8, 0.5);
-        assert_eq!(output_bits(&ckpt.agents[0].actor, &x), output_bits(&back.agents[0].actor, &x));
+        assert_eq!(output_bits(&ckpt.agents[1].actor, &x), output_bits(&back.agents[1].actor, &x));
+        // The policy reader takes the same actors and nothing else.
+        let policy = decode_policy(&encode_checkpoint_file(&ckpt, &[]).unwrap()).unwrap();
+        let actors: Vec<String> =
+            policy.actors.iter().map(|a| serde_json::to_string(a).unwrap()).collect();
+        let want: Vec<String> =
+            ckpt.agents.iter().map(|a| serde_json::to_string(&a.actor).unwrap()).collect();
+        assert_eq!(actors, want);
+    }
+
+    /// Replaces `bytes`' head with `head`, keeping the other sections and
+    /// re-sealing the checksum.
+    fn with_head(bytes: &[u8], head: &str) -> Vec<u8> {
+        let mut r = Reader::new(&bytes[12..]);
+        let mut section = || {
+            let len = r.u64().unwrap() as usize;
+            r.take(len).unwrap()
+        };
+        let (_, tensors, replay) = (section(), section(), section());
+        frame([head.as_bytes(), tensors, replay])
+    }
+
+    /// The head of an encoded checkpoint file.
+    fn head_of(bytes: &[u8]) -> &str {
+        let len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+        std::str::from_utf8(&bytes[20..20 + len]).unwrap()
     }
 
     /// A checkpoint written while `TrainConfig` still had a `kernel` or a
@@ -471,23 +717,20 @@ mod tests {
     /// field, and nothing panics.
     #[test]
     fn a_checkpoint_whose_config_names_a_removed_field_is_refused() {
-        let ckpt = Checkpoint {
-            config: TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3),
-            agents: vec![AgentState::capture(&nets(false))],
-            update_iterations: 0,
-            run: None,
-        };
-        let json = serde_json::to_string(&ckpt).unwrap();
+        let bytes =
+            encode_checkpoint_file(&weights_only(vec![AgentState::capture(&nets(false))]), &[])
+                .unwrap();
+        let head = head_of(&bytes);
         let dir = std::env::temp_dir().join(format!("marl_ckpt_removed_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         for (field, entry, before) in [
             ("kernel", "\"kernel\":\"Auto\",", "\"num_envs\":"),
             ("sampling_threads", "\"sampling_threads\":1,", "\"update_threads\":"),
         ] {
-            let old = json.replacen(before, &format!("{entry}{before}"), 1);
-            assert_ne!(old, json, "the config serializes {before}");
+            let old = head.replacen(before, &format!("{entry}{before}"), 1);
+            assert_ne!(old, head, "the config serializes {before}");
             let path = dir.join(format!("with_{field}.bin"));
-            std::fs::write(&path, frame(&old, &[])).unwrap();
+            std::fs::write(&path, with_head(&bytes, &old)).unwrap();
             match load_checkpoint_with_fallback(&path) {
                 Err(TrainError::Checkpoint(msg)) => {
                     assert!(msg.contains(&format!("unknown field `{field}`")), "{msg}");
@@ -497,5 +740,24 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Version-3 files (tensors as hex text inside the JSON) are not read:
+    /// a version-3 header is refused with a checkpoint error naming the
+    /// version, before its payload is looked at.
+    #[test]
+    fn a_version_3_file_is_refused() {
+        let mut bytes = encode_checkpoint_file(&weights_only(Vec::new()), &[]).unwrap();
+        bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
+        for decoded in
+            [decode_checkpoint_file(&bytes).map(|_| ()), decode_policy(&bytes).map(|_| ())]
+        {
+            match decoded {
+                Err(TrainError::Checkpoint(msg)) => {
+                    assert_eq!(msg, "decode: unsupported version 3");
+                }
+                other => panic!("expected a checkpoint error, got {other:?}"),
+            }
+        }
     }
 }

@@ -26,13 +26,14 @@
 //! Once the first episode has sized the working storage, the step loop
 //! touches no heap.
 
-use crate::agent::AgentNets;
+use crate::agent::{act_explore_batch, act_greedy_batch};
 use crate::config::TrainConfig;
 use marl_core::transition::TransitionRef;
 use marl_env::error::EnvError;
 use marl_env::spaces::ActionSpace;
 use marl_env::vecenv::VecParticleEnv;
 use marl_nn::matrix::Matrix;
+use marl_nn::mlp::Mlp;
 use marl_nn::rng::derive_seed;
 use marl_nn::scratch::Scratch;
 use rand::rngs::StdRng;
@@ -129,24 +130,25 @@ impl Rollout {
         self.done = false;
     }
 
-    /// Exploration actions for every world: per agent one batched actor
-    /// inference, then per world `flat_dim` Gumbel draws and — when
-    /// `epsilon > 0` — the ε draw and, if it hits, a uniform joint action.
-    /// Noise comes from `master` at K = 1 and from the per-world streams
-    /// at K > 1.
-    pub fn select_actions(
+    /// Exploration actions for every world: per agent one batched
+    /// inference of its actor (`actors`, in agent order), then per world
+    /// `flat_dim` Gumbel draws and — when `epsilon > 0` — the ε draw and,
+    /// if it hits, a uniform joint action. Noise comes from `master` at
+    /// K = 1 and from the per-world streams at K > 1.
+    pub fn select_actions<'a>(
         &mut self,
-        agents: &[AgentNets],
+        actors: impl IntoIterator<Item = &'a Mlp>,
         temperature: f32,
         epsilon: f32,
         master: &mut StdRng,
     ) {
         let _fp = marl_nn::fp::flush_to_zero();
-        let n = agents.len();
+        let n = self.env.action_spaces().len();
         let rngs: &mut [StdRng] =
             if self.noise.is_empty() { std::slice::from_mut(master) } else { &mut self.noise };
-        for (a, (agent, space)) in agents.iter().zip(self.env.action_spaces()).enumerate() {
-            agent.act_explore_batch(
+        for (a, (actor, space)) in actors.into_iter().zip(self.env.action_spaces()).enumerate() {
+            act_explore_batch(
+                actor,
                 &self.obs_cur[a],
                 space.segments(),
                 temperature,
@@ -170,12 +172,14 @@ impl Rollout {
     }
 
     /// Greedy actions for every world (per-factor arg-max of one batched
-    /// actor inference per agent); draws nothing.
-    pub fn select_greedy(&mut self, agents: &[AgentNets]) {
+    /// inference of each agent's actor, `actors` in agent order); draws
+    /// nothing.
+    pub fn select_greedy<'a>(&mut self, actors: impl IntoIterator<Item = &'a Mlp>) {
         let _fp = marl_nn::fp::flush_to_zero();
-        let n = agents.len();
-        for (a, (agent, space)) in agents.iter().zip(self.env.action_spaces()).enumerate() {
-            agent.act_greedy_batch(
+        let n = self.env.action_spaces().len();
+        for (a, (actor, space)) in actors.into_iter().zip(self.env.action_spaces()).enumerate() {
+            act_greedy_batch(
+                actor,
                 &self.obs_cur[a],
                 space.segments(),
                 &mut self.logits,

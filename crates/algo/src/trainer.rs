@@ -379,7 +379,12 @@ impl Trainer {
             // --- Action selection (one inference batch per agent) ---
             let t0 = Instant::now();
             let (temperature, epsilon) = self.config.exploration.at(self.env_steps);
-            self.rollout.select_actions(&self.agents, temperature, epsilon, &mut self.rng);
+            self.rollout.select_actions(
+                self.agents.iter().map(|a| &a.actor),
+                temperature,
+                epsilon,
+                &mut self.rng,
+            );
             self.profile.add(Phase::ActionSelection, t0.elapsed());
 
             // --- Environment execution (batched SoA step) ---
@@ -740,7 +745,7 @@ impl Trainer {
         for _ in 0..episodes {
             self.rollout.reset();
             loop {
-                self.rollout.select_greedy(&self.agents);
+                self.rollout.select_greedy(self.agents.iter().map(|a| &a.actor));
                 let done = self.rollout.step()?;
                 for rewards in self.rollout.rewards().chunks(n) {
                     total += rewards.iter().sum::<f32>() as f64 / n as f64;
@@ -991,8 +996,22 @@ mod tests {
         let (mut logits, mut scratch) = (Matrix::default(), Scratch::new());
         let (mut x_idx, mut y_idx) = ([0usize], [0usize]);
         for (x, y) in a.agents.iter().zip(&b.agents) {
-            x.act_greedy_batch(&obs, &[5], &mut logits, &mut scratch, &mut x_idx);
-            y.act_greedy_batch(&obs, &[5], &mut logits, &mut scratch, &mut y_idx);
+            crate::agent::act_greedy_batch(
+                &x.actor,
+                &obs,
+                &[5],
+                &mut logits,
+                &mut scratch,
+                &mut x_idx,
+            );
+            crate::agent::act_greedy_batch(
+                &y.actor,
+                &obs,
+                &[5],
+                &mut logits,
+                &mut scratch,
+                &mut y_idx,
+            );
             assert_eq!(x_idx, y_idx);
         }
     }

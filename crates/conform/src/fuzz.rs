@@ -4,8 +4,8 @@
 //! exercises one code path out of dozens. These mutators are *format
 //! aware* instead: they know where the headers, checksums, and length
 //! fields of the MARC checkpoint frame, the replay-snapshot frame, the
-//! two binary MARD wire frames (`Steps`, `Params`) and a stream of serve
-//! request frames live, so a drawn
+//! three binary MARD wire frames (`Welcome`, `Steps`, `Params`) and a
+//! stream of serve request frames live, so a drawn
 //! mutation can place corruption *behind* the checksum (re-patching the
 //! CRC) and reach the interior bounds checks that a naive fuzzer never
 //! touches.
@@ -25,9 +25,10 @@ use marl_core::transition::TransitionLayout;
 /// Which on-disk frame format a byte buffer claims to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
-    /// MARC checkpoint frame (`marl_algo::checkpoint`): 12-byte header
-    /// (magic u32, version u16, reserved u16, CRC-32 u32) then the
-    /// checksummed payload `json_len u64 | json | replay_len u64 | replay`.
+    /// MARC checkpoint frame, version 4 (`marl_algo::checkpoint`):
+    /// 12-byte header (magic u32, version u16, reserved u16, CRC-32 u32)
+    /// then the checksummed payload `head_len u64 | head | tensor_len u64
+    /// | tensors | replay_len u64 | replay`.
     Checkpoint,
     /// Replay snapshot V2 (`marl_core::snapshot`): 10-byte header (magic
     /// u32, version u16, CRC-32 u32) then the checksummed body.
@@ -38,6 +39,9 @@ pub enum Format {
     MardSteps,
     /// MARD `Params` wire frame (kind 4): same header, actor-only payload.
     MardParams,
+    /// MARD `Welcome` wire frame (kind 2): same header, then `head_len
+    /// u32 | JSON head | ` the actor section a `Params` frame ends with.
+    Welcome,
     /// A stream of serve request frames back to back, as a pipelining
     /// client sends them: each a MARD header (kind 8) over the payload
     /// `req_id u64 | agent u32 | obs_len u32 | obs f32 × obs_len | ctx 24 B`.
@@ -56,7 +60,9 @@ impl Format {
         match self {
             Format::Checkpoint => 12,
             Format::SnapshotV2 => 10,
-            Format::MardSteps | Format::MardParams | Format::ServeRequests => MARD_PAYLOAD,
+            Format::MardSteps | Format::MardParams | Format::Welcome | Format::ServeRequests => {
+                MARD_PAYLOAD
+            }
         }
     }
 
@@ -64,19 +70,21 @@ impl Format {
     fn length_field_width(self) -> usize {
         match self {
             Format::Checkpoint | Format::SnapshotV2 => 8,
-            Format::MardSteps | Format::MardParams | Format::ServeRequests => 4,
+            Format::MardSteps | Format::MardParams | Format::Welcome | Format::ServeRequests => 4,
         }
     }
 
     fn is_mard(self) -> bool {
-        matches!(self, Format::MardSteps | Format::MardParams)
+        matches!(self, Format::MardSteps | Format::MardParams | Format::Welcome)
     }
 
     /// The frame kind a [`Mutation::KindConfusion`] relabels `kind` to:
-    /// `Steps` ↔ `Params`, and serve request ↔ serve control.
+    /// `Steps` ↔ `Params`, `Welcome` → `Params`, and serve request ↔
+    /// serve control.
     fn confused_kind(self, kind: u8) -> Option<u16> {
         match self {
             Format::MardSteps | Format::MardParams => Some(if kind == 3 { 4 } else { 3 }),
+            Format::Welcome => Some(4),
             Format::ServeRequests => Some(if kind == 8 { 11 } else { 8 }),
             _ => None,
         }
@@ -87,7 +95,7 @@ impl Format {
         match self {
             Format::Checkpoint => Some((8, 12)),
             Format::SnapshotV2 => Some((6, 10)),
-            Format::MardSteps | Format::MardParams | Format::ServeRequests => {
+            Format::MardSteps | Format::MardParams | Format::Welcome | Format::ServeRequests => {
                 Some((MARD_CRC, MARD_PAYLOAD))
             }
         }
@@ -142,9 +150,10 @@ pub enum Mutation {
         b: usize,
     },
     /// Relabel a MARD `Steps` frame as `Params` or the reverse (header
-    /// kind 3 ↔ 4), or a stream's first serve request as a control frame
-    /// or the reverse (8 ↔ 11), and re-patch the CRC, so each binary
-    /// decoder meets the other's payload. No-op on the other formats.
+    /// kind 3 ↔ 4), a `Welcome` as `Params` (2 → 4), or a stream's first
+    /// serve request as a control frame or the reverse (8 ↔ 11), and
+    /// re-patch the CRC, so each binary decoder meets another's payload.
+    /// No-op on the other formats.
     KindConfusion,
 }
 
@@ -206,28 +215,41 @@ fn serve_frames(bytes: &[u8]) -> Vec<(usize, usize)> {
     out
 }
 
-/// Offsets of the u32 count fields of a MARD `Steps`/`Params` frame: the
-/// header's payload length, then the step/agent/layer counts and every
-/// dimension, found by walking the payload as its decoder does.
+/// Offsets of the u32 count fields of a MARD `Steps`/`Params`/`Welcome`
+/// frame: the header's payload length, then the head length, the
+/// step/agent/layer counts and every dimension, found by walking the
+/// payload as its decoder does.
 fn mard_field_offsets(bytes: &[u8], fmt: Format) -> Vec<usize> {
     let mut out = Vec::new();
-    // Fixed prefix, then the flags byte whose bits say which optional
-    // blocks (32-byte RNG state, 24-byte trace context) precede the counts.
-    let (flags_at, rng_bit, ctx_bit) = match fmt {
-        Format::MardSteps => (MARD_PAYLOAD + 20, 2, 4),
-        _ => (MARD_PAYLOAD + 8, 1, 2),
+    let mut off = if fmt == Format::Welcome {
+        // The head length, then the head; the actor section follows.
+        let Some(head) = bytes.get(MARD_PAYLOAD..MARD_PAYLOAD + 4) else {
+            return out;
+        };
+        out.extend([MARD_LEN, MARD_PAYLOAD]);
+        let head_len = u32::from_le_bytes(head.try_into().expect("4 bytes")) as usize;
+        MARD_PAYLOAD + 4 + head_len
+    } else {
+        // Fixed prefix, then the flags byte whose bits say which optional
+        // blocks (32-byte RNG state, 24-byte trace context) precede the
+        // counts.
+        let (flags_at, rng_bit, ctx_bit) = match fmt {
+            Format::MardSteps => (MARD_PAYLOAD + 20, 2, 4),
+            _ => (MARD_PAYLOAD + 8, 1, 2),
+        };
+        let Some(&flags) = bytes.get(flags_at) else {
+            return out;
+        };
+        out.push(MARD_LEN);
+        let mut off = flags_at + 1;
+        if flags & rng_bit != 0 {
+            off += 32;
+        }
+        if flags & ctx_bit != 0 {
+            off += 24;
+        }
+        off
     };
-    let Some(&flags) = bytes.get(flags_at) else {
-        return out;
-    };
-    out.push(MARD_LEN);
-    let mut off = flags_at + 1;
-    if flags & rng_bit != 0 {
-        off += 32;
-    }
-    if flags & ctx_bit != 0 {
-        off += 24;
-    }
     let mut field = |off: &mut usize| -> Option<usize> {
         let end = off.checked_add(4).filter(|&end| end <= bytes.len())?;
         out.push(*off);
@@ -271,7 +293,7 @@ fn mard_field_offsets(bytes: &[u8], fmt: Format) -> Vec<usize> {
 }
 
 /// Byte offsets of every length/cursor field reachable by walking the
-/// frame as its parser would: the two section lengths of a checkpoint
+/// frame as its parser would: the three section lengths of a checkpoint
 /// payload, capacity/len/next of every per-agent storage frame in a
 /// snapshot body, or the counts and dimensions of a MARD frame (u32
 /// there, u64 elsewhere). Walks defensively (checked arithmetic,
@@ -281,13 +303,14 @@ pub fn length_field_offsets(bytes: &[u8], fmt: Format) -> Vec<usize> {
     let mut out = Vec::new();
     match fmt {
         Format::Checkpoint => {
-            if bytes.len() >= 20 {
-                out.push(12);
-                let json_len = usize::try_from(u64_at(bytes, 12)).unwrap_or(usize::MAX);
-                if let Some(off) = 20usize.checked_add(json_len) {
-                    if off.checked_add(8).is_some_and(|end| end <= bytes.len()) {
-                        out.push(off);
-                    }
+            // head_len, tensor_len, replay_len, each before its section.
+            let mut off = 12usize;
+            while out.len() < 3 && off.checked_add(8).is_some_and(|end| end <= bytes.len()) {
+                out.push(off);
+                let len = usize::try_from(u64_at(bytes, off)).unwrap_or(usize::MAX);
+                match (off + 8).checked_add(len) {
+                    Some(next) => off = next,
+                    None => break,
                 }
             }
         }
@@ -320,7 +343,9 @@ pub fn length_field_offsets(bytes: &[u8], fmt: Format) -> Vec<usize> {
                 off = next;
             }
         }
-        Format::MardSteps | Format::MardParams => return mard_field_offsets(bytes, fmt),
+        Format::MardSteps | Format::MardParams | Format::Welcome => {
+            return mard_field_offsets(bytes, fmt)
+        }
         Format::ServeRequests => {
             // Each frame's header length, then its payload's `obs_len`.
             for (start, end) in serve_frames(bytes) {
@@ -482,6 +507,30 @@ mod tests {
         .is_empty());
     }
 
+    /// The three section lengths of a version-4 checkpoint are found, and
+    /// a hostile replay length behind a re-sealed CRC reaches the decoder.
+    #[test]
+    fn checkpoint_offsets_are_the_three_section_lengths() {
+        use marl_algo::checkpoint::{decode_checkpoint_file, encode_checkpoint_file, Checkpoint};
+        use marl_algo::{Algorithm, Task, TrainConfig, TrainError};
+        let ckpt = Checkpoint {
+            config: TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3),
+            agents: Vec::new(),
+            update_iterations: 0,
+            run: None,
+        };
+        let bytes = encode_checkpoint_file(&ckpt, &[1, 2, 3]).unwrap();
+        let offsets = length_field_offsets(&bytes, Format::Checkpoint);
+        assert_eq!(offsets.len(), 3);
+        assert_eq!(u64_at(&bytes, offsets[2]), 3, "the replay length");
+        let m = Mutation::CorruptLengthField { field: 2, value: u64::MAX / 2 };
+        let bad = apply_mutation(&bytes, &m, Format::Checkpoint);
+        match decode_checkpoint_file(&bad) {
+            Err(TrainError::Checkpoint(msg)) => assert!(msg.contains("replay section"), "{msg}"),
+            other => panic!("expected a checkpoint error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn short_frames_yield_no_offsets_and_mutate_safely() {
         for fmt in [
@@ -489,6 +538,7 @@ mod tests {
             Format::SnapshotV2,
             Format::MardSteps,
             Format::MardParams,
+            Format::Welcome,
             Format::ServeRequests,
         ] {
             assert!(length_field_offsets(&[0u8; 4], fmt).is_empty());

@@ -296,7 +296,7 @@ impl Learner {
             worker_id,
             epoch: self.epoch,
             config: cfg,
-            agents: self.trainer.agent_states(),
+            actors: ActorParams::capture(self.trainer.actors()),
             master_rng: self.trainer.master_rng_state(),
             env_rng: None,
             env_steps: self.trainer.env_steps(),
@@ -316,7 +316,7 @@ impl Learner {
             worker_id,
             epoch: self.epoch,
             config: cfg,
-            agents: self.trainer.agent_states(),
+            actors: ActorParams::capture(self.trainer.actors()),
             master_rng: snap
                 .map(|s| s.master_rng)
                 .unwrap_or_else(|| worker_noise_state(cfg.seed, worker_id)),

@@ -13,28 +13,35 @@
 //! payload bytes                  (interpretation chosen by `kind`)
 //! ```
 //!
-//! The header `kind` alone selects the payload codec. The two kinds on
-//! the per-step/per-update hot path are raw little-endian:
+//! The header `kind` alone selects the payload codec. The kinds that
+//! carry tensors are raw little-endian:
 //!
 //! ```text
-//! kind 3 Steps:  worker_id u32 | epoch u64 | seq u64
-//!                | flags u8 (1 sync, 2 rng, 4 ctx) | [rng 4×u64] | [ctx 24 B]
-//!                | n_steps u32 | n_agents u32 | n_agents × (obs_dim u32, act_dim u32)
-//!                | n_steps × n_agents rows of obs|action|reward|next_obs|done (f32)
-//! kind 4 Params: epoch u64 | flags u8 (1 master_rng, 2 ctx)
-//!                | [master_rng 4×u64] | [ctx 24 B] | n_agents u32
-//!                | per actor: n_layers u32, per layer: rows u32, cols u32,
-//!                  rows·cols weights (f32), cols biases (f32)
+//! kind 2 Welcome: head_len u32 | head (serde_json of every field but the
+//!                 actors) | actors
+//! kind 3 Steps:   worker_id u32 | epoch u64 | seq u64
+//!                 | flags u8 (1 sync, 2 rng, 4 ctx) | [rng 4×u64] | [ctx 24 B]
+//!                 | n_steps u32 | n_agents u32 | n_agents × (obs_dim u32, act_dim u32)
+//!                 | n_steps × n_agents rows of obs|action|reward|next_obs|done (f32)
+//! kind 4 Params:  epoch u64 | flags u8 (1 master_rng, 2 ctx)
+//!                 | [master_rng 4×u64] | [ctx 24 B] | actors
+//! actors:         n_agents u32 | per actor one network record
+//!                 (`marl_nn::record`: n_layers u32, per layer rows u32,
+//!                 cols u32, rows·cols weights, cols biases, f32)
 //! ```
 //!
-//! Both are self-describing, so [`decode_frame`] needs no receiver
+//! All three are self-describing, so [`decode_frame`] needs no receiver
 //! context. Every count is checked against the bytes that remain before
-//! anything is allocated for it, and a decoded message never owns more
-//! heap than its payload was long. The cold kinds (`Hello`, `Welcome`,
-//! `Heartbeat`, `HeartbeatAck`, `EpisodeEnd`, `Bye`) carry the
-//! `serde_json` text of their struct. Version 2 introduced this split; a
-//! version-1 peer (JSON everywhere) is refused with
-//! [`DistError::UnsupportedVersion`] rather than a parse error.
+//! anything is allocated for it, and a decoded `Steps` or `Params` never
+//! owns more heap than its payload was long. A `Welcome` carries the
+//! live actors and nothing else of the networks: a worker reads nothing
+//! else. The other cold kinds (`Hello`, `Heartbeat`, `HeartbeatAck`,
+//! `EpisodeEnd`, `Bye`) carry the `serde_json` text of their struct.
+//! Version 2 introduced the binary kinds; a version-1 peer (JSON
+//! everywhere) is refused with [`DistError::UnsupportedVersion`] rather
+//! than a parse error. A `Welcome` whose payload is JSON text (as the
+//! first version-2 learners sent) is refused with [`DistError::Protocol`]:
+//! its first four bytes read as a head length far past the payload.
 //!
 //! The CRC covers the routing header fields as well as the payload, so a
 //! bit flip anywhere past the magic is detected; a flipped magic or
@@ -45,12 +52,11 @@
 //! errors but treat them as connection-fatal.
 
 use crate::error::DistError;
-use marl_algo::agent::AgentNets;
-use marl_algo::checkpoint::AgentState;
 use marl_algo::TrainConfig;
 use marl_core::crc32::Crc32;
 use marl_core::transition::{TransitionLayout, TransitionRef};
 use marl_nn::mlp::Mlp;
+use marl_nn::record::{self, overflow, Reader};
 use marl_obs::context::{TraceCtx, TRACE_CTX_WIRE_LEN};
 use serde::{Deserialize, Serialize};
 
@@ -85,16 +91,20 @@ pub struct Hello {
 
 /// The learner admitting a worker: full configuration plus the exact
 /// state to roll out from.
+///
+/// Its JSON form is the frame's head: every field but `actors`, which
+/// follow the head in the binary actor layout `Params` uses.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Welcome {
     /// Worker being addressed.
     pub worker_id: u32,
     /// Current parameter epoch.
     pub epoch: u64,
-    /// Training configuration (the worker builds env + nets from this).
+    /// Training configuration (the worker builds env + actors from this).
     pub config: TrainConfig,
-    /// Network parameters to start from.
-    pub agents: Vec<AgentState>,
+    /// The live actor of every agent to start from.
+    #[serde(skip)]
+    pub actors: ActorParams,
     /// Exploration-noise RNG state to install.
     pub master_rng: [u64; 4],
     /// Environment RNG state to install; `None` keeps the worker's
@@ -256,25 +266,25 @@ impl ActorParams {
         self.layer_counts.len()
     }
 
-    /// Overwrites the live actor of every agent in place, one slab copy
-    /// each, allocating nothing. Everything is checked before anything is
-    /// written, so a mismatch leaves `agents` untouched.
+    /// Overwrites every live actor in place, one slab copy each,
+    /// allocating nothing. Everything is checked before anything is
+    /// written, so a mismatch leaves `actors` untouched.
     ///
     /// # Errors
     ///
-    /// [`DistError::Protocol`] when the agent count, an actor's layer
+    /// [`DistError::Protocol`] when the actor count, an actor's layer
     /// count or a layer's shape differs from the receiving networks.
-    pub fn install(&self, agents: &mut [AgentNets]) -> Result<(), DistError> {
-        if self.agent_count() != agents.len() {
+    pub fn install(&self, actors: &mut [Mlp]) -> Result<(), DistError> {
+        if self.agent_count() != actors.len() {
             return Err(DistError::Protocol(format!(
                 "params carry {} actors but the worker has {}",
                 self.agent_count(),
-                agents.len()
+                actors.len()
             )));
         }
         let mut shapes = self.shapes.iter();
-        for (agent, (&layers, nets)) in self.layer_counts.iter().zip(agents.iter()).enumerate() {
-            let widths = nets.actor.widths();
+        for (agent, (&layers, actor)) in self.layer_counts.iter().zip(actors.iter()).enumerate() {
+            let widths = actor.widths();
             let fits = layers as usize + 1 == widths.len()
                 && shapes
                     .by_ref()
@@ -288,13 +298,60 @@ impl ActorParams {
             }
         }
         let mut rest = self.data.as_slice();
-        for nets in agents {
-            let params = nets.actor.params_mut();
+        for actor in actors {
+            let params = actor.params_mut();
             let (head, tail) = rest.split_at(params.len());
             params.copy_from_slice(head);
             rest = tail;
         }
         Ok(())
+    }
+
+    /// Appends the actor section: the count, then one network record per
+    /// actor.
+    fn write(&self, out: &mut Vec<u8>) {
+        out.reserve(4 + 4 * self.layer_counts.len() + 8 * self.shapes.len() + 4 * self.data.len());
+        out.extend_from_slice(&(self.layer_counts.len() as u32).to_le_bytes());
+        let (mut shapes, mut rest) = (self.shapes.as_slice(), self.data.as_slice());
+        for &layers in &self.layer_counts {
+            let (own, later) = shapes.split_at(layers as usize);
+            let floats: usize =
+                own.iter().map(|&(r, c)| r as usize * c as usize + c as usize).sum();
+            let (slab, tail) = rest.split_at(floats);
+            record::write_net(out, own.iter().map(|&(r, c)| (r as usize, c as usize)), slab);
+            (shapes, rest) = (later, tail);
+        }
+    }
+
+    /// Reads an actor section. A first walk checks every count against
+    /// the bytes behind it and totals the layers and floats, so the
+    /// second allocates exactly once per vector and never more than the
+    /// section is long; each layer consumes bytes, which bounds hostile
+    /// counts.
+    fn read(r: &mut Reader<'_>) -> Result<ActorParams, String> {
+        let n_agents = r.u32()? as usize;
+        let mut walk = r.clone();
+        let (mut n_layers, mut n_floats) = (0usize, 0usize);
+        for _ in 0..n_agents {
+            n_layers += record::read_net(&mut walk, |_, _, values| {
+                n_floats += values.len() / 4;
+                Ok(())
+            })? as usize;
+        }
+        let mut actors = ActorParams {
+            layer_counts: Vec::with_capacity(n_agents),
+            shapes: Vec::with_capacity(n_layers),
+            data: Vec::with_capacity(n_floats),
+        };
+        for _ in 0..n_agents {
+            let layers = record::read_net(r, |rows, cols, values| {
+                actors.shapes.push((rows, cols));
+                record::extend_f32s(&mut actors.data, values);
+                Ok(())
+            })?;
+            actors.layer_counts.push(layers);
+        }
+        Ok(actors)
     }
 }
 
@@ -432,7 +489,7 @@ pub fn encode_frame(msg: &Msg) -> Vec<u8> {
     begin_raw_frame(&mut out);
     match msg {
         Msg::Hello(m) => put_json(&mut out, m),
-        Msg::Welcome(m) => put_json(&mut out, &**m),
+        Msg::Welcome(m) => put_welcome(&mut out, m),
         Msg::Steps(m) => put_steps(&mut out, m),
         Msg::Params(m) => put_params(&mut out, m),
         Msg::Heartbeat(m) => put_json(&mut out, m),
@@ -449,11 +506,9 @@ fn put_json<T: Serialize>(out: &mut Vec<u8>, value: &T) {
     out.extend_from_slice(text.as_bytes());
 }
 
-fn get_json<T: Deserialize>(payload: &[u8]) -> Result<T, DistError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| DistError::Protocol(format!("payload is not UTF-8: {e}")))?;
-    serde_json::from_str(text)
-        .map_err(|e| DistError::Protocol(format!("payload does not parse: {e}")))
+fn get_json<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
+    let text = std::str::from_utf8(payload).map_err(|e| format!("payload is not UTF-8: {e}"))?;
+    serde_json::from_str(text).map_err(|e| format!("payload does not parse: {e}"))
 }
 
 const STEPS_SYNC: u8 = 1;
@@ -472,14 +527,11 @@ fn put_rng(out: &mut Vec<u8>, state: &[u64; 4]) {
     }
 }
 
-/// One `resize` of the frame, then a fixed-width copy per float: no
-/// capacity check or length update per value.
-fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
-    let at = out.len();
-    out.resize(at + 4 * values.len(), 0);
-    for (dst, v) in out[at..].chunks_exact_mut(4).zip(values) {
-        dst.copy_from_slice(&v.to_le_bytes());
-    }
+fn put_welcome(out: &mut Vec<u8>, w: &Welcome) {
+    let head = serde_json::to_string(w).expect("a welcome head always serializes");
+    out.extend_from_slice(&(head.len() as u32).to_le_bytes());
+    out.extend_from_slice(head.as_bytes());
+    w.actors.write(out);
 }
 
 fn put_steps(out: &mut Vec<u8>, s: &Steps) {
@@ -504,12 +556,11 @@ fn put_steps(out: &mut Vec<u8>, s: &Steps) {
         out.extend_from_slice(&obs_dim.to_le_bytes());
         out.extend_from_slice(&act_dim.to_le_bytes());
     }
-    put_f32s(out, &s.rows.data);
+    record::put_f32s(out, &s.rows.data);
 }
 
 fn put_params(out: &mut Vec<u8>, p: &Params) {
-    let a = &p.actors;
-    out.reserve(128 + 4 * a.layer_counts.len() + 8 * a.shapes.len() + 4 * a.data.len());
+    out.reserve(128);
     out.extend_from_slice(&p.epoch.to_le_bytes());
     out.push(flag(p.master_rng.is_some(), PARAMS_RNG) | flag(p.ctx.is_some(), PARAMS_CTX));
     if let Some(state) = &p.master_rng {
@@ -518,104 +569,53 @@ fn put_params(out: &mut Vec<u8>, p: &Params) {
     if let Some(ctx) = &p.ctx {
         ctx.write_to(out);
     }
-    out.extend_from_slice(&(a.layer_counts.len() as u32).to_le_bytes());
-    let mut shapes = a.shapes.iter();
-    let mut rest = a.data.as_slice();
-    for &layers in &a.layer_counts {
-        out.extend_from_slice(&layers.to_le_bytes());
-        for &(rows, cols) in shapes.by_ref().take(layers as usize) {
-            out.extend_from_slice(&rows.to_le_bytes());
-            out.extend_from_slice(&cols.to_le_bytes());
-            let (layer, tail) = rest.split_at(rows as usize * cols as usize + cols as usize);
-            put_f32s(out, layer);
-            rest = tail;
-        }
-    }
+    p.actors.write(out);
 }
 
-/// Bounds-checked little-endian cursor over a CRC-validated payload.
-struct Reader<'a> {
-    rest: &'a [u8],
+fn get_rng(r: &mut Reader<'_>) -> Result<[u64; 4], String> {
+    Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
 }
 
-fn overflow() -> DistError {
-    DistError::Protocol("payload count overflows".into())
+fn get_ctx(r: &mut Reader<'_>) -> Result<TraceCtx, String> {
+    Ok(TraceCtx::read_from(r.take(TRACE_CTX_WIRE_LEN)?).expect("exactly one context"))
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DistError> {
-        if n > self.rest.len() {
-            return Err(DistError::Protocol(format!(
-                "payload needs {n} more bytes but {} remain",
-                self.rest.len()
-            )));
-        }
-        let (head, tail) = self.rest.split_at(n);
-        self.rest = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, DistError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DistError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, DistError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn rng(&mut self) -> Result<[u64; 4], DistError> {
-        Ok([self.u64()?, self.u64()?, self.u64()?, self.u64()?])
-    }
-
-    fn ctx(&mut self) -> Result<TraceCtx, DistError> {
-        Ok(TraceCtx::read_from(self.take(TRACE_CTX_WIRE_LEN)?).expect("exactly one context"))
-    }
-
-    /// Appends `n` floats to `out`, which the caller sized beforehand.
-    fn f32s(&mut self, n: usize, out: &mut Vec<f32>) -> Result<(), DistError> {
-        let bytes = self.take(n.checked_mul(4).ok_or_else(overflow)?)?;
-        out.extend(
-            bytes.chunks_exact(4).map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes"))),
-        );
-        Ok(())
-    }
-
-    fn finish(self) -> Result<(), DistError> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(DistError::Protocol(format!("{} trailing payload bytes", self.rest.len())))
-        }
-    }
-}
-
-fn check_flags(flags: u8, known: u8) -> Result<(), DistError> {
+fn check_flags(flags: u8, known: u8) -> Result<(), String> {
     if flags & !known == 0 {
         Ok(())
     } else {
-        Err(DistError::Protocol(format!("unknown payload flags 0x{flags:02X}")))
+        Err(format!("unknown payload flags 0x{flags:02X}"))
     }
 }
 
-fn get_steps(payload: &[u8]) -> Result<Steps, DistError> {
-    let mut r = Reader { rest: payload };
+/// The head is parsed before the actor section is read, so a JSON
+/// payload (whose first bytes make a huge head length) or a head that
+/// does not parse is refused before anything is allocated for actors.
+fn get_welcome(payload: &[u8]) -> Result<Welcome, String> {
+    let mut r = Reader::new(payload);
+    let head_len = r.u32()? as usize;
+    let head = r.take(head_len).map_err(|e| format!("welcome head of {head_len} bytes: {e}"))?;
+    let mut welcome: Welcome = get_json(head)?;
+    welcome.actors = ActorParams::read(&mut r)?;
+    r.finish()?;
+    Ok(welcome)
+}
+
+fn get_steps(payload: &[u8]) -> Result<Steps, String> {
+    let mut r = Reader::new(payload);
     let worker_id = r.u32()?;
     let epoch = r.u64()?;
     let seq = r.u64()?;
     let flags = r.u8()?;
     check_flags(flags, STEPS_SYNC | STEPS_RNG | STEPS_CTX)?;
-    let rng = if flags & STEPS_RNG != 0 { Some(r.rng()?) } else { None };
-    let ctx = if flags & STEPS_CTX != 0 { Some(r.ctx()?) } else { None };
+    let rng = if flags & STEPS_RNG != 0 { Some(get_rng(&mut r)?) } else { None };
+    let ctx = if flags & STEPS_CTX != 0 { Some(get_ctx(&mut r)?) } else { None };
     let n_steps = r.u32()? as usize;
     let n_agents = r.u32()? as usize;
-    // `take` refuses a count the payload cannot back, so the dims vector
-    // is never sized from an unchecked field.
+    // `values` refuses a count the payload cannot back, so the dims
+    // vector is never sized from an unchecked field.
     let dims: Vec<(u32, u32)> = r
-        .take(n_agents.checked_mul(8).ok_or_else(overflow)?)?
+        .values(n_agents, 8)?
         .chunks_exact(8)
         .map(|d| {
             let word = |at: usize| u32::from_le_bytes(d[at..at + 4].try_into().expect("4 bytes"));
@@ -626,13 +626,13 @@ fn get_steps(payload: &[u8]) -> Result<Steps, DistError> {
         (o as usize).checked_mul(2)?.checked_add(a as usize)?.checked_add(2)?.checked_add(sum)
     });
     let floats = width.and_then(|w| w.checked_mul(n_steps)).ok_or_else(overflow)?;
-    if floats.checked_mul(4) != Some(r.rest.len()) {
-        return Err(DistError::Protocol(format!(
+    if floats.checked_mul(4) != Some(r.rest().len()) {
+        return Err(format!(
             "{n_steps} steps of {n_agents} agents do not fill the {} row bytes",
-            r.rest.len()
-        )));
+            r.rest().len()
+        ));
     }
-    let mut data = Vec::with_capacity(floats);
+    let mut data = Vec::new();
     r.f32s(floats, &mut data)?;
     Ok(Steps {
         worker_id,
@@ -645,45 +645,15 @@ fn get_steps(payload: &[u8]) -> Result<Steps, DistError> {
     })
 }
 
-fn get_params(payload: &[u8]) -> Result<Params, DistError> {
-    let mut r = Reader { rest: payload };
+fn get_params(payload: &[u8]) -> Result<Params, String> {
+    let mut r = Reader::new(payload);
     let epoch = r.u64()?;
     let flags = r.u8()?;
     check_flags(flags, PARAMS_RNG | PARAMS_CTX)?;
-    let master_rng = if flags & PARAMS_RNG != 0 { Some(r.rng()?) } else { None };
-    let ctx = if flags & PARAMS_CTX != 0 { Some(r.ctx()?) } else { None };
-    let n_agents = r.u32()? as usize;
-    // First walk: validate every count against the bytes behind it and
-    // total the layers and floats, so the second walk allocates exactly
-    // once per vector and never more than the payload is long. Each loop
-    // iteration consumes payload, which bounds hostile counts.
-    let mut walk = Reader { rest: r.rest };
-    let (mut n_layers, mut n_floats) = (0usize, 0usize);
-    for _ in 0..n_agents {
-        for _ in 0..walk.u32()? {
-            let (rows, cols) = (walk.u32()? as usize, walk.u32()? as usize);
-            let floats =
-                rows.checked_mul(cols).and_then(|w| w.checked_add(cols)).ok_or_else(overflow)?;
-            walk.take(floats.checked_mul(4).ok_or_else(overflow)?)?;
-            n_layers += 1;
-            n_floats += floats;
-        }
-    }
-    walk.finish()?;
-    let mut actors = ActorParams {
-        layer_counts: Vec::with_capacity(n_agents),
-        shapes: Vec::with_capacity(n_layers),
-        data: Vec::with_capacity(n_floats),
-    };
-    for _ in 0..n_agents {
-        let layers = r.u32()?;
-        actors.layer_counts.push(layers);
-        for _ in 0..layers {
-            let (rows, cols) = (r.u32()?, r.u32()?);
-            actors.shapes.push((rows, cols));
-            r.f32s(rows as usize * cols as usize + cols as usize, &mut actors.data)?;
-        }
-    }
+    let master_rng = if flags & PARAMS_RNG != 0 { Some(get_rng(&mut r)?) } else { None };
+    let ctx = if flags & PARAMS_CTX != 0 { Some(get_ctx(&mut r)?) } else { None };
+    let actors = ActorParams::read(&mut r)?;
+    r.finish()?;
     Ok(Params { epoch, actors, master_rng, ctx })
 }
 
@@ -744,17 +714,18 @@ pub fn decode_header(bytes: &[u8]) -> Result<Header, DistError> {
 /// magic/version, CRC mismatch, and undecodable payloads.
 pub fn decode_frame(bytes: &[u8]) -> Result<Msg, DistError> {
     let (kind, payload) = decode_raw_frame(bytes)?;
-    Ok(match kind {
-        1 => Msg::Hello(get_json(payload)?),
-        2 => Msg::Welcome(Box::new(get_json(payload)?)),
-        3 => Msg::Steps(get_steps(payload)?),
-        4 => Msg::Params(Box::new(get_params(payload)?)),
-        5 => Msg::Heartbeat(get_json(payload)?),
-        6 => Msg::EpisodeEnd(get_json(payload)?),
-        7 => Msg::Bye(get_json(payload)?),
-        12 => Msg::HeartbeatAck(get_json(payload)?),
-        other => return Err(DistError::Protocol(format!("unknown message kind {other}"))),
-    })
+    let msg = match kind {
+        1 => get_json(payload).map(Msg::Hello),
+        2 => get_welcome(payload).map(|w| Msg::Welcome(Box::new(w))),
+        3 => get_steps(payload).map(Msg::Steps),
+        4 => get_params(payload).map(|p| Msg::Params(Box::new(p))),
+        5 => get_json(payload).map(Msg::Heartbeat),
+        6 => get_json(payload).map(Msg::EpisodeEnd),
+        7 => get_json(payload).map(Msg::Bye),
+        12 => get_json(payload).map(Msg::HeartbeatAck),
+        other => Err(format!("unknown message kind {other}")),
+    };
+    msg.map_err(DistError::Protocol)
 }
 
 /// Resets `frame` to a header-sized placeholder so a raw (binary)
@@ -837,17 +808,16 @@ mod tests {
         }
     }
 
-    /// A `Welcome` from a learner whose `TrainConfig` still had
-    /// `sampling_threads` is refused with a protocol error naming the
-    /// field.
-    #[test]
-    fn a_welcome_naming_sampling_threads_is_refused() {
+    fn welcome() -> Welcome {
         use marl_algo::{Algorithm, Task};
-        let welcome = Welcome {
+        let config = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3);
+        let mut rng = marl_nn::rng::seeded(4);
+        let actors: Vec<Mlp> = (0..3).map(|_| Mlp::two_layer_relu(16, 5, &mut rng)).collect();
+        Welcome {
             worker_id: 0,
-            epoch: 0,
-            config: TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3),
-            agents: Vec::new(),
+            epoch: 7,
+            config,
+            actors: ActorParams::capture(&actors),
             master_rng: [1, 2, 3, 4],
             env_rng: None,
             env_steps: 0,
@@ -856,13 +826,73 @@ mod tests {
             episodes: 1,
             lockstep: true,
             steps_per_frame: 1,
-        };
-        let json = serde_json::to_string(&welcome).unwrap();
-        assert!(get_json::<Welcome>(json.as_bytes()).is_ok());
+        }
+    }
+
+    /// A `Welcome` frame of `payload`.
+    fn welcome_frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        begin_raw_frame(&mut frame);
+        frame.extend_from_slice(payload);
+        finish_raw_frame(2, &mut frame);
+        frame
+    }
+
+    #[test]
+    fn welcome_roundtrips_with_its_actors_after_a_json_head() {
+        let sent = welcome();
+        let bytes = encode_frame(&Msg::Welcome(Box::new(sent.clone())));
+        let (_, payload) = decode_raw_frame(&bytes).unwrap();
+        let head_len = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
+        let head = std::str::from_utf8(&payload[4..4 + head_len]).unwrap();
+        assert!(head.starts_with("{\"worker_id\":0,\"epoch\":7,\"config\":"), "{head}");
+        assert!(!head.contains("actors"), "{head}");
+        // The actor section is exactly the one a `Params` frame carries.
+        let params = Params { epoch: 7, actors: sent.actors.clone(), master_rng: None, ctx: None };
+        let params_frame = encode_frame(&Msg::Params(Box::new(params)));
+        assert_eq!(payload[4 + head_len..], params_frame[HEADER_LEN + 9..]);
+        match decode_frame(&bytes).unwrap() {
+            Msg::Welcome(got) => {
+                assert_eq!(got.actors, sent.actors);
+                assert_eq!((got.epoch, got.master_rng, got.config), (7, [1, 2, 3, 4], sent.config));
+            }
+            other => panic!("wrong kind: {other:?}"),
+        }
+    }
+
+    /// A JSON `Welcome`, as the first version-2 learners sent it, is
+    /// refused and never misread: its first bytes `{"wo` read as a head
+    /// length of about 1.9 GB, which the payload cannot back.
+    #[test]
+    fn a_json_welcome_is_refused_as_a_protocol_error() {
+        let json = serde_json::to_string(&welcome()).unwrap();
+        assert!(json.starts_with("{\"wo"));
+        assert_eq!(u32::from_le_bytes(*b"{\"wo"), 1_870_078_587);
+        match decode_frame(&welcome_frame(json.as_bytes())) {
+            Err(DistError::Protocol(msg)) => {
+                assert!(msg.contains("welcome head of 1870078587 bytes"), "{msg}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    /// A `Welcome` from a learner whose `TrainConfig` still had
+    /// `sampling_threads` is refused with a protocol error naming the
+    /// field.
+    #[test]
+    fn a_welcome_naming_sampling_threads_is_refused() {
+        let bytes = encode_frame(&Msg::Welcome(Box::new(welcome())));
+        assert!(matches!(decode_frame(&bytes), Ok(Msg::Welcome(_))));
+        let (_, payload) = decode_raw_frame(&bytes).unwrap();
+        let head_len = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
+        let head = std::str::from_utf8(&payload[4..4 + head_len]).unwrap();
         let old =
-            json.replacen(",\"update_threads\":", ",\"sampling_threads\":1,\"update_threads\":", 1);
-        assert_ne!(old, json);
-        match get_json::<Welcome>(old.as_bytes()) {
+            head.replacen(",\"update_threads\":", ",\"sampling_threads\":1,\"update_threads\":", 1);
+        assert_ne!(old, head);
+        let mut edited = (old.len() as u32).to_le_bytes().to_vec();
+        edited.extend_from_slice(old.as_bytes());
+        edited.extend_from_slice(&payload[4 + head_len..]);
+        match decode_frame(&welcome_frame(&edited)) {
             Err(DistError::Protocol(msg)) => {
                 assert!(msg.contains("unknown field `sampling_threads`"), "{msg}");
             }

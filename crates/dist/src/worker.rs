@@ -5,12 +5,15 @@
 //! ([`marl_algo::rollout::Rollout`]) at one world: there is no second
 //! copy of action selection or env stepping to keep in step.
 //!
+//! A worker holds one network per agent, its live actor: the `Welcome`
+//! carries those and the RNG states, and each `Params` broadcast
+//! overwrites them in place.
+//!
 //! In **lockstep** mode (worker 0 over the deterministic loopback) the
-//! worker reproduces the single-process run draw-for-draw: it builds its
-//! networks from the same stream-1 RNG the trainer uses (so construction
-//! consumes identical draws), steps the same K = 1 `Rollout` the trainer
-//! steps, mirrors the learner's replay fill and `samples_since_update`
-//! counter to predict update boundaries,
+//! worker reproduces the single-process run draw-for-draw: it installs
+//! the learner's actors and master-RNG state, steps the same K = 1
+//! `Rollout` the trainer steps, mirrors the learner's replay fill and
+//! `samples_since_update` counter to predict update boundaries,
 //! and at each boundary hands its master-RNG state to the learner (whose
 //! sampling-plan draws continue the same interleaved stream) and blocks
 //! for the post-update state coming back. The resulting update digests
@@ -28,10 +31,12 @@ use crate::transport::Transport;
 use crate::wire::{
     Bye, EpisodeEnd, Heartbeat, HeartbeatAck, Hello, Msg, Params, StepRows, Steps, Welcome,
 };
-use marl_algo::agent::AgentNets;
 use marl_algo::config::TrainConfig;
 use marl_algo::rollout::Rollout;
 use marl_env::spaces::ActionSpace;
+use marl_nn::activation::Activation;
+use marl_nn::init::Init;
+use marl_nn::mlp::Mlp;
 use marl_nn::rng::derive_seed;
 use marl_obs::clock::ClockOffset;
 use marl_obs::context::{span_id, TraceCtx};
@@ -83,7 +88,8 @@ pub struct Worker {
     /// One world (the worker ignores `num_envs`), stepped by the
     /// trainer's own rollout loop.
     rollout: Rollout,
-    agents: Vec<AgentNets>,
+    /// Each agent's live actor, in agent order.
+    actors: Vec<Mlp>,
     rng: StdRng,
     epoch: u64,
     env_steps: u64,
@@ -135,16 +141,15 @@ impl Worker {
         }
     }
 
-    /// Builds a worker from an admission message: environment and
-    /// networks are constructed exactly as [`marl_algo::trainer::Trainer::new`]
-    /// constructs them (same stream-1 RNG, same draw order), then the
-    /// `Welcome`-carried parameters, RNG states, and counters overwrite
-    /// the fresh state.
+    /// Builds a worker from an admission message: the environment from
+    /// its configuration, one actor per agent of the trainer's actor
+    /// architecture holding the `Welcome`'s parameters, and the carried
+    /// RNG states and counters.
     ///
     /// # Errors
     ///
     /// [`DistError::Protocol`] when the configuration does not validate
-    /// or the carried parameters do not fit the architecture.
+    /// or the carried actors do not fit the architecture.
     pub fn from_welcome(w: Welcome) -> Result<Self, DistError> {
         let config = w.config;
         config
@@ -154,32 +159,14 @@ impl Worker {
         let env = rollout.env();
         let obs_dims: Vec<usize> = env.observation_spaces().iter().map(|s| s.dim).collect();
         let act_dims: Vec<usize> = env.action_spaces().iter().map(ActionSpace::flat_dim).collect();
-        let total_obs_dim: usize = obs_dims.iter().sum();
-        let joint_dim = total_obs_dim + act_dims.iter().sum::<usize>();
-        // Replicate the trainer's construction draws so a fresh lockstep
-        // worker arrives at the identical post-construction master state.
-        let mut rng = StdRng::seed_from_u64(derive_seed(config.seed, 1));
-        let twin = config.algorithm == marl_algo::config::Algorithm::Matd3;
-        let mut agents: Vec<AgentNets> = obs_dims
+        let mut rng = StdRng::from_state(w.master_rng);
+        // `Mlp::two_layer_relu`'s widths; zero weights draw nothing.
+        let mut actors: Vec<Mlp> = obs_dims
             .iter()
             .zip(&act_dims)
-            .map(|(&od, &ad)| {
-                AgentNets::new(od, ad, joint_dim, twin, config.learning_rate, &mut rng)
-            })
+            .map(|(&od, &ad)| Mlp::new(&[od, 64, 64, ad], Activation::Relu, Init::Zeros, &mut rng))
             .collect();
-        if w.agents.len() != agents.len() {
-            return Err(DistError::Protocol(format!(
-                "welcome carries {} agents but the config builds {}",
-                w.agents.len(),
-                agents.len()
-            )));
-        }
-        for (a, (state, nets)) in w.agents.into_iter().zip(&mut agents).enumerate() {
-            state
-                .restore(nets)
-                .map_err(|e| DistError::Protocol(format!("welcome agent {a} parameters: {e}")))?;
-        }
-        rng = StdRng::from_state(w.master_rng);
+        w.actors.install(&mut actors)?;
         match w.env_rng {
             Some(state) => rollout.set_env_rng_states(&[state]),
             // Fresh free-running workers shard the env stream; worker 0
@@ -194,7 +181,7 @@ impl Worker {
             id: w.worker_id,
             config,
             rollout,
-            agents,
+            actors,
             rng,
             epoch: w.epoch,
             env_steps: w.env_steps,
@@ -349,7 +336,7 @@ impl Worker {
         loop {
             // --- One rollout step (the trainer's loop at K = 1) ---
             let (temperature, epsilon) = self.config.exploration.at(self.env_steps);
-            self.rollout.select_actions(&self.agents, temperature, epsilon, &mut self.rng);
+            self.rollout.select_actions(&self.actors, temperature, epsilon, &mut self.rng);
             let done = self
                 .rollout
                 .step()
@@ -533,10 +520,7 @@ impl Worker {
 
     /// Applies one parameter broadcast: the live actors are overwritten
     /// in place (no allocation), then the epoch and — in lockstep — the
-    /// master-RNG handoff are taken. After the first broadcast the
-    /// actors are the only authoritative networks a worker holds: its
-    /// target actors, critics and optimizers keep their admission-time
-    /// values and are never read.
+    /// master-RNG handoff are taken.
     ///
     /// # Errors
     ///
@@ -544,7 +528,7 @@ impl Worker {
     /// worker's actors (count, depth or a layer shape); nothing is
     /// written in that case.
     fn install_params(&mut self, p: &Params) -> Result<(), DistError> {
-        p.actors.install(&mut self.agents)?;
+        p.actors.install(&mut self.actors)?;
         self.epoch = p.epoch;
         if let Some(state) = p.master_rng {
             self.rng = StdRng::from_state(state);

@@ -70,12 +70,21 @@ fn agents_for(dims: &[(usize, usize)], seed: u64) -> Vec<AgentNets> {
     dims.iter().map(|&(o, a)| AgentNets::new(o, a, joint, false, 0.01, &mut rng)).collect()
 }
 
+/// The live actors of fresh networks for `dims`: what a worker holds.
+fn actors_for(dims: &[(usize, usize)], seed: u64) -> Vec<Mlp> {
+    agents_for(dims, seed).into_iter().map(|a| a.actor).collect()
+}
+
 fn bits(net: &Mlp) -> Vec<u32> {
     net.params().iter().map(|x| x.to_bits()).collect()
 }
 
-fn actor_bits(agents: &[AgentNets]) -> Vec<Vec<u32>> {
-    agents.iter().map(|a| bits(&a.actor)).collect()
+fn actor_bits<'a>(actors: impl IntoIterator<Item = &'a Mlp>) -> Vec<Vec<u32>> {
+    actors.into_iter().map(bits).collect()
+}
+
+fn agent_actor_bits(agents: &[AgentNets]) -> Vec<Vec<u32>> {
+    actor_bits(agents.iter().map(|a| &a.actor))
 }
 
 fn roundtrip(msg: &Msg) -> Msg {
@@ -114,14 +123,10 @@ fn check_params_roundtrip(dims: &[(usize, usize)]) {
     assert_eq!((got.epoch, got.master_rng, got.ctx), (41, Some([9, 8, 7, 6]), None));
     assert_eq!(got.actors.agent_count(), dims.len());
 
-    let mut dst = agents_for(dims, 2);
-    let critics_before: Vec<Vec<u32>> = dst.iter().map(|a| bits(&a.critic)).collect();
-    assert_ne!(actor_bits(&dst), actor_bits(&src));
+    let mut dst = actors_for(dims, 2);
+    assert_ne!(actor_bits(&dst), agent_actor_bits(&src));
     got.actors.install(&mut dst).expect("same architecture installs");
-    assert_eq!(actor_bits(&dst), actor_bits(&src), "every weight and bias bit-for-bit");
-    // A broadcast is actor-only: nothing else on the worker moves.
-    let critics_after: Vec<Vec<u32>> = dst.iter().map(|a| bits(&a.critic)).collect();
-    assert_eq!(critics_after, critics_before);
+    assert_eq!(actor_bits(&dst), agent_actor_bits(&src), "every weight and bias bit-for-bit");
 }
 
 #[test]
@@ -303,9 +308,9 @@ fn every_float_of_params_and_steps_survives_bit_for_bit() {
     }))) else {
         panic!("params decoded as another kind");
     };
-    let mut dst = agents_for(&dims, 2);
+    let mut dst = actors_for(&dims, 2);
     got.actors.install(&mut dst).expect("same architecture installs");
-    assert_eq!(actor_bits(&dst), actor_bits(&src));
+    assert_eq!(actor_bits(&dst), agent_actor_bits(&src));
 
     // Steps: every observation, action, reward and done is a special value.
     let mut rows = StepRows::new(dims.iter().copied());
@@ -349,7 +354,7 @@ fn a_misfit_install_is_a_protocol_error_and_writes_nothing() {
         ("layer shape", ActorParams::capture([actor(0), actor(1), &narrow])),
     ];
     for (what, params) in misfits {
-        let mut worker_nets = agents_for(&dims, 2);
+        let mut worker_nets = actors_for(&dims, 2);
         let before = actor_bits(&worker_nets);
         let err = params.install(&mut worker_nets).expect_err(what);
         assert!(matches!(err, DistError::Protocol(_)), "{what}: {err}");
@@ -361,7 +366,7 @@ fn a_misfit_install_is_a_protocol_error_and_writes_nothing() {
 fn steady_state_install_and_step_accumulate_allocate_nothing() {
     let dims = dims_of(ScenarioId::PredatorPrey);
     let learner_nets = agents_for(&dims, 1);
-    let mut worker_nets = agents_for(&dims, 2);
+    let mut worker_nets = actors_for(&dims, 2);
     let Msg::Params(params) = roundtrip(&Msg::Params(Box::new(Params {
         epoch: 1,
         actors: ActorParams::capture(learner_nets.iter().map(|a| &a.actor)),
@@ -372,7 +377,7 @@ fn steady_state_install_and_step_accumulate_allocate_nothing() {
     };
     let mut pending = StepRows::new(dims.iter().copied());
     let (obs, action) = ([0.5f32; 16], [0.0, 1.0, 0.0, 0.0, 0.0]);
-    let one_update_cycle = |pending: &mut StepRows, nets: &mut [AgentNets]| {
+    let one_update_cycle = |pending: &mut StepRows, nets: &mut [Mlp]| {
         // What a lockstep worker does between two broadcasts: 100 joint
         // steps into the pending block, a flush, an install.
         for step in 0..100 {
@@ -396,7 +401,7 @@ fn steady_state_install_and_step_accumulate_allocate_nothing() {
         }
     });
     assert_eq!(allocations, 0, "steady-state accumulate + install must not touch the heap");
-    assert_eq!(actor_bits(&worker_nets), actor_bits(&learner_nets));
+    assert_eq!(actor_bits(&worker_nets), agent_actor_bits(&learner_nets));
     // The counter is live: the same work from cold does allocate.
     let mut cold = StepRows::new(dims.iter().copied());
     assert!(allocations_in(|| one_update_cycle(&mut cold, &mut worker_nets)) > 0);

@@ -19,6 +19,22 @@ pub enum Activation {
 }
 
 impl Activation {
+    /// Every activation, in the order of its record byte.
+    const BY_BYTE: [Activation; 3] = [Activation::Relu, Activation::Tanh, Activation::Identity];
+
+    /// The activation's byte in a network record.
+    pub(crate) fn to_byte(self) -> u8 {
+        Activation::BY_BYTE.iter().position(|&a| a == self).expect("listed") as u8
+    }
+
+    /// The activation a record byte names.
+    pub(crate) fn from_byte(byte: u8) -> Result<Activation, String> {
+        Activation::BY_BYTE
+            .get(byte as usize)
+            .copied()
+            .ok_or_else(|| format!("unknown activation byte {byte}"))
+    }
+
     /// Applies the activation in place (allocation-free; ReLU dispatches to
     /// the active kernel).
     pub fn forward_inplace(self, z: &mut Matrix) {

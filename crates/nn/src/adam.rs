@@ -2,6 +2,7 @@
 //! (`lr = 0.01` by default).
 
 use crate::mlp::Mlp;
+use crate::record::{self, Reader};
 use crate::slab::Slab;
 use serde::{Deserialize, Serialize};
 
@@ -54,7 +55,7 @@ impl Default for AdamConfig {
 /// assert_eq!(opt.steps(), 1);
 /// assert_eq!(opt.validate_for(&net), Ok(()));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Adam {
     config: AdamConfig,
     m: Slab,
@@ -83,20 +84,56 @@ impl Adam {
         self.t
     }
 
-    /// Checks what a deserialized optimizer may violate: its two moment
-    /// slabs are equally long, and either empty (sized on the first step)
-    /// or one value per parameter of `net`.
+    /// Checks what an optimizer read from a record may violate: its two
+    /// moment slabs are equally long, and either empty (sized on the first
+    /// step) or one value per parameter of `net`.
     ///
     /// # Errors
     ///
     /// A message naming both lengths and the network's.
     pub fn validate_for(&self, net: &Mlp) -> Result<(), String> {
-        let (m, v, n) = (self.m.len(), self.v.len(), net.parameter_count());
-        if m == v && (m == 0 || m == n) {
-            Ok(())
-        } else {
-            Err(format!("moments hold {m} and {v} values, the network has {n} parameters"))
-        }
+        moments_fit(self.m.len(), self.v.len(), net.parameter_count())
+    }
+
+    /// Appends this optimizer's record: the step count (`u64`), then the
+    /// moments `m` and `v`, each a `u32` count and its values. The
+    /// configuration is not written; it belongs to the training run.
+    pub fn write_record(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.t.to_le_bytes());
+        record::put_slab(out, &self.m);
+        record::put_slab(out, &self.v);
+    }
+
+    /// Reads a record [`Adam::write_record`] wrote, under `config`. The
+    /// moments are not checked against a network: see
+    /// [`Adam::validate_for`].
+    ///
+    /// # Errors
+    ///
+    /// A count the bytes do not back; nothing is allocated for it.
+    pub fn read_record(r: &mut Reader<'_>, config: AdamConfig) -> Result<Adam, String> {
+        let t = r.u64()?;
+        let m = Slab(r.slab()?);
+        let v = Slab(r.slab()?);
+        Ok(Adam { config, m, v, t })
+    }
+
+    /// Moves `r` past one optimizer record, copying nothing, and checks
+    /// its moments as [`Adam::validate_for`] checks them against a network
+    /// of `parameters` parameters.
+    ///
+    /// # Errors
+    ///
+    /// A count the bytes do not back, or moments that do not fit.
+    pub fn skip_record(r: &mut Reader<'_>, parameters: usize) -> Result<(), String> {
+        r.u64()?;
+        let mut moment = || -> Result<usize, String> {
+            let n = r.u32()? as usize;
+            r.values(n, 4)?;
+            Ok(n)
+        };
+        let (m, v) = (moment()?, moment()?);
+        moments_fit(m, v, parameters)
     }
 
     /// Applies one Adam update using the gradients accumulated on `net`.
@@ -153,6 +190,16 @@ impl Adam {
             bc1,
             bc2,
         );
+    }
+}
+
+/// Moments of `m` and `v` values fit a network of `n` parameters when
+/// they are equally long and either empty or one value per parameter.
+fn moments_fit(m: usize, v: usize, n: usize) -> Result<(), String> {
+    if m == v && (m == 0 || m == n) {
+        Ok(())
+    } else {
+        Err(format!("moments hold {m} and {v} values, the network has {n} parameters"))
     }
 }
 
@@ -260,6 +307,39 @@ mod tests {
             (h ^ u64::from(x.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
         });
         assert_eq!(digest, 2_298_657_482_755_832_343, "outputs after four clipped steps");
+    }
+
+    /// The record carries the step count and both moments bit for bit;
+    /// skipping it checks the moments against the network it names.
+    #[test]
+    fn record_round_trips_and_skipping_checks_the_moments() {
+        let mut r = rng::seeded(14);
+        let mut net = Mlp::two_layer_relu(3, 2, &mut r);
+        let mut opt = Adam::new(AdamConfig::default());
+        let (mut y, mut grad_in) = (Matrix::default(), Matrix::default());
+        net.zero_grad();
+        net.forward_into(&Matrix::full(2, 3, 0.5), &mut y);
+        net.backward_into(&Matrix::full(2, 2, 1.0), &mut grad_in, &mut Scratch::new());
+        opt.step(&mut net);
+        opt.m[0] = f32::from_bits(0x7FC0_1234);
+        let mut bytes = Vec::new();
+        opt.write_record(&mut bytes);
+        let n = net.parameter_count();
+        assert_eq!(bytes.len(), 8 + 2 * (4 + 4 * n));
+        let mut reader = Reader::new(&bytes);
+        let back = Adam::read_record(&mut reader, AdamConfig::default()).unwrap();
+        reader.finish().unwrap();
+        let bits = |s: &Slab| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!((back.t, bits(&back.m), bits(&back.v)), (1, bits(&opt.m), bits(&opt.v)));
+        assert_eq!(back.validate_for(&net), Ok(()));
+        assert_eq!(Adam::skip_record(&mut Reader::new(&bytes), n), Ok(()));
+        let want = format!("moments hold {n} and {n} values, the network has {} parameters", n + 1);
+        assert_eq!(Adam::skip_record(&mut Reader::new(&bytes), n + 1), Err(want));
+        for cut in 0..bytes.len() {
+            let short = &bytes[..cut];
+            assert!(Adam::read_record(&mut Reader::new(short), AdamConfig::default()).is_err());
+            assert!(Adam::skip_record(&mut Reader::new(short), n).is_err());
+        }
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub mod kernels;
 pub mod loss;
 pub mod matrix;
 pub mod mlp;
+pub mod record;
 pub mod rng;
 pub mod scratch;
 mod slab;

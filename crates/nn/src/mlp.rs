@@ -5,10 +5,11 @@ use crate::activation::Activation;
 use crate::init::Init;
 use crate::kernels;
 use crate::matrix::Matrix;
+use crate::record::{self, Reader};
 use crate::scratch::Scratch;
 use crate::slab::Slab;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::ops::Range;
 
 /// How much of the input gradient `dL/dx` a backward pass must produce.
@@ -85,13 +86,14 @@ impl BackwardNeed {
 /// net.forward_inference_into(&Matrix::zeros(3, 8), &mut out, &mut scratch);
 /// assert_eq!(out.shape(), (3, 5));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Mlp {
     hidden_activation: Activation,
     widths: Vec<usize>,
     params: Slab,
     /// Not state: every parameter backward follows a `zero_grad`, so a
-    /// decoded network starts without one and sizes it on first use.
+    /// network read from a record starts without one and sizes it on
+    /// first use.
     #[serde(skip)]
     grads: Slab,
     /// Layer 0's input of the last training forward; hidden layers read
@@ -365,10 +367,85 @@ impl Mlp {
         scratch.put(g2);
     }
 
-    /// Checks the invariants a deserialized network can break: at least
-    /// two widths, and exactly `Σ (wᵢ·wᵢ₊₁ + wᵢ₊₁)` parameters. Decoders
-    /// run this before a network can reach the kernels, whose loops trust
-    /// those sizes.
+    /// Appends this network's record: its hidden activation as one byte,
+    /// then its widths and slab in the [`crate::record`] layout. The
+    /// gradient slab is not state and is not written.
+    pub fn write_record(&self, out: &mut Vec<u8>) {
+        out.push(self.hidden_activation.to_byte());
+        record::write_net(out, self.widths.windows(2).map(|w| (w[0], w[1])), &self.params);
+    }
+
+    /// Reads a record [`Mlp::write_record`] wrote. The network comes back
+    /// bit for bit, without a gradient slab (sized on first use).
+    ///
+    /// # Errors
+    ///
+    /// An unknown activation byte, a layer whose inputs are not the
+    /// previous layer's outputs, a count the bytes do not back, or a
+    /// network [`Mlp::validate`] refuses. Nothing is allocated for a
+    /// record that does not fit the bytes.
+    pub fn read_record(r: &mut Reader<'_>) -> Result<Mlp, String> {
+        let mut body = r.clone();
+        let (hidden_activation, layers, parameters) = Mlp::scan_record(r)?;
+        body.u8()?;
+        let mut widths = Vec::with_capacity(layers + 1);
+        let mut params = Vec::with_capacity(parameters);
+        record::read_net(&mut body, |rows, cols, values| {
+            if widths.is_empty() {
+                widths.push(rows as usize);
+            }
+            widths.push(cols as usize);
+            record::extend_f32s(&mut params, values);
+            Ok(())
+        })?;
+        let net = Mlp {
+            hidden_activation,
+            widths,
+            params: Slab(params),
+            grads: Slab::default(),
+            input: None,
+            activations: Vec::new(),
+            weight_block_t: Matrix::default(),
+        };
+        net.validate()?;
+        Ok(net)
+    }
+
+    /// Moves `r` past one network record, checking it as
+    /// [`Mlp::read_record`] does but copying nothing. Returns the
+    /// network's parameter count.
+    ///
+    /// # Errors
+    ///
+    /// As [`Mlp::read_record`], except that a record of no layers is
+    /// accepted.
+    pub fn skip_record(r: &mut Reader<'_>) -> Result<usize, String> {
+        Mlp::scan_record(r).map(|(_, _, parameters)| parameters)
+    }
+
+    /// The activation, layer count and parameter count of the record at
+    /// `r`, which moves past it; each layer must take the previous one's
+    /// outputs.
+    fn scan_record(r: &mut Reader<'_>) -> Result<(Activation, usize, usize), String> {
+        let activation = Activation::from_byte(r.u8()?)?;
+        let (mut outputs, mut parameters) = (None, 0usize);
+        let layers = record::read_net(r, |rows, cols, values| {
+            match outputs {
+                Some(prev) if prev != rows => {
+                    return Err(format!("a layer takes {rows} inputs after a layer of {prev}"));
+                }
+                _ => outputs = Some(cols),
+            }
+            parameters += values.len() / 4;
+            Ok(())
+        })?;
+        Ok((activation, layers as usize, parameters))
+    }
+
+    /// Checks the invariants a network built from outside bytes can
+    /// break: at least two widths, and exactly `Σ (wᵢ·wᵢ₊₁ + wᵢ₊₁)`
+    /// parameters. [`Mlp::read_record`] runs this before a network can
+    /// reach the kernels, whose loops trust those sizes.
     ///
     /// # Errors
     ///
@@ -643,11 +720,11 @@ mod tests {
         assert_eq!(with(huge.clone(), 0), Err(format!("widths {huge:?} overflow")));
     }
 
-    /// The JSON form is the widths and the parameter bits: NaN payloads,
-    /// infinities, −0.0 and subnormals come back bit for bit, and the
-    /// gradient slab is not carried.
+    /// The record is the activation, the widths and the parameter bits:
+    /// NaN payloads, infinities, −0.0 and subnormals come back bit for
+    /// bit, and the gradient slab is not carried.
     #[test]
-    fn serde_round_trip_is_bitwise() {
+    fn record_round_trip_is_bitwise() {
         let mut net =
             Mlp::new(&[3, 4, 2], Activation::Tanh, Init::XavierUniform, &mut rng::seeded(11));
         let awkward =
@@ -656,13 +733,51 @@ mod tests {
             *p = f32::from_bits(bits);
         }
         net.grads[0] = 1.0;
-        let json = serde_json::to_string(&net).unwrap();
-        assert!(
-            json.starts_with(r#"{"hidden_activation":"Tanh","widths":[3,4,2],"params":"7fc01234"#)
-        );
-        let back: Mlp = serde_json::from_str(&json).unwrap();
+        let mut bytes = Vec::new();
+        net.write_record(&mut bytes);
+        // Activation, 2 layers, (3, 4), 16 floats, (4, 2), 10 floats.
+        assert_eq!(bytes.len(), 1 + 4 + 2 * 8 + 4 * net.parameter_count());
+        assert_eq!(bytes[..13], [1, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0]);
+        let mut r = Reader::new(&bytes);
+        let back = Mlp::read_record(&mut r).unwrap();
+        r.finish().unwrap();
         let bits = |net: &Mlp| net.params().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(&net));
         assert!(back.same_shape(&net) && back.grads().is_empty());
+        assert_eq!(Mlp::skip_record(&mut Reader::new(&bytes)), Ok(net.parameter_count()));
+    }
+
+    /// Every way a record can fail to be a network is an error, and each
+    /// shorter prefix of a good record is refused.
+    #[test]
+    fn malformed_records_are_refused() {
+        let net = Mlp::new(&[3, 4, 2], Activation::Relu, Init::XavierUniform, &mut rng::seeded(1));
+        let mut good = Vec::new();
+        net.write_record(&mut good);
+        for cut in 0..good.len() {
+            assert!(Mlp::read_record(&mut Reader::new(&good[..cut])).is_err(), "cut {cut}");
+        }
+        let with = |at: usize, byte: u8| {
+            let mut bad = good.clone();
+            bad[at] = byte;
+            Mlp::read_record(&mut Reader::new(&bad)).map(|_| ())
+        };
+        assert_eq!(with(0, 3), Err("unknown activation byte 3".into()));
+        // A layer of 5 inputs after a layer of 4 outputs, every count backed.
+        let mut unchained = vec![0u8];
+        for word in [2u32, 3, 4].into_iter().chain([0; 16]).chain([5, 2]).chain([0; 12]) {
+            unchained.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(
+            Mlp::read_record(&mut Reader::new(&unchained)).map(|_| ()),
+            Err("a layer takes 5 inputs after a layer of 4".into())
+        );
+        // A record of no layers is no network.
+        let empty = [0u8, 0, 0, 0, 0];
+        let refused = Mlp::read_record(&mut Reader::new(&empty)).map(|_| ());
+        assert_eq!(refused, Err("0 widths, a network needs at least 2".into()));
+        // A hostile count is refused before anything is allocated for it.
+        let huge = [0u8, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF];
+        assert!(Mlp::read_record(&mut Reader::new(&huge)).is_err());
     }
 }

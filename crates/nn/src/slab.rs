@@ -1,11 +1,11 @@
-//! The serialized form of a flat `f32` tensor: one JSON string holding
-//! eight lowercase hex digits per value, the value's IEEE-754 bits. Every
-//! value round-trips bit for bit — NaN payloads, infinities, −0.0 and
-//! subnormals, which a decimal text encoding loses or normalizes.
+//! The JSON text of a flat `f32` tensor: one string holding eight
+//! lowercase hex digits per value, the value's IEEE-754 bits, so the text
+//! of two tensors is equal exactly when their bits are. It is written
+//! only; networks and optimizers travel and persist as binary records
+//! ([`crate::record`]).
 
-use serde::de::{Error, Parser};
 use serde::ser::Writer;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::ops::{Deref, DerefMut};
 
 /// A `Vec<f32>` that serializes as its bits (see the module docs).
@@ -46,37 +46,6 @@ impl Serialize for Slab {
     }
 }
 
-impl Deserialize for Slab {
-    fn deserialize(parser: &mut Parser<'_>) -> Result<Self, Error> {
-        let text = parser.parse_string()?;
-        if text.len() % 8 != 0 {
-            return Err(Error::msg(format!(
-                "a tensor of {} hex digits is not a whole number of 8-digit values",
-                text.len()
-            )));
-        }
-        text.as_bytes()
-            .chunks_exact(8)
-            .map(|digits| {
-                let bits = digits.iter().try_fold(0u32, |acc, &b| Some(acc << 4 | nibble(b)?));
-                bits.map(f32::from_bits)
-                    .ok_or_else(|| Error::msg("a tensor value is not 8 lowercase hex digits"))
-            })
-            .collect::<Result<Vec<f32>, Error>>()
-            .map(Slab)
-    }
-}
-
-/// A lowercase hex digit's value; lowercase only, so each value has
-/// exactly one encoding.
-fn nibble(b: u8) -> Option<u32> {
-    match b {
-        b'0'..=b'9' => Some(u32::from(b - b'0')),
-        b'a'..=b'f' => Some(u32::from(b - b'a') + 10),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,21 +56,9 @@ mod tests {
         out.into_string()
     }
 
-    fn parse(text: &str) -> Result<Slab, Error> {
-        Slab::deserialize(&mut Parser::new(text))
-    }
-
     #[test]
     fn values_are_their_bits_in_hex() {
         assert_eq!(json(&[1.0, -0.0]), "\"3f80000080000000\"");
         assert_eq!(json(&[]), "\"\"");
-        assert_eq!(parse("\"3f800000\"").unwrap().0, [1.0]);
-    }
-
-    #[test]
-    fn malformed_text_is_an_error() {
-        for bad in ["\"3f80000\"", "\"3F800000\"", "\"3f80000g\"", "\"+f800000\"", "[1.0]"] {
-            assert!(parse(bad).is_err(), "{bad}");
-        }
     }
 }

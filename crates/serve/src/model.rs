@@ -8,8 +8,9 @@
 //! finish on the generation they started with and no request is ever
 //! dropped by a reload.
 
-use marl_algo::checkpoint::{load_checkpoint_with_fallback, Checkpoint};
+use marl_algo::checkpoint::{load_policy_with_fallback, Checkpoint};
 use marl_algo::error::TrainError;
+use marl_algo::TrainConfig;
 use marl_nn::mlp::Mlp;
 use std::path::Path;
 
@@ -33,30 +34,36 @@ impl PolicyModel {
     /// Lifts the actors out of a decoded checkpoint, and each agent's
     /// action factors out of the scenario its config names.
     pub fn from_checkpoint(ckpt: &Checkpoint, epoch: u64) -> Self {
-        let c = &ckpt.config;
+        let actors = ckpt.agents.iter().map(|a| a.actor.clone()).collect();
+        PolicyModel::new(&ckpt.config, actors, ckpt.update_iterations, epoch)
+    }
+
+    fn new(c: &TrainConfig, actors: Vec<Mlp>, update_iterations: u64, epoch: u64) -> Self {
         let env = c.task.make_vec_env(c.agents, c.max_episode_len, c.seed, 1);
         PolicyModel {
-            actors: ckpt.agents.iter().map(|a| a.actor.clone()).collect(),
+            actors,
             segments: env.action_spaces().iter().map(|s| s.segments().to_vec()).collect(),
             epoch,
-            update_iterations: ckpt.update_iterations,
+            update_iterations,
         }
     }
 
-    /// Loads a checkpoint file (falling back to its rotated `.prev`
-    /// sibling on corruption — the same crash-safety contract training
-    /// restores under). Returns the model and whether the fallback was
-    /// used.
+    /// Loads the policy of a checkpoint file — its head and each agent's
+    /// actor record, not the replay section — falling back to its rotated
+    /// `.prev` sibling on corruption (the same crash-safety contract
+    /// training restores under). Returns the model and whether the
+    /// fallback was used.
     ///
     /// # Errors
     ///
     /// [`TrainError::Checkpoint`] when neither file is loadable, or when
     /// the loaded actors do not fit the scenario the config names.
     pub fn load(path: &Path, epoch: u64) -> Result<(Self, bool), TrainError> {
-        let (ckpt, _replay, fell_back) = load_checkpoint_with_fallback(path)?;
+        let (policy, fell_back) = load_policy_with_fallback(path)?;
         let refuse = |what: String| TrainError::Checkpoint(format!("{}: {what}", path.display()));
-        ckpt.config.validate().map_err(|e| refuse(format!("config: {e}")))?;
-        let model = PolicyModel::from_checkpoint(&ckpt, epoch);
+        policy.config.validate().map_err(|e| refuse(format!("config: {e}")))?;
+        let model =
+            PolicyModel::new(&policy.config, policy.actors, policy.update_iterations, epoch);
         if model.segments.len() != model.num_agents() {
             return Err(refuse(format!(
                 "{} actors for a scenario with {} agents",

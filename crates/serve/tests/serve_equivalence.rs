@@ -14,7 +14,7 @@
 //!   `action` is the mixed-radix joint index `Trainer::evaluate` takes.
 
 use marl_algo::checkpoint::{write_checkpoint_file, Checkpoint};
-use marl_algo::{AgentNets, Algorithm, Rollout, Task, TrainConfig, Trainer};
+use marl_algo::{Algorithm, Rollout, Task, TrainConfig, Trainer};
 use marl_dist::wire::{KIND_INFER_ERR, KIND_INFER_RESP};
 use marl_dist::StreamTransport;
 use marl_obs::metrics::MetricsRegistry;
@@ -390,23 +390,11 @@ fn served_action_is_the_rollouts_greedy_joint_action() {
         let config = TrainConfig::paper_defaults(Algorithm::Maddpg, task, agents).with_seed(11);
         let ckpt = Trainer::new(config).expect("trainer").checkpoint();
         let model = PolicyModel::from_checkpoint(&ckpt, 0);
-        let mut rng = marl_nn::rng::seeded(0);
-        let nets: Vec<AgentNets> = ckpt
-            .agents
-            .iter()
-            .map(|state| {
-                let (obs, act) = (state.actor.input_dim(), state.actor.output_dim());
-                let joint = state.critic.input_dim();
-                let mut nets = AgentNets::new(obs, act, joint, false, 0.01, &mut rng);
-                state.clone().restore(&mut nets).expect("the checkpoint's own architecture");
-                nets
-            })
-            .collect();
         let worlds = 16;
         let mut rollout = Rollout::new(&config, worlds);
         rollout.reset();
-        rollout.select_greedy(&nets);
-        let n = nets.len();
+        rollout.select_greedy(ckpt.agents.iter().map(|a| &a.actor));
+        let n = ckpt.agents.len();
         let mut with_comm = 0;
         for w in 0..worlds {
             for (a, space) in rollout.env().action_spaces().iter().enumerate() {

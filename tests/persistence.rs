@@ -1,9 +1,15 @@
 //! Integration tests of the persistence features: trainer checkpoints and
 //! binary replay snapshots surviving a full save/restore cycle.
 
-use marl_repro::algo::{Algorithm, LayoutMode, Task, TrainConfig, Trainer};
+use marl_repro::algo::checkpoint::{
+    decode_checkpoint_file, encode_checkpoint_file, load_checkpoint_with_fallback,
+    write_checkpoint_file,
+};
+use marl_repro::algo::{Algorithm, Checkpoint, LayoutMode, Task, TrainConfig, Trainer};
+use marl_repro::core::crc32::crc32;
 use marl_repro::core::snapshot::{decode_replay, encode_replay};
-use marl_repro::core::SamplerConfig;
+use marl_repro::core::{SamplerConfig, SamplerState};
+use marl_repro::perf::PhaseProfile;
 
 fn config() -> TrainConfig {
     let mut c = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3)
@@ -18,29 +24,86 @@ fn config() -> TrainConfig {
 }
 
 #[test]
-fn checkpoint_json_roundtrip_through_disk_format() {
+fn checkpoint_roundtrip_through_disk_format() {
     let mut a = Trainer::new(config()).unwrap();
     a.train().unwrap();
-    let ckpt = a.checkpoint();
-    let json = serde_json::to_string(&ckpt).expect("serialize");
-    let back: marl_repro::algo::Checkpoint = serde_json::from_str(&json).expect("deserialize");
+    let (ckpt, replay) = a.checkpoint_full();
+    let bytes = encode_checkpoint_file(&ckpt, &replay).expect("encode");
+    let (back, back_replay) = decode_checkpoint_file(&bytes).expect("decode");
+    assert_eq!(back_replay, replay);
 
     let mut b = Trainer::new(config()).unwrap();
     b.restore(back).unwrap();
     assert_eq!(b.update_iterations(), a.update_iterations());
-    // All restored networks are bit-identical to the originals.
-    for (x, y) in a.checkpoint().agents.iter().zip(b.checkpoint().agents.iter()) {
-        assert_eq!(
-            serde_json::to_string(&x.actor).unwrap(),
-            serde_json::to_string(&y.actor).unwrap(),
-            "restored actor must be bit-identical"
-        );
-        assert_eq!(
-            serde_json::to_string(&x.critic).unwrap(),
-            serde_json::to_string(&y.critic).unwrap(),
-            "restored critic must be bit-identical"
-        );
+    // All restored networks and optimizers are bit-identical to the
+    // originals (their JSON is every tensor's bits).
+    let states = |t: &Trainer| serde_json::to_string(&t.agent_states()).unwrap();
+    assert_eq!(states(&b), states(&a), "restored agents must be bit-identical");
+}
+
+/// A prioritized trainer after one update, its phase timings cleared so
+/// the checkpoint is a function of the seed alone.
+fn prioritized_checkpoint() -> (Checkpoint, Vec<u8>) {
+    let cfg = config().with_sampler(SamplerConfig::Per).with_seed(4242);
+    let mut t = Trainer::new(cfg).unwrap();
+    t.prefill(128).unwrap();
+    t.update_all_trainers().unwrap();
+    let (mut ckpt, replay) = t.checkpoint_full();
+    ckpt.run.as_mut().unwrap().profile = PhaseProfile::default();
+    (ckpt, replay)
+}
+
+/// The priority vector of a prioritized sampler state.
+fn priorities(ckpt: &mut Checkpoint) -> &mut Vec<f64> {
+    match &mut ckpt.run.as_mut().unwrap().sampler {
+        SamplerState::Priority { priorities, .. } => priorities,
+        other => panic!("not a prioritized sampler state: {other:?}"),
     }
+}
+
+/// Every float a resume restores travels as its bits: a reward curve of
+/// +∞, −∞, −0.0 and a NaN with a payload, and the PER priorities, come
+/// back bit for bit through a file, and a trainer restored from it
+/// checkpoints them unchanged.
+#[test]
+fn run_tensors_roundtrip_bit_for_bit_through_a_file() {
+    let (mut ckpt, replay) = prioritized_checkpoint();
+    let curve_bits = [0x7F80_0000u32, 0xFF80_0000, 0x8000_0000, 0x7FC0_1234, 0x3F80_0001];
+    ckpt.run.as_mut().unwrap().curve = curve_bits.iter().map(|&b| f32::from_bits(b)).collect();
+    let prio = priorities(&mut ckpt);
+    assert!(prio.iter().filter(|p| **p > 0.0).count() >= 128, "the pushed rows hold priorities");
+    prio[3] = f64::from_bits(1); // the smallest subnormal
+    let want_prio: Vec<u64> = prio.iter().map(|p| p.to_bits()).collect();
+
+    let dir = std::env::temp_dir().join(format!("marl_persistence_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bits.bin");
+    write_checkpoint_file(&path, &ckpt, &replay).unwrap();
+    let (mut back, back_replay, from_prev) = load_checkpoint_with_fallback(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(!from_prev);
+    assert_eq!(back_replay, replay);
+    let bits = |c: &Checkpoint| -> Vec<u32> {
+        c.run.as_ref().unwrap().curve.iter().map(|x| x.to_bits()).collect()
+    };
+    assert_eq!(bits(&back), curve_bits);
+    assert_eq!(priorities(&mut back).iter().map(|p| p.to_bits()).collect::<Vec<_>>(), want_prio);
+
+    let mut resumed = Trainer::new(back.config).unwrap();
+    resumed.restore_full(back, &replay).unwrap();
+    let (mut again, _) = resumed.checkpoint_full();
+    assert_eq!(bits(&again), curve_bits);
+    assert_eq!(priorities(&mut again).iter().map(|p| p.to_bits()).collect::<Vec<_>>(), want_prio);
+}
+
+/// The CRC-32 and length of a whole version-4 file of a seeded
+/// predator-prey checkpoint: the bytes are the file format, so a change
+/// to how checkpoints are stored must leave them exactly here.
+#[test]
+fn checkpoint_file_bytes_are_pinned() {
+    let (ckpt, replay) = prioritized_checkpoint();
+    let bytes = encode_checkpoint_file(&ckpt, &replay).unwrap();
+    assert_eq!((crc32(&bytes), bytes.len()), (0x0031_8DE7, 736_743), "version-4 file");
 }
 
 /// Trained under either address map, the replay snapshots to the same

@@ -1,17 +1,18 @@
 //! Structured snapshot fuzzing (conformance pillar 3).
 //!
 //! Draws ≥ 256 structured mutations per format — MARC checkpoint
-//! frames, V2 replay snapshots, the two binary MARD wire frames
-//! (`Steps`, `Params`) and a stream of serve request frames — and
-//! asserts the decoding oracle: every mutated
+//! frames, V2 replay snapshots, the three binary MARD wire frames
+//! (`Welcome`, `Steps`, `Params`) and a stream of serve request frames —
+//! and asserts the decoding oracle: every mutated
 //! frame yields a *typed* error or a structurally valid value; never a
 //! panic, hang, or mis-load. The mutators are format aware
 //! (`marl_conform::fuzz`), so corruption lands both in front of and
 //! *behind* the checksums: truncations, splices, duplicated sections,
 //! hostile length fields with a re-patched CRC, CRC-preserving payload
-//! swaps, and `Steps`↔`Params` kind confusion. The wire decoders are
+//! swaps, and kind confusion. The wire and checkpoint decoders are
 //! additionally held to an allocation bound: whatever a hostile count
-//! says, decoding never asks the heap for more than the frame is long.
+//! says, decoding never asks the heap for much more than the frame is
+//! long.
 //! The serve stream goes through the socket path's own parser — the
 //! fixed-buffer frame splitter, fed in drawn read sizes so frames split
 //! across reads, then `decode_request_into` — which may allocate nothing
@@ -31,7 +32,7 @@ use marl_repro::core::multi::{LayoutMode, MultiAgentReplay};
 use marl_repro::core::snapshot::{decode_replay, decode_replay_into, encode_replay, SnapshotError};
 use marl_repro::core::transition::{Transition, TransitionLayout};
 use marl_repro::core::SamplerConfig;
-use marl_repro::dist::wire::{self, ActorParams, Msg, Params, Steps};
+use marl_repro::dist::wire::{self, ActorParams, Msg, Params, Steps, Welcome};
 use marl_repro::dist::{DistError, FrameReader};
 use marl_repro::obs::context::TraceCtx;
 use marl_repro::serve::proto;
@@ -157,6 +158,28 @@ fn mard_params_bytes() -> &'static [u8] {
             actors: ActorParams::capture(t.actors()),
             master_rng: Some([1, 2, 3, 4]),
             ctx: Some(TraceCtx { trace_id: 7, span_id: 8, send_ns: 9 }),
+        })))
+    })
+}
+
+/// The `Welcome` a lockstep learner sends for the fixture's trainer.
+fn mard_welcome_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let (ckpt, _) = trained_checkpoint();
+        wire::encode_frame(&Msg::Welcome(Box::new(Welcome {
+            worker_id: 0,
+            epoch: 3,
+            config: ckpt.config,
+            actors: ActorParams::capture(ckpt.agents.iter().map(|a| &a.actor)),
+            master_rng: [1, 2, 3, 4],
+            env_rng: Some([5, 6, 7, 8]),
+            env_steps: 120,
+            samples_since_update: 20,
+            replay_len: 120,
+            episodes: 2,
+            lockstep: true,
+            steps_per_frame: 1,
         })))
     })
 }
@@ -301,6 +324,11 @@ fn build_mutation(kind: usize, a: usize, b: usize, value: u64, payload: Vec<u8>)
 /// the boxed message and the text of a typed error.
 const DECODE_HEAP_SLACK: usize = 512;
 
+/// The same allowance for a checkpoint decode, whose head parses into
+/// the configuration and run state and whose agents are structs of
+/// networks.
+const CHECKPOINT_HEAP_SLACK: usize = 16 << 10;
+
 /// The wire decoding oracle: a typed error, or a message that encodes
 /// back to exactly the bytes it was decoded from (so nothing was
 /// silently reinterpreted) — and either way within the heap bound.
@@ -361,7 +389,7 @@ proptest! {
 
     /// MARC checkpoint frames: every structured mutation decodes to a
     /// typed `TrainError::Checkpoint` or a valid checkpoint whose replay
-    /// section itself decodes totally.
+    /// section itself decodes totally, within the heap bound.
     #[test]
     fn checkpoint_mutations_never_panic_or_misload(
         kind in 0usize..5,
@@ -372,7 +400,13 @@ proptest! {
     ) {
         let m = build_mutation(kind, a, b, value, payload);
         let mutated = apply_mutation(checkpoint_bytes(), &m, Format::Checkpoint);
-        match decode_checkpoint_file(&mutated) {
+        let (decoded, heap) = heap_requested(|| decode_checkpoint_file(&mutated));
+        prop_assert!(
+            heap <= mutated.len() + CHECKPOINT_HEAP_SLACK,
+            "decoding a {}-byte file requested {heap} heap bytes",
+            mutated.len()
+        );
+        match decoded {
             Err(TrainError::Checkpoint(msg)) => prop_assert!(!msg.is_empty()),
             Err(other) => prop_assert!(false, "untyped error variant: {other:?}"),
             Ok((ckpt, replay)) => {
@@ -432,6 +466,26 @@ proptest! {
     ) {
         let m = build_mutation(kind, a, b, value, payload);
         let mutated = apply_mutation(mard_params_bytes(), &m, Format::MardParams);
+        let verdict = mard_oracle(&mutated);
+        prop_assert!(verdict.is_ok(), "{m:?}: {}", verdict.unwrap_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Binary `Welcome` frames (a JSON head, then the actors), same
+    /// oracle.
+    #[test]
+    fn mard_welcome_mutations_never_panic_or_overallocate(
+        kind in 0usize..6,
+        a in any::<usize>(),
+        b in any::<usize>(),
+        value in any::<u64>(),
+        payload in prop::collection::vec(any::<u8>(), 1usize..24),
+    ) {
+        let m = build_mutation(kind, a, b, value, payload);
+        let mutated = apply_mutation(mard_welcome_bytes(), &m, Format::Welcome);
         let verdict = mard_oracle(&mutated);
         prop_assert!(verdict.is_ok(), "{m:?}: {}", verdict.unwrap_err());
     }
@@ -503,16 +557,20 @@ fn serve_stream_length_fields_are_all_reachable_behind_the_crc() {
 
 /// The MARD walkers find every count of the fixtures, each hostile count
 /// gets past the re-sealed CRC to the decoder's own bounds checks, and a
-/// relabelled frame is refused by the other kind's decoder.
+/// relabelled frame is refused by another kind's decoder.
 #[test]
 fn mard_count_fields_are_all_reachable_behind_the_crc() {
     // Header len, n_steps, n_agents, 3 × (obs_dim, act_dim).
     assert_eq!(length_field_offsets(mard_steps_bytes(), Format::MardSteps).len(), 9);
     // Header len, n_agents, 3 × (n_layers, 3 × (rows, cols)).
     assert_eq!(length_field_offsets(mard_params_bytes(), Format::MardParams).len(), 23);
-    for (bytes, fmt, fields) in
-        [(mard_steps_bytes(), Format::MardSteps, 9), (mard_params_bytes(), Format::MardParams, 23)]
-    {
+    // Header len, head len, then the same actor section.
+    assert_eq!(length_field_offsets(mard_welcome_bytes(), Format::Welcome).len(), 24);
+    for (bytes, fmt, fields) in [
+        (mard_steps_bytes(), Format::MardSteps, 9),
+        (mard_params_bytes(), Format::MardParams, 23),
+        (mard_welcome_bytes(), Format::Welcome, 24),
+    ] {
         assert!(mard_oracle(bytes).is_ok(), "fixture must decode");
         // The meter is live: a clean decode owns roughly its payload.
         let (_, heap) = heap_requested(|| wire::decode_frame(bytes));
@@ -539,9 +597,14 @@ fn mard_count_fields_are_all_reachable_behind_the_crc() {
 /// every failure above is attributable to the mutation.
 #[test]
 fn baselines_are_valid() {
-    let (ckpt, replay) = decode_checkpoint_file(checkpoint_bytes()).unwrap();
+    let bytes = checkpoint_bytes();
+    let (decoded, heap) = heap_requested(|| decode_checkpoint_file(bytes));
+    let (ckpt, replay) = decoded.unwrap();
     assert_eq!(ckpt.agents.len(), 3);
     assert!(!replay.is_empty());
+    // The meter is live: a clean decode owns roughly its file.
+    assert!(heap > bytes.len() / 2 && heap <= bytes.len() + CHECKPOINT_HEAP_SLACK, "{heap}");
+    assert!(matches!(wire::decode_frame(mard_welcome_bytes()), Ok(Msg::Welcome(_))));
     assert_eq!(decode_replay(snapshot_v2_bytes()).unwrap().len(), 16);
 }
 

@@ -1,12 +1,16 @@
 //! Rollout integration tests: K = 1 `prefill`/`evaluate` stay on the
 //! constants the scalar loop recorded before the loops were merged, K > 1
 //! runs are seeded-deterministic and resume through the on-disk
-//! checkpoint format, checkpoints written before the vectorized engine
-//! existed still restore and resume bitwise, and a checkpoint resumed at
+//! checkpoint format, a checkpoint head without the vectorized engine's
+//! keys still restores and resumes bitwise, and a checkpoint resumed at
 //! a different world count restores world 0 or is refused.
 
-use marl_repro::algo::checkpoint::{load_checkpoint_with_fallback, write_checkpoint_file};
+use marl_repro::algo::checkpoint::{
+    decode_checkpoint_file, encode_checkpoint_file, load_checkpoint_with_fallback,
+    write_checkpoint_file,
+};
 use marl_repro::algo::{Algorithm, Task, TrainConfig, TrainError, Trainer};
+use marl_repro::core::crc32::crc32;
 use marl_repro::core::SamplerConfig;
 use std::path::PathBuf;
 
@@ -97,9 +101,9 @@ fn k8_resume_from_file_is_bitwise_identical() {
     assert_eq!(weights_json(&resumed), weights_json(&straight), "weights");
 }
 
-/// Forward compatibility: a checkpoint written before the vectorized
-/// engine existed (no `rollout_rngs`/`vec_env_rngs` keys in the JSON)
-/// still deserializes, restores, and resumes bitwise at K = 1.
+/// A checkpoint head without the vectorized-engine keys
+/// (`rollout_rngs`/`vec_env_rngs`, which a K = 1 run leaves empty) still
+/// decodes, restores, and resumes bitwise at K = 1.
 #[test]
 fn pre_vectorization_checkpoints_still_restore_and_resume() {
     let cfg = base_config(Task::PredatorPrey, 55);
@@ -110,16 +114,23 @@ fn pre_vectorization_checkpoints_still_restore_and_resume() {
     first.train().unwrap();
     let (ckpt, replay) = first.checkpoint_full();
 
-    // Re-encode the checkpoint JSON with the vectorized-engine fields
-    // stripped, exactly as an older binary would have written it. Both
-    // are empty at K = 1, so the compact encoding is fixed.
-    let json = serde_json::to_string(&ckpt).unwrap();
-    let stripped = json.replace(",\"rollout_rngs\":[],\"vec_env_rngs\":[]", "");
-    assert_ne!(stripped, json, "the vectorized fields must have been present");
-    let aged: marl_repro::algo::checkpoint::Checkpoint = serde_json::from_str(&stripped).unwrap();
+    // Re-frame the file with the vectorized-engine keys stripped from its
+    // head. Both are empty at K = 1, so the compact encoding is fixed.
+    let bytes = encode_checkpoint_file(&ckpt, &replay).unwrap();
+    let head_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+    let head = std::str::from_utf8(&bytes[20..20 + head_len]).unwrap();
+    let stripped = head.replace(",\"rollout_rngs\":[],\"vec_env_rngs\":[]", "");
+    assert_ne!(stripped, head, "the vectorized fields must have been present");
+    let mut payload = (stripped.len() as u64).to_le_bytes().to_vec();
+    payload.extend_from_slice(stripped.as_bytes());
+    payload.extend_from_slice(&bytes[20 + head_len..]);
+    let mut aged = bytes[..8].to_vec();
+    aged.extend_from_slice(&crc32(&payload).to_le_bytes());
+    aged.extend(payload);
+    let (aged, aged_replay) = decode_checkpoint_file(&aged).unwrap();
 
     let mut resumed = Trainer::new(cfg).unwrap();
-    resumed.restore_full(aged, &replay).unwrap();
+    resumed.restore_full(aged, &aged_replay).unwrap();
     let rest = resumed.train().unwrap();
     assert_eq!(reward_bits(rest.curve.values()), reward_bits(full.curve.values()));
     assert_eq!(weights_json(&resumed), weights_json(&straight));
