@@ -166,6 +166,10 @@ impl Transport for LoopbackTransport {
 // Byte-stream transports (Unix socket / TCP)
 // ---------------------------------------------------------------------
 
+/// The most a stream receive buffer grows by before more of the frame
+/// body has arrived (see [`StreamTransport::read_body`]).
+const BODY_STEP: usize = 64 << 10;
+
 /// The underlying OS byte stream of a [`StreamTransport`].
 #[derive(Debug)]
 enum StreamKind {
@@ -320,6 +324,42 @@ impl StreamTransport {
         }
     }
 
+    /// Appends a `len`-byte frame body to `buf`, growing it by at most
+    /// [`BODY_STEP`] bytes at a time and only once the bytes before have
+    /// arrived: a header that declares a large payload costs at most one
+    /// step until its body shows up, and a body that fits one step is
+    /// read with no more `read` calls than a buffer sized up front.
+    ///
+    /// The header has arrived, so the peer has committed a frame: each
+    /// read waits up to the frame deadline, and a stall or an end of
+    /// stream anywhere in the body is [`DistError::Truncated`] —
+    /// connection-fatal, because a byte stream cannot resync mid-frame.
+    fn read_body(&mut self, buf: &mut Vec<u8>, len: usize) -> Result<(), DistError> {
+        if len == 0 {
+            return Ok(());
+        }
+        self.set_read_timeout(self.frame_deadline)?;
+        let (start, mut got) = (buf.len(), 0usize);
+        while got < len {
+            if start + got == buf.len() {
+                buf.resize(start + got + (len - got).min(BODY_STEP), 0);
+            }
+            match self.read(&mut buf[start + got..]) {
+                Ok(0) => return Err(DistError::Truncated { needed: len, got }),
+                Ok(n) => got += n,
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    return Err(DistError::Truncated { needed: len, got });
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
+    }
+
     fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
         match &mut self.stream {
             StreamKind::Unix(s) => {
@@ -369,13 +409,8 @@ impl StreamTransport {
         self.read_full(&mut header, first_timeout)?;
         let parsed = wire::decode_header(&header)?;
         buf.clear();
-        buf.resize(wire::HEADER_LEN + parsed.len, 0);
-        buf[..wire::HEADER_LEN].copy_from_slice(&header);
-        let deadline = self.frame_deadline;
-        let body = &mut buf[wire::HEADER_LEN..];
-        if !body.is_empty() {
-            self.read_full(body, deadline)?;
-        }
+        buf.extend_from_slice(&header);
+        self.read_body(buf, parsed.len)?;
         recv_failpoint(buf);
         let (kind, _) = wire::decode_raw_frame(buf)?;
         Ok(kind)
@@ -586,18 +621,8 @@ impl Transport for StreamTransport {
         let mut header = [0u8; wire::HEADER_LEN];
         self.read_full(&mut header, timeout)?;
         let parsed = wire::decode_header(&header)?;
-        let mut frame = Vec::with_capacity(wire::HEADER_LEN + parsed.len);
-        frame.extend_from_slice(&header);
-        frame.resize(wire::HEADER_LEN + parsed.len, 0);
-        // The header arrived; the peer has committed a frame, so the body
-        // is awaited patiently. A peer that dies mid-frame surfaces as
-        // Truncated, which callers treat as connection-fatal (streams
-        // cannot resync mid-frame).
-        let deadline = self.frame_deadline;
-        let body = &mut frame[wire::HEADER_LEN..];
-        if !body.is_empty() {
-            self.read_full(body, deadline)?;
-        }
+        let mut frame = header.to_vec();
+        self.read_body(&mut frame, parsed.len)?;
         recv_failpoint(&mut frame);
         wire::decode_frame(&frame)
     }
@@ -706,6 +731,49 @@ mod tests {
             "deadline not honored: {:?}",
             start.elapsed()
         );
+    }
+
+    /// A 16-byte header that declares the largest payload, then the end
+    /// of the stream, is a truncated frame — and costs the receiver one
+    /// growth step of buffer, not the declared 256 MiB.
+    #[test]
+    fn a_header_declaring_max_payload_then_eof_is_truncated_and_costs_one_step() {
+        let mut header = Vec::new();
+        wire::begin_raw_frame(&mut header);
+        wire::finish_raw_frame(wire::KIND_INFER_RESP, &mut header);
+        header[8..12].copy_from_slice(&(wire::MAX_PAYLOAD as u32).to_le_bytes());
+        assert_eq!(wire::decode_header(&header).unwrap().len, wire::MAX_PAYLOAD);
+        let hostile = || {
+            let (sa, sb) = UnixStream::pair().expect("socketpair");
+            StreamTransport::unix(sa).send_raw(&header).unwrap();
+            StreamTransport::unix(sb)
+        };
+        let mut buf = Vec::new();
+        let err = hostile().recv_raw_into(&mut buf, Duration::from_millis(500)).unwrap_err();
+        assert!(matches!(err, DistError::Truncated { needed: wire::MAX_PAYLOAD, got: 0 }), "{err}");
+        assert!(buf.capacity() <= wire::HEADER_LEN + BODY_STEP, "{}", buf.capacity());
+        let err = hostile().recv_timeout(Duration::from_millis(500)).unwrap_err();
+        assert!(matches!(err, DistError::Truncated { needed: wire::MAX_PAYLOAD, got: 0 }), "{err}");
+    }
+
+    /// A frame body longer than one growth step arrives whole.
+    #[test]
+    fn a_body_of_several_steps_arrives_whole() {
+        let (sa, sb) = UnixStream::pair().expect("socketpair");
+        let mut b = StreamTransport::unix(sb);
+        let payload: Vec<u8> = (0..3 * BODY_STEP + 5).map(|i| (i % 251) as u8).collect();
+        let mut frame = Vec::new();
+        wire::begin_raw_frame(&mut frame);
+        frame.extend_from_slice(&payload);
+        wire::finish_raw_frame(wire::KIND_INFER_RESP, &mut frame);
+        let sender = std::thread::spawn(move || StreamTransport::unix(sa).send_raw(&frame));
+        let mut rx = Vec::new();
+        assert_eq!(
+            b.recv_raw_into(&mut rx, Duration::from_secs(5)).unwrap(),
+            wire::KIND_INFER_RESP
+        );
+        assert_eq!(rx[wire::HEADER_LEN..], payload[..]);
+        sender.join().unwrap().unwrap();
     }
 
     #[test]
