@@ -217,12 +217,43 @@ impl TrainConfig {
         self
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency. A configuration also arrives from
+    /// outside — in every checkpoint head and `Welcome` frame, where a
+    /// non-finite float reads back as `null` → NaN — so every float field
+    /// must be finite as well as in range.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for an inconsistent configuration.
+    /// Returns a human-readable message naming the first field that does
+    /// not fit.
     pub fn validate(&self) -> Result<(), String> {
+        let ex = &self.exploration;
+        let floats = [
+            ("learning_rate", self.learning_rate),
+            ("gamma", self.gamma),
+            ("tau", self.tau),
+            ("temperature", self.temperature),
+            ("target_noise", self.target_noise),
+            ("noise_clip", self.noise_clip),
+            ("exploration.temperature.start", ex.temperature.start),
+            ("exploration.temperature.end", ex.temperature.end),
+            ("exploration.epsilon.start", ex.epsilon.start),
+            ("exploration.epsilon.end", ex.epsilon.end),
+        ];
+        if let Some((name, value)) = floats.iter().find(|(_, v)| !v.is_finite()) {
+            return Err(format!("{name} must be finite, not {value}"));
+        }
+        for (name, value) in [("target_noise", self.target_noise), ("noise_clip", self.noise_clip)]
+        {
+            if value < 0.0 {
+                return Err(format!("{name} must not be negative, not {value}"));
+            }
+        }
+        for (name, value) in [floats[8], floats[9]] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(format!("{name} must be in [0,1], not {value}"));
+            }
+        }
         if self.agents == 0 {
             return Err("agents must be positive".into());
         }
@@ -315,6 +346,42 @@ mod tests {
         c = base;
         c.update_threads = 0;
         assert!(c.validate().is_err());
+    }
+
+    /// Every float a configuration carries must be finite (a JSON head
+    /// reads a non-finite float back as NaN), the smoothing noise not
+    /// negative and ε a probability; each refusal names its field.
+    #[test]
+    fn non_finite_floats_negative_noise_and_improper_epsilon_are_refused() {
+        let base = TrainConfig::paper_defaults(Algorithm::Matd3, Task::PredatorPrey, 3);
+        let refused = |edit: fn(&mut TrainConfig)| {
+            let mut c = base;
+            edit(&mut c);
+            c.validate().expect_err("refused")
+        };
+        assert_eq!(refused(|c| c.temperature = f32::NAN), "temperature must be finite, not NaN");
+        assert_eq!(
+            refused(|c| c.learning_rate = f32::INFINITY),
+            "learning_rate must be finite, not inf"
+        );
+        assert!(refused(|c| c.target_noise = f32::NAN).starts_with("target_noise must be finite"));
+        assert!(
+            refused(|c| c.noise_clip = f32::NEG_INFINITY).starts_with("noise_clip must be finite")
+        );
+        let start = |c: &mut TrainConfig| c.exploration.temperature.start = f32::NAN;
+        assert!(refused(start).starts_with("exploration.temperature.start must be finite"));
+        assert_eq!(
+            refused(|c| c.target_noise = -0.1),
+            "target_noise must not be negative, not -0.1"
+        );
+        assert_eq!(refused(|c| c.noise_clip = -1.0), "noise_clip must not be negative, not -1");
+        let eps = |c: &mut TrainConfig| c.exploration.epsilon.end = 1.5;
+        assert_eq!(refused(eps), "exploration.epsilon.end must be in [0,1], not 1.5");
+        let eps = |c: &mut TrainConfig| c.exploration.epsilon.start = -0.5;
+        assert_eq!(refused(eps), "exploration.epsilon.start must be in [0,1], not -0.5");
+        let mut annealed = base;
+        annealed.exploration = crate::explore::ExplorationSchedule::annealed(500);
+        assert_eq!(annealed.validate(), Ok(()));
     }
 
     #[test]
