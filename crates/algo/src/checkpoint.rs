@@ -415,17 +415,6 @@ fn sections(bytes: &[u8]) -> Result<(Head, Reader<'_>, &[u8]), TrainError> {
     Ok((head, Reader::new(tensors), replay))
 }
 
-/// The agent count of a tensor section, checked against its bytes: an
-/// agent record takes at least 53 (the twin flag, four activation bytes
-/// and layer counts, two optimizers' step counts and moment counts).
-fn agent_count(r: &mut Reader<'_>) -> Result<usize, String> {
-    let n = r.u32()? as usize;
-    if n.saturating_mul(53) > r.rest().len() {
-        return Err(format!("{n} agents do not fit the {} tensor bytes", r.rest().len()));
-    }
-    Ok(n)
-}
-
 /// Decodes a checkpoint file frame, verifying magic, version, and CRC,
 /// and every network and optimizer as [`AgentState::restore`] does.
 ///
@@ -436,9 +425,10 @@ fn agent_count(r: &mut Reader<'_>) -> Result<usize, String> {
 pub fn decode_checkpoint_file(bytes: &[u8]) -> Result<(Checkpoint, Vec<u8>), TrainError> {
     let (head, mut r, replay) = sections(bytes)?;
     let adam = AdamConfig { learning_rate: head.config.learning_rate, ..AdamConfig::default() };
-    let n_agents = agent_count(&mut r).map_err(malformed)?;
-    let mut agents = Vec::with_capacity(n_agents);
-    for i in 0..n_agents {
+    // Agents are pushed as their records decode, so what a hostile count
+    // costs is bounded by the records the bytes hold.
+    let mut agents = Vec::new();
+    for i in 0..r.u32().map_err(malformed)? {
         agents.push(
             AgentState::read_record(&mut r, adam)
                 .map_err(|e| malformed(format!("agent {i} {e}")))?,
@@ -494,9 +484,8 @@ pub struct PolicyCheckpoint {
 /// As [`decode_checkpoint_file`], for the parts it reads.
 pub fn decode_policy(bytes: &[u8]) -> Result<PolicyCheckpoint, TrainError> {
     let (head, mut r, _replay) = sections(bytes)?;
-    let n_agents = agent_count(&mut r).map_err(malformed)?;
-    let mut actors = Vec::with_capacity(n_agents);
-    for i in 0..n_agents {
+    let mut actors = Vec::new();
+    for i in 0..r.u32().map_err(malformed)? {
         actors
             .push(AgentState::read_actor(&mut r).map_err(|e| malformed(format!("agent {i} {e}")))?);
     }
