@@ -16,14 +16,14 @@ use crate::update::UpdateScratch;
 use marl_core::multi::MultiAgentReplay;
 use marl_core::sampler::Sampler;
 use marl_core::transition::{TransitionLayout, TransitionRef};
-use marl_obs::{KernelTally, SnapshotContext, Telemetry};
+use marl_obs::{clock, KernelTally, SnapshotContext, Telemetry};
 use marl_perf::phase::{Phase, PhaseProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Aggregate statistics of the mini-batch sampling phase over a run —
 /// the measured counterpart of the paper's access-pattern analysis.
@@ -262,7 +262,7 @@ impl Trainer {
         &mut self,
         checkpoint_out: Option<&Path>,
     ) -> Result<TrainReport, TrainError> {
-        let t0 = Instant::now();
+        let started = clock::now_ns();
         let mut last_good: Option<(Checkpoint, Vec<u8>)> = None;
         let mut retries_left = self.config.sentinel.max_retries;
         while self.curve.len() < self.config.episodes {
@@ -283,7 +283,7 @@ impl Trainer {
                     if let Some(t) = self.obs.as_deref() {
                         t.metrics.sentinel_trips.inc();
                     }
-                    let tc = Instant::now();
+                    let tc = clock::now_ns();
                     let rollback = match (&last_good, retries_left) {
                         (Some(state), n) if n > 0 => state.clone(),
                         // No in-memory good state yet — e.g. a freshly
@@ -308,14 +308,14 @@ impl Trainer {
                     if let Some(rec) = self.trace.as_mut() {
                         rec.reset_pending();
                     }
-                    self.profile.add(Phase::Checkpoint, tc.elapsed());
+                    self.profile.add(Phase::Checkpoint, Duration::from_nanos(clock::now_ns() - tc));
                     continue;
                 }
                 Err(e) => return Err(e),
             }
             let every = self.config.checkpoint_every;
             if every > 0 && self.curve.len().is_multiple_of(every) {
-                let tc = Instant::now();
+                let tc = clock::now_ns();
                 let (ckpt, replay) = self.checkpoint_full();
                 if let Some(path) = checkpoint_out {
                     write_checkpoint_file(path, &ckpt, &replay)?;
@@ -323,10 +323,10 @@ impl Trainer {
                 last_good = Some((ckpt, replay));
                 // A good save refreshes the divergence retry budget.
                 retries_left = self.config.sentinel.max_retries;
-                let dt = tc.elapsed();
-                self.profile.add(Phase::Checkpoint, dt);
+                let dt = clock::now_ns() - tc;
+                self.profile.add(Phase::Checkpoint, Duration::from_nanos(dt));
                 if let Some(t) = self.obs.as_deref() {
-                    t.metrics.checkpoint_ns.record(dt.as_nanos() as u64);
+                    t.metrics.checkpoint_ns.record(dt);
                 }
             }
             if let Some(t) = self.obs.as_deref() {
@@ -342,7 +342,7 @@ impl Trainer {
             config: self.config,
             profile: self.profile.clone(),
             curve: self.curve.clone(),
-            wall_time: t0.elapsed(),
+            wall_time: Duration::from_nanos(clock::now_ns() - started),
             env_steps: self.env_steps,
             update_iterations: self.updates,
             sampling: self.telemetry,
@@ -365,19 +365,18 @@ impl Trainer {
     /// The step loop is allocation-free once the first episode has sized
     /// the rollout buffers (test-enforced at K = 1 and K = 4).
     ///
+    /// Adjacent phases share their boundary stamp on the process clock.
+    ///
     /// # Errors
     ///
     /// Propagates environment and replay failures.
     pub fn run_episode(&mut self) -> Result<f32, TrainError> {
-        // Arc clone (refcount bump only) so the episode span can coexist
-        // with the `&mut self` calls below.
-        let tel = self.obs.clone();
-        let _episode_span = tel.as_deref().map(|t| t.tracer.span("episode", 0));
         let k = self.rollout.worlds();
+        let started = clock::now_ns();
         self.rollout.reset();
+        let mut t0 = clock::now_ns();
         loop {
             // --- Action selection (one inference batch per agent) ---
-            let t0 = Instant::now();
             let (temperature, epsilon) = self.config.exploration.at(self.env_steps);
             self.rollout.select_actions(
                 self.agents.iter().map(|a| &a.actor),
@@ -385,30 +384,26 @@ impl Trainer {
                 epsilon,
                 &mut self.rng,
             );
-            self.profile.add(Phase::ActionSelection, t0.elapsed());
+            let t1 = clock::now_ns();
+            self.profile.add(Phase::ActionSelection, Duration::from_nanos(t1 - t0));
 
             // --- Environment execution (batched SoA step) ---
-            let t0 = Instant::now();
-            let span_start = tel.as_deref().map(|t| t.tracer.now_ns());
             let done = self.rollout.step()?;
-            if let (Some(t), Some(start)) = (tel.as_deref(), span_start) {
-                let end = t.tracer.now_ns();
-                t.tracer.record("vec-env-step", 0, start, end);
-                let dt = end.saturating_sub(start);
+            let t2 = clock::now_ns();
+            let dt = t2 - t1;
+            self.profile.add(Phase::EnvironmentStep, Duration::from_nanos(dt));
+            if let Some(t) = self.obs.as_deref() {
+                t.tracer.record("vec-env-step", 0, t1, t2);
                 t.metrics.vecenv_step_ns.record(dt);
                 t.metrics.vecenv_batch_fill.record(k as u64);
                 if dt > 0 {
                     t.metrics.vecenv_steps_per_sec.record_scaled(k as f64 / dt as f64, 1e9);
                 }
-            }
-            self.profile.add(Phase::EnvironmentStep, t0.elapsed());
-            self.env_steps += k as u64;
-            if let Some(t) = tel.as_deref() {
                 t.metrics.env_steps.add(k as u64);
             }
+            self.env_steps += k as u64;
 
             // --- Store experiences (K joint pushes per batched step) ---
-            let t0 = Instant::now();
             for w in 0..k {
                 let rollout = &self.rollout;
                 let slot = self.replay.push_step_with(|a, _| rollout.transition(w, a));
@@ -416,17 +411,21 @@ impl Trainer {
                 self.samples_since_update += 1;
             }
             self.rollout.advance();
-            self.profile.add(Phase::Bookkeeping, t0.elapsed());
+            t0 = clock::now_ns();
+            self.profile.add(Phase::Bookkeeping, Duration::from_nanos(t0 - t2));
 
             // --- Update all trainers ---
             if self.update_due() {
                 self.samples_since_update = 0;
-                self.update_all_trainers()?;
+                t0 = self.update_since(t0)?;
             }
 
             if done {
                 break;
             }
+        }
+        if let Some(t) = self.obs.as_deref() {
+            t.tracer.record("episode", 0, started, t0);
         }
         Ok(self.rollout.world_returns().sum::<f32>() / k as f32)
     }
@@ -504,7 +503,7 @@ impl Trainer {
                 row.len()
             )));
         }
-        let t0 = Instant::now();
+        let t0 = clock::now_ns();
         let mut rest = row;
         let slot = self.replay.push_step_with(|_, layout| {
             let (head, tail) = rest.split_at(layout.row_width());
@@ -517,7 +516,7 @@ impl Trainer {
         if let Some(t) = self.obs.as_deref() {
             t.metrics.env_steps.inc();
         }
-        self.profile.add(Phase::Bookkeeping, t0.elapsed());
+        self.profile.add(Phase::Bookkeeping, Duration::from_nanos(clock::now_ns() - t0));
         Ok(())
     }
 

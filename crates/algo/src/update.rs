@@ -19,13 +19,14 @@ use marl_nn::loss::{mse_into, td_errors_into, weighted_mse_into};
 use marl_nn::matrix::Matrix;
 use marl_nn::scratch::Scratch;
 use marl_nn::{BackwardNeed, InputGrad};
+use marl_obs::clock;
 use marl_obs::metrics::{IS_WEIGHT_SCALE, PRIORITY_SCALE};
 use marl_obs::Telemetry;
 use marl_perf::phase::{Phase, PhaseProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::convert::Infallible;
-use std::time::Instant;
+use std::time::Duration;
 
 impl Trainer {
     /// Runs one full *update all trainers* iteration (all N agent
@@ -48,6 +49,10 @@ impl Trainer {
     ///
     /// Results are bitwise identical for every `update_threads` value.
     ///
+    /// Each phase boundary is one [`marl_obs::clock::now_ns`] stamp,
+    /// shared by the [`PhaseProfile`] charge, the span and the
+    /// `update_ns` histogram.
+    ///
     /// All working storage (plans, one staged batch per plan in the
     /// critic's layout, actor-input copies, one scratch per lane) lives
     /// in a persistent `UpdateScratch` arena: after the first iteration
@@ -58,6 +63,12 @@ impl Trainer {
     ///
     /// Propagates replay/sampler failures.
     pub fn update_all_trainers(&mut self) -> Result<(), TrainError> {
+        self.update_since(clock::now_ns()).map(drop)
+    }
+
+    /// [`Trainer::update_all_trainers`] from the process-clock stamp
+    /// `start` (the end of the phase before it); returns its end stamp.
+    pub(crate) fn update_since(&mut self, start: u64) -> Result<u64, TrainError> {
         let _fp = marl_nn::fp::flush_to_zero();
         let n = self.agents.len();
         let cfg = self.config;
@@ -66,17 +77,14 @@ impl Trainer {
         // below is wait-free and allocation-free (span ring + atomics),
         // preserving the steady-state zero-allocation guarantee.
         let tel = self.obs.as_deref();
-        let update_start = tel.map(|t| t.tracer.now_ns());
 
         // --- Phase 1: mini-batch sampling. The common indices array of
         // each plan is applied to every agent's buffer (O(N·B) reads per
         // trainer, O(N²·B) for the full iteration). All N plans are drawn
         // up front so the gathers become embarrassingly parallel.
-        let t0 = Instant::now();
-        let sampling_start = tel.map(|t| {
+        if let Some(t) = tel {
             t.hw_window_begin();
-            t.tracer.now_ns()
-        });
+        }
         let replay_len = self.replay.len();
         for k in 0..n {
             self.sampler.plan_into(
@@ -116,7 +124,7 @@ impl Trainer {
                 rec.record_plan(plan);
             }
         }
-        if let (Some(t), Some(start)) = (tel, sampling_start) {
+        if let Some(t) = tel {
             t.hw_window_end();
             t.metrics.replay_len.set(replay_len as f64);
             t.metrics.replay_occupancy.set(self.replay.occupancy());
@@ -130,16 +138,14 @@ impl Trainer {
                     None => break,
                 }
             }
-            t.tracer.record("mini-batch-sampling", 0, start, t.tracer.now_ns());
         }
-        self.profile.add(Phase::MiniBatchSampling, t0.elapsed());
+        let sampled_at = clock::now_ns();
+        self.profile.add(Phase::MiniBatchSampling, Duration::from_nanos(sampled_at - start));
 
         // --- Phase 2: shared target actions. Every agent's target actor
         // proposes next actions for each staged batch exactly once (the
         // N×(N−1) cross-agent reads), instead of once per consuming
         // trainer; the lanes then only touch their own networks.
-        let t0 = Instant::now();
-        let targetq_start = tel.map(|t| t.tracer.now_ns());
         let noise = if matd3 { cfg.target_noise } else { 0.0 };
         let update_seed =
             marl_nn::rng::derive_seed(marl_nn::rng::derive_seed(cfg.seed, 2), self.updates);
@@ -172,10 +178,12 @@ impl Trainer {
             }
         }
         self.telemetry.target_action_passes += n as u64;
-        if let (Some(t), Some(start)) = (tel, targetq_start) {
-            t.tracer.record("target-q-shared", 0, start, t.tracer.now_ns());
+        let staged_at = clock::now_ns();
+        if let Some(t) = tel {
+            t.tracer.record("mini-batch-sampling", 0, start, sampled_at);
+            t.tracer.record("target-q-shared", 0, sampled_at, staged_at);
         }
-        self.profile.add(Phase::TargetQ, t0.elapsed());
+        self.profile.add(Phase::TargetQ, Duration::from_nanos(staged_at - sampled_at));
 
         // --- Phase 3: per-agent updates on the update lanes.
         let updates = self.updates;
@@ -230,8 +238,7 @@ impl Trainer {
         }
 
         // --- Target-network soft updates ---
-        let t0 = Instant::now();
-        let soft_start = tel.map(|t| t.tracer.now_ns());
+        let soft_start = clock::now_ns();
         let do_target_update = self.config.algorithm == Algorithm::Maddpg
             || self.updates.is_multiple_of(self.config.policy_delay as u64);
         if do_target_update {
@@ -239,10 +246,11 @@ impl Trainer {
                 a.soft_update_targets(self.config.tau);
             }
         }
-        if let (Some(t), Some(start)) = (tel, soft_start) {
-            t.tracer.record("soft-update", 0, start, t.tracer.now_ns());
+        let soft_end = clock::now_ns();
+        if let Some(t) = tel {
+            t.tracer.record("soft-update", 0, soft_start, soft_end);
         }
-        self.profile.add(Phase::SoftUpdate, t0.elapsed());
+        self.profile.add(Phase::SoftUpdate, Duration::from_nanos(soft_end - soft_start));
         crate::sentinel::check_agents(&self.agents, &cfg.sentinel, self.updates)
             .map_err(TrainError::Diverged)?;
         if let Some(rec) = self.trace.as_mut() {
@@ -250,13 +258,13 @@ impl Trainer {
             rec.end_update(self.updates);
         }
         self.updates += 1;
-        if let (Some(t), Some(start)) = (tel, update_start) {
-            let end = t.tracer.now_ns();
+        let end = clock::now_ns();
+        if let Some(t) = tel {
             t.tracer.record("update-all-trainers", 0, start, end);
-            t.metrics.update_ns.record(end.saturating_sub(start));
+            t.metrics.update_ns.record(end - start);
             t.metrics.updates.inc();
         }
-        Ok(())
+        Ok(end)
     }
 }
 
@@ -268,7 +276,8 @@ impl Trainer {
 /// iteration produce bitwise-identical results on any lane layout. The
 /// P-loss writes agent i's policy actions into the batch's action
 /// columns (see [`StagedBatch`]). Phase timings accumulate into the
-/// lane's profile. The batch TD errors for the sampler's priority
+/// lane's profile; the `agent-update` span covers exactly its TargetQ
+/// and QLossPLoss charges. The batch TD errors for the sampler's priority
 /// refresh land in `td`, the scalar critic loss (twin included) in
 /// `loss`; the refresh stays on the coordinating thread.
 ///
@@ -289,15 +298,13 @@ fn update_agent(
     loss: &mut f32,
     tel: Option<&Telemetry>,
 ) {
-    // Per-agent lane span: tid `1 + i` matches the trace lane metadata.
-    let _span = tel.map(|t| t.tracer.span("agent-update", 1 + i as u32));
+    let started = clock::now_ns();
     let Lane { scratch: s, profile } = lane;
     let StagedBatch { joint, joint_next, rewards, dones } = batch;
     let rows = joint.rows();
     let matd3 = cfg.algorithm == Algorithm::Matd3;
 
     // --- Target Q calculation (per-agent tail) ---
-    let t0 = Instant::now();
     agent.target_critic.forward_inference_into(joint_next, &mut s.tq, &mut s.nn);
     if let Some((_, t2)) = &agent.critic2 {
         t2.forward_inference_into(joint_next, &mut s.tq2, &mut s.nn);
@@ -311,10 +318,10 @@ fn update_agent(
     for (r, (&reward, &done)) in own_rewards.iter().zip(dones.iter()).enumerate() {
         *s.y.at_mut(r, 0) = reward + cfg.gamma * (1.0 - done) * s.tq.at(r, 0);
     }
-    profile.add(Phase::TargetQ, t0.elapsed());
+    let targeted = clock::now_ns();
+    profile.add(Phase::TargetQ, Duration::from_nanos(targeted - started));
 
     // --- Q loss (critic) + P loss (actor) ---
-    let t0 = Instant::now();
     // The Q-loss critics and the actor are stepped and nobody reads their
     // input gradient: `InputGrad::None` never writes its destination, so
     // an empty (unallocated) matrix stands in for it.
@@ -381,7 +388,12 @@ fn update_agent(
         agent.actor.backward_need_into(&s.grad_logits, PARAMS_ONLY, &mut unwritten, &mut s.nn);
         agent.actor_opt.step(&mut agent.actor);
     }
-    profile.add(Phase::QLossPLoss, t0.elapsed());
+    let ended = clock::now_ns();
+    profile.add(Phase::QLossPLoss, Duration::from_nanos(ended - targeted));
+    if let Some(t) = tel {
+        // Per-agent lane span: tid `1 + i` matches the trace lane metadata.
+        t.tracer.record("agent-update", 1 + i as u32, started, ended);
+    }
 }
 
 /// Persistent working storage for [`Trainer::update_all_trainers`].

@@ -40,6 +40,7 @@
 use marl_algo::{Algorithm, Task, TrainConfig, Trainer};
 use marl_dist::wire::{self, KIND_INFER_RESP};
 use marl_dist::StreamTransport;
+use marl_obs::clock;
 use marl_obs::context::{span_id, TraceCtx};
 use marl_obs::fleet::{
     merge_chrome_traces, merge_prometheus, wall_clock_align_ns, MergeStats, ProcessSummary,
@@ -345,7 +346,7 @@ fn drive_client(
             let ctx = TraceCtx {
                 trace_id: 0xF1EE7,
                 span_id: span_id(CLIENT_SPAN_ACTOR, seq),
-                send_ns: telemetry.tracer.now_ns(),
+                send_ns: clock::now_ns(),
             };
             proto::encode_request(seq, agent, &obs[agent as usize], ctx, &mut frame);
             transport.send_raw(&frame).map_err(|e| format!("send: {e}"))?;
@@ -355,7 +356,7 @@ fn drive_client(
             let kind = transport
                 .recv_raw_into(&mut frame, Duration::from_secs(5))
                 .map_err(|e| format!("recv: {e}"))?;
-            let recv_ns = telemetry.tracer.now_ns();
+            let recv_ns = clock::now_ns();
             if kind != KIND_INFER_RESP {
                 continue;
             }
@@ -407,7 +408,7 @@ fn run(cli: &Cli) -> Result<(), String> {
     let serve_pair = if cli.no_serve { None } else { Some(run_serve_leg(cli)?) };
 
     // Assemble the merge inputs, aligning every lane onto the learner's
-    // tracer clock: workers by their RTT-estimated offsets (exactly the
+    // process clock: workers by their RTT-estimated offsets (exactly the
     // learner-minus-worker convention ClockOffset reports), serve and the
     // client by their wall-clock anchors (the coarse fallback — no
     // heartbeat path runs between them and the learner).

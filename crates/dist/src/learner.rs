@@ -25,6 +25,7 @@ use crate::worker::worker_noise_state;
 use marl_algo::trainer::Trainer;
 use marl_algo::{TrainConfig, TrainError};
 use marl_core::transition::TransitionLayout;
+use marl_obs::clock;
 use marl_obs::context::{span_id, TraceCtx};
 use marl_obs::metrics::MetricsRegistry;
 use marl_obs::span::FlowDir;
@@ -219,12 +220,12 @@ impl Learner {
 
     /// Stamps the next learner-originated trace context (telemetry only).
     fn next_ctx(&mut self) -> Option<TraceCtx> {
-        let t = self.trainer.telemetry_handle()?;
+        self.trainer.telemetry_handle()?;
         self.ctx_seq += 1;
         Some(TraceCtx {
             trace_id: self.trace_id,
             span_id: span_id(LEARNER_SPAN_ACTOR, self.ctx_seq),
-            send_ns: t.tracer.now_ns(),
+            send_ns: clock::now_ns(),
         })
     }
 
@@ -239,28 +240,20 @@ impl Learner {
                 "steps frame rows do not have the trainer's agent dimensions".into(),
             ));
         }
-        let start_ns = self.trainer.telemetry_handle().map(|t| t.tracer.now_ns());
+        let start = clock::now_ns();
         for row in s.rows.steps() {
             self.trainer.ingest_step(row)?;
         }
-        if let (Some(t), Some(c), Some(start)) = (self.trainer.telemetry_handle(), s.ctx, start_ns)
-        {
-            t.tracer.record_flow(
-                "steps-ingest",
-                0,
-                start,
-                t.tracer.now_ns(),
-                c.span_id,
-                FlowDir::In,
-            );
+        if let (Some(t), Some(c)) = (self.trainer.telemetry_handle(), s.ctx) {
+            t.tracer.record_flow("steps-ingest", 0, start, clock::now_ns(), c.span_id, FlowDir::In);
         }
         Ok(())
     }
 
     /// Echoes a heartbeat so the worker can price its round trip;
-    /// `recv_ns` is the learner's tracer clock (the merge reference).
+    /// `recv_ns` is the learner's process clock (the merge reference).
     fn ack_msg(&self, h: &Heartbeat) -> Msg {
-        let recv_ns = self.trainer.telemetry_handle().map_or(0, |t| t.tracer.now_ns());
+        let recv_ns = self.trainer.telemetry_handle().map_or(0, |_| clock::now_ns());
         Msg::HeartbeatAck(HeartbeatAck {
             worker_id: h.worker_id,
             seq: h.seq,
@@ -282,7 +275,7 @@ impl Learner {
                 "params-send",
                 0,
                 c.send_ns,
-                t.tracer.now_ns(),
+                clock::now_ns(),
                 c.span_id,
                 FlowDir::Out,
             );

@@ -379,7 +379,7 @@ pub struct Heartbeat {
     pub seq: u64,
     /// Worker's environment-step counter (progress signal).
     pub env_steps: u64,
-    /// Send timestamp on the worker's tracer clock (ns); echoed by the
+    /// Send timestamp on the worker's process clock (ns); echoed by the
     /// learner's [`HeartbeatAck`] so the worker can measure RTT and
     /// estimate the learner-clock offset. 0 from untraced workers.
     #[serde(default)]

@@ -38,10 +38,11 @@ use marl_nn::activation::Activation;
 use marl_nn::init::Init;
 use marl_nn::mlp::Mlp;
 use marl_nn::rng::derive_seed;
-use marl_obs::clock::ClockOffset;
+use marl_obs::clock::{self, ClockOffset};
 use marl_obs::context::{span_id, TraceCtx};
 use marl_obs::span::FlowDir;
 use marl_obs::telemetry::Telemetry;
+use marl_perf::phase::{Phase, PhaseProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::mpsc;
@@ -115,6 +116,10 @@ pub struct Worker {
     trace_id: u64,
     /// Monotone counter feeding [`span_id`] for stamped frames.
     ctx_seq: u64,
+    /// Action-selection, environment-step and bookkeeping time of this
+    /// admission, charged on the process clock as the trainer's episode
+    /// loop charges them.
+    profile: PhaseProfile,
 }
 
 impl Worker {
@@ -198,6 +203,7 @@ impl Worker {
             clock: ClockOffset::default(),
             trace_id,
             ctx_seq: 0,
+            profile: PhaseProfile::new(),
         })
     }
 
@@ -217,19 +223,19 @@ impl Worker {
 
     /// Stamps the next outbound frame's trace context (telemetry only).
     fn next_ctx(&mut self) -> Option<TraceCtx> {
-        let t = self.obs.as_ref()?;
+        self.obs.as_ref()?;
         self.ctx_seq += 1;
         Some(TraceCtx {
             trace_id: self.trace_id,
             span_id: span_id(self.id, self.ctx_seq),
-            send_ns: t.tracer.now_ns(),
+            send_ns: clock::now_ns(),
         })
     }
 
     /// Records the flow-origin span of a stamped send.
     fn record_flow_out(&self, label: &'static str, ctx: Option<TraceCtx>) {
         if let (Some(t), Some(c)) = (self.obs.as_ref(), ctx) {
-            t.tracer.record_flow(label, 0, c.send_ns, t.tracer.now_ns(), c.span_id, FlowDir::Out);
+            t.tracer.record_flow(label, 0, c.send_ns, clock::now_ns(), c.span_id, FlowDir::Out);
         }
     }
 
@@ -243,7 +249,7 @@ impl Worker {
             return;
         }
         if let Some(t) = self.obs.as_ref() {
-            let sample = self.clock.observe(ack.send_ns, ack.recv_ns, t.tracer.now_ns());
+            let sample = self.clock.observe(ack.send_ns, ack.recv_ns, clock::now_ns());
             t.metrics.heartbeat_rtt_us.record(sample.rtt_ns / 1_000);
         }
     }
@@ -252,7 +258,7 @@ impl Worker {
     /// broadcast (pairs with the learner's `params-send` origin).
     fn note_params_ctx(&self, ctx: Option<TraceCtx>) {
         if let (Some(t), Some(c)) = (self.obs.as_ref(), ctx) {
-            let now = t.tracer.now_ns();
+            let now = clock::now_ns();
             t.tracer.record_flow("params-recv", 0, now, now, c.span_id, FlowDir::In);
         }
     }
@@ -270,6 +276,11 @@ impl Worker {
     /// Episodes completed under this admission.
     pub fn episodes_done(&self) -> usize {
         self.episodes_done
+    }
+
+    /// Phase timings of this admission's rollout steps.
+    pub fn profile(&self) -> &PhaseProfile {
+        &self.profile
     }
 
     /// Runs the admitted episode budget, streaming steps to the learner.
@@ -335,23 +346,29 @@ impl Worker {
         let mut stop = false;
         loop {
             // --- One rollout step (the trainer's loop at K = 1) ---
+            let t0 = clock::now_ns();
             let (temperature, epsilon) = self.config.exploration.at(self.env_steps);
             self.rollout.select_actions(&self.actors, temperature, epsilon, &mut self.rng);
+            let t1 = clock::now_ns();
+            self.profile.add(Phase::ActionSelection, Duration::from_nanos(t1 - t0));
             let done = self
                 .rollout
                 .step()
                 .map_err(|e| DistError::Protocol(format!("environment step failed: {e}")))?;
+            let t2 = clock::now_ns();
+            self.profile.add(Phase::EnvironmentStep, Duration::from_nanos(t2 - t1));
             self.env_steps += 1;
             self.pending.push_step(|i| self.rollout.transition(0, i));
             self.rollout.advance();
             self.replay_len = (self.replay_len + 1).min(self.config.buffer_capacity);
             self.samples_since_update += 1;
+            self.profile.add(Phase::Bookkeeping, Duration::from_nanos(clock::now_ns() - t2));
 
             if self.env_steps.is_multiple_of(HEARTBEAT_EVERY_STEPS) {
                 self.hb_seq += 1;
-                // `send_ns` is this worker's tracer clock; the learner's
+                // `send_ns` is this worker's process clock; the learner's
                 // ack echoes it so the round trip prices the clock offset.
-                let send_ns = self.obs.as_ref().map_or(0, |t| t.tracer.now_ns());
+                let send_ns = self.obs.as_ref().map_or(0, |_| clock::now_ns());
                 transport.send(&Msg::Heartbeat(Heartbeat {
                     worker_id: self.id,
                     seq: self.hb_seq,
@@ -603,7 +620,7 @@ where
 
 /// What a traced worker run produced, for the process summary the fleet
 /// orchestrator collects.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkerStats {
     /// RTT-estimated learner-minus-worker clock offset (ns); 0 when no
     /// acknowledged heartbeats were observed.
@@ -617,6 +634,8 @@ pub struct WorkerStats {
     pub env_steps: u64,
     /// Episodes completed by the final admission.
     pub episodes_done: u64,
+    /// Rollout phase timings summed over every admission.
+    pub profile: PhaseProfile,
 }
 
 /// [`run_worker_from`] with telemetry attached to every (re)admitted
@@ -640,6 +659,7 @@ where
     let mut resume = initial_resume;
     let mut last_err = DistError::Disconnected;
     let mut stats = WorkerStats::default();
+    let mut profile = PhaseProfile::new();
     while backoff.attempt() < max_attempts {
         let mut transport = match connect() {
             Ok(t) => t,
@@ -659,12 +679,14 @@ where
                 }
                 let run = worker.run(&mut *transport);
                 let clock = worker.clock_offset();
+                profile.merge(worker.profile());
                 stats = WorkerStats {
                     clock_offset_ns: clock.offset_ns(),
                     clock_rtt_ns: clock.rtt_ns(),
                     clock_samples: clock.samples(),
                     env_steps: worker.env_steps(),
                     episodes_done: worker.episodes_done() as u64,
+                    profile: profile.clone(),
                 };
                 match run {
                     Ok(outcome) => return (stats, Ok(outcome)),
@@ -683,4 +705,33 @@ where
         }
     }
     (stats, Err(last_err))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::learner::{Learner, LearnerOptions};
+    use crate::transport::loopback_pair;
+    use marl_algo::{Algorithm, Task};
+
+    #[test]
+    fn one_episode_charges_action_selection_and_environment_step() {
+        let cfg = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3)
+            .with_batch_size(32)
+            .with_buffer_capacity(1024)
+            .with_episodes(1);
+        let mut learner = Learner::new(cfg, LearnerOptions::default()).expect("learner");
+        let (mut learner_end, mut worker_end) = loopback_pair(1024, Duration::from_secs(10));
+        let worker = std::thread::spawn(move || {
+            let mut worker = Worker::handshake(&mut worker_end, 0, false).expect("admitted");
+            worker.run(&mut worker_end).expect("runs");
+            worker
+        });
+        learner.serve_lockstep(&mut learner_end).expect("lockstep serves");
+        let worker = worker.join().expect("worker thread");
+        assert_eq!(worker.episodes_done(), 1);
+        let profile = worker.profile();
+        assert!(profile.get(Phase::ActionSelection) > Duration::ZERO);
+        assert!(profile.get(Phase::EnvironmentStep) > Duration::ZERO);
+    }
 }

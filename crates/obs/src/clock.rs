@@ -1,13 +1,16 @@
-//! Per-peer clock-offset estimation from request/response round trips.
+//! The process clock, and per-peer clock-offset estimation from
+//! request/response round trips.
 //!
-//! Every process timestamps its spans on a private monotonic clock (its
-//! tracer epoch), so merging traces needs a mapping from each peer's
-//! clock to a common one. [`ClockOffset`] estimates that mapping the way
-//! NTP does from a single exchange: the local side sends its timestamp
-//! `t0`, the peer echoes it together with the peer-clock receive time
-//! `t_p`, and the local side notes the arrival time `t1`. Assuming the
-//! outbound and return paths are symmetric, the peer observed the frame
-//! at local time `t0 + rtt/2`, so
+//! Every timestamp of a process — phase timings, span stamps, duration
+//! histograms, serve latencies — is [`now_ns`], nanoseconds since an
+//! epoch taken once per process. That epoch is arbitrary, so merging
+//! traces needs a mapping from each peer's clock to a common one.
+//! [`ClockOffset`] estimates that mapping the way NTP does from a single
+//! exchange: the local side sends its timestamp `t0`, the peer echoes it
+//! together with the peer-clock receive time `t_p`, and the local side
+//! notes the arrival time `t1`. Assuming the outbound and return paths
+//! are symmetric, the peer observed the frame at local time
+//! `t0 + rtt/2`, so
 //!
 //! ```text
 //! offset = t_p - (t0 + rtt/2)      // peer_time ≈ local_time + offset
@@ -18,6 +21,33 @@
 //! a path whose outbound and return legs differ in latency biases the
 //! offset by half the asymmetry — documented, not corrected, here (the
 //! error is bounded by rtt/2, which the estimator also reports).
+
+use std::sync::OnceLock;
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
+
+/// The process epoch (taken on first use) and the wall-clock
+/// nanoseconds read beside it.
+static EPOCH: OnceLock<(Instant, u64)> = OnceLock::new();
+
+fn epoch() -> &'static (Instant, u64) {
+    EPOCH.get_or_init(|| {
+        let unix = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_nanos());
+        (Instant::now(), unix as u64)
+    })
+}
+
+/// Monotonic nanoseconds since the process epoch.
+pub fn now_ns() -> u64 {
+    epoch().0.elapsed().as_nanos() as u64
+}
+
+/// Wall-clock time (ns since the Unix epoch) of the process epoch — the
+/// coarse cross-process anchor (exact on one host, subject to NTP skew
+/// across hosts; the RTT estimator refines peers that exchange
+/// heartbeats).
+pub fn unix_anchor_ns() -> u64 {
+    epoch().1
+}
 
 /// EWMA gain for offset and RTT smoothing (1/8, as in TCP's SRTT).
 pub const EWMA_ALPHA: f64 = 0.125;
@@ -86,17 +116,6 @@ impl ClockOffset {
     }
 }
 
-/// Wall-clock nanoseconds since the Unix epoch — the coarse cross-process
-/// anchor each tracer records at creation (exact on one host, subject to
-/// NTP skew across hosts; the RTT estimator refines peers that exchange
-/// heartbeats).
-pub fn unix_now_ns() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,10 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn unix_anchor_is_sane() {
-        let a = unix_now_ns();
-        let b = unix_now_ns();
+    fn unix_anchor_is_sane_and_fixed() {
+        let a = unix_anchor_ns();
         assert!(a > 1_500_000_000u64 * 1_000_000_000, "anchor predates 2017: {a}");
-        assert!(b >= a);
+        assert_eq!(unix_anchor_ns(), a);
     }
 }

@@ -25,7 +25,7 @@ pub struct TraceCtx {
     /// Id of the span that sent this frame; unique per sender via
     /// [`span_id`].
     pub span_id: u64,
-    /// Send timestamp, nanoseconds on the *sender's* tracer clock.
+    /// Send timestamp, nanoseconds on the *sender's* process clock.
     pub send_ns: u64,
 }
 

@@ -65,7 +65,7 @@ pub struct ProcessSummary {
     /// Worker index for worker processes (0 otherwise).
     #[serde(default)]
     pub worker_id: u32,
-    /// Wall-clock anchor of the process's tracer epoch (ns since Unix
+    /// Wall-clock anchor of the process clock's zero (ns since Unix
     /// epoch); the coarse cross-process alignment fallback.
     #[serde(default)]
     pub epoch_unix_ns: u64,

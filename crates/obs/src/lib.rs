@@ -7,7 +7,7 @@
 //! characterization experiment:
 //!
 //! - [`span`] — a zero-allocation span tracer: a preallocated ring of
-//!   `(label, tid, start_ns, end_ns)` events recorded via RAII guards,
+//!   `(label, tid, start_ns, end_ns)` events on the process clock,
 //!   drained at episode boundaries.
 //! - [`chrome`] — a streaming Chrome trace-event JSON writer
 //!   (`--trace-out`, loadable in Perfetto / `chrome://tracing`).
@@ -21,8 +21,10 @@
 //!   the [`Telemetry`] handle the trainer attaches.
 //! - [`context`] — the compact binary trace context stamped on
 //!   cross-process MARD frames (trace id, span id, send timestamp).
-//! - [`clock`] — per-peer clock-offset estimation from heartbeat round
-//!   trips (half-RTT, EWMA-smoothed) plus the wall-clock anchor.
+//! - [`clock`] — the one monotonic process clock every phase, span and
+//!   duration histogram reads, its wall-clock anchor, and per-peer
+//!   clock-offset estimation from heartbeat round trips (half-RTT,
+//!   EWMA-smoothed).
 //! - [`fleet`] — fleet-wide merging: per-process Chrome traces into one
 //!   clock-aligned timeline with cross-process flow arrows, histogram
 //!   snapshots into fleet percentiles, Prometheus expositions into one
@@ -50,5 +52,5 @@ pub use clock::{ClockOffset, OffsetSample};
 pub use context::{span_id, TraceCtx};
 pub use fleet::{MergeStats, ProcessSummary, ProcessTrace};
 pub use metrics::{Histogram, HistogramSnapshot, KernelTally, MetricsRegistry, MetricsSnapshot};
-pub use span::{FlowDir, SpanEvent, SpanGuard, SpanTracer};
+pub use span::{FlowDir, SpanEvent, SpanTracer};
 pub use telemetry::{SnapshotContext, Telemetry, TelemetryConfig};

@@ -1,19 +1,20 @@
 //! Zero-allocation span tracing.
 //!
 //! A [`SpanTracer`] owns a preallocated ring buffer of
-//! `(label, tid, start_ns, end_ns)` events. Recording a span is a clock
-//! read plus a short critical section over the ring — no heap traffic —
+//! `(label, tid, start_ns, end_ns)` events, stamped on the process clock
+//! ([`crate::clock::now_ns`]) by the caller, which reads each boundary
+//! once for the span and the phase timing it belongs to. Recording a
+//! span is a short critical section over the ring — no heap traffic —
 //! so instrumented hot paths keep the workspace's steady-state
 //! zero-allocation guarantee (`tests/alloc_steady_state.rs`). When the
 //! ring fills, the oldest events are overwritten and counted in
 //! [`SpanTracer::dropped`], bounding memory for arbitrarily long runs.
 //!
-//! Spans are recorded through RAII [`SpanGuard`]s and drained at episode
-//! boundaries (where allocation is permitted) into the Chrome trace-event
-//! writer ([`crate::chrome`]).
+//! Spans are drained at episode boundaries (where allocation is
+//! permitted) into the Chrome trace-event writer ([`crate::chrome`]).
 
+use crate::clock;
 use parking_lot::Mutex;
-use std::time::Instant;
 
 /// Default ring capacity: 64 Ki events ≈ 2 MiB.
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
@@ -39,9 +40,9 @@ pub struct SpanEvent {
     /// Logical lane: 0 = the coordinating trainer thread, `1 + k` = the
     /// per-agent update lane for agent `k`.
     pub tid: u32,
-    /// Start, nanoseconds since the tracer epoch.
+    /// Start, nanoseconds on the process clock.
     pub start_ns: u64,
-    /// End, nanoseconds since the tracer epoch.
+    /// End, nanoseconds on the process clock.
     pub end_ns: u64,
     /// Cross-process flow id (the sending span's trace-context span id);
     /// 0 unless `flow != FlowDir::None`.
@@ -88,10 +89,9 @@ impl Ring {
 /// use marl_obs::span::SpanTracer;
 ///
 /// let tracer = SpanTracer::new(128);
-/// {
-///     let _guard = tracer.span("mini-batch-sampling", 0);
-///     // ... timed work ...
-/// }
+/// let start = marl_obs::clock::now_ns();
+/// // ... timed work ...
+/// tracer.record("mini-batch-sampling", 0, start, marl_obs::clock::now_ns());
 /// let mut events = Vec::new();
 /// tracer.drain_into(&mut events);
 /// assert_eq!(events.len(), 1);
@@ -99,8 +99,6 @@ impl Ring {
 /// ```
 #[derive(Debug)]
 pub struct SpanTracer {
-    epoch: Instant,
-    unix_anchor_ns: u64,
     ring: Mutex<Ring>,
 }
 
@@ -110,21 +108,15 @@ impl SpanTracer {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         SpanTracer {
-            epoch: Instant::now(),
-            unix_anchor_ns: crate::clock::unix_now_ns(),
             ring: Mutex::new(Ring { buf: Vec::with_capacity(capacity), head: 0, dropped: 0 }),
         }
     }
 
-    /// Nanoseconds since the tracer epoch.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Wall-clock time (ns since the Unix epoch) captured when the tracer
-    /// epoch was taken — the coarse cross-process alignment anchor.
+    /// Wall-clock time (ns since the Unix epoch) of the process clock's
+    /// zero ([`clock::unix_anchor_ns`]) — the coarse cross-process
+    /// alignment anchor of every span this process records.
     pub fn unix_anchor_ns(&self) -> u64 {
-        self.unix_anchor_ns
+        clock::unix_anchor_ns()
     }
 
     /// Records one completed span. Allocation-free.
@@ -144,11 +136,6 @@ impl SpanTracer {
         flow: FlowDir,
     ) {
         self.ring.lock().push(SpanEvent { label, tid, start_ns, end_ns, flow_id, flow });
-    }
-
-    /// Opens an RAII span that records itself when dropped.
-    pub fn span(&self, label: &'static str, tid: u32) -> SpanGuard<'_> {
-        SpanGuard { tracer: self, label, tid, start_ns: self.now_ns() }
     }
 
     /// Moves all buffered events, oldest first, into `out` (appending) and
@@ -173,22 +160,6 @@ impl SpanTracer {
     /// Events overwritten before a drain could save them.
     pub fn dropped(&self) -> u64 {
         self.ring.lock().dropped
-    }
-}
-
-/// RAII guard: records a span on the owning tracer when dropped.
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    tracer: &'a SpanTracer,
-    label: &'static str,
-    tid: u32,
-    start_ns: u64,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let end = self.tracer.now_ns();
-        self.tracer.record(self.label, self.tid, self.start_ns, end);
     }
 }
 
@@ -228,19 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn guard_records_monotone_span() {
-        let t = SpanTracer::new(8);
-        {
-            let _g = t.span("work", 2);
-        }
-        let mut out = Vec::new();
-        t.drain_into(&mut out);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].end_ns >= out[0].start_ns);
-        assert_eq!(out[0].tid, 2);
-    }
-
-    #[test]
     fn flow_spans_carry_id_and_direction() {
         let t = SpanTracer::new(8);
         t.record_flow("send", 0, 5, 9, 0xBEEF, FlowDir::Out);
@@ -251,6 +209,15 @@ mod tests {
         assert_eq!(out[0].flow_id, 0xBEEF);
         assert_eq!(out[1].flow, FlowDir::None);
         assert_eq!(out[1].flow_id, 0);
+    }
+
+    #[test]
+    fn tracers_share_the_process_anchor() {
+        let a = SpanTracer::new(1);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let b = SpanTracer::new(1);
+        assert_eq!(a.unix_anchor_ns(), b.unix_anchor_ns());
+        assert_eq!(a.unix_anchor_ns(), clock::unix_anchor_ns());
     }
 
     #[test]

@@ -268,11 +268,9 @@ mod tests {
         })
         .unwrap();
         tel.name_agent_lanes(2);
-        {
-            let _g = tel.tracer.span("update-all-trainers", 0);
-            tel.metrics.updates.inc();
-            tel.metrics.run_length.record(8);
-        }
+        tel.tracer.record("update-all-trainers", 0, 10, 20);
+        tel.metrics.updates.inc();
+        tel.metrics.run_length.record(8);
         let mut profile = PhaseProfile::new();
         profile.add(Phase::MiniBatchSampling, Duration::from_micros(500));
         let ctx =

@@ -6,7 +6,7 @@
 //! (environment interaction, buffer pushes, bookkeeping).
 
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One measured phase of MARL training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -32,7 +32,8 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// All phases in display order.
+    /// All phases in display (= declaration) order, so
+    /// `Phase::ALL[p as usize] == p`.
     pub const ALL: [Phase; 8] = [
         Phase::ActionSelection,
         Phase::EnvironmentStep,
@@ -68,7 +69,7 @@ impl Phase {
     }
 
     fn index(self) -> usize {
-        Phase::ALL.iter().position(|&p| p == self).expect("phase in ALL")
+        self as usize
     }
 }
 
@@ -99,14 +100,6 @@ impl PhaseProfile {
     /// Adds `d` to `phase`.
     pub fn add(&mut self, phase: Phase, d: Duration) {
         self.nanos[phase.index()] += d.as_nanos();
-    }
-
-    /// Times `f`, charging its duration to `phase`, and returns its value.
-    pub fn time<T>(&mut self, phase: Phase, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.add(phase, t0.elapsed());
-        out
     }
 
     /// Accumulated time in one phase.
@@ -202,15 +195,10 @@ mod tests {
     }
 
     #[test]
-    fn time_charges_the_right_phase() {
-        let mut p = PhaseProfile::new();
-        let v = p.time(Phase::TargetQ, || {
-            std::thread::sleep(Duration::from_millis(2));
-            42
-        });
-        assert_eq!(v, 42);
-        assert!(p.get(Phase::TargetQ) >= Duration::from_millis(2));
-        assert_eq!(p.get(Phase::QLossPLoss), Duration::ZERO);
+    fn all_is_in_declaration_order() {
+        for p in Phase::ALL {
+            assert_eq!(Phase::ALL[p as usize], p);
+        }
     }
 
     #[test]

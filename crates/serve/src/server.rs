@@ -58,6 +58,7 @@ use crate::model::PolicyModel;
 use crate::proto;
 use marl_dist::wire::{KIND_INFER_REQ, KIND_SERVE_CTL};
 use marl_dist::{DistError, FrameReader, StreamTransport, TcpAcceptor, UnixAcceptor};
+use marl_obs::clock;
 use marl_obs::context::TraceCtx;
 use marl_obs::metrics::MetricsRegistry;
 use marl_obs::span::FlowDir;
@@ -67,7 +68,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, TryLockError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, SystemTime};
 
 /// How often blocked waits re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
@@ -219,10 +220,10 @@ struct Shared {
     metrics: Arc<MetricsRegistry>,
     config: ServeConfig,
     shutdown: AtomicBool,
-    epoch0: Instant,
     /// Attached telemetry: combiners record `serve-forward` spans and
-    /// pair traced requests' flow arrows on its span tracer. All span
-    /// timestamps use the tracer's clock, never `epoch0`.
+    /// pair traced requests' flow arrows on its span tracer. Spans,
+    /// arrival stamps and `serve_latency_ns` all read the process clock
+    /// ([`clock::now_ns`]).
     obs: Option<Arc<Telemetry>>,
 }
 
@@ -263,13 +264,8 @@ impl Shared {
             metrics,
             config,
             shutdown: AtomicBool::new(false),
-            epoch0: Instant::now(),
             obs,
         }
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.epoch0.elapsed().as_nanos() as u64
     }
 
     fn begin_shutdown(&self) {
@@ -305,12 +301,11 @@ impl Shared {
 
     /// Runs one batch through the engine on the current model generation.
     fn forward(&self, engine: &mut InferenceEngine, batch: &mut [Box<RequestSlot>]) {
-        let fwd_start = self.obs.as_ref().map(|t| t.tracer.now_ns());
+        let start = clock::now_ns();
         let model = Arc::clone(&self.model.read().expect("model lock"));
         engine.infer(&model, batch);
         if let Some(t) = self.obs.as_ref() {
-            let end = t.tracer.now_ns();
-            let start = fwd_start.unwrap_or(end);
+            let end = clock::now_ns();
             t.tracer.record("serve-forward", 0, start, end);
             for slot in batch.iter() {
                 if slot.trace.is_set() {
@@ -360,7 +355,7 @@ impl Shared {
                     );
                 }
                 if conn.send(&bufs.out) {
-                    let now_ns = self.now_ns();
+                    let now_ns = clock::now_ns();
                     self.metrics.serve_requests.add((end - start) as u64);
                     for slot in &batch[start..end] {
                         self.metrics
@@ -657,7 +652,7 @@ fn reader_loop(mut rx: StreamTransport, conn: Arc<Conn>, shared: Arc<Shared>) {
     let mut open = true;
     while open && !shared.shutdown.load(Ordering::SeqCst) && !conn.closed.load(Ordering::SeqCst) {
         open = match rx.recv_frames(&mut frames) {
-            Ok(_) => shared.admit(&conn, &mut frames, shared.now_ns(), &mut bufs),
+            Ok(_) => shared.admit(&conn, &mut frames, clock::now_ns(), &mut bufs),
             Err(DistError::Timeout { .. }) => true,
             // Disconnect, a stalled partial frame, or a socket error.
             Err(_) => false,
@@ -722,6 +717,7 @@ mod tests {
     use std::io::Write;
     use std::os::unix::net::UnixStream;
     use std::sync::Barrier;
+    use std::time::Instant;
 
     fn model() -> PolicyModel {
         let train = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3);

@@ -22,7 +22,6 @@
 
 use marl_repro::dist::{run_worker_traced, Backoff, DistError, StreamTransport, Transport};
 use marl_repro::obs::{KernelTally, ProcessSummary, SnapshotContext, Telemetry, TelemetryConfig};
-use marl_repro::perf::phase::PhaseProfile;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -222,10 +221,9 @@ fn write_artifacts(
     telemetry: &Telemetry,
     stats: &marl_repro::dist::WorkerStats,
 ) {
-    let profile = PhaseProfile::new();
     let snap = telemetry.finish(&SnapshotContext {
         episode: stats.episodes_done,
-        profile: &profile,
+        profile: &stats.profile,
         kernels: KernelTally::default(),
     });
     let summary = ProcessSummary {

@@ -9,7 +9,9 @@
 //! * the telemetry cost is guarded by a count, not a timing: the spans
 //!   one update and one episode record are pinned exactly, so a span
 //!   added inside an inner loop fails here deterministically, where a
-//!   timing budget on a shared host could not.
+//!   timing budget on a shared host could not;
+//! * a phase's profile charge, its span and its duration histogram are
+//!   one pair of process-clock stamps, so they agree to the nanosecond.
 //!
 //! The span arithmetic, for N agents, K worlds and episodes of
 //! `max_episode_len` = T steps, at every `update_threads` and every K:
@@ -34,9 +36,11 @@ use marl_repro::core::SamplerConfig;
 use marl_repro::obs::{
     KernelTally, MetricsSnapshot, SnapshotContext, SpanEvent, Telemetry, TelemetryConfig,
 };
+use marl_repro::perf::Phase;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Chrome trace-event metadata payload (`{"name": "trainer"}`).
 #[derive(Debug, Default, Serialize, Deserialize)]
@@ -271,6 +275,66 @@ fn one_update_and_one_episode_record_exactly_their_spans() {
                 assert_eq!(drain_span_counts(&tel), expected, "{case}, K={k} episode");
                 assert_eq!(tel.tracer.dropped(), 0, "{case}, K={k}");
             }
+        }
+    }
+}
+
+/// Label → summed duration (ns) of every span the tracer holds, draining
+/// it.
+fn drain_span_ns(tel: &Telemetry) -> BTreeMap<&'static str, u64> {
+    let mut events: Vec<SpanEvent> = Vec::new();
+    tel.tracer.drain_into(&mut events);
+    let mut ns = BTreeMap::new();
+    for e in &events {
+        *ns.entry(e.label).or_insert(0) += e.end_ns - e.start_ns;
+    }
+    ns
+}
+
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos() as u64
+}
+
+#[test]
+fn a_phase_its_span_and_its_histogram_are_one_measurement() {
+    const N: usize = 3;
+    for (algorithm, task) in
+        [(Algorithm::Maddpg, Task::PredatorPrey), (Algorithm::Matd3, Task::CooperativeNavigation)]
+    {
+        for threads in [1, 2] {
+            let cfg = TrainConfig::paper_defaults(algorithm, task, N)
+                .with_batch_size(32)
+                .with_buffer_capacity(4096)
+                .with_update_threads(threads)
+                .with_seed(5);
+            let case = format!("{algorithm:?} {task:?} update_threads={threads}");
+
+            let mut t = Trainer::new(cfg).unwrap();
+            t.prefill(256).unwrap();
+            let tel = Arc::new(Telemetry::new(&TelemetryConfig::default()).unwrap());
+            t.attach_telemetry(Arc::clone(&tel));
+            let before = t.profile().clone();
+            t.update_all_trainers().unwrap();
+            let delta = |p| nanos(t.profile().get(p) - before.get(p));
+            let span = drain_span_ns(&tel);
+            assert_eq!(span["mini-batch-sampling"], delta(Phase::MiniBatchSampling), "{case}");
+            assert_eq!(span["soft-update"], delta(Phase::SoftUpdate), "{case}");
+            assert_eq!(
+                span["target-q-shared"] + span["agent-update"],
+                delta(Phase::TargetQ) + delta(Phase::QLossPLoss),
+                "{case}"
+            );
+            assert_eq!(tel.metrics.update_ns.sum(), span["update-all-trainers"], "{case}");
+
+            let mut cfg = cfg;
+            cfg.warmup = usize::MAX;
+            let mut t = Trainer::new(cfg).unwrap();
+            let tel = Arc::new(Telemetry::new(&TelemetryConfig::default()).unwrap());
+            t.attach_telemetry(Arc::clone(&tel));
+            t.run_episode().unwrap();
+            let env_step = drain_span_ns(&tel)["vec-env-step"];
+            assert_eq!(env_step, nanos(t.profile().get(Phase::EnvironmentStep)), "{case}");
+            assert_eq!(env_step, tel.metrics.vecenv_step_ns.sum(), "{case}");
         }
     }
 }
