@@ -11,6 +11,7 @@
 //! last good checkpoint.
 
 use crate::agent::AgentNets;
+use marl_nn::mlp::max_abs_bits;
 use serde::{Deserialize, Serialize};
 
 /// Thresholds and retry budget of the divergence sentinel.
@@ -68,6 +69,11 @@ impl std::fmt::Display for DivergenceReport {
 /// Scans the per-agent TD errors of one update round. Runs *before* the
 /// sampler's priority refresh so a NaN never reaches the sum tree.
 ///
+/// Each agent's errors pass on one compare: their largest magnitude bits
+/// ([`max_abs_bits`]) against the threshold's, which orders exactly like
+/// `|td| ≤ max_abs_td` and fails every non-finite error. Only an agent that
+/// fails it is scanned element by element, for the first offending value.
+///
 /// # Errors
 ///
 /// Returns the report of the first non-finite or out-of-bounds TD error.
@@ -79,17 +85,26 @@ pub fn check_tds(
     if !config.enabled {
         return Ok(());
     }
+    let t = config.max_abs_td;
+    // The largest magnitude bits that pass: `|v| > NaN` is false, so a NaN
+    // threshold lets every finite value through; a negative one none.
+    let limit = match t {
+        t if t.is_nan() => Some(f32::MAX.to_bits()),
+        t if t >= 0.0 => Some(t.abs().to_bits().min(f32::MAX.to_bits())),
+        _ => None,
+    };
     for (agent, td) in tds.iter().enumerate() {
-        for &v in td {
-            if !v.is_finite() || v.abs() > config.max_abs_td {
-                return Err(DivergenceReport {
-                    update_iteration,
-                    agent,
-                    what: "TD error".into(),
-                    value: v,
-                    threshold: config.max_abs_td,
-                });
-            }
+        if limit.is_some_and(|limit| max_abs_bits(td) <= limit) {
+            continue;
+        }
+        if let Some(&v) = td.iter().find(|v| !v.is_finite() || v.abs() > t) {
+            return Err(DivergenceReport {
+                update_iteration,
+                agent,
+                what: "TD error".into(),
+                value: v,
+                threshold: t,
+            });
         }
     }
     Ok(())
@@ -140,10 +155,206 @@ pub fn check_agents(
 mod tests {
     use super::*;
     use marl_nn::rng::seeded;
+    use proptest::prelude::*;
 
     fn nets() -> AgentNets {
         let mut rng = seeded(3);
         AgentNets::new(8, 5, 3 * 8 + 3 * 5, true, 0.01, &mut rng)
+    }
+
+    /// The TD scan before the bits compare: the reference oracle.
+    fn check_tds_reference(
+        tds: &[Vec<f32>],
+        config: &SentinelConfig,
+        update_iteration: u64,
+    ) -> Result<(), DivergenceReport> {
+        if !config.enabled {
+            return Ok(());
+        }
+        for (agent, td) in tds.iter().enumerate() {
+            for &v in td {
+                if !v.is_finite() || v.abs() > config.max_abs_td {
+                    return Err(DivergenceReport {
+                        update_iteration,
+                        agent,
+                        what: "TD error".into(),
+                        value: v,
+                        threshold: config.max_abs_td,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The parameter scan before the bits fold: the reference oracle.
+    fn max_abs_reference(params: &[f32]) -> f32 {
+        let max = params.iter().try_fold(0.0f32, |m, &x| x.is_finite().then(|| m.max(x.abs())));
+        max.unwrap_or(f32::NAN)
+    }
+
+    fn check_agents_reference(
+        agents: &[AgentNets],
+        config: &SentinelConfig,
+        update_iteration: u64,
+    ) -> Result<(), DivergenceReport> {
+        if !config.enabled {
+            return Ok(());
+        }
+        for (i, a) in agents.iter().enumerate() {
+            for (name, net) in named_nets(a) {
+                let m = max_abs_reference(net.params());
+                if !m.is_finite() || m > config.max_abs_param {
+                    return Err(DivergenceReport {
+                        update_iteration,
+                        agent: i,
+                        what: format!("network parameter ({name})"),
+                        value: m,
+                        threshold: config.max_abs_param,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn named_nets(a: &AgentNets) -> Vec<(&'static str, &marl_nn::Mlp)> {
+        let mut nets = vec![
+            ("actor", &a.actor),
+            ("target actor", &a.target_actor),
+            ("critic", &a.critic),
+            ("target critic", &a.target_critic),
+        ];
+        if let Some((c2, t2)) = &a.critic2 {
+            nets.extend([("twin critic", c2), ("twin target critic", t2)]);
+        }
+        nets
+    }
+
+    fn named_nets_mut(a: &mut AgentNets) -> Vec<&mut marl_nn::Mlp> {
+        let mut nets = vec![&mut a.actor, &mut a.target_actor, &mut a.critic, &mut a.target_critic];
+        if let Some((c2, t2)) = &mut a.critic2 {
+            nets.extend([c2, t2]);
+        }
+        nets
+    }
+
+    /// A report as comparable bits: `NaN != NaN` would hide an equal one.
+    fn key(r: Result<(), DivergenceReport>) -> Option<(u64, usize, String, u32, u32)> {
+        r.err().map(|r| {
+            (r.update_iteration, r.agent, r.what, r.value.to_bits(), r.threshold.to_bits())
+        })
+    }
+
+    /// One value from a `(kind, payload)` draw: at density `rate` (0 next
+    /// to never … 3 one in four) a special value — `±0`, a subnormal,
+    /// `±f32::MAX`, `±∞` or a NaN of either sign with a random payload —
+    /// else a finite value of any exponent.
+    fn special_value(rate: u32, (kind, bits): (u32, u32)) -> f32 {
+        let every = [u32::MAX, 512, 32, 4][rate as usize];
+        let sign = bits & 0x8000_0000;
+        if (kind >> 3) % every != 0 {
+            let finite = if bits & 0x7F80_0000 == 0x7F80_0000 { bits ^ 0x0080_0000 } else { bits };
+            return f32::from_bits(finite);
+        }
+        f32::from_bits(match kind & 7 {
+            0 => sign,
+            1 => sign | (bits & 0x007F_FFFF),
+            2 => sign | f32::MAX.to_bits(),
+            3 => sign | 0x7F80_0000,
+            _ => 0x7F80_0000 | bits | u32::from(bits & 0x007F_FFFF == 0),
+        })
+    }
+
+    /// A threshold: mostly the magnitude of one of `values` (the compare's
+    /// boundary), else any value, `±0`, `±∞` or NaN included.
+    fn threshold(values: &[f32], (pick, bits): (u32, u32)) -> f32 {
+        match pick % 4 {
+            0 | 1 if !values.is_empty() => values[bits as usize % values.len()].abs(),
+            2 => special_value(3, (pick >> 2, bits)),
+            _ => special_value(0, (pick >> 2 | 8, bits)).abs(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Up to four agents of 0..=40 errors each cross every tail of the
+        /// 16-lane fold.
+        #[test]
+        fn check_tds_reports_equal_the_loop(
+            rate in 0u32..4,
+            agents in prop::collection::vec(
+                prop::collection::vec((any::<u32>(), any::<u32>()), 0..41),
+                0..5,
+            ),
+            pick in (any::<u32>(), any::<u32>()),
+        ) {
+            let tds: Vec<Vec<f32>> =
+                agents.iter().map(|a| a.iter().map(|&d| special_value(rate, d)).collect()).collect();
+            let flat: Vec<f32> = tds.concat();
+            let cfg = SentinelConfig { max_abs_td: threshold(&flat, pick), ..SentinelConfig::default() };
+            prop_assert_eq!(key(check_tds(&tds, &cfg, 9)), key(check_tds_reference(&tds, &cfg, 9)));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn check_tds_reports_equal_the_loop_on_long_batches(
+            rate in 0u32..4,
+            agents in prop::collection::vec(
+                prop::collection::vec((any::<u32>(), any::<u32>()), 2000..5000),
+                1..4,
+            ),
+            pick in (any::<u32>(), any::<u32>()),
+        ) {
+            let tds: Vec<Vec<f32>> =
+                agents.iter().map(|a| a.iter().map(|&d| special_value(rate, d)).collect()).collect();
+            let flat: Vec<f32> = tds.concat();
+            let cfg = SentinelConfig { max_abs_td: threshold(&flat, pick), ..SentinelConfig::default() };
+            prop_assert_eq!(key(check_tds(&tds, &cfg, 9)), key(check_tds_reference(&tds, &cfg, 9)));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Poisons at random positions of random networks (twin critics
+        /// included) against a threshold at or near the healthy maxima.
+        #[test]
+        fn check_agents_reports_equal_the_loop(
+            rate in 0u32..4,
+            poisons in prop::collection::vec(
+                (any::<u32>(), any::<u32>(), (any::<u32>(), any::<u32>())),
+                0..4,
+            ),
+            pick in (any::<u32>(), any::<u32>()),
+        ) {
+            let mut rng = seeded(11);
+            let mut agents = vec![
+                AgentNets::new(4, 3, 14, false, 0.01, &mut rng),
+                AgentNets::new(4, 3, 14, true, 0.01, &mut rng),
+            ];
+            for &(which, at, draw) in &poisons {
+                let nets = named_nets_mut(&mut agents[which as usize % 2]);
+                let len = nets.len();
+                let params = nets.into_iter().nth((which >> 1) as usize % len).unwrap().params_mut();
+                let len = params.len();
+                params[at as usize % len] = special_value(rate, draw);
+            }
+            let maxima: Vec<f32> = agents
+                .iter()
+                .flat_map(named_nets)
+                .map(|(_, net)| max_abs_reference(net.params()))
+                .collect();
+            let cfg = SentinelConfig { max_abs_param: threshold(&maxima, pick), ..SentinelConfig::default() };
+            prop_assert_eq!(
+                key(check_agents(&agents, &cfg, 4)),
+                key(check_agents_reference(&agents, &cfg, 4))
+            );
+        }
     }
 
     #[test]

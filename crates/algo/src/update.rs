@@ -251,6 +251,18 @@ impl Trainer {
             t.tracer.record("soft-update", 0, soft_start, soft_end);
         }
         self.profile.add(Phase::SoftUpdate, Duration::from_nanos(soft_end - soft_start));
+
+        #[cfg(feature = "failpoints")]
+        if crate::failpoint::take("update::params") == Some(crate::failpoint::Fault::Nan) {
+            let last = self.agents.last_mut().and_then(|a| a.target_critic.params_mut().last_mut());
+            if let Some(p) = last {
+                *p = f32::NAN;
+            }
+        }
+
+        // --- Sentinel: every parameter of every network. Its span runs
+        // from the soft update's end stamp to the update's (the golden
+        // trace recorder, when attached, records inside it).
         crate::sentinel::check_agents(&self.agents, &cfg.sentinel, self.updates)
             .map_err(TrainError::Diverged)?;
         if let Some(rec) = self.trace.as_mut() {
@@ -260,6 +272,7 @@ impl Trainer {
         self.updates += 1;
         let end = clock::now_ns();
         if let Some(t) = tel {
+            t.tracer.record("sentinel", 0, soft_end, end);
             t.tracer.record("update-all-trainers", 0, start, end);
             t.metrics.update_ns.record(end - start);
             t.metrics.updates.inc();

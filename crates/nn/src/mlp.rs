@@ -61,6 +61,35 @@ impl BackwardNeed {
     pub const FULL: BackwardNeed = BackwardNeed { params: true, input: InputGrad::Full };
 }
 
+/// The magnitude bits of `+∞`: every NaN's lie above, every finite
+/// value's below.
+const NON_FINITE_BITS: u32 = 0x7F80_0000;
+
+/// The largest magnitude bits `x.to_bits() & 0x7FFF_FFFF` over `xs`, `0`
+/// for an empty slice.
+///
+/// The masked bits of an `f32` order like `|x|` (sign cleared, then
+/// exponent before mantissa), with `±0` at `0`, subnormals next, and
+/// every `±∞` and NaN at or above `0x7F80_0000`. So one integer
+/// maximum answers both "is anything non-finite?" and "how large is the
+/// largest finite magnitude?". The fold keeps sixteen independent lanes
+/// and no branch, which the compiler turns into whole-register integer
+/// maxima (signed `i32`: the masked bits fit, and SSE2 compares signed
+/// lanes only).
+pub fn max_abs_bits(xs: &[f32]) -> u32 {
+    const LANES: usize = 16;
+    let abs_bits = |x: f32| (x.to_bits() & 0x7FFF_FFFF) as i32;
+    let chunks = xs.chunks_exact(LANES);
+    let tail = chunks.remainder().iter().fold(0, |m, &x| m.max(abs_bits(x)));
+    let lanes = chunks.fold([0i32; LANES], |mut acc, c| {
+        for (m, &x) in acc.iter_mut().zip(c) {
+            *m = (*m).max(abs_bits(x));
+        }
+        acc
+    });
+    lanes.into_iter().fold(tail, i32::max) as u32
+}
+
 /// A feed-forward network: dense layers `y = x · W + b`, hidden layers
 /// followed by a shared activation, the output layer linear.
 ///
@@ -477,13 +506,19 @@ impl Mlp {
         self.grads.fill(0.0);
     }
 
-    /// Largest absolute parameter value, or `NaN` as soon as any weight or
-    /// bias is non-finite — a cheap health probe for divergence sentinels
-    /// (one linear scan, no allocation).
+    /// Largest absolute parameter value (`+0.0` for an all-zero slab), or
+    /// `NaN` when any weight or bias is non-finite — the health probe the
+    /// divergence sentinel runs on every network after every update.
+    ///
+    /// One branch-free pass of [`max_abs_bits`] over the slab, at memory
+    /// speed, with no allocation: every non-finite value's magnitude bits
+    /// lie above every finite value's, so the slab holds a NaN or an
+    /// infinity exactly when the maximum is at least `0x7F80_0000`.
     pub fn max_abs_param(&self) -> f32 {
-        let max =
-            self.params.iter().try_fold(0.0f32, |m, &x| x.is_finite().then(|| m.max(x.abs())));
-        max.unwrap_or(f32::NAN)
+        match max_abs_bits(&self.params) {
+            bits if bits < NON_FINITE_BITS => f32::from_bits(bits),
+            _ => f32::NAN,
+        }
     }
 
     /// Polyak-averages parameters toward `source` with rate `tau`:
@@ -514,6 +549,8 @@ impl Mlp {
 mod tests {
     use super::*;
     use crate::rng;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn loss_sum(m: &Mlp, x: &Matrix) -> f32 {
         let mut out = Matrix::default();
@@ -531,6 +568,92 @@ mod tests {
         let mut y = Matrix::default();
         net.forward_into(&Matrix::zeros(6, 10), &mut y);
         assert_eq!(y.shape(), (6, 4));
+    }
+
+    /// The scan `Mlp::max_abs_param` ran before the bits fold: the
+    /// reference oracle of the equivalence properties below.
+    fn max_abs_reference(params: &[f32]) -> f32 {
+        let max = params.iter().try_fold(0.0f32, |m, &x| x.is_finite().then(|| m.max(x.abs())));
+        max.unwrap_or(f32::NAN)
+    }
+
+    /// One slab value from a `(kind, payload)` draw: at density `rate`
+    /// (0 next to never … 3 one in four) a special value — `±0`, a subnormal,
+    /// `±f32::MAX`, `±∞` or a NaN of either sign with a random payload —
+    /// else a finite value of any exponent.
+    fn slab_value(rate: u32, (kind, bits): (u32, u32)) -> f32 {
+        let every = [u32::MAX, 512, 32, 4][rate as usize];
+        let sign = bits & 0x8000_0000;
+        if (kind >> 3) % every != 0 {
+            // Any finite value: an all-ones exponent loses its low bit.
+            let finite = if bits & 0x7F80_0000 == 0x7F80_0000 { bits ^ 0x0080_0000 } else { bits };
+            return f32::from_bits(finite);
+        }
+        f32::from_bits(match kind & 7 {
+            0 => sign,
+            1 => sign | (bits & 0x007F_FFFF),
+            2 => sign | f32::MAX.to_bits(),
+            3 => sign | 0x7F80_0000,
+            _ => 0x7F80_0000 | bits | u32::from(bits & 0x007F_FFFF == 0),
+        })
+    }
+
+    fn slab(rate: u32, draws: &[(u32, u32)]) -> Vec<f32> {
+        draws.iter().map(|&d| slab_value(rate, d)).collect()
+    }
+
+    /// A network whose slab is exactly `params` (`[len - 1, 1]` widths).
+    fn net_holding(params: &[f32]) -> Mlp {
+        let mut net =
+            Mlp::new(&[params.len() - 1, 1], Activation::Relu, Init::Zeros, &mut rng::seeded(0));
+        net.params_mut().copy_from_slice(params);
+        net
+    }
+
+    fn assert_scan_matches(params: &[f32]) -> Result<(), TestCaseError> {
+        let masked = params.iter().map(|x| x.to_bits() & 0x7FFF_FFFF).max().unwrap_or(0);
+        prop_assert_eq!(max_abs_bits(params), masked);
+        if !params.is_empty() {
+            let got = net_holding(params).max_abs_param();
+            prop_assert_eq!(got.to_bits(), max_abs_reference(params).to_bits(), "{params:?}");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Lengths 0..=40 cross every tail of the 16-lane fold.
+        #[test]
+        fn max_abs_param_equals_the_fold_on_short_slabs(
+            rate in 0u32..4,
+            draws in prop::collection::vec((any::<u32>(), any::<u32>()), 0..41),
+        ) {
+            assert_scan_matches(&slab(rate, &draws))?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn max_abs_param_equals_the_fold_on_long_slabs(
+            rate in 0u32..4,
+            draws in prop::collection::vec((any::<u32>(), any::<u32>()), 2000..5000),
+        ) {
+            assert_scan_matches(&slab(rate, &draws))?;
+        }
+    }
+
+    #[test]
+    fn max_abs_param_edges() {
+        assert_eq!(max_abs_bits(&[]), 0);
+        assert_eq!(net_holding(&[-0.0, 0.0]).max_abs_param().to_bits(), 0);
+        assert_eq!(net_holding(&[1.0, -f32::MAX]).max_abs_param(), f32::MAX);
+        let inf = net_holding(&[1.0, f32::NEG_INFINITY]).max_abs_param();
+        assert_eq!(inf.to_bits(), f32::NAN.to_bits(), "an infinity reports the canonical NaN");
+        let nan = net_holding(&[f32::from_bits(0xFFC0_0001), 2.0]).max_abs_param();
+        assert_eq!(nan.to_bits(), f32::NAN.to_bits(), "so does a NaN of any sign and payload");
     }
 
     #[test]

@@ -190,6 +190,51 @@ fn divergence_without_checkpoint_aborts_with_report() {
     drop(guard);
 }
 
+/// A NaN written into a network after the soft update reaches the
+/// sentinel's parameter scan end to end: with no checkpoint to roll back
+/// to, the run fails with the report naming the network and the agent.
+#[test]
+fn poisoned_parameter_without_checkpoint_aborts_with_report() {
+    let guard = locked();
+    let mut cfg = config(SamplerConfig::Uniform);
+    cfg.checkpoint_every = 0;
+    let mut t = Trainer::new(cfg).unwrap();
+    // The site poisons the last agent's target critic.
+    failpoint::arm("update::params", Fault::Nan);
+    let err = t.train().unwrap_err();
+    let TrainError::Diverged(report) = err else { panic!("wrong variant: {err:?}") };
+    assert_eq!(report.what, "network parameter (target critic)");
+    assert_eq!(report.agent, cfg.agents - 1);
+    assert_eq!(report.update_iteration, 0);
+    assert!(report.value.is_nan());
+    assert_eq!(report.threshold, cfg.sentinel.max_abs_param);
+    drop(guard);
+}
+
+/// The parameter twin of `transient_nan_recovers_via_rollback`: a NaN
+/// parameter on the second update round rolls back to the episode-2
+/// autosave, and the retry finishes with exactly the un-faulted result.
+#[test]
+fn poisoned_parameter_recovers_via_rollback() {
+    let guard = locked();
+    let cfg = config(SamplerConfig::Uniform);
+
+    let mut straight = Trainer::new(cfg).unwrap();
+    let full = straight.train().unwrap();
+
+    let path = tmp_path("param_nan_rollback.bin");
+    let mut faulted = Trainer::new(cfg).unwrap();
+    failpoint::arm_after("update::params", Fault::Nan, 1);
+    let report = faulted.train_with_autosave(Some(&path)).unwrap();
+    let site = || failpoint::take("update::params");
+    assert_eq!((site(), site()), (None, None), "the fault fired: an unfired one is still armed");
+
+    assert_eq!(report.curve.values(), full.curve.values(), "recovery must be exact");
+    let weights = |t: &Trainer| serde_json::to_string(&t.checkpoint().agents).unwrap();
+    assert_eq!(weights(&faulted), weights(&straight));
+    drop(guard);
+}
+
 /// An injected I/O failure during the checkpoint write surfaces as a
 /// structured error and leaves any previous live file untouched.
 #[test]

@@ -22,11 +22,12 @@
 //! |                            | `target-q-shared`     | 1     |
 //! |                            | `agent-update`        | N     |
 //! |                            | `soft-update`         | 1     |
+//! |                            | `sentinel`            | 1     |
 //! |                            | `update-all-trainers` | 1     |
 //! | one episode with no update | `episode`             | 1     |
 //! |                            | `vec-env-step`        | T     |
 //!
-//! That is N + 4 per update and 1 + T per episode: one `vec-env-step`
+//! That is N + 5 per update and 1 + T per episode: one `vec-env-step`
 //! steps all K worlds at once. MATD3's critic-only iterations still
 //! record every span (the soft update is skipped, its span is not), and
 //! none is dropped.
@@ -145,9 +146,14 @@ fn trace_and_metrics_files_are_valid_and_complete() {
     assert!(meta_names.contains(&"agent-2"));
     let span_names: Vec<&str> =
         trace.traceEvents.iter().filter(|e| e.ph == "X").map(|e| e.name.as_str()).collect();
-    for expected in
-        ["episode", "mini-batch-sampling", "target-q-shared", "agent-update", "update-all-trainers"]
-    {
+    for expected in [
+        "episode",
+        "mini-batch-sampling",
+        "target-q-shared",
+        "agent-update",
+        "sentinel",
+        "update-all-trainers",
+    ] {
         assert!(span_names.contains(&expected), "trace is missing span {expected}");
     }
     for e in trace.traceEvents.iter().filter(|e| e.ph == "X") {
@@ -220,12 +226,17 @@ fn telemetry_does_not_perturb_training() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Label → count of every span the tracer holds, draining it.
-fn drain_span_counts(tel: &Telemetry) -> BTreeMap<&'static str, usize> {
+/// Every span the tracer holds, draining it.
+fn drain_spans(tel: &Telemetry) -> Vec<SpanEvent> {
     let mut events: Vec<SpanEvent> = Vec::new();
     tel.tracer.drain_into(&mut events);
+    events
+}
+
+/// Label → count of every span the tracer holds, draining it.
+fn drain_span_counts(tel: &Telemetry) -> BTreeMap<&'static str, usize> {
     let mut counts = BTreeMap::new();
-    for e in &events {
+    for e in &drain_spans(tel) {
         *counts.entry(e.label).or_insert(0) += 1;
     }
     counts
@@ -255,6 +266,7 @@ fn one_update_and_one_episode_record_exactly_their_spans() {
                 let expected = BTreeMap::from([
                     ("agent-update", N),
                     ("mini-batch-sampling", 1),
+                    ("sentinel", 1),
                     ("soft-update", 1),
                     ("target-q-shared", 1),
                     ("update-all-trainers", 1),
@@ -279,16 +291,21 @@ fn one_update_and_one_episode_record_exactly_their_spans() {
     }
 }
 
-/// Label → summed duration (ns) of every span the tracer holds, draining
-/// it.
-fn drain_span_ns(tel: &Telemetry) -> BTreeMap<&'static str, u64> {
-    let mut events: Vec<SpanEvent> = Vec::new();
-    tel.tracer.drain_into(&mut events);
+/// Label → summed duration (ns) of `events`.
+fn span_ns(events: &[SpanEvent]) -> BTreeMap<&'static str, u64> {
     let mut ns = BTreeMap::new();
-    for e in &events {
+    for e in events {
         *ns.entry(e.label).or_insert(0) += e.end_ns - e.start_ns;
     }
     ns
+}
+
+/// The one span labelled `label` in `events`.
+fn only<'a>(events: &'a [SpanEvent], label: &str) -> &'a SpanEvent {
+    let mut found = events.iter().filter(|e| e.label == label);
+    let span = found.next().unwrap_or_else(|| panic!("no {label} span"));
+    assert!(found.next().is_none(), "more than one {label} span");
+    span
 }
 
 fn nanos(d: Duration) -> u64 {
@@ -316,7 +333,8 @@ fn a_phase_its_span_and_its_histogram_are_one_measurement() {
             let before = t.profile().clone();
             t.update_all_trainers().unwrap();
             let delta = |p| nanos(t.profile().get(p) - before.get(p));
-            let span = drain_span_ns(&tel);
+            let events = drain_spans(&tel);
+            let span = span_ns(&events);
             assert_eq!(span["mini-batch-sampling"], delta(Phase::MiniBatchSampling), "{case}");
             assert_eq!(span["soft-update"], delta(Phase::SoftUpdate), "{case}");
             assert_eq!(
@@ -325,6 +343,12 @@ fn a_phase_its_span_and_its_histogram_are_one_measurement() {
                 "{case}"
             );
             assert_eq!(tel.metrics.update_ns.sum(), span["update-all-trainers"], "{case}");
+            // The sentinel runs from the soft update's end stamp to the
+            // update's: end − soft_end, to the nanosecond.
+            let (soft, sentinel) = (only(&events, "soft-update"), only(&events, "sentinel"));
+            let update = only(&events, "update-all-trainers");
+            assert_eq!(sentinel.start_ns, soft.end_ns, "{case}");
+            assert_eq!(sentinel.end_ns, update.end_ns, "{case}");
 
             let mut cfg = cfg;
             cfg.warmup = usize::MAX;
@@ -332,7 +356,7 @@ fn a_phase_its_span_and_its_histogram_are_one_measurement() {
             let tel = Arc::new(Telemetry::new(&TelemetryConfig::default()).unwrap());
             t.attach_telemetry(Arc::clone(&tel));
             t.run_episode().unwrap();
-            let env_step = drain_span_ns(&tel)["vec-env-step"];
+            let env_step = span_ns(&drain_spans(&tel))["vec-env-step"];
             assert_eq!(env_step, nanos(t.profile().get(Phase::EnvironmentStep)), "{case}");
             assert_eq!(env_step, tel.metrics.vecenv_step_ns.sum(), "{case}");
         }
