@@ -211,7 +211,7 @@ impl SoaBatch {
     /// Advances all K worlds on an explicit kernel (tests and benchmarks).
     pub fn step_with(&mut self, kind: KernelKind) {
         #[cfg(target_arch = "x86_64")]
-        if kind == KernelKind::Simd && kernels::simd_available() {
+        if kind != KernelKind::Scalar && kernels::simd_available() {
             // SAFETY: AVX2 verified above.
             unsafe { self.step_avx2() };
             return;
@@ -622,7 +622,7 @@ mod tests {
             let mut simd = SoaBatch::new(&worlds[0], k);
             simd.gather(&worlds);
             for _ in 0..5 {
-                simd.step_with(KernelKind::Simd);
+                simd.step_with(KernelKind::Avx2);
             }
             assert_eq!(bits(&scalar.px), bits(&simd.px), "px (K={k})");
             assert_eq!(bits(&scalar.py), bits(&simd.py), "py (K={k})");

@@ -294,7 +294,7 @@ proptest! {
             let mut simd = worlds.clone();
             batch.gather(&simd);
             for _ in 0..steps {
-                batch.step_with(KernelKind::Simd);
+                batch.step_with(KernelKind::Avx2);
             }
             batch.scatter(&mut simd);
             for (w, (got, want)) in simd.iter().zip(&reference).enumerate() {

@@ -149,16 +149,18 @@ proptest! {
 
     /// Whatever a request keeps is bitwise what the full backward pass
     /// produces on a clone, and whatever it does not ask for is not
-    /// touched — for random depths, widths, ReLU and Tanh, on both kernels.
+    /// touched — for random depths, widths, ReLU and Tanh, on every kernel.
     /// `dX` is the forward kernel against a transposed weight block, so
     /// widths up to 40 pin that kernel's column independence: a column's
     /// bits do not depend on whether it lands in a 16-wide, 8-wide or
-    /// masked tail block.
+    /// masked tail block, nor (at batches past `WIDE_MIN_ROWS`) on whether
+    /// a narrow block runs AVX2 while the full width runs AVX-512.
     #[test]
     fn every_request_keeps_the_bits_of_the_full_backward(
         seed in 0u64..10_000,
         sizes in proptest::collection::vec(1usize..41, 2..6),
-        batch in 1usize..9,
+        batch in (any::<bool>(), 1usize..9, 0usize..6)
+            .prop_map(|(wide, narrow, past)| if wide { kernels::WIDE_MIN_ROWS + past } else { narrow }),
         relu in any::<bool>(),
         start in 0usize..40,
         width in 1usize..41,
@@ -172,7 +174,7 @@ proptest! {
         let grad_out = patterned(batch, *sizes.last().unwrap(), 0.5 + seed as f32);
         let mut scratch = Scratch::new();
 
-        for kind in [KernelKind::Scalar, KernelKind::Simd] {
+        for kind in [KernelKind::Scalar, KernelKind::Avx2, KernelKind::Avx512] {
             let previous = kernels::set_active(kind);
             let mut rng = seeded(seed);
             let mut net = Mlp::new(&sizes, activation, Init::XavierUniform, &mut rng);

@@ -1,7 +1,7 @@
 //! The 27 committed golden traces and the configurations they are
 //! recorded under, shared by the default-kernel replay
-//! (`golden_traces.rs`) and the forced-scalar one
-//! (`golden_traces_scalar.rs`).
+//! (`golden_traces.rs`) and the forced-AVX2 and forced-scalar ones
+//! (`golden_traces_avx2.rs`, `golden_traces_scalar.rs`).
 
 use marl_conform::golden;
 use marl_repro::algo::{Algorithm, LayoutMode, Task, TrainConfig};

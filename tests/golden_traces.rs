@@ -25,8 +25,9 @@ mod common;
 
 /// Replays `cases` on the kernel the process resolves by itself. On a
 /// host whose `/proc/cpuinfo` lists avx2 and fma every dispatch must be
-/// SIMD, so these goldens pin what a default run computes there;
-/// `golden_traces_scalar.rs` replays the same traces on the scalar code.
+/// SIMD (AVX2, or AVX-512 where avx512f is listed too), so these goldens
+/// pin what a default run computes there; `golden_traces_avx2.rs` and
+/// `golden_traces_scalar.rs` replay the same traces on the narrower code.
 fn check_cases(cases: Vec<(String, TrainConfig)>) {
     goldens::check_cases(cases);
     if goldens::simd_host() {
